@@ -25,7 +25,9 @@ import numpy as np
 from . import __version__
 from .channels import (ChannelModel, check_cp_bound, check_positive_bound,
                        coarse_grain)
-from .channel_spec import load_channel, parse_channel_document
+# load_channel is not called here; it stays importable as
+# twirltomo.cli.load_channel, a name outside tooling already uses.
+from .channel_spec import build_channel, load_channel, parse_channel_document  # noqa: F401
 from .dense import DenseBackend, haar_twirl_moment
 from .errors import CapacityError, ConfigError, SpecValidationError
 from .localtwirl import LocalTwirlConfig, run_local_twirl
@@ -54,10 +56,8 @@ def _write_outputs(out: Path, protocol: str, manifest_extra: dict,
 
 def _load_spec(args, warnings: list[str]):
     with open(args.spec) as fh:
-        raw = json.load(fh)
-    doc = parse_channel_document(raw)
-    channel = load_channel(args.spec, warnings)
-    return doc, channel
+        doc = parse_channel_document(json.load(fh))
+    return doc, build_channel(doc, warnings)
 
 
 def _oracle_diag(channel: ChannelModel) -> dict[str, float] | None:

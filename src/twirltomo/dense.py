@@ -1,8 +1,9 @@
 """Exact small-n dense simulation and the oracles the protocols test against.
 
-This backend evolves full state vectors / density matrices, enumerates
-finite twirl families exactly, and evaluates the Haar-average identity for
-second moments in closed form.  Everything is deterministic given a
+This backend evolves full state vectors / density matrices, computes
+Clifford-twirl outcome laws from the stabilizer tableau and the chi matrix,
+enumerates finite twirl families exactly, and evaluates the Haar-average
+identity for second moments in closed form.  Everything is deterministic given a
 Generator; enumerations iterate in a fixed canonical order so results are
 reproducible bit for bit.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,6 +204,44 @@ def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     return u
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_LABEL_DIGIT = np.array([0, 1, 3, 2])  # x bit + 2 z bit -> label digit of I, X, Z, Y
+
+
+@lru_cache(maxsize=None)
+def _label_table(n: int) -> np.ndarray:
+    """label[x, z]: integer label of the phase-free Pauli with bits x, z."""
+    d = 1 << n
+    x = np.arange(d)[:, None]
+    z = np.arange(d)[None, :]
+    label = np.zeros((d, d), dtype=np.int64)
+    for shift in range(n - 1, -1, -1):  # qubit 1 is the top digit
+        label = (label << 2) | _LABEL_DIGIT[((x >> shift) & 1) + 2 * ((z >> shift) & 1)]
+    label.setflags(write=False)  # cached and shared by every caller
+    return label
+
+
+def _conjugated_xz_table(clifford):
+    """C X^a Z^b C^dag = i^e X^x Z^z for all (a, b), as flat arrays (x, z, e)
+    indexed by a * D + b.
+
+    Built by doubling over the 2n images: each image multiplies the table so
+    far from the left, Z-images first (filling the bits of b), then X-images
+    (the bits of a), so every X-image stands left of every Z-image.  In the
+    XZ form the product of i^e1 X^x1 Z^z1 and i^e2 X^x2 Z^z2 is
+    i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
+    """
+    x = np.zeros(1, dtype=np.int64)
+    z = np.zeros(1, dtype=np.int64)
+    e = np.zeros(1, dtype=np.int64)
+    for g in (*clifford.z_images[::-1], *clifford.x_images[::-1]):
+        g_e = g.phase_pow + (g.x & g.z).bit_count()  # Y = i X Z per qubit
+        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g.z)))
+        x = np.concatenate((x, x ^ g.x))
+        z = np.concatenate((z, z ^ g.z))
+    return x, z, e
+
+
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
@@ -253,15 +293,33 @@ class DenseBackend:
 
     def clifford_outcome_probs(self, channel: ChannelModel, clifford,
                                intermediary: Pauli | None = None) -> np.ndarray:
-        """Outcome distribution of prepare |0..0>, C, channel, (P), C^dag."""
+        """Outcome distribution of prepare |0..0>, C, channel, (P), C^dag.
+
+        Computed from the stabilizer tableau, without a dense unitary.  Each
+        Pauli conjugates to a phased Pauli, C^dag P_l C = theta_l X^a Z^b,
+        and X^a Z^b |0..0> = |a>, so with L(rho) = sum chi[l,l'] P_l rho P_l'
+
+            probs[a] = Re sum_{b,b'} theta chi[l(a,b), l(a,b')] conj(theta')
+
+        clipped at 0.  The formula is linear in chi, so it holds for Kraus,
+        chi-only, non-CP and non-TP maps alike; it reads ``channel.chi``
+        (16^n entries, built on first use).  An intermediary P only
+        permutes outcomes: probs_P[v] = probs[v ^ a_P], where a_P is the X
+        part of C^dag P C.
+        """
         self.check_capacity(channel.n)
-        w = clifford.unitary()
-        v = w[:, 0]
-        sigma = channel.apply(np.outer(v, v.conj()))
+        n = channel.n
+        d = channel.dim
+        x, z, e = _conjugated_xz_table(clifford)
+        labels = _label_table(n)[x, z].reshape(d, d)
+        # C X^a Z^b C^dag = phi P_l with phi = i^(e - |x & z|); theta = conj(phi)
+        phi = _I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(d, d)
+        block = channel.chi.mat[labels[:, :, None], labels[:, None, :]]
+        probs = np.einsum("ab,abc,ac->a", phi.conj(), block, phi).real
         if intermediary is not None:
-            pm = intermediary.to_matrix()
-            sigma = pm @ sigma @ pm.conj().T
-        return np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
+            a_p = int(np.flatnonzero(labels.ravel() == intermediary.label)[0]) >> n
+            probs = probs[np.arange(d) ^ a_p]
+        return np.clip(probs, 0.0, None)
 
     # -- one-qubit twirl ------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 Rows are plain Python ints; bit i is coordinate i.  These helpers back the
 stabilizer machinery (rank checks, constraint solving, canonical forms).
-They are exact and allocation-light; batched hot paths live in
-:mod:`twirltomo._kernels`.
+They are exact and allocation-light.  :func:`solve_unique_batch` is the one
+batched routine: it solves many small systems at once on uint64 rows in
+numpy, for the class-pair analysis of blind discovery.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 def _reduce_row(v: int, pivots: dict[int, int]) -> int:
@@ -110,3 +113,38 @@ def in_span(v: int, rows) -> bool:
         if r:
             pivots[r.bit_length() - 1] = r
     return _reduce_row(v, pivots) == 0
+
+
+_ONE = np.uint64(1)
+
+
+def solve_unique_batch(rows, width: int) -> np.ndarray:
+    """Unique solution of each of P stacked square affine systems, or -1.
+
+    ``rows`` is a (P, width) array holding one system per row, in the
+    augmented form of :func:`solve_affine`: bit 0 is the rhs and bits
+    1..width are the coefficients.  Gauss-Jordan elimination runs over the
+    ``width`` columns for all P systems at once.  Entry p of the result is
+    the solution v of system p when its rank is ``width`` (a square system
+    of full rank is always consistent), and -1 otherwise.
+    """
+    aug = np.array(rows, dtype=np.uint64)
+    p, m = aug.shape
+    if m != width:
+        raise ValueError(f"need {width} rows per system, got {m}")
+    ok = np.ones(p, dtype=bool)
+    sel = np.arange(p)
+    for k in range(width):
+        col = np.uint64(width - k)  # coefficient bit width-1-k, pivot of row k
+        has = ((aug[:, k:] >> col) & _ONE).astype(bool)
+        ok &= has.any(axis=1)
+        src = k + has.argmax(axis=1)
+        pivot = aug[sel, src]
+        aug[sel, src] = aug[:, k]
+        aug[:, k] = pivot
+        hit = ((aug >> col) & _ONE).astype(bool)
+        hit[:, k] = False
+        aug ^= np.where(hit, pivot[:, None], np.uint64(0))
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1), dtype=np.int64)
+    key = (aug & _ONE).astype(np.int64) @ weights
+    return np.where(ok, key, -1)

@@ -33,7 +33,7 @@ from .channels import ChannelModel
 from .dense import DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .records import ExperimentRecord
-from .rng import substream
+from .rng import _draw_outcome, substream
 
 MAX_SUPPORT_CELLS = 4096
 
@@ -120,10 +120,8 @@ def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
     backend.check_capacity(channel.n)
     n = channel.n
     digits = tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(n))
-    probs = backend.local_outcome_probs(channel, digits)
-    cdf = np.cumsum(probs)
-    v = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    v = min(v, channel.dim - 1)
+    v = _draw_outcome(np.cumsum(backend.local_outcome_probs(channel, digits)),
+                      rng.random())
     bits = tuple((v >> (n - 1 - j)) & 1 for j in range(n))
     return ExperimentRecord("local", digits, bits)
 
@@ -336,8 +334,7 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
         if cdf is None:
             cdf = np.cumsum(backend.local_outcome_probs(channel, digits))
             cdf_cache[digits] = cdf
-        v = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")),
-                channel.dim - 1)
+        v = _draw_outcome(cdf, rng.random())
         outcomes.append(tuple((v >> (n - 1 - j)) & 1 for j in range(n)))
     stats = HammingStatistics.from_outcomes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)

@@ -7,6 +7,9 @@ Philox, a counter-based generator: ``substream(seed, i)`` positions the
 ``i`` of an experiment is reproducible on its own without generating the
 preceding ``i - 1`` realizations.  Substreams are spaced 2**192 draws
 apart and can never overlap in practice.
+
+:func:`_draw_outcome` is the one place that turns a uniform draw into a
+measurement outcome; every sampled protocol goes through it.
 """
 from __future__ import annotations
 
@@ -26,3 +29,24 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 def master(seed: int) -> np.random.Generator:
     """Generator used for run-level draws (substream 0 is reserved for it)."""
     return substream(seed, 0)
+
+
+def _draw_outcome(cdf: np.ndarray, u: float) -> int:
+    """Outcome index for a uniform draw ``u`` in [0, 1] against a cumulative
+    distribution ``cdf`` (the cumsum of nonnegative probabilities).
+
+    ``u`` is scaled by ``cdf[-1]``, so rows that do not sum to one (maps
+    that are not trace preserving) are sampled in proportion.  A scaled draw
+    that reaches ``cdf[-1]`` (u = 1, or a subnormal total that rounds
+    ``u * cdf[-1]`` up) is clamped to the last outcome with nonzero
+    probability, so the result is always in range and never an outcome of
+    probability zero.  Raises ``ValueError`` when no outcome has positive
+    probability.
+    """
+    total = cdf[-1]
+    if not total > 0:
+        raise ValueError("outcome distribution has no positive mass")
+    v = int(cdf.searchsorted(u * total, side="right"))
+    if v == len(cdf):
+        v = int(cdf.searchsorted(total, side="left"))
+    return v

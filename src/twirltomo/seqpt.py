@@ -12,7 +12,8 @@ collects at least two votes is then scored by counting the realizations
 whose candidate set contains it.  Realizations are grouped by their
 (frame, outcome) constraint class first, so all M(M-1)/2 pairs are analyzed
 exactly at a cost quadratic in the number of distinct classes rather than
-in M.
+in M.  Each class is solved against all later classes at once by
+:func:`twirltomo.gf2.solve_unique_batch`.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .dense import DenseBackend
 from .errors import ConfigError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import substream
+from .rng import _draw_outcome, substream
 from .stabilizer import build_mub_family, sample_clifford_uniform
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -206,9 +207,7 @@ def _sample_mub_records(channel, config, backend):
         rng = substream(config.seed, 1 + i)
         j = int(rng.integers(0, d + 1))
         m = int(rng.integers(0, d))
-        v = int(np.searchsorted(cdfs[j][m], rng.random(), side="right"))
-        v = min(v, d - 1)
-        records.append((j, m, v))
+        records.append((j, m, _draw_outcome(cdfs[j][m], rng.random())))
     return records
 
 
@@ -217,31 +216,14 @@ def _sample_clifford_records(channel, config, backend):
     for i in range(config.shots):
         rng = substream(config.seed, 1 + i)
         c = sample_clifford_uniform(channel.n, rng)
-        probs = backend.clifford_outcome_probs(channel, c)
-        cdf = np.cumsum(probs)
-        v = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        records.append((c, v))
+        cdf = np.cumsum(backend.clifford_outcome_probs(channel, c))
+        records.append((c, _draw_outcome(cdf, rng.random())))
     return records
 
 
-class _ConstraintClass:
-    """Canonical (frame, outcome) constraint system of one realization."""
-
-    __slots__ = ("aug", "count")
-
-    def __init__(self, aug: tuple[int, ...]):
-        self.aug = aug  # rref rows; bit 0 = rhs, bits 1.. = functional
-        self.count = 0
-
-    def compatible(self, pauli_key: int) -> bool:
-        for row in self.aug:
-            rhs = row & 1
-            if ((row >> 1) & pauli_key).bit_count() & 1 != rhs:
-                return False
-        return True
-
-
 def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
+    """Canonical (frame, outcome) constraint system of one realization: the
+    rref rows with bit 0 = rhs and bits 1.. = functional on Pauli keys."""
     rows = []
     for j, gk in enumerate(gen_keys):
         f = _swap_key(gk, n)
@@ -255,19 +237,22 @@ def _swap_key(key: int, n: int) -> int:
     return (key >> n) | ((key & mask) << n)
 
 
-def _solve_class_pair(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int | None:
-    """Unique Pauli key satisfying both constraint classes, else None."""
-    rows = [r >> 1 for r in a] + [r >> 1 for r in b]
-    if gf2.rank(rows) != 2 * n:
-        return None
-    rhs = [r & 1 for r in a] + [r & 1 for r in b]
-    sol = gf2.solve_affine(rows, rhs, 2 * n)
-    if sol is None:
-        return None
-    particular, basis = sol
-    if basis:
-        return None
-    return particular
+def _class_pair_rows(n_classes: int, picks):
+    """Yield (i, partners) per class row i, partners ascending, in row-major
+    order: every pair i < j, or only the pairs whose flat row-major index is
+    in the sorted array ``picks``.  Never builds the list of all pairs."""
+    if picks is None:
+        for i in range(n_classes - 1):
+            yield i, np.arange(i + 1, n_classes)
+        return
+    idx = np.arange(n_classes)
+    starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
+    row = np.searchsorted(starts, picks, side="right") - 1
+    partner = picks - starts[row] + row + 1
+    bounds = np.flatnonzero(np.diff(row)) + 1
+    for seg in np.split(np.arange(len(picks)), bounds):
+        if len(seg):
+            yield int(row[seg[0]]), partner[seg]
 
 
 def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
@@ -290,7 +275,8 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     d = channel.dim
     m_total = config.shots
 
-    classes: dict[tuple[int, ...], _ConstraintClass] = {}
+    # constraint class -> number of realizations in it, in first-seen order
+    classes: dict[tuple[int, ...], int] = {}
     records: list[ExperimentRecord] = []
     if config.variant == "mub":
         fam = build_mub_family(n)
@@ -298,54 +284,55 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         raw = _sample_mub_records(channel, config, backend)
         for j, m, v in raw:
             key = _class_of(gen_keys[j], n, v)
-            cls = classes.get(key)
-            if cls is None:
-                classes[key] = cls = _ConstraintClass(key)
-            cls.count += 1
+            classes[key] = classes.get(key, 0) + 1
         if keep_records:
             records = [ExperimentRecord("mub", (j, m), _bits(v, n)) for j, m, v in raw]
     else:
         raw = _sample_clifford_records(channel, config, backend)
         for c, v in raw:
             key = _class_of([p.key for p in c.z_images], n, v)
-            cls = classes.get(key)
-            if cls is None:
-                classes[key] = cls = _ConstraintClass(key)
-            cls.count += 1
+            classes[key] = classes.get(key, 0) + 1
         if keep_records:
             records = [ExperimentRecord("clifford", (c,), _bits(v, n)) for c, v in raw]
 
-    class_list = list(classes.values())
-    n_classes = len(class_list)
+    class_rows = np.array(list(classes), dtype=np.uint64).reshape(len(classes), n)
+    counts = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))
+    n_classes = len(classes)
     pair_budget = n_classes * (n_classes - 1) // 2
     analyzed_exactly = True
-    index_pairs = [(i, j) for i in range(n_classes) for j in range(i + 1, n_classes)]
+    picks = None
     if config.pair_class_cap is not None and pair_budget > config.pair_class_cap:
-        pick = substream(config.seed, 0).choice(pair_budget,
-                                                size=config.pair_class_cap, replace=False)
-        index_pairs = [index_pairs[k] for k in sorted(map(int, pick))]
+        picks = np.sort(substream(config.seed, 0).choice(
+            pair_budget, size=config.pair_class_cap, replace=False))
         analyzed_exactly = False
 
+    # one batched solve per class row; votes keep the row-major order in
+    # which each key first appears, as residual_mass sums in that order
     votes: dict[int, int] = {}
     usable_pairs = 0
     analyzed_cross = 0
-    for i, j in index_pairs:
-        ca, cb = class_list[i], class_list[j]
-        analyzed_cross += ca.count * cb.count
-        key = _solve_class_pair(ca.aug, cb.aug, n)
-        if key is None:
-            continue
-        npairs = ca.count * cb.count
-        usable_pairs += npairs
-        votes[key] = votes.get(key, 0) + npairs
+    for i, partners in _class_pair_rows(n_classes, picks):
+        stacked = np.concatenate(
+            (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
+            axis=1)
+        keys = gf2.solve_unique_batch(stacked, 2 * n)
+        npairs = counts[i] * counts[partners]
+        analyzed_cross += int(npairs.sum())
+        usable = keys >= 0
+        for key, count in zip(keys[usable].tolist(), npairs[usable].tolist()):
+            usable_pairs += count
+            votes[key] = votes.get(key, 0) + count
 
     threshold = 2.0 / m_total
     z = config.significance_z
+    functionals = class_rows >> np.uint64(1)
+    rhs = class_rows & np.uint64(1)
     estimates: dict[str, LabelEstimate] = {}
     for key, pair_count in votes.items():
         if pair_count < 2:
             continue
-        compatible = sum(c.count for c in class_list if c.compatible(key))
+        parity = np.bitwise_count(functionals & np.uint64(key)) & 1
+        compatible = int(counts[(parity == rhs).all(axis=1)].sum())
         rate = compatible / m_total
         chi_hat = ((d + 1) * rate - 1.0) / d
         if chi_hat < threshold:
@@ -361,8 +348,7 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     # same-class pairs are never usable, so the exact fraction is over all
     # pairs; under a class-pair cap, scale the analyzed cross-class rate by
     # the exactly-known cross-class mass.
-    total_cross = (m_total * m_total
-                   - sum(c.count * c.count for c in class_list)) // 2
+    total_cross = (m_total * m_total - sum(c * c for c in classes.values())) // 2
     if analyzed_exactly or analyzed_cross == 0:
         fraction = usable_pairs / total_pairs if total_pairs else 0.0
     else:

@@ -27,7 +27,7 @@ from twirltomo.rng import master
 from twirltomo.seqpt import (SeqptConfig, estimate_chi_selective,
                              run_blind_discovery, success_probability)
 from twirltomo.stabilizer import sample_clifford_uniform
-from twirltomo import _kernels
+from twirltomo import gf2
 
 BACKEND = DenseBackend()
 CNOT_BLOCK_LABELS = [0, 12, 1, 13]  # II, ZI, IX, ZX
@@ -121,7 +121,9 @@ def _empirical_pair_fractions(n: int, pairs: int):
     for i in range(pairs):
         fa[i] = [p.key for p in sample_clifford_uniform(n, g).z_images]
         fb[i] = [p.key for p in sample_clifford_uniform(n, g).z_images]
-    cl = float(_kernels.pairs_independent(fa, fb, 2 * n).mean())
+    # a pair is usable exactly when the stacked frames pin down a unique key
+    stacked = np.concatenate([fa, fb], axis=1) << np.uint64(1)
+    cl = float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
     return mub, cl
 
 

@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 
+from twirltomo import channel_spec, cli
 from twirltomo.channel_spec import (build_channel, load_channel,
                                     parse_channel_document,
                                     save_channel_document)
@@ -182,3 +183,33 @@ def test_cli_success_prob(tmp_path):
 def test_cli_missing_spec_file(tmp_path):
     assert main(["exact-chi", "--spec", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact-chi"],
+    ["seqpt", "select", "--shots", "50", "--label", "ZI"],
+    ["seqpt", "blind", "--shots", "50"],
+    ["local-twirl", "--shots", "50"],
+    ["bounds-check"],
+])
+def test_cli_parses_spec_once(tmp_path, monkeypatch, argv):
+    calls = []
+    real = channel_spec.parse_channel_document
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "parse_channel_document", counting)
+    monkeypatch.setattr(channel_spec, "parse_channel_document", counting)
+    spec = write_spec(tmp_path, CNOT_DOC)
+    verb = argv[:2] if argv[0] == "seqpt" else argv[:1]
+    rest = argv[len(verb):]
+    assert main([*verb, "--spec", str(spec), "--out", str(tmp_path / "o"), *rest]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_bad_json_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["exact-chi", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2

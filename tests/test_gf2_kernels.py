@@ -1,10 +1,11 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
-from twirltomo import _kernels, gf2
+from twirltomo import gf2
+from twirltomo.channels import random_cp_channel
+from twirltomo.pauli import Pauli, symplectic_product
+from twirltomo.seqpt import SeqptConfig, _class_of, run_blind_discovery
+from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
 
 
 def brute_solutions(rows, rhs, width):
@@ -51,48 +52,79 @@ def test_rank_and_span():
     assert not gf2.in_span(0b100, [0b01, 0b10])
 
 
-def test_popcount_parity():
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 2 ** 63, size=1000, dtype=np.uint64)
-    want = np.array([bin(int(v)).count("1") for v in a], dtype=np.uint64)
-    np.testing.assert_array_equal(_kernels.popcount_u64(a), want)
-    np.testing.assert_array_equal(_kernels.parity_u64(a), want & np.uint64(1))
+def _solve_unique_python(aug_rows, width):
+    """Reference: the unique solution through gf2.rank and gf2.solve_affine."""
+    rows = [r >> 1 for r in aug_rows]
+    if gf2.rank(rows) != width:
+        return -1
+    sol = gf2.solve_affine(rows, [r & 1 for r in aug_rows], width)
+    if sol is None or sol[1]:
+        return -1
+    return sol[0]
+
+
+def _random_classes(n, count, rng):
+    """Constraint classes of uniformly drawn Clifford frames and outcomes."""
+    classes = []
+    for _ in range(count):
+        c = sample_clifford_uniform(n, rng)
+        outcome = int(rng.integers(0, 1 << n))
+        classes.append(_class_of([p.key for p in c.z_images], n, outcome))
+    return classes
 
 
 def test_pairs_independent_vs_python():
+    """The batched solve of every class pair matches the Python-int GF(2)
+    path, at n = 1..4, including pairs whose frames share a stabilizer."""
     rng = np.random.default_rng(4)
-    for n in (1, 2, 3):
-        m = 400
-        a = rng.integers(0, 1 << (2 * n), size=(m, n), dtype=np.uint64)
-        b = rng.integers(0, 1 << (2 * n), size=(m, n), dtype=np.uint64)
-        got = _kernels.pairs_independent(a, b, 2 * n)
-        want = np.array([gf2.rank([int(v) for v in (*ra, *rb)]) == 2 * n
-                         for ra, rb in zip(a, b)], dtype=np.uint8)
-        np.testing.assert_array_equal(got, want)
+    for n in (1, 2, 3, 4):
+        classes = _random_classes(n, 40, rng)
+        # one frame under two outcomes: shares every stabilizer, never usable
+        keys = [p.key for p in sample_clifford_uniform(n, rng).z_images]
+        classes += [_class_of(keys, n, outcome) for outcome in (0, 1)]
+        rows = np.array(classes, dtype=np.uint64)
+        seen = set()
+        for i in range(len(classes) - 1):
+            partners = np.arange(i + 1, len(classes))
+            stacked = np.concatenate(
+                (np.broadcast_to(rows[i], (len(partners), n)), rows[partners]), axis=1)
+            got = gf2.solve_unique_batch(stacked, 2 * n)
+            want = [_solve_unique_python(classes[i] + classes[j], 2 * n) for j in partners]
+            np.testing.assert_array_equal(got, want)
+            seen.update(w >= 0 for w in want)
+        assert seen == {True, False}
 
 
-def test_numpy_fallback_matches_active_backend():
+def test_solve_unique_batch_random_systems():
+    """Random square systems of any rank against the Python-int path."""
     rng = np.random.default_rng(5)
-    n = 3
-    a = rng.integers(0, 1 << (2 * n), size=(300, n), dtype=np.uint64)
-    b = rng.integers(0, 1 << (2 * n), size=(300, n), dtype=np.uint64)
-    np.testing.assert_array_equal(
-        _kernels.pairs_independent(a, b, 2 * n),
-        _kernels._pairs_independent_numpy(a, b, 2 * n))
+    for _ in range(400):
+        width = int(rng.integers(1, 9))
+        rows = rng.integers(0, 1 << (width + 1), size=(6, width), dtype=np.uint64)
+        got = gf2.solve_unique_batch(rows, width)
+        want = [_solve_unique_python([int(v) for v in r], width) for r in rows]
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError):
+        gf2.solve_unique_batch(np.zeros((2, 3), dtype=np.uint64), 4)
 
 
 def test_membership_counts():
-    patterns = np.array([[1, 2], [1, 3], [1, 2]], dtype=np.uint64)
-    targets = np.array([[1, 2], [1, 3], [9, 9]], dtype=np.uint64)
-    counts = np.array([5, 7, 11], dtype=np.int64)
-    got = _kernels.membership_counts(patterns, targets, counts)
-    np.testing.assert_array_equal(got, [16, 7, 0])
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, TWIRLTOMO_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from twirltomo import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+    """Each reported compatible_count equals the number of recorded
+    realizations whose frame signs admit the label, counted one by one."""
+    channel = random_cp_channel(2, np.random.default_rng(7))
+    for variant in ("clifford", "mub"):
+        res = run_blind_discovery(channel, SeqptConfig(shots=300, seed=8, variant=variant),
+                                  keep_records=True)
+        fam = build_mub_family(2)
+        assert res.estimates
+        for label, est in res.estimates.items():
+            p = Pauli.from_string(label)
+            count = 0
+            for rec in res.records:
+                if variant == "clifford":
+                    gens = rec.descriptor[0].z_images
+                else:
+                    gens = fam[rec.descriptor[0]].frame.generators
+                count += all(symplectic_product(g, p) == bit
+                             for g, bit in zip(gens, rec.outcome))
+            assert est.compatible_count == count, (variant, label)

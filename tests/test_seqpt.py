@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cnot_channel, mixed_z1_channel
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.errors import ConfigError
+from twirltomo.rng import _draw_outcome
 from twirltomo.seqpt import (SeqptConfig, average_fidelity, compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
@@ -193,3 +195,43 @@ def test_selective_label_forms():
     from twirltomo.pauli import Pauli
     c = estimate_chi_selective(ident, Pauli.from_string("ZI"), cfg)
     assert a == b == c
+
+
+# ---------------------------------------------------------------------------
+# the shared outcome draw
+
+_PROBS = st.lists(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-300, 1e3)),
+                  min_size=1, max_size=16)
+_U = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1.0]), st.floats(0.0, 1.0))
+
+
+def _assert_valid_draw(probs, u):
+    v = _draw_outcome(np.cumsum(probs), u)
+    assert 0 <= v < len(probs) and probs[v] > 0, (probs, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROBS.filter(lambda p: sum(p) > 0), _U)
+def test_draw_outcome_in_range_and_possible(probs, u):
+    """Unnormalized and subnormal rows, zero entries anywhere, u = 0,
+    u = 1 - 2^-53 and u = 1: the outcome is in range and never one of
+    probability zero."""
+    _assert_valid_draw(np.array(probs), u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROBS.filter(lambda p: sum(p) > 0), st.integers(1, 8), _U)
+def test_draw_outcome_trailing_zeros(probs, zeros, u):
+    _assert_valid_draw(np.array(probs + [0.0] * zeros), u)
+
+
+def test_draw_outcome_edges():
+    # a draw that reaches cdf[-1] lands on the last possible outcome
+    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0 - 2.0 ** -53) == 1
+    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0) == 1
+    assert _draw_outcome(np.cumsum([5e-324, 0.0]), 0.75) == 0
+    assert _draw_outcome(np.cumsum([0.0, 0.5, 0.5]), 0.0) == 1
+    # unnormalized rows are sampled in proportion
+    assert _draw_outcome(np.cumsum([0.5, 1.5]), 0.3) == 1
+    with pytest.raises(ValueError):
+        _draw_outcome(np.zeros(4), 0.5)
