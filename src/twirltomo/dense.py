@@ -2,9 +2,10 @@
 
 This backend evolves full state vectors / density matrices, computes
 Clifford-twirl outcome laws from the stabilizer tableau and the chi matrix,
-enumerates finite twirl families exactly, and evaluates the Haar-average
-identity for second moments in closed form.  Everything is deterministic given a
-Generator; enumerations iterate in a fixed canonical order so results are
+reads one-qubit-twirl laws off 3^n rotation tables, enumerates finite twirl
+families exactly, and evaluates the Haar-average identity for second
+moments in closed form.  Everything is deterministic given a Generator;
+enumerations iterate in a fixed canonical order so results are
 reproducible bit for bit.
 """
 from __future__ import annotations
@@ -204,6 +205,35 @@ def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     return u
 
 
+def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+    """(rotations, x) of a one-qubit-twirl element: the rotation index of
+    each qubit, and the X part of its Pauli part (X and Y flip the qubit),
+    qubit 1 as the most significant bit."""
+    x = 0
+    for p, _ in digits:
+        x = (x << 1) | (p in (1, 2))
+    return tuple(s for _, s in digits), x
+
+
+def _transition_table(channel: ChannelModel, w: np.ndarray,
+                      pm: np.ndarray | None = None) -> np.ndarray:
+    """probs[m, v]: prepare column m = w X^m |0..0> of the basis w, apply
+    the channel (then the optional Pauli matrix pm), read out in the basis
+    w, and undo the X^m by relabeling outcome v as v ^ m, so v = 0 means
+    the prepared state survived."""
+    d = channel.dim
+    probs = np.empty((d, d))
+    idx = np.arange(d)
+    for m in range(d):
+        v = w[:, m]
+        sigma = channel.apply(np.outer(v, v.conj()))
+        if pm is not None:
+            sigma = pm @ sigma @ pm.conj().T
+        in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
+        probs[m] = in_basis[idx ^ m]  # the X^m undo relabels outcomes
+    return probs
+
+
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _LABEL_DIGIT = np.array([0, 1, 3, 2])  # x bit + 2 z bit -> label digit of I, X, Z, Y
 
@@ -245,10 +275,12 @@ def _conjugated_xz_table(clifford):
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
-    Caches per-channel outcome distributions keyed by the twirl element so
-    repeated realizations cost a table lookup.  Channels key the cache
-    weakly (by object, not by id, so recycled addresses cannot collide) and
-    capacity is capped by ``max_n`` (memory is O(4^n) per cached element).
+    Caches per-channel transition tables so repeated realizations cost a
+    table lookup: MUB tables keyed by basis and intermediary, one-qubit-twirl
+    tables keyed by the rotation part of the element (3^n tables cover all
+    12^n elements).  Channels key the cache weakly (by object, not by id,
+    so recycled addresses cannot collide) and capacity is capped by
+    ``max_n`` (memory is O(4^n) per cached table).
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
@@ -274,18 +306,8 @@ class DenseBackend:
         hit = per_channel.get(key)
         if hit is not None:
             return hit
-        w = basis.clifford.unitary()
-        d = channel.dim
         pm = None if intermediary is None else intermediary.to_matrix()
-        probs = np.empty((d, d))
-        idx = np.arange(d)
-        for m in range(d):
-            v = w[:, m]
-            sigma = channel.apply(np.outer(v, v.conj()))
-            if pm is not None:
-                sigma = pm @ sigma @ pm.conj().T
-            in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
-            probs[m] = in_basis[idx ^ m]  # the X^m undo relabels outcomes
+        probs = _transition_table(channel, basis.clifford.unitary(), pm)
         per_channel[key] = probs
         return probs
 
@@ -323,18 +345,33 @@ class DenseBackend:
 
     # -- one-qubit twirl ------------------------------------------------------
 
-    def local_outcome_probs(self, channel: ChannelModel,
-                            digits: tuple[tuple[int, int], ...]) -> np.ndarray:
+    def local_transition_probs(self, channel: ChannelModel,
+                               rotations: tuple[int, ...]) -> np.ndarray:
+        """probs[x, v]: outcome laws of the one-qubit-twirl elements whose
+        rotation part is R = (x) R_s, s = rotations[j] on qubit j + 1, row x
+        for the elements whose Pauli part has X part x.
+
+        Such an element sends |v> to R |v ^ x> up to phase, so row x is the
+        law of preparing R |x>, applying the channel, reading out in the
+        basis R and relabeling outcome v by v ^ x.  One table of D channel
+        applications covers all 4^n Pauli parts.
+        """
         self.check_capacity(channel.n)
         per_channel = self._local_cache.setdefault(channel, {})
-        hit = per_channel.get(digits)
-        if hit is not None:
-            return hit
-        u = local_twirl_unitary(digits)
-        sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
-        probs = np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
-        per_channel[digits] = probs
-        return probs
+        hit = per_channel.get(rotations)
+        if hit is None:
+            r = local_twirl_unitary(tuple((0, s) for s in rotations))
+            hit = per_channel[rotations] = _transition_table(channel, r)
+        return hit
+
+    def local_outcome_probs(self, channel: ChannelModel,
+                            digits: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """Outcome law of prepare |0..0>, the one-qubit-twirl element
+        ``digits`` (digits[j] = (pauli, rotation) of qubit j + 1), the
+        channel, the element undone: a row of :meth:`local_transition_probs`.
+        """
+        rotations, x = split_local_digits(digits)
+        return self.local_transition_probs(channel, rotations)[x]
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:

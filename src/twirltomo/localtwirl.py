@@ -30,10 +30,13 @@ from math import comb
 import numpy as np
 
 from .channels import ChannelModel
-from .dense import DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary
+from .dense import (DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary,
+                    split_local_digits)
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .records import ExperimentRecord
-from .rng import _draw_outcome, substream
+# substream is not called here; it stays importable as
+# twirltomo.localtwirl.substream, a name outside tooling already uses.
+from .rng import _draw_outcome, substream, substreams  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
 
@@ -324,17 +327,16 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
     n = channel.n
-    cdf_cache: dict = {}
+    cdfs: dict = {}  # rotation part -> row-wise cdf, one row per X part
     outcomes = []
-    for i in range(config.shots):
-        rng = substream(config.seed, 1 + i)
-        digits = tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
-                       for _ in range(n))
-        cdf = cdf_cache.get(digits)
+    for rng in substreams(config.seed, 1, config.shots):
+        rotations, x = split_local_digits(
+            tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(n)))
+        cdf = cdfs.get(rotations)
         if cdf is None:
-            cdf = np.cumsum(backend.local_outcome_probs(channel, digits))
-            cdf_cache[digits] = cdf
-        v = _draw_outcome(cdf, rng.random())
+            cdf = cdfs[rotations] = np.cumsum(
+                backend.local_transition_probs(channel, rotations), axis=1)
+        v = _draw_outcome(cdf[x], rng.random())
         outcomes.append(tuple((v >> (n - 1 - j)) & 1 for j in range(n)))
     stats = HammingStatistics.from_outcomes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)

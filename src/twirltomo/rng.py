@@ -6,7 +6,10 @@ Philox, a counter-based generator: ``substream(seed, i)`` positions the
 256-bit counter at a fixed offset proportional to ``i``, so realization
 ``i`` of an experiment is reproducible on its own without generating the
 preceding ``i - 1`` realizations.  Substreams are spaced 2**192 draws
-apart and can never overlap in practice.
+apart and can never overlap in practice.  A run over many realizations
+walks them with :func:`substreams`, which moves one bit generator from
+counter to counter instead of building a Generator per realization; the
+draws are the same bit for bit.
 
 :func:`_draw_outcome` is the one place that turns a uniform draw into a
 measurement outcome; every sampled protocol goes through it.
@@ -24,6 +27,27 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
         raise ValueError("substream index must be nonnegative")
     bitgen = np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, index])
     return np.random.Generator(bitgen)
+
+
+def substreams(seed: int, start: int, count: int):
+    """Yield the generators of substreams ``start`` .. ``start + count - 1``.
+
+    The same Generator object is yielded each time.  Before each yield its
+    Philox bit generator is moved to the counter of the next substream, and
+    its output buffers (the 64-bit block and the spare 32-bit half) are
+    emptied, so its draws equal those of ``substream(seed, i)``.  Finish
+    drawing for one substream before advancing the iterator.
+    """
+    if start < 0:
+        raise ValueError("substream index must be nonnegative")
+    gen = substream(seed, start)
+    bitgen = gen.bit_generator
+    state = bitgen.state  # a fresh bit generator's: empty buffers
+    counter = state["state"]["counter"]
+    for i in range(start, start + count):
+        counter[3] = i
+        bitgen.state = state
+        yield gen
 
 
 def master(seed: int) -> np.random.Generator:

@@ -26,10 +26,10 @@ import numpy as np
 from . import gf2
 from .channels import ChannelModel
 from .dense import DenseBackend
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import _draw_outcome, substream
+from .rng import _draw_outcome, substream, substreams
 from .stabilizer import build_mub_family, sample_clifford_uniform
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -114,14 +114,12 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     if config.variant == "mub":
         fam = build_mub_family(channel.n)
         tables = [backend.mub_transition_probs(channel, b, p) for b in fam]
-        for i in range(m_total):
-            rng = substream(config.seed, 1 + i)
+        for rng in substreams(config.seed, 1, m_total):
             j = int(rng.integers(0, d + 1))
             m = int(rng.integers(0, d))
             survived += rng.random() < tables[j][m, 0]
     else:
-        for i in range(m_total):
-            rng = substream(config.seed, 1 + i)
+        for rng in substreams(config.seed, 1, m_total):
             c = sample_clifford_uniform(channel.n, rng)
             probs = backend.clifford_outcome_probs(channel, c, p)
             survived += rng.random() < probs[0]
@@ -144,11 +142,14 @@ def average_fidelity(channel: ChannelModel, config: SeqptConfig,
 
 
 def _as_pauli(label, n: int) -> Pauli:
-    if isinstance(label, Pauli):
-        return label.strip_phase()
     if isinstance(label, str):
-        return Pauli.from_string(label).strip_phase()
-    return Pauli.from_label(n, int(label))
+        label = Pauli.from_string(label)
+    if not isinstance(label, Pauli):
+        return Pauli.from_label(n, int(label))
+    if label.n != n:
+        raise DimensionMismatchError(
+            f"label {label} acts on {label.n} qubits, the channel on {n}")
+    return label.strip_phase()
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +204,7 @@ def _sample_mub_records(channel, config, backend):
     tables = [backend.mub_transition_probs(channel, b) for b in fam]
     cdfs = [np.cumsum(t, axis=1) for t in tables]
     records = []
-    for i in range(config.shots):
-        rng = substream(config.seed, 1 + i)
+    for rng in substreams(config.seed, 1, config.shots):
         j = int(rng.integers(0, d + 1))
         m = int(rng.integers(0, d))
         records.append((j, m, _draw_outcome(cdfs[j][m], rng.random())))
@@ -213,8 +213,7 @@ def _sample_mub_records(channel, config, backend):
 
 def _sample_clifford_records(channel, config, backend):
     records = []
-    for i in range(config.shots):
-        rng = substream(config.seed, 1 + i)
+    for rng in substreams(config.seed, 1, config.shots):
         c = sample_clifford_uniform(channel.n, rng)
         cdf = np.cumsum(backend.clifford_outcome_probs(channel, c))
         records.append((c, _draw_outcome(cdf, rng.random())))

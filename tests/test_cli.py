@@ -123,6 +123,17 @@ def test_cli_seqpt_select_requires_label(tmp_path):
                  str(tmp_path / "o"), "--shots", "100"]) == 2
 
 
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("label", ["Z", "ZIX"])
+def test_cli_seqpt_select_label_length(tmp_path, capsys, variant, label):
+    spec = write_spec(tmp_path, CNOT_DOC)
+    assert main(["seqpt", "select", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                 "--shots", "10", "--variant", variant, "--label", label]) == 2
+    err = capsys.readouterr().err
+    assert f"acts on {len(label)} qubits, the channel on 2" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_seqpt_blind_deterministic(tmp_path):
     spec = write_spec(tmp_path, CNOT_DOC)
     outs = []

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import battery, cnot_channel, transpose_map_channel
+from twirltomo import dense
 from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
                                 random_cp_channel)
 from twirltomo.dense import (DenseBackend, DenseState, TwirlSpec,
                              enumerate_twirl_exact, evolve, exact_chi_extraction,
                              haar_moment_closed_form, haar_twirl_moment,
-                             measure_computational)
+                             local_twirl_unitary, measure_computational)
 from twirltomo.errors import CapacityError
 from twirltomo.pauli import Pauli
 from twirltomo.rng import master
@@ -198,3 +201,44 @@ def test_clifford_outcome_probs_match_dense_reference():
                     got = backend.clifford_outcome_probs(ch, c, inter)
                     want = _dense_clifford_probs(ch, c, inter)
                     assert np.abs(got - want).max() <= 1e-12, (name, n, str(inter))
+
+
+def _dense_local_probs(channel, digits):
+    """Reference outcome law of one one-qubit-twirl element from its own
+    kron unitary and channel.apply."""
+    u = local_twirl_unitary(digits)
+    sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
+    return np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
+
+
+def test_local_outcome_probs_match_per_element_reference(monkeypatch):
+    """Rows of the 3^n rotation tables equal the per-element law to 1e-12:
+    every element at n = 1, 2 and 300 random elements at n = 3, 4, on every
+    battery channel, the chi-only non-CP transpose map and a random CP map
+    at n = 4.  Each channel builds at most 3^n unitaries (the rotation
+    parts), so no element's own kron product is built."""
+    built = []
+
+    def counted(digits):
+        built.append(digits)
+        return local_twirl_unitary(digits)
+
+    monkeypatch.setattr(dense, "local_twirl_unitary", counted)
+    rng = master(88)
+    channels = [*battery(), ("transpose", transpose_map_channel()),
+                ("random-cp-4", random_cp_channel(4, master(89)))]
+    for name, ch in channels:
+        n = ch.n
+        if n <= 2:
+            elements = list(itertools.product(
+                itertools.product(range(4), range(3)), repeat=n))
+        else:
+            elements = [tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+                              for _ in range(n)) for _ in range(300)]
+        backend = DenseBackend()
+        built.clear()
+        for digits in elements:
+            got = backend.local_outcome_probs(ch, digits)
+            want = _dense_local_probs(ch, digits)
+            assert np.abs(got - want).max() <= 1e-12, (name, digits)
+        assert len(built) <= 3 ** n, name

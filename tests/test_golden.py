@@ -3,7 +3,9 @@
 Every case runs one CLI verb at a fixed seed and compares the digest of the
 ``results.json`` it writes with the committed table below.  The class-pair
 cap of blind discovery is not exposed on the command line, so the capped
-cases call ``run_blind_discovery`` and hash ``SeqptResult.to_json()``.
+cases call ``run_blind_discovery`` and hash ``SeqptResult.to_json()``.  The
+record cases hash realizations drawn one at a time by
+``sample_c1t_realization`` from ``substream(seed, i)``.
 
 A change that alters output on purpose regenerates the table with
 
@@ -19,6 +21,8 @@ import pytest
 
 from twirltomo.channel_spec import load_channel
 from twirltomo.cli import main
+from twirltomo.localtwirl import sample_c1t_realization
+from twirltomo.rng import substream
 from twirltomo.seqpt import SeqptConfig, run_blind_discovery
 
 SPECS = {
@@ -34,6 +38,12 @@ SPECS = {
                   {"named_gate": "CNOT", "qubits": [2, 3]},
                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]},
                   {"noise": "amplitude_damping", "strength": 0.1, "qubits": [3]}]},
+    4: {"name": "golden-4", "n": 4,
+        "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                  {"named_gate": "H", "qubits": [3]},
+                  {"named_gate": "CNOT", "qubits": [3, 4]},
+                  {"noise": "depolarizing", "strength": 0.05, "qubits": [1]},
+                  {"noise": "amplitude_damping", "strength": 0.1, "qubits": [4]}]},
 }
 
 # case id -> (qubit count of the spec or None, CLI argv after the verb's
@@ -53,6 +63,8 @@ CLI_CASES = {
     **{f"local-twirl-n{n}": (n, ["local-twirl", "--shots", "2000",
                                  "--seed", str(30 + n)])
        for n in (1, 2, 3)},
+    # 12^4 twirl elements outnumber the shots, as on the local-twirl benchmark
+    "local-twirl-n4": (4, ["local-twirl", "--shots", "3000", "--seed", "34"]),
     "bounds-check-n2": (2, ["bounds-check"]),
     "success-prob": (None, ["success-prob", "--max-n", "6"]),
     "haar-verify": (None, ["haar-verify", "--dim", "2", "--shots", "2000",
@@ -64,6 +76,11 @@ CAP_CASES = {
     "capped-mub-n3": (3, "mub", 2000, 41, 700),
     "capped-clifford-n2": (2, "clifford", 300, 42, 500),
     "capped-clifford-n3": (3, "clifford", 300, 43, 2000),
+}
+
+# case id -> (n, seed, count)
+RECORD_CASES = {
+    "c1t-records-n3": (3, 35, 50),
 }
 
 GOLDEN = {
@@ -91,6 +108,8 @@ GOLDEN = {
         "d9255c894ad9765ab81216540cb6fa46275ce0171f758339bcce54349ee2d0d1",
     "local-twirl-n3":
         "7e7f5f362f38a6dca6b6c2e7902a220d06ec925ab914762213cc8a6343c9a4f4",
+    "local-twirl-n4":
+        "d57070ddd5a613744b6786019205551492b7589c62aab5eec99562028e6f837f",
     "bounds-check-n2":
         "d3a3fdc6bc487102972eec03976ce2f2cf33b23edd4ae883f3b4e90ad6fc0812",
     "success-prob":
@@ -103,6 +122,8 @@ GOLDEN = {
         "ae1afba2822d080b109cc5e4e696f4b5d2d7191859ab60ff14ecc5ec7cb64f66",
     "capped-clifford-n3":
         "622b9c92c0a208111f2143e3f6e448fcdaf7f2cf6716b7309663614be2758e33",
+    "c1t-records-n3":
+        "6a8ef72a641d44c7400b3e01dd398fa367e95280d49dacdeacded1a72c2a4286",
 }
 
 
@@ -121,6 +142,12 @@ def run_case(case: str, tmp: Path) -> bytes:
         res = run_blind_discovery(channel, cfg)
         assert not res.analyzed_exactly
         return res.to_json().encode()
+    if case in RECORD_CASES:
+        n, seed, count = RECORD_CASES[case]
+        channel = load_channel(_write_spec(tmp, n))
+        records = [sample_c1t_realization(channel, substream(seed, i))
+                   for i in range(count)]
+        return json.dumps([[r.descriptor, r.outcome] for r in records]).encode()
     n, argv = CLI_CASES[case]
     verb, rest = argv[0], argv[1:]
     mode = [rest.pop(0)] if verb == "seqpt" else []
@@ -134,13 +161,13 @@ def digest(case: str, tmp: Path) -> str:
     return hashlib.sha256(run_case(case, tmp)).hexdigest()
 
 
-@pytest.mark.parametrize("case", [*CLI_CASES, *CAP_CASES])
+@pytest.mark.parametrize("case", [*CLI_CASES, *CAP_CASES, *RECORD_CASES])
 def test_golden_digest(case, tmp_path):
     assert digest(case, tmp_path) == GOLDEN[case]
 
 
 def test_table_covers_every_case():
-    assert set(GOLDEN) == {*CLI_CASES, *CAP_CASES}
+    assert set(GOLDEN) == {*CLI_CASES, *CAP_CASES, *RECORD_CASES}
 
 
 if __name__ == "__main__":
@@ -150,7 +177,7 @@ if __name__ == "__main__":
 
     table = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        for i, case in enumerate([*CLI_CASES, *CAP_CASES]):
+        for i, case in enumerate([*CLI_CASES, *CAP_CASES, *RECORD_CASES]):
             case_dir = Path(tmp) / str(i)
             case_dir.mkdir()
             table[case] = digest(case, case_dir)

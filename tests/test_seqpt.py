@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cnot_channel, mixed_z1_channel
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
-from twirltomo.errors import ConfigError
+from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.rng import _draw_outcome
 from twirltomo.seqpt import (SeqptConfig, average_fidelity, compare_variants,
                              estimate_chi_selective, frames_independent_probability,
@@ -195,6 +195,16 @@ def test_selective_label_forms():
     from twirltomo.pauli import Pauli
     c = estimate_chi_selective(ident, Pauli.from_string("ZI"), cfg)
     assert a == b == c
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("label", ["Z", "ZIX", "-iXYZ"])
+def test_selective_label_length_checked(variant, label):
+    from twirltomo.pauli import Pauli
+    cfg = SeqptConfig(shots=10, variant=variant, seed=17)
+    for form in (label, Pauli.from_string(label)):
+        with pytest.raises(DimensionMismatchError, match="qubits, the channel on 2"):
+            estimate_chi_selective(cnot_channel(), form, cfg)
 
 
 # ---------------------------------------------------------------------------
