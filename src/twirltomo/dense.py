@@ -2,10 +2,10 @@
 
 This backend evolves full state vectors / density matrices, computes
 Clifford-twirl outcome laws from the stabilizer tableau and the chi matrix,
-reads one-qubit-twirl laws off 3^n rotation tables, enumerates finite twirl
-families exactly, and evaluates the Haar-average identity for second
-moments in closed form.  Everything is deterministic given a Generator;
-enumerations iterate in a fixed canonical order so results are
+reads one-qubit-twirl laws off rows of 3^n rotation tables, enumerates
+finite twirl families exactly, and evaluates the Haar-average identity for
+second moments in closed form.  Everything is deterministic given a
+Generator; enumerations iterate in a fixed canonical order so results are
 reproducible bit for bit.
 """
 from __future__ import annotations
@@ -215,23 +215,18 @@ def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     return tuple(s for _, s in digits), x
 
 
-def _transition_table(channel: ChannelModel, w: np.ndarray,
-                      pm: np.ndarray | None = None) -> np.ndarray:
-    """probs[m, v]: prepare column m = w X^m |0..0> of the basis w, apply
-    the channel (then the optional Pauli matrix pm), read out in the basis
-    w, and undo the X^m by relabeling outcome v as v ^ m, so v = 0 means
-    the prepared state survived."""
-    d = channel.dim
-    probs = np.empty((d, d))
-    idx = np.arange(d)
-    for m in range(d):
-        v = w[:, m]
-        sigma = channel.apply(np.outer(v, v.conj()))
-        if pm is not None:
-            sigma = pm @ sigma @ pm.conj().T
-        in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
-        probs[m] = in_basis[idx ^ m]  # the X^m undo relabels outcomes
-    return probs
+def _transition_row(channel: ChannelModel, w: np.ndarray, m: int,
+                    pm: np.ndarray | None = None) -> np.ndarray:
+    """probs[v]: prepare column m = w X^m |0..0> of the basis w, apply the
+    channel (then the optional Pauli matrix pm), read out in the basis w,
+    and undo the X^m by relabeling outcome v as v ^ m, so v = 0 means the
+    prepared state survived.  One channel application."""
+    v = w[:, m]
+    sigma = channel.apply(np.outer(v, v.conj()))
+    if pm is not None:
+        sigma = pm @ sigma @ pm.conj().T
+    in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
+    return in_basis[np.arange(channel.dim) ^ m]  # the X^m undo relabels outcomes
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -275,12 +270,13 @@ def _conjugated_xz_table(clifford):
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
-    Caches per-channel transition tables so repeated realizations cost a
-    table lookup: MUB tables keyed by basis and intermediary, one-qubit-twirl
-    tables keyed by the rotation part of the element (3^n tables cover all
-    12^n elements).  Channels key the cache weakly (by object, not by id,
-    so recycled addresses cannot collide) and capacity is capped by
-    ``max_n`` (memory is O(4^n) per cached table).
+    Caches per-channel outcome laws so repeated realizations cost a
+    lookup: MUB transition tables keyed by basis and intermediary, and
+    one-qubit-twirl laws keyed by the rotation part of the element (its
+    unitary) and then the X part of its Pauli part (one row each, filled on
+    first use).  Channels key the cache weakly (by object, not by id, so
+    recycled addresses cannot collide) and capacity is capped by ``max_n``
+    (memory is O(4^n) per cached table or rotation unitary).
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
@@ -307,7 +303,8 @@ class DenseBackend:
         if hit is not None:
             return hit
         pm = None if intermediary is None else intermediary.to_matrix()
-        probs = _transition_table(channel, basis.clifford.unitary(), pm)
+        w = basis.clifford.unitary()
+        probs = np.array([_transition_row(channel, w, m, pm) for m in range(channel.dim)])
         per_channel[key] = probs
         return probs
 
@@ -345,33 +342,32 @@ class DenseBackend:
 
     # -- one-qubit twirl ------------------------------------------------------
 
-    def local_transition_probs(self, channel: ChannelModel,
-                               rotations: tuple[int, ...]) -> np.ndarray:
-        """probs[x, v]: outcome laws of the one-qubit-twirl elements whose
-        rotation part is R = (x) R_s, s = rotations[j] on qubit j + 1, row x
-        for the elements whose Pauli part has X part x.
-
-        Such an element sends |v> to R |v ^ x> up to phase, so row x is the
-        law of preparing R |x>, applying the channel, reading out in the
-        basis R and relabeling outcome v by v ^ x.  One table of D channel
-        applications covers all 4^n Pauli parts.
-        """
-        self.check_capacity(channel.n)
-        per_channel = self._local_cache.setdefault(channel, {})
-        hit = per_channel.get(rotations)
-        if hit is None:
-            r = local_twirl_unitary(tuple((0, s) for s in rotations))
-            hit = per_channel[rotations] = _transition_table(channel, r)
-        return hit
-
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
         """Outcome law of prepare |0..0>, the one-qubit-twirl element
         ``digits`` (digits[j] = (pauli, rotation) of qubit j + 1), the
-        channel, the element undone: a row of :meth:`local_transition_probs`.
+        channel, the element undone.
+
+        The element is U = R P with R = (x) R_s the rotation part and P the
+        Pauli part, and U|v> = R|v ^ x> up to phase, x the X part of P.  So
+        the law is row x of a transition table of the basis R: prepare
+        R|x>, apply the channel, read out in the basis R, relabel outcome v
+        as v ^ x.  R is built once per rotation part and each row on first
+        use, one channel application per (rotation part, x) pair: at most
+        6^n rows and 3^n unitaries cover all 12^n elements.
         """
+        self.check_capacity(channel.n)
         rotations, x = split_local_digits(digits)
-        return self.local_transition_probs(channel, rotations)[x]
+        per_channel = self._local_cache.setdefault(channel, {})
+        entry = per_channel.get(rotations)
+        if entry is None:
+            r = local_twirl_unitary(tuple((0, s) for s in rotations))
+            entry = per_channel[rotations] = (r, {})
+        r, rows = entry
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = _transition_row(channel, r, x)
+        return row
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:

@@ -327,16 +327,16 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
     n = channel.n
-    cdfs: dict = {}  # rotation part -> row-wise cdf, one row per X part
+    cdfs: dict = {}  # (rotation part, X part) -> cdf; 6^n keys cover 12^n elements
     outcomes = []
     for rng in substreams(config.seed, 1, config.shots):
-        rotations, x = split_local_digits(
-            tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(n)))
-        cdf = cdfs.get(rotations)
+        digits = tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+                       for _ in range(n))
+        key = split_local_digits(digits)
+        cdf = cdfs.get(key)
         if cdf is None:
-            cdf = cdfs[rotations] = np.cumsum(
-                backend.local_transition_probs(channel, rotations), axis=1)
-        v = _draw_outcome(cdf[x], rng.random())
+            cdf = cdfs[key] = np.cumsum(backend.local_outcome_probs(channel, digits))
+        v = _draw_outcome(cdf, rng.random())
         outcomes.append(tuple((v >> (n - 1 - j)) & 1 for j in range(n)))
     stats = HammingStatistics.from_outcomes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)

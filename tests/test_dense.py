@@ -242,3 +242,29 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
             want = _dense_local_probs(ch, digits)
             assert np.abs(got - want).max() <= 1e-12, (name, digits)
         assert len(built) <= 3 ** n, name
+
+
+def test_local_outcome_probs_apply_channel_once_per_row(monkeypatch):
+    """Each (rotation part, X part) row costs one channel application on
+    first use, and a lookup afterwards; a fresh backend pays one
+    application for one law, as sample_c1t_realization does without a
+    shared backend."""
+    applied = []
+    apply = ChannelModel.apply
+
+    def counted(self, rho):
+        applied.append(1)
+        return apply(self, rho)
+
+    monkeypatch.setattr(ChannelModel, "apply", counted)
+    rng = master(90)
+    ch = random_cp_channel(3, master(91))
+    elements = [tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+                      for _ in range(3)) for _ in range(200)]
+    backend = DenseBackend()
+    for digits in elements + elements:
+        backend.local_outcome_probs(ch, digits)
+    assert len(applied) == len({dense.split_local_digits(d) for d in elements})
+    applied.clear()
+    DenseBackend().local_outcome_probs(ch, elements[0])
+    assert len(applied) == 1
