@@ -32,7 +32,7 @@ from .dense import DenseBackend, haar_twirl_moment
 from .errors import CapacityError, ConfigError, SpecValidationError
 from .localtwirl import LocalTwirlConfig, run_local_twirl
 from .pauli import Pauli
-from .rng import master
+from .rng import check_seed, master
 from .seqpt import (SeqptConfig, estimate_chi_selective,
                     frames_independent_probability, run_blind_discovery,
                     success_probability)
@@ -289,6 +289,13 @@ def _cmd_success_prob(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twirltomo",
                                  description="twirling-based process tomography harness")
@@ -298,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("--spec", required=True, help="channel-spec JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("exact-chi", help="exact chi matrix of the channel")
     p.add_argument("--spec", required=True)

@@ -215,6 +215,17 @@ def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     return tuple(s for _, s in digits), x
 
 
+def local_law_keys(digits: np.ndarray) -> np.ndarray:
+    """Array form of :func:`split_local_digits` for a (count, n, 2) array of
+    one-qubit-twirl elements: one integer per element, 2^n times the
+    base-3 rotation digits plus x, so two elements get the same key exactly
+    when they get the same (rotations, x) and hence the same outcome law."""
+    n = digits.shape[1]
+    flips = (digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)
+    return (digits[:, :, 1] @ 3 ** np.arange(n - 1, -1, -1)) << n \
+        | flips @ (1 << np.arange(n - 1, -1, -1))
+
+
 def _transition_row(channel: ChannelModel, w: np.ndarray, m: int,
                     pm: np.ndarray | None = None) -> np.ndarray:
     """probs[v]: prepare column m = w X^m |0..0> of the basis w, apply the

@@ -30,13 +30,13 @@ from math import comb
 import numpy as np
 
 from .channels import ChannelModel
-from .dense import (DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary,
-                    split_local_digits)
+from .dense import (DenseBackend, LOCAL_ENUM_MAX_N, local_law_keys,
+                    local_twirl_unitary)
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .records import ExperimentRecord
 # substream is not called here; it stays importable as
 # twirltomo.localtwirl.substream, a name outside tooling already uses.
-from .rng import _draw_outcome, substream, substreams  # noqa: F401
+from .rng import _draw_outcome, check_seed, draw_batch, substream  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
 
@@ -53,6 +53,7 @@ class LocalTwirlConfig:
             raise ConfigError("shots must be positive")
         if self.cutoff is not None and self.cutoff < 0:
             raise ConfigError("cutoff must be nonnegative")
+        check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
         return {"shots": self.shots, "cutoff": self.cutoff, "seed": self.seed,
@@ -86,11 +87,15 @@ class HammingStatistics:
 
     @staticmethod
     def from_outcomes(n: int, outcomes) -> "HammingStatistics":
-        counts: dict[tuple[int, ...], int] = {}
-        for bits in outcomes:
-            bits = tuple(int(b) for b in bits)
-            counts[bits] = counts.get(bits, 0) + 1
-        return HammingStatistics(n, counts)
+        """Counts of the bit strings in ``outcomes``: length-n sequences of
+        0s and 1s, or an (M, n) array of them."""
+        bits = np.asarray(outcomes, dtype=np.int64).reshape(-1, n)
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError("outcomes must be bit strings")
+        shifts = np.arange(n - 1, -1, -1)
+        codes, counts = np.unique(bits @ (1 << shifts), return_counts=True)
+        rows = ((codes[:, None] >> shifts) & 1).tolist()
+        return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
 
     def __add__(self, other: "HammingStatistics") -> "HammingStatistics":
         if self.n != other.n:
@@ -127,6 +132,31 @@ def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
                       rng.random())
     bits = tuple((v >> (n - 1 - j)) & 1 for j in range(n))
     return ExperimentRecord("local", digits, bits)
+
+
+def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
+                        backend: DenseBackend) -> tuple[np.ndarray, np.ndarray]:
+    """Realizations 0 .. count-1 of a run, drawn as arrays: the (count, n, 2)
+    (pauli, rotation) digits and the outcome index of each.  Realization i
+    is what ``sample_c1t_realization(channel, substream(seed, 1 + i),
+    backend)`` draws.
+
+    Realizations are grouped by (rotation part, X part), the key of their
+    outcome law, so each distinct law is fetched once and all of its
+    outcomes are drawn with one call.
+    """
+    n = channel.n
+    ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
+    digits = ints.reshape(count, n, 2)
+    keys = local_law_keys(digits)
+    order = np.argsort(keys, kind="stable")
+    _, starts = np.unique(keys[order], return_index=True)
+    outcomes = np.empty(count, dtype=np.int64)
+    for rows in np.split(order, starts[1:]):
+        element = tuple(map(tuple, digits[rows[0]].tolist()))
+        cdf = np.cumsum(backend.local_outcome_probs(channel, element))
+        outcomes[rows] = _draw_outcome(cdf, uniforms[rows, 0])
+    return digits, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +357,9 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
     n = channel.n
-    cdfs: dict = {}  # (rotation part, X part) -> cdf; 6^n keys cover 12^n elements
-    outcomes = []
-    for rng in substreams(config.seed, 1, config.shots):
-        digits = tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
-                       for _ in range(n))
-        key = split_local_digits(digits)
-        cdf = cdfs.get(key)
-        if cdf is None:
-            cdf = cdfs[key] = np.cumsum(backend.local_outcome_probs(channel, digits))
-        v = _draw_outcome(cdf, rng.random())
-        outcomes.append(tuple((v >> (n - 1 - j)) & 1 for j in range(n)))
-    stats = HammingStatistics.from_outcomes(n, outcomes)
+    _, outcomes = _sample_local_batch(channel, config.seed, config.shots, backend)
+    stats = HammingStatistics.from_outcomes(
+        n, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)
     weight = solve_pw(stats, cutoff)
     support = solve_chi_col(stats, cutoff) if config.keep_which_qubit else None

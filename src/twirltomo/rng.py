@@ -2,14 +2,26 @@
 
 Every randomized routine in the package takes either a 64-bit integer seed
 or a preconstructed ``numpy.random.Generator``.  Seeds are expanded with
-Philox, a counter-based generator: ``substream(seed, i)`` positions the
-256-bit counter at a fixed offset proportional to ``i``, so realization
-``i`` of an experiment is reproducible on its own without generating the
-preceding ``i - 1`` realizations.  Substreams are spaced 2**192 draws
-apart and can never overlap in practice.  A run over many realizations
-walks them with :func:`substreams`, which moves one bit generator from
-counter to counter instead of building a Generator per realization; the
-draws are the same bit for bit.
+Philox4x64-10 (Salmon et al., SC'11), a counter-based generator:
+``substream(seed, i)`` positions the 256-bit counter at a fixed offset
+proportional to ``i``, so realization ``i`` of an experiment is
+reproducible on its own without generating the preceding ``i - 1``
+realizations.  Substreams are spaced 2**192 draws apart and can never
+overlap in practice.  Seeds name streams only in [0, 2**64):
+:func:`check_seed` is the check protocol configurations and the CLI apply.
+
+There are two ways to draw many realizations, and both give the draws of
+``substream(seed, i)`` bit for bit:
+
+* :func:`substreams` moves one bit generator from counter to counter, for
+  loops whose draws depend on earlier ones (the Clifford sampler).
+* :func:`draw_batch` computes the Philox blocks of all substreams at once
+  over the counter array (:func:`substream_words`) and maps raw words to
+  ``integers(0, k)`` values with numpy's Lemire transform and to
+  ``random()`` values as ``(w >> 11) * 2**-53``.  A realization with a
+  Lemire-rejected 32-bit half (probability below k * 2**-32 for a draw in
+  [0, k)) is redrawn alone from its own Generator, so the batch stays
+  exact.
 
 :func:`_draw_outcome` is the one place that turns a uniform draw into a
 measurement outcome; every sampled protocol goes through it.
@@ -18,7 +30,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+# Philox4x64 multipliers and Weyl key increments (Random123, numpy philox.h)
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it names a stream, that is 0 <= seed < 2**64;
+    raise :class:`ConfigError` otherwise.  (:func:`substream` keeps only the
+    low 64 bits, so a seed outside the range would silently run the stream
+    of another seed.)"""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def substream(seed: int, index: int = 0) -> np.random.Generator:
@@ -55,7 +87,95 @@ def master(seed: int) -> np.random.Generator:
     return substream(seed, 0)
 
 
-def _draw_outcome(cdf: np.ndarray, u: float) -> int:
+def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * a, from 32-bit
+    halves (uint64 products of halves cannot overflow)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
+    lo_lo = m_lo * a_lo
+    lo_hi = m_lo * a_hi
+    hi_lo = m_hi * a_lo
+    mid = (lo_lo >> np.uint64(32)) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    hi = m_hi * a_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) \
+        + (mid >> np.uint64(32))
+    return hi, np.uint64(m) * a
+
+
+def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarray:
+    """First ``nwords`` raw 64-bit outputs of substreams ``start`` ..
+    ``start + count - 1``: row k equals
+    ``substream(seed, start + k).bit_generator.random_raw(nwords)``.
+
+    Philox4x64-10 evaluated over the counter array: numpy bumps the counter
+    before each block, so block b = 1, 2, ... of substream i is the Philox
+    of counter [b, 0, 0, i] under key [seed mod 2**64, 0], four words each.
+    """
+    if start < 0:
+        raise ValueError("substream index must be nonnegative")
+    nblocks = -(-nwords // 4)
+    # uint64 array arithmetic wraps modulo 2**64, as Philox needs
+    c3 = np.repeat(np.arange(start, start + count, dtype=np.uint64), nblocks)
+    c0 = np.tile(np.arange(1, nblocks + 1, dtype=np.uint64), count)
+    c1 = np.zeros_like(c0)
+    c2 = np.zeros_like(c0)
+    k0, k1 = seed & _MASK64, 0
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
+                          hi0 ^ c3 ^ np.uint64(k1), lo0)
+        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    blocks = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * nblocks)
+    return blocks[:, :nwords]
+
+
+def _lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``integers(0, k)`` (2 <= k < 2**32) on 32-bit draws ``halves``:
+    the values (h * k) >> 32, and a mask of the draws Lemire's method
+    rejects, those with (h * k) mod 2**32 < (2**32 - k) mod k; numpy would
+    draw again there."""
+    if not 2 <= k < 1 << 32:
+        raise ValueError(f"bound {k} is outside [2, 2**32)")
+    scaled = halves * np.uint64(k)
+    rejected = (scaled & _MASK32) < np.uint64(((1 << 32) - k) % k)
+    return (scaled >> np.uint64(32)).astype(np.int64), rejected
+
+
+def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
+               nuniform: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each substream i in ``start`` .. ``start + count - 1``, what
+
+        g = substream(seed, i)
+        [g.integers(0, k) for k in bounds], [g.random() for _ in range(nuniform)]
+
+    draws, as an int64 array (count, len(bounds)) and a float64 array
+    (count, nuniform).
+
+    Each bounded draw takes a 32-bit half of a raw word, low half first, and
+    each uniform a whole word after them.  A row with a rejected half is
+    redrawn from its own Generator, so every row is exact.
+    """
+    nhalf = len(bounds)
+    nint_words = -(-nhalf // 2)
+    words = substream_words(seed, start, count, nint_words + nuniform)
+    halves = np.stack((words[:, :nint_words] & _MASK32,
+                       words[:, :nint_words] >> np.uint64(32)), axis=-1)
+    halves = halves.reshape(count, 2 * nint_words)
+    ints = np.empty((count, nhalf), dtype=np.int64)
+    rejected = np.zeros(count, dtype=bool)
+    for j, k in enumerate(bounds):
+        ints[:, j], rej = _lemire(halves[:, j], k)
+        rejected |= rej
+    # numpy's random(): (w >> 11) * 2**-53, exact in float64
+    uniforms = (words[:, nint_words:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    for row in np.flatnonzero(rejected).tolist():
+        g = substream(seed, start + row)
+        ints[row] = [g.integers(0, k) for k in bounds]
+        uniforms[row] = [g.random() for _ in range(nuniform)]
+    return ints, uniforms
+
+
+def _draw_outcome(cdf: np.ndarray, u):
     """Outcome index for a uniform draw ``u`` in [0, 1] against a cumulative
     distribution ``cdf`` (the cumsum of nonnegative probabilities).
 
@@ -66,11 +186,17 @@ def _draw_outcome(cdf: np.ndarray, u: float) -> int:
     probability, so the result is always in range and never an outcome of
     probability zero.  Raises ``ValueError`` when no outcome has positive
     probability.
+
+    ``u`` may be an array of draws; the result is then the array of the
+    outcomes each draw gives on its own.
     """
     total = cdf[-1]
     if not total > 0:
         raise ValueError("outcome distribution has no positive mass")
-    v = int(cdf.searchsorted(u * total, side="right"))
+    v = cdf.searchsorted(u * total, side="right")
+    if isinstance(v, np.ndarray):
+        return np.where(v == len(cdf), cdf.searchsorted(total, side="left"), v)
+    v = int(v)
     if v == len(cdf):
         v = int(cdf.searchsorted(total, side="left"))
     return v

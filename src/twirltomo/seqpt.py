@@ -29,7 +29,7 @@ from .dense import DenseBackend
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import _draw_outcome, substream, substreams
+from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
 from .stabilizer import build_mub_family, sample_clifford_uniform
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -62,6 +62,7 @@ class SeqptConfig:
             raise ConfigError("shots must be positive")
         if self.variant not in ("mub", "clifford"):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        check_seed(self.seed)
         if self.delta is not None and self.epsilon is None:
             raise ConfigError("delta requires epsilon")
         if self.epsilon is not None:
@@ -113,11 +114,10 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     survived = 0
     if config.variant == "mub":
         fam = build_mub_family(channel.n)
-        tables = [backend.mub_transition_probs(channel, b, p) for b in fam]
-        for rng in substreams(config.seed, 1, m_total):
-            j = int(rng.integers(0, d + 1))
-            m = int(rng.integers(0, d))
-            survived += rng.random() < tables[j][m, 0]
+        # stay[j, m]: survival probability of state m of basis j
+        stay = np.array([backend.mub_transition_probs(channel, b, p)[:, 0] for b in fam])
+        jm, u = draw_batch(config.seed, 1, m_total, (d + 1, d), 1)
+        survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
     else:
         for rng in substreams(config.seed, 1, m_total):
             c = sample_clifford_uniform(channel.n, rng)

@@ -110,12 +110,18 @@ def test_c04_haar_moment_closed_form():
     _report("criterion-04 haar-moment", worst <= 3.0, f"worst {worst:.2f} sigma")
 
 
-def _empirical_pair_fractions(n: int, pairs: int):
+def _mub_index_pairs(n: int, pairs: int):
+    """The basis-index pairs both c05 tests sample, and the generator after
+    them (c05b draws its Clifford frames from it)."""
     d = 1 << n
     g = master(505 + n)
     j1 = g.integers(0, d + 1, size=pairs)
     j2 = g.integers(0, d + 1, size=pairs)
-    mub = float((j1 != j2).mean())
+    return j1, j2, g
+
+
+def _clifford_pair_fraction(n: int, pairs: int) -> float:
+    _, _, g = _mub_index_pairs(n, pairs)
     fa = np.empty((pairs, n), dtype=np.uint64)
     fb = np.empty((pairs, n), dtype=np.uint64)
     for i in range(pairs):
@@ -123,18 +129,10 @@ def _empirical_pair_fractions(n: int, pairs: int):
         fb[i] = [p.key for p in sample_clifford_uniform(n, g).z_images]
     # a pair is usable exactly when the stacked frames pin down a unique key
     stacked = np.concatenate([fa, fb], axis=1) << np.uint64(1)
-    cl = float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
-    return mub, cl
+    return float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
 
 
 PAIR_SAMPLES = 100000
-_PAIR_CACHE: dict[int, tuple[float, float]] = {}
-
-
-def _pair_fractions(n):
-    if n not in _PAIR_CACHE:
-        _PAIR_CACHE[n] = _empirical_pair_fractions(n, PAIR_SAMPLES)
-    return _PAIR_CACHE[n]
 
 
 def test_c05a_mub_pair_success_empirical():
@@ -143,7 +141,8 @@ def test_c05a_mub_pair_success_empirical():
     worst = 0.0
     for n in (1, 2, 3):
         want = success_probability("mub", n)
-        emp, _ = _pair_fractions(n)
+        j1, j2, _ = _mub_index_pairs(n, PAIR_SAMPLES)
+        emp = float((j1 != j2).mean())
         sigma = np.sqrt(want * (1 - want) / PAIR_SAMPLES)
         worst = max(worst, abs(emp - want) / sigma)
     _report("criterion-05a mub-pair-success", worst <= 3.0, f"worst {worst:.2f} sigma")
@@ -161,7 +160,7 @@ def test_c05b_clifford_pair_success_empirical():
     worst = 0.0
     for n in (1, 2, 3):
         want = success_probability("clifford", n)
-        _, emp = _pair_fractions(n)
+        emp = _clifford_pair_fraction(n, PAIR_SAMPLES)
         sigma = np.sqrt(want * (1 - want) / PAIR_SAMPLES)
         worst = max(worst, abs(emp - want) / sigma)
     _report("criterion-05b clifford-pair-success", worst <= 3.0,

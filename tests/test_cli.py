@@ -163,6 +163,30 @@ def test_cli_local_twirl(tmp_path):
     assert "amplification" in report
 
 
+@pytest.mark.parametrize("argv", [
+    ["seqpt", "select", "--shots", "10", "--label", "ZI"],
+    ["seqpt", "blind", "--shots", "10"],
+    ["local-twirl", "--shots", "10"],
+    ["haar-verify", "--shots", "10", "--quadruples", "1"],
+])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 70)])
+def test_cli_seed_outside_stream_range(tmp_path, capsys, argv, seed):
+    """A seed outside [0, 2^64) would run the stream of seed mod 2^64 while
+    results.json records the seed given; every verb with --seed rejects it."""
+    spec = [] if argv[0] == "haar-verify" else ["--spec", str(write_spec(tmp_path, CNOT_DOC))]
+    out = tmp_path / "o"
+    assert main([*argv, *spec, "--out", str(out), f"--seed={seed}"]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_seed_top_of_range(tmp_path):
+    out = tmp_path / "o"
+    assert main(["local-twirl", "--spec", str(write_spec(tmp_path, DEP_DOC)),
+                 "--out", str(out), "--shots", "10", "--seed", str(2 ** 64 - 1)]) == 0
+    assert json.loads((out / "results.json").read_text())["config"]["seed"] == 2 ** 64 - 1
+
+
 def test_cli_bounds_check(tmp_path):
     spec = write_spec(tmp_path, CNOT_DOC)
     out = tmp_path / "bc"

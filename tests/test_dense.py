@@ -268,3 +268,14 @@ def test_local_outcome_probs_apply_channel_once_per_row(monkeypatch):
     applied.clear()
     DenseBackend().local_outcome_probs(ch, elements[0])
     assert len(applied) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_local_law_keys_agree_with_split_local_digits(n):
+    """Two elements share an array key exactly when split_local_digits gives
+    them the same (rotations, x), over every element of the twirl."""
+    elements = list(itertools.product(itertools.product(range(4), range(3)), repeat=n))
+    keys = dense.local_law_keys(np.array(elements)).tolist()
+    split = [dense.split_local_digits(d) for d in elements]
+    assert len(set(keys)) == len(set(split)) == 6 ** n
+    assert len(set(zip(keys, split))) == 6 ** n

@@ -195,6 +195,10 @@ def test_config_validation():
         LocalTwirlConfig(shots=0)
     with pytest.raises(ConfigError):
         LocalTwirlConfig(shots=10, cutoff=-1)
+    for seed in (-1, 2 ** 64, 2 ** 70):  # would alias seed mod 2^64
+        with pytest.raises(ConfigError, match="seed"):
+            LocalTwirlConfig(shots=10, seed=seed)
+    assert LocalTwirlConfig(shots=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     with pytest.raises(ConfigError):
         solve_pw(HammingStatistics(2, {(0, 0): 5}), 3)
 

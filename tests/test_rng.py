@@ -1,8 +1,17 @@
-"""Philox substreams: one generator moved from counter to counter draws what
-a fresh generator per substream draws."""
+"""Philox substreams: one generator moved from counter to counter, and the
+batched draws over the counter array, both give what a fresh generator per
+substream draws."""
+import numpy as np
 import pytest
 
-from twirltomo.rng import substream, substreams
+from conftest import battery
+from twirltomo import rng
+from twirltomo.channels import random_cp_channel
+from twirltomo.dense import DenseBackend
+from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
+                                  run_local_twirl, sample_c1t_realization)
+from twirltomo.rng import draw_batch, substream, substream_words, substreams
+from twirltomo.seqpt import SeqptConfig, estimate_chi_selective
 
 
 def _odd_bounded_then_uniform(g):
@@ -48,3 +57,114 @@ def test_substreams_empty_and_bad_start():
     assert list(substreams(9, 5, 0)) == []
     with pytest.raises(ValueError):
         next(substreams(9, -1, 2))
+
+
+# ---------------------------------------------------------------------------
+# batched draws
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("start", [1, 2 ** 40])
+@pytest.mark.parametrize("nwords", range(2, 8))
+def test_substream_words_match_random_raw(seed, start, nwords):
+    """nwords 2 to 7 covers every one-qubit-twirl layout up to n = 6 (n + 1
+    words), including a uniform in the second Philox block."""
+    count = 6
+    want = [substream(seed, start + k).bit_generator.random_raw(nwords)
+            for k in range(count)]
+    np.testing.assert_array_equal(substream_words(seed, start, count, nwords), want)
+
+
+def _numpy_bounded(half: int, k: int) -> tuple[int, bool]:
+    """numpy's integers(0, k) with ``half`` as the next 32-bit draw, and
+    whether numpy rejected it (it then reads on from the block buffer)."""
+    g = substream(0)
+    state = g.bit_generator.state
+    state.update(buffer=np.array([5, 6, 7, 8], dtype=np.uint64), buffer_pos=0,
+                 has_uint32=1, uinteger=half)
+    g.bit_generator.state = state
+    value = int(g.integers(0, k))
+    return value, g.bit_generator.state["buffer_pos"] != 0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 9, 17, 65, 2 ** 31 + 1, 2 ** 32 - 1])
+def test_lemire_matches_numpy_on_crafted_halves(k):
+    halves = [0, 1, 2, 3, 2 ** 31, 2 ** 32 - 1]
+    if k % 2:  # halves h with (h k) mod 2^32 = r, around the rejection threshold
+        threshold = ((1 << 32) - k) % k
+        inverse = pow(k, -1, 1 << 32)
+        halves += [r * inverse % (1 << 32) for r in range(min(threshold, 6) + 2)]
+        halves += [(threshold - r) * inverse % (1 << 32) for r in range(3)]
+    values, rejected = rng._lemire(np.array(halves, dtype=np.uint64), k)
+    for h, v, r in zip(halves, values.tolist(), rejected.tolist()):
+        want_v, want_r = _numpy_bounded(h, k)
+        assert r == want_r, (h, k)
+        if not r:
+            assert v == want_v, (h, k)
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_lemire_rejects_half_zero(k):
+    assert _numpy_bounded(0, k)[1]
+    assert rng._lemire(np.zeros(1, dtype=np.uint64), k)[1].all()
+
+
+@pytest.mark.parametrize("bounds, nuniform", [
+    *(((4, 3) * n, 1) for n in range(1, 7)),          # one-qubit twirl
+    *(((2 ** n + 1, 2 ** n), 1) for n in range(1, 7)),  # selective MUB
+    ((5,), 2), ((), 3), ((7, 7, 7), 0)])
+def test_draw_batch_matches_generator(bounds, nuniform):
+    count = 40
+    ints, uniforms = draw_batch(11, 3, count, bounds, nuniform)
+    for k in range(count):
+        g = substream(11, 3 + k)
+        assert ints[k].tolist() == [int(g.integers(0, b)) for b in bounds]
+        assert uniforms[k].tolist() == [g.random() for _ in range(nuniform)]
+
+
+@pytest.mark.parametrize("name, channel", battery(3) + [
+    ("random-cp-4", random_cp_channel(4, np.random.default_rng(41)))])
+def test_local_batch_realization_equals_scalar(name, channel):
+    """Realization i of a batch, as (digits, outcome), is the one
+    sample_c1t_realization draws from substream(seed, 1 + i)."""
+    seed, count = 23, 300
+    backend = DenseBackend()
+    digits, outcomes = _sample_local_batch(channel, seed, count, backend)
+    n = channel.n
+    for i in range(count):
+        rec = sample_c1t_realization(channel, substream(seed, 1 + i), backend)
+        assert tuple(map(tuple, digits[i].tolist())) == rec.descriptor
+        bits = tuple((int(outcomes[i]) >> (n - 1 - j)) & 1 for j in range(n))
+        assert bits == rec.outcome
+
+
+def _reject_everything(monkeypatch):
+    lemire = rng._lemire
+
+    def rejecting(halves, k):
+        values, rejected = lemire(halves, k)
+        return values, np.ones_like(rejected)
+
+    monkeypatch.setattr(rng, "_lemire", rejecting)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6])
+def test_forced_redraws_leave_local_twirl_unchanged(monkeypatch, n):
+    """Every realization redrawn alone from its own Generator gives
+    byte-identical results: the redraw path is exact."""
+    channel = random_cp_channel(n, np.random.default_rng(50 + n), n_kraus=2)
+    backend = DenseBackend()
+    config = LocalTwirlConfig(shots=400, seed=9)
+    want = run_local_twirl(channel, config, backend).to_json()
+    _reject_everything(monkeypatch)
+    assert run_local_twirl(channel, config, backend).to_json() == want
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_forced_redraws_leave_selective_mub_unchanged(monkeypatch, n):
+    channel = random_cp_channel(n, np.random.default_rng(50 + n), n_kraus=2)
+    backend = DenseBackend()
+    config = SeqptConfig(shots=400, seed=9)
+    want = estimate_chi_selective(channel, "Z" * n, config, backend)
+    _reject_everything(monkeypatch)
+    assert estimate_chi_selective(channel, "Z" * n, config, backend) == want

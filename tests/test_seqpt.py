@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cnot_channel, mixed_z1_channel
-from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
+from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
+                                random_cp_channel)
+from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
-from twirltomo.rng import _draw_outcome
+from twirltomo.pauli import Pauli
+from twirltomo.rng import _draw_outcome, substream
 from twirltomo.seqpt import (SeqptConfig, average_fidelity, compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
+from twirltomo.stabilizer import build_mub_family
 
 def test_config_sampling_bounds():
     with pytest.raises(ConfigError):
@@ -23,6 +27,35 @@ def test_config_sampling_bounds():
         SeqptConfig(shots=100, variant="haar")
     SeqptConfig(shots=10000, epsilon=0.01)
     SeqptConfig(shots=30000, epsilon=0.01, delta=0.01)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_config_rejects_seed_outside_stream_range(seed):
+    """Seeds are 64-bit; one outside [0, 2^64) would silently run the stream
+    of seed mod 2^64."""
+    with pytest.raises(ConfigError, match="seed"):
+        SeqptConfig(shots=10, seed=seed)
+    assert SeqptConfig(shots=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_selective_mub_matches_per_realization_draws(n):
+    """The batched MUB draws give the survival count of the per-realization
+    loop: basis j, state m, then one uniform from substream(seed, 1 + i)."""
+    channel = random_cp_channel(n, np.random.default_rng(60 + n))  # survival varies with m
+    backend = DenseBackend()
+    label = "X" + "I" * (n - 1)
+    cfg = SeqptConfig(shots=3000, seed=41)
+    d = 1 << n
+    tables = [backend.mub_transition_probs(channel, b, Pauli.from_string(label))
+              for b in build_mub_family(n)]
+    survived = 0
+    for i in range(cfg.shots):
+        g = substream(cfg.seed, 1 + i)
+        j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
+        survived += g.random() < tables[j][m, 0]
+    est = estimate_chi_selective(channel, label, cfg, backend)
+    assert est.survival_rate == survived / cfg.shots
 
 
 def test_selective_identity():
@@ -235,6 +268,16 @@ def test_draw_outcome_trailing_zeros(probs, zeros, u):
     _assert_valid_draw(np.array(probs + [0.0] * zeros), u)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_PROBS.filter(lambda p: sum(p) > 0), st.integers(0, 4),
+       st.lists(_U, min_size=1, max_size=20))
+def test_draw_outcome_array_equals_scalar(probs, zeros, us):
+    """An array of draws gives, elementwise, the outcome of each draw."""
+    cdf = np.cumsum(probs + [0.0] * zeros)
+    got = _draw_outcome(cdf, np.array(us))
+    assert got.tolist() == [_draw_outcome(cdf, u) for u in us]
+
+
 def test_draw_outcome_edges():
     # a draw that reaches cdf[-1] lands on the last possible outcome
     assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0 - 2.0 ** -53) == 1
@@ -245,3 +288,8 @@ def test_draw_outcome_edges():
     assert _draw_outcome(np.cumsum([0.5, 1.5]), 0.3) == 1
     with pytest.raises(ValueError):
         _draw_outcome(np.zeros(4), 0.5)
+    with pytest.raises(ValueError):
+        _draw_outcome(np.zeros(4), np.array([0.0, 0.5, 1.0]))
+    edges = np.array([0.0, 1.0 - 2.0 ** -53, 1.0])
+    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), edges).tolist() == [0, 1, 1]
+    assert _draw_outcome(np.cumsum([5e-324, 0.0]), edges).tolist() == [0, 0, 0]
