@@ -144,30 +144,42 @@ def chi_from_kraus(kraus: list[np.ndarray]) -> ChiMatrix:
     return ChiMatrix(n, a.T @ a.conj())
 
 
+def chi_operator_pairs(chi: ChiMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Operator pairs (A_k, B_k) with L(rho) = sum_k A_k rho B_k^dag.
+
+    A Hermitian chi gives (s_k A_k, A_k) from its eigendecomposition,
+    dropping eigenvalues below 1e-14 in magnitude.  Any other chi groups one
+    side of the double sum: (P_l, C_l^dag) with C_l = sum_l' chi[l,l'] P_l',
+    one pair per nonzero row of chi.
+    """
+    if chi.is_hermitian():
+        dec = diagonalize_chi(chi)
+        return tuple((s * op, op) for s, op in zip(dec.eigenvalues, dec.operators)
+                     if abs(s) > 1e-14)
+    pairs = []
+    for l in range(4 ** chi.n):
+        col = chi.mat[l, :]
+        if not np.any(np.abs(col) > 1e-15):
+            continue
+        cl = matrix_from_pauli_coefficients(col)
+        pairs.append((Pauli.from_label(chi.n, l).to_matrix(), cl.conj().T))
+    return tuple(pairs)
+
+
+def _apply_pairs(pairs, rho: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(rho)
+    for a, b in pairs:
+        out += a @ rho @ b.conj().T
+    return out
+
+
 def apply_chi(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
     """Evaluate sum_{l,l'} chi[l,l'] P_l rho P_l' on a D x D matrix."""
     d = chi.dim
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise DimensionMismatchError(f"state must be {d}x{d}, got {rho.shape}")
-    if chi.is_hermitian():
-        dec = diagonalize_chi(chi)
-        out = np.zeros_like(rho)
-        for s, op in zip(dec.eigenvalues, dec.operators):
-            if abs(s) < 1e-14:
-                continue
-            out += s * (op @ rho @ op.conj().T)
-        return out
-    # general linear map: group one side of the double sum
-    out = np.zeros_like(rho)
-    for l in range(4 ** chi.n):
-        col = chi.mat[l, :]
-        if not np.any(np.abs(col) > 1e-15):
-            continue
-        pl = Pauli.from_label(chi.n, l).to_matrix()
-        cl = matrix_from_pauli_coefficients(col)
-        out += pl @ rho @ cl
-    return out
+    return _apply_pairs(chi_operator_pairs(chi), rho)
 
 
 @dataclass(frozen=True)
@@ -302,7 +314,7 @@ class ChannelModel:
             raise DimensionMismatchError("chi qubit count mismatch")
         self.kraus = kraus
         self._chi = chi
-        self._gen_kraus: list[tuple[float, np.ndarray]] | None = None
+        self._pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._classification: Classification | None = None
         self._lock = threading.RLock()
 
@@ -341,30 +353,22 @@ class ChannelModel:
         k = self.kraus[0]
         return bool(np.allclose(k @ k.conj().T, np.eye(self.dim), atol=1e-10))
 
+    def operator_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The map as pairs (A_k, B_k), L(rho) = sum_k A_k rho B_k^dag:
+        (K, K) for a Kraus set, else :func:`chi_operator_pairs` of chi.
+        Built once; :meth:`apply`, :func:`classify` and the dense outcome
+        tables all use this one form."""
+        with self._lock:
+            if self._pairs is None:
+                self._pairs = (tuple((k, k) for k in self.kraus) if self.kraus is not None
+                               else chi_operator_pairs(self._chi))
+            return self._pairs
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatchError(f"state must be {self.dim}x{self.dim}")
-        if self.kraus is not None:
-            out = np.zeros_like(rho)
-            for k in self.kraus:
-                out += k @ rho @ k.conj().T
-            return out
-        if self._chi.is_hermitian():
-            out = np.zeros_like(rho)
-            for s, op in self._generalized_kraus():
-                out += s * (op @ rho @ op.conj().T)
-            return out
-        return apply_chi(self._chi, rho)
-
-    def _generalized_kraus(self) -> list[tuple[float, np.ndarray]]:
-        with self._lock:
-            if self._gen_kraus is None:
-                dec = diagonalize_chi(self._chi)
-                self._gen_kraus = [(float(s), op) for s, op
-                                   in zip(dec.eigenvalues, dec.operators)
-                                   if abs(s) > 1e-14]
-            return self._gen_kraus
+        return _apply_pairs(self.operator_pairs(), rho)
 
     @property
     def classification(self) -> Classification:
@@ -378,7 +382,10 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
              sample_seed: int = 12061) -> Classification:
     """Classification flags from the chi matrix.
 
-    Complete positivity is chi positive-semidefiniteness within tolerance.
+    Trace preservation is Tr chi = 1 and the operator condition
+    sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`
+    (Tr L(rho) = Tr[sum_k B_k^dag A_k rho]), for every map.  Complete
+    positivity is chi positive-semidefiniteness within tolerance.
     The ``positive`` flag is computed only for n <= 3 by a dense search over
     random product-state inputs plus the necessary diagonal/pair bounds; it
     is a documented heuristic (a True can in principle be a false positive,
@@ -389,11 +396,8 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
     hermitian = chi.is_hermitian()
     diag_sum = complex(chi.diagonal().sum())
     tp = abs(diag_sum - 1.0) <= TP_ATOL
-    if tp and hermitian:
-        dec = diagonalize_chi(chi)
-        acc = np.zeros((d, d), dtype=complex)
-        for s, op in zip(dec.eigenvalues, dec.operators):
-            acc += s * (op.conj().T @ op)
+    if tp:
+        acc = sum(b.conj().T @ a for a, b in channel.operator_pairs())
         tp = bool(np.allclose(acc, np.eye(d), atol=1e-8))
     cp = False
     if hermitian:

@@ -2,7 +2,7 @@
 
 This backend evolves full state vectors / density matrices, computes
 Clifford-twirl outcome laws from the stabilizer tableau and the chi matrix,
-reads one-qubit-twirl laws off rows of 3^n rotation tables, enumerates
+reads MUB and one-qubit-twirl laws off whole transition tables, enumerates
 finite twirl families exactly, and evaluates the Haar-average identity for
 second moments in closed form.  Everything is deterministic given a
 Generator; enumerations iterate in a fixed canonical order so results are
@@ -226,18 +226,42 @@ def local_law_keys(digits: np.ndarray) -> np.ndarray:
         | flips @ (1 << np.arange(n - 1, -1, -1))
 
 
-def _transition_row(channel: ChannelModel, w: np.ndarray, m: int,
-                    pm: np.ndarray | None = None) -> np.ndarray:
-    """probs[v]: prepare column m = w X^m |0..0> of the basis w, apply the
-    channel (then the optional Pauli matrix pm), read out in the basis w,
-    and undo the X^m by relabeling outcome v as v ^ m, so v = 0 means the
-    prepared state survived.  One channel application."""
-    v = w[:, m]
-    sigma = channel.apply(np.outer(v, v.conj()))
+def _rotation_unitary(rotations: tuple[int, ...]) -> np.ndarray:
+    """(x) R_s over the rotation part of a one-qubit-twirl element, built by
+    broadcasting; the same products in the same order as
+    ``local_twirl_unitary`` with identity Pauli parts, so the same bits."""
+    u = np.ones((1, 1), dtype=complex)
+    for s in rotations:
+        u = (u[:, None, :, None] * _ROTS[s][None, :, None, :]).reshape(
+            2 * u.shape[0], 2 * u.shape[1])
+    return u
+
+
+def _transition_table(channel: ChannelModel, w: np.ndarray,
+                      pm: np.ndarray | None = None) -> np.ndarray:
+    """probs[m, v] for every column m of the basis w: prepare w X^m |0..0>,
+    apply the channel (then the optional Pauli matrix pm), read out in the
+    basis w, and undo the X^m by relabeling outcome v as v ^ m, so v = 0
+    means the prepared state survived.
+
+    With the map as pairs (A_k, B_k), the weight of outcome j given column m
+    is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag pm A_k w (b_k
+    likewise), so one table costs two D x D products per operator (one for
+    a Kraus operator, where b_k = a_k) and no channel application.
+    """
+    wh = w.conj().T
     if pm is not None:
-        sigma = pm @ sigma @ pm.conj().T
-    in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
-    return in_basis[np.arange(channel.dim) ^ m]  # the X^m undo relabels outcomes
+        wh = wh @ pm
+    in_basis = np.zeros((channel.dim, channel.dim))
+    for a_op, b_op in channel.operator_pairs():
+        a = wh @ a_op @ w
+        b = a if b_op is a_op else wh @ b_op @ w
+        in_basis += (a * b.conj()).real
+    np.clip(in_basis, 0.0, None, out=in_basis)
+    idx = np.arange(channel.dim)
+    probs = in_basis[idx[:, None] ^ idx, idx[:, None]]  # the X^m undo relabels outcomes
+    probs.setflags(write=False)  # cached and shared by every caller
+    return probs
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -281,13 +305,13 @@ def _conjugated_xz_table(clifford):
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
-    Caches per-channel outcome laws so repeated realizations cost a
-    lookup: MUB transition tables keyed by basis and intermediary, and
-    one-qubit-twirl laws keyed by the rotation part of the element (its
-    unitary) and then the X part of its Pauli part (one row each, filled on
-    first use).  Channels key the cache weakly (by object, not by id, so
-    recycled addresses cannot collide) and capacity is capped by ``max_n``
-    (memory is O(4^n) per cached table or rotation unitary).
+    Caches per-channel transition tables so repeated realizations cost a
+    lookup: MUB tables keyed by basis and intermediary, and one-qubit-twirl
+    tables keyed by the rotation part of the element (each table holds the
+    laws of all 2^n X parts).  Channels key the cache weakly (by object, not
+    by id, so recycled addresses cannot collide) and capacity is capped by
+    ``max_n``.  A table is D x D floats, so the one-qubit-twirl cache holds
+    at most 3^n 4^n floats per channel (about 23 MiB at n = 6).
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
@@ -314,9 +338,7 @@ class DenseBackend:
         if hit is not None:
             return hit
         pm = None if intermediary is None else intermediary.to_matrix()
-        w = basis.clifford.unitary()
-        probs = np.array([_transition_row(channel, w, m, pm) for m in range(channel.dim)])
-        per_channel[key] = probs
+        probs = per_channel[key] = _transition_table(channel, basis.clifford.unitary(), pm)
         return probs
 
     # -- generic clifford twirl ----------------------------------------------
@@ -361,24 +383,19 @@ class DenseBackend:
 
         The element is U = R P with R = (x) R_s the rotation part and P the
         Pauli part, and U|v> = R|v ^ x> up to phase, x the X part of P.  So
-        the law is row x of a transition table of the basis R: prepare
+        the law is row x of the transition table of the basis R: prepare
         R|x>, apply the channel, read out in the basis R, relabel outcome v
-        as v ^ x.  R is built once per rotation part and each row on first
-        use, one channel application per (rotation part, x) pair: at most
-        6^n rows and 3^n unitaries cover all 12^n elements.
+        as v ^ x.  Each table is built on first use of its rotation part and
+        kept, so at most 3^n tables cover all 12^n elements.
         """
         self.check_capacity(channel.n)
         rotations, x = split_local_digits(digits)
         per_channel = self._local_cache.setdefault(channel, {})
-        entry = per_channel.get(rotations)
-        if entry is None:
-            r = local_twirl_unitary(tuple((0, s) for s in rotations))
-            entry = per_channel[rotations] = (r, {})
-        r, rows = entry
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = _transition_row(channel, r, x)
-        return row
+        table = per_channel.get(rotations)
+        if table is None:
+            table = per_channel[rotations] = _transition_table(
+                channel, _rotation_unitary(rotations))
+        return table[x]
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:

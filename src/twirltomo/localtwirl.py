@@ -39,6 +39,7 @@ from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
+_DRAW_BLOCK = 1 << 20  # cdf entries gathered per outcome-draw pass (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -141,21 +142,23 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     is what ``sample_c1t_realization(channel, substream(seed, 1 + i),
     backend)`` draws.
 
-    Realizations are grouped by (rotation part, X part), the key of their
-    outcome law, so each distinct law is fetched once and all of its
-    outcomes are drawn with one call.
+    Each distinct (rotation part, X part), the key of an outcome law, is
+    fetched once; the cdf of every realization's law is then gathered and
+    all outcomes are drawn in one array pass, in blocks of at most
+    ``_DRAW_BLOCK`` cdf entries so the gathered stack stays small.
     """
     n = channel.n
     ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
     digits = ints.reshape(count, n, 2)
-    keys = local_law_keys(digits)
-    order = np.argsort(keys, kind="stable")
-    _, starts = np.unique(keys[order], return_index=True)
+    _, first, law = np.unique(local_law_keys(digits), return_index=True,
+                              return_inverse=True)
+    cdfs = np.cumsum([backend.local_outcome_probs(channel, tuple(map(tuple, element)))
+                      for element in digits[first].tolist()], axis=1)
     outcomes = np.empty(count, dtype=np.int64)
-    for rows in np.split(order, starts[1:]):
-        element = tuple(map(tuple, digits[rows[0]].tolist()))
-        cdf = np.cumsum(backend.local_outcome_probs(channel, element))
-        outcomes[rows] = _draw_outcome(cdf, uniforms[rows, 0])
+    step = max(1, _DRAW_BLOCK // channel.dim)
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        outcomes[rows] = _draw_outcome(cdfs[law[rows]], uniforms[rows, 0])
     return digits, outcomes
 
 

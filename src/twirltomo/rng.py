@@ -187,16 +187,20 @@ def _draw_outcome(cdf: np.ndarray, u):
     probability zero.  Raises ``ValueError`` when no outcome has positive
     probability.
 
-    ``u`` may be an array of draws; the result is then the array of the
-    outcomes each draw gives on its own.
+    ``u`` may be a (count,) array of draws, against one cdf or a
+    (count, D) stack of them (one draw per row); the result is the array of
+    the outcomes each draw gives on its own, and it raises if any row has
+    no positive mass.
     """
-    total = cdf[-1]
-    if not total > 0:
+    if getattr(u, "ndim", 0) == 0:  # a float, a numpy scalar or a 0-d array
+        total = cdf[-1]
+        if not total > 0:
+            raise ValueError("outcome distribution has no positive mass")
+        v = int(cdf.searchsorted(u * total, side="right"))
+        return v if v < len(cdf) else int(cdf.searchsorted(total, side="left"))
+    total = cdf[..., -1:]
+    if not (total > 0).all():
         raise ValueError("outcome distribution has no positive mass")
-    v = cdf.searchsorted(u * total, side="right")
-    if isinstance(v, np.ndarray):
-        return np.where(v == len(cdf), cdf.searchsorted(total, side="left"), v)
-    v = int(v)
-    if v == len(cdf):
-        v = int(cdf.searchsorted(total, side="left"))
-    return v
+    # on a nondecreasing row, counting entries <= t is searchsorted(t, "right")
+    v = (cdf <= u[:, None] * total).sum(axis=-1)
+    return np.where(v == cdf.shape[-1], (cdf < total).sum(axis=-1), v)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import cnot_channel, transpose_map_channel
-from twirltomo.channels import (ChannelModel, ChiMatrix, apply_chi,
+from conftest import battery, cnot_channel, transpose_map_channel
+from twirltomo.channels import (PSD_RTOL, TP_ATOL, ChannelModel, ChiMatrix, apply_chi,
                                 check_cp_bound, check_positive_bound,
                                 chi_from_kraus, classify, coarse_grain, compose,
                                 depolarizing_kraus, diagonalize_chi, embed_kraus,
@@ -138,6 +138,70 @@ def test_classification_examples():
     # trace sum 0.9 -> not trace preserving
     chi_bad = ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex))
     assert not classify(ChannelModel.from_chi(chi_bad)).trace_preserving
+
+
+def _reference_flags(channel):
+    """(hermitian, trace preserving, CP) computed through diagonalize_chi:
+    Tr chi = 1 and, for a Hermitian chi, sum_k s_k A_k^dag A_k = I."""
+    chi = channel.chi
+    hermitian = chi.is_hermitian()
+    tp = abs(complex(chi.diagonal().sum()) - 1.0) <= TP_ATOL
+    if tp and hermitian:
+        dec = diagonalize_chi(chi)
+        acc = sum(s * (op.conj().T @ op) for s, op in zip(dec.eigenvalues, dec.operators))
+        tp = bool(np.allclose(acc, np.eye(channel.dim), atol=1e-8))
+    cp = False
+    if hermitian:
+        vals = np.linalg.eigvalsh(chi.mat)
+        cp = bool(vals.min() >= -PSD_RTOL * max(1.0, float(vals.max())))
+    return hermitian, tp, cp
+
+
+def test_classification_matches_diagonalize_chi_reference():
+    """classify reads trace preservation off the operator pairs; its flags
+    equal the diagonalize_chi reference on the battery, the transpose map,
+    non-TP maps (one that fails only the operator condition, as a Kraus set
+    and as a chi matrix) and random CP maps at n = 1 to 4, Kraus and
+    chi-only."""
+    off = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    off[0, 3] = off[3, 0] = 0.3  # Tr chi = 1, but sum chi P_l' P_l = I + 0.6 Z
+    uneven = np.diag([np.sqrt(1.5), np.sqrt(0.5)]).astype(complex)  # Tr chi = 1
+    rng = np.random.default_rng(7)
+    random_maps = [(f"random-cp-{n}", random_cp_channel(n, rng)) for n in (1, 2, 3, 4)]
+    channels = [*battery(), *random_maps,
+                *[(name + "-chi", ChannelModel.from_chi(ch.chi))
+                  for name, ch in random_maps if ch.n <= 3],
+                ("transpose", transpose_map_channel()),
+                ("trace-0.9", ChannelModel.from_chi(
+                    ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex)))),
+                ("off-diagonal-z", ChannelModel.from_chi(ChiMatrix(1, off))),
+                ("uneven-kraus", ChannelModel.from_kraus([uneven])),
+                ("uneven-chi", ChannelModel.from_chi(chi_from_kraus([uneven])))]
+    seen_tp = set()
+    for name, ch in channels:
+        cls = classify(ch)
+        got = (cls.hermitian_preserving, cls.trace_preserving, cls.completely_positive)
+        assert got == _reference_flags(ch), name
+        seen_tp.add(cls.trace_preserving)
+    assert seen_tp == {True, False}
+    for name in ("off-diagonal-z", "uneven-kraus", "uneven-chi"):
+        assert not classify(dict(channels)[name]).trace_preserving, name
+
+
+def test_non_hermitian_trace_preservation_is_the_operator_condition():
+    """Tr chi = 1 does not make a non-Hermitian map trace preserving: the
+    flag agrees with Tr L(rho) = Tr rho on random states."""
+    rng = np.random.default_rng(8)
+    one_sided = np.zeros((4, 4), dtype=complex)
+    one_sided[0, 0], one_sided[0, 3] = 1.0, 0.3  # sum chi P_l' P_l = I + 0.3 Z
+    cancelling = np.zeros((4, 4), dtype=complex)
+    cancelling[0, 0], cancelling[0, 1], cancelling[1, 0] = 1.0, 0.3, -0.3  # = I
+    for mat, want in ((one_sided, False), (cancelling, True)):
+        ch = ChannelModel.from_chi(ChiMatrix(1, mat))
+        cls = classify(ch)
+        assert not cls.hermitian_preserving and cls.trace_preserving is want
+        traces = [np.trace(ch.apply(random_density(2, rng))) for _ in range(5)]
+        assert bool(np.abs(np.array(traces) - 1.0).max() < 1e-12) is want
 
 
 def test_trace_preservation_operator_condition_dense():

@@ -5,16 +5,18 @@ import pytest
 
 from conftest import battery, cnot_channel, transpose_map_channel
 from twirltomo import dense
-from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
-                                random_cp_channel)
+from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
+                                gate_unitary, random_cp_channel)
 from twirltomo.dense import (DenseBackend, DenseState, TwirlSpec,
                              enumerate_twirl_exact, evolve, exact_chi_extraction,
                              haar_moment_closed_form, haar_twirl_moment,
                              local_twirl_unitary, measure_computational)
 from twirltomo.errors import CapacityError
+from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import Pauli
 from twirltomo.rng import master
-from twirltomo.stabilizer import sample_clifford_uniform
+from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
+from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=float)
@@ -244,30 +246,110 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
         assert len(built) <= 3 ** n, name
 
 
-def test_local_outcome_probs_apply_channel_once_per_row(monkeypatch):
-    """Each (rotation part, X part) row costs one channel application on
-    first use, and a lookup afterwards; a fresh backend pays one
-    application for one law, as sample_c1t_realization does without a
-    shared backend."""
-    applied = []
-    apply = ChannelModel.apply
+def test_sampling_builds_tables_without_channel_applications(monkeypatch):
+    """Outcome laws are rows of whole transition tables: sampling a Kraus map
+    applies the channel zero times, builds one table per distinct rotation
+    part (one-qubit twirl) and one per (basis, intermediary) (MUB), and a
+    fresh backend builds one table for one law, as sample_c1t_realization
+    does without a shared backend."""
+    applied, built = [], []
+    apply, table = ChannelModel.apply, dense._transition_table
 
-    def counted(self, rho):
+    def counted_apply(self, rho):
         applied.append(1)
         return apply(self, rho)
 
-    monkeypatch.setattr(ChannelModel, "apply", counted)
-    rng = master(90)
+    def counted_table(channel, w, pm=None):
+        built.append(1)
+        return table(channel, w, pm)
+
+    monkeypatch.setattr(ChannelModel, "apply", counted_apply)
+    monkeypatch.setattr(dense, "_transition_table", counted_table)
     ch = random_cp_channel(3, master(91))
-    elements = [tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
-                      for _ in range(3)) for _ in range(200)]
     backend = DenseBackend()
-    for digits in elements + elements:
-        backend.local_outcome_probs(ch, digits)
-    assert len(applied) == len({dense.split_local_digits(d) for d in elements})
-    applied.clear()
-    DenseBackend().local_outcome_probs(ch, elements[0])
-    assert len(applied) == 1
+    digits, _ = _sample_local_batch(ch, 5, 2000, backend)
+    assert len(built) == len({tuple(r) for r in digits[:, :, 1].tolist()}) <= 27
+    assert not applied
+    built.clear()
+    cfg = SeqptConfig(shots=500, seed=3)
+    estimate_chi_selective(ch, "XIZ", cfg, backend)
+    estimate_chi_selective(ch, "XIZ", cfg, backend)
+    run_blind_discovery(ch, cfg, backend)
+    assert len(built) == 2 * (ch.dim + 1) and not applied
+    built.clear()
+    DenseBackend().local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1)))
+    assert len(built) == 1 and not applied
+
+
+def _reference_row(channel, w, m, pm=None):
+    """Row m of a transition table by one channel application: prepare
+    column m of w, apply the channel (and pm), read out in the basis w and
+    relabel outcome v as v ^ m."""
+    v = w[:, m]
+    sigma = channel.apply(np.outer(v, v.conj()))
+    if pm is not None:
+        sigma = pm @ sigma @ pm.conj().T
+    in_basis = np.clip(np.einsum("im,ij,jm->m", w.conj(), sigma, w).real, 0.0, None)
+    return in_basis[np.arange(channel.dim) ^ m]
+
+
+def _table_test_channels():
+    rng = master(92)
+    non_hermitian = 0.05 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    non_hermitian[0, 0] += 0.7
+    return [*battery(),
+            ("chi-only-random-cp-2", ChannelModel.from_chi(random_cp_channel(2, master(93)).chi)),
+            ("transpose", transpose_map_channel()),
+            ("non-hermitian-chi-2", ChannelModel.from_chi(ChiMatrix(2, non_hermitian))),
+            ("non-tp-chi", ChannelModel.from_chi(
+                ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex)))),
+            ("non-tp-kraus-2", ChannelModel.from_kraus([0.9 * np.eye(4)]))]
+
+
+def test_transition_tables_match_per_column_apply():
+    """MUB tables (with and without an intermediary) and one-qubit-twirl
+    tables equal the per-column channel.apply reference to 1e-12, on the
+    battery, a chi-only Hermitian map, the non-CP transpose map, a
+    non-Hermitian chi map and non-TP maps."""
+    rng = master(94)
+    for name, ch in _table_test_channels():
+        n, d = ch.n, ch.dim
+        backend = DenseBackend()
+        for basis in build_mub_family(n):
+            w = basis.clifford.unitary()
+            p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
+            for inter in (None, p):
+                got = backend.mub_transition_probs(ch, basis, inter)
+                pm = None if inter is None else inter.to_matrix()
+                want = np.array([_reference_row(ch, w, m, pm) for m in range(d)])
+                assert np.abs(got - want).max() <= 1e-12, (name, basis.index, str(inter))
+        for rotations in itertools.product(range(3), repeat=n):
+            r = local_twirl_unitary(tuple((0, s) for s in rotations))
+            for x in range(d):
+                digits = tuple((1 if (x >> (n - 1 - j)) & 1 else 0, s)
+                               for j, s in enumerate(rotations))
+                got = backend.local_outcome_probs(ch, digits)
+                assert np.abs(got - _reference_row(ch, r, x)).max() <= 1e-12, (name, digits)
+
+
+def test_kraus_apply_is_the_explicit_kraus_sum():
+    """apply() on a Kraus map is bit for bit sum_k K rho K^dag."""
+    rng = master(95)
+    for name, ch in [*battery(), ("random-cp-4", random_cp_channel(4, master(96)))]:
+        g = rng.normal(size=(ch.dim, ch.dim)) + 1j * rng.normal(size=(ch.dim, ch.dim))
+        rho = g @ g.conj().T
+        want = np.zeros_like(rho)
+        for k in ch.kraus:
+            want += k @ rho @ k.conj().T
+        assert np.array_equal(ch.apply(rho), want), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotation_unitary_is_the_kron_product(n):
+    """The broadcast rotation part equals local_twirl_unitary bit for bit."""
+    for rotations in itertools.product(range(3), repeat=n):
+        want = local_twirl_unitary(tuple((0, s) for s in rotations))
+        assert np.array_equal(dense._rotation_unitary(rotations), want), rotations
 
 
 @pytest.mark.parametrize("n", [1, 2])

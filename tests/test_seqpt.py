@@ -243,8 +243,8 @@ def test_selective_label_length_checked(variant, label):
 # ---------------------------------------------------------------------------
 # the shared outcome draw
 
-_PROBS = st.lists(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-300, 1e3)),
-                  min_size=1, max_size=16)
+_PROB = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-300, 1e3))
+_PROBS = st.lists(_PROB, min_size=1, max_size=16)
 _U = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -278,6 +278,23 @@ def test_draw_outcome_array_equals_scalar(probs, zeros, us):
     assert got.tolist() == [_draw_outcome(cdf, u) for u in us]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.tuples(st.lists(_PROB, min_size=d, max_size=d), _U), min_size=1, max_size=6)))
+def test_draw_outcome_stack_equals_scalar(rows):
+    """A (count, D) stack of cdfs with one draw per row gives, row by row,
+    the outcome of the one-row call, and raises ValueError exactly when some
+    row has no positive mass."""
+    cdfs = np.cumsum([probs for probs, _ in rows], axis=1)
+    us = np.array([u for _, u in rows])
+    if not (cdfs[:, -1] > 0).all():
+        with pytest.raises(ValueError):
+            _draw_outcome(cdfs, us)
+        return
+    got = _draw_outcome(cdfs, us)
+    assert got.tolist() == [_draw_outcome(cdf, u) for cdf, u in zip(cdfs, us.tolist())]
+
+
 def test_draw_outcome_edges():
     # a draw that reaches cdf[-1] lands on the last possible outcome
     assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0 - 2.0 ** -53) == 1
@@ -293,3 +310,7 @@ def test_draw_outcome_edges():
     edges = np.array([0.0, 1.0 - 2.0 ** -53, 1.0])
     assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), edges).tolist() == [0, 1, 1]
     assert _draw_outcome(np.cumsum([5e-324, 0.0]), edges).tolist() == [0, 0, 0]
+    stack = np.cumsum([[0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [5e-324, 0, 0, 0]], axis=1)
+    assert _draw_outcome(stack, np.array([1.0, 0.0, 0.75])).tolist() == [1, 1, 0]
+    with pytest.raises(ValueError):
+        _draw_outcome(np.vstack([stack, np.zeros(4)]), np.full(4, 0.5))
