@@ -144,7 +144,7 @@ def chi_from_kraus(kraus: list[np.ndarray]) -> ChiMatrix:
     return ChiMatrix(n, a.T @ a.conj())
 
 
-def chi_operator_pairs(chi: ChiMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _chi_operator_pairs(chi: ChiMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Operator pairs (A_k, B_k) with L(rho) = sum_k A_k rho B_k^dag.
 
     A Hermitian chi gives (s_k A_k, A_k) from its eigendecomposition,
@@ -179,7 +179,7 @@ def apply_chi(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise DimensionMismatchError(f"state must be {d}x{d}, got {rho.shape}")
-    return _apply_pairs(chi_operator_pairs(chi), rho)
+    return _apply_pairs(_chi_operator_pairs(chi), rho)
 
 
 @dataclass(frozen=True)
@@ -355,13 +355,13 @@ class ChannelModel:
 
     def operator_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The map as pairs (A_k, B_k), L(rho) = sum_k A_k rho B_k^dag:
-        (K, K) for a Kraus set, else :func:`chi_operator_pairs` of chi.
+        (K, K) for a Kraus set, else :func:`_chi_operator_pairs` of chi.
         Built once; :meth:`apply`, :func:`classify` and the dense outcome
         tables all use this one form."""
         with self._lock:
             if self._pairs is None:
                 self._pairs = (tuple((k, k) for k in self.kraus) if self.kraus is not None
-                               else chi_operator_pairs(self._chi))
+                               else _chi_operator_pairs(self._chi))
             return self._pairs
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
