@@ -198,10 +198,15 @@ _PAULIS_1Q = (
 
 
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation)."""
+    """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation).
+
+    Built by broadcasting, which forms the same products as ``np.kron``
+    (so the same bits) without its per-call overhead."""
     u = np.ones((1, 1), dtype=complex)
     for p, s in digits:
-        u = np.kron(u, _ROTS[s] @ _PAULIS_1Q[p])
+        g = _ROTS[s] @ _PAULIS_1Q[p]
+        u = (u[:, None, :, None] * g[None, :, None, :]).reshape(
+            2 * u.shape[0], 2 * u.shape[1])
     return u
 
 
@@ -224,17 +229,6 @@ def local_law_keys(digits: np.ndarray) -> np.ndarray:
     flips = (digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)
     return (digits[:, :, 1] @ 3 ** np.arange(n - 1, -1, -1)) << n \
         | flips @ (1 << np.arange(n - 1, -1, -1))
-
-
-def _rotation_unitary(rotations: tuple[int, ...]) -> np.ndarray:
-    """(x) R_s over the rotation part of a one-qubit-twirl element, built by
-    broadcasting; the same products in the same order as
-    ``local_twirl_unitary`` with identity Pauli parts, so the same bits."""
-    u = np.ones((1, 1), dtype=complex)
-    for s in rotations:
-        u = (u[:, None, :, None] * _ROTS[s][None, :, None, :]).reshape(
-            2 * u.shape[0], 2 * u.shape[1])
-    return u
 
 
 def _transition_table(channel: ChannelModel, w: np.ndarray,
@@ -394,7 +388,7 @@ class DenseBackend:
         table = per_channel.get(rotations)
         if table is None:
             table = per_channel[rotations] = _transition_table(
-                channel, _rotation_unitary(rotations))
+                channel, local_twirl_unitary(tuple((0, s) for s in rotations)))
         return table[x]
 
 

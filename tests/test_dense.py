@@ -344,12 +344,15 @@ def test_kraus_apply_is_the_explicit_kraus_sum():
         assert np.array_equal(ch.apply(rho), want), name
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rotation_unitary_is_the_kron_product(n):
-    """The broadcast rotation part equals local_twirl_unitary bit for bit."""
-    for rotations in itertools.product(range(3), repeat=n):
-        want = local_twirl_unitary(tuple((0, s) for s in rotations))
-        assert np.array_equal(dense._rotation_unitary(rotations), want), rotations
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_local_twirl_unitary_is_the_kron_product(n):
+    """local_twirl_unitary equals the np.kron product of its per-qubit
+    gates bit for bit, over every element of the twirl."""
+    for digits in itertools.product(itertools.product(range(4), range(3)), repeat=n):
+        want = np.ones((1, 1), dtype=complex)
+        for p, s in digits:
+            want = np.kron(want, dense._ROTS[s] @ dense._PAULIS_1Q[p])
+        assert np.array_equal(local_twirl_unitary(digits), want), digits
 
 
 @pytest.mark.parametrize("n", [1, 2])

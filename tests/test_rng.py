@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import battery
-from twirltomo import rng
+from twirltomo import localtwirl, rng
 from twirltomo.channels import random_cp_channel
 from twirltomo.dense import DenseBackend
 from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
@@ -130,6 +130,26 @@ def test_local_batch_realization_equals_scalar(name, channel):
     seed, count = 23, 300
     backend = DenseBackend()
     digits, outcomes = _sample_local_batch(channel, seed, count, backend)
+    n = channel.n
+    for i in range(count):
+        rec = sample_c1t_realization(channel, substream(seed, 1 + i), backend)
+        assert tuple(map(tuple, digits[i].tolist())) == rec.descriptor
+        bits = tuple((int(outcomes[i]) >> (n - 1 - j)) & 1 for j in range(n))
+        assert bits == rec.outcome
+
+
+def test_local_batch_blocks_equal_one_pass(monkeypatch):
+    """Outcomes drawn over many small blocks of the gathered cdf stack are
+    the ones a single pass draws, and realization i is still what
+    sample_c1t_realization draws from substream(seed, 1 + i)."""
+    channel = random_cp_channel(3, np.random.default_rng(43), n_kraus=2)
+    seed, count = 31, 2000
+    want_digits, want_outcomes = _sample_local_batch(channel, seed, count, DenseBackend())
+    monkeypatch.setattr(localtwirl, "_DRAW_BLOCK", 3 * channel.dim)
+    backend = DenseBackend()
+    digits, outcomes = _sample_local_batch(channel, seed, count, backend)
+    assert np.array_equal(digits, want_digits)
+    assert np.array_equal(outcomes, want_outcomes)
     n = channel.n
     for i in range(count):
         rec = sample_c1t_realization(channel, substream(seed, 1 + i), backend)
