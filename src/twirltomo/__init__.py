@@ -11,37 +11,33 @@ __version__ = "0.1.0"
 from .channels import (ChannelModel, ChiMatrix, apply_chi, check_cp_bound,
                        check_positive_bound, chi_from_kraus, classify,
                        coarse_grain, diagonalize_chi)
-from .dense import (DenseBackend, DenseState, TwirlSpec, enumerate_twirl_exact,
-                    evolve, exact_chi_extraction, haar_twirl_moment,
-                    measure_computational)
+from .dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
+                    exact_chi_extraction, haar_twirl_moment)
 from .localtwirl import (HammingStatistics, LocalTwirlConfig, c1t_fidelity,
-                         collect_statistics, r_matrix, run_local_twirl,
-                         sample_c1t_realization, solve_chi_col, solve_pw)
-from .pauli import Pauli, PauliLabel, commutes, enumerate_paulis, multiply, weight_and_support
+                         r_matrix, run_local_twirl, sample_c1t_realization,
+                         solve_chi_col, solve_pw)
+from .pauli import Pauli, commutes, multiply
 from .records import ExperimentRecord
 from .seqpt import (SeqptConfig, SeqptResult, average_fidelity, compare_variants,
                     estimate_chi_selective, frames_independent_probability,
                     run_blind_discovery, success_probability)
 from .stabilizer import (Clifford, MubBasis, StabilizerFrame, build_mub_family,
-                         candidate_paulis, conjugate, frames_independent,
-                         sample_clifford_uniform, solve_intermediary_pauli)
+                         sample_clifford_uniform)
 
 __all__ = [
     "__version__",
-    "Pauli", "PauliLabel", "multiply", "commutes", "enumerate_paulis",
-    "weight_and_support",
+    "Pauli", "multiply", "commutes",
     "ChannelModel", "ChiMatrix", "chi_from_kraus", "apply_chi",
     "diagonalize_chi", "classify", "check_cp_bound", "check_positive_bound",
     "coarse_grain",
-    "DenseState", "DenseBackend", "TwirlSpec", "evolve", "measure_computational",
+    "DenseBackend", "TwirlSpec",
     "haar_twirl_moment", "exact_chi_extraction", "enumerate_twirl_exact",
-    "StabilizerFrame", "Clifford", "MubBasis", "conjugate", "build_mub_family",
-    "sample_clifford_uniform", "solve_intermediary_pauli", "frames_independent",
-    "candidate_paulis",
+    "StabilizerFrame", "Clifford", "MubBasis", "build_mub_family",
+    "sample_clifford_uniform",
     "SeqptConfig", "SeqptResult", "estimate_chi_selective", "average_fidelity",
     "run_blind_discovery", "success_probability", "frames_independent_probability",
     "compare_variants",
     "LocalTwirlConfig", "HammingStatistics", "ExperimentRecord",
-    "sample_c1t_realization", "collect_statistics", "r_matrix", "solve_pw",
+    "sample_c1t_realization", "r_matrix", "solve_pw",
     "solve_chi_col", "run_local_twirl", "c1t_fidelity",
 ]

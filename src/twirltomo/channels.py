@@ -21,20 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .pauli import Pauli, enumerate_supports
+from .pauli import PAULI_1Q, Pauli, enumerate_supports
 
 DENSE_MAX_N = 6
 
 PSD_RTOL = 1e-9          # eigenvalue >= -PSD_RTOL * max(1, max eig) counts as nonnegative
 BOUND_TOL = 1e-9
 TP_ATOL = 1e-9
-
-_PAULI_1Q = np.stack([
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-])
 
 
 def _check_dense_cap(n: int):
@@ -49,7 +42,7 @@ def pauli_coefficients(mat: np.ndarray) -> np.ndarray:
     if mat.shape != (d, d) or (1 << n) != d:
         raise DimensionMismatchError(f"not a 2^n square matrix: {mat.shape}")
     t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
-    bt = _PAULI_1Q.transpose(0, 2, 1)  # bt[p, r, c] = P_p[c, r]
+    bt = PAULI_1Q.transpose(0, 2, 1)  # bt[p, r, c] = P_p[c, r]
     for j in range(n):
         # axes: (p_1..p_j, r_{j+1}..r_n, c_{j+1}..c_n); contract r at j, c at n
         t = np.tensordot(bt, t, axes=([1, 2], [j, n]))
@@ -66,7 +59,7 @@ def matrix_from_pauli_coefficients(coeffs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"coefficient vector length {m} is not 4^n")
     t = np.asarray(coeffs, dtype=complex).reshape((4,) * n)
     for j in range(n - 1, -1, -1):
-        t = np.tensordot(t, _PAULI_1Q, axes=([j], [0]))
+        t = np.tensordot(t, PAULI_1Q, axes=([j], [0]))
     # axes now (r_n, c_n, r_{n-1}, c_{n-1}, ..., r_1, c_1)
     perm = [2 * (n - j) for j in range(1, n + 1)] + [2 * (n - j) + 1 for j in range(1, n + 1)]
     t = np.transpose(t, perm)
@@ -346,13 +339,6 @@ class ChannelModel:
                 self._chi = chi_from_kraus(list(self.kraus))
             return self._chi
 
-    @property
-    def is_unitary(self) -> bool:
-        if self.kraus is None or len(self.kraus) != 1:
-            return False
-        k = self.kraus[0]
-        return bool(np.allclose(k @ k.conj().T, np.eye(self.dim), atol=1e-10))
-
     def operator_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The map as pairs (A_k, B_k), L(rho) = sum_k A_k rho B_k^dag:
         (K, K) for a Kraus set, else :func:`_chi_operator_pairs` of chi.
@@ -385,7 +371,8 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
     Trace preservation is Tr chi = 1 and the operator condition
     sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`
     (Tr L(rho) = Tr[sum_k B_k^dag A_k rho]), for every map.  Complete
-    positivity is chi positive-semidefiniteness within tolerance.
+    positivity is chi positive-semidefiniteness within tolerance; a map
+    given by Kraus operators is Hermitian-preserving and CP without a check.
     The ``positive`` flag is computed only for n <= 3 by a dense search over
     random product-state inputs plus the necessary diagonal/pair bounds; it
     is a documented heuristic (a True can in principle be a false positive,
@@ -393,14 +380,15 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
     """
     chi = channel.chi
     d = channel.dim
-    hermitian = chi.is_hermitian()
+    kraus = channel.kraus is not None
+    hermitian = kraus or chi.is_hermitian()
     diag_sum = complex(chi.diagonal().sum())
     tp = abs(diag_sum - 1.0) <= TP_ATOL
     if tp:
         acc = sum(b.conj().T @ a for a, b in channel.operator_pairs())
         tp = bool(np.allclose(acc, np.eye(d), atol=1e-8))
-    cp = False
-    if hermitian:
+    cp = kraus
+    if hermitian and not kraus:
         vals = np.linalg.eigvalsh(chi.mat)
         cp = bool(vals.min() >= -PSD_RTOL * max(1.0, float(vals.max())))
     positive: bool | None = None
@@ -437,7 +425,7 @@ def _positivity_search(channel: ChannelModel, n_samples: int, seed: int) -> bool
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.diag([1, 1j]).astype(complex)
 _GATES_1Q = {"H": _H, "S": _S,
-             "X": _PAULI_1Q[1], "Y": _PAULI_1Q[2], "Z": _PAULI_1Q[3]}
+             "X": PAULI_1Q[1], "Y": PAULI_1Q[2], "Z": PAULI_1Q[3]}
 
 
 def gate_unitary(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -463,18 +451,18 @@ def gate_unitary(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 def depolarizing_kraus(p: float) -> list[np.ndarray]:
     """Single-qubit rho -> (1-p) rho + p I/2."""
-    return [np.sqrt(1 - 3 * p / 4) * _PAULI_1Q[0],
-            np.sqrt(p / 4) * _PAULI_1Q[1],
-            np.sqrt(p / 4) * _PAULI_1Q[2],
-            np.sqrt(p / 4) * _PAULI_1Q[3]]
+    return [np.sqrt(1 - 3 * p / 4) * PAULI_1Q[0],
+            np.sqrt(p / 4) * PAULI_1Q[1],
+            np.sqrt(p / 4) * PAULI_1Q[2],
+            np.sqrt(p / 4) * PAULI_1Q[3]]
 
 
 def bit_flip_kraus(p: float) -> list[np.ndarray]:
-    return [np.sqrt(1 - p) * _PAULI_1Q[0], np.sqrt(p) * _PAULI_1Q[1]]
+    return [np.sqrt(1 - p) * PAULI_1Q[0], np.sqrt(p) * PAULI_1Q[1]]
 
 
 def phase_flip_kraus(p: float) -> list[np.ndarray]:
-    return [np.sqrt(1 - p) * _PAULI_1Q[0], np.sqrt(p) * _PAULI_1Q[3]]
+    return [np.sqrt(1 - p) * PAULI_1Q[0], np.sqrt(p) * PAULI_1Q[3]]
 
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:

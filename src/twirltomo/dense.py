@@ -1,12 +1,11 @@
 """Exact small-n dense simulation and the oracles the protocols test against.
 
-This backend evolves full state vectors / density matrices, computes
-Clifford-twirl outcome laws from the stabilizer tableau and the chi matrix,
-reads MUB and one-qubit-twirl laws off whole transition tables, enumerates
-finite twirl families exactly, and evaluates the Haar-average identity for
-second moments in closed form.  Everything is deterministic given a
-Generator; enumerations iterate in a fixed canonical order so results are
-reproducible bit for bit.
+This backend computes Clifford-twirl outcome laws from the stabilizer
+tableau and the chi matrix, reads MUB and one-qubit-twirl laws off whole
+transition tables, enumerates finite twirl families exactly, and evaluates
+the Haar-average identity for second moments in closed form.  Everything
+is deterministic given a Generator; enumerations iterate in a fixed
+canonical order so results are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -19,74 +18,13 @@ import numpy as np
 
 from .channels import ChannelModel
 from .errors import CapacityError, DimensionMismatchError
-from .pauli import Pauli
+from .pauli import PAULI_1Q, Pauli
 from .stabilizer import MubBasis, build_mub_family, enumerate_clifford_group
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
-
-
-@dataclass
-class DenseState:
-    """Pure state (amplitudes) or mixed state (density matrix) on n qubits."""
-
-    n: int
-    amplitudes: np.ndarray | None = None
-    density: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = 1 << self.n
-        if (self.amplitudes is None) == (self.density is None):
-            raise ValueError("provide exactly one of amplitudes/density")
-        if self.amplitudes is not None and self.amplitudes.shape != (d,):
-            raise DimensionMismatchError("bad amplitude vector shape")
-        if self.density is not None and self.density.shape != (d, d):
-            raise DimensionMismatchError("bad density matrix shape")
-
-    @staticmethod
-    def zero(n: int) -> "DenseState":
-        v = np.zeros(1 << n, dtype=complex)
-        v[0] = 1.0
-        return DenseState(n, amplitudes=v)
-
-    @staticmethod
-    def from_bits(bits) -> "DenseState":
-        n = len(bits)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | int(b)
-        v = np.zeros(1 << n, dtype=complex)
-        v[idx] = 1.0
-        return DenseState(n, amplitudes=v)
-
-    def as_density(self) -> np.ndarray:
-        if self.density is not None:
-            return self.density
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def probabilities(self) -> np.ndarray:
-        if self.amplitudes is not None:
-            return np.abs(self.amplitudes) ** 2
-        return np.clip(self.density.diagonal().real, 0.0, None)
-
-
-def evolve(state: DenseState, channel: ChannelModel) -> DenseState:
-    """Apply the channel; keeps the pure-state fast path for unitaries."""
-    if state.n != channel.n:
-        raise DimensionMismatchError("state/channel qubit mismatch")
-    if state.amplitudes is not None and channel.is_unitary:
-        return DenseState(state.n, amplitudes=channel.kraus[0] @ state.amplitudes)
-    return DenseState(state.n, density=channel.apply(state.as_density()))
-
-
-def measure_computational(state: DenseState, rng: np.random.Generator) -> tuple[int, ...]:
-    """Sample a computational-basis outcome (qubit 1 first)."""
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    idx = int(rng.choice(len(probs), p=probs))
-    return tuple((idx >> (state.n - 1 - j)) & 1 for j in range(state.n))
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +127,6 @@ _ROTS = (
     _SQRT * np.array([[1, -1], [1, 1]], dtype=complex),      # about y
     _SQRT * np.array([[1 - 1j, 0], [0, 1 + 1j]], dtype=complex),  # about z
 )
-_PAULIS_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -204,7 +136,7 @@ def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     (so the same bits) without its per-call overhead."""
     u = np.ones((1, 1), dtype=complex)
     for p, s in digits:
-        g = _ROTS[s] @ _PAULIS_1Q[p]
+        g = _ROTS[s] @ PAULI_1Q[p]
         u = (u[:, None, :, None] * g[None, :, None, :]).reshape(
             2 * u.shape[0], 2 * u.shape[1])
     return u
@@ -218,17 +150,6 @@ def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     for p, _ in digits:
         x = (x << 1) | (p in (1, 2))
     return tuple(s for _, s in digits), x
-
-
-def local_law_keys(digits: np.ndarray) -> np.ndarray:
-    """Array form of :func:`split_local_digits` for a (count, n, 2) array of
-    one-qubit-twirl elements: one integer per element, 2^n times the
-    base-3 rotation digits plus x, so two elements get the same key exactly
-    when they get the same (rotations, x) and hence the same outcome law."""
-    n = digits.shape[1]
-    flips = (digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)
-    return (digits[:, :, 1] @ 3 ** np.arange(n - 1, -1, -1)) << n \
-        | flips @ (1 << np.arange(n - 1, -1, -1))
 
 
 def _transition_table(channel: ChannelModel, w: np.ndarray,
@@ -369,6 +290,21 @@ class DenseBackend:
 
     # -- one-qubit twirl ------------------------------------------------------
 
+    def local_table(self, channel: ChannelModel,
+                    rotations: tuple[int, ...]) -> np.ndarray:
+        """Transition table of the one-qubit-twirl rotation part
+        ``rotations`` (the rotation index of each qubit, qubit 1 first): row
+        x is the outcome law of every element with that rotation part and X
+        part x.  Each table is built on first use and kept, so at most 3^n
+        tables cover all 12^n elements."""
+        self.check_capacity(channel.n)
+        per_channel = self._local_cache.setdefault(channel, {})
+        table = per_channel.get(rotations)
+        if table is None:
+            table = per_channel[rotations] = _transition_table(
+                channel, local_twirl_unitary(tuple((0, s) for s in rotations)))
+        return table
+
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
         """Outcome law of prepare |0..0>, the one-qubit-twirl element
@@ -379,17 +315,10 @@ class DenseBackend:
         Pauli part, and U|v> = R|v ^ x> up to phase, x the X part of P.  So
         the law is row x of the transition table of the basis R: prepare
         R|x>, apply the channel, read out in the basis R, relabel outcome v
-        as v ^ x.  Each table is built on first use of its rotation part and
-        kept, so at most 3^n tables cover all 12^n elements.
+        as v ^ x.
         """
-        self.check_capacity(channel.n)
         rotations, x = split_local_digits(digits)
-        per_channel = self._local_cache.setdefault(channel, {})
-        table = per_channel.get(rotations)
-        if table is None:
-            table = per_channel[rotations] = _transition_table(
-                channel, local_twirl_unitary(tuple((0, s) for s in rotations)))
-        return table[x]
+        return self.local_table(channel, rotations)[x]
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:

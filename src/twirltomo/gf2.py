@@ -106,15 +106,6 @@ def combine(basis, coeff: int) -> int:
     return v
 
 
-def in_span(v: int, rows) -> bool:
-    pivots: dict[int, int] = {}
-    for r in rows:
-        r = _reduce_row(r, pivots)
-        if r:
-            pivots[r.bit_length() - 1] = r
-    return _reduce_row(v, pivots) == 0
-
-
 _ONE = np.uint64(1)
 
 

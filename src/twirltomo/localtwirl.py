@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
 from .channels import ChannelModel
-from .dense import (DenseBackend, LOCAL_ENUM_MAX_N, local_law_keys,
-                    local_twirl_unitary)
-from .errors import CapacityError, ConfigError, DimensionMismatchError
+from .dense import DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary
+from .errors import CapacityError, ConfigError
+from .pauli import enumerate_supports
 from .records import ExperimentRecord
 # substream is not called here; it stays importable as
 # twirltomo.localtwirl.substream, a name outside tooling already uses.
@@ -65,7 +64,7 @@ class HammingStatistics:
     """Exact outcome counts of a batch of realizations.
 
     ``outcome_counts`` is sparse (only observed bit strings); the weight
-    histogram is kept alongside.  Addition merges disjoint batches.
+    histogram is kept alongside.
     """
 
     def __init__(self, n: int, outcome_counts: dict[tuple[int, ...], int]):
@@ -75,16 +74,6 @@ class HammingStatistics:
         for bits, c in self.outcome_counts.items():
             self.weight_counts[sum(bits)] += c
         self.total = int(self.weight_counts.sum())
-
-    @staticmethod
-    def from_records(records: list[ExperimentRecord]) -> "HammingStatistics":
-        if not records:
-            raise ValueError("no records")
-        n = len(records[0].outcome)
-        counts: dict[tuple[int, ...], int] = {}
-        for r in records:
-            counts[r.outcome] = counts.get(r.outcome, 0) + 1
-        return HammingStatistics(n, counts)
 
     @staticmethod
     def from_outcomes(n: int, outcomes) -> "HammingStatistics":
@@ -98,23 +87,11 @@ class HammingStatistics:
         rows = ((codes[:, None] >> shifts) & 1).tolist()
         return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
 
-    def __add__(self, other: "HammingStatistics") -> "HammingStatistics":
-        if self.n != other.n:
-            raise DimensionMismatchError("qubit count mismatch")
-        counts = dict(self.outcome_counts)
-        for bits, c in other.outcome_counts.items():
-            counts[bits] = counts.get(bits, 0) + c
-        return HammingStatistics(self.n, counts)
-
     def weight_probs(self) -> np.ndarray:
         return self.weight_counts / self.total
 
     def support_prob(self, bits: tuple[int, ...]) -> float:
         return self.outcome_counts.get(bits, 0) / self.total
-
-
-def collect_statistics(records: list[ExperimentRecord]) -> HammingStatistics:
-    return HammingStatistics.from_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +119,27 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     is what ``sample_c1t_realization(channel, substream(seed, 1 + i),
     backend)`` draws.
 
-    Each distinct (rotation part, X part), the key of an outcome law, is
-    fetched once; the cdf of every realization's law is then gathered and
-    all outcomes are drawn in one array pass, in blocks of at most
-    ``_DRAW_BLOCK`` cdf entries so the gathered stack stays small.
+    As in :meth:`DenseBackend.local_outcome_probs`, the law of an element is
+    row x (its X part) of the transition table of its rotation part.  Each
+    table in use is fetched and cumsummed once; the cdf rows of all
+    realizations are then gathered by (table, x) and all outcomes are drawn
+    in one array pass, in blocks of at most ``_DRAW_BLOCK`` cdf entries so
+    the gathered stack stays small.
     """
     n = channel.n
     ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
     digits = ints.reshape(count, n, 2)
-    _, first, law = np.unique(local_law_keys(digits), return_index=True,
-                              return_inverse=True)
-    cdfs = np.cumsum([backend.local_outcome_probs(channel, tuple(map(tuple, element)))
-                      for element in digits[first].tolist()], axis=1)
+    places = np.arange(n - 1, -1, -1)  # qubit 1 is the top digit
+    _, first, table = np.unique(digits[:, :, 1] @ 3 ** places, return_index=True,
+                                return_inverse=True)
+    x = ((digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)) @ (1 << places)
+    cdfs = np.cumsum([backend.local_table(channel, tuple(rotations))
+                      for rotations in digits[first, :, 1].tolist()], axis=2)
     outcomes = np.empty(count, dtype=np.int64)
     step = max(1, _DRAW_BLOCK // channel.dim)
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        outcomes[rows] = _draw_outcome(cdfs[law[rows]], uniforms[rows, 0])
+        outcomes[rows] = _draw_outcome(cdfs[table[rows], x[rows]], uniforms[rows, 0])
     return digits, outcomes
 
 
@@ -247,11 +228,7 @@ def solve_pw(stats: HammingStatistics, cutoff: int) -> WeightEstimate:
 
 def _supports_upto(n: int, cutoff: int) -> list[tuple[int, ...]]:
     """Descending weight, lexicographic within a weight."""
-    out = []
-    for w in range(cutoff, -1, -1):
-        for pos in itertools.combinations(range(n), w):
-            out.append(tuple(1 if j in pos else 0 for j in range(n)))
-    return out
+    return sorted(enumerate_supports(n, cutoff), key=sum, reverse=True)
 
 
 @dataclass

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -36,12 +35,13 @@ _CHARS = "IXYZ"
 _CHAR_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: the single-qubit matrices I, X, Y, Z stacked in label-digit order
+PAULI_1Q = np.stack([
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+])
 
 
 def _parity(v: int) -> int:
@@ -160,14 +160,11 @@ class Pauli:
     def __mul__(self, other: "Pauli") -> "Pauli":
         return multiply(self, other)
 
-    def commutes_with(self, other: "Pauli") -> bool:
-        return commutes(self, other)
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (includes phase); for small n only."""
         m = np.ones((1, 1), dtype=complex)
         for c in self._chars():
-            m = np.kron(m, _MATS[c])
+            m = np.kron(m, PAULI_1Q[_CHARS.index(c)])
         return self.phase * m
 
     def _chars(self) -> str:
@@ -184,11 +181,6 @@ class Pauli:
 
     def __repr__(self) -> str:
         return f"Pauli({str(self)!r})"
-
-
-def weight_and_support(p: Pauli) -> tuple[int, tuple[int, ...]]:
-    """Pauli weight and the boolean support vector (qubit 1 first)."""
-    return p.weight, p.support
 
 
 def multiply(a: Pauli, b: Pauli) -> Pauli:
@@ -220,111 +212,12 @@ def symplectic_product(a: Pauli, b: Pauli) -> int:
     return _parity(a.x & b.z) ^ _parity(a.z & b.x)
 
 
-# -- labels and enumeration -------------------------------------------------
-
-
-def _support_positions(support_index: int, n: int, w: int) -> tuple[int, ...]:
-    """Unrank a lexicographic combination index into 0-based qubit positions."""
-    pos = []
-    r = support_index
-    start = 0
-    for i in range(w):
-        for q in range(start, n):
-            block = comb(n - q - 1, w - i - 1)
-            if r < block:
-                pos.append(q)
-                start = q + 1
-                break
-            r -= block
-    return tuple(pos)
-
-
-def _support_rank(positions: tuple[int, ...], n: int) -> int:
-    w = len(positions)
-    r = 0
-    prev = -1
-    for i, p in enumerate(positions):
-        for q in range(prev + 1, p):
-            r += comb(n - q - 1, w - i - 1)
-        prev = p
-    return r
-
-
-@dataclass(frozen=True)
-class PauliLabel:
-    """Decomposed label of a (phase +1) Pauli operator.
-
-    ``weight`` counts non-identity factors, ``support_index`` is the 0-based
-    lexicographic rank of the support combination among the C(n, weight)
-    possibilities, and ``axes`` lists the non-identity factor on each support
-    qubit in order (1 = x, 2 = y, 3 = z).  There are 3**weight axis vectors
-    for a given weight and support.
-    """
-
-    n: int
-    weight: int
-    support_index: int
-    axes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.axes) != self.weight:
-            raise ValueError("axes length must equal weight")
-        if not (0 <= self.support_index < comb(self.n, self.weight)):
-            raise ValueError("support index out of range")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        pos = set(_support_positions(self.support_index, self.n, self.weight))
-        return tuple(1 if j in pos else 0 for j in range(self.n))
-
-    @property
-    def l(self) -> int:
-        return self.to_pauli().label
-
-    def to_pauli(self) -> Pauli:
-        pos = _support_positions(self.support_index, self.n, self.weight)
-        x = z = 0
-        for q, axis in zip(pos, self.axes):
-            xb, zb = _CHAR_XZ[_CHARS[axis]]
-            shift = self.n - 1 - q
-            x |= xb << shift
-            z |= zb << shift
-        return Pauli(self.n, x, z)
-
-    @staticmethod
-    def from_pauli(p: Pauli) -> "PauliLabel":
-        pos = tuple(j for j in range(p.n) if p.support[j])
-        axes = []
-        for q in pos:
-            shift = p.n - 1 - q
-            xb = (p.x >> shift) & 1
-            zb = (p.z >> shift) & 1
-            axes.append({(1, 0): 1, (1, 1): 2, (0, 1): 3}[(xb, zb)])
-        return PauliLabel(p.n, len(pos), _support_rank(pos, p.n), tuple(axes))
-
-    @staticmethod
-    def from_l(n: int, l: int) -> "PauliLabel":
-        return PauliLabel.from_pauli(Pauli.from_label(n, l))
-
-
-def enumerate_paulis(n: int, max_weight: int | None = None) -> Iterator[PauliLabel]:
-    """Yield labels in weight-major order: weight ascending, then support
-    combinations lexicographically, then axis vectors lexicographically.
-
-    Without a cutoff this yields all 4**n labels; with ``max_weight`` it
-    yields sum_{m<=max_weight} C(n, m) * 3**m of them.
-    """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    top = n if max_weight is None else min(max_weight, n)
-    for w in range(top + 1):
-        for si in range(comb(n, w)):
-            for axes in itertools.product((1, 2, 3), repeat=w):
-                yield PauliLabel(n, w, si, axes)
+# -- enumeration ------------------------------------------------------------
 
 
 def enumerate_supports(n: int, max_weight: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Support vectors only, weight-major then lexicographic by position."""
+    """Support vectors (qubit 1 first), weight-major then lexicographic by
+    position."""
     top = n if max_weight is None else min(max_weight, n)
     for w in range(top + 1):
         for pos in itertools.combinations(range(n), w):

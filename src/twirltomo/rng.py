@@ -23,8 +23,12 @@ There are two ways to draw many realizations, and both give the draws of
   [0, k)) is redrawn alone from its own Generator, so the batch stays
   exact.
 
-:func:`_draw_outcome` is the one place that turns a uniform draw into a
-measurement outcome; every sampled protocol goes through it.
+:func:`_draw_outcome` turns a uniform draw into a measurement outcome for
+blind discovery and the one-qubit twirl.  It scales the draw by the law's
+total, so the law of a map that is not trace preserving is renormalized.
+Selective estimation (:func:`twirltomo.seqpt.estimate_chi_selective`, both
+variants) does not go through it: it tests survival as ``u < p_0``
+directly, so such a law is used as it is, without renormalization.
 """
 from __future__ import annotations
 

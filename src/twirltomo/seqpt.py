@@ -30,7 +30,7 @@ from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
-from .stabilizer import build_mub_family, sample_clifford_uniform
+from .stabilizer import _swap_halves, build_mub_family, sample_clifford_uniform
 
 #: realizations whose estimate clears the reporting threshold by fewer than
 #: this many standard errors are flagged borderline instead of being called
@@ -225,15 +225,10 @@ def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
     rref rows with bit 0 = rhs and bits 1.. = functional on Pauli keys."""
     rows = []
     for j, gk in enumerate(gen_keys):
-        f = _swap_key(gk, n)
+        f = _swap_halves(gk, n)
         rhs = (outcome >> (n - 1 - j)) & 1
         rows.append((f << 1) | rhs)
     return tuple(gf2.rref(rows))
-
-
-def _swap_key(key: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (key >> n) | ((key & mask) << n)
 
 
 def _class_pair_rows(n_classes: int, picks):

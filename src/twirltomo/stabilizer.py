@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionMismatchError
+from .channels import gate_unitary
 from .pauli import Pauli, multiply, symplectic_product
 
 Gate = tuple[str, tuple[int, ...]]
@@ -71,32 +72,11 @@ def _conj_gate(p: Pauli, gate: Gate) -> Pauli:
     return Pauli(n, x, z, ph)
 
 
-_GATE_MATS = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-}
-
-
 def circuit_unitary(gates: list[Gate], n: int) -> np.ndarray:
     """Dense unitary of a gate list (first gate applied first)."""
-    d = 1 << n
-    u = np.eye(d, dtype=complex)
+    u = np.eye(1 << n, dtype=complex)
     for name, qs in gates:
-        if name == "CNOT":
-            c, t = qs
-            g = np.zeros((d, d), dtype=complex)
-            for b in range(d):
-                b2 = b ^ (1 << (n - 1 - t)) if (b >> (n - 1 - c)) & 1 else b
-                g[b2, b] = 1.0
-        else:
-            (q,) = qs
-            g = np.ones((1, 1), dtype=complex)
-            for j in range(n):
-                g = np.kron(g, _GATE_MATS[name] if j == q else np.eye(2))
-        u = g @ u
+        u = gate_unitary(name, qs, n) @ u
     return u
 
 
@@ -162,24 +142,12 @@ class Clifford:
     def unitary(self) -> np.ndarray:
         return circuit_unitary(self.circuit, self.n)
 
-    def circuit_json(self) -> list[dict]:
-        """Gate list with 1-based qubit indices, for export."""
-        return [{"gate": g, "qubits": [q + 1 for q in qs]} for g, qs in self.circuit]
-
-    def frame_key(self) -> tuple[int, ...]:
-        """Canonical key of the stabilizer group generated by the Z-images."""
-        return tuple(gf2.rref([p.key for p in self.z_images]))
-
     def __eq__(self, other):
         return (isinstance(other, Clifford) and self.n == other.n
                 and self.x_images == other.x_images and self.z_images == other.z_images)
 
     def __hash__(self):
         return hash((self.n, self.x_images, self.z_images))
-
-
-def conjugate(c: Clifford, p: Pauli) -> Pauli:
-    return c.conjugate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -308,127 +276,6 @@ class StabilizerFrame:
     @property
     def n(self) -> int:
         return self.generators[0].n
-
-    def with_signs(self, signs) -> "StabilizerFrame":
-        return StabilizerFrame(self.generators, tuple(signs))
-
-    def state_vector(self) -> np.ndarray:
-        """Dense stabilizer state (small n): column of the projector."""
-        n = self.n
-        d = 1 << n
-        proj = np.eye(d, dtype=complex)
-        for g, s in zip(self.generators, self.signs):
-            proj = proj @ (np.eye(d) + s * g.to_matrix()) / 2
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        v = proj[:, col]
-        return v / np.linalg.norm(v)
-
-
-def zero_state_frame(n: int) -> StabilizerFrame:
-    return StabilizerFrame(tuple(Pauli.single(n, j, "Z") for j in range(n)),
-                           (1,) * n)
-
-
-def frames_independent(ca: Clifford, cb: Clifford) -> bool:
-    """True iff the conjugated Z-generator sets span a rank-2n space.
-
-    Equivalently: the two stabilizer groups C_k <Z_1..Z_n> C_k^dag intersect
-    only in the identity, so a pair of twirl experiments determines a unique
-    intermediary Pauli.
-    """
-    if ca.n != cb.n:
-        raise DimensionMismatchError("qubit count mismatch")
-    rows = [p.key for p in ca.z_images] + [p.key for p in cb.z_images]
-    return gf2.rank(rows) == 2 * ca.n
-
-
-def _constraint_row(g: Pauli) -> int:
-    """Functional row f with <f, key(P)> = symplectic product of g and P."""
-    n = g.n
-    return g.z | (g.x << n)
-
-
-def solve_intermediary_pauli(frame_a: StabilizerFrame,
-                             frame_b: StabilizerFrame) -> Pauli | None:
-    """The unique Pauli commuting with each generator of either frame iff
-    its sign is +1, or None when the frames do not pin it down.
-
-    The 2n sign constraints form a GF(2) linear system; a unique solution
-    exists exactly when the combined generators have rank 2n.  Rank
-    deficiency (shared stabilizer elements) yields either no solution or
-    several, and both cases return None.
-    """
-    if frame_a.n != frame_b.n:
-        raise DimensionMismatchError("qubit count mismatch")
-    n = frame_a.n
-    rows = [_constraint_row(g) for g in (*frame_a.generators, *frame_b.generators)]
-    rhs = [0 if s == 1 else 1 for s in (*frame_a.signs, *frame_b.signs)]
-    if gf2.rank(rows) != 2 * n:
-        return None
-    sol = gf2.solve_affine(rows, rhs, 2 * n)
-    if sol is None:
-        return None
-    particular, basis = sol
-    if basis:
-        return None
-    mask = (1 << n) - 1
-    return Pauli(n, particular & mask, particular >> n)
-
-
-class CandidateSet:
-    """The D Pauli operators compatible with one frame + outcome signs.
-
-    Membership is a pair of parity checks per generator; enumeration walks
-    the affine solution space (particular solution plus the frame's own
-    group), optionally filtered by weight.
-    """
-
-    def __init__(self, frame: StabilizerFrame, signs=None):
-        self.frame = frame
-        self.signs = tuple(signs) if signs is not None else frame.signs
-        if len(self.signs) != frame.n:
-            raise ValueError("need one sign per generator")
-        self._rows = [_constraint_row(g) for g in frame.generators]
-        self._rhs = [0 if s == 1 else 1 for s in self.signs]
-
-    @property
-    def count(self) -> int:
-        return 1 << self.frame.n
-
-    def contains(self, p: Pauli) -> bool:
-        for g, s in zip(self.frame.generators, self.signs):
-            if symplectic_product(g, p) != (0 if s == 1 else 1):
-                return False
-        return True
-
-    def __iter__(self):
-        return self.enumerate()
-
-    def enumerate(self, max_weight: int | None = None):
-        n = self.frame.n
-        if n > 20:
-            raise DimensionMismatchError("candidate enumeration capped at n = 20")
-        sol = gf2.solve_affine(self._rows, self._rhs, 2 * n)
-        assert sol is not None  # frames are full rank over their own group
-        particular, _ = sol
-        mask = (1 << n) - 1
-        gens = [g.key for g in self.frame.generators]
-        for bits in range(1 << n):
-            v = particular
-            b = bits
-            i = 0
-            while b:
-                if b & 1:
-                    v ^= gens[i]
-                b >>= 1
-                i += 1
-            p = Pauli(n, v & mask, v >> n)
-            if max_weight is None or p.weight <= max_weight:
-                yield p
-
-
-def candidate_paulis(frame: StabilizerFrame, signs=None) -> CandidateSet:
-    return CandidateSet(frame, signs)
 
 
 # ---------------------------------------------------------------------------

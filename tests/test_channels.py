@@ -152,7 +152,7 @@ def _reference_flags(channel):
         tp = bool(np.allclose(acc, np.eye(channel.dim), atol=1e-8))
     cp = False
     if hermitian:
-        vals = np.linalg.eigvalsh(chi.mat)
+        vals = diagonalize_chi(chi).eigenvalues
         cp = bool(vals.min() >= -PSD_RTOL * max(1.0, float(vals.max())))
     return hermitian, tp, cp
 
@@ -186,6 +186,26 @@ def test_classification_matches_diagonalize_chi_reference():
     assert seen_tp == {True, False}
     for name in ("off-diagonal-z", "uneven-kraus", "uneven-chi"):
         assert not classify(dict(channels)[name]).trace_preserving, name
+
+
+def test_kraus_maps_classify_without_chi_checks(monkeypatch):
+    """A Kraus map is classified Hermitian-preserving and CP without the
+    Hermiticity check or the eigenvalues of chi, and its flags still equal
+    the diagonalize_chi reference (positive follows from CP at n <= 3)."""
+    channels = [*battery(), ("random-cp-4", random_cp_channel(4, np.random.default_rng(9)))]
+    want = {name: (*_reference_flags(ch), True if ch.n <= 3 else None)
+            for name, ch in channels}
+
+    def unused(*args, **kwargs):
+        raise AssertionError("chi check run on a Kraus map")
+
+    monkeypatch.setattr(ChiMatrix, "is_hermitian", unused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+    for name, ch in channels:
+        cls = classify(ch)
+        got = (cls.hermitian_preserving, cls.trace_preserving,
+               cls.completely_positive, cls.positive)
+        assert got == want[name], name
 
 
 def test_non_hermitian_trace_preservation_is_the_operator_condition():

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import battery, cnot_channel, transpose_map_channel
-from twirltomo import dense
+from twirltomo import dense, localtwirl
 from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
                                 gate_unitary, random_cp_channel)
-from twirltomo.dense import (DenseBackend, DenseState, TwirlSpec,
-                             enumerate_twirl_exact, evolve, exact_chi_extraction,
-                             haar_moment_closed_form, haar_twirl_moment,
-                             local_twirl_unitary, measure_computational)
+from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
+                             exact_chi_extraction, haar_moment_closed_form,
+                             haar_twirl_moment, local_twirl_unitary)
 from twirltomo.errors import CapacityError
 from twirltomo.localtwirl import _sample_local_batch
-from twirltomo.pauli import Pauli
-from twirltomo.rng import master
-from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
+from twirltomo.pauli import PAULI_1Q, Pauli
+from twirltomo.rng import _draw_outcome, master
+from twirltomo.seqpt import (SeqptConfig, _bits, estimate_chi_selective,
+                             run_blind_discovery)
 from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
 
 I2 = np.eye(2)
@@ -23,34 +23,50 @@ X = np.array([[0, 1], [1, 0]], dtype=float)
 Z = np.diag([1.0, -1.0])
 
 
+def _ket_density(amplitudes):
+    v = np.asarray(amplitudes, dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def _measure(rho, n, u):
+    """Computational-basis outcome bits of ``rho`` for the uniforms ``u``,
+    drawn the way every sampled protocol draws: the Born probabilities are
+    cumsummed and passed to ``_draw_outcome``."""
+    cdf = np.cumsum(np.clip(np.real(np.diag(rho)), 0.0, None))
+    return [_bits(int(v), n) for v in np.atleast_1d(_draw_outcome(cdf, u))]
+
+
 def test_evolve_examples():
     h = ChannelModel.from_unitary(gate_unitary("H", (0,), 1))
-    out = evolve(DenseState.zero(1), h)
-    np.testing.assert_allclose(out.amplitudes, [1, 1] / np.sqrt(2))
+    np.testing.assert_allclose(h.apply(_ket_density([1, 0])),
+                               _ket_density([1, 1]) / 2, atol=1e-12)
     dep1 = ChannelModel.from_kraus(depolarizing_kraus(1.0))
-    rho = evolve(DenseState.from_bits((1,)), dep1).density
-    np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
-    out = evolve(DenseState.from_bits((1, 0)), cnot_channel())
-    np.testing.assert_allclose(np.abs(out.amplitudes) ** 2, [0, 0, 0, 1], atol=1e-12)
+    np.testing.assert_allclose(dep1.apply(_ket_density([0, 1])), np.eye(2) / 2,
+                               atol=1e-12)
+    out = cnot_channel().apply(_ket_density([0, 0, 1, 0]))  # |10>
+    np.testing.assert_allclose(np.real(np.diag(out)), [0, 0, 0, 1], atol=1e-12)
 
 
 def test_measure_examples():
     rng = master(1)
-    assert measure_computational(DenseState.from_bits((1, 1)), rng) == (1, 1)
-    plus = DenseState(1, amplitudes=np.array([1, 1]) / np.sqrt(2))
+    assert _measure(_ket_density([0, 0, 0, 1]), 2, rng.random()) == [(1, 1)]
+    plus = _ket_density([1, 1]) / 2
     m = 10000
-    ones = sum(measure_computational(plus, rng)[0] for _ in range(m))
+    ones = sum(b[0] for b in _measure(plus, 1, rng.random(m)))
     assert abs(ones / m - 0.5) <= 3 * 0.5 / np.sqrt(m)
-    bell = DenseState(2, amplitudes=np.array([1, 0, 0, 1]) / np.sqrt(2))
-    seen = {measure_computational(bell, rng) for _ in range(200)}
-    assert seen <= {(0, 0), (1, 1)}
+    bell = _ket_density([1, 0, 0, 1]) / 2
+    assert set(_measure(bell, 2, rng.random(200))) <= {(0, 0), (1, 1)}
 
 
 def test_measure_deterministic_under_seed():
-    plus = DenseState(1, amplitudes=np.array([1, 1]) / np.sqrt(2))
-    a = [measure_computational(plus, master(7)) for _ in range(1)]
-    b = [measure_computational(plus, master(7)) for _ in range(1)]
-    assert a == b
+    """The same seed gives the same outcomes, for one Born draw and for a
+    whole batch of one-qubit-twirl realizations."""
+    plus = _ket_density([1, 1]) / 2
+    assert _measure(plus, 1, master(7).random(50)) == _measure(plus, 1, master(7).random(50))
+    ch = random_cp_channel(2, master(3))
+    a = _sample_local_batch(ch, 7, 200, DenseBackend())
+    b = _sample_local_batch(ch, 7, 200, DenseBackend())
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_haar_closed_form_examples():
@@ -351,16 +367,24 @@ def test_local_twirl_unitary_is_the_kron_product(n):
     for digits in itertools.product(itertools.product(range(4), range(3)), repeat=n):
         want = np.ones((1, 1), dtype=complex)
         for p, s in digits:
-            want = np.kron(want, dense._ROTS[s] @ dense._PAULIS_1Q[p])
+            want = np.kron(want, dense._ROTS[s] @ PAULI_1Q[p])
         assert np.array_equal(local_twirl_unitary(digits), want), digits
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_local_law_keys_agree_with_split_local_digits(n):
-    """Two elements share an array key exactly when split_local_digits gives
-    them the same (rotations, x), over every element of the twirl."""
+def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
+    """The batch gathers the cdf row that split_local_digits names (row x of
+    the table of the rotation part) for every element of the twirl: with
+    every element drawn under a grid of uniforms, each outcome is the one
+    drawn from local_outcome_probs."""
     elements = list(itertools.product(itertools.product(range(4), range(3)), repeat=n))
-    keys = dense.local_law_keys(np.array(elements)).tolist()
-    split = [dense.split_local_digits(d) for d in elements]
-    assert len(set(keys)) == len(set(split)) == 6 ** n
-    assert len(set(zip(keys, split))) == 6 ** n
+    grid = (np.arange(32) + 0.5) / 32
+    ints = np.repeat(np.array(elements).reshape(len(elements), 2 * n), len(grid), axis=0)
+    uniforms = np.tile(grid, len(elements))[:, None]
+    monkeypatch.setattr(localtwirl, "draw_batch", lambda *args: (ints, uniforms))
+    ch = random_cp_channel(n, master(97))
+    backend = DenseBackend()
+    _, outcomes = _sample_local_batch(ch, 0, len(ints), backend)
+    want = [_draw_outcome(np.cumsum(backend.local_outcome_probs(ch, d)), u)
+            for d in elements for u in grid]
+    assert outcomes.tolist() == want

@@ -48,8 +48,9 @@ def test_rref_canonical():
 def test_rank_and_span():
     assert gf2.rank([0b01, 0b10, 0b11]) == 2
     assert gf2.rank([]) == 0
-    assert gf2.in_span(0b11, [0b01, 0b10])
-    assert not gf2.in_span(0b100, [0b01, 0b10])
+    # v is in the span of rows exactly when it leaves the rank unchanged
+    assert gf2.rank([0b01, 0b10, 0b11]) == gf2.rank([0b01, 0b10])
+    assert gf2.rank([0b01, 0b10, 0b100]) == 3
 
 
 def _solve_unique_python(aug_rows, width):

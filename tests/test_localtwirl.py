@@ -11,11 +11,10 @@ from twirltomo.dense import TwirlSpec, enumerate_twirl_exact
 from twirltomo.errors import ConfigError
 from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig,
                                   amplification_factors, c1t_fidelity,
-                                  choose_cutoff, collect_statistics, r_matrix,
+                                  choose_cutoff, r_matrix,
                                   run_local_twirl, sample_c1t_realization,
                                   solve_chi_col, solve_chi_col_exact, solve_pw,
                                   solve_weight_probs_exact)
-from twirltomo.records import ExperimentRecord
 from twirltomo.rng import master
 
 
@@ -47,17 +46,14 @@ def test_amplification_factors_nondecreasing():
     np.testing.assert_allclose(a, [(1.5) ** w for w in range(7)])
 
 
-def test_collect_statistics():
-    recs = [ExperimentRecord("local", (), (0, 0)),
-            ExperimentRecord("local", (), (0, 1)),
-            ExperimentRecord("local", (), (1, 1))]
-    st = collect_statistics(recs)
-    np.testing.assert_array_equal(st.weight_counts, [1, 1, 1])
-    st2 = st + st
-    assert st2.total == 6
-    np.testing.assert_array_equal(st2.weight_counts, [2, 2, 2])
-    all_zero = collect_statistics([ExperimentRecord("local", (), (0, 0))] * 5)
+def test_statistics_from_outcomes():
+    st = HammingStatistics.from_outcomes(2, [(0, 0), (0, 1), (1, 1), (0, 1)])
+    np.testing.assert_array_equal(st.weight_counts, [1, 2, 1])
+    assert st.total == 4 and st.outcome_counts == {(0, 0): 1, (0, 1): 2, (1, 1): 1}
+    all_zero = HammingStatistics.from_outcomes(2, np.zeros((5, 2), dtype=int))
     np.testing.assert_array_equal(all_zero.weight_counts, [5, 0, 0])
+    with pytest.raises(ValueError):
+        HammingStatistics.from_outcomes(2, [(0, 2)])
 
 
 def test_solve_weight_exact_identity():
@@ -159,7 +155,7 @@ def test_sample_realization_records():
     recs = [sample_c1t_realization(ch, rng) for _ in range(50)]
     assert all(r.kind == "local" and len(r.descriptor) == 2 for r in recs)
     assert all(all(0 <= p < 4 and 0 <= s < 3 for p, s in r.descriptor) for r in recs)
-    st = collect_statistics(recs)
+    st = HammingStatistics.from_outcomes(2, [r.outcome for r in recs])
     assert st.total == 50
     ident = ChannelModel.identity(2)
     recs_i = [sample_c1t_realization(ident, rng) for _ in range(20)]

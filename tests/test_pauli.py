@@ -1,13 +1,13 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twirltomo.errors import DimensionMismatchError
-from twirltomo.pauli import (Pauli, PauliLabel, commutes, enumerate_paulis,
-                             enumerate_supports, multiply, symplectic_product,
-                             weight_and_support)
+from twirltomo.pauli import (Pauli, commutes, enumerate_supports, multiply,
+                             symplectic_product)
 
 
 def all_paulis(n):
@@ -76,10 +76,10 @@ def test_mismatched_sizes_raise():
 
 
 def test_weight_and_support():
-    p = Pauli.from_string("ZIXI")
-    assert weight_and_support(p) == (2, (1, 0, 1, 0))
-    assert weight_and_support(Pauli.identity(3)) == (0, (0, 0, 0))
-    assert weight_and_support(Pauli.from_string("YYY")) == (3, (1, 1, 1))
+    for s, want in (("ZIXI", (2, (1, 0, 1, 0))), ("III", (0, (0, 0, 0))),
+                    ("YYY", (3, (1, 1, 1)))):
+        p = Pauli.from_string(s)
+        assert (p.weight, p.support) == want
 
 
 def test_trace_orthogonality_dense():
@@ -93,35 +93,31 @@ def test_trace_orthogonality_dense():
 
 
 def test_enumeration_counts_and_order():
-    assert [str(lab.to_pauli()) for lab in enumerate_paulis(1)] == ["I", "X", "Y", "Z"]
-    assert sum(1 for _ in enumerate_paulis(2)) == 16
-    assert sum(1 for _ in enumerate_paulis(3, max_weight=1)) == 10
-    # weight-major: weights never decrease
-    weights = [lab.weight for lab in enumerate_paulis(3)]
-    assert weights == sorted(weights)
-    # all labels distinct and exhaustive
-    ls = [lab.l for lab in enumerate_paulis(3)]
-    assert sorted(ls) == list(range(64))
+    """Supports come weight-major, each once, and with their 3^w axis
+    choices they count every Pauli: 4^n in all, 10 of weight <= 1 at n=3."""
+    for n in (1, 2, 3):
+        sups = list(enumerate_supports(n))
+        weights = [sum(s) for s in sups]
+        assert weights == sorted(weights)
+        assert sorted(sups) == sorted(itertools.product((0, 1), repeat=n))
+        assert sum(3 ** w for w in weights) == 4 ** n
+    assert sum(3 ** sum(s) for s in enumerate_supports(3, max_weight=1)) == 10
+    assert sorted(Pauli.from_label(3, l).label for l in range(64)) == list(range(64))
+
+
+def test_label_axis_counts():
+    # 3^w axis vectors per (weight, support)
+    c = Counter(Pauli.from_label(3, l).support for l in range(64))
+    assert set(c) == set(enumerate_supports(3))
+    for s, cnt in c.items():
+        assert cnt == 3 ** sum(s)
 
 
 def test_label_round_trips():
     for n in (1, 2, 3):
         for l in range(4 ** n):
-            lab = PauliLabel.from_l(n, l)
-            assert lab.l == l
-            p = lab.to_pauli()
-            assert PauliLabel.from_pauli(p) == lab
-            assert Pauli.from_label(n, l) == p
-            assert p.support == lab.support
-
-
-def test_label_axis_counts():
-    # 3^w axis vectors per (weight, support)
-    labs = list(enumerate_paulis(3))
-    from collections import Counter
-    c = Counter((lab.weight, lab.support_index) for lab in labs)
-    for (w, _), cnt in c.items():
-        assert cnt == 3 ** w
+            assert Pauli.from_label(n, l).label == l
+    assert [str(Pauli.from_label(1, l)) for l in range(4)] == ["I", "X", "Y", "Z"]
 
 
 def test_string_round_trip_with_phases():

@@ -4,13 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twirltomo.pauli import Pauli
+from twirltomo import gf2
+from twirltomo.pauli import Pauli, symplectic_product
 from twirltomo.stabilizer import (Clifford, StabilizerFrame,
-                                  build_mub_family, candidate_paulis,
+                                  _key_to_pauli, build_mub_family,
                                   circuit_unitary, enumerate_clifford_group,
-                                  frames_independent, sample_clifford_uniform,
-                                  solve_intermediary_pauli, zero_state_frame)
-from twirltomo.seqpt import frames_independent_probability
+                                  sample_clifford_uniform)
+from twirltomo.seqpt import _class_of, frames_independent_probability
 from twirltomo.rng import master
 
 
@@ -138,7 +138,6 @@ def test_mub_partition_spot_checks_n8():
             i, j = rng.choice(len(fam), size=2, replace=False)
             bi, bj = fam[int(i)].frame, fam[int(j)].frame
             rows = [g.key for g in (*bi.generators, *bj.generators)]
-            from twirltomo import gf2
             assert gf2.rank(rows) == 2 * n  # trivial intersection
 
 
@@ -158,52 +157,72 @@ def test_mub_circuit_gate_count():
             assert len(b.clifford.circuit) <= 4 * n * n + 7 * n
 
 
+def _solve_pair(frame1, v1, frame2, v2):
+    """Key of the unique Pauli compatible with outcome v1 of frame1 and v2
+    of frame2, or -1, as blind discovery solves it."""
+    n = frame1.n
+    c1 = _class_of([g.key for g in frame1.generators], n, v1)
+    c2 = _class_of([g.key for g in frame2.generators], n, v2)
+    (key,) = gf2.solve_unique_batch(np.array([c1 + c2], dtype=np.uint64), 2 * n)
+    return int(key)
+
+
+def _candidates(frame, outcome):
+    """Every Pauli compatible with one outcome of a frame: the solutions of
+    its constraint class."""
+    n = frame.n
+    rows = _class_of([g.key for g in frame.generators], n, outcome)
+    particular, basis = gf2.solve_affine([r >> 1 for r in rows], [r & 1 for r in rows], 2 * n)
+    return [_key_to_pauli(particular ^ gf2.combine(basis, c), n)
+            for c in range(1 << len(basis))]
+
+
 def test_solver_spec_examples():
-    zf = zero_state_frame(1)
+    zf = StabilizerFrame((Pauli.from_string("Z"),), (1,))
     xf = StabilizerFrame((Pauli.from_string("X"),), (1,))
-    p = solve_intermediary_pauli(zf.with_signs((-1,)), xf)
-    assert str(p) == "X"
-    assert solve_intermediary_pauli(zf, zf.with_signs((-1,))) is None
-    assert solve_intermediary_pauli(zf, zf) is None
-
-
-def test_solver_unique_on_all_mub_pairs_n2():
-    fam = build_mub_family(2)
-    for b1, b2 in itertools.combinations(fam, 2):
-        for s1 in itertools.product((1, -1), repeat=2):
-            for s2 in itertools.product((1, -1), repeat=2):
-                f1 = b1.frame.with_signs(s1)
-                f2 = b2.frame.with_signs(s2)
-                p = solve_intermediary_pauli(f1, f2)
-                assert p is not None
-                # brute force: the unique common member of both candidate sets
-                brute = [q for q in (Pauli.from_label(2, l) for l in range(16))
-                         if candidate_paulis(f1).contains(q)
-                         and candidate_paulis(f2).contains(q)]
-                assert len(brute) == 1 and brute[0].key == p.key
+    assert _solve_pair(zf, 1, xf, 0) == Pauli.from_string("X").key
+    assert _solve_pair(zf, 0, zf, 1) == -1
+    assert _solve_pair(zf, 0, zf, 0) == -1
 
 
 def test_candidate_sets():
-    zf = zero_state_frame(1)
-    assert sorted(str(q) for q in candidate_paulis(zf)) == ["I", "Z"]
-    assert sorted(str(q) for q in candidate_paulis(zf, signs=(-1,))) == ["X", "Y"]
+    zf = StabilizerFrame((Pauli.from_string("Z"),), (1,))
+    assert sorted(str(q) for q in _candidates(zf, 0)) == ["I", "Z"]
+    assert sorted(str(q) for q in _candidates(zf, 1)) == ["X", "Y"]
     for b in build_mub_family(2):
-        cs = candidate_paulis(b.frame, signs=(1, -1))
-        members = list(cs)
-        assert len(members) == cs.count == 4
-        assert all(cs.contains(q) for q in members)
-    # weight filter on the enumerator
-    cs = candidate_paulis(zero_state_frame(3))
-    light = list(cs.enumerate(max_weight=1))
-    assert sorted(str(q) for q in light) == ["IIZ", "III", "IZI", "ZII"] or \
-        {str(q) for q in light} == {"III", "ZII", "IZI", "IIZ"}
+        for v in range(4):
+            members = _candidates(b.frame, v)
+            assert len({q.key for q in members}) == len(members) == 4
+            assert all(symplectic_product(g, q) == (v >> (1 - k)) & 1
+                       for q in members for k, g in enumerate(b.frame.generators))
+    # the weight <= 1 members for the all-zero outcome of the Z frame at n=3
+    z3 = StabilizerFrame(tuple(Pauli.from_string(s) for s in ("ZII", "IZI", "IIZ")),
+                         (1, 1, 1))
+    light = {str(q) for q in _candidates(z3, 0) if q.weight <= 1}
+    assert light == {"III", "ZII", "IZI", "IIZ"}
 
 
-def test_frames_independent_examples():
-    ident = Clifford.identity(1)
-    had = Clifford.from_circuit([("H", (0,))], 1)
-    assert frames_independent(ident, had)
-    assert not frames_independent(ident, ident)
+def test_mub_pairs_pin_down_a_unique_pauli_n2():
+    """Two MUB realizations from distinct bases determine one intermediary
+    Pauli, the unique one compatible with both outcomes, through the
+    constraint classes and the batched solve of blind discovery; two from
+    the same basis determine none."""
+    n = 2
+    fam = build_mub_family(n)
+    paulis = [Pauli.from_label(n, l) for l in range(4 ** n)]
+    for (i, b1), (j, b2) in itertools.combinations_with_replacement(enumerate(fam), 2):
+        for v1, v2 in itertools.product(range(1 << n), repeat=2):
+            key = _solve_pair(b1.frame, v1, b2.frame, v2)
+            if i == j:
+                assert key == -1
+                continue
+            # brute force: outcome bit k is the symplectic product with generator k
+            brute = [q for q in paulis
+                     if all(symplectic_product(g, q) == (v >> (n - 1 - k)) & 1
+                            for gens, v in ((b1.frame.generators, v1),
+                                            (b2.frame.generators, v2))
+                            for k, g in enumerate(gens))]
+            assert len(brute) == 1 and brute[0].key == key
 
 
 def test_frames_independent_rate_matches_exact_product():
@@ -214,17 +233,21 @@ def test_frames_independent_rate_matches_exact_product():
         for _ in range(m):
             ca = sample_clifford_uniform(n, rng)
             cb = sample_clifford_uniform(n, rng)
-            hits += frames_independent(ca, cb)
+            hits += gf2.rank([p.key for p in (*ca.z_images, *cb.z_images)]) == 2 * n
         want = frames_independent_probability(n)
         sigma = np.sqrt(want * (1 - want) / m)
         assert abs(hits / m - want) <= 4 * sigma, (n, hits / m, want)
 
 
-def test_circuit_json_one_based():
-    c = Clifford.from_circuit([("CNOT", (0, 1)), ("H", (1,))], 2)
-    js = c.circuit_json()
-    assert all(set(e) == {"gate", "qubits"} for e in js)
-    assert all(min(e["qubits"]) >= 1 for e in js)
+def test_frames_independent_examples():
+    ident = Clifford.identity(1)
+    had = Clifford.from_circuit([("H", (0,))], 1)
+
+    def independent(ca, cb):
+        return gf2.rank([p.key for p in (*ca.z_images, *cb.z_images)]) == 2 * ca.n
+
+    assert independent(ident, had)
+    assert not independent(ident, ident)
 
 
 def test_frame_validation():
@@ -236,10 +259,23 @@ def test_frame_validation():
         StabilizerFrame((Pauli.from_string("Z"),), (0,))
 
 
+def _frame_state_vector(frame):
+    """Dense stabilizer state of a frame: a column of the product of the
+    projectors (1 + s_j g_j) / 2, normalized."""
+    d = 1 << frame.n
+    proj = np.eye(d, dtype=complex)
+    for g, s in zip(frame.generators, frame.signs):
+        proj = proj @ (np.eye(d) + s * g.to_matrix()) / 2
+    v = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    return v / np.linalg.norm(v)
+
+
 def test_frame_state_vector():
+    """The synthesized MUB Clifford maps |0..0> to the state its frame
+    stabilizes."""
     fam = build_mub_family(2)
     for b in fam:
-        v = b.frame.state_vector()
+        v = _frame_state_vector(b.frame)
         w = b.clifford.unitary()[:, 0]
         overlap = abs(np.vdot(v, w))
         assert abs(overlap - 1.0) < 1e-10
