@@ -17,7 +17,8 @@ Layers compose in order (first layer acts first).  Qubit indices are
 applies the named single-qubit channel independently to each listed qubit.
 Validation failures raise :class:`SpecValidationError` naming the offending
 field; a composition that fails the trace-preservation check is reported
-through the ``warnings`` list rather than rejected.
+through the ``warnings`` list rather than rejected (the exact chi export
+takes it; the sampled protocols refuse it).
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, enumerate_supports
 
 DENSE_MAX_N = 6
@@ -403,6 +403,17 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
                 positive = _positivity_search(channel, n_state_samples, sample_seed)
     return Classification(hermitian_preserving=hermitian, trace_preserving=tp,
                           completely_positive=cp, positive=positive)
+
+
+def check_trace_preserving(channel: ChannelModel):
+    """Raise :class:`ConfigError` unless ``channel`` is trace preserving.
+
+    The sampled twirl protocols read a map's outcome laws as probability
+    distributions; the laws of a map that is not trace preserving do not sum
+    to one, and no protocol estimate is right for it."""
+    if not channel.classification.trace_preserving:
+        raise ConfigError("the map is not trace preserving; the sampled protocols "
+                          "need a trace-preserving map, whose outcome laws sum to one")
 
 
 def _positivity_search(channel: ChannelModel, n_samples: int, seed: int) -> bool:

@@ -19,12 +19,13 @@ import numpy as np
 from .channels import ChannelModel
 from .errors import CapacityError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli
-from .stabilizer import MubBasis, build_mub_family, enumerate_clifford_group
+from .stabilizer import MubBasis, Tableaux, build_mub_family, clifford_group_tableaux
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
+_LAW_BLOCK = 1 << 13  # table and chi entries gathered per Clifford law pass (~128 KiB)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +197,9 @@ def _label_table(n: int) -> np.ndarray:
     return label
 
 
-def _conjugated_xz_table(clifford):
-    """C X^a Z^b C^dag = i^e X^x Z^z for all (a, b), as flat arrays (x, z, e)
-    indexed by a * D + b.
+def _conjugated_xz_table(tableaux: Tableaux):
+    """C X^a Z^b C^dag = i^e X^x Z^z for all (a, b) and every element C of
+    the stack, as (M, D^2) arrays (x, z, e) with column a * D + b.
 
     Built by doubling over the 2n images: each image multiplies the table so
     far from the left, Z-images first (filling the bits of b), then X-images
@@ -206,15 +207,41 @@ def _conjugated_xz_table(clifford):
     XZ form the product of i^e1 X^x1 Z^z1 and i^e2 X^x2 Z^z2 is
     i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
     """
-    x = np.zeros(1, dtype=np.int64)
-    z = np.zeros(1, dtype=np.int64)
-    e = np.zeros(1, dtype=np.int64)
-    for g in (*clifford.z_images[::-1], *clifford.x_images[::-1]):
-        g_e = g.phase_pow + (g.x & g.z).bit_count()  # Y = i X Z per qubit
-        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g.z)))
-        x = np.concatenate((x, x ^ g.x))
-        z = np.concatenate((z, z ^ g.z))
+    n = tableaux.n
+    m = len(tableaux)
+    x = np.zeros((m, 1), dtype=np.int64)
+    z = np.zeros((m, 1), dtype=np.int64)
+    e = np.zeros((m, 1), dtype=np.int64)
+    images = [(tableaux.z[:, j], tableaux.signs[:, 2 * j + 1]) for j in range(n)][::-1]
+    images += [(tableaux.x[:, j], tableaux.signs[:, 2 * j]) for j in range(n)][::-1]
+    for key, sign in images:
+        g_x = (key & np.uint64((1 << n) - 1)).astype(np.int64)[:, None]
+        g_z = (key >> np.uint64(n)).astype(np.int64)[:, None]
+        g_e = 2 * sign[:, None] + np.bitwise_count(g_x & g_z)  # Y = i X Z per qubit
+        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g_z)), axis=1)
+        x = np.concatenate((x, x ^ g_x), axis=1)
+        z = np.concatenate((z, z ^ g_z), axis=1)
     return x, z, e
+
+
+def _tableau_laws(channel: ChannelModel, tableaux: Tableaux, rows: np.ndarray,
+                  intermediary: Pauli | None) -> np.ndarray:
+    """probs_P[i, r] of element i at outcome rows[r], unclipped: see
+    :meth:`DenseBackend.clifford_outcome_probs`."""
+    n, d, m = channel.n, channel.dim, len(tableaux)
+    x, z, e = _conjugated_xz_table(tableaux)
+    labels = _label_table(n)[x, z]
+    # C X^a Z^b C^dag = phi P_l with phi = i^(e - |x & z|); theta = conj(phi)
+    phi = _I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(m, d, d)
+    rows = np.broadcast_to(rows, (m, len(rows)))
+    if intermediary is not None:
+        a_p = np.argmax(labels == intermediary.label, axis=1) >> n
+        rows = rows ^ a_p[:, None]
+    elements = np.arange(m)[:, None]
+    labels = labels.reshape(m, d, d)[elements, rows]
+    phi = phi[elements, rows]
+    block = channel.chi.mat[labels[..., :, None], labels[..., None, :]]
+    return np.einsum("mab,mabc,mac->ma", phi.conj(), block, phi).real
 
 
 class DenseBackend:
@@ -259,8 +286,14 @@ class DenseBackend:
     # -- generic clifford twirl ----------------------------------------------
 
     def clifford_outcome_probs(self, channel: ChannelModel, clifford,
-                               intermediary: Pauli | None = None) -> np.ndarray:
+                               intermediary: Pauli | None = None,
+                               outcome: int | None = None) -> np.ndarray:
         """Outcome distribution of prepare |0..0>, C, channel, (P), C^dag.
+
+        ``clifford`` is one :class:`Clifford` (the result is its (D,) law) or
+        a :class:`Tableaux` stack of M elements (an (M, D) stack of laws).
+        With ``outcome`` given, only the probability of that outcome is
+        computed: a float, or an (M,) array for a stack.
 
         Computed from the stabilizer tableau, without a dense unitary.  Each
         Pauli conjugates to a phased Pauli, C^dag P_l C = theta_l X^a Z^b,
@@ -272,21 +305,24 @@ class DenseBackend:
         chi-only, non-CP and non-TP maps alike; it reads ``channel.chi``
         (16^n entries, built on first use).  An intermediary P only
         permutes outcomes: probs_P[v] = probs[v ^ a_P], where a_P is the X
-        part of C^dag P C.
+        part of C^dag P C.  A stack is processed a block of elements at a
+        time, with at most about ``_LAW_BLOCK`` table and chi entries each.
         """
         self.check_capacity(channel.n)
-        n = channel.n
         d = channel.dim
-        x, z, e = _conjugated_xz_table(clifford)
-        labels = _label_table(n)[x, z].reshape(d, d)
-        # C X^a Z^b C^dag = phi P_l with phi = i^(e - |x & z|); theta = conj(phi)
-        phi = _I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(d, d)
-        block = channel.chi.mat[labels[:, :, None], labels[:, None, :]]
-        probs = np.einsum("ab,abc,ac->a", phi.conj(), block, phi).real
-        if intermediary is not None:
-            a_p = int(np.flatnonzero(labels.ravel() == intermediary.label)[0]) >> n
-            probs = probs[np.arange(d) ^ a_p]
-        return np.clip(probs, 0.0, None)
+        single = not isinstance(clifford, Tableaux)
+        tableaux = Tableaux.of([clifford]) if single else clifford
+        rows = np.arange(d) if outcome is None else np.array([outcome])
+        probs = np.empty((len(tableaux), len(rows)))
+        # per element: a D^2 tableau table and len(rows) * D^2 chi entries
+        step = max(1, _LAW_BLOCK // ((len(rows) + 1) * d * d))
+        for lo in range(0, len(tableaux), step):
+            block = slice(lo, lo + step)
+            probs[block] = _tableau_laws(channel, tableaux[block], rows, intermediary)
+        probs = np.clip(probs, 0.0, None)
+        if outcome is not None:
+            probs = probs[:, 0]
+        return probs[0] if single else probs
 
     # -- one-qubit twirl ------------------------------------------------------
 
@@ -384,10 +420,10 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
     if twirl.kind == "clifford_full":
         if n > CLIFFORD_ENUM_MAX_N:
             raise CapacityError(f"Clifford enumeration capped at n={CLIFFORD_ENUM_MAX_N}")
+        laws = backend.clifford_outcome_probs(channel, clifford_group_tableaux(n),
+                                              intermediary)
         dist = np.zeros(d)
-        count = 0
-        for c in enumerate_clifford_group(n):
-            dist += backend.clifford_outcome_probs(channel, c, intermediary)
-            count += 1
-        return dist / count
+        for law in laws:  # summed in enumeration order, one element at a time
+            dist += law
+        return dist / len(laws)
     raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")

@@ -94,18 +94,6 @@ def solve_affine(rows, rhs, width: int):
     return particular, basis
 
 
-def combine(basis, coeff: int) -> int:
-    """XOR together the basis vectors selected by the bits of ``coeff``."""
-    v = 0
-    i = 0
-    while coeff:
-        if coeff & 1:
-            v ^= basis[i]
-        coeff >>= 1
-        i += 1
-    return v
-
-
 _ONE = np.uint64(1)
 
 

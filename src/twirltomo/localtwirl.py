@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import ChannelModel
+from .channels import ChannelModel, check_trace_preserving
 from .dense import DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary
 from .errors import CapacityError, ConfigError
 from .pauli import enumerate_supports
@@ -336,6 +336,7 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
                     backend: DenseBackend | None = None) -> LocalTwirlEstimate:
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
+    check_trace_preserving(channel)
     n = channel.n
     _, outcomes = _sample_local_batch(channel, config.seed, config.shots, backend)
     stats = HammingStatistics.from_outcomes(

@@ -14,21 +14,23 @@ There are two ways to draw many realizations, and both give the draws of
 ``substream(seed, i)`` bit for bit:
 
 * :func:`substreams` moves one bit generator from counter to counter, for
-  loops whose draws depend on earlier ones (the Clifford sampler).
+  loops over realizations (blind MUB discovery).
 * :func:`draw_batch` computes the Philox blocks of all substreams at once
   over the counter array (:func:`substream_words`) and maps raw words to
   ``integers(0, k)`` values with numpy's Lemire transform and to
   ``random()`` values as ``(w >> 11) * 2**-53``.  A realization with a
   Lemire-rejected 32-bit half (probability below k * 2**-32 for a draw in
   [0, k)) is redrawn alone from its own Generator, so the batch stays
-  exact.
+  exact.  The one-qubit twirl, selective MUB estimation and both Clifford
+  protocols draw this way.
 
 :func:`_draw_outcome` turns a uniform draw into a measurement outcome for
 blind discovery and the one-qubit twirl.  It scales the draw by the law's
-total, so the law of a map that is not trace preserving is renormalized.
-Selective estimation (:func:`twirltomo.seqpt.estimate_chi_selective`, both
-variants) does not go through it: it tests survival as ``u < p_0``
-directly, so such a law is used as it is, without renormalization.
+total, so a law whose total is off one by round-off is sampled in
+proportion.  The sampled protocols reject a map that is not trace
+preserving (:func:`twirltomo.channels.check_trace_preserving`), whose laws
+do not sum to one.  Selective estimation tests survival as ``u < p_0``
+directly, without this function.
 """
 from __future__ import annotations
 

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .channels import ChannelModel
+from .channels import ChannelModel, check_trace_preserving
 from .dense import DenseBackend
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
-from .stabilizer import _swap_halves, build_mub_family, sample_clifford_uniform
+from .stabilizer import (Tableaux, _swap_halves, build_mub_family, clifford_bounds,
+                         grow_cliffords)
 
 #: realizations whose estimate clears the reporting threshold by fewer than
 #: this many standard errors are flagged borderline instead of being called
@@ -108,10 +109,10 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     """
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
+    check_trace_preserving(channel)
     p = _as_pauli(label, channel.n)
     d = channel.dim
     m_total = config.shots
-    survived = 0
     if config.variant == "mub":
         fam = build_mub_family(channel.n)
         # stay[j, m]: survival probability of state m of basis j
@@ -119,10 +120,9 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
         jm, u = draw_batch(config.seed, 1, m_total, (d + 1, d), 1)
         survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
     else:
-        for rng in substreams(config.seed, 1, m_total):
-            c = sample_clifford_uniform(channel.n, rng)
-            probs = backend.clifford_outcome_probs(channel, c, p)
-            survived += rng.random() < probs[0]
+        tableaux, u = _draw_cliffords(channel.n, config.seed, m_total)
+        stay = backend.clifford_outcome_probs(channel, tableaux, p, outcome=0)
+        survived = int((u < stay).sum())
     rate = survived / m_total
     chi_hat = ((d + 1) * rate - 1.0) / d
     return SelectiveEstimate(chi_hat=chi_hat,
@@ -211,13 +211,12 @@ def _sample_mub_records(channel, config, backend):
     return records
 
 
-def _sample_clifford_records(channel, config, backend):
-    records = []
-    for rng in substreams(config.seed, 1, config.shots):
-        c = sample_clifford_uniform(channel.n, rng)
-        cdf = np.cumsum(backend.clifford_outcome_probs(channel, c))
-        records.append((c, _draw_outcome(cdf, rng.random())))
-    return records
+def _draw_cliffords(n: int, seed: int, count: int) -> tuple[Tableaux, np.ndarray]:
+    """Realizations 0 .. count-1 of a Clifford run: the element and the
+    outcome uniform of each, as ``sample_clifford_uniform(n, g)`` then
+    ``g.random()`` draw them from ``g = substream(seed, 1 + i)``."""
+    rows, u = draw_batch(seed, 1, count, clifford_bounds(n), 1)
+    return grow_cliffords(n, rows), u[:, 0]
 
 
 def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
@@ -265,6 +264,7 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         raise ConfigError("blind discovery needs at least two realizations")
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
+    check_trace_preserving(channel)
     n = channel.n
     d = channel.dim
     m_total = config.shots
@@ -282,12 +282,21 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         if keep_records:
             records = [ExperimentRecord("mub", (j, m), _bits(v, n)) for j, m, v in raw]
     else:
-        raw = _sample_clifford_records(channel, config, backend)
-        for c, v in raw:
-            key = _class_of([p.key for p in c.z_images], n, v)
-            classes[key] = classes.get(key, 0) + 1
+        tableaux, u = _draw_cliffords(n, config.seed, m_total)
+        outcomes = _draw_outcome(
+            np.cumsum(backend.clifford_outcome_probs(channel, tableaux), axis=1), u)
+        # a class depends only on the Z-frame and the outcome: one rref per
+        # distinct pair, visited in order of first appearance
+        frame_outcomes = np.concatenate(
+            (tableaux.z, outcomes[:, None].astype(np.uint64)), axis=1)
+        _, first, sizes = np.unique(frame_outcomes, axis=0, return_index=True,
+                                    return_counts=True)
+        for i in np.argsort(first):
+            key = _class_of(tableaux.z[first[i]].tolist(), n, int(outcomes[first[i]]))
+            classes[key] = classes.get(key, 0) + int(sizes[i])
         if keep_records:
-            records = [ExperimentRecord("clifford", (c,), _bits(v, n)) for c, v in raw]
+            records = [ExperimentRecord("clifford", (tableaux.clifford(i),), _bits(v, n))
+                       for i, v in enumerate(outcomes.tolist())]
 
     class_rows = np.array(list(classes), dtype=np.uint64).reshape(len(classes), n)
     counts = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))

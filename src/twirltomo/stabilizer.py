@@ -24,6 +24,8 @@ from .errors import DimensionMismatchError
 from .channels import gate_unitary
 from .pauli import Pauli, multiply, symplectic_product
 
+_ONE = np.uint64(1)
+
 Gate = tuple[str, tuple[int, ...]]
 
 
@@ -422,74 +424,154 @@ def build_mub_family(n: int) -> tuple[MubBasis, ...]:
 # uniform Clifford sampling
 
 
-def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:
-    """Uniformly random Clifford element modulo global phase.
+@dataclass(frozen=True)
+class Tableaux:
+    """A stack of M Clifford elements as arrays, row i for element i.
 
-    A symplectic basis is grown pair by pair: x_k is uniform over the
-    nonzero vectors of the symplectic complement of the pairs chosen so
-    far, and z_k is uniform over the solutions of <x_k, z> = 1 within that
-    complement.  Every ordered symplectic basis arises from exactly one
-    choice sequence, so the symplectic action is exactly uniform; 2n
-    uniform sign bits complete the element.
+    ``x[i, j]`` and ``z[i, j]`` are the symplectic keys (x | z << n) of the
+    images of X and Z on qubit j + 1, and ``signs[i, 2j]`` and
+    ``signs[i, 2j + 1]`` their sign bits: an image carries the sign
+    (-1)^bit, as a :class:`Pauli` with phase 2 * bit.
     """
-    pairs: list[tuple[int, int]] = []
-    width = 2 * n
-    for _k in range(n):
-        rows = []
-        for xv, zv in pairs:
-            rows.append(_swap_halves(xv, n))
-            rows.append(_swap_halves(zv, n))
-        sol = gf2.solve_affine(rows, [0] * len(rows), width)
-        assert sol is not None
-        _, basis = sol
-        coeff = int(rng.integers(1, 1 << len(basis)))
-        xk = gf2.combine(basis, coeff)
-        rows2 = rows + [_swap_halves(xk, n)]
-        rhs2 = [0] * len(rows) + [1]
-        sol2 = gf2.solve_affine(rows2, rhs2, width)
-        assert sol2 is not None
-        part, basis2 = sol2
-        coeff2 = int(rng.integers(0, 1 << len(basis2))) if basis2 else 0
-        zk = part ^ gf2.combine(basis2, coeff2)
-        pairs.append((xk, zk))
-    signs = rng.integers(0, 2, size=2 * n)
-    xs = tuple(_key_to_pauli(xv, n, 2 * int(signs[2 * j])) for j, (xv, _) in enumerate(pairs))
-    zs = tuple(_key_to_pauli(zv, n, 2 * int(signs[2 * j + 1])) for j, (_, zv) in enumerate(pairs))
-    return Clifford(n, xs, zs)
+
+    n: int
+    x: np.ndarray
+    z: np.ndarray
+    signs: np.ndarray
+
+    @staticmethod
+    def of(cliffords) -> "Tableaux":
+        """The stack of the given :class:`Clifford` elements, in order."""
+        cliffords = list(cliffords)
+        n = cliffords[0].n
+        return Tableaux(
+            n,
+            np.array([[p.key for p in c.x_images] for c in cliffords], dtype=np.uint64),
+            np.array([[p.key for p in c.z_images] for c in cliffords], dtype=np.uint64),
+            np.array([[p.phase_pow >> 1 for pair in zip(c.x_images, c.z_images)
+                       for p in pair] for c in cliffords], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows) -> "Tableaux":
+        return Tableaux(self.n, self.x[rows], self.z[rows], self.signs[rows])
+
+    def clifford(self, i: int) -> Clifford:
+        """Element i as a :class:`Clifford`."""
+        n = self.n
+        s = self.signs[i].tolist()
+        return Clifford(
+            n,
+            tuple(_key_to_pauli(k, n, 2 * s[2 * j]) for j, k in enumerate(self.x[i].tolist())),
+            tuple(_key_to_pauli(k, n, 2 * s[2 * j + 1])
+                  for j, k in enumerate(self.z[i].tolist())))
 
 
-def enumerate_clifford_group(n: int):
-    """Deterministic enumeration of the whole Clifford group mod phase.
+def clifford_bounds(n: int) -> tuple[int, ...]:
+    """The draws of one uniform Clifford element, as ``integers(0, k)``
+    bounds: for each pair k = 0..n-1 a nonzero combination of the 2n - 2k
+    complement vectors (drawn minus one, in [0, 4^(n-k) - 1)) and a
+    combination of the 2n - 2k - 1 solution vectors, then 2n sign bits.
+    These are the rows :func:`grow_cliffords` takes."""
+    pairs = [(4 ** (n - k) - 1, 2 ** (2 * (n - k) - 1)) for k in range(n)]
+    return (*(b for pair in pairs for b in pair), *(2,) * (2 * n))
+
+
+def draw_clifford_row(n: int, rng: np.random.Generator) -> list[int]:
+    """One row of :func:`clifford_bounds` draws from ``rng``, in order: one
+    call per pair coefficient, then one call for the 2n sign bits."""
+    coefficients = [int(rng.integers(0, k)) for k in clifford_bounds(n)[:2 * n]]
+    return coefficients + rng.integers(0, 2, size=2 * n).tolist()
+
+
+def _gj_insert(pivots: np.ndarray, v: np.ndarray):
+    """Insert augmented rows v (one per system) into fully reduced pivot
+    tables, in place: ``pivots[i, b]`` is system i's pivot row whose top
+    bit is b, or 0.  As :func:`gf2._eliminate` then :func:`gf2._insert`;
+    every v must be independent of its system's pivots."""
+    shifts = np.arange(pivots.shape[1], dtype=np.uint64)
+    # fully reduced pivots clear their own column without touching another
+    v = v ^ np.bitwise_xor.reduce(pivots * ((v[:, None] >> shifts) & _ONE), axis=1)
+    top = ((v[:, None] >> shifts) != 0).sum(axis=1) - 1
+    pivots ^= v[:, None] * ((pivots >> top[:, None].astype(np.uint64)) & _ONE)
+    pivots[np.arange(len(v)), top] = v
+
+
+def _combination(pivots: np.ndarray, coeff: np.ndarray, nfree: int,
+                 rhs: int) -> np.ndarray:
+    """For each system, what ``gf2.solve_affine`` gives as the particular
+    solution (when ``rhs``, else 0) XORed with the nullspace basis vectors
+    that the bits of ``coeff`` pick.  Basis vector i sets the i-th free
+    coordinate in ascending order, and every pivot coordinate b - 1 whose
+    pivot row has that column's bit, so the XOR sets pivot coordinate b - 1
+    to the parity of its row over the picked columns (and the rhs bit)."""
+    free = np.nonzero(pivots[:, 1:] == 0)[1].reshape(len(pivots), nfree)
+    picked = (coeff[:, None] >> np.arange(nfree)) & 1
+    sel = np.bitwise_or.reduce(picked.astype(np.uint64) << (free + 1).astype(np.uint64),
+                               axis=1) | np.uint64(rhs)
+    parity = (np.bitwise_count(pivots[:, 1:] & sel[:, None]) & 1).astype(np.uint64)
+    width = pivots.shape[1] - 1
+    return (sel >> _ONE) | np.bitwise_or.reduce(
+        parity << np.arange(width, dtype=np.uint64), axis=1)
+
+
+def grow_cliffords(n: int, rows) -> Tableaux:
+    """The Clifford elements that the (M, 4n) draw rows of
+    :func:`clifford_bounds` select, all M at once.
+
+    A symplectic basis is grown pair by pair: x_k is a nonzero combination
+    of the complement basis of the pairs chosen so far, and z_k a solution
+    of <x_k, z> = 1 within that complement, the particular solution plus a
+    combination of the nullspace basis.  Each system is kept in fully
+    reduced row echelon form on uint64 rows, so the complement basis and the
+    solutions come out as :func:`gf2.solve_affine` gives them.  Every
+    ordered symplectic basis arises from exactly one row, so uniform draws
+    give an exactly uniform symplectic action; 2n sign bits complete it.
+    """
+    if 2 * n + 1 > 64:
+        raise DimensionMismatchError("uint64 Clifford growth needs n <= 31")
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4 * n)
+    m = len(rows)
+    # symplectic form <a, b> = parity(swap_halves(a) & b): row a of a system
+    pivots = np.zeros((m, 2 * n + 1), dtype=np.uint64)  # the pairs so far, rhs 0
+    x = np.empty((m, n), dtype=np.uint64)
+    z = np.empty((m, n), dtype=np.uint64)
+    for k in range(n):
+        nfree = 2 * (n - k)
+        x[:, k] = _combination(pivots, rows[:, 2 * k] + 1, nfree, 0)
+        # <x_k, z> = 1: the other rows have rhs 0, so a pivot row's rhs bit
+        # marks whether it took in the new row, and clearing the rhs bits
+        # leaves the system with x_k at rhs 0
+        _gj_insert(pivots, (_swap_halves(x[:, k], n) << _ONE) | _ONE)
+        z[:, k] = _combination(pivots, rows[:, 2 * k + 1], nfree - 1, 1)
+        pivots &= ~_ONE
+        _gj_insert(pivots, _swap_halves(z[:, k], n) << _ONE)
+    return Tableaux(n, x, z, rows[:, 2 * n:])
+
+
+def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:
+    """Uniformly random Clifford element modulo global phase: one row of
+    draws from ``rng`` grown by :func:`grow_cliffords`."""
+    return grow_cliffords(n, draw_clifford_row(n, rng)).clifford(0)
+
+
+def clifford_group_tableaux(n: int) -> Tableaux:
+    """The whole Clifford group mod phase as one stack: every draw row of
+    :func:`clifford_bounds` in lexicographic order, sign bits innermost.
 
     Practical for n <= 2 (24 and 11520 elements).
     """
     if n > 2:
         raise DimensionMismatchError("full Clifford enumeration capped at n = 2")
-    width = 2 * n
+    rows = np.array(list(itertools.product(*map(range, clifford_bounds(n)))),
+                    dtype=np.int64)
+    rows[:, 2 * n:] = rows[:, 2 * n:][:, ::-1]  # sign bit 0 varies fastest
+    return grow_cliffords(n, rows)
 
-    def extend(pairs):
-        if len(pairs) == n:
-            yield list(pairs)
-            return
-        rows = []
-        for xv, zv in pairs:
-            rows.append(_swap_halves(xv, n))
-            rows.append(_swap_halves(zv, n))
-        sol = gf2.solve_affine(rows, [0] * len(rows), width)
-        _, basis = sol
-        for coeff in range(1, 1 << len(basis)):
-            xk = gf2.combine(basis, coeff)
-            sol2 = gf2.solve_affine(rows + [_swap_halves(xk, n)],
-                                    [0] * len(rows) + [1], width)
-            part, basis2 = sol2
-            for coeff2 in range(1 << len(basis2)):
-                zk = part ^ gf2.combine(basis2, coeff2)
-                yield from extend(pairs + [(xk, zk)])
 
-    for pairs in extend([]):
-        for signbits in range(1 << (2 * n)):
-            xs = tuple(_key_to_pauli(xv, n, 2 * ((signbits >> (2 * j)) & 1))
-                       for j, (xv, _) in enumerate(pairs))
-            zs = tuple(_key_to_pauli(zv, n, 2 * ((signbits >> (2 * j + 1)) & 1))
-                       for j, (_, zv) in enumerate(pairs))
-            yield Clifford(n, xs, zs)
+def enumerate_clifford_group(n: int):
+    """The elements of :func:`clifford_group_tableaux`, in order."""
+    tableaux = clifford_group_tableaux(n)
+    for i in range(len(tableaux)):
+        yield tableaux.clifford(i)

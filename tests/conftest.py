@@ -7,6 +7,15 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 random_cp_channel)
 
 
+def xor_combination(basis, coeff: int) -> int:
+    """XOR of the basis vectors that the bits of ``coeff`` select."""
+    v = 0
+    for i, b in enumerate(basis):
+        if (coeff >> i) & 1:
+            v ^= b
+    return v
+
+
 def transpose_map_channel() -> ChannelModel:
     """The canonical positive-but-not-CP single-qubit map rho -> rho^T."""
     return ChannelModel.from_chi(

@@ -26,7 +26,7 @@ from twirltomo.pauli import Pauli
 from twirltomo.rng import master
 from twirltomo.seqpt import (SeqptConfig, estimate_chi_selective,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import sample_clifford_uniform
+from twirltomo.stabilizer import draw_clifford_row, grow_cliffords
 from twirltomo import gf2
 
 BACKEND = DenseBackend()
@@ -88,8 +88,9 @@ def test_c03_twirl_average_equivalence():
     ch2 = random_cp_channel(2, rng)
     exact = enumerate_twirl_exact(ch2, TwirlSpec("mub", 2), backend=BACKEND)[0]
     g = master(303)
-    vals = np.array([BACKEND.clifford_outcome_probs(ch2, sample_clifford_uniform(2, g))[0]
-                     for _ in range(10000)])
+    # the elements sample_clifford_uniform draws one after another from g
+    tableaux = grow_cliffords(2, [draw_clifford_row(2, g) for _ in range(10000)])
+    vals = BACKEND.clifford_outcome_probs(ch2, tableaux, outcome=0)
     sem = vals.std(ddof=1) / np.sqrt(len(vals))
     sig = abs(vals.mean() - exact) / sem
     _report("criterion-03 twirl-equivalence", ok1 and sig <= 3.0,
@@ -121,14 +122,12 @@ def _mub_index_pairs(n: int, pairs: int):
 
 
 def _clifford_pair_fraction(n: int, pairs: int) -> float:
+    """Pair i is elements 2i and 2i + 1 drawn one after another from the
+    generator, as sample_clifford_uniform draws them, grown in one pass."""
     _, _, g = _mub_index_pairs(n, pairs)
-    fa = np.empty((pairs, n), dtype=np.uint64)
-    fb = np.empty((pairs, n), dtype=np.uint64)
-    for i in range(pairs):
-        fa[i] = [p.key for p in sample_clifford_uniform(n, g).z_images]
-        fb[i] = [p.key for p in sample_clifford_uniform(n, g).z_images]
+    frames = grow_cliffords(n, [draw_clifford_row(n, g) for _ in range(2 * pairs)]).z
     # a pair is usable exactly when the stacked frames pin down a unique key
-    stacked = np.concatenate([fa, fb], axis=1) << np.uint64(1)
+    stacked = frames.reshape(pairs, 2 * n) << np.uint64(1)
     return float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
 
 

@@ -70,6 +70,35 @@ def test_non_tp_composition_warns(tmp_path):
     assert warnings and "trace" in warnings[0]
 
 
+# the one-qubit map sqrt(0.5) I: chi_II = 0.5, not trace preserving
+LEAKY_DOC = {"name": "leaky-identity", "n": 1,
+             "build": [{"kraus": [[[[0.5 ** 0.5, 0], [0, 0]], [[0, 0], [0.5 ** 0.5, 0]]]]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["seqpt", "select", "--variant", "mub", "--label", "I"],
+    ["seqpt", "select", "--variant", "clifford", "--label", "I"],
+    ["seqpt", "blind", "--variant", "mub"],
+    ["seqpt", "blind", "--variant", "clifford"],
+    ["local-twirl"],
+])
+def test_cli_sampled_protocols_reject_non_tp_map(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, LEAKY_DOC)
+    out = tmp_path / "o"
+    assert main([*argv, "--spec", str(spec), "--out", str(out), "--shots", "200"]) == 2
+    assert "trace-preserving" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_exact_chi_accepts_non_tp_map_with_warning(tmp_path):
+    spec = write_spec(tmp_path, LEAKY_DOC)
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(spec), "--out", str(out)]) == 0
+    results = json.loads((out / "results.json").read_text())
+    assert abs(results["diagonal"]["I"] - 0.5) < 1e-12
+    assert any("trace" in w for w in results["warnings"])
+
+
 def test_document_round_trip(tmp_path):
     doc = parse_channel_document(DEP_DOC)
     save_channel_document(doc, tmp_path / "saved.json")

@@ -13,10 +13,11 @@ from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
 from twirltomo.errors import CapacityError
 from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import PAULI_1Q, Pauli
-from twirltomo.rng import _draw_outcome, master
+from twirltomo.rng import _draw_outcome, draw_batch, master
 from twirltomo.seqpt import (SeqptConfig, _bits, estimate_chi_selective,
                              run_blind_discovery)
-from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
+from twirltomo.stabilizer import (build_mub_family, clifford_bounds, grow_cliffords,
+                                  sample_clifford_uniform)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=float)
@@ -219,6 +220,54 @@ def test_clifford_outcome_probs_match_dense_reference():
                     got = backend.clifford_outcome_probs(ch, c, inter)
                     want = _dense_clifford_probs(ch, c, inter)
                     assert np.abs(got - want).max() <= 1e-12, (name, n, str(inter))
+
+
+def _tableau_law_reference(channel, clifford, intermediary=None):
+    """One element's tableau law by the per-element loop over its Pauli
+    images (the doubling of ``dense._conjugated_xz_table`` on Python ints)."""
+    n, d = channel.n, channel.dim
+    x = z = e = np.zeros(1, dtype=np.int64)
+    for g in (*clifford.z_images[::-1], *clifford.x_images[::-1]):
+        g_e = g.phase_pow + (g.x & g.z).bit_count()
+        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g.z)))
+        x = np.concatenate((x, x ^ g.x))
+        z = np.concatenate((z, z ^ g.z))
+    labels = dense._label_table(n)[x, z].reshape(d, d)
+    phi = dense._I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(d, d)
+    block = channel.chi.mat[labels[:, :, None], labels[:, None, :]]
+    probs = np.einsum("ab,abc,ac->a", phi.conj(), block, phi).real
+    if intermediary is not None:
+        a_p = int(np.flatnonzero(labels.ravel() == intermediary.label)[0]) >> n
+        probs = probs[np.arange(d) ^ a_p]
+    return np.clip(probs, 0.0, None)
+
+
+def test_stacked_clifford_laws_equal_per_element_reference():
+    """The laws of a Tableaux stack, whole and one outcome at a time, equal
+    the per-element reference within 1e-15, with and without an
+    intermediary, on the battery, the non-CP transpose map, a
+    non-Hermitian chi map and non-TP maps; a single Clifford is the one-row
+    case."""
+    backend = DenseBackend()
+    rng = master(78)
+    count = 40
+    for name, ch in _table_test_channels():
+        n = ch.n
+        rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
+        tableaux = grow_cliffords(n, rows)
+        p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
+        for inter in (None, p):
+            want = np.array([_tableau_law_reference(ch, tableaux.clifford(i), inter)
+                             for i in range(count)])
+            got = backend.clifford_outcome_probs(ch, tableaux, inter)
+            assert got.shape == (count, ch.dim)
+            assert np.abs(got - want).max() <= 1e-15, (name, str(inter))
+            for v in range(ch.dim):
+                entry = backend.clifford_outcome_probs(ch, tableaux, inter, outcome=v)
+                assert np.abs(entry - want[:, v]).max() <= 1e-15, (name, str(inter), v)
+            for i in range(3):
+                one = backend.clifford_outcome_probs(ch, tableaux.clifford(i), inter)
+                assert np.abs(one - want[i]).max() <= 1e-15, (name, str(inter))
 
 
 def _dense_local_probs(channel, digits):

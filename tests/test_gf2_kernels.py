@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import xor_combination
 from twirltomo import gf2
 from twirltomo.channels import random_cp_channel
 from twirltomo.pauli import Pauli, symplectic_product
@@ -26,7 +27,7 @@ def test_solve_affine_brute_force():
             assert not want
         else:
             part, basis = got
-            gen = {part ^ gf2.combine(basis, c) for c in range(1 << len(basis))}
+            gen = {part ^ xor_combination(basis, c) for c in range(1 << len(basis))}
             assert gen == want
 
 

@@ -31,6 +31,14 @@ def exact_outcome_lookup(channel):
     return dist, prob
 
 
+def test_non_trace_preserving_map_rejected():
+    """The outcome laws of sqrt(0.5) I sum to 1/2; the one-qubit twirl
+    refuses the map instead of renormalizing them."""
+    leaky = ChannelModel.from_kraus([np.sqrt(0.5) * np.eye(2)])
+    with pytest.raises(ConfigError, match="trace-preserving"):
+        run_local_twirl(leaky, LocalTwirlConfig(shots=100, seed=1))
+
+
 def test_r_matrix_entries_and_exact_column_sums():
     r = r_matrix(2)
     assert r[0, 0] == 1.0

@@ -11,7 +11,8 @@ from twirltomo.dense import DenseBackend
 from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
                                   run_local_twirl, sample_c1t_realization)
 from twirltomo.rng import draw_batch, substream, substream_words, substreams
-from twirltomo.seqpt import SeqptConfig, estimate_chi_selective
+from twirltomo.seqpt import SeqptConfig, _draw_cliffords, estimate_chi_selective
+from twirltomo.stabilizer import sample_clifford_uniform
 
 
 def _odd_bounded_then_uniform(g):
@@ -188,3 +189,20 @@ def test_forced_redraws_leave_selective_mub_unchanged(monkeypatch, n):
     want = estimate_chi_selective(channel, "Z" * n, config, backend)
     _reject_everything(monkeypatch)
     assert estimate_chi_selective(channel, "Z" * n, config, backend) == want
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_clifford_batch_element_equals_scalar(monkeypatch, n, seed, forced):
+    """Element i of the Clifford batch, and its outcome uniform, are what
+    sample_clifford_uniform and then random() draw from substream(seed,
+    1 + i), also with every row redrawn alone from its own Generator."""
+    if forced:
+        _reject_everything(monkeypatch)
+    count = 50
+    tableaux, u = _draw_cliffords(n, seed, count)
+    for i in range(count):
+        g = substream(seed, 1 + i)
+        assert tableaux.clifford(i) == sample_clifford_uniform(n, g)
+        assert u[i] == g.random()

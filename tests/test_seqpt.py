@@ -8,11 +8,13 @@ from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
+from twirltomo import dense
+from twirltomo.records import ExperimentRecord
 from twirltomo.rng import _draw_outcome, substream
-from twirltomo.seqpt import (SeqptConfig, average_fidelity, compare_variants,
+from twirltomo.seqpt import (SeqptConfig, _bits, average_fidelity, compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import build_mub_family
+from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
 
 def test_config_sampling_bounds():
     with pytest.raises(ConfigError):
@@ -56,6 +58,63 @@ def test_selective_mub_matches_per_realization_draws(n):
         survived += g.random() < tables[j][m, 0]
     est = estimate_chi_selective(channel, label, cfg, backend)
     assert est.survival_rate == survived / cfg.shots
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
+    """The batched Clifford draws give the survival count of the
+    per-realization loop: one uniform Clifford, then one uniform, from
+    substream(seed, 1 + i), tested against its own law; also with the laws
+    computed one element per pass."""
+    channel = random_cp_channel(n, np.random.default_rng(70 + n))
+    backend = DenseBackend()
+    label = Pauli.from_string("Y" + "I" * (n - 1))
+    cfg = SeqptConfig(shots=600, variant="clifford", seed=43)
+    survived = 0
+    for i in range(cfg.shots):
+        g = substream(cfg.seed, 1 + i)
+        probs = backend.clifford_outcome_probs(channel, sample_clifford_uniform(n, g), label)
+        survived += g.random() < probs[0]
+    est = estimate_chi_selective(channel, label, cfg, backend)
+    assert est.survival_rate == survived / cfg.shots
+    monkeypatch.setattr(dense, "_LAW_BLOCK", 1)
+    assert estimate_chi_selective(channel, label, cfg, backend) == est
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
+    """keep_records holds, for realization i, the Clifford and outcome that
+    sample_clifford_uniform and one uniform draw from substream(seed, 1 + i);
+    laws computed one element per pass give the same records and results."""
+    channel = random_cp_channel(n, np.random.default_rng(80 + n))
+    backend = DenseBackend()
+    cfg = SeqptConfig(shots=300, variant="clifford", seed=47)
+    want = []
+    for i in range(cfg.shots):
+        g = substream(cfg.seed, 1 + i)
+        c = sample_clifford_uniform(n, g)
+        v = _draw_outcome(np.cumsum(backend.clifford_outcome_probs(channel, c)), g.random())
+        want.append(ExperimentRecord("clifford", (c,), _bits(v, n)))
+    res = run_blind_discovery(channel, cfg, backend, keep_records=True)
+    assert res.records == want
+    monkeypatch.setattr(dense, "_LAW_BLOCK", 1)
+    one_by_one = run_blind_discovery(channel, cfg, backend, keep_records=True)
+    assert one_by_one.records == want
+    assert one_by_one.to_json() == res.to_json()
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("mode", ["select", "blind"])
+def test_non_trace_preserving_map_rejected(variant, mode):
+    """A map that is not trace preserving has outcome laws that do not sum
+    to one; both modes and both variants refuse it instead of estimating."""
+    leaky = ChannelModel.from_kraus([np.sqrt(0.5) * np.eye(2)])
+    cfg = SeqptConfig(shots=100, variant=variant, seed=1)
+    with pytest.raises(ConfigError, match="trace-preserving"):
+        if mode == "select":
+            estimate_chi_selective(leaky, "I", cfg)
+        else:
+            run_blind_discovery(leaky, cfg)
 
 
 def test_selective_identity():

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import xor_combination
 from twirltomo import gf2
 from twirltomo.pauli import Pauli, symplectic_product
-from twirltomo.stabilizer import (Clifford, StabilizerFrame,
-                                  _key_to_pauli, build_mub_family,
-                                  circuit_unitary, enumerate_clifford_group,
+from twirltomo.stabilizer import (Clifford, StabilizerFrame, _key_to_pauli,
+                                  _swap_halves, build_mub_family,
+                                  circuit_unitary, draw_clifford_row,
+                                  enumerate_clifford_group, grow_cliffords,
                                   sample_clifford_uniform)
 from twirltomo.seqpt import _class_of, frames_independent_probability
 from twirltomo.rng import master
@@ -62,26 +66,58 @@ def test_synthesis_round_trip_and_gate_count():
             assert len(circ) <= 4 * n * n + 7 * n  # O(n^2)
 
 
+# SHA-256 of the JSON list of (key, phase) images of every element, in
+# enumeration order, as the Python-int enumeration gave it
+ENUMERATION_DIGESTS = {
+    1: (24, "dc20e0bcf1efa535ca4e9937bdc8b94f8a755a7b5f7a3942f46223ced2cb274a"),
+    2: (11520, "cd7a19063cbbfaacf9bca450b5a242a16c52354e6ad7f3270df0eead62cc9b01"),
+}
+
+
 def test_clifford_group_enumeration():
-    g1 = list(enumerate_clifford_group(1))
-    assert len(g1) == len(set(g1)) == 24
-    g2_sizes = 0
-    for c in itertools.islice(enumerate_clifford_group(2), 200):
-        g2_sizes += 1
-    assert g2_sizes == 200  # enumerable lazily; full size checked via the spec count
     from twirltomo.dense import TwirlSpec
-    assert TwirlSpec("clifford_full", 1).enumeration_size == 24
-    assert TwirlSpec("clifford_full", 2).enumeration_size == 11520
+    for n, (size, digest) in ENUMERATION_DIGESTS.items():
+        group = list(enumerate_clifford_group(n))
+        assert len(group) == len(set(group)) == size
+        assert size == TwirlSpec("clifford_full", n).enumeration_size
+        keys = [[(p.key, p.phase_pow) for p in (*c.x_images, *c.z_images)] for c in group]
+        assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == digest, n
+
+
+def _reference_sample(n, rng):
+    """The sampler on Python ints through gf2.solve_affine: the loop that
+    grow_cliffords runs on arrays, with the same draws."""
+    pairs = []
+    for _ in range(n):
+        rows = [_swap_halves(v, n) for pair in pairs for v in pair]
+        _, basis = gf2.solve_affine(rows, [0] * len(rows), 2 * n)
+        xk = xor_combination(basis, int(rng.integers(1, 1 << len(basis))))
+        part, basis2 = gf2.solve_affine(rows + [_swap_halves(xk, n)],
+                                        [0] * len(rows) + [1], 2 * n)
+        pairs.append((xk, part ^ xor_combination(basis2, int(rng.integers(0, 1 << len(basis2))))))
+    signs = rng.integers(0, 2, size=2 * n)
+    return Clifford(n, tuple(_key_to_pauli(x, n, 2 * int(signs[2 * j]))
+                             for j, (x, _) in enumerate(pairs)),
+                    tuple(_key_to_pauli(z, n, 2 * int(signs[2 * j + 1]))
+                          for j, (_, z) in enumerate(pairs)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sampler_matches_python_int_reference(n):
+    """sample_clifford_uniform grows the element the Python-int loop grows
+    from the same draws, 300 times in a row from one generator."""
+    rng_a, rng_b = master(700 + n), master(700 + n)
+    for _ in range(300):
+        assert sample_clifford_uniform(n, rng_a) == _reference_sample(n, rng_b)
 
 
 def test_sampler_uniform_n1():
     """Each of the 24 single-qubit Cliffords appears with frequency 1/24."""
     rng = master(3)
-    counts = Counter()
     m = 60000
-    for _ in range(m):
-        c = sample_clifford_uniform(1, rng)
-        counts[c] += 1
+    # the elements sample_clifford_uniform draws one after another from rng
+    tableaux = grow_cliffords(1, [draw_clifford_row(1, rng) for _ in range(m)])
+    counts = Counter(tableaux.clifford(i) for i in range(m))
     assert len(counts) == 24
     sigma = np.sqrt(m * (1 / 24) * (23 / 24))
     for c, cnt in counts.items():
@@ -94,8 +130,9 @@ def test_sampler_twirl_average_vanishes():
     z = Pauli.from_string("Z").to_matrix()
     m = 10000
     acc = np.zeros((2, 2), dtype=complex)
-    for _ in range(m):
-        u = sample_clifford_uniform(1, rng).unitary()
+    tableaux = grow_cliffords(1, [draw_clifford_row(1, rng) for _ in range(m)])
+    for i in range(m):
+        u = tableaux.clifford(i).unitary()
         acc += u.conj().T @ z @ u
     acc /= m
     assert np.abs(acc).max() < 3.5 / np.sqrt(m) + 0.02
@@ -173,7 +210,7 @@ def _candidates(frame, outcome):
     n = frame.n
     rows = _class_of([g.key for g in frame.generators], n, outcome)
     particular, basis = gf2.solve_affine([r >> 1 for r in rows], [r & 1 for r in rows], 2 * n)
-    return [_key_to_pauli(particular ^ gf2.combine(basis, c), n)
+    return [_key_to_pauli(particular ^ xor_combination(basis, c), n)
             for c in range(1 << len(basis))]
 
 
@@ -229,11 +266,10 @@ def test_frames_independent_rate_matches_exact_product():
     """Monte Carlo pair-independence rate against the counting formula."""
     rng = master(6)
     for n, m in ((1, 20000), (2, 20000), (3, 15000)):
-        hits = 0
-        for _ in range(m):
-            ca = sample_clifford_uniform(n, rng)
-            cb = sample_clifford_uniform(n, rng)
-            hits += gf2.rank([p.key for p in (*ca.z_images, *cb.z_images)]) == 2 * n
+        # pair i: elements 2i and 2i + 1 as drawn one after another from rng
+        frames = grow_cliffords(n, [draw_clifford_row(n, rng) for _ in range(2 * m)]).z
+        hits = sum(gf2.rank(keys) == 2 * n
+                   for keys in frames.reshape(m, 2 * n).tolist())
         want = frames_independent_probability(n)
         sigma = np.sqrt(want * (1 - want) / m)
         assert abs(hits / m - want) <= 4 * sigma, (n, hits / m, want)
