@@ -364,31 +364,42 @@ class ChannelModel:
             return self._classification
 
 
+def _operator_sum(channel: ChannelModel) -> np.ndarray:
+    """sum_k B_k^dag A_k over the operator pairs of the map: Tr L(rho) =
+    Tr[sum_k B_k^dag A_k rho], so the map is trace preserving when it is I."""
+    return sum(b.conj().T @ a for a, b in channel.operator_pairs())
+
+
 def classify(channel: ChannelModel, n_state_samples: int = 200,
              sample_seed: int = 12061) -> Classification:
-    """Classification flags from the chi matrix.
+    """Classification flags of a map.
 
     Trace preservation is Tr chi = 1 and the operator condition
-    sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`
-    (Tr L(rho) = Tr[sum_k B_k^dag A_k rho]), for every map.  Complete
-    positivity is chi positive-semidefiniteness within tolerance; a map
-    given by Kraus operators is Hermitian-preserving and CP without a check.
+    acc = sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`,
+    for every map.  A map given by Kraus operators is Hermitian-preserving
+    and CP without a check, and its Tr chi is read as Tr(acc) / D (Parseval
+    over the Pauli basis: sum_l |Tr[P_l K]|^2 = D Tr[K^dag K]), so its chi
+    matrix is never built.  For a chi-given map, complete positivity is chi
+    positive-semidefiniteness within tolerance.
     The ``positive`` flag is computed only for n <= 3 by a dense search over
     random product-state inputs plus the necessary diagonal/pair bounds; it
     is a documented heuristic (a True can in principle be a false positive,
     a False is always certified by a witness) and None means not attempted.
     """
-    chi = channel.chi
     d = channel.dim
-    kraus = channel.kraus is not None
-    hermitian = kraus or chi.is_hermitian()
-    diag_sum = complex(chi.diagonal().sum())
-    tp = abs(diag_sum - 1.0) <= TP_ATOL
-    if tp:
-        acc = sum(b.conj().T @ a for a, b in channel.operator_pairs())
-        tp = bool(np.allclose(acc, np.eye(d), atol=1e-8))
-    cp = kraus
-    if hermitian and not kraus:
+    if channel.kraus is not None:
+        acc = _operator_sum(channel)
+        tp = (abs(complex(np.trace(acc)) / d - 1.0) <= TP_ATOL
+              and bool(np.allclose(acc, np.eye(d), atol=1e-8)))
+        return Classification(hermitian_preserving=True, trace_preserving=tp,
+                              completely_positive=True,
+                              positive=True if channel.n <= 3 else None)
+    chi = channel.chi
+    hermitian = chi.is_hermitian()
+    tp = (abs(complex(chi.diagonal().sum()) - 1.0) <= TP_ATOL
+          and bool(np.allclose(_operator_sum(channel), np.eye(d), atol=1e-8)))
+    cp = False
+    if hermitian:
         vals = np.linalg.eigvalsh(chi.mat)
         cp = bool(vals.min() >= -PSD_RTOL * max(1.0, float(vals.max())))
     positive: bool | None = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -296,6 +297,7 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="twirltomo",
                                  description="twirling-based process tomography harness")

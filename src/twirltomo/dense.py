@@ -26,6 +26,7 @@ MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
 _LAW_BLOCK = 1 << 13  # table and chi entries gathered per Clifford law pass (~128 KiB)
+_TABLE_BLOCK = 1 << 13  # table entries per one-qubit-twirl table pass (~128 KiB per operand)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +131,28 @@ _ROTS = (
 )
 
 
-def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation).
+# _TWIRL_GATES[p, s]: the one-qubit-twirl gate S_s P_p
+_TWIRL_GATES = np.array([[r @ p for r in _ROTS] for p in PAULI_1Q])
+
+
+def _local_unitaries(paulis: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """(T, D, D) stack of one-qubit-twirl unitaries, element t the tensor
+    product over qubits j (qubit 1 first) of S_s P_p with p = paulis[t, j]
+    and s = rotations[t, j].
 
     Built by broadcasting, which forms the same products as ``np.kron``
     (so the same bits) without its per-call overhead."""
-    u = np.ones((1, 1), dtype=complex)
-    for p, s in digits:
-        g = _ROTS[s] @ PAULI_1Q[p]
-        u = (u[:, None, :, None] * g[None, :, None, :]).reshape(
-            2 * u.shape[0], 2 * u.shape[1])
+    u = np.ones((len(rotations), 1, 1), dtype=complex)
+    for g in _TWIRL_GATES[paulis.T, rotations.T]:  # qubit by qubit, (T, 2, 2)
+        t, a, b = u.shape
+        u = (u[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, 2 * a, 2 * b)
     return u
+
+
+def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation)."""
+    digits = np.array(digits).reshape(1, -1, 2)
+    return _local_unitaries(digits[..., 0], digits[..., 1])[0]
 
 
 def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
@@ -155,27 +167,29 @@ def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
 
 def _transition_table(channel: ChannelModel, w: np.ndarray,
                       pm: np.ndarray | None = None) -> np.ndarray:
-    """probs[m, v] for every column m of the basis w: prepare w X^m |0..0>,
-    apply the channel (then the optional Pauli matrix pm), read out in the
-    basis w, and undo the X^m by relabeling outcome v as v ^ m, so v = 0
-    means the prepared state survived.
+    """probs[t, m, v] for every basis w[t] of the (T, D, D) stack and every
+    column m of it: prepare w[t] X^m |0..0>, apply the channel (then the
+    optional Pauli matrix pm), read out in the basis w[t], and undo the X^m
+    by relabeling outcome v as v ^ m, so v = 0 means the prepared state
+    survived.
 
     With the map as pairs (A_k, B_k), the weight of outcome j given column m
     is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag pm A_k w (b_k
-    likewise), so one table costs two D x D products per operator (one for
-    a Kraus operator, where b_k = a_k) and no channel application.
+    likewise), so one stack of tables costs two stacked D x D products per
+    operator (one for a Kraus operator, where b_k = a_k) and no channel
+    application.
     """
-    wh = w.conj().T
+    wh = np.swapaxes(w.conj(), -1, -2)
     if pm is not None:
         wh = wh @ pm
-    in_basis = np.zeros((channel.dim, channel.dim))
+    in_basis = np.zeros(w.shape)
     for a_op, b_op in channel.operator_pairs():
         a = wh @ a_op @ w
         b = a if b_op is a_op else wh @ b_op @ w
         in_basis += (a * b.conj()).real
     np.clip(in_basis, 0.0, None, out=in_basis)
     idx = np.arange(channel.dim)
-    probs = in_basis[idx[:, None] ^ idx, idx[:, None]]  # the X^m undo relabels outcomes
+    probs = in_basis[:, idx[:, None] ^ idx, idx[:, None]]  # the X^m undo relabels outcomes
     probs.setflags(write=False)  # cached and shared by every caller
     return probs
 
@@ -280,7 +294,8 @@ class DenseBackend:
         if hit is not None:
             return hit
         pm = None if intermediary is None else intermediary.to_matrix()
-        probs = per_channel[key] = _transition_table(channel, basis.clifford.unitary(), pm)
+        probs = per_channel[key] = _transition_table(
+            channel, basis.clifford.unitary()[None], pm)[0]
         return probs
 
     # -- generic clifford twirl ----------------------------------------------
@@ -326,20 +341,28 @@ class DenseBackend:
 
     # -- one-qubit twirl ------------------------------------------------------
 
-    def local_table(self, channel: ChannelModel,
-                    rotations: tuple[int, ...]) -> np.ndarray:
-        """Transition table of the one-qubit-twirl rotation part
-        ``rotations`` (the rotation index of each qubit, qubit 1 first): row
-        x is the outcome law of every element with that rotation part and X
-        part x.  Each table is built on first use and kept, so at most 3^n
-        tables cover all 12^n elements."""
+    def local_tables(self, channel: ChannelModel, rotations) -> np.ndarray:
+        """(T, D, D) transition tables of the one-qubit-twirl rotation parts
+        ``rotations`` ((T, n) rotation indices, qubit 1 first): row x of
+        table t is the outcome law of every element with rotation part
+        rotations[t] and X part x.
+
+        Each table is built on first use and kept, so at most 3^n tables
+        cover all 12^n elements.  The missing ones are built together from
+        one stack of rotation unitaries, in blocks of at most about
+        ``_TABLE_BLOCK`` table entries.
+        """
         self.check_capacity(channel.n)
         per_channel = self._local_cache.setdefault(channel, {})
-        table = per_channel.get(rotations)
-        if table is None:
-            table = per_channel[rotations] = _transition_table(
-                channel, local_twirl_unitary(tuple((0, s) for s in rotations)))
-        return table
+        keys = list(map(tuple, np.asarray(rotations).tolist()))
+        missing = [key for key in dict.fromkeys(keys) if key not in per_channel]
+        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
+        for lo in range(0, len(missing), step):
+            block = missing[lo:lo + step]
+            parts = np.array(block)
+            tables = _transition_table(channel, _local_unitaries(np.zeros_like(parts), parts))
+            per_channel.update(zip(block, tables))
+        return np.stack([per_channel[key] for key in keys])
 
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -354,7 +377,7 @@ class DenseBackend:
         as v ^ x.
         """
         rotations, x = split_local_digits(digits)
-        return self.local_table(channel, rotations)[x]
+        return self.local_tables(channel, [rotations])[0, x]
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:

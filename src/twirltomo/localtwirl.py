@@ -38,7 +38,7 @@ from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
-_DRAW_BLOCK = 1 << 20  # cdf entries gathered per outcome-draw pass (8 MiB)
+_DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,13 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     backend)`` draws.
 
     As in :meth:`DenseBackend.local_outcome_probs`, the law of an element is
-    row x (its X part) of the transition table of its rotation part.  Each
-    table in use is fetched and cumsummed once; the cdf rows of all
-    realizations are then gathered by (table, x) and all outcomes are drawn
-    in one array pass, in blocks of at most ``_DRAW_BLOCK`` cdf entries so
-    the gathered stack stays small.
+    row x (its X part) of the transition table of its rotation part.  The
+    tables of the distinct rotation parts are fetched as one stack
+    (:meth:`DenseBackend.local_tables`, which builds the missing ones
+    together) and cumsummed once; the cdf rows of all realizations are then
+    gathered by (table, x) and all outcomes are drawn in one array pass, in
+    blocks of at most ``_DRAW_BLOCK`` cdf entries so the gathered stack
+    stays small.
     """
     n = channel.n
     ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
@@ -133,8 +135,7 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     _, first, table = np.unique(digits[:, :, 1] @ 3 ** places, return_index=True,
                                 return_inverse=True)
     x = ((digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)) @ (1 << places)
-    cdfs = np.cumsum([backend.local_table(channel, tuple(rotations))
-                      for rotations in digits[first, :, 1].tolist()], axis=2)
+    cdfs = np.cumsum(backend.local_tables(channel, digits[first, :, 1]), axis=2)
     outcomes = np.empty(count, dtype=np.int64)
     step = max(1, _DRAW_BLOCK // channel.dim)
     for lo in range(0, count, step):

@@ -40,6 +40,7 @@ from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 # Philox4x64 multipliers and Weyl key increments (Random123, numpy philox.h)
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -93,18 +94,29 @@ def master(seed: int) -> np.random.Generator:
     return substream(seed, 0)
 
 
-def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * a, from 32-bit
-    halves (uint64 products of halves cannot overflow)."""
+def _mulhi(m: int, a: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
+           v: np.ndarray):
+    """Write the high 64-bit word of the 128-bit product m * a into ``hi``,
+    with ``t``, ``u`` and ``v`` as scratch (uint64 arrays shaped like ``a``).
+
+    The carry chain on 32-bit halves: t = (m_lo a_lo) >> 32,
+    u = m_hi a_lo + t, hi = m_hi a_hi + (u >> 32) + ((m_lo a_hi + (u & M)) >> 32),
+    with M = 2**32 - 1; no sum in it passes 2**64."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
-    lo_lo = m_lo * a_lo
-    lo_hi = m_lo * a_hi
-    hi_lo = m_hi * a_lo
-    mid = (lo_lo >> np.uint64(32)) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
-    hi = m_hi * a_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) \
-        + (mid >> np.uint64(32))
-    return hi, np.uint64(m) * a
+    np.bitwise_and(a, _MASK32, out=u)
+    np.multiply(u, m_lo, out=t)
+    t >>= _SHIFT32
+    u *= m_hi
+    u += t
+    np.right_shift(a, _SHIFT32, out=hi)
+    np.multiply(hi, m_lo, out=v)
+    np.bitwise_and(u, _MASK32, out=t)
+    v += t
+    v >>= _SHIFT32
+    u >>= _SHIFT32
+    hi *= m_hi
+    hi += u
+    hi += v
 
 
 def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarray:
@@ -115,22 +127,32 @@ def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarra
     Philox4x64-10 evaluated over the counter array: numpy bumps the counter
     before each block, so block b = 1, 2, ... of substream i is the Philox
     of counter [b, 0, 0, i] under key [seed mod 2**64, 0], four words each.
+    The rounds run in place in a few preallocated buffers; uint64 array
+    arithmetic wraps modulo 2**64, as Philox needs.
     """
     if start < 0:
         raise ValueError("substream index must be nonnegative")
     nblocks = -(-nwords // 4)
-    # uint64 array arithmetic wraps modulo 2**64, as Philox needs
-    c3 = np.repeat(np.arange(start, start + count, dtype=np.uint64), nblocks)
-    c0 = np.tile(np.arange(1, nblocks + 1, dtype=np.uint64), count)
-    c1 = np.zeros_like(c0)
-    c2 = np.zeros_like(c0)
+    c = np.zeros((4, count * nblocks), dtype=np.uint64)
+    c[0] = np.tile(np.arange(1, nblocks + 1, dtype=np.uint64), count)
+    c[3] = np.repeat(np.arange(start, start + count, dtype=np.uint64), nblocks)
+    c0, c1, c2, c3 = c
+    hi, t, u, v = np.empty((4, count * nblocks), dtype=np.uint64)
+    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
     k0, k1 = seed & _MASK64, 0
     for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(k0), lo1,
-                          hi0 ^ c3 ^ np.uint64(k1), lo0)
+        # (c0, c1, c2, c3) <- (hi(m1 c2) ^ c1 ^ k0, lo(m1 c2), hi(m0 c0) ^ c3 ^ k1, lo(m0 c0))
+        _mulhi(_PHILOX_M0, c0, hi, t, u, v)
+        c3 ^= hi
+        c3 ^= np.uint64(k1)
+        c0 *= m0
+        _mulhi(_PHILOX_M1, c2, hi, t, u, v)
+        c1 ^= hi
+        c1 ^= np.uint64(k0)
+        c2 *= m1
+        c0, c1, c2, c3 = c1, c2, c3, c0  # the buffers are renamed, not copied
         k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+    del hi, t, u, v  # free the scratch before the output is laid out
     blocks = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * nblocks)
     return blocks[:, :nwords]
 

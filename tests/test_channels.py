@@ -208,6 +208,25 @@ def test_kraus_maps_classify_without_chi_checks(monkeypatch):
         assert got == want[name], name
 
 
+def test_kraus_classification_builds_no_chi():
+    """Classifying a Kraus map never builds its chi matrix: Tr chi is read as
+    Tr(sum K^dag K) / D.  The flags equal the chi-based reference on the
+    battery, and sum K^dag K = (1 + delta) I is trace preserving for
+    |delta| = 5e-10 and not for |delta| = 2e-9, on either side of TP_ATOL,
+    as the chi of the same map gives."""
+    for name, ch in battery():
+        cls = ch.classification
+        assert ch._chi is None, name
+        got = (cls.hermitian_preserving, cls.trace_preserving, cls.completely_positive)
+        assert got == _reference_flags(ch), name
+    base = random_cp_channel(2, np.random.default_rng(10))
+    for delta, want in ((5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)):
+        ch = ChannelModel.from_kraus([np.sqrt(1 + delta) * k for k in base.kraus])
+        assert ch.classification.trace_preserving is want, delta
+        assert ch._chi is None, delta
+        assert _reference_flags(ch)[1] is want, delta
+
+
 def test_non_hermitian_trace_preservation_is_the_operator_condition():
     """Tr chi = 1 does not make a non-Hermitian map trace preserving: the
     flag agrees with Tr L(rho) = Tr rho on random states."""

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -214,6 +219,35 @@ def test_cli_seed_top_of_range(tmp_path):
     assert main(["local-twirl", "--spec", str(write_spec(tmp_path, DEP_DOC)),
                  "--out", str(out), "--shots", "10", "--seed", str(2 ** 64 - 1)]) == 0
     assert json.loads((out / "results.json").read_text())["config"]["seed"] == 2 ** 64 - 1
+
+
+def test_cli_main_is_stateless_across_calls(tmp_path, capsys):
+    """The parser is built once per process; a run of main calls (blind MUB,
+    select without --label, a seed of 2^64, local twirl, --help) returns the
+    documented exit codes, and each results.json equals what a fresh
+    process writes."""
+    spec = str(write_spec(tmp_path, CNOT_DOC))
+    blind = ["seqpt", "blind", "--variant", "mub", "--spec", spec,
+             "--shots", "500", "--seed", "3"]
+    local = ["local-twirl", "--spec", spec, "--shots", "500"]
+    calls = [(blind + ["--out", str(tmp_path / "blind")], 0),
+             (["seqpt", "select", "--spec", spec, "--out", str(tmp_path / "sel"),
+               "--shots", "10"], 2),
+             (local + ["--out", str(tmp_path / "big"), "--seed", str(2 ** 64)], 2),
+             (local + ["--out", str(tmp_path / "local"), "--seed", "4"], 0),
+             (["--help"], 0)]
+    for argv, code in calls:
+        assert main(argv) == code, argv
+    assert "usage: twirltomo" in capsys.readouterr().out
+    assert not (tmp_path / "sel").exists() and not (tmp_path / "big").exists()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for argv, name in ((blind, "blind"), (local + ["--seed", "4"], "local")):
+        fresh = tmp_path / ("fresh-" + name)
+        subprocess.run([sys.executable, "-m", "twirltomo.cli", *argv, "--out", str(fresh)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert ((fresh / "results.json").read_bytes()
+                == (tmp_path / name / "results.json").read_bytes()), name
 
 
 def test_cli_bounds_check(tmp_path):

@@ -316,7 +316,8 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     applies the channel zero times, builds one table per distinct rotation
     part (one-qubit twirl) and one per (basis, intermediary) (MUB), and a
     fresh backend builds one table for one law, as sample_c1t_realization
-    does without a shared backend."""
+    does without a shared backend.  Tables are counted by the length of each
+    stack of bases built."""
     applied, built = [], []
     apply, table = ChannelModel.apply, dense._transition_table
 
@@ -325,7 +326,7 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
         return apply(self, rho)
 
     def counted_table(channel, w, pm=None):
-        built.append(1)
+        built.append(len(w))
         return table(channel, w, pm)
 
     monkeypatch.setattr(ChannelModel, "apply", counted_apply)
@@ -333,17 +334,17 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     ch = random_cp_channel(3, master(91))
     backend = DenseBackend()
     digits, _ = _sample_local_batch(ch, 5, 2000, backend)
-    assert len(built) == len({tuple(r) for r in digits[:, :, 1].tolist()}) <= 27
+    assert sum(built) == len({tuple(r) for r in digits[:, :, 1].tolist()}) <= 27
     assert not applied
     built.clear()
     cfg = SeqptConfig(shots=500, seed=3)
     estimate_chi_selective(ch, "XIZ", cfg, backend)
     estimate_chi_selective(ch, "XIZ", cfg, backend)
     run_blind_discovery(ch, cfg, backend)
-    assert len(built) == 2 * (ch.dim + 1) and not applied
+    assert sum(built) == 2 * (ch.dim + 1) and not applied
     built.clear()
     DenseBackend().local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1)))
-    assert len(built) == 1 and not applied
+    assert sum(built) == 1 and not applied
 
 
 def _reference_row(channel, w, m, pm=None):
@@ -395,6 +396,29 @@ def test_transition_tables_match_per_column_apply():
                                for j, s in enumerate(rotations))
                 got = backend.local_outcome_probs(ch, digits)
                 assert np.abs(got - _reference_row(ch, r, x)).max() <= 1e-12, (name, digits)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 30])
+def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
+    """local_tables builds the missing tables from one stack of rotation
+    unitaries; every table equals the one built alone,
+    _transition_table(channel, local_twirl_unitary(...)), bit for bit.  Every
+    rotation part at n = 1 to 5, on the table-test maps (battery, transpose,
+    non-Hermitian chi, non-TP) and random CP maps at n = 4 and 5, with the
+    block forced to one table and to all tables; half the tables are cached
+    first, and the stack follows the order asked for."""
+    monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
+    channels = [*_table_test_channels(),
+                ("random-cp-4", random_cp_channel(4, master(98))),
+                ("random-cp-5", random_cp_channel(5, master(99), n_kraus=3))]
+    for name, ch in channels:
+        rotations = np.array(list(itertools.product(range(3), repeat=ch.n)))
+        want = np.array([dense._transition_table(
+            ch, local_twirl_unitary(tuple((0, s) for s in r))[None])[0]
+            for r in rotations.tolist()])
+        backend = DenseBackend()
+        assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
+        assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
 
 
 def test_kraus_apply_is_the_explicit_kraus_sum():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import (battery, cnot_channel, mixed_z1_channel,
                       sparse_support_channel_n3)
+from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
 from twirltomo.dense import TwirlSpec, enumerate_twirl_exact
 from twirltomo.errors import ConfigError
@@ -231,3 +233,22 @@ def test_negative_estimates_retained():
     assert est.values[(1, 0)] < 0 and est.values[(0, 1)] < 0
     pw = solve_pw(stats, 2)
     assert pw.values[1] < 0
+
+
+def test_local_twirl_memory_budget():
+    """One run at n = 4, M = 10^4 on CNOT(1,2) then 5% depolarizing on qubit 1
+    (the local-twirl benchmark's channel and shapes, built without its
+    classification) allocates at most 3.0 MiB at its peak: the Kraus map is
+    classified without its 1 MiB chi, and the Philox rounds, the stacked
+    tables and the gathered cdf rows stay in bounded buffers."""
+    channel = build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": 4,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    tracemalloc.start()
+    try:
+        run_local_twirl(channel, LocalTwirlConfig(shots=10 ** 4, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2 ** 20, peak / 2 ** 20

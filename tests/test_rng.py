@@ -64,13 +64,15 @@ def test_substreams_empty_and_bad_start():
 # batched draws
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 63 + 5])
 @pytest.mark.parametrize("start", [1, 2 ** 40])
-@pytest.mark.parametrize("nwords", range(2, 8))
-def test_substream_words_match_random_raw(seed, start, nwords):
+@pytest.mark.parametrize("nwords", range(1, 10))
+@pytest.mark.parametrize("count", [1, 6, 1000])
+def test_substream_words_match_random_raw(seed, start, nwords, count):
     """nwords 2 to 7 covers every one-qubit-twirl layout up to n = 6 (n + 1
-    words), including a uniform in the second Philox block."""
-    count = 6
+    words), including a uniform in the second Philox block; 1, 8 and 9 cover
+    a lone word, two full blocks and a word in a third block.  Counts 1 and
+    1000 run the in-place rounds on one counter and on many."""
     want = [substream(seed, start + k).bit_generator.random_raw(nwords)
             for k in range(count)]
     np.testing.assert_array_equal(substream_words(seed, start, count, nwords), want)
