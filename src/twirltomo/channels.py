@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DimensionMismatchError
-from .pauli import PAULI_1Q, Pauli, enumerate_supports
+from .pauli import PAULI_1Q, Pauli, enumerate_supports, tensor
 
 DENSE_MAX_N = 6
 
@@ -211,11 +211,7 @@ def check_cp_bound(chi: ChiMatrix, tol: float = BOUND_TOL) -> list[tuple[int, in
     not CP (a negative product of diagonals triggers it immediately).
     """
     diag = chi.diagonal().real
-    lhs = np.abs(chi.mat) ** 2
-    rhs = np.outer(diag, diag)
-    bad = np.argwhere(lhs > rhs + tol)
-    return [(int(l), int(lp), float(lhs[l, lp]), float(rhs[l, lp]))
-            for l, lp in bad if l < lp]
+    return _pair_violations(chi, np.outer(diag, diag), tol)
 
 
 def check_positive_bound(chi: ChiMatrix, tol: float = BOUND_TOL):
@@ -227,14 +223,18 @@ def check_positive_bound(chi: ChiMatrix, tol: float = BOUND_TOL):
     """
     d = chi.dim
     diag = chi.diagonal().real
-    lhs = np.abs(chi.mat) ** 2
     rhs = np.outer(diag, diag) + np.add.outer(diag, diag) / d + 1.0 / d ** 2
-    bad = np.argwhere(lhs > rhs + tol)
-    pair_violations = [(int(l), int(lp), float(lhs[l, lp]), float(rhs[l, lp]))
-                       for l, lp in bad if l < lp]
     diag_violations = [(int(l), float(v)) for l, v in enumerate(diag)
                        if v < -1.0 / d - tol or v > 1.0 + tol]
-    return pair_violations, diag_violations
+    return _pair_violations(chi, rhs, tol), diag_violations
+
+
+def _pair_violations(chi: ChiMatrix, rhs: np.ndarray, tol: float):
+    """Pairs l < l' with |chi[l,l']|^2 > rhs[l,l'] + tol, as (l, l', lhs, rhs)."""
+    lhs = np.abs(chi.mat) ** 2
+    bad = np.argwhere(lhs > rhs + tol)
+    return [(int(l), int(lp), float(lhs[l, lp]), float(rhs[l, lp]))
+            for l, lp in bad if l < lp]
 
 
 @dataclass(frozen=True)
@@ -431,10 +431,8 @@ def _positivity_search(channel: ChannelModel, n_samples: int, seed: int) -> bool
     rng = np.random.default_rng(seed)
     n = channel.n
     for _ in range(n_samples):
-        state = np.ones(1, dtype=complex)
-        for _q in range(n):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            state = np.kron(state, v / np.linalg.norm(v))
+        vs = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n))
+        state = tensor((v / np.linalg.norm(v))[:, None] for v in vs)[:, 0]  # a product state
         rho = np.outer(state, state.conj())
         out = channel.apply(rho)
         if np.linalg.eigvalsh((out + out.conj().T) / 2).min() < -1e-9:
@@ -455,10 +453,7 @@ def gate_unitary(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
     d = 1 << n
     if name in _GATES_1Q:
         (q,) = qubits
-        u = np.ones((1, 1), dtype=complex)
-        for j in range(n):
-            u = np.kron(u, _GATES_1Q[name] if j == q else np.eye(2))
-        return u
+        return embed_kraus([_GATES_1Q[name]], q, n)[0]
     if name == "CNOT":
         c, t = qubits
         if c == t:
@@ -494,13 +489,8 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
 
 def embed_kraus(ops_1q: list[np.ndarray], qubit: int, n: int) -> list[np.ndarray]:
     """Lift single-qubit Kraus operators to act on 0-based ``qubit`` of n."""
-    out = []
-    for op in ops_1q:
-        m = np.ones((1, 1), dtype=complex)
-        for j in range(n):
-            m = np.kron(m, op if j == qubit else np.eye(2))
-        out.append(m)
-    return out
+    ops = np.asarray(ops_1q, dtype=complex)
+    return list(tensor(ops if j == qubit else np.eye(2, dtype=complex) for j in range(n)))
 
 
 def compose(layers: list[ChannelModel]) -> ChannelModel:

@@ -1,7 +1,8 @@
 """Command-line harness: seeded, reproducible protocol runs.
 
 Every verb loads a channel-spec document (where applicable), executes one
-protocol, and writes four files into --out:
+protocol, and writes four files into --out (``exact-chi`` adds ``chi.json``
+and ``chi.csv``):
 
 * ``manifest.json``  -- protocol, config, seed, tool version, timestamp
 * ``results.json``   -- the complete result payload (no timestamp; a rerun
@@ -9,7 +10,8 @@ protocol, and writes four files into --out:
 * ``report.txt``     -- human-readable table
 * ``report.csv``     -- plot-ready rows
 
-Exit codes: 0 success, 2 validation failure, 3 capacity failure.
+Exit codes: 0 success, 2 validation failure, 3 capacity failure.  A run
+prints one line, ``wrote results to DIR``; nothing is written on failure.
 """
 from __future__ import annotations
 
@@ -43,174 +45,127 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_outputs(out: Path, protocol: str, manifest_extra: dict,
-                   results: dict, table: str, csv_rows: list[list]):
+def _write_outputs(args, doc, protocol: str, config: dict, results: dict,
+                   lines: list[str], csv_rows: list[list]) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"protocol": protocol, "tool_version": __version__,
-                "timestamp": time.time(), **manifest_extra}
-    _write_json(out / "manifest.json", manifest)
+    spec = None if doc is None else {"path": str(args.spec), "document": doc.to_json_dict()}
+    _write_json(out / "manifest.json",
+                {"protocol": protocol, "tool_version": __version__,
+                 "timestamp": time.time(), "spec": spec,
+                 "seed": getattr(args, "seed", None), "config": config})
     _write_json(out / "results.json", results)
-    (out / "report.txt").write_text(table)
+    (out / "report.txt").write_text("\n".join(lines) + "\n")
     with open(out / "report.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(csv_rows)
-
-
-def _load_spec(args, warnings: list[str]):
-    with open(args.spec) as fh:
-        doc = parse_channel_document(json.load(fh))
-    return doc, build_channel(doc, warnings)
+    return out
 
 
 def _oracle_diag(channel: ChannelModel) -> dict[str, float] | None:
     if channel.n > 3:
         return None
-    chi = channel.chi
-    return {str(Pauli.from_label(channel.n, l)): float(chi.mat[l, l].real)
-            for l in range(4 ** channel.n)}
+    return dict(zip(channel.chi.labels(), channel.chi.diagonal().real.tolist()))
+
+
+_CHECK_HEADER = ("label", "estimate", "stderr", "oracle", "pass")
+
+
+def _check_row(key: str, value, stderr, exact: float | None, floor: float) -> list[str]:
+    """CSV row of an estimate and its exact value, if known; the estimate
+    passes within max(3 stderr, floor) of it."""
+    ok = "" if exact is None else str(abs(value - exact) <= max(3 * stderr, floor))
+    return [key, repr(float(value)), repr(float(stderr)),
+            "" if exact is None else repr(exact), ok]
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each computes (protocol, config, results, report lines, csv rows)
 
 
-def _cmd_exact_chi(args) -> int:
-    warnings: list[str] = []
-    doc, channel = _load_spec(args, warnings)
-    chi = channel.chi
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    chi.save_json(out / "chi.json")
-    chi.save_csv(out / "chi.csv")
-    diag = chi.diagonal().real
-    order = np.argsort(diag)[::-1]
+def _cmd_exact_chi(args, doc, channel, warnings):
+    diag = channel.chi.diagonal().real
+    labels = channel.chi.labels()
     lines = [f"exact chi for {doc.name} (n={doc.n})"]
     lines += [f"  warning: {w}" for w in warnings]
     lines.append(f"{'label':>8} {'chi_ll':>12}")
     rows = [["label", "chi_ll"]]
-    for l in order[:16]:
-        label = str(Pauli.from_label(doc.n, int(l)))
-        lines.append(f"{label:>8} {diag[l]:>12.8f}")
-        rows.append([label, repr(float(diag[l]))])
-    _write_outputs(out, "exact_chi",
-                   {"spec": {"path": str(args.spec), "document": doc.to_json_dict()},
-                    "seed": None, "config": {}},
-                   {"n": doc.n, "trace": float(diag.sum()),
-                    "warnings": warnings,
-                    "diagonal": {str(Pauli.from_label(doc.n, l)): float(diag[l])
-                                 for l in range(4 ** doc.n)}},
-                   "\n".join(lines) + "\n", rows)
-    print(f"wrote chi matrix and reports to {out}")
-    return 0
+    for l in np.argsort(diag)[::-1][:16]:
+        lines.append(f"{labels[l]:>8} {diag[l]:>12.8f}")
+        rows.append([labels[l], repr(float(diag[l]))])
+    results = {"n": doc.n, "trace": float(diag.sum()),
+               "diagonal": dict(zip(labels, diag.tolist()))}
+    return "exact_chi", {}, results, lines, rows
 
 
-def _cmd_seqpt(args) -> int:
-    warnings: list[str] = []
-    doc, channel = _load_spec(args, warnings)
+def _cmd_seqpt(args, doc, channel, warnings):
+    if args.mode == "select" and not args.label:
+        raise ConfigError("seqpt select requires --label")
     cfg = SeqptConfig(shots=args.shots, epsilon=args.epsilon, delta=args.delta,
                       variant=args.variant, seed=args.seed)
     backend = DenseBackend()
-    oracle = _oracle_diag(channel)
-    out = Path(args.out)
+    oracle = _oracle_diag(channel) or {}
     if args.mode == "select":
         label = Pauli.from_string(args.label)
         est = estimate_chi_selective(channel, label, cfg, backend)
         key = str(label)
-        results = {"n": doc.n, "mode": "select", "label": key,
-                   "config": cfg.to_json_dict(), "warnings": warnings,
+        results = {"n": doc.n, "mode": "select", "label": key, "config": cfg.to_json_dict(),
                    "chi_hat": est.chi_hat, "stderr": est.stderr,
                    "survival_rate": est.survival_rate}
-        rows = [["label", "estimate", "stderr", "oracle", "pass"]]
-        oracle_v = oracle.get(key) if oracle else None
-        ok = "" if oracle_v is None else str(abs(est.chi_hat - oracle_v) <= 3 * est.stderr)
-        rows.append([key, repr(est.chi_hat), repr(est.stderr),
-                     "" if oracle_v is None else repr(oracle_v), ok])
-        table = (f"selective estimate for {doc.name}, label {key}\n"
+        lines = [f"selective estimate for {doc.name}, label {key}",
                  f"  chi_hat = {est.chi_hat:.6f} +- {est.stderr:.6f} "
-                 f"(survival {est.survival_rate:.6f})\n")
-        _write_outputs(out, "seqpt_selective",
-                       {"spec": {"path": str(args.spec), "document": doc.to_json_dict()},
-                        "seed": args.seed, "config": cfg.to_json_dict()},
-                       results, table, rows)
-    else:
-        res = run_blind_discovery(channel, cfg, backend)
-        results = res.to_json_dict()
-        results["warnings"] = warnings
-        ordered = sorted(res.estimates.items(), key=lambda kv: -kv[1].chi_hat)
-        lines = [f"blind discovery for {doc.name} ({cfg.variant}, M={cfg.shots})",
-                 f"  usable pair fraction {res.usable_pair_fraction:.4f}; "
-                 f"residual mass {res.residual_mass:.4f}",
-                 f"{'label':>8} {'chi_hat':>10} {'stderr':>9} {'flag':>11}"]
-        rows = [["label", "estimate", "stderr", "oracle", "pass"]]
-        below_marked = False
-        for key, est in ordered:
-            if not below_marked and est.chi_hat < res.threshold:
-                lines.append(f"  ----- threshold 2/M = {res.threshold:.2e} -----")
-                below_marked = True
-            flag = "borderline" if est.borderline else ""
-            lines.append(f"{key:>8} {est.chi_hat:>10.5f} {est.stderr:>9.5f} {flag:>11}")
-            oracle_v = oracle.get(key) if oracle else None
-            ok = "" if oracle_v is None else str(abs(est.chi_hat - oracle_v) <= 3 * est.stderr)
-            rows.append([key, repr(est.chi_hat), repr(est.stderr),
-                         "" if oracle_v is None else repr(oracle_v), ok])
-        if not below_marked:
-            lines.append(f"  (threshold 2/M = {res.threshold:.2e})")
-        _write_outputs(out, "seqpt_blind",
-                       {"spec": {"path": str(args.spec), "document": doc.to_json_dict()},
-                        "seed": args.seed, "config": cfg.to_json_dict()},
-                       results, "\n".join(lines) + "\n", rows)
-    print(f"wrote results to {out}")
-    return 0
+                 f"(survival {est.survival_rate:.6f})"]
+        rows = [_CHECK_HEADER, _check_row(key, est.chi_hat, est.stderr, oracle.get(key), 0.0)]
+        return "seqpt_selective", cfg.to_json_dict(), results, lines, rows
+    res = run_blind_discovery(channel, cfg, backend)
+    ordered = sorted(res.estimates.items(), key=lambda kv: -kv[1].chi_hat)
+    lines = [f"blind discovery for {doc.name} ({cfg.variant}, M={cfg.shots})",
+             f"  usable pair fraction {res.usable_pair_fraction:.4f}; "
+             f"residual mass {res.residual_mass:.4f}",
+             f"{'label':>8} {'chi_hat':>10} {'stderr':>9} {'flag':>11}"]
+    rows = [_CHECK_HEADER]
+    below_marked = False
+    for key, est in ordered:
+        if not below_marked and est.chi_hat < res.threshold:
+            lines.append(f"  ----- threshold 2/M = {res.threshold:.2e} -----")
+            below_marked = True
+        flag = "borderline" if est.borderline else ""
+        lines.append(f"{key:>8} {est.chi_hat:>10.5f} {est.stderr:>9.5f} {flag:>11}")
+        rows.append(_check_row(key, est.chi_hat, est.stderr, oracle.get(key), 0.0))
+    if not below_marked:
+        lines.append(f"  (threshold 2/M = {res.threshold:.2e})")
+    return "seqpt_blind", cfg.to_json_dict(), res.to_json_dict(), lines, rows
 
 
-def _cmd_local_twirl(args) -> int:
-    warnings: list[str] = []
-    doc, channel = _load_spec(args, warnings)
+def _cmd_local_twirl(args, doc, channel, warnings):
     cfg = LocalTwirlConfig(shots=args.shots, cutoff=args.cutoff, seed=args.seed)
     est = run_local_twirl(channel, cfg)
-    results = est.to_json_dict()
-    results["warnings"] = warnings
-    oracle = _oracle_diag(channel)
-    cg = coarse_grain(channel.chi) if oracle else None
+    cg = coarse_grain(channel.chi) if _oracle_diag(channel) else None
     lines = [f"local twirl for {doc.name} (M={cfg.shots}, cutoff={est.weight.cutoff})",
              f"{'w':>3} {'p_w':>10} {'stderr':>9} {'amplification':>14}"]
-    rows = [["label", "estimate", "stderr", "oracle", "pass"]]
+    rows = [_CHECK_HEADER]
     for w, (v, s, a) in enumerate(zip(est.weight.values, est.weight.stderr,
                                       est.weight.amplification)):
         lines.append(f"{w:>3} {v:>10.5f} {s:>9.5f} {a:>14.3f}")
-        ov = None if cg is None else float(cg.by_weight[w])
-        ok = "" if ov is None else str(abs(v - ov) <= max(3 * s, 1e-9))
-        rows.append([f"w={w}", repr(float(v)), repr(float(s)),
-                     "" if ov is None else repr(ov), ok])
+        rows.append(_check_row(f"w={w}", v, s, cg and float(cg.by_weight[w]), 1e-9))
     if est.support is not None:
         lines.append(f"{'support':>8} {'chi_col':>10} {'stderr':>9}")
         for s_vec, v in sorted(est.support.values.items()):
             key = "".join(map(str, s_vec))
             sd = est.support.stderr[s_vec]
             lines.append(f"{key:>8} {v:>10.5f} {sd:>9.5f}")
-            ov = None if cg is None else float(cg.by_support[s_vec])
-            ok = "" if ov is None else str(abs(v - ov) <= max(3 * sd, 1e-9))
-            rows.append([key, repr(float(v)), repr(float(sd)),
-                         "" if ov is None else repr(ov), ok])
+            rows.append(_check_row(key, v, sd, cg and float(cg.by_support[s_vec]), 1e-9))
         lines.append(f"excess outcome mass beyond cutoff: {est.support.excess_mass:.2e}")
-    _write_outputs(Path(args.out), "local_twirl",
-                   {"spec": {"path": str(args.spec), "document": doc.to_json_dict()},
-                    "seed": args.seed, "config": cfg.to_json_dict()},
-                   results, "\n".join(lines) + "\n", rows)
-    print(f"wrote results to {args.out}")
-    return 0
+    return "local_twirl", cfg.to_json_dict(), est.to_json_dict(), lines, rows
 
 
-def _cmd_bounds_check(args) -> int:
-    warnings: list[str] = []
-    doc, channel = _load_spec(args, warnings)
+def _cmd_bounds_check(args, doc, channel, warnings):
     chi = channel.chi
     cls = channel.classification
     cp_viol = check_cp_bound(chi)
     pos_viol, diag_viol = check_positive_bound(chi)
     eigs = np.linalg.eigvalsh(chi.mat) if cls.hermitian_preserving else None
     results = {
-        "n": doc.n, "warnings": warnings,
-        "classification": cls.to_json_dict(),
+        "n": doc.n, "classification": cls.to_json_dict(),
         "cp_bound_violations": [[l, lp, lhs, rhs] for l, lp, lhs, rhs in cp_viol],
         "positive_bound_violations": [[l, lp, lhs, rhs] for l, lp, lhs, rhs in pos_viol],
         "diagonal_range_violations": [[l, v] for l, v in diag_viol],
@@ -226,15 +181,12 @@ def _cmd_bounds_check(args) -> int:
             ["cp_bound", str(len(cp_viol))],
             ["positive_bound_pairs", str(len(pos_viol))],
             ["diagonal_range", str(len(diag_viol))]]
-    _write_outputs(Path(args.out), "bounds_check",
-                   {"spec": {"path": str(args.spec), "document": doc.to_json_dict()},
-                    "seed": None, "config": {}},
-                   results, "\n".join(lines) + "\n", rows)
-    print(f"wrote results to {args.out}")
-    return 0
+    return "bounds_check", {}, results, lines, rows
 
 
-def _cmd_haar_verify(args) -> int:
+def _cmd_haar_verify(args, doc, channel, warnings):
+    if args.dim < 2 or args.shots < 2 or args.quadruples < 1:
+        raise ConfigError("haar-verify needs --dim >= 2, --shots >= 2 and --quadruples >= 1")
     rng = master(args.seed)
     results = {"dim": args.dim, "shots": args.shots, "seed": args.seed,
                "quadruples": []}
@@ -259,16 +211,11 @@ def _cmd_haar_verify(args) -> int:
                      repr(res.estimate.real), repr(res.estimate.imag),
                      repr(res.stderr), repr(res.deviation_sigmas), str(ok)])
     results["all_pass"] = all_ok
-    _write_outputs(Path(args.out), "haar_verify",
-                   {"spec": None, "seed": args.seed,
-                    "config": {"dim": args.dim, "shots": args.shots,
-                               "quadruples": args.quadruples}},
-                   results, "\n".join(lines) + "\n", rows)
-    print(f"wrote results to {args.out}; all pass: {all_ok}")
-    return 0
+    config = {"dim": args.dim, "shots": args.shots, "quadruples": args.quadruples}
+    return "haar_verify", config, results, lines, rows
 
 
-def _cmd_success_prob(args) -> int:
+def _cmd_success_prob(args, doc, channel, warnings):
     lines = [f"{'n':>3} {'mub':>10} {'clifford':>10} {'indep-frames':>13}"]
     rows = [["n", "mub", "clifford_closed_form", "independent_frames_rate"]]
     results = {"table": []}
@@ -280,11 +227,7 @@ def _cmd_success_prob(args) -> int:
                                  "independent_frames": pf})
         lines.append(f"{n:>3} {pm:>10.6f} {pc:>10.6f} {pf:>13.6f}")
         rows.append([str(n), repr(pm), repr(pc), repr(pf)])
-    _write_outputs(Path(args.out), "success_prob",
-                   {"spec": None, "seed": None, "config": {"max_n": args.max_n}},
-                   results, "\n".join(lines) + "\n", rows)
-    print(f"wrote results to {args.out}")
-    return 0
+    return "success_prob", {"max_n": args.max_n}, results, lines, rows
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +246,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="twirling-based process tomography harness")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, spec=True):
+    def common(p, spec=True, seed=True):
         if spec:
             p.add_argument("--spec", required=True, help="channel-spec JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=_seed, default=0)
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("exact-chi", help="exact chi matrix of the channel")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_exact_chi)
 
     p = sub.add_parser("seqpt", help="selective / blind diagonal estimation")
@@ -331,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_local_twirl)
 
     p = sub.add_parser("bounds-check", help="chi bound and classification report")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_bounds_check)
 
     p = sub.add_parser("haar-verify", help="Monte Carlo check of the Haar moment identity")
@@ -343,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_haar_verify)
 
     p = sub.add_parser("success-prob", help="pair-success probability table")
-    p.add_argument("--out", required=True)
+    common(p, spec=False, seed=False)
     p.add_argument("--max-n", type=int, default=6)
     p.set_defaults(func=_cmd_success_prob)
     return ap
@@ -356,10 +298,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.verb == "seqpt" and args.mode == "select" and not args.label:
-            print("error: seqpt select requires --label", file=sys.stderr)
-            return 2
-        return args.func(args)
+        doc = channel = None
+        warnings: list[str] = []
+        if hasattr(args, "spec"):
+            with open(args.spec) as fh:
+                doc = parse_channel_document(json.load(fh))
+            channel = build_channel(doc, warnings)
+        protocol, config, results, lines, rows = args.func(args, doc, channel, warnings)
+        if doc is not None:  # every spec verb reports the spec's build warnings
+            results["warnings"] = warnings
+        out = _write_outputs(args, doc, protocol, config, results, lines, rows)
+        if args.verb == "exact-chi":
+            channel.chi.save_json(out / "chi.json")
+            channel.chi.save_csv(out / "chi.csv")
+        print(f"wrote results to {out}")
+        return 0
     except (SpecValidationError, ConfigError, ValueError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import ChannelModel
 from .errors import CapacityError, DimensionMismatchError
-from .pauli import PAULI_1Q, Pauli
+from .pauli import PAULI_1Q, XZ_DIGIT, Pauli, tensor
 from .stabilizer import MubBasis, Tableaux, build_mub_family, clifford_group_tableaux
 
 DENSE_SIM_MAX_N = 6
@@ -135,24 +135,9 @@ _ROTS = (
 _TWIRL_GATES = np.array([[r @ p for r in _ROTS] for p in PAULI_1Q])
 
 
-def _local_unitaries(paulis: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """(T, D, D) stack of one-qubit-twirl unitaries, element t the tensor
-    product over qubits j (qubit 1 first) of S_s P_p with p = paulis[t, j]
-    and s = rotations[t, j].
-
-    Built by broadcasting, which forms the same products as ``np.kron``
-    (so the same bits) without its per-call overhead."""
-    u = np.ones((len(rotations), 1, 1), dtype=complex)
-    for g in _TWIRL_GATES[paulis.T, rotations.T]:  # qubit by qubit, (T, 2, 2)
-        t, a, b = u.shape
-        u = (u[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, 2 * a, 2 * b)
-    return u
-
-
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation)."""
-    digits = np.array(digits).reshape(1, -1, 2)
-    return _local_unitaries(digits[..., 0], digits[..., 1])[0]
+    return tensor(_TWIRL_GATES[p, s] for p, s in digits)
 
 
 def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
@@ -195,7 +180,6 @@ def _transition_table(channel: ChannelModel, w: np.ndarray,
 
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
-_LABEL_DIGIT = np.array([0, 1, 3, 2])  # x bit + 2 z bit -> label digit of I, X, Z, Y
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +189,9 @@ def _label_table(n: int) -> np.ndarray:
     x = np.arange(d)[:, None]
     z = np.arange(d)[None, :]
     label = np.zeros((d, d), dtype=np.int64)
+    digit = np.array(XZ_DIGIT)
     for shift in range(n - 1, -1, -1):  # qubit 1 is the top digit
-        label = (label << 2) | _LABEL_DIGIT[((x >> shift) & 1) + 2 * ((z >> shift) & 1)]
+        label = (label << 2) | digit[((x >> shift) & 1) + 2 * ((z >> shift) & 1)]
     label.setflags(write=False)  # cached and shared by every caller
     return label
 
@@ -360,7 +345,8 @@ class DenseBackend:
         for lo in range(0, len(missing), step):
             block = missing[lo:lo + step]
             parts = np.array(block)
-            tables = _transition_table(channel, _local_unitaries(np.zeros_like(parts), parts))
+            # (T, D, D) rotation unitaries: the elements with Pauli part I
+            tables = _transition_table(channel, tensor(_TWIRL_GATES[0, parts.T]))
             per_channel.update(zip(block, tables))
         return np.stack([per_channel[key] for key in keys])
 

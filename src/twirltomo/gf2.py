@@ -11,25 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _reduce_row(v: int, pivots: dict[int, int]) -> int:
-    """Reduce v against a pivot table {msb_position: row}."""
-    while v:
-        b = v.bit_length() - 1
-        if b not in pivots:
-            return v
-        v ^= pivots[b]
-    return 0
-
-
-def rank(rows) -> int:
-    pivots: dict[int, int] = {}
-    for v in rows:
-        v = _reduce_row(v, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
-    return len(pivots)
-
-
 def _eliminate(v: int, pivots: dict[int, int]) -> int:
     """Clear every pivot column from v (pivots kept fully reduced)."""
     for pb in pivots:
@@ -59,6 +40,10 @@ def rref(rows) -> list[int]:
         if v:
             _insert(v, pivots)
     return [pivots[b] for b in sorted(pivots, reverse=True)]
+
+
+def rank(rows) -> int:
+    return len(rref(rows))
 
 
 def solve_affine(rows, rhs, width: int):

@@ -33,6 +33,8 @@ from .errors import DimensionMismatchError
 _CHARS = "IXYZ"
 # per-character (x, z) bits
 _CHAR_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+#: label digit of the one-qubit factor with bits (x, z), at index x + 2 z
+XZ_DIGIT = (0, 1, 3, 2)
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 
 #: the single-qubit matrices I, X, Y, Z stacked in label-digit order
@@ -42,6 +44,21 @@ PAULI_1Q = np.stack([
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ])
+
+
+def tensor(factors) -> np.ndarray:
+    """Tensor product of per-qubit matrices, qubit 1 first, such as (2, 2)
+    operators or (2, 1) state vectors; with (T, 2, 2) stacks among the
+    factors, the (T, D, D) stack of products.
+
+    Broadcasting forms the same products in the same order as a left fold
+    of ``np.kron`` (so the same bits) without its per-call overhead."""
+    u = np.ones((1, 1), dtype=complex)
+    for g in factors:
+        u = u[..., :, None, :, None] * np.asarray(g)[..., None, :, None, :]
+        *t, a, r, b, c = u.shape
+        u = u.reshape(*t, a * r, b * c)
+    return u
 
 
 def _parity(v: int) -> int:
@@ -105,14 +122,7 @@ class Pauli:
         """Inverse of :attr:`label` (phase +1)."""
         if not (0 <= l < 4 ** n):
             raise ValueError("label out of range")
-        x = z = 0
-        for j in range(n):
-            digit = (l >> (2 * (n - 1 - j))) & 3
-            xb, zb = _CHAR_XZ[_CHARS[digit]]
-            shift = n - 1 - j
-            x |= xb << shift
-            z |= zb << shift
-        return Pauli(n, x, z)
+        return Pauli.from_string("".join(_CHARS[l >> 2 * j & 3] for j in range(n - 1, -1, -1)))
 
     # -- structure ---------------------------------------------------------
 
@@ -120,11 +130,7 @@ class Pauli:
     def label(self) -> int:
         """Integer label: base-4 digits (I,X,Y,Z)->(0..3), qubit 1 most significant."""
         l = 0
-        for j in range(self.n):
-            shift = self.n - 1 - j
-            xb = (self.x >> shift) & 1
-            zb = (self.z >> shift) & 1
-            digit = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[(xb, zb)]
+        for digit in self._digits():
             l = (l << 2) | digit
         return l
 
@@ -162,19 +168,15 @@ class Pauli:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (includes phase); for small n only."""
-        m = np.ones((1, 1), dtype=complex)
-        for c in self._chars():
-            m = np.kron(m, PAULI_1Q[_CHARS.index(c)])
-        return self.phase * m
+        return self.phase * tensor(PAULI_1Q[self._digits()])
+
+    def _digits(self) -> list[int]:
+        """Label digit of each qubit's factor, qubit 1 first."""
+        return [XZ_DIGIT[(self.x >> s & 1) + 2 * (self.z >> s & 1)]
+                for s in range(self.n - 1, -1, -1)]
 
     def _chars(self) -> str:
-        out = []
-        for j in range(self.n):
-            shift = self.n - 1 - j
-            xb = (self.x >> shift) & 1
-            zb = (self.z >> shift) & 1
-            out.append({(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(xb, zb)])
-        return "".join(out)
+        return "".join(_CHARS[d] for d in self._digits())
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.phase_pow] + self._chars()

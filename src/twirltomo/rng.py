@@ -186,13 +186,11 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
     nhalf = len(bounds)
     nint_words = -(-nhalf // 2)
     words = substream_words(seed, start, count, nint_words + nuniform)
-    halves = np.stack((words[:, :nint_words] & _MASK32,
-                       words[:, :nint_words] >> np.uint64(32)), axis=-1)
-    halves = halves.reshape(count, 2 * nint_words)
     ints = np.empty((count, nhalf), dtype=np.int64)
     rejected = np.zeros(count, dtype=bool)
     for j, k in enumerate(bounds):
-        ints[:, j], rej = _lemire(halves[:, j], k)
+        half = words[:, j >> 1] >> np.uint64(32 * (j & 1)) & _MASK32
+        ints[:, j], rej = _lemire(half, k)
         rejected |= rej
     # numpy's random(): (w >> 11) * 2**-53, exact in float64
     uniforms = (words[:, nint_words:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

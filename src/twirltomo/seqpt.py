@@ -30,8 +30,8 @@ from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
-from .stabilizer import (Tableaux, _swap_halves, build_mub_family, clifford_bounds,
-                         grow_cliffords)
+from .stabilizer import (Tableaux, _key_to_pauli, _swap_halves, build_mub_family,
+                         clifford_bounds, grow_cliffords)
 
 #: realizations whose estimate clears the reporting threshold by fewer than
 #: this many standard errors are flagged borderline instead of being called
@@ -64,6 +64,10 @@ class SeqptConfig:
         if self.variant not in ("mub", "clifford"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         check_seed(self.seed)
+        if self.pair_class_cap is not None and self.pair_class_cap < 1:
+            raise ConfigError("pair_class_cap must be positive")
+        if not self.significance_z >= 0:  # NaN fails too
+            raise ConfigError("significance_z must be a nonnegative number")
         if self.delta is not None and self.epsilon is None:
             raise ConfigError("delta requires epsilon")
         if self.epsilon is not None:
@@ -341,8 +345,7 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         if chi_hat < threshold:
             continue
         stderr = _survival_stderr(rate, m_total, d)
-        mask = (1 << n) - 1
-        label = str(Pauli(n, key & mask, key >> n))
+        label = str(_key_to_pauli(key, n))
         estimates[label] = LabelEstimate(
             chi_hat=chi_hat, stderr=stderr, compatible_count=compatible,
             pair_count=pair_count, borderline=chi_hat < threshold + z * stderr)
@@ -372,6 +375,13 @@ def _bits(v: int, n: int) -> tuple[int, ...]:
 # pair-success probabilities
 
 
+def _float_dim(n: int) -> float:
+    """D = 2^n as a float, for n whose D^2 is finite."""
+    if not 1 <= n <= 511:
+        raise ConfigError(f"n must be in 1..511, got {n}")
+    return float(1 << n)
+
+
 def success_probability(variant: str, n: int) -> float:
     """Closed-form probability that a pair of realizations is usable.
 
@@ -380,7 +390,7 @@ def success_probability(variant: str, n: int) -> float:
     product below; note that uniform Clifford sampling actually realizes
     :func:`frames_independent_probability`, which differs (see README).
     """
-    d = float(1 << n)
+    d = _float_dim(n)
     if variant == "mub":
         return d / (d + 1.0)
     if variant == "clifford":
@@ -400,7 +410,7 @@ def frames_independent_probability(n: int) -> float:
     prod_j (D^2/2^j - D) / (D^2/2^j - 2^j); this is the usable-pair rate a
     simulation of the Clifford variant converges to.
     """
-    d = float(1 << n)
+    d = _float_dim(n)
     p = 1.0
     for j in range(n):
         w = 2.0 ** j

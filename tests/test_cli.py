@@ -311,3 +311,34 @@ def test_cli_bad_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["exact-chi", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["haar-verify", "--dim", "1"],         # closed form divides by D^2 - 1
+    ["haar-verify", "--shots", "1"],       # sample variance needs two draws
+    ["haar-verify", "--quadruples", "0"],  # all_pass would be vacuous
+    ["success-prob", "--max-n", "512"],    # D^2 overflows to inf, NaN rates
+    ["success-prob", "--max-n", "1030"],   # 2.0 ** n overflows
+])
+def test_cli_edge_inputs_fail_loudly(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact-chi"],
+    ["seqpt", "select", "--shots", "50", "--label", "ZI"],
+    ["seqpt", "blind", "--shots", "50"],
+    ["local-twirl", "--shots", "50"],
+    ["bounds-check"],
+    ["haar-verify", "--shots", "100", "--quadruples", "1"],
+    ["success-prob", "--max-n", "2"],
+])
+def test_cli_prints_one_line(tmp_path, capsys, argv):
+    spec = [] if argv[0] in ("haar-verify", "success-prob") else [
+        "--spec", str(write_spec(tmp_path, CNOT_DOC))]
+    out = tmp_path / "o"
+    assert main([*argv, *spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote results to {out}\n"

@@ -1,13 +1,17 @@
 """Golden digests: SHA-256 of ``results.json`` for a fixed set of runs.
 
 Every case runs one CLI verb at a fixed seed and compares the digest of the
-``results.json`` it writes with the committed table below.  The class-pair
+``results.json`` it writes with the committed table ``GOLDEN``.  A second
+table, ``OUTPUT_GOLDEN``, pins every other file a CLI case writes
+(``report.txt``, ``report.csv``, ``chi.json``, ``chi.csv`` and
+``manifest.json`` without its ``timestamp`` and ``spec.path``, which vary
+between runs).  The class-pair
 cap of blind discovery is not exposed on the command line, so the capped
 cases call ``run_blind_discovery`` and hash ``SeqptResult.to_json()``.  The
 record cases hash realizations drawn one at a time by
 ``sample_c1t_realization`` from ``substream(seed, i)``.
 
-A change that alters output on purpose regenerates the table with
+A change that alters output on purpose regenerates both tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -127,6 +131,43 @@ GOLDEN = {
 }
 
 
+# case id -> SHA-256 over the other output files of the CLI case, by name
+OUTPUT_GOLDEN = {
+    "exact-chi-n2":
+        "2de008464e8b8eac21c73ec90e0f86eb80fa740775fb49d7486fe7f3e59130b5",
+    "select-mub-n2":
+        "bee0faa9ec2ca1b60c322dded7ae5eafd3c9c4ba24242e8ae965ff06a46328f2",
+    "select-clifford-n2":
+        "db65cee734e80f21a51edcffe04058952f89d69547af400d62b976929e675e75",
+    "blind-mub-n1":
+        "73f42e662191dfe0c9231e2cf48bcf972e4ae3dd1091fa6c288c493510952e2b",
+    "blind-mub-n2":
+        "97c965d191d79976824a2a06280ab06214e1308ee91aec4ae8367491360ccb48",
+    "blind-mub-n3":
+        "2d87e9b5912fa6dd7f14ad50ff26720cdf4e70bb34b47cbbc35b0c7a5edccb33",
+    "blind-clifford-n1":
+        "5cf912c41e899bc45e1ea9539f6d30d01eb24df1079b0a7f523c3d8f8b22d3ef",
+    "blind-clifford-n2":
+        "ac11a606ab65ee25807b58a670910211480c0f59d70d8601188c28992b75361c",
+    "blind-clifford-n3":
+        "e626861b79c33e44c35275e4ac730c1c359409d54a2e6968ac976a00cb998ffa",
+    "local-twirl-n1":
+        "bd88171bf69749bc9b1f4469c83b7cc7ab89638d86a8f4d7cd15e7d8c120a141",
+    "local-twirl-n2":
+        "90f55beaa000b34818ac575d980165a0570b74313ca985d4782e606e38fc2df5",
+    "local-twirl-n3":
+        "b3f806ee5a0dd1df190ef009ee67e41cebcfa6a32d16163a8f2dfe7fb3e9f03d",
+    "local-twirl-n4":
+        "08a82434eb61158522f62047c94fd508ec056f1867b186bb667dc24904e3621b",
+    "bounds-check-n2":
+        "754f13ebf47e548508831c15cc6a64175527b818eed78816c2a4110fea245763",
+    "success-prob":
+        "4ad114a47fc97bfa83bcd48dfbcdf17afd3e7a4257672cc01eb0e15cb8b21431",
+    "haar-verify":
+        "37a92a8d80bada610a1daf059bb770ca66f1bfdce46072def66dec1f2e0ba202",
+}
+
+
 def _write_spec(tmp: Path, n: int) -> Path:
     path = tmp / f"spec-{n}.json"
     path.write_text(json.dumps(SPECS[n]))
@@ -148,17 +189,42 @@ def run_case(case: str, tmp: Path) -> bytes:
         records = [sample_c1t_realization(channel, substream(seed, i))
                    for i in range(count)]
         return json.dumps([[r.descriptor, r.outcome] for r in records]).encode()
+    return (run_cli_case(case, tmp) / "results.json").read_bytes()
+
+
+def run_cli_case(case: str, tmp: Path) -> Path:
+    """Run one CLI case; returns its output directory."""
     n, argv = CLI_CASES[case]
     verb, rest = argv[0], argv[1:]
     mode = [rest.pop(0)] if verb == "seqpt" else []
     out = tmp / "out"
     spec = [] if n is None else ["--spec", str(_write_spec(tmp, n))]
     assert main([verb, *mode, *spec, "--out", str(out), *rest]) == 0
-    return (out / "results.json").read_bytes()
+    return out
 
 
 def digest(case: str, tmp: Path) -> str:
     return hashlib.sha256(run_case(case, tmp)).hexdigest()
+
+
+def output_digest(case: str, tmp: Path) -> str:
+    """SHA-256 over (name, bytes) of every file of a CLI case but
+    results.json, in name order, with the run-dependent manifest fields
+    dropped."""
+    out = run_cli_case(case, tmp)
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name == "results.json":
+            continue
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["timestamp"]
+            if manifest["spec"] is not None:
+                del manifest["spec"]["path"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("case", [*CLI_CASES, *CAP_CASES, *RECORD_CASES])
@@ -170,18 +236,31 @@ def test_table_covers_every_case():
     assert set(GOLDEN) == {*CLI_CASES, *CAP_CASES, *RECORD_CASES}
 
 
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_output_files_digest(case, tmp_path):
+    assert output_digest(case, tmp_path) == OUTPUT_GOLDEN[case]
+
+
+def test_output_table_covers_every_cli_case():
+    assert set(OUTPUT_GOLDEN) == set(CLI_CASES)
+
+
 if __name__ == "__main__":
     import contextlib
     import io
     import tempfile
 
-    table = {}
+    tables = {"GOLDEN": {}, "OUTPUT_GOLDEN": {}}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for i, case in enumerate([*CLI_CASES, *CAP_CASES, *RECORD_CASES]):
             case_dir = Path(tmp) / str(i)
             case_dir.mkdir()
-            table[case] = digest(case, case_dir)
-    print("GOLDEN = {")
-    for case, hexdigest in table.items():
-        print(f'    "{case}":\n        "{hexdigest}",')
-    print("}")
+            tables["GOLDEN"][case] = digest(case, case_dir)
+            if case in CLI_CASES:
+                (case_dir / "files").mkdir()
+                tables["OUTPUT_GOLDEN"][case] = output_digest(case, case_dir / "files")
+    for name, table in tables.items():
+        print(f"{name} = {{")
+        for case, hexdigest in table.items():
+            print(f'    "{case}":\n        "{hexdigest}",')
+        print("}")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twirltomo.channels import _GATES_1Q, embed_kraus, gate_unitary
 from twirltomo.errors import DimensionMismatchError
-from twirltomo.pauli import (Pauli, commutes, enumerate_supports, multiply,
-                             symplectic_product)
+from twirltomo.pauli import (PAULI_1Q, Pauli, commutes, enumerate_supports, multiply,
+                             symplectic_product, tensor)
 
 
 def all_paulis(n):
@@ -132,3 +134,67 @@ def test_string_round_trip_with_phases():
 def test_enumerate_supports():
     sups = list(enumerate_supports(3, max_weight=1))
     assert sups == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+# -- tensor builder: the same bits as a left fold of np.kron ----------------
+
+
+def _kron(factors):
+    return functools.reduce(np.kron, factors, np.ones((1, 1), dtype=complex))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):  # signed zeros included
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _signed_zero_factors(rng, shape):
+    """Complex normals with about a third of the real and imaginary parts
+    replaced by +0.0 or -0.0."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    for part in (re, im):
+        zero = rng.random(shape) < 1 / 3
+        part[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tensor_matches_kron(n):
+    rng = np.random.default_rng(n)
+    factors = list(_signed_zero_factors(rng, (n, 2, 2)))
+    _assert_same_bits(tensor(factors), _kron(factors))
+    stacks = list(_signed_zero_factors(rng, (n, 5, 2, 2)))
+    got = tensor(stacks)
+    assert got.shape == (5, 2 ** n, 2 ** n)
+    for t in range(5):
+        _assert_same_bits(got[t], _kron([s[t] for s in stacks]))
+    # stacks mixed with single matrices, and the stack of none
+    mixed = [stacks[0], *factors[1:]]
+    for t in range(5):
+        _assert_same_bits(tensor(mixed)[t], _kron([stacks[0][t], *factors[1:]]))
+    assert tensor([np.zeros((0, 2, 2))] * n).shape == (0, 2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_embed_and_gates_match_kron(n):
+    rng = np.random.default_rng(10 + n)
+    ops = list(_signed_zero_factors(rng, (3, 2, 2)))
+    for q in range(n):
+        want = [_kron([op if j == q else np.eye(2) for j in range(n)]) for op in ops]
+        for got, w in zip(embed_kraus(ops, q, n), want):
+            _assert_same_bits(got, w)
+        for name, g in _GATES_1Q.items():
+            _assert_same_bits(gate_unitary(name, (q,), n),
+                              _kron([g if j == q else np.eye(2) for j in range(n)]))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_to_matrix_matches_kron(n):
+    for l in range(4 ** n):
+        for phase in range(4):
+            p = Pauli.from_label(n, l)
+            p = Pauli(n, p.x, p.z, phase)
+            want = p.phase * _kron([PAULI_1Q["IXYZ".index(c)] for c in str(p.strip_phase())])
+            _assert_same_bits(p.to_matrix(), want)

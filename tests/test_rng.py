@@ -1,6 +1,8 @@
 """Philox substreams: one generator moved from counter to counter, and the
 batched draws over the counter array, both give what a fresh generator per
 substream draws."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,20 @@ def test_draw_batch_matches_generator(bounds, nuniform):
         g = substream(11, 3 + k)
         assert ints[k].tolist() == [int(g.integers(0, b)) for b in bounds]
         assert uniforms[k].tolist() == [g.random() for _ in range(nuniform)]
+
+
+def test_draw_batch_peak_memory():
+    """The bounded draws read each 32-bit half straight from the words, with
+    no stacked copy of the halves: the peak stays near the words array
+    (1.22 MiB here) instead of 2.09 MiB."""
+    draw_batch(0, 1, 100, (4, 3) * 4, 1)  # warm up
+    tracemalloc.start()
+    try:
+        draw_batch(0, 1, 10 ** 4, (4, 3) * 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * 2 ** 20
 
 
 @pytest.mark.parametrize("name, channel", battery(3) + [

@@ -40,6 +40,17 @@ def test_config_rejects_seed_outside_stream_range(seed):
     assert SeqptConfig(shots=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("kwargs", [{"pair_class_cap": 0}, {"pair_class_cap": -1},
+                                    {"significance_z": -1.0},
+                                    {"significance_z": float("nan")}])
+def test_config_rejects_bad_cap_and_significance(kwargs):
+    """A cap of 0 would give no estimates and -1 a numpy error; a negative
+    or NaN margin would make every estimate decisive."""
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        SeqptConfig(shots=10, **kwargs)
+    SeqptConfig(shots=10, pair_class_cap=1, significance_z=0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_selective_mub_matches_per_realization_draws(n):
     """The batched MUB draws give the survival count of the per-realization
@@ -202,6 +213,18 @@ def test_blind_pair_class_cap_flagged():
     cfg = SeqptConfig(shots=400, seed=13, variant="clifford", pair_class_cap=5)
     res = run_blind_discovery(ChannelModel.from_kraus(depolarizing_kraus(0.3)), cfg)
     assert not res.analyzed_exactly
+
+
+@pytest.mark.parametrize("n", [0, 512, 1030])
+def test_pair_success_rejects_n_outside_float_range(n):
+    """D^2 = 4^n overflows a float past n = 511 (NaN at 512, OverflowError
+    at 1024 and up); those n raise ConfigError instead."""
+    for prob in (lambda n: success_probability("mub", n),
+                 lambda n: success_probability("clifford", n),
+                 frames_independent_probability):
+        with pytest.raises(ConfigError, match="1..511"):
+            prob(n)
+        assert 0 < prob(511) <= 1  # finite; D / (D + 1) rounds to 1
 
 
 def test_success_probability_closed_forms():
