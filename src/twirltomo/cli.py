@@ -185,8 +185,8 @@ def _cmd_bounds_check(args, doc, channel, warnings):
 
 
 def _cmd_haar_verify(args, doc, channel, warnings):
-    if args.dim < 2 or args.shots < 2 or args.quadruples < 1:
-        raise ConfigError("haar-verify needs --dim >= 2, --shots >= 2 and --quadruples >= 1")
+    if args.quadruples < 1:  # haar_twirl_moment checks --dim and --shots
+        raise ConfigError("haar-verify needs --quadruples >= 1")
     rng = master(args.seed)
     results = {"dim": args.dim, "shots": args.shots, "seed": args.seed,
                "quadruples": []}
@@ -216,6 +216,8 @@ def _cmd_haar_verify(args, doc, channel, warnings):
 
 
 def _cmd_success_prob(args, doc, channel, warnings):
+    if args.max_n < 1:
+        raise ConfigError("success-prob needs --max-n >= 1")
     lines = [f"{'n':>3} {'mub':>10} {'clifford':>10} {'indep-frames':>13}"]
     rows = [["n", "mub", "clifford_closed_form", "independent_frames_rate"]]
     results = {"table": []}

@@ -17,9 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import ChannelModel
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, XZ_DIGIT, Pauli, tensor
-from .stabilizer import MubBasis, Tableaux, build_mub_family, clifford_group_tableaux
+from .stabilizer import (MubBasis, Tableaux, build_mub_family, clifford_group_tableaux,
+                         outcome_shift)
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
@@ -44,8 +45,10 @@ def haar_random_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.
 
 
 def haar_moment_closed_form(a1, a2, b1, b2) -> complex:
-    """Closed form of the Haar average of Tr[A1 U^dag B1 U A2 U^dag B2 U]."""
+    """Closed form of the Haar average of Tr[A1 U^dag B1 U A2 U^dag B2 U], D >= 2."""
     d = a1.shape[0]
+    if d < 2:
+        raise ConfigError(f"the Haar moment closed form needs D >= 2, got D = {d}")
     tr = np.trace
     term1 = tr(a1 @ a2) / (d * d - 1) * (tr(b1) * tr(b2) - tr(b1 @ b2) / d)
     term2 = tr(a1) * tr(a2) / (d * d - 1) * (tr(b1 @ b2) - tr(b1) * tr(b2) / d)
@@ -71,7 +74,11 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int, rng: np.random.Generator,
     The integrand Tr[A1 U^dag B1 U A2 U^dag B2 U] is averaged over
     ``samples`` Haar unitaries; the caller compares the estimate with the
     closed form (``deviation_sigmas`` gives the distance in standard errors).
+    D < 2 or fewer than 2 samples raise before anything is drawn.
     """
+    closed_form = haar_moment_closed_form(a1, a2, b1, b2)
+    if samples < 2:
+        raise ConfigError(f"a Haar moment estimate needs samples >= 2, got {samples}")
     d = a1.shape[0]
     vals = np.empty(samples, dtype=complex)
     done = 0
@@ -87,8 +94,7 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int, rng: np.random.Generator,
     var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
     stderr = float(np.sqrt(var / samples))
     return HaarMomentResult(estimate=complex(est), stderr=stderr,
-                            closed_form=haar_moment_closed_form(a1, a2, b1, b2),
-                            samples=samples)
+                            closed_form=closed_form, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +156,19 @@ def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     return tuple(s for _, s in digits), x
 
 
-def _transition_table(channel: ChannelModel, w: np.ndarray,
-                      pm: np.ndarray | None = None) -> np.ndarray:
+def _transition_table(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
     """probs[t, m, v] for every basis w[t] of the (T, D, D) stack and every
-    column m of it: prepare w[t] X^m |0..0>, apply the channel (then the
-    optional Pauli matrix pm), read out in the basis w[t], and undo the X^m
-    by relabeling outcome v as v ^ m, so v = 0 means the prepared state
-    survived.
+    column m of it: prepare w[t] X^m |0..0>, apply the channel, read out in
+    the basis w[t], and undo the X^m by relabeling outcome v as v ^ m, so
+    v = 0 means the prepared state survived.
 
     With the map as pairs (A_k, B_k), the weight of outcome j given column m
-    is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag pm A_k w (b_k
+    is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag A_k w (b_k
     likewise), so one stack of tables costs two stacked D x D products per
     operator (one for a Kraus operator, where b_k = a_k) and no channel
     application.
     """
     wh = np.swapaxes(w.conj(), -1, -2)
-    if pm is not None:
-        wh = wh @ pm
     in_basis = np.zeros(w.shape)
     for a_op, b_op in channel.operator_pairs():
         a = wh @ a_op @ w
@@ -234,8 +236,7 @@ def _tableau_laws(channel: ChannelModel, tableaux: Tableaux, rows: np.ndarray,
     phi = _I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(m, d, d)
     rows = np.broadcast_to(rows, (m, len(rows)))
     if intermediary is not None:
-        a_p = np.argmax(labels == intermediary.label, axis=1) >> n
-        rows = rows ^ a_p[:, None]
+        rows = rows ^ outcome_shift(tableaux.z, intermediary)[:, None]
     elements = np.arange(m)[:, None]
     labels = labels.reshape(m, d, d)[elements, rows]
     phi = phi[elements, rows]
@@ -247,7 +248,8 @@ class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
     Caches per-channel transition tables so repeated realizations cost a
-    lookup: MUB tables keyed by basis and intermediary, and one-qubit-twirl
+    lookup: one MUB table per basis, which serves every intermediary Pauli
+    by shifting its outcomes by the Pauli's syndrome, and one-qubit-twirl
     tables keyed by the rotation part of the element (each table holds the
     laws of all 2^n X parts).  Channels key the cache weakly (by object, not
     by id, so recycled addresses cannot collide) and capacity is capped by
@@ -270,18 +272,18 @@ class DenseBackend:
                              intermediary: Pauli | None = None) -> np.ndarray:
         """probs[m, v]: prepare basis state m (via V_J X^m on |0..0>), apply
         the channel (and the optional extra Pauli), undo the preparation,
-        measure outcome v.  Surviving (v = 0) means returning to state m."""
+        measure outcome v.  Surviving (v = 0) means returning to state m.
+        The Pauli shifts outcomes by its syndrome (:func:`outcome_shift`)."""
         self.check_capacity(channel.n)
         per_channel = self._mub_cache.setdefault(channel, {})
-        key = (basis.index,
-               None if intermediary is None else (intermediary.x, intermediary.z))
-        hit = per_channel.get(key)
-        if hit is not None:
-            return hit
-        pm = None if intermediary is None else intermediary.to_matrix()
-        probs = per_channel[key] = _transition_table(
-            channel, basis.clifford.unitary()[None], pm)[0]
-        return probs
+        probs = per_channel.get(basis.index)
+        if probs is None:
+            probs = per_channel[basis.index] = _transition_table(
+                channel, basis.clifford.unitary()[None])[0]
+        if intermediary is None:
+            return probs
+        shift = outcome_shift([g.key for g in basis.frame.generators], intermediary)
+        return probs[:, np.arange(channel.dim) ^ shift]
 
     # -- generic clifford twirl ----------------------------------------------
 
@@ -304,8 +306,9 @@ class DenseBackend:
         clipped at 0.  The formula is linear in chi, so it holds for Kraus,
         chi-only, non-CP and non-TP maps alike; it reads ``channel.chi``
         (16^n entries, built on first use).  An intermediary P only
-        permutes outcomes: probs_P[v] = probs[v ^ a_P], where a_P is the X
-        part of C^dag P C.  A stack is processed a block of elements at a
+        permutes outcomes: probs_P[v] = probs[v ^ a_P], where a_P, the X
+        part of C^dag P C, is the syndrome of P against the Z-images
+        (:func:`outcome_shift`).  A stack is processed a block of elements at a
         time, with at most about ``_LAW_BLOCK`` table and chi entries each.
         """
         self.check_capacity(channel.n)

@@ -78,14 +78,15 @@ class HammingStatistics:
     @staticmethod
     def from_outcomes(n: int, outcomes) -> "HammingStatistics":
         """Counts of the bit strings in ``outcomes``: length-n sequences of
-        0s and 1s, or an (M, n) array of them."""
+        0s and 1s, or an (M, n) array of them (one bincount of 2^n entries)."""
         bits = np.asarray(outcomes, dtype=np.int64).reshape(-1, n)
         if ((bits != 0) & (bits != 1)).any():
             raise ValueError("outcomes must be bit strings")
         shifts = np.arange(n - 1, -1, -1)
-        codes, counts = np.unique(bits @ (1 << shifts), return_counts=True)
+        counts = np.bincount(bits @ (1 << shifts), minlength=1 << n)
+        codes = np.flatnonzero(counts)
         rows = ((codes[:, None] >> shifts) & 1).tolist()
-        return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
+        return HammingStatistics(n, dict(zip(map(tuple, rows), counts[codes].tolist())))
 
     def weight_probs(self) -> np.ndarray:
         return self.weight_counts / self.total
@@ -132,10 +133,12 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
     digits = ints.reshape(count, n, 2)
     places = np.arange(n - 1, -1, -1)  # qubit 1 is the top digit
-    _, first, table = np.unique(digits[:, :, 1] @ 3 ** places, return_index=True,
-                                return_inverse=True)
+    codes = digits[:, :, 1] @ 3 ** places
+    parts = np.flatnonzero(np.bincount(codes, minlength=3 ** n))  # sorted, distinct
+    table = np.searchsorted(parts, codes)
     x = ((digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)) @ (1 << places)
-    cdfs = np.cumsum(backend.local_tables(channel, digits[first, :, 1]), axis=2)
+    rotations = parts[:, None] // 3 ** places % 3
+    cdfs = np.cumsum(backend.local_tables(channel, rotations), axis=2)
     outcomes = np.empty(count, dtype=np.int64)
     step = max(1, _DRAW_BLOCK // channel.dim)
     for lo in range(0, count, step):

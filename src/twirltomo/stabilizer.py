@@ -2,9 +2,10 @@
 
 Everything here works on the symplectic encoding from :mod:`twirltomo.pauli`.
 A Clifford element is stored by its conjugation action: the images of the
-single-qubit X and Z operators, each a signed Pauli.  The realizing circuit
-over {H, S, CNOT, X, Y, Z} is synthesized on demand by a sweep that cleans
-one qubit at a time (O(n^2) gates) and is cached.
+single-qubit X and Z operators, each a signed Pauli, and its dense unitary
+is read off those images.  A Pauli placed between a channel and the untwirl
+of an element only relabels outcomes, by the syndrome of the Pauli against
+the element's Z-images (:func:`outcome_shift`).
 
 Sign conventions are pinned here once and tests assert them:
 H maps X -> Z and Z -> X with +1 (so Y -> -Y); the phase gate S maps
@@ -86,9 +87,10 @@ def circuit_unitary(gates: list[Gate], n: int) -> np.ndarray:
 
 
 class Clifford:
-    """A Clifford unitary modulo global phase, stored by conjugation images."""
+    """A Clifford unitary modulo global phase, stored as its tableau: the conjugation
+    images, from which :meth:`unitary` builds the dense matrix."""
 
-    __slots__ = ("n", "x_images", "z_images", "_circuit")
+    __slots__ = ("n", "x_images", "z_images")
 
     def __init__(self, n: int, x_images: tuple[Pauli, ...], z_images: tuple[Pauli, ...]):
         if len(x_images) != n or len(z_images) != n:
@@ -101,7 +103,6 @@ class Clifford:
         self.n = n
         self.x_images = tuple(x_images)
         self.z_images = tuple(z_images)
-        self._circuit: list[Gate] | None = None
 
     @staticmethod
     def identity(n: int) -> "Clifford":
@@ -116,9 +117,7 @@ class Clifford:
         for g in gates:
             xs = [_conj_gate(p, g) for p in xs]
             zs = [_conj_gate(p, g) for p in zs]
-        c = Clifford(n, tuple(xs), tuple(zs))
-        c._circuit = list(gates)
-        return c
+        return Clifford(n, tuple(xs), tuple(zs))
 
     def conjugate(self, p: Pauli) -> Pauli:
         """C P C^dag with exact sign, from the stored images."""
@@ -135,14 +134,20 @@ class Clifford:
         c = (p.x & p.z).bit_count()
         return Pauli(n, acc.x, acc.z, acc.phase_pow + c + p.phase_pow)
 
-    @property
-    def circuit(self) -> list[Gate]:
-        if self._circuit is None:
-            self._circuit = _synthesize(self)
-        return list(self._circuit)
-
     def unitary(self) -> np.ndarray:
-        return circuit_unitary(self.circuit, self.n)
+        """Dense unitary up to a global phase.  Column 0 is C|0..0>, the
+        normalized largest column of prod_k (I + g_k) / 2 over the signed
+        Z-images g_k; column m is C X^m |0..0>, so each X-image h doubles the
+        columns as [u, h u], qubit n first and qubit 1 (the top bit) last."""
+        d = 1 << self.n
+        proj = np.eye(d, dtype=complex)
+        for g in self.z_images:
+            proj = proj @ (np.eye(d) + g.to_matrix()) / 2
+        norms = np.linalg.norm(proj, axis=0)
+        u = proj[:, [int(np.argmax(norms))]] / norms.max()
+        for h in reversed(self.x_images):
+            u = np.concatenate((u, h.to_matrix() @ u), axis=1)
+        return u
 
     def __eq__(self, other):
         return (isinstance(other, Clifford) and self.n == other.n
@@ -150,98 +155,6 @@ class Clifford:
 
     def __hash__(self):
         return hash((self.n, self.x_images, self.z_images))
-
-
-# ---------------------------------------------------------------------------
-# circuit synthesis
-
-
-def _synthesize(cliff: Clifford) -> list[Gate]:
-    """Reduce the tableau to the identity with elementary gates.
-
-    Gates are applied on the left (conjugating the images); the recorded
-    sequence g_1..g_K satisfies g_K∘...∘g_1∘C = I up to signs, which a final
-    Pauli layer absorbs.  The returned circuit therefore realizes C exactly
-    (modulo global phase) and has O(n^2) gates.
-    """
-    n = cliff.n
-    xs = list(cliff.x_images)
-    zs = list(cliff.z_images)
-    applied: list[Gate] = []
-
-    def do(gate: Gate):
-        nonlocal xs, zs
-        applied.append(gate)
-        xs = [_conj_gate(p, gate) for p in xs]
-        zs = [_conj_gate(p, gate) for p in zs]
-
-    def bit(p: Pauli, which: str, q: int) -> int:
-        v = p.x if which == "x" else p.z
-        return (v >> (n - 1 - q)) & 1
-
-    for j in range(n):
-        # phase 1: bring the Z_j image to +-Z_j
-        b = zs[j]
-        for k in range(j, n):
-            if bit(b, "x", k) and bit(b, "z", k):
-                do(("S", (k,)))
-                b = zs[j]
-        for k in range(j, n):
-            if bit(b, "x", k):
-                do(("H", (k,)))
-                b = zs[j]
-        if not bit(b, "z", j):
-            k = next(k for k in range(j, n) if bit(b, "z", k))
-            do(("CNOT", (j, k)))
-            b = zs[j]
-        for k in range(n):
-            if k != j and bit(b, "z", k):
-                do(("CNOT", (k, j)))
-                b = zs[j]
-        # phase 2: bring the X_j image to +-X_j without touching Z_j
-        a = xs[j]
-        if bit(a, "z", j):
-            do(("S", (j,)))
-            a = xs[j]
-        for k in range(n):
-            if k == j:
-                continue
-            if bit(a, "x", k) and bit(a, "z", k):
-                do(("S", (k,)))
-                a = xs[j]
-            if bit(a, "z", k) and not bit(a, "x", k):
-                do(("H", (k,)))
-                a = xs[j]
-        for k in range(n):
-            if k != j and bit(a, "x", k):
-                do(("CNOT", (j, k)))
-                a = xs[j]
-    # The images are now +-X_j / +-Z_j: the residue is conjugation by a
-    # Pauli Q whose z bit at j flips X_j and x bit flips Z_j.  As unitaries
-    # (mod phase) g_K...g_1 C = Q, so C = g_1^dag ... g_K^dag Q and the
-    # time-ordered circuit applies Q first, then the inverses in reverse.
-    qx = qz = 0
-    for j in range(n):
-        if xs[j].phase_pow == 2:  # X_j image came out as -X_j
-            qz |= 1 << (n - 1 - j)
-        if zs[j].phase_pow == 2:
-            qx |= 1 << (n - 1 - j)
-    circ: list[Gate] = []
-    for j in range(n):
-        xb = (qx >> (n - 1 - j)) & 1
-        zb = (qz >> (n - 1 - j)) & 1
-        if xb and zb:
-            circ.append(("Y", (j,)))
-        elif xb:
-            circ.append(("X", (j,)))
-        elif zb:
-            circ.append(("Z", (j,)))
-    for name, qs in reversed(applied):
-        if name == "S":
-            circ.extend((("Z", qs), ("S", qs)))  # S^dag = S Z, Z applied first
-        else:
-            circ.append((name, qs))
-    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +287,15 @@ def _complete_symplectic(z_keys: list[int], n: int) -> list[int]:
 def _swap_halves(key: int, n: int) -> int:
     mask = (1 << n) - 1
     return (key >> n) | ((key & mask) << n)
+
+
+def outcome_shift(z_keys, p: Pauli) -> np.ndarray:
+    """Syndrome of ``p`` against the (..., n) Z-image keys of a stack of
+    elements: bit k (qubit 1 on top) says whether p anticommutes with Z-image
+    k.  p between the channel and the untwirl relabels outcome v as v ^ it."""
+    n = p.n
+    flips = _swap_halves(np.asarray(z_keys, dtype=np.uint64), n) & np.uint64(p.key)
+    return (np.bitwise_count(flips) & 1).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
 
 
 def _key_to_pauli(key: int, n: int, phase: int = 0) -> Pauli:

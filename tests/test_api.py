@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import twirltomo
+
+SRC = Path(twirltomo.__file__).resolve().parent
 
 
 def test_star_import_resolves_every_public_name():
@@ -8,3 +13,35 @@ def test_star_import_resolves_every_public_name():
     for name in twirltomo.__all__:
         assert hasattr(twirltomo, name), name
         assert name in namespace, name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import in ``path`` binds that the module never reads: not
+    as a name, not in ``__all__``.  Imports whose lines carry
+    ``# noqa: F401`` are kept on purpose and skipped."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """Every module of the package reads every name it imports."""
+    unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
+    assert not unused, unused

@@ -319,6 +319,7 @@ def test_cli_bad_json_exit_code(tmp_path):
     ["haar-verify", "--quadruples", "0"],  # all_pass would be vacuous
     ["success-prob", "--max-n", "512"],    # D^2 overflows to inf, NaN rates
     ["success-prob", "--max-n", "1030"],   # 2.0 ** n overflows
+    ["success-prob", "--max-n", "0"],      # the table would be empty
 ])
 def test_cli_edge_inputs_fail_loudly(tmp_path, capsys, argv):
     out = tmp_path / "o"

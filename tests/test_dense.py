@@ -10,7 +10,7 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
-from twirltomo.errors import CapacityError
+from twirltomo.errors import CapacityError, ConfigError
 from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import PAULI_1Q, Pauli
 from twirltomo.rng import _draw_outcome, draw_batch, master
@@ -88,6 +88,21 @@ def test_haar_moment_random_operators():
                for _ in range(4)]
         res = haar_twirl_moment(*ops, samples=60000, rng=rng)
         assert res.deviation_sigmas <= 3.5
+
+
+@pytest.mark.parametrize("dim, samples", [(1, 100), (0, 100), (2, 1), (2, 0)])
+def test_haar_edge_inputs_raise_before_drawing(dim, samples):
+    """Operators smaller than 2 x 2 (the closed form divides by D^2 - 1)
+    and fewer than 2 samples (the standard error needs a sample variance)
+    raise ConfigError, and the generator is left untouched."""
+    ops = [np.eye(dim, dtype=complex)] * 4
+    rng = master(4)
+    with pytest.raises(ConfigError):
+        haar_twirl_moment(*ops, samples=samples, rng=rng)
+    assert rng.random() == master(4).random()
+    if dim < 2:
+        with pytest.raises(ConfigError):
+            haar_moment_closed_form(*ops)
 
 
 def test_exact_chi_extraction_examples():
@@ -314,7 +329,8 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
 def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     """Outcome laws are rows of whole transition tables: sampling a Kraus map
     applies the channel zero times, builds one table per distinct rotation
-    part (one-qubit twirl) and one per (basis, intermediary) (MUB), and a
+    part (one-qubit twirl) and one per basis (MUB, shared by every
+    intermediary), and a
     fresh backend builds one table for one law, as sample_c1t_realization
     does without a shared backend.  Tables are counted by the length of each
     stack of bases built."""
@@ -325,9 +341,9 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
         applied.append(1)
         return apply(self, rho)
 
-    def counted_table(channel, w, pm=None):
+    def counted_table(channel, w):
         built.append(len(w))
-        return table(channel, w, pm)
+        return table(channel, w)
 
     monkeypatch.setattr(ChannelModel, "apply", counted_apply)
     monkeypatch.setattr(dense, "_transition_table", counted_table)
@@ -341,7 +357,7 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     estimate_chi_selective(ch, "XIZ", cfg, backend)
     estimate_chi_selective(ch, "XIZ", cfg, backend)
     run_blind_discovery(ch, cfg, backend)
-    assert sum(built) == 2 * (ch.dim + 1) and not applied
+    assert sum(built) == ch.dim + 1 and not applied
     built.clear()
     DenseBackend().local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1)))
     assert sum(built) == 1 and not applied

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import xor_combination
-from twirltomo import gf2
+from twirltomo import dense, gf2
 from twirltomo.pauli import Pauli, symplectic_product
 from twirltomo.stabilizer import (Clifford, StabilizerFrame, _key_to_pauli,
                                   _swap_halves, build_mub_family,
-                                  circuit_unitary, draw_clifford_row,
+                                  circuit_unitary, clifford_bounds,
+                                  clifford_group_tableaux, draw_clifford_row,
                                   enumerate_clifford_group, grow_cliffords,
-                                  sample_clifford_uniform)
+                                  outcome_shift, sample_clifford_uniform)
 from twirltomo.seqpt import _class_of, frames_independent_probability
-from twirltomo.rng import master
+from twirltomo.rng import draw_batch, master
 
 
 def test_gate_conjugation_pinned_conventions():
@@ -43,27 +44,59 @@ def test_conjugation_matches_dense():
                                        u @ p.to_matrix() @ u.conj().T, atol=1e-12)
 
 
+def _assert_unitary_conjugates(c, paulis):
+    """c.unitary() is unitary and conjugates each Pauli to its tableau image."""
+    u = c.unitary()
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(1 << c.n), atol=1e-10)
+    for p in paulis:
+        np.testing.assert_allclose(c.conjugate(p).to_matrix(),
+                                   u @ p.to_matrix() @ u.conj().T, atol=1e-10)
+
+
 def test_conjugation_random_vs_dense_n3():
+    """The unitary built from the tableau conjugates Paulis as the images
+    say: 12 uniform elements at n = 3 (6 random Paulis each), 12 more at each
+    n = 1..4 (every Pauli), and every element of the n = 1 group."""
     rng = master(1)
     for _ in range(12):
         c = sample_clifford_uniform(3, rng)
-        u = c.unitary()
-        for _ in range(6):
-            p = Pauli.from_label(3, int(rng.integers(0, 64)))
-            np.testing.assert_allclose(c.conjugate(p).to_matrix(),
-                                       u @ p.to_matrix() @ u.conj().T, atol=1e-10)
-
-
-def test_synthesis_round_trip_and_gate_count():
-    rng = master(2)
+        _assert_unitary_conjugates(
+            c, [Pauli.from_label(3, int(rng.integers(0, 64))) for _ in range(6)])
     for n in (1, 2, 3, 4):
-        for _ in range(15):
-            c = sample_clifford_uniform(n, rng)
-            circ = c.circuit
-            c2 = Clifford.from_circuit(circ, n)
-            assert c2.x_images == c.x_images
-            assert c2.z_images == c.z_images
-            assert len(circ) <= 4 * n * n + 7 * n  # O(n^2)
+        paulis = [Pauli.from_label(n, l) for l in range(4 ** n)]
+        for _ in range(12):
+            _assert_unitary_conjugates(sample_clifford_uniform(n, rng), paulis)
+    for c in enumerate_clifford_group(1):
+        _assert_unitary_conjugates(c, [Pauli.from_label(1, l) for l in range(4)])
+
+
+def _label_scan_shift(tableaux, p):
+    """The X part a of C^dag P C for each element of the stack, found by
+    scanning the labels of C X^a Z^b C^dag for P's label."""
+    x, z, _ = dense._conjugated_xz_table(tableaux)
+    labels = dense._label_table(tableaux.n)[x, z]
+    return np.argmax(labels == p.label, axis=1) >> tableaux.n
+
+
+def test_outcome_shift_equals_label_scan():
+    """outcome_shift on the Z-images equals the label-table scan for every P
+    on the whole n = 1 and n = 2 groups, and for random P on sampled stacks
+    at n = 3 and n = 4; one frame as a list of keys gives the same int."""
+    for n in (1, 2):
+        tableaux = clifford_group_tableaux(n)
+        for l in range(4 ** n):
+            p = Pauli.from_label(n, l)
+            assert np.array_equal(outcome_shift(tableaux.z, p),
+                                  _label_scan_shift(tableaux, p)), (n, l)
+    rng = master(12)
+    for n, count in ((3, 400), (4, 100)):
+        rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
+        tableaux = grow_cliffords(n, rows)
+        for l in rng.integers(0, 4 ** n, size=30).tolist():
+            p = Pauli.from_label(n, l)
+            shifts = outcome_shift(tableaux.z, p)
+            assert np.array_equal(shifts, _label_scan_shift(tableaux, p)), (n, l)
+            assert outcome_shift(tableaux.z[0].tolist(), p) == shifts[0]
 
 
 # SHA-256 of the JSON list of (key, phase) images of every element, in
@@ -188,12 +221,6 @@ def test_mub_unbiasedness_dense():
                                        atol=1e-10)
 
 
-def test_mub_circuit_gate_count():
-    for n in (1, 2, 3, 5):
-        for b in build_mub_family(n):
-            assert len(b.clifford.circuit) <= 4 * n * n + 7 * n
-
-
 def _solve_pair(frame1, v1, frame2, v2):
     """Key of the unique Pauli compatible with outcome v1 of frame1 and v2
     of frame2, or -1, as blind discovery solves it."""
@@ -307,7 +334,7 @@ def _frame_state_vector(frame):
 
 
 def test_frame_state_vector():
-    """The synthesized MUB Clifford maps |0..0> to the state its frame
+    """The MUB Clifford's unitary maps |0..0> to the state its frame
     stabilizes."""
     fam = build_mub_family(2)
     for b in fam:
