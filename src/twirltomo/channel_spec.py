@@ -16,9 +16,12 @@ Layers compose in order (first layer acts first).  Qubit indices are
 1-based in documents; complex numbers are [re, im] pairs.  A noise layer
 applies the named single-qubit channel independently to each listed qubit.
 Validation failures raise :class:`SpecValidationError` naming the offending
-field; a composition that fails the trace-preservation check is reported
-through the ``warnings`` list rather than rejected (the exact chi export
-takes it; the sampled protocols refuse it).
+field.  JSON ``true`` and ``false`` are not numbers here.  A composed map
+with an infinite or NaN entry in its Kraus operators, or in their sum of
+K^dag K, is refused (field ``build``).  A composition that fails the
+trace-preservation check is reported through the ``warnings`` list rather
+than rejected (the exact chi export takes it; the sampled protocols refuse
+it).
 """
 from __future__ import annotations
 
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (ChannelModel, amplitude_damping_kraus, bit_flip_kraus,
-                       compose, depolarizing_kraus, embed_kraus, gate_unitary,
-                       phase_flip_kraus)
+from .channels import (ChannelModel, _operator_sum, amplitude_damping_kraus,
+                       bit_flip_kraus, compose, depolarizing_kraus, embed_kraus,
+                       gate_unitary, phase_flip_kraus)
 from .errors import SpecValidationError
 
 _NOISE_BUILDERS = {
@@ -58,7 +61,7 @@ def parse_channel_document(doc: dict) -> ChannelSpecDocument:
     if not isinstance(name, str) or not name:
         raise SpecValidationError("name", "must be a nonempty string")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecValidationError("n", "must be a positive integer")
     build = doc.get("build")
     if not isinstance(build, list) or not build:
@@ -92,7 +95,7 @@ def _validate_layer(layer, i: int, n: int):
             raise SpecValidationError(f"{path}.noise",
                                       f"unknown noise {noise!r} (known: {sorted(_NOISE_BUILDERS)})")
         strength = layer.get("strength")
-        if not isinstance(strength, (int, float)) or not (0.0 <= strength <= 1.0):
+        if not _is_number(strength) or not (0.0 <= strength <= 1.0):
             raise SpecValidationError(f"{path}.strength", "must be a number in [0, 1]")
         _validate_qubits(layer.get("qubits"), f"{path}.qubits", n)
     else:
@@ -116,10 +119,20 @@ def _validate_qubits(qubits, path: str, n: int, exactly: int | None = None):
     if exactly is not None and len(qubits) != exactly:
         raise SpecValidationError(path, f"expected {exactly} qubit(s)")
     for q in qubits:
-        if not isinstance(q, int) or not (1 <= q <= n):
+        if not _is_int(q) or not (1 <= q <= n):
             raise SpecValidationError(path, f"qubit index {q!r} outside 1..{n}")
     if len(set(qubits)) != len(qubits):
         raise SpecValidationError(path, "qubit indices must be distinct")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer.  ``true`` and ``false`` load as bools, which Python
+    counts as ints, so they are excluded here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def _parse_complex_matrix(rows) -> np.ndarray:
@@ -128,7 +141,9 @@ def _parse_complex_matrix(rows) -> np.ndarray:
         out = []
         for cell in row:
             re, im = cell
-            out.append(complex(float(re), float(im)))
+            if not (_is_number(re) and _is_number(im)):
+                raise ValueError(f"entry {cell!r} is not a [re, im] pair of numbers")
+            out.append(complex(re, im))
         mat.append(out)
     return np.array(mat, dtype=complex)
 
@@ -149,7 +164,13 @@ def build_channel(doc: ChannelSpecDocument,
             layers.append(ChannelModel(doc.n,
                                        kraus=[_parse_complex_matrix(op)
                                               for op in layer["kraus"]]))
-    channel = compose(layers)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        channel = compose(layers)
+        finite = (all(np.isfinite(k).all() for k in channel.kraus)
+                  and np.isfinite(_operator_sum(channel)).all())
+    if not finite:
+        raise SpecValidationError("build", "the composed map has a non-finite entry in "
+                                  "its Kraus operators or in their sum of K^dag K")
     if warnings is not None and not channel.classification.trace_preserving:
         warnings.append("composed channel is not trace preserving")
     return channel
@@ -163,5 +184,5 @@ def load_channel(path, warnings: list[str] | None = None) -> ChannelModel:
 
 def save_channel_document(doc: ChannelSpecDocument, path):
     with open(path, "w") as fh:
-        json.dump(doc.to_json_dict(), fh, sort_keys=True, indent=2)
+        json.dump(doc.to_json_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

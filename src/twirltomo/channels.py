@@ -13,8 +13,9 @@ materializing all 4**n basis matrices.  Dense operations are capped at
 """
 from __future__ import annotations
 
-import json
 import csv
+import io
+import json
 import threading
 from dataclasses import dataclass
 
@@ -101,15 +102,20 @@ class ChiMatrix:
 
     def save_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+            json.dump(self.to_json_dict(), fh, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
-    def save_csv(self, path):
+    def to_csv(self) -> str:
         """Row-major dump; each cell is the string "re,im" (quoted)."""
+        buf = io.StringIO()
+        w = csv.writer(buf, quoting=csv.QUOTE_ALL)
+        for row in self.mat:
+            w.writerow([f"{float(v.real)!r},{float(v.imag)!r}" for v in row])
+        return buf.getvalue()
+
+    def save_csv(self, path):
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, quoting=csv.QUOTE_ALL)
-            for row in self.mat:
-                w.writerow([f"{float(v.real)!r},{float(v.imag)!r}" for v in row])
+            fh.write(self.to_csv())
 
     @staticmethod
     def load_json(path) -> "ChiMatrix":

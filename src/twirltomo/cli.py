@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -41,23 +42,37 @@ from .seqpt import (SeqptConfig, estimate_chi_selective,
                     success_probability)
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+def _json_text(name: str, payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _csv_text(rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _write_outputs(args, doc, protocol: str, config: dict, results: dict,
-                   lines: list[str], csv_rows: list[list]) -> Path:
+                   lines: list[str], csv_rows: list[list],
+                   extra: dict[str, str]) -> Path:
+    """Write the four files of a run plus ``extra`` (name -> text).  Every
+    file is serialized before the first is written, so a run that fails
+    here writes nothing."""
+    spec = None if doc is None else {"path": str(args.spec), "document": doc.to_json_dict()}
+    manifest = {"protocol": protocol, "tool_version": __version__,
+                "timestamp": time.time(), "spec": spec,
+                "seed": getattr(args, "seed", None), "config": config}
+    files = {"manifest.json": _json_text("manifest.json", manifest),
+             "results.json": _json_text("results.json", results),
+             "report.txt": "\n".join(lines) + "\n",
+             "report.csv": _csv_text(csv_rows), **extra}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = None if doc is None else {"path": str(args.spec), "document": doc.to_json_dict()}
-    _write_json(out / "manifest.json",
-                {"protocol": protocol, "tool_version": __version__,
-                 "timestamp": time.time(), "spec": spec,
-                 "seed": getattr(args, "seed", None), "config": config})
-    _write_json(out / "results.json", results)
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
-    with open(out / "report.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(csv_rows)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
     return out
 
 
@@ -309,10 +324,11 @@ def main(argv=None) -> int:
         protocol, config, results, lines, rows = args.func(args, doc, channel, warnings)
         if doc is not None:  # every spec verb reports the spec's build warnings
             results["warnings"] = warnings
-        out = _write_outputs(args, doc, protocol, config, results, lines, rows)
+        extra = {}
         if args.verb == "exact-chi":
-            channel.chi.save_json(out / "chi.json")
-            channel.chi.save_csv(out / "chi.csv")
+            extra = {"chi.json": _json_text("chi.json", channel.chi.to_json_dict()),
+                     "chi.csv": channel.chi.to_csv()}
+        out = _write_outputs(args, doc, protocol, config, results, lines, rows, extra)
         print(f"wrote results to {out}")
         return 0
     except (SpecValidationError, ConfigError, ValueError, FileNotFoundError,

@@ -78,15 +78,18 @@ class HammingStatistics:
     @staticmethod
     def from_outcomes(n: int, outcomes) -> "HammingStatistics":
         """Counts of the bit strings in ``outcomes``: length-n sequences of
-        0s and 1s, or an (M, n) array of them (one bincount of 2^n entries)."""
+        0s and 1s, or an (M, n) array of them, for n < 64 (a string is
+        packed into one int64).  Strings are counted by sorting their codes,
+        so memory follows M, not 2^n."""
+        if n >= 64:
+            raise ValueError(f"bit strings of n = {n} >= 64 bits do not fit an int64")
         bits = np.asarray(outcomes, dtype=np.int64).reshape(-1, n)
         if ((bits != 0) & (bits != 1)).any():
             raise ValueError("outcomes must be bit strings")
         shifts = np.arange(n - 1, -1, -1)
-        counts = np.bincount(bits @ (1 << shifts), minlength=1 << n)
-        codes = np.flatnonzero(counts)
+        codes, counts = np.unique(bits @ (1 << shifts), return_counts=True)
         rows = ((codes[:, None] >> shifts) & 1).tolist()
-        return HammingStatistics(n, dict(zip(map(tuple, rows), counts[codes].tolist())))
+        return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
 
     def weight_probs(self) -> np.ndarray:
         return self.weight_counts / self.total
@@ -333,7 +336,7 @@ class LocalTwirlEstimate:
                 "support": None if self.support is None else self.support.to_json_dict()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,

@@ -23,10 +23,10 @@ from twirltomo.errors import ConfigError
 from twirltomo.localtwirl import (LocalTwirlConfig, run_local_twirl,
                                   solve_chi_col_exact, solve_weight_probs_exact)
 from twirltomo.pauli import Pauli
-from twirltomo.rng import master
+from twirltomo.rng import draw_batch, master
 from twirltomo.seqpt import (SeqptConfig, estimate_chi_selective,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import draw_clifford_row, grow_cliffords
+from twirltomo.stabilizer import clifford_bounds, draw_clifford_row, grow_cliffords
 from twirltomo import gf2
 
 BACKEND = DenseBackend()
@@ -112,20 +112,18 @@ def test_c04_haar_moment_closed_form():
 
 
 def _mub_index_pairs(n: int, pairs: int):
-    """The basis-index pairs both c05 tests sample, and the generator after
-    them (c05b draws its Clifford frames from it)."""
+    """The basis-index pairs the c05a test samples."""
     d = 1 << n
     g = master(505 + n)
-    j1 = g.integers(0, d + 1, size=pairs)
-    j2 = g.integers(0, d + 1, size=pairs)
-    return j1, j2, g
+    return g.integers(0, d + 1, size=pairs), g.integers(0, d + 1, size=pairs)
 
 
 def _clifford_pair_fraction(n: int, pairs: int) -> float:
-    """Pair i is elements 2i and 2i + 1 drawn one after another from the
-    generator, as sample_clifford_uniform draws them, grown in one pass."""
-    _, _, g = _mub_index_pairs(n, pairs)
-    frames = grow_cliffords(n, [draw_clifford_row(n, g) for _ in range(2 * pairs)]).z
+    """Pair i is elements 2i and 2i + 1, drawn from substreams 1 + 2i and
+    2 + 2i of seed 505 + n as sample_clifford_uniform draws them, and grown
+    in one pass."""
+    rows, _ = draw_batch(505 + n, 1, 2 * pairs, clifford_bounds(n), 0)
+    frames = grow_cliffords(n, rows).z
     # a pair is usable exactly when the stacked frames pin down a unique key
     stacked = frames.reshape(pairs, 2 * n) << np.uint64(1)
     return float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
@@ -140,7 +138,7 @@ def test_c05a_mub_pair_success_empirical():
     worst = 0.0
     for n in (1, 2, 3):
         want = success_probability("mub", n)
-        j1, j2, _ = _mub_index_pairs(n, PAIR_SAMPLES)
+        j1, j2 = _mub_index_pairs(n, PAIR_SAMPLES)
         emp = float((j1 != j2).mean())
         sigma = np.sqrt(want * (1 - want) / PAIR_SAMPLES)
         worst = max(worst, abs(emp - want) / sigma)

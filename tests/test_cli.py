@@ -343,3 +343,64 @@ def test_cli_prints_one_line(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, *spec, "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote results to {out}\n"
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"name": "b", "n": True, "build": [{"named_gate": "H", "qubits": [1]}]}, "n"),
+    ({"name": "b", "n": 1, "build": [{"named_gate": "H", "qubits": [True]}]},
+     "build[0].qubits"),
+    ({"name": "b", "n": 1, "build": [{"noise": "depolarizing", "strength": True,
+                                      "qubits": [1]}]}, "build[0].strength"),
+    ({"name": "b", "n": 1, "build": [{"kraus": [[[[True, 0], [0, 0]],
+                                                 [[0, 0], [1, 0]]]]}]},
+     "build[0].kraus[0]"),
+    ({"name": "b", "n": 1, "build": [{"kraus": [[[[1, 0], [0, 0]],
+                                                 [[0, 0], [1, False]]]]}]},
+     "build[0].kraus[0]"),
+])
+def test_cli_rejects_bools_as_numbers(tmp_path, capsys, doc, field):
+    """JSON true and false load as Python bools, which are ints; a spec
+    field that wants a number refuses them (exit 2), naming the field."""
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(write_spec(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", [
+    [1e300, 0],           # finite, but K^dag K overflows to infinity
+    [float("inf"), 0],    # loads from the JSON token Infinity
+    [0, float("nan")],    # loads from the JSON token NaN
+])
+def test_cli_rejects_non_finite_map(tmp_path, capsys, cell):
+    """A Kraus map with a non-finite entry, or a non-finite sum of K^dag K,
+    is refused before any output is written (exit 2)."""
+    doc = {"name": "big", "n": 1, "build": [{"kraus": [[[[1, 0], [0, 0]], [[0, 0], cell]]]}]}
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(write_spec(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert "error: build: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_writes_nothing_when_a_payload_holds_nan(tmp_path, capsys, monkeypatch):
+    """Every output file is serialized, without NaN or Infinity, before the
+    first is written: a result holding NaN fails the run (exit 2) with no
+    file left behind."""
+    real = cli._cmd_success_prob
+
+    def with_nan(*args):
+        protocol, config, results, lines, rows = real(*args)
+        results["table"][0]["mub"] = float("nan")
+        return protocol, config, results, lines, rows
+
+    monkeypatch.setattr(cli, "_cmd_success_prob", with_nan)
+    cli._build_parser.cache_clear()
+    try:
+        out = tmp_path / "o"
+        assert main(["success-prob", "--max-n", "2", "--out", str(out)]) == 2
+    finally:
+        cli._build_parser.cache_clear()
+    assert "error: results.json: " in capsys.readouterr().err
+    assert not out.exists()

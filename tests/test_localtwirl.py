@@ -66,6 +66,33 @@ def test_statistics_from_outcomes():
         HammingStatistics.from_outcomes(2, [(0, 2)])
 
 
+def test_statistics_from_outcomes_memory_follows_outcomes():
+    """Counting sorts the packed codes: three outcomes at n = 22 stay under
+    1 MiB, where a table over all 2^22 codes takes 32 MiB."""
+    n = 22
+    outcomes = np.zeros((3, n), dtype=np.int64)
+    outcomes[1, 0] = outcomes[2, [0, n - 1]] = 1
+    tracemalloc.start()
+    try:
+        st = HammingStatistics.from_outcomes(n, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert st.outcome_counts == {tuple(row): 1 for row in outcomes.tolist()}
+    np.testing.assert_array_equal(st.weight_counts[:3], [1, 1, 1])
+
+
+def test_statistics_from_outcomes_width_limit():
+    """A bit string is packed into one int64: n = 63 counts, n = 64 would
+    overflow and raises instead."""
+    top = (1,) + (0,) * 62
+    st = HammingStatistics.from_outcomes(63, [top, top])
+    assert st.outcome_counts == {top: 2}
+    with pytest.raises(ValueError, match="64"):
+        HammingStatistics.from_outcomes(64, [(0,) * 64])
+
+
 def test_solve_weight_exact_identity():
     assert np.allclose(solve_weight_probs_exact(np.array([1.0, 0, 0]), 2), [1, 0, 0])
 

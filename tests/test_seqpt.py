@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,11 @@ from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
-from twirltomo import dense
+from twirltomo import dense, seqpt
 from twirltomo.records import ExperimentRecord
 from twirltomo.rng import _draw_outcome, substream
-from twirltomo.seqpt import (SeqptConfig, _bits, average_fidelity, compare_variants,
+from twirltomo.seqpt import (SeqptConfig, _bits, _class_of, _discover, average_fidelity,
+                             compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
 from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
@@ -112,6 +115,61 @@ def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
     one_by_one = run_blind_discovery(channel, cfg, backend, keep_records=True)
     assert one_by_one.records == want
     assert one_by_one.to_json() == res.to_json()
+
+
+def _blind_mub_one_by_one(channel, cfg, backend):
+    """Blind MUB run one realization at a time: basis j, state m and the
+    outcome uniform from substream(seed, 1 + i), the scalar outcome draw,
+    and one constraint class per realization."""
+    n, d = channel.n, channel.dim
+    fam = build_mub_family(n)
+    classes, records = {}, []
+    for i in range(cfg.shots):
+        g = substream(cfg.seed, 1 + i)
+        j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
+        cdf = np.cumsum(backend.mub_transition_probs(channel, fam[j])[m])
+        v = _draw_outcome(cdf, g.random())
+        key = _class_of([p.key for p in fam[j].frame.generators], n, v)
+        classes[key] = classes.get(key, 0) + 1
+        records.append(ExperimentRecord("mub", (j, m), _bits(v, n)))
+    return _discover(n, cfg, classes, records)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+@pytest.mark.parametrize("cap", [None, 10])
+@pytest.mark.parametrize("block", [None, 40])
+def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, cap, block):
+    """Drawing blind MUB realizations in blocks, with one class per seen
+    (basis, outcome), gives the results and records of the per-realization
+    run.  1,300 shots is no multiple of the block (512 realizations at
+    n = 4, 1,024 at n = 3), and a 40-entry block spans dozens of blocks."""
+    if block is not None:
+        monkeypatch.setattr(seqpt, "_MUB_BLOCK", block)
+    channel = random_cp_channel(n, np.random.default_rng(90 + n))
+    backend = DenseBackend()
+    cfg = SeqptConfig(shots=1300, seed=seed, pair_class_cap=cap)
+    want = _blind_mub_one_by_one(channel, cfg, backend)
+    res = run_blind_discovery(channel, cfg, backend, keep_records=True)
+    assert res.to_json() == want.to_json()
+    assert res.records == want.records
+    assert run_blind_discovery(channel, cfg, backend).records == []
+
+
+def test_blind_mub_memory_does_not_grow_with_shots():
+    """The blind MUB run keeps per-block arrays and per-class counts only:
+    its Python peak stays under 0.5 MiB at M = 2e4 and at M = 1e5 (n = 3)."""
+    channel = random_cp_channel(3, np.random.default_rng(3))
+    backend = DenseBackend()
+    run_blind_discovery(channel, SeqptConfig(shots=2, seed=1), backend)  # tables cached
+    for shots in (20000, 100000):
+        tracemalloc.start()
+        try:
+            run_blind_discovery(channel, SeqptConfig(shots=shots, seed=1), backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2 ** 20, (shots, peak)
 
 
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
