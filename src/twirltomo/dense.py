@@ -1,15 +1,15 @@
 """Exact small-n dense simulation and the oracles the protocols test against.
 
 This backend computes Clifford-twirl outcome laws from the stabilizer
-tableau and the chi matrix, reads MUB and one-qubit-twirl laws off whole
-transition tables, enumerates finite twirl families exactly, and evaluates
-the Haar-average identity for second moments in closed form.  Everything
-is deterministic given a Generator; enumerations iterate in a fixed
-canonical order so results are reproducible bit for bit.
+tableau and the chi matrix, reads MUB and one-qubit-twirl laws off one
+cache of whole transition tables, enumerates finite twirl families exactly
+as the mean of those laws, and evaluates the Haar-average identity for
+second moments in closed form.  Everything is deterministic given a
+Generator; enumerations iterate in a fixed canonical order so results are
+reproducible bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -247,26 +247,49 @@ def _tableau_laws(channel: ChannelModel, tableaux: Tableaux, rows: np.ndarray,
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
-    Caches per-channel transition tables so repeated realizations cost a
-    lookup: one MUB table per basis, which serves every intermediary Pauli
-    by shifting its outcomes by the Pauli's syndrome, and one-qubit-twirl
-    tables keyed by the rotation part of the element (each table holds the
-    laws of all 2^n X parts).  Channels key the cache weakly (by object, not
-    by id, so recycled addresses cannot collide) and capacity is capped by
-    ``max_n``.  A table is D x D floats, so the one-qubit-twirl cache holds
-    at most 3^n 4^n floats per channel (about 23 MiB at n = 6).
+    Holds the one source of MUB and one-qubit-twirl laws: per-channel
+    transition tables, read by the samplers and the exact enumerations
+    alike.  One table per MUB basis serves every intermediary Pauli, which
+    shifts its outcomes by the Pauli's syndrome; one table per rotation part
+    of a one-qubit-twirl element holds the laws of all 2^n X parts.  Each
+    table is built on first use and kept.  Channels key the cache weakly (by
+    object, not by id, so recycled addresses cannot collide) and capacity is
+    capped by ``max_n``.  A table is D x D floats, so a channel holds at most
+    (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
         self.max_n = max_n
-        self._mub_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._local_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def check_capacity(self, n: int):
         if n > self.max_n:
             raise CapacityError(f"dense backend capped at n={self.max_n}, got {n}")
 
+    def _cached_tables(self, channel: ChannelModel, family: str, keys,
+                       unitaries) -> np.ndarray:
+        """(T, D, D) stack of the transition tables of ``family`` named by
+        ``keys``, in order.  The missing ones are built together from the
+        (T', D, D) basis stack ``unitaries(missing keys)``, in blocks of at
+        most about ``_TABLE_BLOCK`` table entries, and kept."""
+        self.check_capacity(channel.n)
+        cached = self._tables.setdefault(channel, {}).setdefault(family, {})
+        missing = [key for key in dict.fromkeys(keys) if key not in cached]
+        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
+        for lo in range(0, len(missing), step):
+            block = missing[lo:lo + step]
+            cached.update(zip(block, _transition_table(channel, unitaries(block))))
+        return np.stack([cached[key] for key in keys])
+
     # -- MUB twirl ----------------------------------------------------------
+
+    def mub_tables(self, channel: ChannelModel) -> np.ndarray:
+        """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
+        basis j as in :meth:`mub_transition_probs`, without an intermediary."""
+        family = build_mub_family(channel.n)
+        return self._cached_tables(
+            channel, "mub", range(channel.dim + 1),
+            lambda block: np.stack([family[j].clifford.unitary() for j in block]))
 
     def mub_transition_probs(self, channel: ChannelModel, basis: MubBasis,
                              intermediary: Pauli | None = None) -> np.ndarray:
@@ -274,12 +297,9 @@ class DenseBackend:
         the channel (and the optional extra Pauli), undo the preparation,
         measure outcome v.  Surviving (v = 0) means returning to state m.
         The Pauli shifts outcomes by its syndrome (:func:`outcome_shift`)."""
-        self.check_capacity(channel.n)
-        per_channel = self._mub_cache.setdefault(channel, {})
-        probs = per_channel.get(basis.index)
-        if probs is None:
-            probs = per_channel[basis.index] = _transition_table(
-                channel, basis.clifford.unitary()[None])[0]
+        probs = self._cached_tables(
+            channel, "mub", [basis.index],
+            lambda block: basis.clifford.unitary()[None])[0]
         if intermediary is None:
             return probs
         shift = outcome_shift([g.key for g in basis.frame.generators], intermediary)
@@ -333,25 +353,14 @@ class DenseBackend:
         """(T, D, D) transition tables of the one-qubit-twirl rotation parts
         ``rotations`` ((T, n) rotation indices, qubit 1 first): row x of
         table t is the outcome law of every element with rotation part
-        rotations[t] and X part x.
-
-        Each table is built on first use and kept, so at most 3^n tables
-        cover all 12^n elements.  The missing ones are built together from
-        one stack of rotation unitaries, in blocks of at most about
-        ``_TABLE_BLOCK`` table entries.
+        rotations[t] and X part x.  Only the tables asked for are built, so
+        at most 3^n tables cover all 12^n elements; each is built from its
+        rotation unitary, the element with Pauli part I.
         """
-        self.check_capacity(channel.n)
-        per_channel = self._local_cache.setdefault(channel, {})
         keys = list(map(tuple, np.asarray(rotations).tolist()))
-        missing = [key for key in dict.fromkeys(keys) if key not in per_channel]
-        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
-        for lo in range(0, len(missing), step):
-            block = missing[lo:lo + step]
-            parts = np.array(block)
-            # (T, D, D) rotation unitaries: the elements with Pauli part I
-            tables = _transition_table(channel, tensor(_TWIRL_GATES[0, parts.T]))
-            per_channel.update(zip(block, tables))
-        return np.stack([per_channel[key] for key in keys])
+        return self._cached_tables(
+            channel, "local", keys,
+            lambda block: tensor(_TWIRL_GATES[0, np.array(block).T]))
 
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -403,39 +412,38 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
     The circuit is: prepare |0..0>, apply the twirl element, the channel,
     the optional intermediary Pauli, undo the twirl element, and measure.
     Outcomes are indexed with qubit 1 as the most significant bit.
+
+    It is the mean of the family's laws: every row of the D+1 MUB tables,
+    every row of the 3^n rotation tables (row x stands for the 2^n elements
+    with X part x), or every Clifford's tableau law.  An intermediary shifts
+    each table's or element's outcomes by its syndrome against the Z-images
+    (:func:`outcome_shift`): a MUB basis's frame generators, or Y, X, Z on
+    a qubit rotated about x, y, z.
     """
     if twirl.n != channel.n:
         raise DimensionMismatchError("twirl/channel qubit mismatch")
     n = channel.n
-    d = channel.dim
     backend = backend or DenseBackend()
     if twirl.kind == "mub":
         if n > MUB_ENUM_MAX_N:
             raise CapacityError(f"MUB enumeration capped at n={MUB_ENUM_MAX_N}")
-        dist = np.zeros(d)
-        for basis in build_mub_family(n):
-            probs = backend.mub_transition_probs(channel, basis, intermediary)
-            dist += probs.sum(axis=0)
-        return dist / (d * (d + 1))
-    if twirl.kind == "local_clifford":
+        laws = backend.mub_tables(channel).mean(axis=1)
+        z_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(n)]
+    elif twirl.kind == "local_clifford":
         if n > LOCAL_ENUM_MAX_N:
             raise CapacityError(f"local twirl enumeration capped at n={LOCAL_ENUM_MAX_N}")
-        pm = None if intermediary is None else intermediary.to_matrix()
-        dist = np.zeros(d)
-        for digits in itertools.product(itertools.product(range(4), range(3)), repeat=n):
-            u = local_twirl_unitary(digits)
-            sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
-            if pm is not None:
-                sigma = pm @ sigma @ pm.conj().T
-            dist += np.einsum("im,ij,jm->m", u.conj(), sigma, u).real
-        return dist / 12 ** n
-    if twirl.kind == "clifford_full":
+        rotations = np.indices((3,) * n).reshape(n, -1).T  # qubit 1 the top digit
+        laws = backend.local_tables(channel, rotations).mean(axis=1)
+        # keys x | z << n of Y, X, Z on the last qubit, moved to each qubit's bit
+        z_keys = np.array([1 + (1 << n), 1, 1 << n])[rotations] << np.arange(n - 1, -1, -1)
+    elif twirl.kind == "clifford_full":
         if n > CLIFFORD_ENUM_MAX_N:
             raise CapacityError(f"Clifford enumeration capped at n={CLIFFORD_ENUM_MAX_N}")
-        laws = backend.clifford_outcome_probs(channel, clifford_group_tableaux(n),
-                                              intermediary)
-        dist = np.zeros(d)
-        for law in laws:  # summed in enumeration order, one element at a time
-            dist += law
-        return dist / len(laws)
-    raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")
+        tableaux = clifford_group_tableaux(n)
+        laws, z_keys = backend.clifford_outcome_probs(channel, tableaux), tableaux.z
+    else:
+        raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")
+    if intermediary is not None:
+        shift = outcome_shift(z_keys, intermediary)
+        laws = np.take_along_axis(laws, np.arange(channel.dim) ^ shift[:, None], axis=1)
+    return laws.mean(axis=0)

@@ -21,7 +21,6 @@ rather than hide.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from math import comb
@@ -29,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .channels import ChannelModel, check_trace_preserving
-from .dense import DenseBackend, LOCAL_ENUM_MAX_N, local_twirl_unitary
+from .dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
 from .errors import CapacityError, ConfigError
 from .pauli import enumerate_supports
 from .records import ExperimentRecord
@@ -359,26 +358,12 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
 # exact twirled fidelity
 
 
-def c1t_fidelity(channel: ChannelModel, backend: DenseBackend | None = None,
-                 atol: float = 1e-10) -> float:
-    """Exact fidelity of the one-qubit-twirled channel, by enumeration.
-
-    Computed for every computational input state; raises if the values ever
-    depend on the input (they cannot: the twirled map treats all
-    computational states alike).  Equals sum_s chi_col[s] / 3^|s|.
+def c1t_fidelity(channel: ChannelModel, backend: DenseBackend | None = None) -> float:
+    """Exact fidelity of the one-qubit-twirled channel: the survival entry
+    of :func:`~twirltomo.dense.enumerate_twirl_exact` over the whole twirl,
+    read off the backend's 3^n rotation tables.  The twirled map treats all
+    computational inputs alike, so the input |0..0> gives it.  Equals
+    sum_s chi_col[s] / 3^|s|.
     """
-    n = channel.n
-    if n > LOCAL_ENUM_MAX_N:
-        raise CapacityError(f"exact local twirl capped at n={LOCAL_ENUM_MAX_N}")
-    d = channel.dim
-    fid = np.zeros(d)
-    for digits in itertools.product(itertools.product(range(4), range(3)), repeat=n):
-        u = local_twirl_unitary(digits)
-        for v in range(d):
-            col = u[:, v]
-            sigma = channel.apply(np.outer(col, col.conj()))
-            fid[v] += (col.conj() @ sigma @ col).real
-    fid /= 12 ** n
-    if fid.max() - fid.min() > atol:
-        raise AssertionError(f"twirled fidelity varies across inputs: {fid}")
-    return float(fid.mean())
+    return float(enumerate_twirl_exact(
+        channel, TwirlSpec("local_clifford", channel.n), backend=backend)[0])

@@ -40,7 +40,7 @@ from .pauli import Pauli
 from .records import ExperimentRecord
 from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
 from .stabilizer import (Tableaux, _key_to_pauli, _swap_halves, build_mub_family,
-                         clifford_bounds, grow_cliffords)
+                         clifford_bounds, grow_cliffords, outcome_shift)
 
 #: realizations whose estimate clears the reporting threshold by fewer than
 #: this many standard errors are flagged borderline instead of being called
@@ -134,9 +134,9 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     d = channel.dim
     m_total = config.shots
     if config.variant == "mub":
-        fam = build_mub_family(channel.n)
-        # stay[j, m]: survival probability of state m of basis j
-        stay = np.array([backend.mub_transition_probs(channel, b, p)[:, 0] for b in fam])
+        gen_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(channel.n)]
+        # stay[j, m]: survival probability of state m of basis j under P
+        stay = backend.mub_tables(channel)[np.arange(d + 1), :, outcome_shift(gen_keys, p)]
         jm, u = draw_batch(config.seed, 1, m_total, (d + 1, d), 1)
         survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
     else:
@@ -218,21 +218,20 @@ class SeqptResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
-def _sample_mub_codes(channel: ChannelModel, fam, seed: int, count: int,
+def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
                       backend: DenseBackend, keep_records: bool):
     """Realizations 0 .. count-1 of a blind MUB run, reduced as they stream
     through blocks of ``_MUB_BLOCK`` cdf entries.
 
     Realization i draws basis j, state m and the outcome uniform from
     ``substream(seed, 1 + i)``; its outcome v is the ``_draw_outcome`` of
-    row m of the cdf table of basis ``fam[j]``.  Returns the count of each
+    row m of the cdf table of MUB basis j.  Returns the count of each
     code j*D + v, the first realization with each code (``count`` where
     none has it), and the records of all realizations when
     ``keep_records`` is set.
     """
     d = channel.dim
-    tables = np.stack([backend.mub_transition_probs(channel, b) for b in fam])
-    cdfs = np.cumsum(tables, axis=2)  # (D+1, D, D): basis, state, outcome
+    cdfs = np.cumsum(backend.mub_tables(channel), axis=2)  # basis, state, outcome
     counts = np.zeros(d * (d + 1), dtype=np.int64)
     first = np.full(d * (d + 1), count, dtype=np.int64)
     records = []
@@ -321,9 +320,8 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     if config.variant == "mub":
         # a class depends only on the basis and the outcome: one rref per
         # seen code j*D + v, visited in order of first realization
-        fam = build_mub_family(n)
-        gen_keys = [[g.key for g in b.frame.generators] for b in fam]
-        sizes, first, records = _sample_mub_codes(channel, fam, config.seed, m_total,
+        gen_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(n)]
+        sizes, first, records = _sample_mub_codes(channel, config.seed, m_total,
                                                   backend, keep_records)
         seen = np.flatnonzero(sizes)
         for code in seen[np.argsort(first[seen])].tolist():

@@ -294,7 +294,11 @@ def outcome_shift(z_keys, p: Pauli) -> np.ndarray:
     elements: bit k (qubit 1 on top) says whether p anticommutes with Z-image
     k.  p between the channel and the untwirl relabels outcome v as v ^ it."""
     n = p.n
-    flips = _swap_halves(np.asarray(z_keys, dtype=np.uint64), n) & np.uint64(p.key)
+    z_keys = np.asarray(z_keys, dtype=np.uint64)
+    if z_keys.shape[-1] != n:
+        raise DimensionMismatchError(
+            f"the Pauli acts on {n} qubits, the Z-images on {z_keys.shape[-1]}")
+    flips = _swap_halves(z_keys, n) & np.uint64(p.key)
     return (np.bitwise_count(flips) & 1).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
 
 
@@ -474,7 +478,9 @@ def grow_cliffords(n: int, rows) -> Tableaux:
 
 def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:
     """Uniformly random Clifford element modulo global phase: one row of
-    draws from ``rng`` grown by :func:`grow_cliffords`."""
+    draws from ``rng`` grown by :func:`grow_cliffords`.  A call costs about
+    0.1-0.4 ms at n = 1 to 3, mostly numpy's per-call overhead: to draw many
+    elements, grow :func:`clifford_bounds` rows in one call instead."""
     return grow_cliffords(n, draw_clifford_row(n, rng)).clifford(0)
 
 

@@ -10,7 +10,7 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
-from twirltomo.errors import CapacityError, ConfigError
+from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
 from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import PAULI_1Q, Pauli
 from twirltomo.rng import _draw_outcome, draw_batch, master
@@ -173,15 +173,63 @@ def test_mub_equals_full_clifford_survival_n2():
     assert abs(d_mub[0] - d_cl[0]) < 1e-10
 
 
+def _enumerate_reference(channel, kind, intermediary=None, column=0):
+    """The per-element enumeration: one unitary and one channel application
+    per twirl element, its outcome law read by ``_reference_row``, averaged
+    in family order.  A MUB element is a basis and one of its columns; a
+    one-qubit-twirl element prepares column ``column`` of its unitary (the
+    input state |column> before the twirl)."""
+    n, d = channel.n, channel.dim
+    pm = None if intermediary is None else intermediary.to_matrix()
+    if kind == "mub":
+        elements = ((b.clifford.unitary(), m) for b in build_mub_family(n) for m in range(d))
+    else:
+        elements = ((local_twirl_unitary(digits), column) for digits in itertools.product(
+            itertools.product(range(4), range(3)), repeat=n))
+    total, count = np.zeros(d), 0
+    for w, m in elements:
+        total += _reference_row(channel, w, m, pm)
+        count += 1
+    return total / count
+
+
+def test_enumeration_equals_per_element_reference():
+    """The MUB and one-qubit-twirl enumerations, read off the backend's
+    tables, equal the per-element enumeration within 1e-12: every
+    intermediary Pauli (and none) on the battery at n = 1, 2; none and two
+    random Paulis on the battery at n = 3; and none and one random Pauli on
+    the non-CP transpose map and on a random CP map at n = 4 (one-qubit
+    twirl only, past the MUB enumeration cap)."""
+    rng = master(100)
+    channels = [*battery(), ("transpose", transpose_map_channel()),
+                ("random-cp-4", random_cp_channel(4, master(101)))]
+    for name, ch in channels:
+        n = ch.n
+        if n <= 2:
+            paulis = [Pauli.from_label(n, l) for l in range(4 ** n)]
+        else:
+            paulis = [Pauli.from_label(n, int(l))
+                      for l in rng.integers(1, 4 ** n, size=2 if n == 3 else 1)]
+        backend = DenseBackend()
+        for kind in ("mub", "local_clifford") if n <= dense.MUB_ENUM_MAX_N else ("local_clifford",):
+            for inter in (None, *paulis):
+                got = enumerate_twirl_exact(ch, TwirlSpec(kind, n), inter, backend)
+                want = _enumerate_reference(ch, kind, inter)
+                assert np.abs(got - want).max() <= 1e-12, (name, kind, str(inter))
+
+
 def test_local_twirl_fidelity_input_independent():
-    """One-qubit-twirled fidelity is the same for every computational input."""
+    """The one-qubit-twirled fidelity of every computational input, by the
+    per-element enumeration, equals c1t_fidelity (which reads input |0..0>
+    off the rotation tables): the battery at n <= 2 and a random CP map at
+    n = 3."""
     from twirltomo.localtwirl import c1t_fidelity
-    for name, ch in battery(max_n=2):
-        f = c1t_fidelity(ch)  # raises internally on input dependence
+    for name, ch in [*battery(max_n=2), battery(max_n=3)[-1]]:
+        f = c1t_fidelity(ch)
         assert 0.0 <= f <= 1.0 + 1e-12, name
-    # n=3 spot check
-    f3 = c1t_fidelity(battery(max_n=3)[-1][1])
-    assert 0.0 <= f3 <= 1.0 + 1e-12
+        for v in range(ch.dim):
+            fid = _enumerate_reference(ch, "local_clifford", column=v)[0]
+            assert abs(fid - f) <= 1e-12, (name, v)
 
 
 def test_enumeration_caps():
@@ -192,6 +240,22 @@ def test_enumeration_caps():
         enumerate_twirl_exact(big, TwirlSpec("clifford_full", 4))
     with pytest.raises(ValueError):
         enumerate_twirl_exact(big, TwirlSpec("haar_state", 4))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("mub", 2), p, b),
+    lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 2), p, b),
+    lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("clifford_full", 2), p, b),
+    lambda ch, p, b: b.mub_transition_probs(ch, build_mub_family(2)[3], p),
+    lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(2, master(9)), p),
+], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law"])
+def test_intermediary_qubit_mismatch_names_both_counts(entry):
+    """An intermediary Pauli on another number of qubits than the channel
+    raises DimensionMismatchError naming both counts, from outcome_shift."""
+    ch = random_cp_channel(2, master(8))
+    for label, k in (("X", 1), ("XYZ", 3)):
+        with pytest.raises(DimensionMismatchError, match=f"on {k} qubits, .* on 2"):
+            entry(ch, Pauli.from_string(label), DenseBackend())
 
 
 def test_twirl_spec_sizes():
@@ -330,10 +394,12 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     """Outcome laws are rows of whole transition tables: sampling a Kraus map
     applies the channel zero times, builds one table per distinct rotation
     part (one-qubit twirl) and one per basis (MUB, shared by every
-    intermediary), and a
-    fresh backend builds one table for one law, as sample_c1t_realization
-    does without a shared backend.  Tables are counted by the length of each
-    stack of bases built."""
+    intermediary), and a fresh backend builds one table for one law, as
+    sample_c1t_realization does without a shared backend.  The exact MUB
+    and one-qubit-twirl enumerations and c1t_fidelity, with and without an
+    intermediary, apply the channel zero times too and build D+1 and 3^n
+    tables in all.  Tables are counted by the length of each stack of bases
+    built."""
     applied, built = [], []
     apply, table = ChannelModel.apply, dense._transition_table
 
@@ -361,6 +427,16 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     built.clear()
     DenseBackend().local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1)))
     assert sum(built) == 1 and not applied
+    built.clear()
+    exact = DenseBackend()
+    p = Pauli.from_string("XIZ")
+    for inter in (None, p):
+        enumerate_twirl_exact(ch, TwirlSpec("mub", 3), inter, exact)
+    assert sum(built) == ch.dim + 1 and not applied
+    for inter in (None, p):
+        enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 3), inter, exact)
+    localtwirl.c1t_fidelity(ch, exact)
+    assert sum(built) == ch.dim + 1 + 3 ** 3 and not applied
 
 
 def _reference_row(channel, w, m, pm=None):
@@ -416,13 +492,14 @@ def test_transition_tables_match_per_column_apply():
 
 @pytest.mark.parametrize("block", [1, 1 << 30])
 def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
-    """local_tables builds the missing tables from one stack of rotation
-    unitaries; every table equals the one built alone,
-    _transition_table(channel, local_twirl_unitary(...)), bit for bit.  Every
-    rotation part at n = 1 to 5, on the table-test maps (battery, transpose,
-    non-Hermitian chi, non-TP) and random CP maps at n = 4 and 5, with the
-    block forced to one table and to all tables; half the tables are cached
-    first, and the stack follows the order asked for."""
+    """local_tables and mub_tables build the missing tables from one stack
+    of basis unitaries; every table equals the one built alone,
+    _transition_table(channel, u[None]) of its rotation unitary
+    local_twirl_unitary(...) or its basis unitary, bit for bit.  Every
+    rotation part and every MUB basis at n = 1 to 5, on the table-test maps
+    (battery, transpose, non-Hermitian chi, non-TP) and random CP maps at
+    n = 4 and 5, with the block forced to one table and to all tables; half
+    the tables are cached first, and the stack follows the order asked for."""
     monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
     channels = [*_table_test_channels(),
                 ("random-cp-4", random_cp_channel(4, master(98))),
@@ -435,6 +512,12 @@ def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
         backend = DenseBackend()
         assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
         assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
+        family = build_mub_family(ch.n)
+        want = np.array([dense._transition_table(ch, b.clifford.unitary()[None])[0]
+                         for b in family])
+        for b in family[::2]:
+            assert np.array_equal(backend.mub_transition_probs(ch, b), want[b.index]), name
+        assert np.array_equal(backend.mub_tables(ch), want), name
 
 
 def test_kraus_apply_is_the_explicit_kraus_sum():
