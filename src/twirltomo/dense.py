@@ -1,10 +1,11 @@
 """Exact small-n dense simulation and the oracles the protocols test against.
 
-This backend computes Clifford-twirl outcome laws from the stabilizer
-tableau and the chi matrix, reads MUB and one-qubit-twirl laws off one
-cache of whole transition tables, enumerates finite twirl families exactly
-as the mean of those laws, and evaluates the Haar-average identity for
-second moments in closed form.  Everything is deterministic given a
+Every twirl family's outcome law is a row of one transition-table kernel
+(:func:`_transition_table`): MUB and one-qubit-twirl laws are read off a
+cache of whole tables, and a Clifford element's law is row 0 of the table
+of its own dense unitary.  The backend enumerates finite twirl families
+exactly as the mean of those laws, and evaluates the Haar-average identity
+for second moments in closed form.  Everything is deterministic given a
 Generator; enumerations iterate in a fixed canonical order so results are
 reproducible bit for bit.
 """
@@ -12,13 +13,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import ChannelModel
 from .errors import CapacityError, ConfigError, DimensionMismatchError
-from .pauli import PAULI_1Q, XZ_DIGIT, Pauli, tensor
+from .pauli import PAULI_1Q, Pauli, tensor
 from .stabilizer import (MubBasis, Tableaux, build_mub_family, clifford_group_tableaux,
                          outcome_shift)
 
@@ -26,8 +26,7 @@ DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
-_LAW_BLOCK = 1 << 13  # table and chi entries gathered per Clifford law pass (~128 KiB)
-_TABLE_BLOCK = 1 << 13  # table entries per one-qubit-twirl table pass (~128 KiB per operand)
+_TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
 
 
 # ---------------------------------------------------------------------------
@@ -181,81 +180,29 @@ def _transition_table(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
     return probs
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-@lru_cache(maxsize=None)
-def _label_table(n: int) -> np.ndarray:
-    """label[x, z]: integer label of the phase-free Pauli with bits x, z."""
-    d = 1 << n
-    x = np.arange(d)[:, None]
-    z = np.arange(d)[None, :]
-    label = np.zeros((d, d), dtype=np.int64)
-    digit = np.array(XZ_DIGIT)
-    for shift in range(n - 1, -1, -1):  # qubit 1 is the top digit
-        label = (label << 2) | digit[((x >> shift) & 1) + 2 * ((z >> shift) & 1)]
-    label.setflags(write=False)  # cached and shared by every caller
-    return label
-
-
-def _conjugated_xz_table(tableaux: Tableaux):
-    """C X^a Z^b C^dag = i^e X^x Z^z for all (a, b) and every element C of
-    the stack, as (M, D^2) arrays (x, z, e) with column a * D + b.
-
-    Built by doubling over the 2n images: each image multiplies the table so
-    far from the left, Z-images first (filling the bits of b), then X-images
-    (the bits of a), so every X-image stands left of every Z-image.  In the
-    XZ form the product of i^e1 X^x1 Z^z1 and i^e2 X^x2 Z^z2 is
-    i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
-    """
-    n = tableaux.n
-    m = len(tableaux)
-    x = np.zeros((m, 1), dtype=np.int64)
-    z = np.zeros((m, 1), dtype=np.int64)
-    e = np.zeros((m, 1), dtype=np.int64)
-    images = [(tableaux.z[:, j], tableaux.signs[:, 2 * j + 1]) for j in range(n)][::-1]
-    images += [(tableaux.x[:, j], tableaux.signs[:, 2 * j]) for j in range(n)][::-1]
-    for key, sign in images:
-        g_x = (key & np.uint64((1 << n) - 1)).astype(np.int64)[:, None]
-        g_z = (key >> np.uint64(n)).astype(np.int64)[:, None]
-        g_e = 2 * sign[:, None] + np.bitwise_count(g_x & g_z)  # Y = i X Z per qubit
-        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g_z)), axis=1)
-        x = np.concatenate((x, x ^ g_x), axis=1)
-        z = np.concatenate((z, z ^ g_z), axis=1)
-    return x, z, e
-
-
-def _tableau_laws(channel: ChannelModel, tableaux: Tableaux, rows: np.ndarray,
-                  intermediary: Pauli | None) -> np.ndarray:
-    """probs_P[i, r] of element i at outcome rows[r], unclipped: see
-    :meth:`DenseBackend.clifford_outcome_probs`."""
-    n, d, m = channel.n, channel.dim, len(tableaux)
-    x, z, e = _conjugated_xz_table(tableaux)
-    labels = _label_table(n)[x, z]
-    # C X^a Z^b C^dag = phi P_l with phi = i^(e - |x & z|); theta = conj(phi)
-    phi = _I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(m, d, d)
-    rows = np.broadcast_to(rows, (m, len(rows)))
-    if intermediary is not None:
-        rows = rows ^ outcome_shift(tableaux.z, intermediary)[:, None]
-    elements = np.arange(m)[:, None]
-    labels = labels.reshape(m, d, d)[elements, rows]
-    phi = phi[elements, rows]
-    block = channel.chi.mat[labels[..., :, None], labels[..., None, :]]
-    return np.einsum("mab,mabc,mac->ma", phi.conj(), block, phi).real
+def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.ndarray:
+    """The (M, D) laws with an intermediary P before the untwirl: row i
+    relabeled by P's syndrome against z_keys[i] (:func:`outcome_shift`)."""
+    if intermediary is None:
+        return laws
+    shift = outcome_shift(z_keys, intermediary)
+    return np.take_along_axis(laws, np.arange(laws.shape[1]) ^ shift[:, None], axis=1)
 
 
 class DenseBackend:
     """Dense simulator handed to the protocol runners.
 
-    Holds the one source of MUB and one-qubit-twirl laws: per-channel
-    transition tables, read by the samplers and the exact enumerations
-    alike.  One table per MUB basis serves every intermediary Pauli, which
-    shifts its outcomes by the Pauli's syndrome; one table per rotation part
-    of a one-qubit-twirl element holds the laws of all 2^n X parts.  Each
-    table is built on first use and kept.  Channels key the cache weakly (by
-    object, not by id, so recycled addresses cannot collide) and capacity is
-    capped by ``max_n``.  A table is D x D floats, so a channel holds at most
-    (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
+    Holds the one source of twirl laws, the transition tables of
+    :func:`_transition_table`, read by the samplers and the exact
+    enumerations alike.  One table per MUB basis serves every intermediary
+    Pauli, which shifts its outcomes by the Pauli's syndrome; one table per
+    rotation part of a one-qubit-twirl element holds the laws of all 2^n X
+    parts.  Each of these is built on first use and kept.  Channels key the
+    cache weakly (by object, not by id, so recycled addresses cannot
+    collide) and capacity is capped by ``max_n``.  A table is D x D floats,
+    so a channel holds at most (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl
+    floats (about 23 MiB at n = 6).  Clifford elements are drawn fresh, so
+    their tables are built per call, a block at a time, and not kept.
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
@@ -289,7 +236,7 @@ class DenseBackend:
         family = build_mub_family(channel.n)
         return self._cached_tables(
             channel, "mub", range(channel.dim + 1),
-            lambda block: np.stack([family[j].clifford.unitary() for j in block]))
+            lambda block: Tableaux.of([family[j].clifford for j in block]).unitaries())
 
     def mub_transition_probs(self, channel: ChannelModel, basis: MubBasis,
                              intermediary: Pauli | None = None) -> np.ndarray:
@@ -308,43 +255,34 @@ class DenseBackend:
     # -- generic clifford twirl ----------------------------------------------
 
     def clifford_outcome_probs(self, channel: ChannelModel, clifford,
-                               intermediary: Pauli | None = None,
-                               outcome: int | None = None) -> np.ndarray:
+                               intermediary: Pauli | None = None) -> np.ndarray:
         """Outcome distribution of prepare |0..0>, C, channel, (P), C^dag.
 
         ``clifford`` is one :class:`Clifford` (the result is its (D,) law) or
         a :class:`Tableaux` stack of M elements (an (M, D) stack of laws).
-        With ``outcome`` given, only the probability of that outcome is
-        computed: a float, or an (M,) array for a stack.
 
-        Computed from the stabilizer tableau, without a dense unitary.  Each
-        Pauli conjugates to a phased Pauli, C^dag P_l C = theta_l X^a Z^b,
-        and X^a Z^b |0..0> = |a>, so with L(rho) = sum chi[l,l'] P_l rho P_l'
-
-            probs[a] = Re sum_{b,b'} theta chi[l(a,b), l(a,b')] conj(theta')
-
-        clipped at 0.  The formula is linear in chi, so it holds for Kraus,
-        chi-only, non-CP and non-TP maps alike; it reads ``channel.chi``
-        (16^n entries, built on first use).  An intermediary P only
-        permutes outcomes: probs_P[v] = probs[v ^ a_P], where a_P, the X
-        part of C^dag P C, is the syndrome of P against the Z-images
-        (:func:`outcome_shift`).  A stack is processed a block of elements at a
-        time, with at most about ``_LAW_BLOCK`` table and chi entries each.
+        The law of C is row 0 of the transition table of its own basis, the
+        columns of its dense unitary (:meth:`Tableaux.unitaries`), the same
+        kernel that serves the MUB and one-qubit-twirl tables, so it holds
+        for Kraus, chi-only, non-CP and non-TP maps alike and never reads
+        ``channel.chi``.  An intermediary P only permutes outcomes:
+        probs_P[v] = probs[v ^ a_P], where a_P, the X part of C^dag P C, is
+        the syndrome of P against the Z-images (:func:`outcome_shift`).  A
+        stack is processed a block of elements at a time, with at most about
+        ``_TABLE_BLOCK`` table entries each.
         """
         self.check_capacity(channel.n)
-        d = channel.dim
         single = not isinstance(clifford, Tableaux)
         tableaux = Tableaux.of([clifford]) if single else clifford
-        rows = np.arange(d) if outcome is None else np.array([outcome])
-        probs = np.empty((len(tableaux), len(rows)))
-        # per element: a D^2 tableau table and len(rows) * D^2 chi entries
-        step = max(1, _LAW_BLOCK // ((len(rows) + 1) * d * d))
+        if tableaux.n != channel.n:
+            raise DimensionMismatchError(
+                f"the Clifford acts on {tableaux.n} qubits, the channel on {channel.n}")
+        probs = np.empty((len(tableaux), channel.dim))
+        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
         for lo in range(0, len(tableaux), step):
-            block = slice(lo, lo + step)
-            probs[block] = _tableau_laws(channel, tableaux[block], rows, intermediary)
-        probs = np.clip(probs, 0.0, None)
-        if outcome is not None:
-            probs = probs[:, 0]
+            block = tableaux[lo:lo + step]
+            probs[lo:lo + step] = _transition_table(channel, block.unitaries())[:, 0]
+        probs = _shift_outcomes(probs, tableaux.z, intermediary)
         return probs[0] if single else probs
 
     # -- one-qubit twirl ------------------------------------------------------
@@ -415,10 +353,10 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
 
     It is the mean of the family's laws: every row of the D+1 MUB tables,
     every row of the 3^n rotation tables (row x stands for the 2^n elements
-    with X part x), or every Clifford's tableau law.  An intermediary shifts
-    each table's or element's outcomes by its syndrome against the Z-images
-    (:func:`outcome_shift`): a MUB basis's frame generators, or Y, X, Z on
-    a qubit rotated about x, y, z.
+    with X part x), or row 0 of every Clifford's own table.  An intermediary
+    shifts each table's or element's outcomes by its syndrome against the
+    Z-images (:func:`outcome_shift`): a MUB basis's frame generators, or
+    Y, X, Z on a qubit rotated about x, y, z.
     """
     if twirl.n != channel.n:
         raise DimensionMismatchError("twirl/channel qubit mismatch")
@@ -443,7 +381,4 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
         laws, z_keys = backend.clifford_outcome_probs(channel, tableaux), tableaux.z
     else:
         raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")
-    if intermediary is not None:
-        shift = outcome_shift(z_keys, intermediary)
-        laws = np.take_along_axis(laws, np.arange(channel.dim) ^ shift[:, None], axis=1)
-    return laws.mean(axis=0)
+    return _shift_outcomes(laws, z_keys, intermediary).mean(axis=0)

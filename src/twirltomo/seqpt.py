@@ -141,7 +141,7 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
         survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
     else:
         tableaux, u = _draw_cliffords(channel.n, config.seed, m_total)
-        stay = backend.clifford_outcome_probs(channel, tableaux, p, outcome=0)
+        stay = backend.clifford_outcome_probs(channel, tableaux, p)[:, 0]
         survived = int((u < stay).sum())
     rate = survived / m_total
     chi_hat = ((d + 1) * rate - 1.0) / d

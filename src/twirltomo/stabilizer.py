@@ -2,10 +2,11 @@
 
 Everything here works on the symplectic encoding from :mod:`twirltomo.pauli`.
 A Clifford element is stored by its conjugation action: the images of the
-single-qubit X and Z operators, each a signed Pauli, and its dense unitary
-is read off those images.  A Pauli placed between a channel and the untwirl
-of an element only relabels outcomes, by the syndrome of the Pauli against
-the element's Z-images (:func:`outcome_shift`).
+single-qubit X and Z operators, each a signed Pauli, and the dense
+unitaries of a whole stack are read off those images at once
+(:meth:`Tableaux.unitaries`).  A Pauli placed between a channel and the
+untwirl of an element only relabels outcomes, by the syndrome of the Pauli
+against the element's Z-images (:func:`outcome_shift`).
 
 Sign conventions are pinned here once and tests assert them:
 H maps X -> Z and Z -> X with +1 (so Y -> -Y); the phase gate S maps
@@ -26,6 +27,7 @@ from .channels import gate_unitary
 from .pauli import Pauli, multiply, symplectic_product
 
 _ONE = np.uint64(1)
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 Gate = tuple[str, tuple[int, ...]]
 
@@ -135,19 +137,8 @@ class Clifford:
         return Pauli(n, acc.x, acc.z, acc.phase_pow + c + p.phase_pow)
 
     def unitary(self) -> np.ndarray:
-        """Dense unitary up to a global phase.  Column 0 is C|0..0>, the
-        normalized largest column of prod_k (I + g_k) / 2 over the signed
-        Z-images g_k; column m is C X^m |0..0>, so each X-image h doubles the
-        columns as [u, h u], qubit n first and qubit 1 (the top bit) last."""
-        d = 1 << self.n
-        proj = np.eye(d, dtype=complex)
-        for g in self.z_images:
-            proj = proj @ (np.eye(d) + g.to_matrix()) / 2
-        norms = np.linalg.norm(proj, axis=0)
-        u = proj[:, [int(np.argmax(norms))]] / norms.max()
-        for h in reversed(self.x_images):
-            u = np.concatenate((u, h.to_matrix() @ u), axis=1)
-        return u
+        """Dense unitary up to a global phase, by :meth:`Tableaux.unitaries`."""
+        return Tableaux.of([self]).unitaries()[0]
 
     def __eq__(self, other):
         return (isinstance(other, Clifford) and self.n == other.n
@@ -382,6 +373,41 @@ class Tableaux:
 
     def __getitem__(self, rows) -> "Tableaux":
         return Tableaux(self.n, self.x[rows], self.z[rows], self.signs[rows])
+
+    def unitaries(self) -> np.ndarray:
+        """(M, D, D) dense unitaries of the stack, each up to a global phase.
+
+        Column 0 of element C is C|0..0>, the normalized largest column of
+        prod_k (I + g_k) / 2 over the signed Z-images g_k; column m is
+        C X^m |0..0>, so each X-image h doubles the columns as [u, h u],
+        qubit n first and qubit 1 (the top bit) last.  An image
+        (-1)^s i^|x & z| X^x Z^z acts as a signed row permutation: row r of
+        the product is row r ^ x times i^|x & z| (-1)^(s + |(r ^ x) & z|).
+        Every sum and product before the normalization is exact.
+        """
+        n, m = self.n, len(self)
+        d = 1 << n
+        rows = np.arange(d)
+        elements = np.arange(m)
+
+        def times(keys, signs, u):  # g u for each element's image g (key, sign bit)
+            x = (keys & np.uint64(d - 1)).astype(np.int64)[:, None]
+            z = (keys >> np.uint64(n)).astype(np.int64)[:, None]
+            src = rows ^ x
+            power = np.bitwise_count(x & z) + 2 * (signs[:, None] + np.bitwise_count(src & z))
+            return _I_POWERS[power % 4][..., None] * u[elements[:, None], src]
+
+        proj = np.zeros((m, d, d), dtype=complex)
+        proj[:, rows, rows] = 1
+        for j in range(n):
+            half = times(self.z[:, j], self.signs[:, 2 * j + 1], proj)
+            proj = np.multiply(np.add(half, proj, out=half), 0.5, out=half)
+        norms = np.linalg.norm(proj, axis=1)
+        u = (proj[elements, :, np.argmax(norms, axis=1)]
+             / norms.max(axis=1)[:, None])[..., None]
+        for j in range(n - 1, -1, -1):
+            u = np.concatenate((u, times(self.x[:, j], self.signs[:, 2 * j], u)), axis=2)
+        return u
 
     def clifford(self, i: int) -> Clifford:
         """Element i as a :class:`Clifford`."""

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 depolarizing_kraus, gate_unitary,
                                 phase_flip_kraus, amplitude_damping_kraus,
                                 random_cp_channel)
+from twirltomo.pauli import XZ_DIGIT
+
+I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def xor_combination(basis, coeff: int) -> int:
@@ -14,6 +19,46 @@ def xor_combination(basis, coeff: int) -> int:
         if (coeff >> i) & 1:
             v ^= b
     return v
+
+
+@lru_cache(maxsize=None)
+def label_table(n: int) -> np.ndarray:
+    """label[x, z]: integer label of the phase-free Pauli with bits x, z."""
+    d = 1 << n
+    x = np.arange(d)[:, None]
+    z = np.arange(d)[None, :]
+    label = np.zeros((d, d), dtype=np.int64)
+    digit = np.array(XZ_DIGIT)
+    for shift in range(n - 1, -1, -1):  # qubit 1 is the top digit
+        label = (label << 2) | digit[((x >> shift) & 1) + 2 * ((z >> shift) & 1)]
+    return label
+
+
+def conjugated_xz_table(tableaux):
+    """C X^a Z^b C^dag = i^e X^x Z^z for all (a, b) and every element C of
+    the stack, as (M, D^2) arrays (x, z, e) with column a * D + b.
+
+    Built by doubling over the 2n images: each image multiplies the table so
+    far from the left, Z-images first (filling the bits of b), then X-images
+    (the bits of a), so every X-image stands left of every Z-image.  In the
+    XZ form the product of i^e1 X^x1 Z^z1 and i^e2 X^x2 Z^z2 is
+    i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
+    """
+    n = tableaux.n
+    m = len(tableaux)
+    x = np.zeros((m, 1), dtype=np.int64)
+    z = np.zeros((m, 1), dtype=np.int64)
+    e = np.zeros((m, 1), dtype=np.int64)
+    images = [(tableaux.z[:, j], tableaux.signs[:, 2 * j + 1]) for j in range(n)][::-1]
+    images += [(tableaux.x[:, j], tableaux.signs[:, 2 * j]) for j in range(n)][::-1]
+    for key, sign in images:
+        g_x = (key & np.uint64((1 << n) - 1)).astype(np.int64)[:, None]
+        g_z = (key >> np.uint64(n)).astype(np.int64)[:, None]
+        g_e = 2 * sign[:, None] + np.bitwise_count(g_x & g_z)  # Y = i X Z per qubit
+        e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g_z)), axis=1)
+        x = np.concatenate((x, x ^ g_x), axis=1)
+        z = np.concatenate((z, z ^ g_z), axis=1)
+    return x, z, e
 
 
 def transpose_map_channel() -> ChannelModel:

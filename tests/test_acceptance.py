@@ -90,7 +90,7 @@ def test_c03_twirl_average_equivalence():
     g = master(303)
     # the elements sample_clifford_uniform draws one after another from g
     tableaux = grow_cliffords(2, [draw_clifford_row(2, g) for _ in range(10000)])
-    vals = BACKEND.clifford_outcome_probs(ch2, tableaux, outcome=0)
+    vals = BACKEND.clifford_outcome_probs(ch2, tableaux)[:, 0]
     sem = vals.std(ddof=1) / np.sqrt(len(vals))
     sig = abs(vals.mean() - exact) / sem
     _report("criterion-03 twirl-equivalence", ok1 and sig <= 3.0,

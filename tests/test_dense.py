@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import battery, cnot_channel, transpose_map_channel
+from conftest import (I_POWERS, battery, cnot_channel, label_table,
+                      transpose_map_channel)
 from twirltomo import dense, localtwirl
 from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
                                 gate_unitary, random_cp_channel)
@@ -248,10 +249,13 @@ def test_enumeration_caps():
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("clifford_full", 2), p, b),
     lambda ch, p, b: b.mub_transition_probs(ch, build_mub_family(2)[3], p),
     lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(2, master(9)), p),
-], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law"])
+    lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(p.n, master(9))),
+], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law",
+        "clifford-qubits"])
 def test_intermediary_qubit_mismatch_names_both_counts(entry):
     """An intermediary Pauli on another number of qubits than the channel
-    raises DimensionMismatchError naming both counts, from outcome_shift."""
+    raises DimensionMismatchError naming both counts, from outcome_shift;
+    so does a Clifford on another number of qubits (the Pauli's count)."""
     ch = random_cp_channel(2, master(8))
     for label, k in (("X", 1), ("XYZ", 3)):
         with pytest.raises(DimensionMismatchError, match=f"on {k} qubits, .* on 2"):
@@ -302,8 +306,15 @@ def test_clifford_outcome_probs_match_dense_reference():
 
 
 def _tableau_law_reference(channel, clifford, intermediary=None):
-    """One element's tableau law by the per-element loop over its Pauli
-    images (the doubling of ``dense._conjugated_xz_table`` on Python ints)."""
+    """One element's law from its tableau and the chi matrix: each Pauli
+    conjugates to a phased Pauli, C^dag P_l C = theta_l X^a Z^b, and
+    X^a Z^b |0..0> = |a>, so with L(rho) = sum chi[l,l'] P_l rho P_l'
+
+        probs[a] = Re sum_{b,b'} theta chi[l(a,b), l(a,b')] conj(theta')
+
+    clipped at 0.  The images of X^a Z^b come from doubling over the
+    element's Pauli images on Python ints (``conftest.conjugated_xz_table``
+    for one element)."""
     n, d = channel.n, channel.dim
     x = z = e = np.zeros(1, dtype=np.int64)
     for g in (*clifford.z_images[::-1], *clifford.x_images[::-1]):
@@ -311,8 +322,8 @@ def _tableau_law_reference(channel, clifford, intermediary=None):
         e = np.concatenate((e, e + g_e + 2 * np.bitwise_count(x & g.z)))
         x = np.concatenate((x, x ^ g.x))
         z = np.concatenate((z, z ^ g.z))
-    labels = dense._label_table(n)[x, z].reshape(d, d)
-    phi = dense._I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(d, d)
+    labels = label_table(n)[x, z].reshape(d, d)
+    phi = I_POWERS[(e - np.bitwise_count(x & z)) % 4].reshape(d, d)
     block = channel.chi.mat[labels[:, :, None], labels[:, None, :]]
     probs = np.einsum("ab,abc,ac->a", phi.conj(), block, phi).real
     if intermediary is not None:
@@ -321,12 +332,12 @@ def _tableau_law_reference(channel, clifford, intermediary=None):
     return np.clip(probs, 0.0, None)
 
 
-def test_stacked_clifford_laws_equal_per_element_reference():
-    """The laws of a Tableaux stack, whole and one outcome at a time, equal
-    the per-element reference within 1e-15, with and without an
-    intermediary, on the battery, the non-CP transpose map, a
-    non-Hermitian chi map and non-TP maps; a single Clifford is the one-row
-    case."""
+def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
+    """The laws of a Tableaux stack, rows of transition tables, equal the
+    chi-tableau reference within 1e-14, with and without an intermediary,
+    on the battery, the non-CP transpose map, a non-Hermitian chi map and
+    non-TP maps.  With the block forced to one element and to all of them,
+    each row equals the law of that one Clifford bit for bit."""
     backend = DenseBackend()
     rng = master(78)
     count = 40
@@ -338,15 +349,15 @@ def test_stacked_clifford_laws_equal_per_element_reference():
         for inter in (None, p):
             want = np.array([_tableau_law_reference(ch, tableaux.clifford(i), inter)
                              for i in range(count)])
-            got = backend.clifford_outcome_probs(ch, tableaux, inter)
-            assert got.shape == (count, ch.dim)
-            assert np.abs(got - want).max() <= 1e-15, (name, str(inter))
-            for v in range(ch.dim):
-                entry = backend.clifford_outcome_probs(ch, tableaux, inter, outcome=v)
-                assert np.abs(entry - want[:, v]).max() <= 1e-15, (name, str(inter), v)
-            for i in range(3):
-                one = backend.clifford_outcome_probs(ch, tableaux.clifford(i), inter)
-                assert np.abs(one - want[i]).max() <= 1e-15, (name, str(inter))
+            for block in (1, 1 << 30):
+                monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
+                got = backend.clifford_outcome_probs(ch, tableaux, inter)
+                assert got.shape == (count, ch.dim)
+                assert np.abs(got - want).max() <= 1e-14, (name, str(inter))
+                for i in range(count):
+                    one = backend.clifford_outcome_probs(ch, tableaux.clifford(i), inter)
+                    assert np.array_equal(one, got[i]), (name, str(inter), block, i)
+    assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
 
 
 def _dense_local_probs(channel, digits):

@@ -91,7 +91,7 @@ def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
         survived += g.random() < probs[0]
     est = estimate_chi_selective(channel, label, cfg, backend)
     assert est.survival_rate == survived / cfg.shots
-    monkeypatch.setattr(dense, "_LAW_BLOCK", 1)
+    monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
     assert estimate_chi_selective(channel, label, cfg, backend) == est
 
 
@@ -111,10 +111,20 @@ def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
         want.append(ExperimentRecord("clifford", (c,), _bits(v, n)))
     res = run_blind_discovery(channel, cfg, backend, keep_records=True)
     assert res.records == want
-    monkeypatch.setattr(dense, "_LAW_BLOCK", 1)
+    monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
     one_by_one = run_blind_discovery(channel, cfg, backend, keep_records=True)
     assert one_by_one.records == want
     assert one_by_one.to_json() == res.to_json()
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_sampled_runs_never_build_chi(variant):
+    """Blind and selective runs on a Kraus map read their laws off
+    transition tables of the Kraus operators: the 16^n chi is never built."""
+    for run in (run_blind_discovery, lambda ch, cfg: estimate_chi_selective(ch, "XYZ", cfg)):
+        channel = random_cp_channel(3, np.random.default_rng(5))
+        run(channel, SeqptConfig(shots=200, variant=variant, seed=3))
+        assert channel._chi is None, run
 
 
 def _blind_mub_one_by_one(channel, cfg, backend):

@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import xor_combination
-from twirltomo import dense, gf2
+from conftest import conjugated_xz_table, label_table, xor_combination
+from twirltomo import gf2
 from twirltomo.pauli import Pauli, symplectic_product
-from twirltomo.stabilizer import (Clifford, StabilizerFrame, _key_to_pauli,
+from twirltomo.stabilizer import (Clifford, StabilizerFrame, Tableaux, _key_to_pauli,
                                   _swap_halves, build_mub_family,
                                   circuit_unitary, clifford_bounds,
                                   clifford_group_tableaux, draw_clifford_row,
@@ -70,11 +70,48 @@ def test_conjugation_random_vs_dense_n3():
         _assert_unitary_conjugates(c, [Pauli.from_label(1, l) for l in range(4)])
 
 
+def _projector_unitary(c):
+    """Dense unitary of one Clifford by dense matrix products: column 0 is
+    the normalized largest column of prod_k (I + g_k) / 2 over the signed
+    Z-images g_k, and each X-image h doubles the columns as [u, h u], qubit
+    n first."""
+    d = 1 << c.n
+    proj = np.eye(d, dtype=complex)
+    for g in c.z_images:
+        proj = proj @ (np.eye(d) + g.to_matrix()) / 2
+    norms = np.linalg.norm(proj, axis=0)
+    u = proj[:, [int(np.argmax(norms))]] / norms.max()
+    for h in reversed(c.x_images):
+        u = np.concatenate((u, h.to_matrix() @ u), axis=1)
+    return u
+
+
+def test_stacked_unitaries_equal_the_projector_build():
+    """Tableaux.unitaries (signed row permutations) equals the build by
+    dense Pauli matrix products bit for bit: 200 sampled elements per
+    n = 1..5, 40 at n = 6, and every MUB basis at n = 1..6; a single
+    Clifford's unitary() is the one-element stack."""
+    for n in range(1, 7):
+        count = 200 if n < 6 else 40
+        rows, _ = draw_batch(60 + n, 1, count, clifford_bounds(n), 0)
+        tableaux = grow_cliffords(n, rows)
+        got = tableaux.unitaries()
+        assert got.shape == (count, 1 << n, 1 << n)
+        for i in range(count):
+            assert np.array_equal(got[i], _projector_unitary(tableaux.clifford(i))), (n, i)
+        family = [b.clifford for b in build_mub_family(n)]
+        got = Tableaux.of(family).unitaries()
+        for j, c in enumerate(family):
+            want = _projector_unitary(c)
+            assert np.array_equal(got[j], want), (n, j)
+            assert np.array_equal(c.unitary(), want), (n, j)
+
+
 def _label_scan_shift(tableaux, p):
     """The X part a of C^dag P C for each element of the stack, found by
     scanning the labels of C X^a Z^b C^dag for P's label."""
-    x, z, _ = dense._conjugated_xz_table(tableaux)
-    labels = dense._label_table(tableaux.n)[x, z]
+    x, z, _ = conjugated_xz_table(tableaux)
+    labels = label_table(tableaux.n)[x, z]
     return np.argmax(labels == p.label, axis=1) >> tableaux.n
 
 
