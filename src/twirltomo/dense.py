@@ -1,13 +1,13 @@
 """Exact small-n dense simulation and the oracles the protocols test against.
 
-Every twirl family's outcome law is a row of one transition-table kernel
+Every twirl family's outcome law is a row of one transition table
 (:func:`_transition_table`): MUB and one-qubit-twirl laws are read off a
 cache of whole tables, and a Clifford element's law is row 0 of the table
-of its own dense unitary.  The backend enumerates finite twirl families
-exactly as the mean of those laws, and evaluates the Haar-average identity
-for second moments in closed form.  Everything is deterministic given a
-Generator; enumerations iterate in a fixed canonical order so results are
-reproducible bit for bit.
+of its own dense unitary (:func:`_clifford_laws`).  The backend enumerates
+finite twirl families exactly as the mean of those laws, and evaluates the
+Haar-average identity for second moments in closed form.  Everything is
+deterministic given a Generator; enumerations iterate in a fixed canonical
+order so results are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -180,6 +180,18 @@ def _transition_table(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _clifford_laws(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
+    """Row 0 of each :func:`_transition_table` of the (M, D, D) stack w, from
+    column 0 alone: Re sum_k a_k conj(b_k) with a_k = w^dag (A_k w[:, 0])."""
+    w0, wh = w[:, :, :1], np.swapaxes(w.conj(), -1, -2)
+    laws = np.zeros(w.shape[:2])
+    for a_op, b_op in channel.operator_pairs():
+        a = (wh @ (a_op @ w0))[:, :, 0]
+        b = a if b_op is a_op else (wh @ (b_op @ w0))[:, :, 0]
+        laws += (a * b.conj()).real
+    return np.clip(laws, 0.0, None, out=laws)
+
+
 def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.ndarray:
     """The (M, D) laws with an intermediary P before the untwirl: row i
     relabeled by P's syndrome against z_keys[i] (:func:`outcome_shift`)."""
@@ -201,8 +213,7 @@ class DenseBackend:
     cache weakly (by object, not by id, so recycled addresses cannot
     collide) and capacity is capped by ``max_n``.  A table is D x D floats,
     so a channel holds at most (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl
-    floats (about 23 MiB at n = 6).  Clifford elements are drawn fresh, so
-    their tables are built per call, a block at a time, and not kept.
+    floats (about 23 MiB at n = 6).  Clifford laws are computed per call.
     """
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
@@ -261,15 +272,13 @@ class DenseBackend:
         ``clifford`` is one :class:`Clifford` (the result is its (D,) law) or
         a :class:`Tableaux` stack of M elements (an (M, D) stack of laws).
 
-        The law of C is row 0 of the transition table of its own basis, the
-        columns of its dense unitary (:meth:`Tableaux.unitaries`), the same
-        kernel that serves the MUB and one-qubit-twirl tables, so it holds
-        for Kraus, chi-only, non-CP and non-TP maps alike and never reads
-        ``channel.chi``.  An intermediary P only permutes outcomes:
-        probs_P[v] = probs[v ^ a_P], where a_P, the X part of C^dag P C, is
-        the syndrome of P against the Z-images (:func:`outcome_shift`).  A
-        stack is processed a block of elements at a time, with at most about
-        ``_TABLE_BLOCK`` table entries each.
+        The law of C is row 0 of the transition table of its dense unitary
+        (:meth:`Tableaux.unitaries`, :func:`_clifford_laws`), so it holds for
+        Kraus, chi-only, non-CP and non-TP maps alike and never reads
+        ``channel.chi``.  It costs 2K D^2 multiply-adds per element for K
+        operator pairs, and K can reach D^2.  An intermediary P only permutes
+        outcomes: probs_P[v] = probs[v ^ a_P], where a_P, the X part of
+        C^dag P C, is P's syndrome against the Z-images (:func:`outcome_shift`).
         """
         self.check_capacity(channel.n)
         single = not isinstance(clifford, Tableaux)
@@ -280,8 +289,7 @@ class DenseBackend:
         probs = np.empty((len(tableaux), channel.dim))
         step = max(1, _TABLE_BLOCK // channel.dim ** 2)
         for lo in range(0, len(tableaux), step):
-            block = tableaux[lo:lo + step]
-            probs[lo:lo + step] = _transition_table(channel, block.unitaries())[:, 0]
+            probs[lo:lo + step] = _clifford_laws(channel, tableaux[lo:lo + step].unitaries())
         probs = _shift_outcomes(probs, tableaux.z, intermediary)
         return probs[0] if single else probs
 

@@ -2,11 +2,10 @@
 
 Everything here works on the symplectic encoding from :mod:`twirltomo.pauli`.
 A Clifford element is stored by its conjugation action: the images of the
-single-qubit X and Z operators, each a signed Pauli, and the dense
-unitaries of a whole stack are read off those images at once
-(:meth:`Tableaux.unitaries`).  A Pauli placed between a channel and the
-untwirl of an element only relabels outcomes, by the syndrome of the Pauli
-against the element's Z-images (:func:`outcome_shift`).
+single-qubit X and Z operators, each a signed Pauli; :meth:`Tableaux.unitaries`
+reads the dense unitaries of a stack off them.  A Pauli placed between a
+channel and the untwirl of an element only relabels outcomes, by its
+syndrome against the element's Z-images (:func:`outcome_shift`).
 
 Sign conventions are pinned here once and tests assert them:
 H maps X -> Z and Z -> X with +1 (so Y -> -Y); the phase gate S maps
@@ -377,18 +376,15 @@ class Tableaux:
     def unitaries(self) -> np.ndarray:
         """(M, D, D) dense unitaries of the stack, each up to a global phase.
 
-        Column 0 of element C is C|0..0>, the normalized largest column of
+        Column 0 of C is C|0..0>, the normalized largest column of
         prod_k (I + g_k) / 2 over the signed Z-images g_k; column m is
         C X^m |0..0>, so each X-image h doubles the columns as [u, h u],
-        qubit n first and qubit 1 (the top bit) last.  An image
-        (-1)^s i^|x & z| X^x Z^z acts as a signed row permutation: row r of
-        the product is row r ^ x times i^|x & z| (-1)^(s + |(r ^ x) & z|).
-        Every sum and product before the normalization is exact.
+        qubit n first.  An image (-1)^s i^|x & z| X^x Z^z is a signed row
+        permutation: row r of the product is row r ^ x times
+        i^|x & z| (-1)^(s + |(r ^ x) & z|), so all is exact up to the norm.
         """
-        n, m = self.n, len(self)
-        d = 1 << n
-        rows = np.arange(d)
-        elements = np.arange(m)
+        n, m, d = self.n, len(self), 1 << self.n
+        rows, elements = np.arange(d), np.arange(m)
 
         def times(keys, signs, u):  # g u for each element's image g (key, sign bit)
             x = (keys & np.uint64(d - 1)).astype(np.int64)[:, None]
@@ -397,14 +393,12 @@ class Tableaux:
             power = np.bitwise_count(x & z) + 2 * (signs[:, None] + np.bitwise_count(src & z))
             return _I_POWERS[power % 4][..., None] * u[elements[:, None], src]
 
-        proj = np.zeros((m, d, d), dtype=complex)
-        proj[:, rows, rows] = 1
+        proj = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
         for j in range(n):
             half = times(self.z[:, j], self.signs[:, 2 * j + 1], proj)
             proj = np.multiply(np.add(half, proj, out=half), 0.5, out=half)
         norms = np.linalg.norm(proj, axis=1)
-        u = (proj[elements, :, np.argmax(norms, axis=1)]
-             / norms.max(axis=1)[:, None])[..., None]
+        u = (proj[elements, :, np.argmax(norms, axis=1)] / norms.max(axis=1)[:, None])[..., None]
         for j in range(n - 1, -1, -1):
             u = np.concatenate((u, times(self.x[:, j], self.signs[:, 2 * j], u)), axis=2)
         return u

@@ -333,18 +333,22 @@ def _tableau_law_reference(channel, clifford, intermediary=None):
 
 
 def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
-    """The laws of a Tableaux stack, rows of transition tables, equal the
-    chi-tableau reference within 1e-14, with and without an intermediary,
-    on the battery, the non-CP transpose map, a non-Hermitian chi map and
-    non-TP maps.  With the block forced to one element and to all of them,
-    each row equals the law of that one Clifford bit for bit."""
+    """The laws of a Tableaux stack equal row 0 of the elements' whole
+    transition tables within 1e-15, and the chi-tableau reference within
+    1e-14, with and without an intermediary, on the battery, a full-rank
+    Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian chi map
+    and non-TP maps.  With the block forced to one element and to all of
+    them, each row equals the law of that one Clifford bit for bit."""
     backend = DenseBackend()
     rng = master(78)
     count = 40
-    for name, ch in _table_test_channels():
+    full_rank = ("full-rank-3", random_cp_channel(3, master(83), n_kraus=64))
+    for name, ch in [*_table_test_channels(), full_rank]:
         n = ch.n
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
+        table_rows = dense._transition_table(ch, tableaux.unitaries())[:, 0]
+        assert np.abs(backend.clifford_outcome_probs(ch, tableaux) - table_rows).max() <= 1e-15
         p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
         for inter in (None, p):
             want = np.array([_tableau_law_reference(ch, tableaux.clifford(i), inter)
