@@ -21,8 +21,7 @@ from .records import ExperimentRecord
 from .seqpt import (SeqptConfig, SeqptResult, average_fidelity, compare_variants,
                     estimate_chi_selective, frames_independent_probability,
                     run_blind_discovery, success_probability)
-from .stabilizer import (Clifford, MubBasis, StabilizerFrame, build_mub_family,
-                         sample_clifford_uniform)
+from .stabilizer import Clifford, build_mub_family, sample_clifford_uniform
 
 __all__ = [
     "__version__",
@@ -32,8 +31,7 @@ __all__ = [
     "coarse_grain",
     "DenseBackend", "TwirlSpec",
     "haar_twirl_moment", "exact_chi_extraction", "enumerate_twirl_exact",
-    "StabilizerFrame", "Clifford", "MubBasis", "build_mub_family",
-    "sample_clifford_uniform",
+    "Clifford", "build_mub_family", "sample_clifford_uniform",
     "SeqptConfig", "SeqptResult", "estimate_chi_selective", "average_fidelity",
     "run_blind_discovery", "success_probability", "frames_independent_probability",
     "compare_variants",

@@ -19,8 +19,7 @@ import numpy as np
 from .channels import ChannelModel
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, tensor
-from .stabilizer import (MubBasis, Tableaux, build_mub_family, clifford_group_tableaux,
-                         outcome_shift)
+from .stabilizer import Tableaux, build_mub_family, clifford_group_tableaux, outcome_shift
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
@@ -106,6 +105,12 @@ class TwirlSpec:
 
     kind: str  # haar_state | mub | clifford_full | local_clifford
     n: int
+
+    def __post_init__(self):
+        if self.kind not in ("haar_state", "mub", "clifford_full", "local_clifford"):
+            raise ConfigError(f"unknown twirl kind {self.kind!r}")
+        if not self.n >= 1:
+            raise ConfigError(f"a twirl acts on n >= 1 qubits, got n = {self.n}")
 
     @property
     def enumeration_size(self) -> int | None:
@@ -241,26 +246,29 @@ class DenseBackend:
 
     # -- MUB twirl ----------------------------------------------------------
 
+    def _mub_tables(self, channel: ChannelModel, bases) -> np.ndarray:
+        family = build_mub_family(channel.n)
+        return self._cached_tables(channel, "mub", bases,
+                                   lambda block: family[block].unitaries())
+
     def mub_tables(self, channel: ChannelModel) -> np.ndarray:
         """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
         basis j as in :meth:`mub_transition_probs`, without an intermediary."""
-        family = build_mub_family(channel.n)
-        return self._cached_tables(
-            channel, "mub", range(channel.dim + 1),
-            lambda block: Tableaux.of([family[j].clifford for j in block]).unitaries())
+        return self._mub_tables(channel, range(channel.dim + 1))
 
-    def mub_transition_probs(self, channel: ChannelModel, basis: MubBasis,
+    def mub_transition_probs(self, channel: ChannelModel, basis: int,
                              intermediary: Pauli | None = None) -> np.ndarray:
-        """probs[m, v]: prepare basis state m (via V_J X^m on |0..0>), apply
-        the channel (and the optional extra Pauli), undo the preparation,
-        measure outcome v.  Surviving (v = 0) means returning to state m.
-        The Pauli shifts outcomes by its syndrome (:func:`outcome_shift`)."""
-        probs = self._cached_tables(
-            channel, "mub", [basis.index],
-            lambda block: basis.clifford.unitary()[None])[0]
+        """probs[m, v] of MUB basis ``basis`` in 0..D: prepare basis state m
+        (via V_J X^m on |0..0>), apply the channel (and the optional extra
+        Pauli), undo the preparation, measure outcome v.  Surviving (v = 0)
+        means returning to state m.  The Pauli shifts outcomes by its
+        syndrome against the basis's Z-images (:func:`outcome_shift`)."""
+        if not 0 <= basis <= channel.dim:
+            raise ValueError(f"MUB basis index must be in 0..{channel.dim}, got {basis}")
+        probs = self._mub_tables(channel, [basis])[0]
         if intermediary is None:
             return probs
-        shift = outcome_shift([g.key for g in basis.frame.generators], intermediary)
+        shift = outcome_shift(build_mub_family(channel.n).z[basis], intermediary)
         return probs[:, np.arange(channel.dim) ^ shift]
 
     # -- generic clifford twirl ----------------------------------------------
@@ -338,8 +346,7 @@ def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:
     pl = Pauli.from_label(n, l).to_matrix()
     plp = Pauli.from_label(n, lp).to_matrix()
     total = 0.0 + 0.0j
-    for basis in build_mub_family(n):
-        w = basis.clifford.unitary()
+    for w in build_mub_family(n).unitaries():
         for m in range(d):
             v = w[:, m]
             arg = np.outer(pl @ v, (plp @ v).conj())
@@ -363,8 +370,8 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
     every row of the 3^n rotation tables (row x stands for the 2^n elements
     with X part x), or row 0 of every Clifford's own table.  An intermediary
     shifts each table's or element's outcomes by its syndrome against the
-    Z-images (:func:`outcome_shift`): a MUB basis's frame generators, or
-    Y, X, Z on a qubit rotated about x, y, z.
+    Z-images (:func:`outcome_shift`): a MUB basis's, or Y, X, Z on a qubit
+    rotated about x, y, z.
     """
     if twirl.n != channel.n:
         raise DimensionMismatchError("twirl/channel qubit mismatch")
@@ -374,7 +381,7 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
         if n > MUB_ENUM_MAX_N:
             raise CapacityError(f"MUB enumeration capped at n={MUB_ENUM_MAX_N}")
         laws = backend.mub_tables(channel).mean(axis=1)
-        z_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(n)]
+        z_keys = build_mub_family(n).z
     elif twirl.kind == "local_clifford":
         if n > LOCAL_ENUM_MAX_N:
             raise CapacityError(f"local twirl enumeration capped at n={LOCAL_ENUM_MAX_N}")

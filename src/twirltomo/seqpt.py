@@ -134,9 +134,9 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     d = channel.dim
     m_total = config.shots
     if config.variant == "mub":
-        gen_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(channel.n)]
         # stay[j, m]: survival probability of state m of basis j under P
-        stay = backend.mub_tables(channel)[np.arange(d + 1), :, outcome_shift(gen_keys, p)]
+        shift = outcome_shift(build_mub_family(channel.n).z, p)
+        stay = backend.mub_tables(channel)[np.arange(d + 1), :, shift]
         jm, u = draw_batch(config.seed, 1, m_total, (d + 1, d), 1)
         survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
     else:
@@ -314,42 +314,39 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     d = channel.dim
     m_total = config.shots
 
-    # constraint class -> number of realizations in it, in first-seen order
-    classes: dict[tuple[int, ...], int] = {}
-    records: list[ExperimentRecord] = []
+    # each variant groups its realizations by (Z-frame, outcome), first seen first
     if config.variant == "mub":
-        # a class depends only on the basis and the outcome: one rref per
-        # seen code j*D + v, visited in order of first realization
-        gen_keys = [[g.key for g in b.frame.generators] for b in build_mub_family(n)]
+        # one group per seen code j*D + v, visited in order of first realization
         sizes, first, records = _sample_mub_codes(channel, config.seed, m_total,
                                                   backend, keep_records)
         seen = np.flatnonzero(sizes)
-        for code in seen[np.argsort(first[seen])].tolist():
-            key = _class_of(gen_keys[code // d], n, code % d)
-            classes[key] = classes.get(key, 0) + int(sizes[code])
+        codes = seen[np.argsort(first[seen])]
+        frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
     else:
         tableaux, u = _draw_cliffords(n, config.seed, m_total)
         outcomes = _draw_outcome(
             np.cumsum(backend.clifford_outcome_probs(channel, tableaux), axis=1), u)
-        # a class depends only on the Z-frame and the outcome: one rref per
-        # distinct pair, visited in order of first appearance
         frame_outcomes = np.concatenate(
             (tableaux.z, outcomes[:, None].astype(np.uint64)), axis=1)
         _, first, sizes = np.unique(frame_outcomes, axis=0, return_index=True,
                                     return_counts=True)
-        for i in np.argsort(first):
-            key = _class_of(tableaux.z[first[i]].tolist(), n, int(outcomes[first[i]]))
-            classes[key] = classes.get(key, 0) + int(sizes[i])
-        if keep_records:
-            records = [ExperimentRecord("clifford", (tableaux.clifford(i),), _bits(v, n))
-                       for i, v in enumerate(outcomes.tolist())]
-    return _discover(n, config, classes, records)
+        order = np.argsort(first)
+        records = ([ExperimentRecord("clifford", (tableaux.clifford(i),), _bits(v, n))
+                    for i, v in enumerate(outcomes.tolist())] if keep_records else [])
+        frames, outcomes, sizes = tableaux.z[first[order]], outcomes[first[order]], sizes[order]
+    return _discover(n, config, frames, outcomes, sizes, records)
 
 
-def _discover(n: int, config: SeqptConfig, classes: dict[tuple[int, ...], int],
+def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
               records: list[ExperimentRecord]) -> SeqptResult:
-    """Pair analysis and estimates of a blind run, from its constraint
-    classes (class -> realization count, in first-seen order)."""
+    """Pair analysis and estimates of a blind run, from its realizations
+    grouped by (Z-frame, outcome) in first-seen order: the (K, n) Z-image
+    keys, outcome and realization count of each group.  One rref per group
+    gives its constraint class; groups with the same class merge."""
+    classes: dict[tuple[int, ...], int] = {}  # class -> realizations, first-seen order
+    for frame, outcome, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
+        key = _class_of(frame, n, outcome)
+        classes[key] = classes.get(key, 0) + size
     d = 1 << n
     m_total = config.shots
     class_rows = np.array(list(classes), dtype=np.uint64).reshape(len(classes), n)

@@ -1,4 +1,4 @@
-"""Stabilizer frames, Clifford elements, and MUB machinery over GF(2).
+"""Clifford elements as tableaux, the MUB family, and Clifford sampling over GF(2).
 
 Everything here works on the symplectic encoding from :mod:`twirltomo.pauli`.
 A Clifford element is stored by its conjugation action: the images of the
@@ -20,10 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import gf2
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
-from .pauli import Pauli, multiply, symplectic_product
+from .pauli import Pauli, multiply
 
 _ONE = np.uint64(1)
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -148,42 +147,6 @@ class Clifford:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer frames
-
-
-@dataclass(frozen=True)
-class StabilizerFrame:
-    """n commuting independent Pauli generators plus a sign string.
-
-    ``signs[j]`` in {+1, -1} is the eigenvalue attached to generator j; the
-    all-plus Z frame represents |0...0>.  Generators are stored phase-free.
-    """
-
-    generators: tuple[Pauli, ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.generators[0].n
-        if len(self.generators) != n or len(self.signs) != n:
-            raise ValueError("need exactly n generators and signs")
-        for g in self.generators:
-            if g.n != n or g.phase_pow != 0:
-                raise ValueError("generators must be phase-free Paulis on n qubits")
-        for s in self.signs:
-            if s not in (-1, 1):
-                raise ValueError("signs must be +1 or -1")
-        for a, b in itertools.combinations(self.generators, 2):
-            if symplectic_product(a, b):
-                raise ValueError("generators must commute pairwise")
-        if gf2.rank([g.key for g in self.generators]) != n:
-            raise ValueError("generators must be independent")
-
-    @property
-    def n(self) -> int:
-        return self.generators[0].n
-
-
-# ---------------------------------------------------------------------------
 # MUB construction via a symmetric matrix spread over GF(2^n)
 
 # minimal-weight irreducible polynomials over GF(2), bit i = coefficient of x^i
@@ -247,33 +210,6 @@ def _spread_matrices(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MubBasis:
-    """One member of the D+1 mutually unbiased bases.
-
-    ``frame`` has all +1 signs and stabilizes state m = 0 of the basis;
-    ``clifford`` maps computational state |m> to basis state m, and its
-    Z-images reproduce the frame generators with +1 signs, so |m> carries
-    generator signs (-1)^(bits of m).
-    """
-
-    index: int
-    frame: StabilizerFrame
-    clifford: Clifford
-
-
-def _complete_symplectic(z_keys: list[int], n: int) -> list[int]:
-    """Deterministic X-image completion of a commuting independent Z set."""
-    x_keys: list[int] = []
-    for j in range(n):
-        rows = [ _swap_halves(k, n) for k in z_keys ] + [ _swap_halves(k, n) for k in x_keys ]
-        rhs = [1 if i == j else 0 for i in range(n)] + [0] * len(x_keys)
-        sol = gf2.solve_affine(rows, rhs, 2 * n)
-        assert sol is not None
-        x_keys.append(sol[0])
-    return x_keys
-
-
 def _swap_halves(key: int, n: int) -> int:
     mask = (1 << n) - 1
     return (key >> n) | ((key & mask) << n)
@@ -297,43 +233,30 @@ def _key_to_pauli(key: int, n: int, phase: int = 0) -> Pauli:
     return Pauli(n, key & mask, key >> n, phase)
 
 
-def clifford_from_z_frame(generators: tuple[Pauli, ...]) -> Clifford:
-    """A Clifford whose Z-images equal the given generators with +1 signs."""
-    n = generators[0].n
-    z_keys = [g.key for g in generators]
-    x_keys = _complete_symplectic(z_keys, n)
-    # any symplectic action plus any sign assignment is realizable, so all
-    # +1 signs is a valid (and convenient) choice: V|m> then carries
-    # generator eigenvalues (-1)^{bits of m}.
-    return Clifford(n,
-                    tuple(_key_to_pauli(k, n) for k in x_keys),
-                    tuple(g.strip_phase() for g in generators))
-
-
 @lru_cache(maxsize=None)
-def build_mub_family(n: int) -> tuple[MubBasis, ...]:
-    """The D+1 stabilizer MUBs; basis 0 is the computational basis.
+def build_mub_family(n: int) -> Tableaux:
+    """The D+1 stabilizer MUBs as one read-only stack; basis 0 is the
+    computational basis (the identity).  Basis t + 1 has Z-images
+    X_j Z^(column j of A_t) for the spread matrix A_t and X-images Z_j, all
+    signs +1: its state m, the element applied to X^m |0..0>, carries
+    Z-image signs (-1)^(bits of m).
 
-    The D+1 frames partition the 4**n - 1 nonidentity Paulis into disjoint
-    maximal commuting classes; mutual unbiasedness follows and is checked
-    densely in the tests for small n.
+    The D+1 Z-image sets partition the 4**n - 1 nonidentity Paulis into
+    disjoint maximal commuting classes; mutual unbiasedness follows and is
+    checked densely in the tests for small n.
     """
-    bases = []
-    zgens = tuple(Pauli.single(n, j, "Z") for j in range(n))
-    bases.append(MubBasis(0, StabilizerFrame(zgens, (1,) * n), Clifford.identity(n)))
-    for idx, rows in enumerate(_spread_matrices(n)):
-        gens = []
-        for j in range(n):
-            xbits = 1 << (n - 1 - j)
-            zcol = 0
-            for i in range(n):
-                if (rows[i] >> j) & 1:
-                    zcol |= 1 << (n - 1 - i)
-            gens.append(Pauli(n, xbits, zcol))
-        gens = tuple(gens)
-        cliff = clifford_from_z_frame(gens)
-        bases.append(MubBasis(idx + 1, StabilizerFrame(gens, (1,) * n), cliff))
-    return tuple(bases)
+    d = 1 << n
+    qubit = _ONE << np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit j + 1's bit
+    rows = np.array(_spread_matrices(n), dtype=np.uint64)[:, :, None]  # (D, i, 1)
+    # bit n - 1 - i of column j is bit j of row i
+    cols = np.bitwise_or.reduce(((rows >> np.arange(n, dtype=np.uint64)) & _ONE)
+                                * qubit[:, None], axis=1)
+    family = Tableaux(n, np.vstack((qubit, np.broadcast_to(qubit << n, (d, n)))),
+                      np.vstack((qubit << n, qubit | (cols << n))),
+                      np.zeros((d + 1, 2 * n), dtype=np.int64))
+    for array in (family.x, family.z, family.signs):
+        array.setflags(write=False)  # cached and shared by every caller
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +294,8 @@ class Tableaux:
         return len(self.x)
 
     def __getitem__(self, rows) -> "Tableaux":
+        """The stack of the selected rows; an int selects a one-row stack."""
+        rows = [rows] if isinstance(rows, (int, np.integer)) else rows
         return Tableaux(self.n, self.x[rows], self.z[rows], self.signs[rows])
 
     def unitaries(self) -> np.ndarray:

@@ -7,7 +7,10 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 depolarizing_kraus, gate_unitary,
                                 phase_flip_kraus, amplitude_damping_kraus,
                                 random_cp_channel)
+from twirltomo import gf2
 from twirltomo.pauli import XZ_DIGIT
+from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli, _spread_matrices,
+                                  _swap_halves)
 
 I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -59,6 +62,44 @@ def conjugated_xz_table(tableaux):
         x = np.concatenate((x, x ^ g_x), axis=1)
         z = np.concatenate((z, z ^ g_z), axis=1)
     return x, z, e
+
+
+def complete_symplectic(z_keys: list[int], n: int) -> list[int]:
+    """Deterministic X-image completion of a commuting independent Z set by
+    one gf2.solve_affine per qubit: x_j with <z_i, x_j> = delta_ij and
+    <x_i, x_j> = 0 for the x_i found before it."""
+    x_keys: list[int] = []
+    for j in range(n):
+        rows = [_swap_halves(k, n) for k in (*z_keys, *x_keys)]
+        rhs = [1 if i == j else 0 for i in range(n)] + [0] * len(x_keys)
+        sol = gf2.solve_affine(rows, rhs, 2 * n)
+        assert sol is not None
+        x_keys.append(sol[0])
+    return x_keys
+
+
+def clifford_from_z_frame(z_keys: list[int], n: int) -> Clifford:
+    """A Clifford whose Z-images are the given commuting independent keys
+    with +1 signs, X-images completed by :func:`complete_symplectic`."""
+    return Clifford(n, tuple(_key_to_pauli(k, n) for k in complete_symplectic(z_keys, n)),
+                    tuple(_key_to_pauli(k, n) for k in z_keys))
+
+
+def mub_family_reference(n: int) -> Tableaux:
+    """The MUB family built by GF(2) solves: basis 0 the identity, basis
+    t + 1 the :func:`clifford_from_z_frame` of the Z frame whose generator
+    j is X_j Z^(column j of the spread matrix A_t)."""
+    bases = [Clifford.identity(n)]
+    for rows in _spread_matrices(n):
+        z_keys = []
+        for j in range(n):
+            zcol = 0
+            for i in range(n):
+                if (rows[i] >> j) & 1:
+                    zcol |= 1 << (n - 1 - i)
+            z_keys.append((1 << (n - 1 - j)) | (zcol << n))
+        bases.append(clifford_from_z_frame(z_keys, n))
+    return Tableaux.of(bases)
 
 
 def transpose_map_channel() -> ChannelModel:

@@ -45,3 +45,34 @@ def test_no_unused_imports():
     """Every module of the package reads every name it imports."""
     unused = [entry for path in sorted(SRC.glob("*.py")) for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level def, class or assignment whose
+    name starts with one underscore."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_unread_private_definitions():
+    """Every module-level private name of the package is read somewhere in
+    it: as a name or an attribute in any module (a private helper that only
+    tests read belongs in the tests)."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{name}:{line} {private}" for name, tree in trees.items()
+              for private, line in _private_definitions(tree) if private not in read]
+    assert not unread, unread

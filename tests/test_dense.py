@@ -183,7 +183,7 @@ def _enumerate_reference(channel, kind, intermediary=None, column=0):
     n, d = channel.n, channel.dim
     pm = None if intermediary is None else intermediary.to_matrix()
     if kind == "mub":
-        elements = ((b.clifford.unitary(), m) for b in build_mub_family(n) for m in range(d))
+        elements = ((w, m) for w in build_mub_family(n).unitaries() for m in range(d))
     else:
         elements = ((local_twirl_unitary(digits), column) for digits in itertools.product(
             itertools.product(range(4), range(3)), repeat=n))
@@ -247,7 +247,7 @@ def test_enumeration_caps():
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("mub", 2), p, b),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 2), p, b),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("clifford_full", 2), p, b),
-    lambda ch, p, b: b.mub_transition_probs(ch, build_mub_family(2)[3], p),
+    lambda ch, p, b: b.mub_transition_probs(ch, 3, p),
     lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(2, master(9)), p),
     lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(p.n, master(9))),
 ], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law",
@@ -263,9 +263,27 @@ def test_intermediary_qubit_mismatch_names_both_counts(entry):
 
 
 def test_twirl_spec_sizes():
+    """Sizes of the enumerable kinds; an unknown kind (names are case
+    sensitive) or fewer than one qubit raises ConfigError at construction."""
     assert TwirlSpec("mub", 2).enumeration_size == 20
     assert TwirlSpec("local_clifford", 2).enumeration_size == 144
     assert TwirlSpec("haar_state", 2).enumeration_size is None
+    for kind, n in (("MUB", 2), ("clifford", 2), ("mub", 0), ("mub", -1),
+                    ("local_clifford", -1)):
+        with pytest.raises(ConfigError):
+            TwirlSpec(kind, n)
+
+
+def test_mub_transition_probs_rejects_a_basis_outside_the_family():
+    """A basis index outside 0..D raises ValueError naming the range and
+    caches nothing; D, the last basis, is table D of mub_tables."""
+    ch = random_cp_channel(2, master(10))
+    backend = DenseBackend()
+    for basis in (-1, 5, 100):
+        with pytest.raises(ValueError, match=r"0\.\.4, got"):
+            backend.mub_transition_probs(ch, basis)
+    assert not backend._tables
+    assert np.array_equal(backend.mub_transition_probs(ch, 4), backend.mub_tables(ch)[4])
 
 
 def test_backend_capacity():
@@ -488,14 +506,13 @@ def test_transition_tables_match_per_column_apply():
     for name, ch in _table_test_channels():
         n, d = ch.n, ch.dim
         backend = DenseBackend()
-        for basis in build_mub_family(n):
-            w = basis.clifford.unitary()
+        for basis, w in enumerate(build_mub_family(n).unitaries()):
             p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
             for inter in (None, p):
                 got = backend.mub_transition_probs(ch, basis, inter)
                 pm = None if inter is None else inter.to_matrix()
                 want = np.array([_reference_row(ch, w, m, pm) for m in range(d)])
-                assert np.abs(got - want).max() <= 1e-12, (name, basis.index, str(inter))
+                assert np.abs(got - want).max() <= 1e-12, (name, basis, str(inter))
         for rotations in itertools.product(range(3), repeat=n):
             r = local_twirl_unitary(tuple((0, s) for s in rotations))
             for x in range(d):
@@ -528,10 +545,10 @@ def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
         assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
         assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
         family = build_mub_family(ch.n)
-        want = np.array([dense._transition_table(ch, b.clifford.unitary()[None])[0]
-                         for b in family])
-        for b in family[::2]:
-            assert np.array_equal(backend.mub_transition_probs(ch, b), want[b.index]), name
+        want = np.array([dense._transition_table(ch, family[j].unitaries())[0]
+                         for j in range(len(family))])
+        for j in range(0, len(family), 2):
+            assert np.array_equal(backend.mub_transition_probs(ch, j), want[j]), name
         assert np.array_equal(backend.mub_tables(ch), want), name
 
 

@@ -6,7 +6,7 @@ from twirltomo import gf2
 from twirltomo.channels import random_cp_channel
 from twirltomo.pauli import Pauli, symplectic_product
 from twirltomo.seqpt import SeqptConfig, _class_of, run_blind_discovery
-from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
+from twirltomo.stabilizer import _key_to_pauli, build_mub_family, sample_clifford_uniform
 
 
 def brute_solutions(rows, rhs, width):
@@ -126,7 +126,7 @@ def test_membership_counts():
                 if variant == "clifford":
                     gens = rec.descriptor[0].z_images
                 else:
-                    gens = fam[rec.descriptor[0]].frame.generators
+                    gens = [_key_to_pauli(k, 2) for k in fam.z[rec.descriptor[0]].tolist()]
                 count += all(symplectic_product(g, p) == bit
                              for g, bit in zip(gens, rec.outcome))
             assert est.compatible_count == count, (variant, label)

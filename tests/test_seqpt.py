@@ -13,7 +13,7 @@ from twirltomo.pauli import Pauli
 from twirltomo import dense, seqpt
 from twirltomo.records import ExperimentRecord
 from twirltomo.rng import _draw_outcome, substream
-from twirltomo.seqpt import (SeqptConfig, _bits, _class_of, _discover, average_fidelity,
+from twirltomo.seqpt import (SeqptConfig, _bits, _discover, average_fidelity,
                              compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
@@ -63,8 +63,8 @@ def test_selective_mub_matches_per_realization_draws(n):
     label = "X" + "I" * (n - 1)
     cfg = SeqptConfig(shots=3000, seed=41)
     d = 1 << n
-    tables = [backend.mub_transition_probs(channel, b, Pauli.from_string(label))
-              for b in build_mub_family(n)]
+    tables = [backend.mub_transition_probs(channel, j, Pauli.from_string(label))
+              for j in range(d + 1)]
     survived = 0
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
@@ -133,16 +133,17 @@ def _blind_mub_one_by_one(channel, cfg, backend):
     and one constraint class per realization."""
     n, d = channel.n, channel.dim
     fam = build_mub_family(n)
-    classes, records = {}, []
+    bases, outcomes, records = [], [], []
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
         j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
-        cdf = np.cumsum(backend.mub_transition_probs(channel, fam[j])[m])
+        cdf = np.cumsum(backend.mub_transition_probs(channel, j)[m])
         v = _draw_outcome(cdf, g.random())
-        key = _class_of([p.key for p in fam[j].frame.generators], n, v)
-        classes[key] = classes.get(key, 0) + 1
+        bases.append(j)
+        outcomes.append(v)
         records.append(ExperimentRecord("mub", (j, m), _bits(v, n)))
-    return _discover(n, cfg, classes, records)
+    return _discover(n, cfg, fam.z[bases], np.array(outcomes),
+                     np.ones(cfg.shots, dtype=np.int64), records)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -6,10 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import conjugated_xz_table, label_table, xor_combination
+from conftest import conjugated_xz_table, label_table, mub_family_reference, xor_combination
 from twirltomo import gf2
 from twirltomo.pauli import Pauli, symplectic_product
-from twirltomo.stabilizer import (Clifford, StabilizerFrame, Tableaux, _key_to_pauli,
+from twirltomo.stabilizer import (Clifford, _key_to_pauli,
                                   _swap_halves, build_mub_family,
                                   circuit_unitary, clifford_bounds,
                                   clifford_group_tableaux, draw_clifford_row,
@@ -99,9 +99,10 @@ def test_stacked_unitaries_equal_the_projector_build():
         assert got.shape == (count, 1 << n, 1 << n)
         for i in range(count):
             assert np.array_equal(got[i], _projector_unitary(tableaux.clifford(i))), (n, i)
-        family = [b.clifford for b in build_mub_family(n)]
-        got = Tableaux.of(family).unitaries()
-        for j, c in enumerate(family):
+        family = build_mub_family(n)
+        got = family.unitaries()
+        for j in range(len(family)):
+            c = family.clifford(j)
             want = _projector_unitary(c)
             assert np.array_equal(got[j], want), (n, j)
             assert np.array_equal(c.unitary(), want), (n, j)
@@ -208,10 +209,56 @@ def test_sampler_twirl_average_vanishes():
     assert np.abs(acc).max() < 3.5 / np.sqrt(m) + 0.02
 
 
+def _z_images(keys, n):
+    return [_key_to_pauli(k, n) for k in keys]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mub_family_equals_gf2_completion_reference(n):
+    """The closed-form MUB stack has the x, z and sign arrays of the family
+    built by completing each Z frame with one GF(2) solve per qubit; the
+    cached arrays are read-only."""
+    family, want = build_mub_family(n), mub_family_reference(n)
+    assert len(family) == (1 << n) + 1
+    for got, ref in ((family.x, want.x), (family.z, want.z), (family.signs, want.signs)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), n
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mub_family_is_symplectic(n):
+    """Every basis is a valid tableau: its Z-images commute pairwise and are
+    independent, <x_i, z_j> = delta_ij, and its X-images commute."""
+    family = build_mub_family(n)
+    eye = np.eye(n, dtype=np.int64)
+
+    def products(a, b):  # <a_i, b_j> for every basis: (D+1, n, n)
+        return np.bitwise_count(_swap_halves(a[:, :, None], n) & b[:, None, :]) & 1
+
+    assert not products(family.z, family.z).any()
+    assert not products(family.x, family.x).any()
+    assert (products(family.x, family.z) == eye).all()
+    assert all(gf2.rank(keys) == n for keys in family.z.tolist())
+    assert not family.signs.any()
+
+
+def test_tableaux_int_index_is_a_one_row_stack():
+    """An int row of a stack is the one-row stack of that element, negative
+    indices counting from the end, with the element's unitary and law."""
+    family = build_mub_family(2)
+    for j in (0, 3, -1):
+        row = family[j]
+        assert len(row) == 1 and row.x.shape == (1, 2) and row.signs.shape == (1, 4)
+        assert row.clifford(0) == family.clifford(j % len(family))
+        assert np.array_equal(row.unitaries()[0], family.unitaries()[j])
+    with pytest.raises(IndexError):
+        family[len(family)]
+
+
 def test_mub_family_n1():
     fam = build_mub_family(1)
     assert len(fam) == 3
-    classes = {frozenset(str(g) for g in b.frame.generators) for b in fam}
+    classes = {frozenset(str(g) for g in _z_images(keys, 1)) for keys in fam.z.tolist()}
     assert classes == {frozenset({"Z"}), frozenset({"X"}), frozenset({"Y"})}
 
 
@@ -221,13 +268,14 @@ def test_mub_partition():
         d = 1 << n
         assert len(fam) == d + 1
         seen = set()
-        for b in fam:
+        for keys in fam.z.tolist():
+            gens = _z_images(keys, n)
             group = set()
             for bits in range(1, d):
                 acc = Pauli.identity(n)
                 for j in range(n):
                     if (bits >> j) & 1:
-                        acc = acc * b.frame.generators[j]
+                        acc = acc * gens[j]
                 group.add((acc.x, acc.z))
             assert len(group) == d - 1
             assert not (group & seen)
@@ -243,8 +291,7 @@ def test_mub_partition_spot_checks_n8():
         assert len(fam) == (1 << n) + 1
         for _ in range(200):
             i, j = rng.choice(len(fam), size=2, replace=False)
-            bi, bj = fam[int(i)].frame, fam[int(j)].frame
-            rows = [g.key for g in (*bi.generators, *bj.generators)]
+            rows = fam.z[int(i)].tolist() + fam.z[int(j)].tolist()
             assert gf2.rank(rows) == 2 * n  # trivial intersection
 
 
@@ -252,7 +299,7 @@ def test_mub_unbiasedness_dense():
     for n in (1, 2, 3):
         fam = build_mub_family(n)
         d = 1 << n
-        mats = [b.clifford.unitary() for b in fam]
+        mats = fam.unitaries()
         for (i, wi), (j, wj) in itertools.combinations(list(enumerate(mats)), 2):
             np.testing.assert_allclose(np.abs(wi.conj().T @ wj) ** 2, 1.0 / d,
                                        atol=1e-10)
@@ -260,45 +307,44 @@ def test_mub_unbiasedness_dense():
 
 def _solve_pair(frame1, v1, frame2, v2):
     """Key of the unique Pauli compatible with outcome v1 of frame1 and v2
-    of frame2, or -1, as blind discovery solves it."""
-    n = frame1.n
-    c1 = _class_of([g.key for g in frame1.generators], n, v1)
-    c2 = _class_of([g.key for g in frame2.generators], n, v2)
+    of frame2 (lists of Z-image keys), or -1, as blind discovery solves it."""
+    n = len(frame1)
+    c1 = _class_of(frame1, n, v1)
+    c2 = _class_of(frame2, n, v2)
     (key,) = gf2.solve_unique_batch(np.array([c1 + c2], dtype=np.uint64), 2 * n)
     return int(key)
 
 
 def _candidates(frame, outcome):
-    """Every Pauli compatible with one outcome of a frame: the solutions of
-    its constraint class."""
-    n = frame.n
-    rows = _class_of([g.key for g in frame.generators], n, outcome)
+    """Every Pauli compatible with one outcome of a frame (a list of Z-image
+    keys): the solutions of its constraint class."""
+    n = len(frame)
+    rows = _class_of(frame, n, outcome)
     particular, basis = gf2.solve_affine([r >> 1 for r in rows], [r & 1 for r in rows], 2 * n)
     return [_key_to_pauli(particular ^ xor_combination(basis, c), n)
             for c in range(1 << len(basis))]
 
 
 def test_solver_spec_examples():
-    zf = StabilizerFrame((Pauli.from_string("Z"),), (1,))
-    xf = StabilizerFrame((Pauli.from_string("X"),), (1,))
+    zf = [Pauli.from_string("Z").key]
+    xf = [Pauli.from_string("X").key]
     assert _solve_pair(zf, 1, xf, 0) == Pauli.from_string("X").key
     assert _solve_pair(zf, 0, zf, 1) == -1
     assert _solve_pair(zf, 0, zf, 0) == -1
 
 
 def test_candidate_sets():
-    zf = StabilizerFrame((Pauli.from_string("Z"),), (1,))
+    zf = [Pauli.from_string("Z").key]
     assert sorted(str(q) for q in _candidates(zf, 0)) == ["I", "Z"]
     assert sorted(str(q) for q in _candidates(zf, 1)) == ["X", "Y"]
-    for b in build_mub_family(2):
+    for keys in build_mub_family(2).z.tolist():
         for v in range(4):
-            members = _candidates(b.frame, v)
+            members = _candidates(keys, v)
             assert len({q.key for q in members}) == len(members) == 4
             assert all(symplectic_product(g, q) == (v >> (1 - k)) & 1
-                       for q in members for k, g in enumerate(b.frame.generators))
+                       for q in members for k, g in enumerate(_z_images(keys, 2)))
     # the weight <= 1 members for the all-zero outcome of the Z frame at n=3
-    z3 = StabilizerFrame(tuple(Pauli.from_string(s) for s in ("ZII", "IZI", "IIZ")),
-                         (1, 1, 1))
+    z3 = [Pauli.from_string(s).key for s in ("ZII", "IZI", "IIZ")]
     light = {str(q) for q in _candidates(z3, 0) if q.weight <= 1}
     assert light == {"III", "ZII", "IZI", "IIZ"}
 
@@ -311,17 +357,18 @@ def test_mub_pairs_pin_down_a_unique_pauli_n2():
     n = 2
     fam = build_mub_family(n)
     paulis = [Pauli.from_label(n, l) for l in range(4 ** n)]
-    for (i, b1), (j, b2) in itertools.combinations_with_replacement(enumerate(fam), 2):
+    frames = fam.z.tolist()
+    for (i, b1), (j, b2) in itertools.combinations_with_replacement(enumerate(frames), 2):
         for v1, v2 in itertools.product(range(1 << n), repeat=2):
-            key = _solve_pair(b1.frame, v1, b2.frame, v2)
+            key = _solve_pair(b1, v1, b2, v2)
             if i == j:
                 assert key == -1
                 continue
             # brute force: outcome bit k is the symplectic product with generator k
             brute = [q for q in paulis
                      if all(symplectic_product(g, q) == (v >> (n - 1 - k)) & 1
-                            for gens, v in ((b1.frame.generators, v1),
-                                            (b2.frame.generators, v2))
+                            for gens, v in ((_z_images(b1, n), v1),
+                                            (_z_images(b2, n), v2))
                             for k, g in enumerate(gens))]
             assert len(brute) == 1 and brute[0].key == key
 
@@ -350,32 +397,23 @@ def test_frames_independent_examples():
     assert not independent(ident, ident)
 
 
-def test_frame_validation():
-    with pytest.raises(ValueError):
-        StabilizerFrame((Pauli.from_string("XI"), Pauli.from_string("ZI")), (1, 1))
-    with pytest.raises(ValueError):
-        StabilizerFrame((Pauli.from_string("ZI"), Pauli.from_string("ZI")), (1, 1))
-    with pytest.raises(ValueError):
-        StabilizerFrame((Pauli.from_string("Z"),), (0,))
-
-
-def _frame_state_vector(frame):
-    """Dense stabilizer state of a frame: a column of the product of the
-    projectors (1 + s_j g_j) / 2, normalized."""
-    d = 1 << frame.n
+def _frame_state_vector(generators):
+    """Dense stabilizer state of a frame with all +1 signs: a column of the
+    product of the projectors (1 + g_j) / 2, normalized."""
+    d = 1 << generators[0].n
     proj = np.eye(d, dtype=complex)
-    for g, s in zip(frame.generators, frame.signs):
-        proj = proj @ (np.eye(d) + s * g.to_matrix()) / 2
+    for g in generators:
+        proj = proj @ (np.eye(d) + g.to_matrix()) / 2
     v = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
     return v / np.linalg.norm(v)
 
 
 def test_frame_state_vector():
-    """The MUB Clifford's unitary maps |0..0> to the state its frame
-    stabilizes."""
+    """The MUB Clifford's unitary maps |0..0> to the state its Z-images
+    stabilize."""
     fam = build_mub_family(2)
-    for b in fam:
-        v = _frame_state_vector(b.frame)
-        w = b.clifford.unitary()[:, 0]
+    for j, keys in enumerate(fam.z.tolist()):
+        v = _frame_state_vector(_z_images(keys, 2))
+        w = fam.clifford(j).unitary()[:, 0]
         overlap = abs(np.vdot(v, w))
         assert abs(overlap - 1.0) < 1e-10
