@@ -209,11 +209,6 @@ def commutes(a: Pauli, b: Pauli) -> bool:
     return (_parity(a.x & b.z) ^ _parity(a.z & b.x)) == 0
 
 
-def symplectic_product(a: Pauli, b: Pauli) -> int:
-    """0 if the operators commute, 1 if they anticommute."""
-    return _parity(a.x & b.z) ^ _parity(a.z & b.x)
-
-
 # -- enumeration ------------------------------------------------------------
 
 

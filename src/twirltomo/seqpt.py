@@ -12,8 +12,8 @@ collects at least two votes is then scored by counting the realizations
 whose candidate set contains it.  Realizations are grouped by their
 (frame, outcome) constraint class first, so all M(M-1)/2 pairs are analyzed
 exactly at a cost quadratic in the number of distinct classes rather than
-in M.  Each class is solved against all later classes at once by
-:func:`twirltomo.gf2.solve_unique_batch`.
+in M.  Class pairs run in row-major blocks of ``_PAIR_BLOCK``, each solved
+by one :func:`twirltomo.gf2.solve_unique_batch` call.
 
 A MUB realization's class depends only on its basis j and outcome v, so a
 MUB run has at most D(D+1) classes.  Its realizations stream through blocks
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -55,6 +56,11 @@ DEFAULT_SIGNIFICANCE_Z = 4.0
 #: 4.3% (45.98 and 46.03 MiB, against 44.70 and 44.77 MiB at 2^13 on the
 #: same seeds).
 _MUB_BLOCK = 1 << 13
+
+#: class pairs solved per block of the pair analysis, which bounds its
+#: Python peak.  2^11 lifted the blind MUB memory test past its 0.5 MiB
+#: bound; 2^13 ran no faster.
+_PAIR_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -164,8 +170,10 @@ def average_fidelity(channel: ChannelModel, config: SeqptConfig,
 def _as_pauli(label, n: int) -> Pauli:
     if isinstance(label, str):
         label = Pauli.from_string(label)
+    elif not isinstance(label, (Pauli, bool)) and hasattr(label, "__index__"):
+        label = Pauli.from_label(n, operator.index(label))
     if not isinstance(label, Pauli):
-        return Pauli.from_label(n, int(label))
+        raise ConfigError(f"label {label!r} is not a Pauli, a Pauli string or an integer")
     if label.n != n:
         raise DimensionMismatchError(
             f"label {label} acts on {label.n} qubits, the channel on {n}")
@@ -275,22 +283,34 @@ def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
     return tuple(gf2.rref(rows))
 
 
-def _class_pair_rows(n_classes: int, picks):
-    """Yield (i, partners) per class row i, partners ascending, in row-major
-    order: every pair i < j, or only the pairs whose flat row-major index is
-    in the sorted array ``picks``.  Never builds the list of all pairs."""
-    if picks is None:
-        for i in range(n_classes - 1):
-            yield i, np.arange(i + 1, n_classes)
-        return
+def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]:
+    """Votes of the class pairs i < j, all or those at the sorted flat
+    row-major indices ``picks``, in blocks of ``_PAIR_BLOCK``: the counts[i] *
+    counts[j] realization pairs that pin down each key, keys in the order of
+    their first pair, and the cross-class realization pairs analyzed."""
+    n_classes = len(class_rows)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
-    row = np.searchsorted(starts, picks, side="right") - 1
-    partner = picks - starts[row] + row + 1
-    bounds = np.flatnonzero(np.diff(row)) + 1
-    for seg in np.split(np.arange(len(picks)), bounds):
-        if len(seg):
-            yield int(row[seg[0]]), partner[seg]
+    stop = n_classes * (n_classes - 1) // 2 if picks is None else len(picks)
+    # dense tallies over the 4^n keys, 4,096 entries at the dense cap n = 6;
+    # blind discovery past that cap would need a sparse tally
+    weight = np.zeros(1 << 2 * n, dtype=np.int64)
+    first = np.full(1 << 2 * n, stop, dtype=np.int64)
+    analyzed_cross = 0
+    for lo in range(0, stop, _PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + _PAIR_BLOCK, stop))
+        flat = flat if picks is None else picks[flat]
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = flat - starts[i] + i + 1
+        keys = gf2.solve_unique_batch(
+            np.concatenate((class_rows[i], class_rows[j]), axis=1), 2 * n)
+        npairs = counts[i] * counts[j]
+        analyzed_cross += int(npairs.sum())
+        usable = keys >= 0
+        np.add.at(weight, keys[usable], npairs[usable])
+        np.minimum.at(first, keys[usable], lo + np.flatnonzero(usable))
+    order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
+    return dict(zip(order.tolist(), weight[order].tolist())), analyzed_cross
 
 
 def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
@@ -351,31 +371,16 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
     m_total = config.shots
     class_rows = np.array(list(classes), dtype=np.uint64).reshape(len(classes), n)
     counts = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))
-    n_classes = len(classes)
-    pair_budget = n_classes * (n_classes - 1) // 2
-    analyzed_exactly = True
+    pair_budget = len(classes) * (len(classes) - 1) // 2
     picks = None
     if config.pair_class_cap is not None and pair_budget > config.pair_class_cap:
         picks = np.sort(substream(config.seed, 0).choice(
             pair_budget, size=config.pair_class_cap, replace=False))
-        analyzed_exactly = False
+    analyzed_exactly = picks is None
 
-    # one batched solve per class row; votes keep the row-major order in
-    # which each key first appears, as residual_mass sums in that order
-    votes: dict[int, int] = {}
-    usable_pairs = 0
-    analyzed_cross = 0
-    for i, partners in _class_pair_rows(n_classes, picks):
-        stacked = np.concatenate(
-            (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
-            axis=1)
-        keys = gf2.solve_unique_batch(stacked, 2 * n)
-        npairs = counts[i] * counts[partners]
-        analyzed_cross += int(npairs.sum())
-        usable = keys >= 0
-        for key, count in zip(keys[usable].tolist(), npairs[usable].tolist()):
-            usable_pairs += count
-            votes[key] = votes.get(key, 0) + count
+    # residual_mass sums the votes in the order of each key's first pair
+    votes, analyzed_cross = _pair_votes(n, class_rows, counts, picks)
+    usable_pairs = sum(votes.values())
 
     threshold = 2.0 / m_total
     z = config.significance_z

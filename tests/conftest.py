@@ -8,11 +8,16 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 phase_flip_kraus, amplitude_damping_kraus,
                                 random_cp_channel)
 from twirltomo import gf2
-from twirltomo.pauli import XZ_DIGIT
+from twirltomo.pauli import XZ_DIGIT, Pauli
 from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli, _spread_matrices,
                                   _swap_halves)
 
 I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def symplectic_product(a: Pauli, b: Pauli) -> int:
+    """0 if the operators commute, 1 if they anticommute."""
+    return ((a.x & b.z).bit_count() ^ (a.z & b.x).bit_count()) & 1
 
 
 def xor_combination(basis, coeff: int) -> int:

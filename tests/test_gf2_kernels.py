@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import xor_combination
+from conftest import symplectic_product, xor_combination
 from twirltomo import gf2
 from twirltomo.channels import random_cp_channel
-from twirltomo.pauli import Pauli, symplectic_product
+from twirltomo.pauli import Pauli
 from twirltomo.seqpt import SeqptConfig, _class_of, run_blind_discovery
 from twirltomo.stabilizer import _key_to_pauli, build_mub_family, sample_clifford_uniform
 

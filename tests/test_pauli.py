@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import symplectic_product
 from twirltomo.channels import _GATES_1Q, embed_kraus, gate_unitary
 from twirltomo.errors import DimensionMismatchError
-from twirltomo.pauli import (PAULI_1Q, Pauli, commutes, enumerate_supports, multiply,
-                             symplectic_product, tensor)
+from twirltomo.pauli import PAULI_1Q, Pauli, commutes, enumerate_supports, multiply, tensor
 
 
 def all_paulis(n):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
-from twirltomo import dense, seqpt
+from twirltomo import dense, gf2, seqpt
 from twirltomo.records import ExperimentRecord
 from twirltomo.rng import _draw_outcome, substream
 from twirltomo.seqpt import (SeqptConfig, _bits, _discover, average_fidelity,
@@ -165,6 +166,86 @@ def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, cap, b
     assert res.to_json() == want.to_json()
     assert res.records == want.records
     assert run_blind_discovery(channel, cfg, backend).records == []
+
+
+def _class_pair_rows(n_classes: int, picks):
+    """Yield (i, partners) per class row i, partners ascending, in row-major
+    order: every pair i < j, or only the pairs whose flat row-major index is
+    in the sorted array ``picks``."""
+    if picks is None:
+        for i in range(n_classes - 1):
+            yield i, np.arange(i + 1, n_classes)
+        return
+    idx = np.arange(n_classes)
+    starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
+    row = np.searchsorted(starts, picks, side="right") - 1
+    partner = picks - starts[row] + row + 1
+    bounds = np.flatnonzero(np.diff(row)) + 1
+    for seg in np.split(np.arange(len(picks)), bounds):
+        if len(seg):
+            yield int(row[seg[0]]), partner[seg]
+
+
+def _pair_votes_by_row(n, class_rows, counts, picks):
+    """Reference for ``seqpt._pair_votes``: one solve per class row against
+    its partners, and the votes added up one usable pair at a time in
+    row-major order."""
+    votes: dict[int, int] = {}
+    analyzed_cross = 0
+    for i, partners in _class_pair_rows(len(class_rows), picks):
+        stacked = np.concatenate(
+            (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
+            axis=1)
+        keys = gf2.solve_unique_batch(stacked, 2 * n)
+        npairs = counts[i] * counts[partners]
+        analyzed_cross += int(npairs.sum())
+        usable = keys >= 0
+        for key, count in zip(keys[usable].tolist(), npairs[usable].tolist()):
+            votes[key] = votes.get(key, 0) + count
+    return votes, analyzed_cross
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_blocked_pair_pass_matches_per_row_reference(monkeypatch, n, variant):
+    """The blocked pair pass gives the results of the per-row reference,
+    byte for byte, exact and under a class-pair cap of 1, of half the pair
+    budget (sampled pairs that cut class rows) and of the whole budget (an
+    exact run), with blocks of 1 and 7 pairs that split rows and with the
+    default block."""
+    channel = random_cp_channel(n, np.random.default_rng(60 + n))
+    backend = DenseBackend()
+    budgets = []
+
+    def reference(n, class_rows, counts, picks):
+        budgets.append(len(class_rows) * (len(class_rows) - 1) // 2)
+        return _pair_votes_by_row(n, class_rows, counts, picks)
+
+    def run(cap, patch):
+        cfg = SeqptConfig(shots=80, variant=variant, seed=7, pair_class_cap=cap)
+        with monkeypatch.context() as m:
+            m.setattr(seqpt, *patch)
+            return run_blind_discovery(channel, cfg, backend)
+
+    exact = run(None, ("_pair_votes", reference))
+    assert exact.estimates and exact.usable_pair_fraction > 0
+    budget = budgets[0]
+    for cap in (None, 1, budget // 2, budget):
+        want = run(cap, ("_pair_votes", reference))
+        assert want.analyzed_exactly == (cap in (None, budget)), cap
+        for block in (1, 7, seqpt._PAIR_BLOCK):
+            got = run(cap, ("_PAIR_BLOCK", block))
+            assert got.to_json() == want.to_json(), (cap, block)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_single_class_has_no_pairs(cap):
+    """Two realizations in one group form one class and no class pair: no
+    pair is usable and nothing is estimated."""
+    res = _discover(2, SeqptConfig(shots=2, seed=0, pair_class_cap=cap),
+                    build_mub_family(2).z[[1]], np.array([3]), np.array([2]), [])
+    assert res.usable_pair_fraction == 0.0 and res.total_pairs == 1
+    assert res.estimates == {} and res.residual_mass == 1.0 and res.analyzed_exactly
 
 
 def test_blind_mub_memory_does_not_grow_with_shots():
@@ -378,7 +459,17 @@ def test_selective_label_forms():
     b = estimate_chi_selective(ident, 12, cfg)
     from twirltomo.pauli import Pauli
     c = estimate_chi_selective(ident, Pauli.from_string("ZI"), cfg)
-    assert a == b == c
+    d = estimate_chi_selective(ident, np.int64(12), cfg)
+    assert a == b == c == d
+
+
+@pytest.mark.parametrize("label", [3.7, 3.0, np.float64(3.0), True, np.True_, None,
+                                   b"ZI", [3]])
+def test_selective_label_rejects_non_integers(label):
+    """Only a Pauli, a Pauli string or an integer names a label: a float or
+    a bool is refused, naming it, instead of running as int(label)."""
+    with pytest.raises(ConfigError, match=re.escape(repr(label))):
+        estimate_chi_selective(ChannelModel.identity(2), label, SeqptConfig(shots=10, seed=16))
 
 
 @pytest.mark.parametrize("variant", ["mub", "clifford"])

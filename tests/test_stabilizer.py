@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import conjugated_xz_table, label_table, mub_family_reference, xor_combination
+from conftest import (conjugated_xz_table, label_table, mub_family_reference,
+                      symplectic_product, xor_combination)
 from twirltomo import gf2
-from twirltomo.pauli import Pauli, symplectic_product
+from twirltomo.pauli import Pauli
 from twirltomo.stabilizer import (Clifford, _key_to_pauli,
                                   _swap_halves, build_mub_family,
                                   circuit_unitary, clifford_bounds,
