@@ -75,20 +75,25 @@ class HammingStatistics:
         self.total = int(self.weight_counts.sum())
 
     @staticmethod
+    def _from_codes(n: int, codes: np.ndarray) -> "HammingStatistics":
+        """Counts of ``codes``, n-bit strings packed into int64 with qubit 1
+        the top bit (unchecked: the callers' codes lie in [0, 2^n)).  Sorting
+        counts them, so memory follows M, not 2^n."""
+        codes, counts = np.unique(codes, return_counts=True)
+        rows = ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()
+        return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
+
+    @staticmethod
     def from_outcomes(n: int, outcomes) -> "HammingStatistics":
         """Counts of the bit strings in ``outcomes``: length-n sequences of
         0s and 1s, or an (M, n) array of them, for n < 64 (a string is
-        packed into one int64).  Strings are counted by sorting their codes,
-        so memory follows M, not 2^n."""
+        packed into one int64 and counted by :meth:`_from_codes`)."""
         if n >= 64:
             raise ValueError(f"bit strings of n = {n} >= 64 bits do not fit an int64")
         bits = np.asarray(outcomes, dtype=np.int64).reshape(-1, n)
         if ((bits != 0) & (bits != 1)).any():
             raise ValueError("outcomes must be bit strings")
-        shifts = np.arange(n - 1, -1, -1)
-        codes, counts = np.unique(bits @ (1 << shifts), return_counts=True)
-        rows = ((codes[:, None] >> shifts) & 1).tolist()
-        return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
+        return HammingStatistics._from_codes(n, bits @ (1 << np.arange(n - 1, -1, -1)))
 
     def weight_probs(self) -> np.ndarray:
         return self.weight_counts / self.total
@@ -126,26 +131,27 @@ def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
     row x (its X part) of the transition table of its rotation part.  The
     tables of the distinct rotation parts are fetched as one stack
     (:meth:`DenseBackend.local_tables`, which builds the missing ones
-    together) and cumsummed once; the cdf rows of all realizations are then
-    gathered by (table, x) and all outcomes are drawn in one array pass, in
-    blocks of at most ``_DRAW_BLOCK`` cdf entries so the gathered stack
-    stays small.
+    together) and cumsummed once.  A slot array over the 3^n rotation codes
+    numbers the distinct parts, so realization i reads flat cdf row
+    slot[code_i] * D + x_i.  The outcomes are drawn in blocks of at most
+    ``_DRAW_BLOCK`` gathered cdf entries, so the gathered stack stays small.
     """
-    n = channel.n
+    n, d = channel.n, channel.dim
     ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
     digits = ints.reshape(count, n, 2)
     places = np.arange(n - 1, -1, -1)  # qubit 1 is the top digit
     codes = digits[:, :, 1] @ 3 ** places
-    parts = np.flatnonzero(np.bincount(codes, minlength=3 ** n))  # sorted, distinct
-    table = np.searchsorted(parts, codes)
+    seen = np.bincount(codes, minlength=3 ** n) > 0
+    parts = np.flatnonzero(seen)  # sorted, distinct
     x = ((digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)) @ (1 << places)
+    rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
     rotations = parts[:, None] // 3 ** places % 3
-    cdfs = np.cumsum(backend.local_tables(channel, rotations), axis=2)
+    cdfs = np.cumsum(backend.local_tables(channel, rotations), axis=2).reshape(-1, d)
     outcomes = np.empty(count, dtype=np.int64)
-    step = max(1, _DRAW_BLOCK // channel.dim)
+    step = max(1, _DRAW_BLOCK // d)
     for lo in range(0, count, step):
-        rows = slice(lo, lo + step)
-        outcomes[rows] = _draw_outcome(cdfs[table[rows], x[rows]], uniforms[rows, 0])
+        block = slice(lo, lo + step)
+        outcomes[block] = _draw_outcome(cdfs[rows[block]], uniforms[block, 0])
     return digits, outcomes
 
 
@@ -195,10 +201,14 @@ def solve_weight_probs_exact(prob_by_weight: np.ndarray, cutoff: int) -> np.ndar
     n = len(prob_by_weight) - 1
     if cutoff > n:
         raise ConfigError(f"cutoff {cutoff} exceeds qubit count {n}")
-    r = r_matrix(n)
+    return _back_substitute(r_matrix(n), prob_by_weight, cutoff)
+
+
+def _back_substitute(r: np.ndarray, q: np.ndarray, cutoff: int) -> np.ndarray:
+    """p_0 .. p_cutoff with (R p)_w = q_w for w <= cutoff, from the top down."""
     p = np.zeros(cutoff + 1)
     for w in range(cutoff, -1, -1):
-        acc = prob_by_weight[w]
+        acc = q[w]
         for wp in range(w + 1, cutoff + 1):
             acc -= r[w, wp] * p[wp]
         p[w] = acc / r[w, w]
@@ -216,14 +226,12 @@ def solve_pw(stats: HammingStatistics, cutoff: int) -> WeightEstimate:
     if cutoff > n:
         raise ConfigError(f"cutoff {cutoff} exceeds qubit count {n}")
     q = stats.weight_probs()
-    values = solve_weight_probs_exact(q, cutoff)
-    r = r_matrix(n)[: cutoff + 1, : cutoff + 1]
-    rinv = np.linalg.inv(r)
+    r = r_matrix(n)
+    values = _back_substitute(r, q, cutoff)
+    rinv = np.linalg.inv(r[: cutoff + 1, : cutoff + 1])
     cov_q = (np.diag(q) - np.outer(q, q)) / stats.total
     cov = rinv @ cov_q[: cutoff + 1, : cutoff + 1] @ rinv.T
-    resid = stats.weight_probs().copy()
-    rfull = r_matrix(n)
-    resid -= rfull[:, : cutoff + 1] @ values
+    resid = q - r[:, : cutoff + 1] @ values
     return WeightEstimate(values=values, cov=cov,
                           stderr=np.sqrt(np.clip(np.diag(cov), 0.0, None)),
                           amplification=amplification_factors(cutoff),
@@ -275,6 +283,15 @@ def solve_chi_col_exact(n: int, prob_of_support, cutoff: int) -> dict[tuple[int,
     return values
 
 
+def _support_matrix(supports: list[tuple[int, ...]]) -> np.ndarray:
+    """T[i, j] = 2^|s_i| / 3^|s_j| where support s_j contains s_i, else 0:
+    the map from chi_col on ``supports`` to their outcome probabilities."""
+    s = np.array(supports, dtype=np.int8)
+    covers = s @ (1 - s).T == 0  # no qubit of s_i lies outside s_j
+    w = s.sum(axis=1)  # 2^w and 3^w convert to float exactly up to w = 33
+    return np.where(covers, (2 ** w)[:, None] / 3 ** w, 0.0)
+
+
 def solve_chi_col(stats: HammingStatistics, cutoff: int) -> SupportEstimate:
     """Estimate the support-resolved coefficients from sampled statistics."""
     n = stats.n
@@ -285,13 +302,7 @@ def solve_chi_col(stats: HammingStatistics, cutoff: int) -> SupportEstimate:
         raise CapacityError(
             f"support system has {m_cells} cells (cap {MAX_SUPPORT_CELLS})")
     supports = _supports_upto(n, cutoff)
-    index = {s: i for i, s in enumerate(supports)}
-    t_mat = np.zeros((m_cells, m_cells))
-    for s, i in index.items():
-        w = sum(s)
-        for t, j in index.items():
-            if all(tb >= sb for sb, tb in zip(s, t)):
-                t_mat[i, j] = 2.0 ** w / 3.0 ** sum(t)
+    t_mat = _support_matrix(supports)
     q = np.array([stats.support_prob(s) for s in supports])
     values_vec = np.linalg.solve(t_mat, q)
     tinv = np.linalg.inv(t_mat)
@@ -299,8 +310,8 @@ def solve_chi_col(stats: HammingStatistics, cutoff: int) -> SupportEstimate:
     cov = tinv @ cov_q @ tinv.T
     stderr_vec = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     excess = 1.0 - q.sum()
-    values = {s: float(values_vec[i]) for s, i in index.items()}
-    stderr = {s: float(stderr_vec[i]) for s, i in index.items()}
+    values = dict(zip(supports, values_vec.tolist()))
+    stderr = dict(zip(supports, stderr_vec.tolist()))
     # inconsistency: solved values negative far beyond their error bars
     inconsistent = any(v < -4.0 * stderr[s] - 1e-12 for s, v in values.items())
     return SupportEstimate(values=values, stderr=stderr,
@@ -345,8 +356,7 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
     check_trace_preserving(channel)
     n = channel.n
     _, outcomes = _sample_local_batch(channel, config.seed, config.shots, backend)
-    stats = HammingStatistics.from_outcomes(
-        n, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    stats = HammingStatistics._from_codes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)
     weight = solve_pw(stats, cutoff)
     support = solve_chi_col(stats, cutoff) if config.keep_which_qubit else None

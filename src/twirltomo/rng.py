@@ -126,21 +126,39 @@ def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarra
 
     Philox4x64-10 evaluated over the counter array: numpy bumps the counter
     before each block, so block b = 1, 2, ... of substream i is the Philox
-    of counter [b, 0, 0, i] under key [seed mod 2**64, 0], four words each.
-    The rounds run in place in a few preallocated buffers; uint64 array
-    arithmetic wraps modulo 2**64, as Philox needs.
+    of counter (b, 0, 0, i) under key (k, 0), k = seed mod 2**64.  Round r
+    maps lanes (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ (k + r W0), lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ r W1, lo(M0 c0)).  Round 0 gives (k, 0, hi(M0 b) ^ i,
+    lo(M0 b)); round 1 multiplies the scalar k, so its lane 2 is g_b =
+    hi(M0 k) ^ lo(M0 b) ^ W1; round 2 multiplies g_b.  Those products are
+    taken once per block with Python ints, so the arrays make 16 of the 20
+    half-round products, in place in a few preallocated buffers.
     """
     if start < 0:
         raise ValueError("substream index must be nonnegative")
     nblocks = -(-nwords // 4)
-    c = np.zeros((4, count * nblocks), dtype=np.uint64)
-    c[0] = np.tile(np.arange(1, nblocks + 1, dtype=np.uint64), count)
-    c[3] = np.repeat(np.arange(start, start + count, dtype=np.uint64), nblocks)
-    c0, c1, c2, c3 = c
-    hi, t, u, v = np.empty((4, count * nblocks), dtype=np.uint64)
+    k = seed & _MASK64
+    m0b = [_PHILOX_M0 * b for b in range(1, nblocks + 1)]
+    m0k = _PHILOX_M0 * k
+    m1g = [_PHILOX_M1 * ((m0k >> 64) ^ (p & _MASK64) ^ _PHILOX_W1) for p in m0b]
+    c0, c1, c2, c3 = np.empty((4, count, nblocks), dtype=np.uint64)
+    hi, t, u, v = np.empty((4, count, nblocks), dtype=np.uint64)
     m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
-    k0, k1 = seed & _MASK64, 0
-    for _ in range(_PHILOX_ROUNDS):
+    # round 1 on the arrays: lanes 0 and 1 from lane 2 = hi(M0 b) ^ i
+    np.bitwise_xor(np.arange(start, start + count, dtype=np.uint64)[:, None],
+                   np.array([p >> 64 for p in m0b], dtype=np.uint64), out=c2)
+    _mulhi(_PHILOX_M1, c2, c0, t, u, v)
+    c0 ^= np.uint64((k + _PHILOX_W0) & _MASK64)
+    c2 *= m1
+    # round 2: lanes 0 and 1 from the per-block M1 g_b, lanes 2 and 3 from c0
+    c2 ^= np.array([(p >> 64) ^ ((k + 2 * _PHILOX_W0) & _MASK64) for p in m1g], dtype=np.uint64)
+    c1[:] = np.array([p & _MASK64 for p in m1g], dtype=np.uint64)
+    _mulhi(_PHILOX_M0, c0, c3, t, u, v)
+    c3 ^= np.uint64((m0k & _MASK64) ^ (2 * _PHILOX_W1 & _MASK64))
+    c0 *= m0
+    c0, c1, c2, c3 = c2, c1, c3, c0
+    for r in range(3, _PHILOX_ROUNDS):
+        k0, k1 = (k + r * _PHILOX_W0) & _MASK64, r * _PHILOX_W1 & _MASK64
         # (c0, c1, c2, c3) <- (hi(m1 c2) ^ c1 ^ k0, lo(m1 c2), hi(m0 c0) ^ c3 ^ k1, lo(m0 c0))
         _mulhi(_PHILOX_M0, c0, hi, t, u, v)
         c3 ^= hi
@@ -151,7 +169,6 @@ def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarra
         c1 ^= np.uint64(k0)
         c2 *= m1
         c0, c1, c2, c3 = c1, c2, c3, c0  # the buffers are renamed, not copied
-        k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
     del hi, t, u, v  # free the scratch before the output is laid out
     blocks = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * nblocks)
     return blocks[:, :nwords]
@@ -229,4 +246,7 @@ def _draw_outcome(cdf: np.ndarray, u):
         raise ValueError("outcome distribution has no positive mass")
     # on a nondecreasing row, counting entries <= t is searchsorted(t, "right")
     v = (cdf <= u[:, None] * total).sum(axis=-1)
-    return np.where(v == cdf.shape[-1], (cdf < total).sum(axis=-1), v)
+    top = np.flatnonzero(v == cdf.shape[-1])  # only these rows need the clamp
+    rows, tops = (cdf[top], total[top]) if cdf.ndim > 1 else (cdf, total)
+    v[top] = (rows < tops).sum(axis=-1)
+    return v

@@ -8,6 +8,7 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 phase_flip_kraus, amplitude_damping_kraus,
                                 random_cp_channel)
 from twirltomo import gf2
+from twirltomo.dense import local_twirl_unitary
 from twirltomo.pauli import XZ_DIGIT, Pauli
 from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli, _spread_matrices,
                                   _swap_halves)
@@ -105,6 +106,14 @@ def mub_family_reference(n: int) -> Tableaux:
             z_keys.append((1 << (n - 1 - j)) | (zcol << n))
         bases.append(clifford_from_z_frame(z_keys, n))
     return Tableaux.of(bases)
+
+
+def dense_local_probs(channel, digits):
+    """Reference outcome law of one one-qubit-twirl element from its own
+    kron unitary and channel.apply."""
+    u = local_twirl_unitary(digits)
+    sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
+    return np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
 
 
 def transpose_map_channel() -> ChannelModel:

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (I_POWERS, battery, cnot_channel, label_table,
-                      transpose_map_channel)
+from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
+                      label_table, transpose_map_channel)
 from twirltomo import dense, localtwirl
 from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
                                 gate_unitary, random_cp_channel)
@@ -382,14 +382,6 @@ def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
     assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
 
 
-def _dense_local_probs(channel, digits):
-    """Reference outcome law of one one-qubit-twirl element from its own
-    kron unitary and channel.apply."""
-    u = local_twirl_unitary(digits)
-    sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
-    return np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
-
-
 def test_local_outcome_probs_match_per_element_reference(monkeypatch):
     """Rows of the 3^n rotation tables equal the per-element law to 1e-12:
     every element at n = 1, 2 and 300 random elements at n = 3, 4, on every
@@ -418,7 +410,7 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
         built.clear()
         for digits in elements:
             got = backend.local_outcome_probs(ch, digits)
-            want = _dense_local_probs(ch, digits)
+            want = dense_local_probs(ch, digits)
             assert np.abs(got - want).max() <= 1e-12, (name, digits)
         assert len(built) <= 3 ** n, name
 

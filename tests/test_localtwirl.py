@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -5,13 +6,16 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import (battery, cnot_channel, mixed_z1_channel,
+from conftest import (battery, cnot_channel, dense_local_probs, mixed_z1_channel,
                       sparse_support_channel_n3)
+from twirltomo import localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
-from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
-from twirltomo.dense import TwirlSpec, enumerate_twirl_exact
+from twirltomo.channels import (ChannelModel, coarse_grain, depolarizing_kraus,
+                                random_cp_channel)
+from twirltomo.dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
 from twirltomo.errors import ConfigError
 from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig,
+                                  _sample_local_batch, _supports_upto,
                                   amplification_factors, c1t_fidelity,
                                   choose_cutoff, r_matrix,
                                   run_local_twirl, sample_c1t_realization,
@@ -279,3 +283,109 @@ def test_local_twirl_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * 2 ** 20, peak / 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the sampler in distribution, and the reduce step against its references
+
+
+# (n, shots): at least about 5 draws per (law row, outcome) cell on average
+_DISTRIBUTION_RUNS = [(1, 2000), (2, 5000), (3, 20000), (4, 100000)]
+
+
+@pytest.mark.parametrize("n, shots", _DISTRIBUTION_RUNS)
+def test_local_batch_outcomes_follow_exact_laws(n, shots):
+    """The production batch sampler draws each element's outcome from its
+    exact law, by a Pearson test pooled over law rows at a fixed seed.
+
+    Realizations are binned by law row (rotation part, X part), both read
+    off the drawn digits here (X and Y flip a qubit), and by outcome.  A
+    row's exact law is the one of its element with Pauli part X^x, from the
+    element's own unitary, and the rows of ``DenseBackend.local_tables``
+    must equal it to 1e-12.  Given the row counts N_r, each row is multinomial,
+    so the Pearson statistic X^2 = sum (O - N_r p)^2 / (N_r p) over the
+    cells with p > 0 has the exact mean sum_r (k_r - 1) and variance
+    sum_r [2 (k_r - 1) + (sum_i 1/p_i - k_r^2 - 2 k_r + 2) / N_r].  The test
+    fails when X^2 lies more than 5 standard deviations above its mean, or
+    when a cell of probability zero is drawn."""
+    channel = random_cp_channel(n, master(700 + n), n_kraus=2)
+    backend = DenseBackend()
+    digits, outcomes = _sample_local_batch(channel, 19, shots, backend)
+    d = channel.dim
+    places = np.arange(n - 1, -1, -1)
+    codes = digits[:, :, 1] @ 3 ** places
+    x = np.isin(digits[:, :, 0], (1, 2)) @ (1 << places)
+    counts = np.bincount((codes * d + x) * d + outcomes,
+                         minlength=3 ** n * d * d).reshape(3 ** n * d, d)
+    rotations = np.arange(3 ** n)[:, None] // 3 ** places % 3
+    # the element of each row with Pauli part X^x: pauli digit 1 where x has a 1
+    laws = np.array([dense_local_probs(channel, tuple(zip((xx >> places) & 1, r)))
+                     for r in rotations.tolist() for xx in range(d)])
+    drawn = counts.sum(axis=1)
+    assert (drawn > 0).all()  # every law row is seen at these shot counts
+    zero = laws <= 0.0
+    assert not counts[zero].any(), "an outcome of probability zero was drawn"
+    expected = drawn[:, None] * laws
+    pearson = np.where(zero, 0.0, (counts - expected) ** 2 / np.where(zero, 1.0, expected)).sum()
+    k = (~zero).sum(axis=1)
+    inv_p = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, laws)).sum(axis=1)
+    mean = (k - 1).sum()
+    var = (2 * (k - 1) + (inv_p - k ** 2 - 2 * k + 2) / drawn).sum()
+    assert (pearson - mean) / np.sqrt(var) <= 5.0, (pearson, mean, var)
+    tables = backend.local_tables(channel, rotations).reshape(3 ** n * d, d)
+    assert np.abs(tables - laws).max() <= 1e-12
+
+
+def _support_matrix_by_loop(n: int, cutoff: int) -> np.ndarray:
+    """The support system built cell by cell: the reference for
+    ``localtwirl._support_matrix``."""
+    supports = _supports_upto(n, cutoff)
+    index = {s: i for i, s in enumerate(supports)}
+    t_mat = np.zeros((len(supports), len(supports)))
+    for s, i in index.items():
+        w = sum(s)
+        for t, j in index.items():
+            if all(tb >= sb for sb, tb in zip(s, t)):
+                t_mat[i, j] = 2.0 ** w / 3.0 ** sum(t)
+    return t_mat
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_support_matrix_equals_cell_by_cell_reference(n):
+    for cutoff in range(n + 1):
+        got = localtwirl._support_matrix(_supports_upto(n, cutoff))
+        want = _support_matrix_by_loop(n, cutoff)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cutoff
+
+
+@pytest.mark.parametrize("n, cutoff, counts", [
+    (1, 1, {(0,): 7, (1,): 3}),
+    (2, 2, {(0, 0): 90, (1, 1): 10}),
+    (3, 2, {(0, 0, 0): 800, (1, 0, 0): 90, (0, 1, 1): 60, (1, 1, 1): 50}),
+    (4, 3, {(0, 0, 0, 0): 9000, (1, 0, 0, 0): 500, (1, 1, 0, 0): 300,
+            (0, 1, 0, 1): 150, (1, 1, 1, 0): 49, (1, 1, 1, 1): 1}),
+])
+def test_support_estimate_json_equals_reference(monkeypatch, n, cutoff, counts):
+    """solve_chi_col gives the same SupportEstimate JSON on the array-built
+    support system as on the cell-by-cell one."""
+    stats = HammingStatistics(n, counts)
+    got = json.dumps(solve_chi_col(stats, cutoff).to_json_dict(), sort_keys=True)
+    monkeypatch.setattr(localtwirl, "_support_matrix",
+                        lambda supports: _support_matrix_by_loop(n, cutoff))
+    assert json.dumps(solve_chi_col(stats, cutoff).to_json_dict(), sort_keys=True) == got
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_run_counts_equal_from_outcomes(n):
+    """The run path counts its outcome codes with the routine from_outcomes
+    uses after packing: equal counts, in the same order, and equal weight
+    histograms."""
+    channel = random_cp_channel(n, master(720 + n), n_kraus=2)
+    config = LocalTwirlConfig(shots=3000, seed=8)
+    _, outcomes = _sample_local_batch(channel, config.seed, config.shots, DenseBackend())
+    want = HammingStatistics.from_outcomes(
+        n, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    got = run_local_twirl(channel, config).statistics
+    assert list(got.outcome_counts.items()) == list(want.outcome_counts.items())
+    assert np.array_equal(got.weight_counts, want.weight_counts)
+    assert got.total == want.total == config.shots
