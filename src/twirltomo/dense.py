@@ -1,16 +1,19 @@
-"""Exact small-n dense simulation and the oracles the protocols test against.
+"""Exact small-n dense simulation, the one twirl-family pipeline, and the
+oracles the protocols test against.
 
-Every twirl family's outcome law is a row of one transition table
-(:func:`_transition_table`): MUB and one-qubit-twirl laws are read off a
-cache of whole tables, and a Clifford element's law is row 0 of the table
-of its own dense unitary (:func:`_clifford_laws`).  The backend enumerates
-finite twirl families exactly as the mean of those laws, and evaluates the
-Haar-average identity for second moments in closed form.  Everything is
-deterministic given a Generator; enumerations iterate in a fixed canonical
-order so results are reproducible bit for bit.
+:class:`TwirlSpec` is the one twirl family.  Every sampler and the exact
+enumeration take its steps: a row of ``layout`` draws per element, the
+elements they name, their laws (element i's is ``laws[rows[i]]``, a row of
+one transition table, :func:`_transition_table`), then one blocked outcome
+draw (:func:`draw_outcomes`) or the mean of the laws, each shifted by an
+intermediary's syndrome against the elements' Z-images.  Blind MUB
+discovery alone keeps its own per-realization draw loop (see
+:mod:`twirltomo.seqpt`).  Enumerations iterate in a fixed order, so results
+are reproducible bit for bit.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -19,13 +22,15 @@ import numpy as np
 from .channels import ChannelModel
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, tensor
-from .stabilizer import Tableaux, build_mub_family, clifford_group_tableaux, outcome_shift
+from .rng import _draw_outcome
+from .stabilizer import Tableaux, build_mub_family, clifford_bounds, grow_cliffords, outcome_shift
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
 _TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
+_DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,13 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class TwirlSpec:
-    """Which twirl family to average over."""
+    """One twirl family and the steps that every sampler and the exact
+    enumeration share: the ``layout`` of ``integers(0, k)`` draws of one
+    element (as :func:`twirltomo.rng.draw_batch` makes them), the
+    :meth:`elements` the draws name, their laws (:meth:`laws`, drawn from by
+    :func:`draw_outcomes`) and their Z-image keys (:meth:`z_keys`), against
+    which an intermediary Pauli shifts a law.  ``haar_state`` has no layout.
+    """
 
     kind: str  # haar_state | mub | clifford_full | local_clifford
     n: int
@@ -113,23 +124,71 @@ class TwirlSpec:
             raise ConfigError(f"a twirl acts on n >= 1 qubits, got n = {self.n}")
 
     @property
-    def enumeration_size(self) -> int | None:
+    def layout(self) -> tuple[int, ...] | None:
         d = 1 << self.n
-        if self.kind == "mub":
-            return d * (d + 1)
-        if self.kind == "local_clifford":
-            return 12 ** self.n
+        return {"mub": (d + 1, d), "local_clifford": (4, 3) * self.n,
+                "clifford_full": clifford_bounds(self.n)}.get(self.kind)
+
+    @property
+    def enumeration_size(self) -> int | None:
+        return None if self.layout is None else math.prod(self.layout)
+
+    def elements(self, ints: np.ndarray):
+        """The elements that the (M, len(layout)) draw rows name: (basis,
+        state) rows (MUB), (M, n, 2) (pauli, rotation) digits, qubit 1 first
+        (one-qubit twirl), or a :class:`Tableaux` stack (Clifford)."""
         if self.kind == "clifford_full":
-            # |Sp(2n,2)| symplectic actions times 2^(2n) sign choices
-            return _sp_group_order(self.n) * (1 << (2 * self.n))
-        return None
+            return grow_cliffords(self.n, ints)
+        return ints.reshape(len(ints), self.n, 2) if self.kind == "local_clifford" else ints
+
+    def z_keys(self, elements) -> np.ndarray:
+        """(M, n) Z-image keys x | z << n of the elements: a MUB basis's, or
+        Y, X, Z on a qubit rotated about x, y, z (the Pauli part flips signs)."""
+        n = self.n
+        if self.kind == "mub":
+            return build_mub_family(n).z[elements[:, 0]]
+        if self.kind == "clifford_full":
+            return elements.z
+        return np.array([1 + (1 << n), 1, 1 << n])[elements[:, :, 1]] << np.arange(n - 1, -1, -1)
+
+    def laws(self, backend: "DenseBackend", channel: ChannelModel,
+             elements) -> tuple[np.ndarray, np.ndarray]:
+        """(laws, rows): element i's law, with no intermediary, is laws[rows[i]].
+
+        MUB (basis j, state m): row j*D + m of the D+1 tables.  One-qubit
+        twirl: row slot*D + x of the tables of the distinct rotation parts,
+        x the X part of the Pauli part (X and Y flip a qubit) and the slot
+        numbering the parts in order.  Clifford: the element's own law
+        (:meth:`DenseBackend.clifford_outcome_probs`).
+        """
+        if self.n != channel.n:
+            raise DimensionMismatchError(f"twirl on {self.n} qubits, channel on {channel.n}")
+        d = channel.dim
+        if self.kind == "mub":
+            return backend.mub_tables(channel).reshape(-1, d), elements @ np.array([d, 1])
+        if self.kind == "clifford_full":
+            return backend.clifford_outcome_probs(channel, elements), np.arange(len(elements))
+        places = np.arange(self.n - 1, -1, -1)  # qubit 1 is the top digit
+        codes = elements[:, :, 1] @ 3 ** places
+        seen = np.bincount(codes, minlength=3 ** self.n) > 0
+        rotations = np.flatnonzero(seen)[:, None] // 3 ** places % 3  # sorted, distinct
+        x = ((elements[:, :, 0] == 1) | (elements[:, :, 0] == 2)) @ (1 << places)
+        rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
+        return backend.local_tables(channel, rotations).reshape(-1, d), rows
 
 
-def _sp_group_order(n: int) -> int:
-    order = 1
-    for j in range(1, n + 1):
-        order *= (4 ** j - 1) * 4 ** j // 2  # 2^(2j-1) * (4^j - 1)
-    return order
+def draw_outcomes(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each element i of a batch: the :func:`_draw_outcome` of the
+    uniform u[i] against the law laws[rows[i]].  The laws are cumsummed once
+    and the cdf rows gathered in blocks of at most ``_DRAW_BLOCK`` entries,
+    so the gathered stack stays small."""
+    cdfs = np.cumsum(laws, axis=1)
+    outcomes = np.empty(len(rows), dtype=np.int64)
+    step = max(1, _DRAW_BLOCK // laws.shape[1])
+    for lo in range(0, len(rows), step):
+        block = slice(lo, lo + step)
+        outcomes[block] = _draw_outcome(cdfs[rows[block]], u[block])
+    return outcomes
 
 
 # single-qubit symplectic rotations exp(-i pi/4 sigma_p), p = x, y, z
@@ -148,16 +207,6 @@ _TWIRL_GATES = np.array([[r @ p for r in _ROTS] for p in PAULI_1Q])
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation)."""
     return tensor(_TWIRL_GATES[p, s] for p, s in digits)
-
-
-def split_local_digits(digits: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
-    """(rotations, x) of a one-qubit-twirl element: the rotation index of
-    each qubit, and the X part of its Pauli part (X and Y flip the qubit),
-    qubit 1 as the most significant bit."""
-    x = 0
-    for p, _ in digits:
-        x = (x << 1) | (p in (1, 2))
-    return tuple(s for _, s in digits), x
 
 
 def _transition_table(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
@@ -207,19 +256,15 @@ def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.
 
 
 class DenseBackend:
-    """Dense simulator handed to the protocol runners.
-
-    Holds the one source of twirl laws, the transition tables of
-    :func:`_transition_table`, read by the samplers and the exact
-    enumerations alike.  One table per MUB basis serves every intermediary
-    Pauli, which shifts its outcomes by the Pauli's syndrome; one table per
-    rotation part of a one-qubit-twirl element holds the laws of all 2^n X
-    parts.  Each of these is built on first use and kept.  Channels key the
-    cache weakly (by object, not by id, so recycled addresses cannot
-    collide) and capacity is capped by ``max_n``.  A table is D x D floats,
-    so a channel holds at most (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl
-    floats (about 23 MiB at n = 6).  Clifford laws are computed per call.
-    """
+    """Dense simulator handed to the protocol runners: the law source that
+    :meth:`TwirlSpec.laws` reads.  One transition table (:func:`_transition_table`)
+    per MUB basis serves every intermediary Pauli; one per rotation part of a
+    one-qubit-twirl element holds the laws of all 2^n X parts.  Each is built
+    on first use and kept.  Channels key the cache weakly (by object, not by
+    id, so recycled addresses cannot collide) and capacity is capped by
+    ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
+    MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
+    Clifford laws are computed per call."""
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
         self.max_n = max_n
@@ -265,11 +310,8 @@ class DenseBackend:
         syndrome against the basis's Z-images (:func:`outcome_shift`)."""
         if not 0 <= basis <= channel.dim:
             raise ValueError(f"MUB basis index must be in 0..{channel.dim}, got {basis}")
-        probs = self._mub_tables(channel, [basis])[0]
-        if intermediary is None:
-            return probs
-        shift = outcome_shift(build_mub_family(channel.n).z[basis], intermediary)
-        return probs[:, np.arange(channel.dim) ^ shift]
+        return _shift_outcomes(self._mub_tables(channel, [basis])[0],
+                               build_mub_family(channel.n).z[[basis]], intermediary)
 
     # -- generic clifford twirl ----------------------------------------------
 
@@ -306,11 +348,9 @@ class DenseBackend:
     def local_tables(self, channel: ChannelModel, rotations) -> np.ndarray:
         """(T, D, D) transition tables of the one-qubit-twirl rotation parts
         ``rotations`` ((T, n) rotation indices, qubit 1 first): row x of
-        table t is the outcome law of every element with rotation part
-        rotations[t] and X part x.  Only the tables asked for are built, so
-        at most 3^n tables cover all 12^n elements; each is built from its
-        rotation unitary, the element with Pauli part I.
-        """
+        table t is the law of every element with rotation part rotations[t]
+        and X part x.  Each is built from its rotation unitary, and only
+        when asked for, so at most 3^n tables cover all 12^n elements."""
         keys = list(map(tuple, np.asarray(rotations).tolist()))
         return self._cached_tables(
             channel, "local", keys,
@@ -320,16 +360,12 @@ class DenseBackend:
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
         """Outcome law of prepare |0..0>, the one-qubit-twirl element
         ``digits`` (digits[j] = (pauli, rotation) of qubit j + 1), the
-        channel, the element undone.
-
-        The element is U = R P with R = (x) R_s the rotation part and P the
-        Pauli part, and U|v> = R|v ^ x> up to phase, x the X part of P.  So
-        the law is row x of the transition table of the basis R: prepare
-        R|x>, apply the channel, read out in the basis R, relabel outcome v
-        as v ^ x.
-        """
-        rotations, x = split_local_digits(digits)
-        return self.local_tables(channel, [rotations])[0, x]
+        channel, the element undone.  The element is R P, R the rotation
+        part, and R P|v> = R|v ^ x> up to phase, x the X part of P: the law
+        is row x of the table of the basis R (:meth:`TwirlSpec.laws`)."""
+        laws, rows = TwirlSpec("local_clifford", channel.n).laws(
+            self, channel, np.array(digits).reshape(1, -1, 2))
+        return laws[rows[0]]
 
 
 def exact_chi_extraction(channel: ChannelModel, l: int, lp: int) -> complex:
@@ -366,34 +402,16 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
     the optional intermediary Pauli, undo the twirl element, and measure.
     Outcomes are indexed with qubit 1 as the most significant bit.
 
-    It is the mean of the family's laws: every row of the D+1 MUB tables,
-    every row of the 3^n rotation tables (row x stands for the 2^n elements
-    with X part x), or row 0 of every Clifford's own table.  An intermediary
-    shifts each table's or element's outcomes by its syndrome against the
-    Z-images (:func:`outcome_shift`): a MUB basis's, or Y, X, Z on a qubit
-    rotated about x, y, z.
+    It is the mean of the laws of the elements of every row of
+    ``np.indices(twirl.layout)`` (:meth:`TwirlSpec.laws`), each shifted by
+    the intermediary's syndrome against the element's Z-images.
     """
-    if twirl.n != channel.n:
-        raise DimensionMismatchError("twirl/channel qubit mismatch")
-    n = channel.n
-    backend = backend or DenseBackend()
-    if twirl.kind == "mub":
-        if n > MUB_ENUM_MAX_N:
-            raise CapacityError(f"MUB enumeration capped at n={MUB_ENUM_MAX_N}")
-        laws = backend.mub_tables(channel).mean(axis=1)
-        z_keys = build_mub_family(n).z
-    elif twirl.kind == "local_clifford":
-        if n > LOCAL_ENUM_MAX_N:
-            raise CapacityError(f"local twirl enumeration capped at n={LOCAL_ENUM_MAX_N}")
-        rotations = np.indices((3,) * n).reshape(n, -1).T  # qubit 1 the top digit
-        laws = backend.local_tables(channel, rotations).mean(axis=1)
-        # keys x | z << n of Y, X, Z on the last qubit, moved to each qubit's bit
-        z_keys = np.array([1 + (1 << n), 1, 1 << n])[rotations] << np.arange(n - 1, -1, -1)
-    elif twirl.kind == "clifford_full":
-        if n > CLIFFORD_ENUM_MAX_N:
-            raise CapacityError(f"Clifford enumeration capped at n={CLIFFORD_ENUM_MAX_N}")
-        tableaux = clifford_group_tableaux(n)
-        laws, z_keys = backend.clifford_outcome_probs(channel, tableaux), tableaux.z
-    else:
+    if twirl.layout is None:
         raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")
-    return _shift_outcomes(laws, z_keys, intermediary).mean(axis=0)
+    cap = {"mub": MUB_ENUM_MAX_N, "local_clifford": LOCAL_ENUM_MAX_N,
+           "clifford_full": CLIFFORD_ENUM_MAX_N}[twirl.kind]
+    if twirl.n > cap:
+        raise CapacityError(f"{twirl.kind} enumeration capped at n={cap}")
+    elements = twirl.elements(np.indices(twirl.layout).reshape(len(twirl.layout), -1).T)
+    laws, rows = twirl.laws(backend or DenseBackend(), channel, elements)
+    return _shift_outcomes(laws[rows], twirl.z_keys(elements), intermediary).mean(axis=0)

@@ -28,16 +28,15 @@ from math import comb
 import numpy as np
 
 from .channels import ChannelModel, check_trace_preserving
-from .dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
+from .dense import DenseBackend, TwirlSpec, draw_outcomes, enumerate_twirl_exact
 from .errors import CapacityError, ConfigError
 from .pauli import enumerate_supports
 from .records import ExperimentRecord
 # substream is not called here; it stays importable as
 # twirltomo.localtwirl.substream, a name outside tooling already uses.
-from .rng import _draw_outcome, check_seed, draw_batch, substream  # noqa: F401
+from .rng import check_int, check_seed, draw_batch, substream  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
-_DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,14 @@ class LocalTwirlConfig:
     keep_which_qubit: bool = True  # False: only weight statistics are solved
 
     def __post_init__(self):
+        object.__setattr__(self, "shots", check_int("shots", self.shots))  # stored as ints
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.shots < 1:
             raise ConfigError("shots must be positive")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise ConfigError("cutoff must be nonnegative")
-        check_seed(self.seed)
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", check_int("cutoff", self.cutoff))
+            if self.cutoff < 0:
+                raise ConfigError("cutoff must be nonnegative")
 
     def to_json_dict(self) -> dict:
         return {"shots": self.shots, "cutoff": self.cutoff, "seed": self.seed,
@@ -63,16 +65,21 @@ class HammingStatistics:
     """Exact outcome counts of a batch of realizations.
 
     ``outcome_counts`` is sparse (only observed bit strings); the weight
-    histogram is kept alongside.
-    """
+    histogram is kept alongside.  Keys must be length-n tuples of 0s and 1s
+    and counts nonnegative integers with a positive total (``ValueError``)."""
 
     def __init__(self, n: int, outcome_counts: dict[tuple[int, ...], int]):
         self.n = n
         self.outcome_counts = dict(outcome_counts)
         self.weight_counts = np.zeros(n + 1, dtype=np.int64)
         for bits, c in self.outcome_counts.items():
+            c = check_int("a count", c)  # ConfigError, a ValueError
+            if not (isinstance(bits, tuple) and len(bits) == n and set(bits) <= {0, 1}) or c < 0:
+                raise ValueError(f"{bits!r}: {c} is no count of a bit string of length {n}")
             self.weight_counts[sum(bits)] += c
         self.total = int(self.weight_counts.sum())
+        if self.total == 0:
+            raise ValueError("no outcomes to count")
 
     @staticmethod
     def _from_codes(n: int, codes: np.ndarray) -> "HammingStatistics":
@@ -110,49 +117,24 @@ def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
                            backend: DenseBackend | None = None) -> ExperimentRecord:
     """One realization: draw the per-qubit (Pauli, rotation) pair, run
     |0..0> -> twirl -> channel -> untwirl -> measure."""
-    backend = backend or DenseBackend()
-    backend.check_capacity(channel.n)
-    n = channel.n
-    digits = tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3))) for _ in range(n))
-    v = _draw_outcome(np.cumsum(backend.local_outcome_probs(channel, digits)),
-                      rng.random())
-    bits = tuple((v >> (n - 1 - j)) & 1 for j in range(n))
-    return ExperimentRecord("local", digits, bits)
+    twirl = TwirlSpec("local_clifford", channel.n)
+    digits = twirl.elements(np.array([[rng.integers(0, k) for k in twirl.layout]]))
+    laws, rows = twirl.laws(backend or DenseBackend(), channel, digits)
+    v = int(draw_outcomes(laws, rows, np.array([rng.random()]))[0])
+    bits = tuple((v >> (channel.n - 1 - j)) & 1 for j in range(channel.n))
+    return ExperimentRecord("local", tuple(map(tuple, digits[0].tolist())), bits)
 
 
 def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
                         backend: DenseBackend) -> tuple[np.ndarray, np.ndarray]:
-    """Realizations 0 .. count-1 of a run, drawn as arrays: the (count, n, 2)
-    (pauli, rotation) digits and the outcome index of each.  Realization i
-    is what ``sample_c1t_realization(channel, substream(seed, 1 + i),
-    backend)`` draws.
-
-    As in :meth:`DenseBackend.local_outcome_probs`, the law of an element is
-    row x (its X part) of the transition table of its rotation part.  The
-    tables of the distinct rotation parts are fetched as one stack
-    (:meth:`DenseBackend.local_tables`, which builds the missing ones
-    together) and cumsummed once.  A slot array over the 3^n rotation codes
-    numbers the distinct parts, so realization i reads flat cdf row
-    slot[code_i] * D + x_i.  The outcomes are drawn in blocks of at most
-    ``_DRAW_BLOCK`` gathered cdf entries, so the gathered stack stays small.
-    """
-    n, d = channel.n, channel.dim
-    ints, uniforms = draw_batch(seed, 1, count, (4, 3) * n, 1)
-    digits = ints.reshape(count, n, 2)
-    places = np.arange(n - 1, -1, -1)  # qubit 1 is the top digit
-    codes = digits[:, :, 1] @ 3 ** places
-    seen = np.bincount(codes, minlength=3 ** n) > 0
-    parts = np.flatnonzero(seen)  # sorted, distinct
-    x = ((digits[:, :, 0] == 1) | (digits[:, :, 0] == 2)) @ (1 << places)
-    rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
-    rotations = parts[:, None] // 3 ** places % 3
-    cdfs = np.cumsum(backend.local_tables(channel, rotations), axis=2).reshape(-1, d)
-    outcomes = np.empty(count, dtype=np.int64)
-    step = max(1, _DRAW_BLOCK // d)
-    for lo in range(0, count, step):
-        block = slice(lo, lo + step)
-        outcomes[block] = _draw_outcome(cdfs[rows[block]], uniforms[block, 0])
-    return digits, outcomes
+    """Realizations 0 .. count-1 of a run, drawn as arrays over the twirl
+    family: the (count, n, 2) (pauli, rotation) digits and the outcome of
+    each.  Realization i is what ``sample_c1t_realization(channel,
+    substream(seed, 1 + i), backend)`` draws."""
+    twirl = TwirlSpec("local_clifford", channel.n)
+    ints, uniforms = draw_batch(seed, 1, count, twirl.layout, 1)
+    digits = twirl.elements(ints)
+    return digits, draw_outcomes(*twirl.laws(backend, channel, digits), uniforms[:, 0])
 
 
 # ---------------------------------------------------------------------------

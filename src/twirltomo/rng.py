@@ -21,16 +21,16 @@ There are two ways to draw many realizations, and both give the draws of
   ``random()`` values as ``(w >> 11) * 2**-53``.  A realization with a
   Lemire-rejected 32-bit half (probability below k * 2**-32 for a draw in
   [0, k)) is redrawn alone from its own Generator, so the batch stays
-  exact.  The one-qubit twirl, selective MUB estimation and both Clifford
-  protocols draw this way.
+  exact.  Every other sampler draws this way, one row of its twirl
+  family's layout (:class:`twirltomo.dense.TwirlSpec`) per realization.
 
-:func:`_draw_outcome` turns a uniform draw into a measurement outcome for
-blind discovery and the one-qubit twirl.  It scales the draw by the law's
-total, so a law whose total is off one by round-off is sampled in
-proportion.  The sampled protocols reject a map that is not trace
-preserving (:func:`twirltomo.channels.check_trace_preserving`), whose laws
-do not sum to one.  Selective estimation tests survival as ``u < p_0``
-directly, without this function.
+:func:`_draw_outcome` turns a uniform draw into a measurement outcome, in
+:func:`twirltomo.dense.draw_outcomes` and in blind MUB's blocks.  It scales
+the draw by the law's total, so a law whose total is off one by round-off
+is sampled in proportion.  The sampled protocols reject a map that is not
+trace preserving (:func:`twirltomo.channels.check_trace_preserving`), whose
+laws do not sum to one.  Selective estimation tests survival as
+``u < p_0`` directly, without this function.
 """
 from __future__ import annotations
 
@@ -50,11 +50,20 @@ _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
 
+def check_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer (a Python or numpy one, not a
+    bool); raise :class:`ConfigError` naming the setting otherwise."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value.__index__()
+
+
 def check_seed(seed: int) -> int:
-    """Return ``seed`` if it names a stream, that is 0 <= seed < 2**64;
-    raise :class:`ConfigError` otherwise.  (:func:`substream` keeps only the
-    low 64 bits, so a seed outside the range would silently run the stream
-    of another seed.)"""
+    """Return ``seed`` as an int if it names a stream, an integer in
+    [0, 2**64); raise :class:`ConfigError` otherwise.  (:func:`substream`
+    keeps only the low 64 bits, so a seed outside the range would silently
+    run the stream of another seed.)"""
+    seed = check_int("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     return seed

@@ -1,27 +1,26 @@
 """Selective and blind estimation of diagonal chi coefficients.
 
-Both protocols run M twirl realizations.  The selective estimator inserts a
-chosen Pauli between the channel and the undo step: the survival rate s then
-satisfies chi[l,l] = ((D+1) s - 1) / D, so each coefficient is measured on
-its own with a binomial error bar.
+Both protocols run M twirl realizations of one :class:`~twirltomo.dense.TwirlSpec`
+family, MUB or Clifford.  The selective estimator inserts a chosen Pauli
+between the channel and the undo step, which shifts each element's law by
+the Pauli's syndrome: the survival rate s then satisfies
+chi[l,l] = ((D+1) s - 1) / D, so each coefficient is measured on its own
+with a binomial error bar.
 
-The blind protocol records, for every realization, which twirl element was
-drawn and which bit string came out.  Any two realizations whose frames pin
-down a unique compatible intermediary Pauli "vote" for it; every Pauli that
-collects at least two votes is then scored by counting the realizations
-whose candidate set contains it.  Realizations are grouped by their
-(frame, outcome) constraint class first, so all M(M-1)/2 pairs are analyzed
-exactly at a cost quadratic in the number of distinct classes rather than
-in M.  Class pairs run in row-major blocks of ``_PAIR_BLOCK``, each solved
+The blind protocol records which element was drawn and which bit string
+came out.  Any two realizations whose frames pin down a unique compatible
+intermediary Pauli "vote" for it; every Pauli with at least two votes is
+scored by counting the realizations whose candidate set contains it.
+Realizations are grouped by (frame, outcome) constraint class first, so all
+M(M-1)/2 pairs are analyzed exactly at a cost quadratic in the number of
+classes, in row-major blocks of ``_PAIR_BLOCK`` class pairs, each solved
 by one :func:`twirltomo.gf2.solve_unique_batch` call.
 
-A MUB realization's class depends only on its basis j and outcome v, so a
-MUB run has at most D(D+1) classes.  Its realizations stream through blocks
-of ``_MUB_BLOCK`` cdf entries: each block draws its outcomes in one stacked
-pass and adds up the count and first realization of each code j*D + v, so
-the memory of a run does not grow with M (``keep_records`` aside).  The
-Clifford variant draws all its realizations as arrays and groups them by
-distinct (Z-frame, outcome).
+Blind MUB is the one sampler off the shared outcome draw: it keeps its
+per-realization ``substreams`` loop, in blocks of ``_MUB_BLOCK`` cdf entries
+drawn against the MUB laws, fetched and cumsummed once per run, and adds up
+each block's codes j*D + v.  A run has at most D(D+1) classes and memory
+that does not grow with M.
 """
 from __future__ import annotations
 
@@ -35,13 +34,12 @@ import numpy as np
 
 from . import gf2
 from .channels import ChannelModel, check_trace_preserving
-from .dense import DenseBackend
+from .dense import DenseBackend, TwirlSpec, draw_outcomes
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import _draw_outcome, check_seed, draw_batch, substream, substreams
-from .stabilizer import (Tableaux, _key_to_pauli, _swap_halves, build_mub_family,
-                         clifford_bounds, grow_cliffords, outcome_shift)
+from .rng import _draw_outcome, check_int, check_seed, draw_batch, substream, substreams
+from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_shift
 
 #: realizations whose estimate clears the reporting threshold by fewer than
 #: this many standard errors are flagged borderline instead of being called
@@ -81,13 +79,17 @@ class SeqptConfig:
     significance_z: float = DEFAULT_SIGNIFICANCE_Z
 
     def __post_init__(self):
+        object.__setattr__(self, "shots", check_int("shots", self.shots))  # stored as ints
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.shots < 1:
             raise ConfigError("shots must be positive")
         if self.variant not in ("mub", "clifford"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        check_seed(self.seed)
-        if self.pair_class_cap is not None and self.pair_class_cap < 1:
-            raise ConfigError("pair_class_cap must be positive")
+        if self.pair_class_cap is not None:
+            cap = check_int("pair_class_cap", self.pair_class_cap)
+            if cap < 1:
+                raise ConfigError("pair_class_cap must be positive")
+            object.__setattr__(self, "pair_class_cap", cap)
         if not self.significance_z >= 0:  # NaN fails too
             raise ConfigError("significance_z must be a nonnegative number")
         if self.delta is not None and self.epsilon is None:
@@ -139,17 +141,13 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     p = _as_pauli(label, channel.n)
     d = channel.dim
     m_total = config.shots
-    if config.variant == "mub":
-        # stay[j, m]: survival probability of state m of basis j under P
-        shift = outcome_shift(build_mub_family(channel.n).z, p)
-        stay = backend.mub_tables(channel)[np.arange(d + 1), :, shift]
-        jm, u = draw_batch(config.seed, 1, m_total, (d + 1, d), 1)
-        survived = int((u[:, 0] < stay[jm[:, 0], jm[:, 1]]).sum())
-    else:
-        tableaux, u = _draw_cliffords(channel.n, config.seed, m_total)
-        stay = backend.clifford_outcome_probs(channel, tableaux, p)[:, 0]
-        survived = int((u < stay).sum())
-    rate = survived / m_total
+    twirl = TwirlSpec("mub" if config.variant == "mub" else "clifford_full", channel.n)
+    ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
+    elements = twirl.elements(ints)
+    laws, rows = twirl.laws(backend, channel, elements)
+    # P relabels outcome v as v ^ shift, so outcome 0 survives with laws[row, shift]
+    stay = laws[rows, outcome_shift(twirl.z_keys(elements), p)]
+    rate = int((u[:, 0] < stay).sum()) / m_total
     chi_hat = ((d + 1) * rate - 1.0) / d
     return SelectiveEstimate(chi_hat=chi_hat,
                              stderr=_survival_stderr(rate, m_total, d),
@@ -229,17 +227,16 @@ class SeqptResult:
 def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
                       backend: DenseBackend, keep_records: bool):
     """Realizations 0 .. count-1 of a blind MUB run, reduced as they stream
-    through blocks of ``_MUB_BLOCK`` cdf entries.
-
-    Realization i draws basis j, state m and the outcome uniform from
-    ``substream(seed, 1 + i)``; its outcome v is the ``_draw_outcome`` of
-    row m of the cdf table of MUB basis j.  Returns the count of each
-    code j*D + v, the first realization with each code (``count`` where
-    none has it), and the records of all realizations when
-    ``keep_records`` is set.
-    """
+    through blocks of ``_MUB_BLOCK`` cdf entries.  Realization i draws basis
+    j, state m and the outcome uniform from ``substream(seed, 1 + i)``, and
+    its outcome v from law row j*D + m (:meth:`TwirlSpec.laws`: the same
+    rows whichever elements are drawn, so fetched and cumsummed once).
+    Returns the count of each code j*D + v, the first realization with each
+    code (``count`` where none has it), and the records of all realizations
+    when ``keep_records`` is set."""
     d = channel.dim
-    cdfs = np.cumsum(backend.mub_tables(channel), axis=2)  # basis, state, outcome
+    laws, _ = TwirlSpec("mub", channel.n).laws(backend, channel, np.empty((0, 2), dtype=np.int64))
+    cdfs = np.cumsum(laws, axis=1)
     counts = np.zeros(d * (d + 1), dtype=np.int64)
     first = np.full(d * (d + 1), count, dtype=np.int64)
     records = []
@@ -254,7 +251,7 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
             m[i] = rng.integers(0, d)
             u[i] = rng.random()
         jb, mb = j[:size], m[:size]
-        v = _draw_outcome(cdfs[jb, mb], u[:size])
+        v = _draw_outcome(cdfs[jb * d + mb], u[:size])
         codes = jb * d + v
         counts += np.bincount(codes, minlength=len(counts))
         np.minimum.at(first, codes, np.arange(lo, lo + size))
@@ -262,14 +259,6 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
             records += [ExperimentRecord("mub", (jj, mm), _bits(vv, channel.n))
                         for jj, mm, vv in zip(jb.tolist(), mb.tolist(), v.tolist())]
     return counts, first, records
-
-
-def _draw_cliffords(n: int, seed: int, count: int) -> tuple[Tableaux, np.ndarray]:
-    """Realizations 0 .. count-1 of a Clifford run: the element and the
-    outcome uniform of each, as ``sample_clifford_uniform(n, g)`` then
-    ``g.random()`` draw them from ``g = substream(seed, 1 + i)``."""
-    rows, u = draw_batch(seed, 1, count, clifford_bounds(n), 1)
-    return grow_cliffords(n, rows), u[:, 0]
 
 
 def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
@@ -343,9 +332,10 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         codes = seen[np.argsort(first[seen])]
         frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
     else:
-        tableaux, u = _draw_cliffords(n, config.seed, m_total)
-        outcomes = _draw_outcome(
-            np.cumsum(backend.clifford_outcome_probs(channel, tableaux), axis=1), u)
+        twirl = TwirlSpec("clifford_full", n)
+        ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
+        tableaux = twirl.elements(ints)
+        outcomes = draw_outcomes(*twirl.laws(backend, channel, tableaux), u[:, 0])
         frame_outcomes = np.concatenate(
             (tableaux.z, outcomes[:, None].astype(np.uint64)), axis=1)
         _, first, sizes = np.unique(frame_outcomes, axis=0, return_index=True,

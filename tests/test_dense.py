@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
                       label_table, transpose_map_channel)
-from twirltomo import dense, localtwirl
+from twirltomo import dense, localtwirl, seqpt
 from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
                                 gate_unitary, random_cp_channel)
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
@@ -250,12 +250,15 @@ def test_enumeration_caps():
     lambda ch, p, b: b.mub_transition_probs(ch, 3, p),
     lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(2, master(9)), p),
     lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(p.n, master(9))),
+    lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("mub", p.n), None, b),
+    lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", p.n), None, b),
 ], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law",
-        "clifford-qubits"])
+        "clifford-qubits", "mub-twirl-qubits", "local-twirl-qubits"])
 def test_intermediary_qubit_mismatch_names_both_counts(entry):
     """An intermediary Pauli on another number of qubits than the channel
     raises DimensionMismatchError naming both counts, from outcome_shift;
-    so does a Clifford on another number of qubits (the Pauli's count)."""
+    so does a Clifford or a twirl family on another number of qubits (the
+    Pauli's count)."""
     ch = random_cp_channel(2, master(8))
     for label, k in (("X", 1), ("XYZ", 3)):
         with pytest.raises(DimensionMismatchError, match=f"on {k} qubits, .* on 2"):
@@ -584,3 +587,154 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
     want = [_draw_outcome(np.cumsum(backend.local_outcome_probs(ch, d)), u)
             for d in elements for u in grid]
     assert outcomes.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# every twirl family's sampler in distribution, and the one law path
+
+
+def _family_reference(channel, kind, ints, elements):
+    """(keys, laws): each element's exact law, by a channel application
+    outside the table cache, and a group key read off its draws alone.
+    MUB elements group by (basis, state) and one-qubit-twirl elements by
+    (rotation part, X part), so each group shares one law; Clifford
+    elements, each with a law of its own, group 250 at a time in draw order."""
+    n, d = channel.n, channel.dim
+    places = np.arange(n - 1, -1, -1)
+    if kind == "mub":
+        table = np.array([_reference_row(channel, w, m)
+                          for w in build_mub_family(n).unitaries() for m in range(d)])
+        keys = ints[:, 0] * d + ints[:, 1]
+        return keys, table[keys]
+    if kind == "local_clifford":
+        x = np.isin(elements[:, :, 0], (1, 2)) @ (1 << places)  # X and Y flip a qubit
+        keys = (elements[:, :, 1] @ 3 ** places) * d + x
+        rotations = np.arange(3 ** n)[:, None] // 3 ** places % 3
+        # the element of each key with Pauli part X^x
+        table = np.array([dense_local_probs(channel, tuple(zip((xx >> places) & 1, r)))
+                          for r in rotations.tolist() for xx in range(d)])
+        return keys, table[keys]
+    laws = np.array([_reference_row(channel, w, 0) for w in elements.unitaries()])
+    return np.arange(len(ints)) // 250, laws
+
+
+def _pooled_pearson_z(keys, laws, outcomes) -> float:
+    """z-score of X^2 = sum_g (O_g - E_g)^T S_g^+ (O_g - E_g) over the groups
+    g of realizations with equal keys, given each realization's exact law.
+
+    O_g counts the group's outcomes, E_g sums its laws p_i and S_g sums
+    their covariances C_i = diag(p_i) - p_i p_i^T, so S_g is the covariance
+    of O_g.  On a group that shares one law p this is Pearson's
+    sum (O - N p)^2 / (N p).  Its mean is exactly rank S_g, and its variance
+    sum_i [sum_v p_iv q_iv^2 - tr(A C_i)^2] + 2 [rank S_g - sum_i tr((A C_i)^2)]
+    with A = S_g^+ and q_iv = (e_v - p_i)^T A (e_v - p_i).
+    """
+    d = laws.shape[1]
+    order = np.argsort(keys, kind="stable")
+    stat = mean = var = 0.0
+    for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        p = laws[group]
+        s = np.diag(p.sum(axis=0)) - p.T @ p
+        a = np.linalg.pinv(s, rtol=1e-9, hermitian=True)
+        resid = np.bincount(outcomes[group], minlength=d) - p.sum(axis=0)
+        rank = round(np.trace(a @ s))
+        ap = p @ a
+        pap = (ap * p).sum(axis=1)
+        q = np.diag(a) - 2 * ap + pap[:, None]
+        tr_ac = (np.diag(a) * p).sum(axis=1) - pap
+        tr_acac = np.einsum("iu,uv,iv->i", p, a * a, p) - 2 * (p * ap ** 2).sum(axis=1) + pap ** 2
+        stat += resid @ a @ resid
+        mean += rank
+        var += ((p * q ** 2).sum(axis=1) - tr_ac ** 2).sum() + 2 * (rank - tr_acac.sum())
+    return (stat - mean) / np.sqrt(var)
+
+
+# (kind, n, shots): at least about 5 draws per (law, outcome) cell on
+# average for MUB and the one-qubit twirl
+_FAMILY_RUNS = [*((kind, n, shots) for kind in ("mub", "local_clifford")
+                  for n, shots in ((1, 2000), (2, 5000), (3, 20000), (4, 50000))),
+                *(("clifford_full", n, shots) for n, shots in ((1, 2000), (2, 4000),
+                                                                (3, 5000), (4, 5000)))]
+
+
+@pytest.mark.parametrize("kind, n, shots", _FAMILY_RUNS)
+def test_family_outcomes_follow_exact_laws(kind, n, shots):
+    """Each twirl family's production path (draw_batch over the layout,
+    TwirlSpec.elements, TwirlSpec.laws, draw_outcomes) draws every element's
+    outcome from its exact law, at a fixed seed.
+
+    The law each element reads, laws[rows[i]], must equal its reference law
+    (:func:`_family_reference`) to 1e-12; no outcome of probability zero may
+    be drawn; and the pooled Pearson statistic of :func:`_pooled_pearson_z`,
+    grouped by keys read off the draws, must lie within 5 standard
+    deviations above its mean."""
+    channel = random_cp_channel(n, master(700 + n), n_kraus=2)
+    twirl = TwirlSpec(kind, n)
+    ints, u = draw_batch(19, 1, shots, twirl.layout, 1)
+    elements = twirl.elements(ints)
+    laws, rows = twirl.laws(DenseBackend(), channel, elements)
+    outcomes = dense.draw_outcomes(laws, rows, u[:, 0])
+    keys, want = _family_reference(channel, kind, ints, elements)
+    assert np.abs(laws[rows] - want).max() <= 1e-12
+    assert (want[np.arange(shots), outcomes] > 0).all(), "an outcome of probability zero was drawn"
+    assert _pooled_pearson_z(keys, want, outcomes) <= 5.0
+
+
+def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
+    """Selective and blind runs of both variants, the one-qubit-twirl run,
+    its single realization, local_outcome_probs and the exact enumeration of
+    all three kinds read their laws through TwirlSpec.laws, of their own
+    family: the backend's law sources are only called from inside it.  The
+    samplers that draw a batch of outcomes do it through draw_outcomes."""
+    reads, draws, depth = [], [], [0]
+    laws = TwirlSpec.laws
+
+    def counted_laws(self, backend, channel, elements):
+        reads.append(self.kind)
+        depth[0] += 1
+        try:
+            return laws(self, backend, channel, elements)
+        finally:
+            depth[0] -= 1
+
+    def guarded(source):
+        def read(*args, **kwargs):
+            assert depth[0], f"{source.__name__} read outside TwirlSpec.laws"
+            return source(*args, **kwargs)
+        return read
+
+    def counted_draws(*args):
+        draws.append(1)
+        return dense.draw_outcomes(*args)
+
+    monkeypatch.setattr(TwirlSpec, "laws", counted_laws)
+    for name in ("mub_tables", "local_tables", "clifford_outcome_probs"):
+        monkeypatch.setattr(DenseBackend, name, guarded(getattr(DenseBackend, name)))
+    monkeypatch.setattr(localtwirl, "draw_outcomes", counted_draws)
+    monkeypatch.setattr(seqpt, "draw_outcomes", counted_draws)
+    ch = random_cp_channel(2, master(120), n_kraus=2)
+    backend = DenseBackend()
+    mub, clifford = SeqptConfig(shots=60, seed=1), SeqptConfig(shots=60, variant="clifford", seed=1)
+    p = Pauli.from_string("XZ")
+    runs = [
+        ("selective mub", "mub", 0, lambda: estimate_chi_selective(ch, p, mub, backend)),
+        ("selective clifford", "clifford_full", 0,
+         lambda: estimate_chi_selective(ch, p, clifford, backend)),
+        ("blind mub", "mub", 0, lambda: run_blind_discovery(ch, mub, backend)),
+        ("blind clifford", "clifford_full", 1, lambda: run_blind_discovery(ch, clifford, backend)),
+        ("local run", "local_clifford", 1,
+         lambda: localtwirl.run_local_twirl(ch, localtwirl.LocalTwirlConfig(shots=60), backend)),
+        ("local realization", "local_clifford", 1,
+         lambda: localtwirl.sample_c1t_realization(ch, master(121), backend)),
+        ("local_outcome_probs", "local_clifford", 0,
+         lambda: backend.local_outcome_probs(ch, ((1, 2), (3, 0)))),
+        *((f"enumerate {kind}", kind, 0,
+           lambda kind=kind: enumerate_twirl_exact(ch, TwirlSpec(kind, 2), p, backend))
+          for kind in ("mub", "local_clifford", "clifford_full")),
+    ]
+    for name, kind, ndraws, run in runs:
+        reads.clear()
+        draws.clear()
+        run()
+        assert reads and set(reads) == {kind}, (name, reads)
+        assert len(draws) == ndraws, name

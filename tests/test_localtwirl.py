@@ -87,6 +87,25 @@ def test_statistics_from_outcomes_memory_follows_outcomes():
     np.testing.assert_array_equal(st.weight_counts[:3], [1, 1, 1])
 
 
+@pytest.mark.parametrize("counts", [
+    {}, {(0, 0): 0}, {(0, 2): 3}, {(0, 0, 1): 3}, {(1,): 3}, {"01": 3}, {(0, 0.5): 3},
+    {(0, 1): -1, (1, 1): 5}, {(0, 0): 2.5, (1, 1): 1}],
+    ids=["empty", "zero-total", "digit-2", "length-n+1", "length-n-1", "string",
+         "float-digit", "negative", "fractional"])
+def test_statistics_reject_what_they_cannot_count(counts):
+    """Counts with a total of zero, a key that is not a length-n tuple of 0s
+    and 1s, or a negative or fractional count raise ValueError at
+    construction, before a solver turns them into NaN estimates, a
+    ZeroDivisionError or laws that do not sum to one; so does counting no
+    outcomes at all."""
+    with pytest.raises(ValueError):
+        HammingStatistics(2, counts)
+    with pytest.raises(ValueError):
+        HammingStatistics.from_outcomes(2, [])
+    with pytest.raises(ValueError):
+        HammingStatistics.from_outcomes(2, np.zeros((0, 2), dtype=int))
+
+
 def test_statistics_from_outcomes_width_limit():
     """A bit string is packed into one int64: n = 63 counts, n = 64 would
     overflow and raises instead."""

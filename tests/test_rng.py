@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import battery
-from twirltomo import localtwirl, rng
+from twirltomo import dense, rng
 from twirltomo.channels import random_cp_channel
-from twirltomo.dense import DenseBackend
+from twirltomo.errors import ConfigError
+from twirltomo.dense import DenseBackend, TwirlSpec
 from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
                                   run_local_twirl, sample_c1t_realization)
 from twirltomo.rng import draw_batch, substream, substream_words, substreams
-from twirltomo.seqpt import SeqptConfig, _draw_cliffords, estimate_chi_selective
+from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
 from twirltomo.stabilizer import sample_clifford_uniform
 
 
@@ -164,7 +165,7 @@ def test_local_batch_blocks_equal_one_pass(monkeypatch):
     channel = random_cp_channel(3, np.random.default_rng(43), n_kraus=2)
     seed, count = 31, 2000
     want_digits, want_outcomes = _sample_local_batch(channel, seed, count, DenseBackend())
-    monkeypatch.setattr(localtwirl, "_DRAW_BLOCK", 3 * channel.dim)
+    monkeypatch.setattr(dense, "_DRAW_BLOCK", 3 * channel.dim)
     backend = DenseBackend()
     digits, outcomes = _sample_local_batch(channel, seed, count, backend)
     assert np.array_equal(digits, want_digits)
@@ -219,8 +220,38 @@ def test_clifford_batch_element_equals_scalar(monkeypatch, n, seed, forced):
     if forced:
         _reject_everything(monkeypatch)
     count = 50
-    tableaux, u = _draw_cliffords(n, seed, count)
+    twirl = TwirlSpec("clifford_full", n)
+    rows, u = draw_batch(seed, 1, count, twirl.layout, 1)
+    tableaux, u = twirl.elements(rows), u[:, 0]
     for i in range(count):
         g = substream(seed, 1 + i)
         assert tableaux.clifford(i) == sample_clifford_uniform(n, g)
         assert u[i] == g.random()
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (SeqptConfig, "seed", True), (SeqptConfig, "seed", 1.5), (SeqptConfig, "seed", "1"),
+    (SeqptConfig, "shots", 2.5), (SeqptConfig, "shots", True), (SeqptConfig, "shots", None),
+    (SeqptConfig, "pair_class_cap", 2.5), (SeqptConfig, "pair_class_cap", True),
+    (LocalTwirlConfig, "cutoff", True), (LocalTwirlConfig, "cutoff", 1.0),
+    (LocalTwirlConfig, "seed", np.True_), (LocalTwirlConfig, "shots", np.float64(100.0))])
+def test_integer_config_fields_fail_loudly(config, field, value):
+    """A bool or a non-integer in an integer field raises ConfigError naming
+    the field at construction, instead of running as another value (True
+    as 1) or failing later inside the draws."""
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        config(**{"shots": 100, field: value})
+
+
+def test_numpy_integer_config_fields_run_as_python_ints():
+    """numpy integers are accepted and stored as Python ints, so runs and
+    their JSON equal those of the plain-int configs."""
+    channel = random_cp_channel(2, np.random.default_rng(44), n_kraus=2)
+    seqpt = SeqptConfig(shots=np.int64(300), seed=np.uint64(5), pair_class_cap=np.int32(20))
+    local = LocalTwirlConfig(shots=np.int64(300), seed=np.int64(5), cutoff=np.int8(1))
+    assert {type(seqpt.shots), type(seqpt.seed), type(seqpt.pair_class_cap)} == {int}
+    assert {type(local.shots), type(local.seed), type(local.cutoff)} == {int}
+    want = run_blind_discovery(channel, SeqptConfig(shots=300, seed=5, pair_class_cap=20))
+    assert run_blind_discovery(channel, seqpt).to_json() == want.to_json()
+    want = run_local_twirl(channel, LocalTwirlConfig(shots=300, seed=5, cutoff=1))
+    assert run_local_twirl(channel, local).to_json() == want.to_json()
