@@ -6,7 +6,9 @@ enumeration take its steps: a row of ``layout`` draws per element, the
 elements they name, their laws (element i's is ``laws[rows[i]]``, a row of
 one transition table, :func:`_transition_table`), then one blocked outcome
 draw (:func:`draw_outcomes`) or the mean of the laws, each shifted by an
-intermediary's syndrome against the elements' Z-images.  Blind MUB
+intermediary's syndrome against the elements' Z-images.  A Clifford law
+is read off the map's Pauli support or the element's dense unitary,
+whichever is cheaper (:meth:`DenseBackend.clifford_outcome_probs`).  Blind MUB
 discovery alone keeps its own per-realization draw loop (see
 :mod:`twirltomo.seqpt`).  Enumerations iterate in a fixed order, so results
 are reproducible bit for bit.
@@ -23,7 +25,8 @@ from .channels import ChannelModel
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, tensor
 from .rng import _draw_outcome
-from .stabilizer import Tableaux, build_mub_family, clifford_bounds, grow_cliffords, outcome_shift
+from .stabilizer import (_I_POWERS, Tableaux, _swap_halves, build_mub_family, clifford_bounds,
+                         grow_cliffords, outcome_shift)
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
@@ -246,6 +249,92 @@ def _clifford_laws(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
     return np.clip(laws, 0.0, None, out=laws)
 
 
+def _pauli_coefficients(op: np.ndarray) -> np.ndarray:
+    """The (D^2,) coefficients c of op = sum c[z * D + x] X^x Z^z, the key
+    x | z << n order.  c[z * D + x] = Tr(Z^z X^x op) / D is the
+    Walsh-Hadamard transform over r of op[r ^ x, r] / D at z, run as n
+    butterflies (u + v, u - v), so the sums of equal entries that cancel on
+    a structured map (a Clifford gate with Pauli noise) cancel exactly."""
+    d = len(op)
+    idx = np.arange(d)
+    f = op[idx ^ idx[:, None], idx] / d
+    for h in 1 << np.arange(d.bit_length() - 1):
+        u, v = np.moveaxis(f.reshape(d, -1, 2, h), 2, 0)  # r = (high, bit, low)
+        f = np.stack((u + v, u - v), axis=2).reshape(d, d)
+    return f.T.ravel()
+
+
+def _pauli_support(channel: ChannelModel):
+    """(keys, a, b): the map's operator pairs on their Pauli support,
+    A_k = sum_l a[k, l] X^x Z^z over the keys[l] = x | z << n whose
+    coefficient (:func:`_pauli_coefficients`) is exactly nonzero in some A_k
+    or B_k (b is None for a Kraus set, where B_k = A_k); or None when the
+    support law does not pay, (K + 4) |S| > 2 D^2 for K distinct operators
+    (:meth:`DenseBackend.clifford_outcome_probs`).  A first pass finds the
+    support, stopping once it is too large, so no (K, D^2) array is held."""
+    d = channel.dim
+    pairs = channel.operator_pairs()
+    kraus = all(b_op is a_op for a_op, b_op in pairs)
+    ops = [a_op for a_op, _ in pairs] + ([] if kraus else [b_op for _, b_op in pairs])
+    nonzero = np.zeros(d * d, dtype=bool)
+    for op in ops:
+        nonzero |= _pauli_coefficients(op) != 0
+        if (len(ops) + 4) * np.count_nonzero(nonzero) > 2 * d * d:
+            return None
+    support = np.flatnonzero(nonzero)
+    coef = np.array([_pauli_coefficients(op)[support] for op in ops])
+    return support.astype(np.uint64), coef[:len(pairs)], None if kraus else coef[len(pairs):]
+
+
+def _support_laws(tableaux: Tableaux, keys: np.ndarray, a: np.ndarray,
+                  b: np.ndarray | None) -> np.ndarray:
+    """The laws of a :class:`Tableaux` stack from the map's Pauli support
+    (:func:`_pauli_support`), with no dense unitary.
+
+    For each support key, C^dag X^x Z^z C = i^-e X^o Z^t: bit j of o (of t),
+    qubit 1 on top, says whether X^x Z^z anticommutes with the Z-image (the
+    X-image) of qubit j + 1, and C X^o Z^t C^dag = i^e X^x Z^z is the
+    product of the X-images that o selects, then the Z-images that t
+    selects, by the XZ product rule
+    (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
+    As X^o Z^t |0..0> = |o>, the amplitude of outcome o under A_k is the sum
+    of i^-e a[k, l] over the keys with that o, and
+
+        probs[o] = Re sum_k amp_A_k[o] conj(amp_B_k[o]),
+
+    clipped at 0: K |S| scatter-adds per element for K pairs and |S| keys,
+    one operator at a time, so the transients hold M (D + n |S|) entries.
+    """
+    n, m, d = tableaux.n, len(tableaux), 1 << tableaux.n
+    o_bits, t_bits = (np.bitwise_count(_swap_halves(images, n)[:, :, None] & keys) & 1
+                      for images in (tableaux.z, tableaux.x))  # (M, n, |S|)
+    e = np.zeros((m, len(keys)), dtype=np.int64)
+    acc_z = np.zeros((m, len(keys)), dtype=np.uint64)  # Z part of the product so far
+    images = [(tableaux.x[:, j], tableaux.signs[:, 2 * j], o_bits[:, j]) for j in range(n)]
+    images += [(tableaux.z[:, j], tableaux.signs[:, 2 * j + 1], t_bits[:, j]) for j in range(n)]
+    for key, sign, picked in images:
+        g_x, g_z = key & np.uint64(d - 1), key >> np.uint64(n)
+        g_e = 2 * sign + np.bitwise_count(g_x & g_z)  # Y = i X Z per qubit
+        e += picked * (g_e[:, None] + 2 * np.bitwise_count(acc_z & g_x[:, None]))
+        acc_z ^= picked * g_z[:, None]
+    quarter, cols = -e % 4, np.arange(len(keys))
+    slots = (np.arange(0, m * d, d)[:, None]
+             + np.einsum("mjs,j->ms", o_bits, 1 << np.arange(n - 1, -1, -1))).ravel()
+
+    def amplitude(coef):  # real and imaginary parts of the (M * D) amplitudes
+        turned = _I_POWERS[:, None] * coef  # turned[q, l] = i^q coef[l]
+        return (np.bincount(slots, turned.real[quarter, cols].ravel(), m * d),
+                np.bincount(slots, turned.imag[quarter, cols].ravel(), m * d))
+
+    laws = np.zeros(m * d)
+    for k in range(len(a)):
+        a_re, a_im = amplitude(a[k])
+        b_re, b_im = (a_re, a_im) if b is None else amplitude(b[k])
+        laws += a_re * b_re
+        laws += a_im * b_im
+    return np.clip(laws, 0.0, None, out=laws).reshape(m, d)
+
+
 def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.ndarray:
     """The (M, D) laws with an intermediary P before the untwirl: row i
     relabeled by P's syndrome against z_keys[i] (:func:`outcome_shift`)."""
@@ -264,7 +353,8 @@ class DenseBackend:
     id, so recycled addresses cannot collide) and capacity is capped by
     ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
     MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
-    Clifford laws are computed per call."""
+    Clifford laws are computed per call, from the map's Pauli support
+    (:func:`_pauli_support`, kept per channel) where that is cheaper."""
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
         self.max_n = max_n
@@ -322,11 +412,23 @@ class DenseBackend:
         ``clifford`` is one :class:`Clifford` (the result is its (D,) law) or
         a :class:`Tableaux` stack of M elements (an (M, D) stack of laws).
 
-        The law of C is row 0 of the transition table of its dense unitary
-        (:meth:`Tableaux.unitaries`, :func:`_clifford_laws`), so it holds for
-        Kraus, chi-only, non-CP and non-TP maps alike and never reads
-        ``channel.chi``.  It costs 2K D^2 multiply-adds per element for K
-        operator pairs, and K can reach D^2.  An intermediary P only permutes
+        Two laws give the same numbers, to rounding, for Kraus, chi-only,
+        non-CP and non-TP maps alike, and neither reads ``channel.chi``:
+        the Pauli-support law (:func:`_support_laws`, K |S| scatter-adds per
+        element for K operators on |S| Pauli terms, with no unitary), and
+        row 0 of the transition table of the element's dense unitary
+        (:func:`_clifford_laws`, a D x D unitary build plus 2K D^2
+        multiply-adds).  The support law runs when (K + 4) |S| <= 2 D^2,
+        K counting each distinct operator of the pairs.  That keeps it to
+        maps where it was measured faster: over 1000 elements at n = 5 it
+        broke even near |S| = 0.55, 0.3 and 0.12 D^2 for K = 1, 4 and 16,
+        where the rule switches at 0.4, 0.25 and 0.1 D^2.  A Clifford gate
+        with Pauli noise on a few qubits takes it (CNOT then depolarizing
+        noise on one qubit has |S| = 8 at every n), and a full-support map
+        (|S| = D^2) takes the dense law.  Either runs in blocks of about
+        ``_TABLE_BLOCK`` entries of its largest per-element operand: the
+        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.
+        An intermediary P only permutes
         outcomes: probs_P[v] = probs[v ^ a_P], where a_P, the X part of
         C^dag P C, is P's syndrome against the Z-images (:func:`outcome_shift`).
         """
@@ -336,10 +438,18 @@ class DenseBackend:
         if tableaux.n != channel.n:
             raise DimensionMismatchError(
                 f"the Clifford acts on {tableaux.n} qubits, the channel on {channel.n}")
-        probs = np.empty((len(tableaux), channel.dim))
-        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
+        d = channel.dim
+        cached = self._tables.setdefault(channel, {})
+        if "support" not in cached:  # None: the dense law is cheaper
+            cached["support"] = _pauli_support(channel)
+        support = cached["support"]
+        step = max(1, _TABLE_BLOCK // (d * d if support is None
+                                       else max(d, channel.n * len(support[0]))))
+        probs = np.empty((len(tableaux), d))
         for lo in range(0, len(tableaux), step):
-            probs[lo:lo + step] = _clifford_laws(channel, tableaux[lo:lo + step].unitaries())
+            block = tableaux[lo:lo + step]
+            probs[lo:lo + step] = (_clifford_laws(channel, block.unitaries()) if support is None
+                                   else _support_laws(block, *support))
         probs = _shift_outcomes(probs, tableaux.z, intermediary)
         return probs[0] if single else probs
 

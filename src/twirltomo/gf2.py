@@ -2,9 +2,10 @@
 
 Rows are plain Python ints; bit i is coordinate i.  These helpers back the
 stabilizer machinery (rank checks, constraint solving, canonical forms).
-They are exact and allocation-light.  :func:`solve_unique_batch` is the one
-batched routine: it solves many small systems at once on uint64 rows in
-numpy, for the class-pair analysis of blind discovery.
+They are exact and allocation-light.  The batched routines work on many
+small systems at once, on uint64 rows in numpy: :func:`rref_batch` gives
+the constraint classes of blind discovery, :func:`solve_unique_batch`
+solves its class pairs, and :func:`_gj_insert` grows uniform Cliffords.
 """
 from __future__ import annotations
 
@@ -80,6 +81,32 @@ def solve_affine(rows, rhs, width: int):
 
 
 _ONE = np.uint64(1)
+
+
+def _gj_insert(pivots: np.ndarray, v: np.ndarray):
+    """Insert augmented rows v (one per system) into fully reduced pivot
+    tables, in place: ``pivots[i, b]`` is system i's pivot row whose top
+    bit is b, or 0.  As :func:`_eliminate` then :func:`_insert`;
+    every v must be independent of its system's pivots."""
+    shifts = np.arange(pivots.shape[1], dtype=np.uint64)
+    # fully reduced pivots clear their own column without touching another
+    v = v ^ np.bitwise_xor.reduce(pivots * ((v[:, None] >> shifts) & _ONE), axis=1)
+    top = ((v[:, None] >> shifts) != 0).sum(axis=1) - 1
+    pivots ^= v[:, None] * ((pivots >> top[:, None].astype(np.uint64)) & _ONE)
+    pivots[np.arange(len(v)), top] = v
+
+
+def rref_batch(rows, width: int) -> np.ndarray:
+    """:func:`rref` of each of P stacked systems at once.  ``rows`` is a
+    (P, r) array of r independent rows per system, each below 2^width; the
+    result holds each system's fully reduced rows, sorted by pivot
+    descending, as rref gives them."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    pivots = np.zeros((len(rows), width), dtype=np.uint64)
+    for k in range(rows.shape[1]):
+        _gj_insert(pivots, rows[:, k])
+    pivots = pivots[:, ::-1]
+    return pivots[pivots != 0].reshape(rows.shape)
 
 
 def solve_unique_batch(rows, width: int) -> np.ndarray:

@@ -34,6 +34,9 @@ laws do not sum to one.  Selective estimation tests survival as
 """
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
@@ -56,6 +59,15 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value.__index__()
+
+
+def check_real(name: str, value):
+    """``value`` if it is a finite real number (a Python or numpy one, not a
+    bool); raise :class:`ConfigError` naming the setting otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def check_seed(seed: int) -> int:

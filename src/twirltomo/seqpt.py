@@ -38,7 +38,8 @@ from .dense import DenseBackend, TwirlSpec, draw_outcomes
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import _draw_outcome, check_int, check_seed, draw_batch, substream, substreams
+from .rng import (_draw_outcome, check_int, check_real, check_seed, draw_batch, substream,
+                  substreams)
 from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_shift
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -67,7 +68,9 @@ class SeqptConfig:
 
     When ``epsilon`` is given, M must satisfy M >= 1/epsilon^2 (central
     limit); when ``delta`` is also given, M >= ln(2/delta)/(2 epsilon^2)
-    (Chernoff).  Violations raise :class:`ConfigError` at construction.
+    (Chernoff).  Violations raise :class:`ConfigError` at construction, as
+    do ``epsilon``, ``delta`` and ``significance_z`` values that are not
+    finite numbers (bools, strings, NaN, infinities).
     """
 
     shots: int
@@ -90,18 +93,18 @@ class SeqptConfig:
             if cap < 1:
                 raise ConfigError("pair_class_cap must be positive")
             object.__setattr__(self, "pair_class_cap", cap)
-        if not self.significance_z >= 0:  # NaN fails too
+        if not check_real("significance_z", self.significance_z) >= 0:
             raise ConfigError("significance_z must be a nonnegative number")
         if self.delta is not None and self.epsilon is None:
             raise ConfigError("delta requires epsilon")
         if self.epsilon is not None:
-            if not (0 < self.epsilon < 1):
+            if not (0 < check_real("epsilon", self.epsilon) < 1):
                 raise ConfigError("epsilon must be in (0, 1)")
             if self.shots < 1.0 / self.epsilon ** 2:
                 raise ConfigError(
                     f"shots={self.shots} < 1/epsilon^2 = {1.0 / self.epsilon**2:.1f}")
         if self.delta is not None:
-            if not (0 < self.delta < 1):
+            if not (0 < check_real("delta", self.delta) < 1):
                 raise ConfigError("delta must be in (0, 1)")
             need = math.log(2.0 / self.delta) / (2.0 * self.epsilon ** 2)
             if self.shots < need:
@@ -261,15 +264,16 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
     return counts, first, records
 
 
-def _class_of(gen_keys, n, outcome: int) -> tuple[int, ...]:
-    """Canonical (frame, outcome) constraint system of one realization: the
-    rref rows with bit 0 = rhs and bits 1.. = functional on Pauli keys."""
-    rows = []
-    for j, gk in enumerate(gen_keys):
-        f = _swap_halves(gk, n)
-        rhs = (outcome >> (n - 1 - j)) & 1
-        rows.append((f << 1) | rhs)
-    return tuple(gf2.rref(rows))
+def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
+    """(G, n) canonical constraint systems of G (frame, outcome) groups,
+    all at once: a compatible Pauli P satisfies <P, Z-image j> = bit j of
+    the outcome (qubit 1 on top), a row with the functional on Pauli keys in
+    bits 1.. and the rhs in bit 0, and :func:`gf2.rref_batch` reduces each
+    group's n independent rows to the rows that name its class."""
+    rhs = (np.asarray(outcomes)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = (_swap_halves(np.asarray(frames, dtype=np.uint64), n) << np.uint64(1)) \
+        | rhs.astype(np.uint64)
+    return gf2.rref_batch(rows, 2 * n + 1)
 
 
 def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]:
@@ -351,17 +355,18 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
               records: list[ExperimentRecord]) -> SeqptResult:
     """Pair analysis and estimates of a blind run, from its realizations
     grouped by (Z-frame, outcome) in first-seen order: the (K, n) Z-image
-    keys, outcome and realization count of each group.  One rref per group
-    gives its constraint class; groups with the same class merge."""
-    classes: dict[tuple[int, ...], int] = {}  # class -> realizations, first-seen order
-    for frame, outcome, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
-        key = _class_of(frame, n, outcome)
-        classes[key] = classes.get(key, 0) + size
+    keys, outcome and realization count of each group.  The groups'
+    constraint classes come from one batched rref; groups with the same
+    class merge, and the classes keep the order of their first group."""
+    rows = _constraint_classes(n, frames, outcomes)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    counts = np.zeros(len(first), dtype=np.int64)
+    np.add.at(counts, inverse.ravel(), sizes)
+    class_rows, counts = rows[first[order]], counts[order]
     d = 1 << n
     m_total = config.shots
-    class_rows = np.array(list(classes), dtype=np.uint64).reshape(len(classes), n)
-    counts = np.fromiter(classes.values(), dtype=np.int64, count=len(classes))
-    pair_budget = len(classes) * (len(classes) - 1) // 2
+    pair_budget = len(class_rows) * (len(class_rows) - 1) // 2
     picks = None
     if config.pair_class_cap is not None and pair_budget > config.pair_class_cap:
         picks = np.sort(substream(config.seed, 0).choice(
@@ -396,7 +401,7 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
     # same-class pairs are never usable, so the exact fraction is over all
     # pairs; under a class-pair cap, scale the analyzed cross-class rate by
     # the exactly-known cross-class mass.
-    total_cross = (m_total * m_total - sum(c * c for c in classes.values())) // 2
+    total_cross = (m_total * m_total - sum(c * c for c in counts.tolist())) // 2
     if analyzed_exactly or analyzed_cross == 0:
         fraction = usable_pairs / total_pairs if total_pairs else 0.0
     else:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
+from .gf2 import _gj_insert
 from .pauli import Pauli, multiply
 
 _ONE = np.uint64(1)
@@ -354,19 +355,6 @@ def draw_clifford_row(n: int, rng: np.random.Generator) -> list[int]:
     call per pair coefficient, then one call for the 2n sign bits."""
     coefficients = [int(rng.integers(0, k)) for k in clifford_bounds(n)[:2 * n]]
     return coefficients + rng.integers(0, 2, size=2 * n).tolist()
-
-
-def _gj_insert(pivots: np.ndarray, v: np.ndarray):
-    """Insert augmented rows v (one per system) into fully reduced pivot
-    tables, in place: ``pivots[i, b]`` is system i's pivot row whose top
-    bit is b, or 0.  As :func:`gf2._eliminate` then :func:`gf2._insert`;
-    every v must be independent of its system's pivots."""
-    shifts = np.arange(pivots.shape[1], dtype=np.uint64)
-    # fully reduced pivots clear their own column without touching another
-    v = v ^ np.bitwise_xor.reduce(pivots * ((v[:, None] >> shifts) & _ONE), axis=1)
-    top = ((v[:, None] >> shifts) != 0).sum(axis=1) - 1
-    pivots ^= v[:, None] * ((pivots >> top[:, None].astype(np.uint64)) & _ONE)
-    pivots[np.arange(len(v)), top] = v
 
 
 def _combination(pivots: np.ndarray, coeff: np.ndarray, nfree: int,

@@ -70,6 +70,14 @@ def conjugated_xz_table(tableaux):
     return x, z, e
 
 
+def class_of(gen_keys, n: int, outcome: int) -> tuple[int, ...]:
+    """Reference constraint class of one (frame, outcome) group, by one
+    Python-int rref: row j is the functional of Z-image j on Pauli keys in
+    bits 1.. with bit j of the outcome (qubit 1 on top) as rhs in bit 0."""
+    return tuple(gf2.rref((_swap_halves(gk, n) << 1) | ((outcome >> (n - 1 - j)) & 1)
+                          for j, gk in enumerate(gen_keys)))
+
+
 def complete_symplectic(z_keys: list[int], n: int) -> list[int]:
     """Deterministic X-image completion of a commuting independent Z set by
     one gf2.solve_affine per qubit: x_j with <z_i, x_j> = delta_ij and

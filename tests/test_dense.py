@@ -6,8 +6,10 @@ import pytest
 from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
                       label_table, transpose_map_channel)
 from twirltomo import dense, localtwirl, seqpt
-from twirltomo.channels import (ChannelModel, ChiMatrix, depolarizing_kraus,
-                                gate_unitary, random_cp_channel)
+from twirltomo.channel_spec import build_channel, parse_channel_document
+from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
+                                depolarizing_kraus, embed_kraus, gate_unitary,
+                                random_cp_channel)
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
@@ -17,8 +19,8 @@ from twirltomo.pauli import PAULI_1Q, Pauli
 from twirltomo.rng import _draw_outcome, draw_batch, master
 from twirltomo.seqpt import (SeqptConfig, _bits, estimate_chi_selective,
                              run_blind_discovery)
-from twirltomo.stabilizer import (build_mub_family, clifford_bounds, grow_cliffords,
-                                  sample_clifford_uniform)
+from twirltomo.stabilizer import (Tableaux, _key_to_pauli, build_mub_family, clifford_bounds,
+                                  grow_cliffords, sample_clifford_uniform)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=float)
@@ -357,14 +359,15 @@ def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
     """The laws of a Tableaux stack equal row 0 of the elements' whole
     transition tables within 1e-15, and the chi-tableau reference within
     1e-14, with and without an intermediary, on the battery, a full-rank
-    Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian chi map
-    and non-TP maps.  With the block forced to one element and to all of
-    them, each row equals the law of that one Clifford bit for bit."""
+    Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian chi map,
+    non-TP maps and the benchmark channel, whichever of the Pauli-support
+    and dense laws each takes.  With the block forced to one element and to
+    all of them, each row equals the law of that one Clifford bit for bit."""
     backend = DenseBackend()
     rng = master(78)
     count = 40
     full_rank = ("full-rank-3", random_cp_channel(3, master(83), n_kraus=64))
-    for name, ch in [*_table_test_channels(), full_rank]:
+    for name, ch in [*_table_test_channels(), full_rank, ("noisy-cnot-3", _noisy_cnot(3))]:
         n = ch.n
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
@@ -383,6 +386,107 @@ def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
                     one = backend.clifford_outcome_probs(ch, tableaux.clifford(i), inter)
                     assert np.array_equal(one, got[i]), (name, str(inter), block, i)
     assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
+
+
+def _spec_channel(n, build):
+    return build_channel(parse_channel_document({"name": "t", "n": n, "build": build}))
+
+
+def _noisy_cnot(n):
+    """The benchmark channel: CNOT(1,2), then 5% depolarizing on qubit 1."""
+    return _spec_channel(n, [{"named_gate": "CNOT", "qubits": [1, 2]},
+                             {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}])
+
+
+def _support_test_channels():
+    """The table-test maps (battery, chi-only, non-CP, non-Hermitian chi,
+    non-TP) plus spec-built maps at n = 2..4: amplitude damping after a
+    CNOT, a ``kraus`` layer and the benchmark channel."""
+    ops = embed_kraus(amplitude_damping_kraus(0.3), 1, 2)
+    kraus_layer = {"kraus": [[[[z.real, z.imag] for z in row] for row in op.tolist()]
+                             for op in ops]}
+    return [*_table_test_channels(),
+            ("kraus-layer-2", _spec_channel(2, [{"named_gate": "H", "qubits": [1]},
+                                                kraus_layer])),
+            *((f"amp-damp-after-cnot-{n}", _spec_channel(n, [
+                {"named_gate": "CNOT", "qubits": [1, 2]},
+                {"noise": "amplitude_damping", "strength": 0.2, "qubits": [n]}]))
+              for n in (2, 3, 4)),
+            *((f"noisy-cnot-{n}", _noisy_cnot(n)) for n in (2, 3, 4))]
+
+
+def test_support_laws_equal_transition_table_rows():
+    """The Pauli-support law equals row 0 of the elements' transition tables
+    within 1e-15, on every map's full Pauli decomposition, whichever law the
+    backend picks for it.  Summed back over the Paulis, the coefficients
+    give each operator of the pairs to rounding.  The benchmark channel has
+    8 support terms at every n, and the backend keeps exactly those."""
+    rng = master(79)
+    for name, ch in _support_test_channels():
+        n = ch.n
+        # X^x Z^z = (-i)^|x & z| P for the Hermitian Pauli P of key x | z << n
+        xz = np.array([_key_to_pauli(k, n).to_matrix() * (-1j) ** (k & (k >> n)).bit_count()
+                       for k in range(4 ** n)])
+        a, b = (np.array([dense._pauli_coefficients(pair[side]) for pair in ch.operator_pairs()])
+                for side in (0, 1))
+        for coef, side in ((a, 0), (b, 1)):
+            ops = np.array([pair[side] for pair in ch.operator_pairs()])
+            assert np.abs(np.tensordot(coef, xz, 1) - ops).max() <= 1e-14, name
+        rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 60, clifford_bounds(n), 0)
+        tableaux = grow_cliffords(n, rows)
+        want = dense._transition_table(ch, tableaux.unitaries())[:, 0]
+        got = dense._support_laws(tableaux, np.arange(4 ** n, dtype=np.uint64), a, b)
+        assert np.abs(got - want).max() <= 1e-15, name
+        nonzero = np.flatnonzero((a != 0).any(axis=0) | (b != 0).any(axis=0))
+        support = dense._pauli_support(ch)
+        if support is not None:
+            assert np.array_equal(support[0], nonzero), name
+            assert np.array_equal(support[1], a[:, nonzero]), name
+            assert np.abs(dense._support_laws(tableaux, *support) - want).max() <= 1e-15, name
+        if name.startswith("noisy-cnot"):  # K = 4, |S| = 8: the support law from n = 3
+            assert len(nonzero) == 8 and (support is None) == (n == 2), name
+
+
+def test_sparse_clifford_runs_build_no_unitary(monkeypatch):
+    """Blind and selective Clifford runs on the benchmark channel at n = 3
+    and 5 read every law off the Pauli support and never build a unitary."""
+    def refuse(self):
+        raise AssertionError("a Clifford run built a dense unitary")
+
+    monkeypatch.setattr(Tableaux, "unitaries", refuse)
+    for n in (3, 5):
+        ch = _noisy_cnot(n)
+        cfg = SeqptConfig(shots=200, variant="clifford", seed=2)
+        assert run_blind_discovery(ch, cfg).estimates
+        est = estimate_chi_selective(ch, "I" * n, cfg)
+        assert abs(est.chi_hat - ch.chi.mat[0, 0].real) <= 5 * est.stderr
+
+
+def test_full_rank_maps_take_the_dense_law(monkeypatch):
+    """A Kraus map with K = D^2 operators has full Pauli support, and
+    depolarizing noise on every qubit nearly so: both take the dense law,
+    and a sparse map the support law, each in blocks of _TABLE_BLOCK."""
+    calls = []
+
+    def counted(name, law, stack):  # args[stack] holds the block's elements
+        def run(*args):
+            calls.append((name, len(args[stack])))
+            return law(*args)
+        return run
+
+    monkeypatch.setattr(dense, "_support_laws", counted("support", dense._support_laws, 0))
+    monkeypatch.setattr(dense, "_clifford_laws", counted("dense", dense._clifford_laws, 1))
+    rows, _ = draw_batch(3, 1, 300, clifford_bounds(3), 0)
+    tableaux = grow_cliffords(3, rows)
+    for ch, law, step in [
+            (random_cp_channel(3, master(84), n_kraus=64), "dense", dense._TABLE_BLOCK // 64),
+            (_spec_channel(3, [{"noise": "depolarizing", "strength": 0.05,
+                                "qubits": [1, 2, 3]}]), "dense", dense._TABLE_BLOCK // 64),
+            (_noisy_cnot(3), "support", dense._TABLE_BLOCK // 24)]:
+        calls.clear()
+        DenseBackend().clifford_outcome_probs(ch, tableaux)
+        assert {name for name, _ in calls} == {law}
+        assert [size for _, size in calls] == [min(step, 300 - lo) for lo in range(0, 300, step)]
 
 
 def test_local_outcome_probs_match_per_element_reference(monkeypatch):
@@ -593,16 +697,17 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
 # every twirl family's sampler in distribution, and the one law path
 
 
-def _family_reference(channel, kind, ints, elements):
+def _family_reference(channel, kind, ints, elements, pm=None):
     """(keys, laws): each element's exact law, by a channel application
-    outside the table cache, and a group key read off its draws alone.
+    outside the table cache (then the intermediary matrix pm, for MUB and
+    Clifford elements), and a group key read off its draws alone.
     MUB elements group by (basis, state) and one-qubit-twirl elements by
     (rotation part, X part), so each group shares one law; Clifford
     elements, each with a law of its own, group 250 at a time in draw order."""
     n, d = channel.n, channel.dim
     places = np.arange(n - 1, -1, -1)
     if kind == "mub":
-        table = np.array([_reference_row(channel, w, m)
+        table = np.array([_reference_row(channel, w, m, pm)
                           for w in build_mub_family(n).unitaries() for m in range(d)])
         keys = ints[:, 0] * d + ints[:, 1]
         return keys, table[keys]
@@ -614,7 +719,7 @@ def _family_reference(channel, kind, ints, elements):
         table = np.array([dense_local_probs(channel, tuple(zip((xx >> places) & 1, r)))
                           for r in rotations.tolist() for xx in range(d)])
         return keys, table[keys]
-    laws = np.array([_reference_row(channel, w, 0) for w in elements.unitaries()])
+    laws = np.array([_reference_row(channel, w, 0, pm) for w in elements.unitaries()])
     return np.arange(len(ints)) // 250, laws
 
 
@@ -678,6 +783,39 @@ def test_family_outcomes_follow_exact_laws(kind, n, shots):
     assert np.abs(laws[rows] - want).max() <= 1e-12
     assert (want[np.arange(shots), outcomes] > 0).all(), "an outcome of probability zero was drawn"
     assert _pooled_pearson_z(keys, want, outcomes) <= 5.0
+
+
+@pytest.mark.parametrize("kind, n, shots", [(kind, n, shots) for kind in ("mub", "clifford_full")
+                                             for n, shots in ((1, 2000), (2, 4000), (3, 5000))])
+def test_shifted_outcomes_follow_exact_laws(kind, n, shots):
+    """With an intermediary Pauli between the channel and the untwirl, the
+    production path (draw_batch over the layout, TwirlSpec.elements,
+    TwirlSpec.laws, _shift_outcomes against TwirlSpec.z_keys, draw_outcomes)
+    draws every element's outcome from its exact law, at a fixed seed.
+
+    The shifted laws must equal the per-element reference with the Pauli's
+    matrix applied after the channel to 1e-12, no outcome of probability
+    zero may be drawn, and the pooled Pearson statistic of
+    :func:`_pooled_pearson_z` must lie within 5 standard deviations above
+    its mean.  The same draws without the shift fail that test: the map is
+    70% identity, so each law peaks at the outcome the shift picks."""
+    noise = random_cp_channel(n, master(720 + n), n_kraus=2).kraus
+    channel = ChannelModel.from_kraus([np.sqrt(0.7) * np.eye(1 << n),
+                                       *(np.sqrt(0.3) * k for k in noise)])
+    p = Pauli.from_string("Y" + "X" * (n - 1))  # anticommutes with Z on every qubit
+    twirl = TwirlSpec(kind, n)
+    ints, u = draw_batch(23, 1, shots, twirl.layout, 1)
+    elements = twirl.elements(ints)
+    laws, rows = twirl.laws(DenseBackend(), channel, elements)
+    shifted = dense._shift_outcomes(laws[rows], twirl.z_keys(elements), p)
+    keys, want = _family_reference(channel, kind, ints, elements, p.to_matrix())
+    assert np.abs(shifted - want).max() <= 1e-12
+    every = np.arange(shots)
+    outcomes = dense.draw_outcomes(shifted, every, u[:, 0])
+    assert (want[every, outcomes] > 0).all(), "an outcome of probability zero was drawn"
+    assert _pooled_pearson_z(keys, want, outcomes) <= 5.0
+    unshifted = dense.draw_outcomes(laws, rows, u[:, 0])
+    assert _pooled_pearson_z(keys, want, unshifted) > 5.0
 
 
 def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):

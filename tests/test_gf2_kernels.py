@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import symplectic_product, xor_combination
-from twirltomo import gf2
+from conftest import class_of, symplectic_product, xor_combination
+from twirltomo import gf2, seqpt
 from twirltomo.channels import random_cp_channel
 from twirltomo.pauli import Pauli
-from twirltomo.seqpt import SeqptConfig, _class_of, run_blind_discovery
-from twirltomo.stabilizer import _key_to_pauli, build_mub_family, sample_clifford_uniform
+from twirltomo.seqpt import SeqptConfig, _constraint_classes, run_blind_discovery
+from twirltomo.rng import draw_batch
+from twirltomo.stabilizer import (_key_to_pauli, build_mub_family, clifford_bounds,
+                                  grow_cliffords, sample_clifford_uniform)
 
 
 def brute_solutions(rows, rhs, width):
@@ -46,6 +48,18 @@ def test_rref_canonical():
         assert gf2.rref(rows) == gf2.rref(rows2)
 
 
+def test_rref_batch_equals_rref():
+    """The batched rref of stacked independent row sets equals rref of each."""
+    rng = np.random.default_rng(3)
+    for width in range(1, 10):
+        for r in range(1, width + 1):
+            rows = rng.integers(1, 1 << width, size=(60, r), dtype=np.uint64)
+            rows = rows[[gf2.rank(row) == r for row in rows.tolist()]]
+            got = gf2.rref_batch(rows, width)
+            assert got.shape == rows.shape
+            assert got.tolist() == [gf2.rref(row) for row in rows.tolist()]
+
+
 def test_rank_and_span():
     assert gf2.rank([0b01, 0b10, 0b11]) == 2
     assert gf2.rank([]) == 0
@@ -71,8 +85,58 @@ def _random_classes(n, count, rng):
     for _ in range(count):
         c = sample_clifford_uniform(n, rng)
         outcome = int(rng.integers(0, 1 << n))
-        classes.append(_class_of([p.key for p in c.z_images], n, outcome))
+        classes.append(class_of([p.key for p in c.z_images], n, outcome))
     return classes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_constraint_classes_equal_per_group_rref(n):
+    """One batched pass gives each (frame, outcome) group the class of its
+    own Python-int rref: uniform Clifford frames and every MUB frame, with
+    random outcomes."""
+    rng = np.random.default_rng(40 + n)
+    rows, _ = draw_batch(n, 1, 300, clifford_bounds(n), 0)
+    frames = np.concatenate((grow_cliffords(n, rows).z, build_mub_family(n).z))
+    outcomes = rng.integers(0, 1 << n, size=len(frames))
+    got = _constraint_classes(n, frames, outcomes)
+    assert got.dtype == np.uint64 and got.shape == frames.shape
+    assert [tuple(row) for row in got.tolist()] == [
+        class_of(frame, n, v) for frame, v in zip(frames.tolist(), outcomes.tolist())]
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_discover_merges_classes_in_first_seen_order(variant, monkeypatch):
+    """Groups with equal classes merge into one class whose count sums
+    theirs, and the classes reach the pair pass in the order of their first
+    group, as a dict keyed by each group's reference class gives them."""
+    seen, pair_votes = [], seqpt._pair_votes
+
+    def counted(n, class_rows, counts, picks):
+        seen.append((class_rows, counts))
+        return pair_votes(n, class_rows, counts, picks)
+
+    monkeypatch.setattr(seqpt, "_pair_votes", counted)
+    n = 3
+    d = 1 << n
+    rng = np.random.default_rng(9)
+    bases = rng.integers(0, d + 1, size=400)
+    if variant == "mub":
+        frames = build_mub_family(n).z[bases]
+    else:  # 40 frames, so that distinct frames share classes
+        rows, _ = draw_batch(11, 1, 40, clifford_bounds(n), 0)
+        frames = grow_cliffords(n, rows).z[bases % 40]
+    outcomes = rng.integers(0, d, size=len(frames))
+    sizes = rng.integers(1, 5, size=len(frames))
+    seqpt._discover(n, SeqptConfig(shots=int(sizes.sum()), seed=1), frames, outcomes,
+                    sizes, [])
+    want: dict[tuple[int, ...], int] = {}
+    for frame, v, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
+        key = class_of(frame, n, v)
+        want[key] = want.get(key, 0) + size
+    (class_rows, counts), = seen
+    assert len(want) < len(frames)
+    assert [tuple(row) for row in class_rows.tolist()] == list(want)
+    assert counts.dtype == np.int64 and counts.tolist() == list(want.values())
 
 
 def test_pairs_independent_vs_python():
@@ -83,7 +147,7 @@ def test_pairs_independent_vs_python():
         classes = _random_classes(n, 40, rng)
         # one frame under two outcomes: shares every stabilizer, never usable
         keys = [p.key for p in sample_clifford_uniform(n, rng).z_images]
-        classes += [_class_of(keys, n, outcome) for outcome in (0, 1)]
+        classes += [class_of(keys, n, outcome) for outcome in (0, 1)]
         rows = np.array(classes, dtype=np.uint64)
         seen = set()
         for i in range(len(classes) - 1):

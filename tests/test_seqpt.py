@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cnot_channel, mixed_z1_channel
+from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
                                 random_cp_channel)
 from twirltomo.dense import DenseBackend
@@ -53,6 +54,32 @@ def test_config_rejects_bad_cap_and_significance(kwargs):
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
         SeqptConfig(shots=10, **kwargs)
     SeqptConfig(shots=10, pair_class_cap=1, significance_z=0.0)
+
+
+_NOT_FINITE_NUMBERS = [True, False, "5", None, [0.5], float("nan"), float("inf"),
+                       float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_NUMBERS)
+def test_config_rejects_significance_z_that_is_not_a_finite_number(value):
+    """A bool would go into the config's JSON as true, a string cannot be
+    compared with 0, and an infinite margin would flag every estimate."""
+    with pytest.raises(ConfigError, match="significance_z"):
+        SeqptConfig(shots=10, significance_z=value)
+
+
+@pytest.mark.parametrize("value", [v for v in _NOT_FINITE_NUMBERS if v is not None])
+def test_config_rejects_epsilon_that_is_not_a_finite_number(value):
+    with pytest.raises(ConfigError, match="epsilon"):
+        SeqptConfig(shots=10 ** 6, epsilon=value)
+    assert SeqptConfig(shots=10 ** 6, epsilon=np.float64(0.01)).epsilon == 0.01
+
+
+@pytest.mark.parametrize("value", [v for v in _NOT_FINITE_NUMBERS if v is not None])
+def test_config_rejects_delta_that_is_not_a_finite_number(value):
+    with pytest.raises(ConfigError, match="delta"):
+        SeqptConfig(shots=10 ** 6, epsilon=0.01, delta=value)
+    assert SeqptConfig(shots=10 ** 6, epsilon=0.01, delta=np.float64(0.05)).delta == 0.05
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -262,6 +289,31 @@ def test_blind_mub_memory_does_not_grow_with_shots():
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 2 ** 20, (shots, peak)
+
+
+@pytest.mark.parametrize("n, budget_mib", [(3, 0.65), (5, 1.1)])
+def test_blind_clifford_memory_budget(n, budget_mib):
+    """One blind Clifford run at M = 10^3 on CNOT(1,2) then 5% depolarizing
+    on qubit 1 (the clifford-blind benchmark's channel) allocates at most
+    0.65 MiB at n = 3 and 1.1 MiB at n = 5 at its peak, where the dense law
+    peaked at 0.75 and 1.09 MiB: the Pauli-support law runs in blocks of
+    ``dense._TABLE_BLOCK`` entries and the constraint classes come from
+    (groups, 2n + 1) arrays.  At n = 5 the peak is the outcome draw's
+    gathered cdf block."""
+    channel = build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": n,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    backend = DenseBackend()
+    run_blind_discovery(channel, SeqptConfig(shots=2, variant="clifford", seed=1), backend)
+    tracemalloc.start()
+    try:
+        run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=3),
+                            backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mib * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("variant", ["mub", "clifford"])

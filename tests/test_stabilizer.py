@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (conjugated_xz_table, label_table, mub_family_reference,
+from conftest import (class_of, conjugated_xz_table, label_table, mub_family_reference,
                       symplectic_product, xor_combination)
 from twirltomo import gf2
 from twirltomo.pauli import Pauli
@@ -16,7 +16,7 @@ from twirltomo.stabilizer import (Clifford, _key_to_pauli,
                                   clifford_group_tableaux, draw_clifford_row,
                                   enumerate_clifford_group, grow_cliffords,
                                   outcome_shift, sample_clifford_uniform)
-from twirltomo.seqpt import _class_of, frames_independent_probability
+from twirltomo.seqpt import frames_independent_probability
 from twirltomo.rng import draw_batch, master
 
 
@@ -310,8 +310,8 @@ def _solve_pair(frame1, v1, frame2, v2):
     """Key of the unique Pauli compatible with outcome v1 of frame1 and v2
     of frame2 (lists of Z-image keys), or -1, as blind discovery solves it."""
     n = len(frame1)
-    c1 = _class_of(frame1, n, v1)
-    c2 = _class_of(frame2, n, v2)
+    c1 = class_of(frame1, n, v1)
+    c2 = class_of(frame2, n, v2)
     (key,) = gf2.solve_unique_batch(np.array([c1 + c2], dtype=np.uint64), 2 * n)
     return int(key)
 
@@ -320,7 +320,7 @@ def _candidates(frame, outcome):
     """Every Pauli compatible with one outcome of a frame (a list of Z-image
     keys): the solutions of its constraint class."""
     n = len(frame)
-    rows = _class_of(frame, n, outcome)
+    rows = class_of(frame, n, outcome)
     particular, basis = gf2.solve_affine([r >> 1 for r in rows], [r & 1 for r in rows], 2 * n)
     return [_key_to_pauli(particular ^ xor_combination(basis, c), n)
             for c in range(1 << len(basis))]
