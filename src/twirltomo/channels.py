@@ -33,7 +33,7 @@ TP_ATOL = 1e-9
 
 def _check_dense_cap(n: int):
     if n > DENSE_MAX_N:
-        raise CapacityError(f"dense chi operations capped at n={DENSE_MAX_N}, got {n}")
+        raise CapacityError(f"dense operations capped at n={DENSE_MAX_N}, got {n}")
 
 
 def pauli_coefficients(mat: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import (ChannelModel, check_cp_bound, check_positive_bound,
+from .channels import (ChannelModel, _check_dense_cap, check_cp_bound, check_positive_bound,
                        coarse_grain)
 # load_channel is not called here; it stays importable as
 # twirltomo.cli.load_channel, a name outside tooling already uses.
@@ -320,6 +320,7 @@ def main(argv=None) -> int:
         if hasattr(args, "spec"):
             with open(args.spec) as fh:
                 doc = parse_channel_document(json.load(fh))
+            _check_dense_cap(doc.n)  # before build_channel makes a single D x D matrix
             channel = build_channel(doc, warnings)
         protocol, config, results, lines, rows = args.func(args, doc, channel, warnings)
         if doc is not None:  # every spec verb reports the spec's build warnings

@@ -3,15 +3,17 @@ oracles the protocols test against.
 
 :class:`TwirlSpec` is the one twirl family.  Every sampler and the exact
 enumeration take its steps: a row of ``layout`` draws per element, the
-elements they name, their laws (element i's is ``laws[rows[i]]``, a row of
-one transition table, :func:`_transition_table`), then one blocked outcome
-draw (:func:`draw_outcomes`) or the mean of the laws, each shifted by an
-intermediary's syndrome against the elements' Z-images.  A Clifford law
-is read off the map's Pauli support or the element's dense unitary,
-whichever is cheaper (:meth:`DenseBackend.clifford_outcome_probs`).  Blind MUB
-discovery alone keeps its own per-realization draw loop (see
-:mod:`twirltomo.seqpt`).  Enumerations iterate in a fixed order, so results
-are reproducible bit for bit.
+elements they name, their laws (element i's is ``laws[rows[i]]``), then
+one blocked outcome draw (:func:`draw_outcomes`) or the mean of the laws,
+each shifted by an intermediary's syndrome against the elements' Z-images
+(:func:`_shift_outcomes`).  One kernel, :func:`_transition_table`, makes
+every dense law: whole tables for MUB bases and one-qubit-twirl rotation
+parts, column 0 for a Clifford element.  A Clifford law is read off the
+map's Pauli support instead where that is cheaper
+(:meth:`DenseBackend.clifford_outcome_probs`).  Blind MUB discovery alone
+keeps its own per-realization draw loop (see :mod:`twirltomo.seqpt`).
+Enumerations iterate in a fixed order, so results are reproducible bit for
+bit.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel
+from .channels import ChannelModel, pauli_coefficients
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, tensor
-from .rng import _draw_outcome
+from .rng import _draw_outcome, check_int
 from .stabilizer import (_I_POWERS, Tableaux, _swap_halves, build_mub_family, clifford_bounds,
                          grow_cliffords, outcome_shift)
 
@@ -34,6 +36,7 @@ LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
 _TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
 _DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
+_HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +76,14 @@ class HaarMomentResult:
         return abs(self.estimate - self.closed_form) / self.stderr
 
 
-def haar_twirl_moment(a1, a2, b1, b2, samples: int, rng: np.random.Generator,
-                      chunk: int = 20000) -> HaarMomentResult:
+def haar_twirl_moment(a1, a2, b1, b2, samples: int,
+                      rng: np.random.Generator) -> HaarMomentResult:
     """Monte Carlo estimate of the fourth-moment trace average vs closed form.
 
     The integrand Tr[A1 U^dag B1 U A2 U^dag B2 U] is averaged over
-    ``samples`` Haar unitaries; the caller compares the estimate with the
-    closed form (``deviation_sigmas`` gives the distance in standard errors).
+    ``samples`` Haar unitaries, drawn ``_HAAR_CHUNK`` at a time; the caller
+    compares the estimate with the closed form (``deviation_sigmas`` gives
+    the distance in standard errors).
     D < 2 or fewer than 2 samples raise before anything is drawn.
     """
     closed_form = haar_moment_closed_form(a1, a2, b1, b2)
@@ -89,7 +93,7 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int, rng: np.random.Generator,
     vals = np.empty(samples, dtype=complex)
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_HAAR_CHUNK, samples - done)
         u = haar_random_unitaries(d, m, rng)
         uh = u.conj().transpose(0, 2, 1)
         c1 = uh @ b1 @ u
@@ -123,7 +127,8 @@ class TwirlSpec:
     def __post_init__(self):
         if self.kind not in ("haar_state", "mub", "clifford_full", "local_clifford"):
             raise ConfigError(f"unknown twirl kind {self.kind!r}")
-        if not self.n >= 1:
+        object.__setattr__(self, "n", check_int("n", self.n))
+        if self.n < 1:
             raise ConfigError(f"a twirl acts on n >= 1 qubits, got n = {self.n}")
 
     @property
@@ -212,77 +217,61 @@ def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     return tensor(_TWIRL_GATES[p, s] for p, s in digits)
 
 
-def _transition_table(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
-    """probs[t, m, v] for every basis w[t] of the (T, D, D) stack and every
-    column m of it: prepare w[t] X^m |0..0>, apply the channel, read out in
-    the basis w[t], and undo the X^m by relabeling outcome v as v ^ m, so
-    v = 0 means the prepared state survived.
+def _transition_table(channel: ChannelModel, w: np.ndarray, columns) -> np.ndarray:
+    """probs[t, c, v] for every basis w[t] of the (T, D, D) stack and each
+    listed column m = columns[c] of it: prepare w[t] X^m |0..0>, apply the
+    channel, read out in the basis w[t], and undo the X^m by relabeling
+    outcome v as v ^ m, so v = 0 means the prepared state survived.  A MUB
+    or one-qubit-twirl table lists every column; a Clifford law is
+    column 0 alone.
 
     With the map as pairs (A_k, B_k), the weight of outcome j given column m
-    is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag A_k w (b_k
-    likewise), so one stack of tables costs two stacked D x D products per
+    is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag (A_k w[:, m])
+    (b_k likewise), so the listed columns cost two stacked products per
     operator (one for a Kraus operator, where b_k = a_k) and no channel
     application.
     """
-    wh = np.swapaxes(w.conj(), -1, -2)
-    in_basis = np.zeros(w.shape)
+    columns = np.asarray(columns)
+    wh, w_m = np.swapaxes(w.conj(), -1, -2), w[:, :, columns]
+    in_basis = np.zeros(w_m.shape)
     for a_op, b_op in channel.operator_pairs():
-        a = wh @ a_op @ w
-        b = a if b_op is a_op else wh @ b_op @ w
+        a = wh @ (a_op @ w_m)
+        b = a if b_op is a_op else wh @ (b_op @ w_m)
         in_basis += (a * b.conj()).real
     np.clip(in_basis, 0.0, None, out=in_basis)
-    idx = np.arange(channel.dim)
-    probs = in_basis[:, idx[:, None] ^ idx, idx[:, None]]  # the X^m undo relabels outcomes
-    probs.setflags(write=False)  # cached and shared by every caller
+    # probs[t, c, v] = in_basis[t, v ^ m, c]: the X^m undo relabels outcomes
+    slots = np.arange(len(columns))[:, None]
+    probs = in_basis[:, np.arange(channel.dim) ^ columns[:, None], slots]
+    probs.setflags(write=False)  # a table is cached and shared by every caller
     return probs
-
-
-def _clifford_laws(channel: ChannelModel, w: np.ndarray) -> np.ndarray:
-    """Row 0 of each :func:`_transition_table` of the (M, D, D) stack w, from
-    column 0 alone: Re sum_k a_k conj(b_k) with a_k = w^dag (A_k w[:, 0])."""
-    w0, wh = w[:, :, :1], np.swapaxes(w.conj(), -1, -2)
-    laws = np.zeros(w.shape[:2])
-    for a_op, b_op in channel.operator_pairs():
-        a = (wh @ (a_op @ w0))[:, :, 0]
-        b = a if b_op is a_op else (wh @ (b_op @ w0))[:, :, 0]
-        laws += (a * b.conj()).real
-    return np.clip(laws, 0.0, None, out=laws)
-
-
-def _pauli_coefficients(op: np.ndarray) -> np.ndarray:
-    """The (D^2,) coefficients c of op = sum c[z * D + x] X^x Z^z, the key
-    x | z << n order.  c[z * D + x] = Tr(Z^z X^x op) / D is the
-    Walsh-Hadamard transform over r of op[r ^ x, r] / D at z, run as n
-    butterflies (u + v, u - v), so the sums of equal entries that cancel on
-    a structured map (a Clifford gate with Pauli noise) cancel exactly."""
-    d = len(op)
-    idx = np.arange(d)
-    f = op[idx ^ idx[:, None], idx] / d
-    for h in 1 << np.arange(d.bit_length() - 1):
-        u, v = np.moveaxis(f.reshape(d, -1, 2, h), 2, 0)  # r = (high, bit, low)
-        f = np.stack((u + v, u - v), axis=2).reshape(d, d)
-    return f.T.ravel()
 
 
 def _pauli_support(channel: ChannelModel):
     """(keys, a, b): the map's operator pairs on their Pauli support,
     A_k = sum_l a[k, l] X^x Z^z over the keys[l] = x | z << n whose
-    coefficient (:func:`_pauli_coefficients`) is exactly nonzero in some A_k
-    or B_k (b is None for a Kraus set, where B_k = A_k); or None when the
-    support law does not pay, (K + 4) |S| > 2 D^2 for K distinct operators
-    (:meth:`DenseBackend.clifford_outcome_probs`).  A first pass finds the
-    support, stopping once it is too large, so no (K, D^2) array is held."""
-    d = channel.dim
+    coefficient is exactly nonzero in some A_k or B_k (b is None for a
+    Kraus set, where B_k = A_k); or None when the support law does not pay,
+    (K + 4) |S| > 2 D^2 for K distinct operators
+    (:meth:`DenseBackend.clifford_outcome_probs`).  The coefficient of key
+    x | z << n is i^|x & z| times that of its Hermitian Pauli
+    (:func:`pauli_coefficients`), as X^x Z^z = (-i)^|x & z| P.  A first pass
+    finds the support, stopping once it is too large, so no (K, D^2) array
+    is held."""
+    n, d = channel.n, channel.dim
+    x, z = np.arange(d * d) % d, np.arange(d * d) // d
+    # the label of key x | z << n: base-4 digit 2 z_s + (x_s ^ z_s) on qubit n - s
+    labels = sum((2 * (z >> s & 1) | (x ^ z) >> s & 1) << 2 * s for s in range(n))
+    phases = _I_POWERS[np.bitwise_count(x & z) % 4]
     pairs = channel.operator_pairs()
     kraus = all(b_op is a_op for a_op, b_op in pairs)
     ops = [a_op for a_op, _ in pairs] + ([] if kraus else [b_op for _, b_op in pairs])
     nonzero = np.zeros(d * d, dtype=bool)
     for op in ops:
-        nonzero |= _pauli_coefficients(op) != 0
+        nonzero |= pauli_coefficients(op)[labels] != 0
         if (len(ops) + 4) * np.count_nonzero(nonzero) > 2 * d * d:
             return None
     support = np.flatnonzero(nonzero)
-    coef = np.array([_pauli_coefficients(op)[support] for op in ops])
+    coef = np.array([pauli_coefficients(op)[labels[support]] * phases[support] for op in ops])
     return support.astype(np.uint64), coef[:len(pairs)], None if kraus else coef[len(pairs):]
 
 
@@ -376,20 +365,18 @@ class DenseBackend:
         step = max(1, _TABLE_BLOCK // channel.dim ** 2)
         for lo in range(0, len(missing), step):
             block = missing[lo:lo + step]
-            cached.update(zip(block, _transition_table(channel, unitaries(block))))
+            cached.update(zip(block, _transition_table(channel, unitaries(block),
+                                                       np.arange(channel.dim))))
         return np.stack([cached[key] for key in keys])
 
     # -- MUB twirl ----------------------------------------------------------
 
-    def _mub_tables(self, channel: ChannelModel, bases) -> np.ndarray:
-        family = build_mub_family(channel.n)
-        return self._cached_tables(channel, "mub", bases,
-                                   lambda block: family[block].unitaries())
-
     def mub_tables(self, channel: ChannelModel) -> np.ndarray:
         """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
         basis j as in :meth:`mub_transition_probs`, without an intermediary."""
-        return self._mub_tables(channel, range(channel.dim + 1))
+        family = build_mub_family(channel.n)
+        return self._cached_tables(channel, "mub", range(channel.dim + 1),
+                                   lambda block: family[block].unitaries())
 
     def mub_transition_probs(self, channel: ChannelModel, basis: int,
                              intermediary: Pauli | None = None) -> np.ndarray:
@@ -400,24 +387,21 @@ class DenseBackend:
         syndrome against the basis's Z-images (:func:`outcome_shift`)."""
         if not 0 <= basis <= channel.dim:
             raise ValueError(f"MUB basis index must be in 0..{channel.dim}, got {basis}")
-        return _shift_outcomes(self._mub_tables(channel, [basis])[0],
+        return _shift_outcomes(self.mub_tables(channel)[basis],
                                build_mub_family(channel.n).z[[basis]], intermediary)
 
     # -- generic clifford twirl ----------------------------------------------
 
-    def clifford_outcome_probs(self, channel: ChannelModel, clifford,
-                               intermediary: Pauli | None = None) -> np.ndarray:
-        """Outcome distribution of prepare |0..0>, C, channel, (P), C^dag.
-
-        ``clifford`` is one :class:`Clifford` (the result is its (D,) law) or
-        a :class:`Tableaux` stack of M elements (an (M, D) stack of laws).
+    def clifford_outcome_probs(self, channel: ChannelModel, tableaux: Tableaux) -> np.ndarray:
+        """(M, D) outcome laws of prepare |0..0>, C, channel, C^dag for the
+        M elements C of a :class:`Tableaux` stack.
 
         Two laws give the same numbers, to rounding, for Kraus, chi-only,
         non-CP and non-TP maps alike, and neither reads ``channel.chi``:
         the Pauli-support law (:func:`_support_laws`, K |S| scatter-adds per
         element for K operators on |S| Pauli terms, with no unitary), and
-        row 0 of the transition table of the element's dense unitary
-        (:func:`_clifford_laws`, a D x D unitary build plus 2K D^2
+        column 0 of the transition table of the element's dense unitary
+        (:func:`_transition_table`, a D x D unitary build plus 2K D^2
         multiply-adds).  The support law runs when (K + 4) |S| <= 2 D^2,
         K counting each distinct operator of the pairs.  That keeps it to
         maps where it was measured faster: over 1000 elements at n = 5 it
@@ -427,14 +411,10 @@ class DenseBackend:
         noise on one qubit has |S| = 8 at every n), and a full-support map
         (|S| = D^2) takes the dense law.  Either runs in blocks of about
         ``_TABLE_BLOCK`` entries of its largest per-element operand: the
-        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.
-        An intermediary P only permutes
-        outcomes: probs_P[v] = probs[v ^ a_P], where a_P, the X part of
-        C^dag P C, is P's syndrome against the Z-images (:func:`outcome_shift`).
+        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.  An
+        intermediary Pauli permutes each law (:func:`_shift_outcomes`).
         """
         self.check_capacity(channel.n)
-        single = not isinstance(clifford, Tableaux)
-        tableaux = Tableaux.of([clifford]) if single else clifford
         if tableaux.n != channel.n:
             raise DimensionMismatchError(
                 f"the Clifford acts on {tableaux.n} qubits, the channel on {channel.n}")
@@ -448,10 +428,9 @@ class DenseBackend:
         probs = np.empty((len(tableaux), d))
         for lo in range(0, len(tableaux), step):
             block = tableaux[lo:lo + step]
-            probs[lo:lo + step] = (_clifford_laws(channel, block.unitaries()) if support is None
-                                   else _support_laws(block, *support))
-        probs = _shift_outcomes(probs, tableaux.z, intermediary)
-        return probs[0] if single else probs
+            probs[lo:lo + step] = (_transition_table(channel, block.unitaries(), [0])[:, 0]
+                                   if support is None else _support_laws(block, *support))
+        return probs
 
     # -- one-qubit twirl ------------------------------------------------------
 

@@ -24,13 +24,14 @@ There are two ways to draw many realizations, and both give the draws of
   exact.  Every other sampler draws this way, one row of its twirl
   family's layout (:class:`twirltomo.dense.TwirlSpec`) per realization.
 
-:func:`_draw_outcome` turns a uniform draw into a measurement outcome, in
-:func:`twirltomo.dense.draw_outcomes` and in blind MUB's blocks.  It scales
-the draw by the law's total, so a law whose total is off one by round-off
-is sampled in proportion.  The sampled protocols reject a map that is not
-trace preserving (:func:`twirltomo.channels.check_trace_preserving`), whose
-laws do not sum to one.  Selective estimation tests survival as
-``u < p_0`` directly, without this function.
+:func:`_draw_outcome` turns a stack of uniform draws into measurement
+outcomes, one per cdf row, in :func:`twirltomo.dense.draw_outcomes` and in
+blind MUB's blocks.  It scales each draw by its law's total, so a law
+whose total is off one by round-off is sampled in proportion.  The sampled
+protocols reject a map that is not trace preserving
+(:func:`twirltomo.channels.check_trace_preserving`), whose laws do not sum
+to one.  Selective estimation tests survival as ``u < p_0`` directly,
+without this function.
 """
 from __future__ import annotations
 
@@ -239,35 +240,24 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
     return ints, uniforms
 
 
-def _draw_outcome(cdf: np.ndarray, u):
-    """Outcome index for a uniform draw ``u`` in [0, 1] against a cumulative
-    distribution ``cdf`` (the cumsum of nonnegative probabilities).
+def _draw_outcome(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each row of a (count, D) stack of cumulative
+    distributions (cumsums of nonnegative probabilities) for its uniform
+    draw u[i] in [0, 1].
 
-    ``u`` is scaled by ``cdf[-1]``, so rows that do not sum to one (maps
-    that are not trace preserving) are sampled in proportion.  A scaled draw
-    that reaches ``cdf[-1]`` (u = 1, or a subnormal total that rounds
-    ``u * cdf[-1]`` up) is clamped to the last outcome with nonzero
+    u[i] is scaled by the row's total cdfs[i, -1], so rows that do not sum
+    to one (maps that are not trace preserving) are sampled in proportion.
+    A scaled draw that reaches the total (u = 1, or a subnormal total that
+    rounds u * total up) is clamped to the row's last outcome with nonzero
     probability, so the result is always in range and never an outcome of
-    probability zero.  Raises ``ValueError`` when no outcome has positive
+    probability zero.  Raises ``ValueError`` when some row has no positive
     probability.
-
-    ``u`` may be a (count,) array of draws, against one cdf or a
-    (count, D) stack of them (one draw per row); the result is the array of
-    the outcomes each draw gives on its own, and it raises if any row has
-    no positive mass.
     """
-    if getattr(u, "ndim", 0) == 0:  # a float, a numpy scalar or a 0-d array
-        total = cdf[-1]
-        if not total > 0:
-            raise ValueError("outcome distribution has no positive mass")
-        v = int(cdf.searchsorted(u * total, side="right"))
-        return v if v < len(cdf) else int(cdf.searchsorted(total, side="left"))
-    total = cdf[..., -1:]
+    total = cdfs[:, -1:]
     if not (total > 0).all():
         raise ValueError("outcome distribution has no positive mass")
     # on a nondecreasing row, counting entries <= t is searchsorted(t, "right")
-    v = (cdf <= u[:, None] * total).sum(axis=-1)
-    top = np.flatnonzero(v == cdf.shape[-1])  # only these rows need the clamp
-    rows, tops = (cdf[top], total[top]) if cdf.ndim > 1 else (cdf, total)
-    v[top] = (rows < tops).sum(axis=-1)
+    v = (cdfs <= u[:, None] * total).sum(axis=-1)
+    top = np.flatnonzero(v == cdfs.shape[-1])  # only these rows need the clamp
+    v[top] = (cdfs[top] < total[top]).sum(axis=-1)
     return v

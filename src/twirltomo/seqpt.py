@@ -11,10 +11,13 @@ The blind protocol records which element was drawn and which bit string
 came out.  Any two realizations whose frames pin down a unique compatible
 intermediary Pauli "vote" for it; every Pauli with at least two votes is
 scored by counting the realizations whose candidate set contains it.
-Realizations are grouped by (frame, outcome) constraint class first, so all
-M(M-1)/2 pairs are analyzed exactly at a cost quadratic in the number of
-classes, in row-major blocks of ``_PAIR_BLOCK`` class pairs, each solved
-by one :func:`twirltomo.gf2.solve_unique_batch` call.
+Realizations are merged by constraint class first: one batched rref
+reduces each realization's (frame, outcome) to its class (blind Clifford
+hands in every realization, blind MUB one group per seen (basis, outcome)),
+and equal classes merge in first-seen order.  So all M(M-1)/2 pairs are
+analyzed exactly at a cost quadratic in the number of classes, in
+row-major blocks of ``_PAIR_BLOCK`` class pairs, each solved by one
+:func:`twirltomo.gf2.solve_unique_batch` call.
 
 Blind MUB is the one sampler off the shared outcome draw: it keeps its
 per-realization ``substreams`` loop, in blocks of ``_MUB_BLOCK`` cdf entries
@@ -327,7 +330,6 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     d = channel.dim
     m_total = config.shots
 
-    # each variant groups its realizations by (Z-frame, outcome), first seen first
     if config.variant == "mub":
         # one group per seen code j*D + v, visited in order of first realization
         sizes, first, records = _sample_mub_codes(channel, config.seed, m_total,
@@ -335,29 +337,25 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         seen = np.flatnonzero(sizes)
         codes = seen[np.argsort(first[seen])]
         frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
-    else:
+    else:  # one group per realization; _discover merges equal classes
         twirl = TwirlSpec("clifford_full", n)
         ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
         tableaux = twirl.elements(ints)
         outcomes = draw_outcomes(*twirl.laws(backend, channel, tableaux), u[:, 0])
-        frame_outcomes = np.concatenate(
-            (tableaux.z, outcomes[:, None].astype(np.uint64)), axis=1)
-        _, first, sizes = np.unique(frame_outcomes, axis=0, return_index=True,
-                                    return_counts=True)
-        order = np.argsort(first)
         records = ([ExperimentRecord("clifford", (tableaux.clifford(i),), _bits(v, n))
                     for i, v in enumerate(outcomes.tolist())] if keep_records else [])
-        frames, outcomes, sizes = tableaux.z[first[order]], outcomes[first[order]], sizes[order]
+        frames, sizes = tableaux.z, np.ones(m_total, dtype=np.int64)
     return _discover(n, config, frames, outcomes, sizes, records)
 
 
 def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
               records: list[ExperimentRecord]) -> SeqptResult:
-    """Pair analysis and estimates of a blind run, from its realizations
-    grouped by (Z-frame, outcome) in first-seen order: the (K, n) Z-image
-    keys, outcome and realization count of each group.  The groups'
-    constraint classes come from one batched rref; groups with the same
-    class merge, and the classes keep the order of their first group."""
+    """Pair analysis and estimates of a blind run, from groups of its
+    realizations that share a (Z-frame, outcome), in first-seen order: the
+    (K, n) Z-image keys, outcome and realization count of each group (blind
+    Clifford hands in one group per realization).  The groups' constraint
+    classes come from one batched rref; groups with the same class merge,
+    and the classes keep the order of their first group."""
     rows = _constraint_classes(n, frames, outcomes)
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)

@@ -124,6 +124,19 @@ def dense_local_probs(channel, digits):
     return np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
 
 
+def draw_outcome_reference(cdf: np.ndarray, u: float) -> int:
+    """Reference outcome of one uniform ``u`` in [0, 1] against one
+    cumulative distribution, by searchsorted: ``u`` is scaled by the total,
+    a scaled draw that reaches the total is clamped to the last outcome of
+    nonzero probability, and a cdf with no positive mass raises
+    ``ValueError``.  ``rng._draw_outcome`` is checked against it row by row."""
+    total = cdf[-1]
+    if not total > 0:
+        raise ValueError("outcome distribution has no positive mass")
+    v = int(cdf.searchsorted(u * total, side="right"))
+    return v if v < len(cdf) else int(cdf.searchsorted(total, side="left"))
+
+
 def transpose_map_channel() -> ChannelModel:
     """The canonical positive-but-not-CP single-qubit map rho -> rho^T."""
     return ChannelModel.from_chi(

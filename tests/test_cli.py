@@ -151,6 +151,31 @@ def test_cli_capacity_exit_code(tmp_path):
     assert main(["exact-chi", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("n", [7, 40])
+@pytest.mark.parametrize("verb", [["exact-chi"], ["bounds-check"],
+                                  ["seqpt", "select", "--shots", "10", "--label", "Z"],
+                                  ["seqpt", "blind", "--shots", "10"],
+                                  ["local-twirl", "--shots", "10"]],
+                         ids=["exact-chi", "bounds-check", "select", "blind", "local-twirl"])
+def test_specs_past_the_dense_cap_exit_3_before_building(tmp_path, monkeypatch, verb, n):
+    """A spec on more than 6 qubits exits with code 3 on every spec verb and
+    writes nothing, before any gate unitary or channel is built: at n = 40
+    no D x D matrix fits in memory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D x D matrix was built past the dense cap")
+
+    monkeypatch.setattr(cli, "build_channel", refuse)
+    monkeypatch.setattr(channel_spec, "gate_unitary", refuse)
+    spec = write_spec(tmp_path, {"name": "big", "n": n, "build": [
+        {"named_gate": "CNOT", "qubits": [1, 2]},
+        {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]})
+    argv = [*verb, "--spec", str(spec), "--out", str(tmp_path / "o")]
+    if "--label" in argv:
+        argv[argv.index("--label") + 1] = "Z" * n
+    assert main(argv) == 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_seqpt_select_requires_label(tmp_path):
     spec = write_spec(tmp_path, DEP_DOC)
     assert main(["seqpt", "select", "--spec", str(spec), "--out",

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
-                      label_table, transpose_map_channel)
+                      draw_outcome_reference, label_table, transpose_map_channel)
 from twirltomo import dense, localtwirl, seqpt
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
                                 depolarizing_kraus, embed_kraus, gate_unitary,
-                                random_cp_channel)
+                                pauli_coefficients, random_cp_channel)
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
@@ -35,9 +35,10 @@ def _ket_density(amplitudes):
 def _measure(rho, n, u):
     """Computational-basis outcome bits of ``rho`` for the uniforms ``u``,
     drawn the way every sampled protocol draws: the Born probabilities are
-    cumsummed and passed to ``_draw_outcome``."""
+    cumsummed and passed to ``_draw_outcome``, one row per draw."""
     cdf = np.cumsum(np.clip(np.real(np.diag(rho)), 0.0, None))
-    return [_bits(int(v), n) for v in np.atleast_1d(_draw_outcome(cdf, u))]
+    u = np.atleast_1d(u)
+    return [_bits(int(v), n) for v in _draw_outcome(np.tile(cdf, (len(u), 1)), u)]
 
 
 def test_evolve_examples():
@@ -91,6 +92,23 @@ def test_haar_moment_random_operators():
                for _ in range(4)]
         res = haar_twirl_moment(*ops, samples=60000, rng=rng)
         assert res.deviation_sigmas <= 3.5
+
+
+def test_haar_moment_runs_in_chunks(monkeypatch):
+    """With the chunk forced below the sample count, the estimate is the
+    mean of the integrand over every chunk's unitaries, the last chunk
+    partial, drawn in order from the one generator."""
+    monkeypatch.setattr(dense, "_HAAR_CHUNK", 7)
+    rng = master(5)
+    a1, a2, b1, b2 = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4))
+    res = haar_twirl_moment(a1, a2, b1, b2, samples=20, rng=master(6))
+    draws = master(6)
+    vals = [np.trace(a1 @ u.conj().T @ b1 @ u @ a2 @ u.conj().T @ b2 @ u)
+            for m in (7, 7, 6) for u in dense.haar_random_unitaries(3, m, draws)]
+    assert res.samples == 20
+    assert abs(res.estimate - np.mean(vals)) <= 1e-12
+    assert abs(res.stderr - np.sqrt((np.var(np.real(vals), ddof=1)
+                                     + np.var(np.imag(vals), ddof=1)) / 20)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, samples", [(1, 100), (0, 100), (2, 1), (2, 0)])
@@ -245,13 +263,18 @@ def test_enumeration_caps():
         enumerate_twirl_exact(big, TwirlSpec("haar_state", 4))
 
 
+def _one_clifford(n):
+    return Tableaux.of([sample_clifford_uniform(n, master(9))])
+
+
 @pytest.mark.parametrize("entry", [
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("mub", 2), p, b),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 2), p, b),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("clifford_full", 2), p, b),
     lambda ch, p, b: b.mub_transition_probs(ch, 3, p),
-    lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(2, master(9)), p),
-    lambda ch, p, b: b.clifford_outcome_probs(ch, sample_clifford_uniform(p.n, master(9))),
+    lambda ch, p, b: dense._shift_outcomes(
+        b.clifford_outcome_probs(ch, _one_clifford(2)), _one_clifford(2).z, p),
+    lambda ch, p, b: b.clifford_outcome_probs(ch, _one_clifford(p.n)),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("mub", p.n), None, b),
     lambda ch, p, b: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", p.n), None, b),
 ], ids=["enum-mub", "enum-local", "enum-clifford", "mub-table", "clifford-law",
@@ -277,6 +300,17 @@ def test_twirl_spec_sizes():
                     ("local_clifford", -1)):
         with pytest.raises(ConfigError):
             TwirlSpec(kind, n)
+
+
+@pytest.mark.parametrize("n", [True, np.True_, 2.5, "2", None])
+def test_twirl_spec_qubit_count_must_be_an_integer(n):
+    """A bool or a non-integer qubit count raises ConfigError naming n,
+    instead of running as one qubit (True) or failing in a comparison; a
+    numpy integer is kept as a Python int."""
+    with pytest.raises(ConfigError, match="^n must be an integer"):
+        TwirlSpec("mub", n)
+    twirl = TwirlSpec("mub", np.int64(2))
+    assert type(twirl.n) is int and twirl.layout == (5, 4)
 
 
 def test_mub_transition_probs_rejects_a_basis_outside_the_family():
@@ -322,8 +356,10 @@ def test_clifford_outcome_probs_match_dense_reference():
                 continue
             for c in cliffords:
                 p = Pauli.from_label(n, int(rng.integers(0, 4 ** n)))
+                one = Tableaux.of([c])
                 for inter in (None, p):
-                    got = backend.clifford_outcome_probs(ch, c, inter)
+                    got = dense._shift_outcomes(backend.clifford_outcome_probs(ch, one),
+                                                one.z, inter)[0]
                     want = _dense_clifford_probs(ch, c, inter)
                     assert np.abs(got - want).max() <= 1e-12, (name, n, str(inter))
 
@@ -356,13 +392,13 @@ def _tableau_law_reference(channel, clifford, intermediary=None):
 
 
 def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
-    """The laws of a Tableaux stack equal row 0 of the elements' whole
-    transition tables within 1e-15, and the chi-tableau reference within
-    1e-14, with and without an intermediary, on the battery, a full-rank
-    Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian chi map,
-    non-TP maps and the benchmark channel, whichever of the Pauli-support
-    and dense laws each takes.  With the block forced to one element and to
-    all of them, each row equals the law of that one Clifford bit for bit."""
+    """The laws of a Tableaux stack, shifted by an intermediary or not,
+    equal the chi-tableau reference within 1e-14 on the battery, a
+    full-rank Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian
+    chi map, non-TP maps and the benchmark channel, whichever of the
+    Pauli-support and dense laws each takes.  With the block forced to one
+    element and to all of them, each row equals the law of the one-row stack
+    of that Clifford bit for bit."""
     backend = DenseBackend()
     rng = master(78)
     count = 40
@@ -371,20 +407,21 @@ def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
         n = ch.n
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
-        table_rows = dense._transition_table(ch, tableaux.unitaries())[:, 0]
-        assert np.abs(backend.clifford_outcome_probs(ch, tableaux) - table_rows).max() <= 1e-15
         p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
         for inter in (None, p):
             want = np.array([_tableau_law_reference(ch, tableaux.clifford(i), inter)
                              for i in range(count)])
             for block in (1, 1 << 30):
                 monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
-                got = backend.clifford_outcome_probs(ch, tableaux, inter)
+                got = dense._shift_outcomes(backend.clifford_outcome_probs(ch, tableaux),
+                                            tableaux.z, inter)
                 assert got.shape == (count, ch.dim)
                 assert np.abs(got - want).max() <= 1e-14, (name, str(inter))
                 for i in range(count):
-                    one = backend.clifford_outcome_probs(ch, tableaux.clifford(i), inter)
-                    assert np.array_equal(one, got[i]), (name, str(inter), block, i)
+                    one = Tableaux.of([tableaux.clifford(i)])
+                    law = dense._shift_outcomes(backend.clifford_outcome_probs(ch, one),
+                                                one.z, inter)
+                    assert np.array_equal(law[0], got[i]), (name, str(inter), block, i)
     assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
 
 
@@ -416,25 +453,30 @@ def _support_test_channels():
 
 
 def test_support_laws_equal_transition_table_rows():
-    """The Pauli-support law equals row 0 of the elements' transition tables
-    within 1e-15, on every map's full Pauli decomposition, whichever law the
-    backend picks for it.  Summed back over the Paulis, the coefficients
-    give each operator of the pairs to rounding.  The benchmark channel has
-    8 support terms at every n, and the backend keeps exactly those."""
+    """The Pauli-support law equals row 0 of the elements' whole transition
+    tables within 1e-15, on every map's full Pauli decomposition, whichever
+    law the backend picks for it.  The decomposition reads pauli_coefficients
+    by label (conftest's label_table) with the phase i^|x & z|; summed back
+    over X^x Z^z, it gives each operator of the pairs to rounding.  The
+    benchmark channel has 8 support terms at every n, and the backend keeps
+    exactly those, with the same coefficients bit for bit."""
     rng = master(79)
     for name, ch in _support_test_channels():
         n = ch.n
         # X^x Z^z = (-i)^|x & z| P for the Hermitian Pauli P of key x | z << n
         xz = np.array([_key_to_pauli(k, n).to_matrix() * (-1j) ** (k & (k >> n)).bit_count()
                        for k in range(4 ** n)])
-        a, b = (np.array([dense._pauli_coefficients(pair[side]) for pair in ch.operator_pairs()])
-                for side in (0, 1))
+        keys = np.arange(4 ** n)
+        x, z = keys % ch.dim, keys // ch.dim
+        a, b = (np.array([pauli_coefficients(pair[side])[label_table(n)[x, z]]
+                          * I_POWERS[np.bitwise_count(x & z) % 4]
+                          for pair in ch.operator_pairs()]) for side in (0, 1))
         for coef, side in ((a, 0), (b, 1)):
             ops = np.array([pair[side] for pair in ch.operator_pairs()])
             assert np.abs(np.tensordot(coef, xz, 1) - ops).max() <= 1e-14, name
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 60, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
-        want = dense._transition_table(ch, tableaux.unitaries())[:, 0]
+        want = dense._transition_table(ch, tableaux.unitaries(), np.arange(ch.dim))[:, 0]
         got = dense._support_laws(tableaux, np.arange(4 ** n, dtype=np.uint64), a, b)
         assert np.abs(got - want).max() <= 1e-15, name
         nonzero = np.flatnonzero((a != 0).any(axis=0) | (b != 0).any(axis=0))
@@ -475,7 +517,7 @@ def test_full_rank_maps_take_the_dense_law(monkeypatch):
         return run
 
     monkeypatch.setattr(dense, "_support_laws", counted("support", dense._support_laws, 0))
-    monkeypatch.setattr(dense, "_clifford_laws", counted("dense", dense._clifford_laws, 1))
+    monkeypatch.setattr(dense, "_transition_table", counted("dense", dense._transition_table, 1))
     rows, _ = draw_batch(3, 1, 300, clifford_bounds(3), 0)
     tableaux = grow_cliffords(3, rows)
     for ch, law, step in [
@@ -539,9 +581,9 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
         applied.append(1)
         return apply(self, rho)
 
-    def counted_table(channel, w):
+    def counted_table(channel, w, columns):
         built.append(len(w))
-        return table(channel, w)
+        return table(channel, w, columns)
 
     monkeypatch.setattr(ChannelModel, "apply", counted_apply)
     monkeypatch.setattr(dense, "_transition_table", counted_table)
@@ -625,26 +667,28 @@ def test_transition_tables_match_per_column_apply():
 def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
     """local_tables and mub_tables build the missing tables from one stack
     of basis unitaries; every table equals the one built alone,
-    _transition_table(channel, u[None]) of its rotation unitary
+    _transition_table(channel, u[None], all columns) of its rotation unitary
     local_twirl_unitary(...) or its basis unitary, bit for bit.  Every
     rotation part and every MUB basis at n = 1 to 5, on the table-test maps
     (battery, transpose, non-Hermitian chi, non-TP) and random CP maps at
     n = 4 and 5, with the block forced to one table and to all tables; half
-    the tables are cached first, and the stack follows the order asked for."""
+    the rotation tables are cached first, and the stack follows the order
+    asked for."""
     monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
     channels = [*_table_test_channels(),
                 ("random-cp-4", random_cp_channel(4, master(98))),
                 ("random-cp-5", random_cp_channel(5, master(99), n_kraus=3))]
     for name, ch in channels:
         rotations = np.array(list(itertools.product(range(3), repeat=ch.n)))
+        every = np.arange(ch.dim)
         want = np.array([dense._transition_table(
-            ch, local_twirl_unitary(tuple((0, s) for s in r))[None])[0]
+            ch, local_twirl_unitary(tuple((0, s) for s in r))[None], every)[0]
             for r in rotations.tolist()])
         backend = DenseBackend()
         assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
         assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
         family = build_mub_family(ch.n)
-        want = np.array([dense._transition_table(ch, family[j].unitaries())[0]
+        want = np.array([dense._transition_table(ch, family[j].unitaries(), every)[0]
                          for j in range(len(family))])
         for j in range(0, len(family), 2):
             assert np.array_equal(backend.mub_transition_probs(ch, j), want[j]), name
@@ -688,7 +732,7 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
     ch = random_cp_channel(n, master(97))
     backend = DenseBackend()
     _, outcomes = _sample_local_batch(ch, 0, len(ints), backend)
-    want = [_draw_outcome(np.cumsum(backend.local_outcome_probs(ch, d)), u)
+    want = [draw_outcome_reference(np.cumsum(backend.local_outcome_probs(ch, d)), u)
             for d in elements for u in grid]
     assert outcomes.tolist() == want
 
@@ -700,10 +744,13 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
 def _family_reference(channel, kind, ints, elements, pm=None):
     """(keys, laws): each element's exact law, by a channel application
     outside the table cache (then the intermediary matrix pm, for MUB and
-    Clifford elements), and a group key read off its draws alone.
+    Clifford elements), and a group key such that each group shares one law.
     MUB elements group by (basis, state) and one-qubit-twirl elements by
-    (rotation part, X part), so each group shares one law; Clifford
-    elements, each with a law of its own, group 250 at a time in draw order."""
+    (rotation part, X part), keys read off their draws alone; Clifford
+    elements group by their reference law itself (rounded to 1e-9).
+    Grouping Clifford elements with different laws pools their covariances
+    towards the uniform one: 250 at a time in draw order, draws from the
+    wrong law of every element scored z = 3.0 or less."""
     n, d = channel.n, channel.dim
     places = np.arange(n - 1, -1, -1)
     if kind == "mub":
@@ -720,7 +767,7 @@ def _family_reference(channel, kind, ints, elements, pm=None):
                           for r in rotations.tolist() for xx in range(d)])
         return keys, table[keys]
     laws = np.array([_reference_row(channel, w, 0, pm) for w in elements.unitaries()])
-    return np.arange(len(ints)) // 250, laws
+    return np.unique(np.round(laws, 9), axis=0, return_inverse=True)[1].ravel(), laws
 
 
 def _pooled_pearson_z(keys, laws, outcomes) -> float:
@@ -771,9 +818,11 @@ def test_family_outcomes_follow_exact_laws(kind, n, shots):
     The law each element reads, laws[rows[i]], must equal its reference law
     (:func:`_family_reference`) to 1e-12; no outcome of probability zero may
     be drawn; and the pooled Pearson statistic of :func:`_pooled_pearson_z`,
-    grouped by keys read off the draws, must lie within 5 standard
-    deviations above its mean."""
-    channel = random_cp_channel(n, master(700 + n), n_kraus=2)
+    over groups that share one law, must lie within 5 standard deviations
+    above its mean.  Clifford elements run on :func:`_peaked_sparse_map`,
+    whose laws the Pauli-support law gives from n = 2."""
+    channel = (_peaked_sparse_map(n) if kind == "clifford_full"
+               else random_cp_channel(n, master(700 + n), n_kraus=2))
     twirl = TwirlSpec(kind, n)
     ints, u = draw_batch(19, 1, shots, twirl.layout, 1)
     elements = twirl.elements(ints)
@@ -783,6 +832,35 @@ def test_family_outcomes_follow_exact_laws(kind, n, shots):
     assert np.abs(laws[rows] - want).max() <= 1e-12
     assert (want[np.arange(shots), outcomes] > 0).all(), "an outcome of probability zero was drawn"
     assert _pooled_pearson_z(keys, want, outcomes) <= 5.0
+
+
+def _peaked_sparse_map(n):
+    """70% identity and 30% one Clifford gate (H at n = 1, CNOT(1, 2) from
+    n = 2): each law puts at least 0.7 on outcome 0, and the map has K = 2
+    operators on |S| <= 4 Pauli terms, so from n = 2 the backend reads its
+    Clifford laws off the Pauli support."""
+    gate = gate_unitary("H", (0,), 1) if n == 1 else gate_unitary("CNOT", (0, 1), n)
+    return ChannelModel.from_kraus([np.sqrt(0.7) * np.eye(1 << n), np.sqrt(0.3) * gate])
+
+
+@pytest.mark.parametrize("n, shots", [(2, 4000), (3, 5000), (4, 5000)])
+def test_clifford_outcome_test_fails_a_broken_support_phase(monkeypatch, n, shots):
+    """The Clifford case of :func:`test_family_outcomes_follow_exact_laws`
+    has power against a wrong Pauli-support law: with the sign of each
+    phase i^e dropped (i^e read as i^(e mod 2)), the laws miss the reference
+    and their draws fail the pooled Pearson test."""
+    channel = _peaked_sparse_map(n)
+    twirl = TwirlSpec("clifford_full", n)
+    ints, u = draw_batch(19, 1, shots, twirl.layout, 1)
+    elements = twirl.elements(ints)
+    keys, want = _family_reference(channel, "clifford_full", ints, elements)
+    backend = DenseBackend()
+    twirl.laws(backend, channel, elements[:1])  # the support is kept with its true phases
+    assert backend._tables[channel]["support"] is not None
+    monkeypatch.setattr(dense, "_I_POWERS", np.array([1, 1j, 1, 1j]))
+    laws, rows = twirl.laws(backend, channel, elements)
+    assert np.abs(laws[rows] - want).max() > 0.1
+    assert _pooled_pearson_z(keys, want, dense.draw_outcomes(laws, rows, u[:, 0])) > 5.0
 
 
 @pytest.mark.parametrize("kind, n, shots", [(kind, n, shots) for kind in ("mub", "clifford_full")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cnot_channel, mixed_z1_channel
+from conftest import cnot_channel, draw_outcome_reference, mixed_z1_channel
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
                                 random_cp_channel)
@@ -19,7 +19,7 @@ from twirltomo.seqpt import (SeqptConfig, _bits, _discover, average_fidelity,
                              compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import build_mub_family, sample_clifford_uniform
+from twirltomo.stabilizer import Tableaux, build_mub_family, sample_clifford_uniform
 
 def test_config_sampling_bounds():
     with pytest.raises(ConfigError):
@@ -115,8 +115,9 @@ def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
     survived = 0
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
-        probs = backend.clifford_outcome_probs(channel, sample_clifford_uniform(n, g), label)
-        survived += g.random() < probs[0]
+        one = Tableaux.of([sample_clifford_uniform(n, g)])
+        probs = dense._shift_outcomes(backend.clifford_outcome_probs(channel, one), one.z, label)
+        survived += g.random() < probs[0, 0]
     est = estimate_chi_selective(channel, label, cfg, backend)
     assert est.survival_rate == survived / cfg.shots
     monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
@@ -135,7 +136,8 @@ def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
         c = sample_clifford_uniform(n, g)
-        v = _draw_outcome(np.cumsum(backend.clifford_outcome_probs(channel, c)), g.random())
+        law = backend.clifford_outcome_probs(channel, Tableaux.of([c]))[0]
+        v = draw_outcome_reference(np.cumsum(law), g.random())
         want.append(ExperimentRecord("clifford", (c,), _bits(v, n)))
     res = run_blind_discovery(channel, cfg, backend, keep_records=True)
     assert res.records == want
@@ -157,8 +159,8 @@ def test_sampled_runs_never_build_chi(variant):
 
 def _blind_mub_one_by_one(channel, cfg, backend):
     """Blind MUB run one realization at a time: basis j, state m and the
-    outcome uniform from substream(seed, 1 + i), the scalar outcome draw,
-    and one constraint class per realization."""
+    outcome uniform from substream(seed, 1 + i), the reference outcome draw
+    (conftest's draw_outcome_reference), and one group per realization."""
     n, d = channel.n, channel.dim
     fam = build_mub_family(n)
     bases, outcomes, records = [], [], []
@@ -166,7 +168,7 @@ def _blind_mub_one_by_one(channel, cfg, backend):
         g = substream(cfg.seed, 1 + i)
         j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
         cdf = np.cumsum(backend.mub_transition_probs(channel, j)[m])
-        v = _draw_outcome(cdf, g.random())
+        v = draw_outcome_reference(cdf, g.random())
         bases.append(j)
         outcomes.append(v)
         records.append(ExperimentRecord("mub", (j, m), _bits(v, n)))
@@ -542,17 +544,23 @@ _PROBS = st.lists(_PROB, min_size=1, max_size=16)
 _U = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1.0]), st.floats(0.0, 1.0))
 
 
+def _draw_one(probs, u) -> int:
+    """The stack form of _draw_outcome on one row and one draw."""
+    return int(_draw_outcome(np.cumsum(probs)[None], np.array([u]))[0])
+
+
 def _assert_valid_draw(probs, u):
-    v = _draw_outcome(np.cumsum(probs), u)
+    v = _draw_one(probs, u)
     assert 0 <= v < len(probs) and probs[v] > 0, (probs, u, v)
+    assert v == draw_outcome_reference(np.cumsum(probs), u)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PROBS.filter(lambda p: sum(p) > 0), _U)
 def test_draw_outcome_in_range_and_possible(probs, u):
     """Unnormalized and subnormal rows, zero entries anywhere, u = 0,
-    u = 1 - 2^-53 and u = 1: the outcome is in range and never one of
-    probability zero."""
+    u = 1 - 2^-53 and u = 1: the outcome is in range, never one of
+    probability zero, and the reference draw's."""
     _assert_valid_draw(np.array(probs), u)
 
 
@@ -566,10 +574,11 @@ def test_draw_outcome_trailing_zeros(probs, zeros, u):
 @given(_PROBS.filter(lambda p: sum(p) > 0), st.integers(0, 4),
        st.lists(_U, min_size=1, max_size=20))
 def test_draw_outcome_array_equals_scalar(probs, zeros, us):
-    """An array of draws gives, elementwise, the outcome of each draw."""
+    """Draws against a stack of one repeated cdf give, elementwise, the
+    reference outcome of each draw."""
     cdf = np.cumsum(probs + [0.0] * zeros)
-    got = _draw_outcome(cdf, np.array(us))
-    assert got.tolist() == [_draw_outcome(cdf, u) for u in us]
+    got = _draw_outcome(np.tile(cdf, (len(us), 1)), np.array(us))
+    assert got.tolist() == [draw_outcome_reference(cdf, u) for u in us]
 
 
 @settings(max_examples=300, deadline=None)
@@ -577,8 +586,8 @@ def test_draw_outcome_array_equals_scalar(probs, zeros, us):
     st.tuples(st.lists(_PROB, min_size=d, max_size=d), _U), min_size=1, max_size=6)))
 def test_draw_outcome_stack_equals_scalar(rows):
     """A (count, D) stack of cdfs with one draw per row gives, row by row,
-    the outcome of the one-row call, and raises ValueError exactly when some
-    row has no positive mass."""
+    the reference outcome of that row's draw, and raises ValueError exactly
+    when some row has no positive mass."""
     cdfs = np.cumsum([probs for probs, _ in rows], axis=1)
     us = np.array([u for _, u in rows])
     if not (cdfs[:, -1] > 0).all():
@@ -586,24 +595,25 @@ def test_draw_outcome_stack_equals_scalar(rows):
             _draw_outcome(cdfs, us)
         return
     got = _draw_outcome(cdfs, us)
-    assert got.tolist() == [_draw_outcome(cdf, u) for cdf, u in zip(cdfs, us.tolist())]
+    assert got.tolist() == [draw_outcome_reference(cdf, u) for cdf, u in zip(cdfs, us.tolist())]
 
 
 def test_draw_outcome_edges():
     # a draw that reaches cdf[-1] lands on the last possible outcome
-    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0 - 2.0 ** -53) == 1
-    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), 1.0) == 1
-    assert _draw_outcome(np.cumsum([5e-324, 0.0]), 0.75) == 0
-    assert _draw_outcome(np.cumsum([0.0, 0.5, 0.5]), 0.0) == 1
+    assert _draw_one([0.25, 0.75, 0.0, 0.0], 1.0 - 2.0 ** -53) == 1
+    assert _draw_one([0.25, 0.75, 0.0, 0.0], 1.0) == 1
+    assert _draw_one([5e-324, 0.0], 0.75) == 0
+    assert _draw_one([0.0, 0.5, 0.5], 0.0) == 1
     # unnormalized rows are sampled in proportion
-    assert _draw_outcome(np.cumsum([0.5, 1.5]), 0.3) == 1
+    assert _draw_one([0.5, 1.5], 0.3) == 1
     with pytest.raises(ValueError):
-        _draw_outcome(np.zeros(4), 0.5)
+        _draw_one(np.zeros(4), 0.5)
     with pytest.raises(ValueError):
-        _draw_outcome(np.zeros(4), np.array([0.0, 0.5, 1.0]))
+        _draw_outcome(np.zeros((3, 4)), np.array([0.0, 0.5, 1.0]))
     edges = np.array([0.0, 1.0 - 2.0 ** -53, 1.0])
-    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0]), edges).tolist() == [0, 1, 1]
-    assert _draw_outcome(np.cumsum([5e-324, 0.0]), edges).tolist() == [0, 0, 0]
+    assert _draw_outcome(np.tile(np.cumsum([0.25, 0.75, 0.0, 0.0]), (3, 1)),
+                         edges).tolist() == [0, 1, 1]
+    assert _draw_outcome(np.tile(np.cumsum([5e-324, 0.0]), (3, 1)), edges).tolist() == [0, 0, 0]
     stack = np.cumsum([[0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [5e-324, 0, 0, 0]], axis=1)
     assert _draw_outcome(stack, np.array([1.0, 0.0, 0.75])).tolist() == [1, 1, 0]
     with pytest.raises(ValueError):
