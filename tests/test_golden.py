@@ -48,9 +48,16 @@ SPECS = {
                   {"named_gate": "CNOT", "qubits": [3, 4]},
                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]},
                   {"noise": "amplitude_damping", "strength": 0.1, "qubits": [4]}]},
+    # the benchmark channel, CNOT(1,2) then 5% depolarizing on qubit 1: built
+    # from Clifford gates and Pauli noise alone, unlike the specs above
+    **{f"noisy-cnot-{n}": {"name": f"noisy-cnot-n{n}", "n": n,
+                           "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                                     {"noise": "depolarizing", "strength": 0.05,
+                                      "qubits": [1]}]}
+       for n in (3, 4)},
 }
 
-# case id -> (qubit count of the spec or None, CLI argv after the verb's
+# case id -> (the SPECS key of the spec or None, CLI argv after the verb's
 # positional mode; --spec and --out are filled in by the runner)
 CLI_CASES = {
     "exact-chi-n2": (2, ["exact-chi"]),
@@ -73,6 +80,16 @@ CLI_CASES = {
     "success-prob": (None, ["success-prob", "--max-n", "6"]),
     "haar-verify": (None, ["haar-verify", "--dim", "2", "--shots", "2000",
                            "--quadruples", "2", "--seed", "5"]),
+    "noisy-cnot-select-clifford-n3": ("noisy-cnot-3", [
+        "seqpt", "select", "--variant", "clifford", "--label", "ZXI",
+        "--shots", "300", "--seed", "51"]),
+    "noisy-cnot-blind-mub-n3": ("noisy-cnot-3", ["seqpt", "blind", "--variant", "mub",
+                                                 "--shots", "2000", "--seed", "52"]),
+    "noisy-cnot-blind-clifford-n3": ("noisy-cnot-3", ["seqpt", "blind", "--variant",
+                                                      "clifford", "--shots", "300",
+                                                      "--seed", "53"]),
+    "noisy-cnot-local-twirl-n4": ("noisy-cnot-4", ["local-twirl", "--shots", "3000",
+                                                   "--seed", "54"]),
 }
 
 # case id -> (n, variant, shots, seed, pair_class_cap)
@@ -120,6 +137,14 @@ GOLDEN = {
         "35c952b2ce7e3d8951a4f3b848f1e5e361924ca00a0903f4906ca1516ca5cf21",
     "haar-verify":
         "423f5eb262490eb2622b2979c577597a7c38d5978efa9145190dc9ee474b0068",
+    "noisy-cnot-select-clifford-n3":
+        "f10bba64009359bbfa7202467643848e0347aa0b5bc5b61e17f9b805d70383d1",
+    "noisy-cnot-blind-mub-n3":
+        "b85b0fa612fd8b81d9467967fa747fb22e626cb9ca9a19b7340417a924692550",
+    "noisy-cnot-blind-clifford-n3":
+        "691291743aacd0c5ce5f61d03838842b31f23741f734fd8677bbc5fa4fa3a209",
+    "noisy-cnot-local-twirl-n4":
+        "815a9e79a578e865bb699d5685d2b9e553f2ed0aa1aa0eca34d65d601cbeb0e2",
     "capped-mub-n3":
         "7aaa3ad5f533f4bed69397379529bfc2ed55db07da1d1b7359cd4fe9d5235442",
     "capped-clifford-n2":
@@ -165,12 +190,20 @@ OUTPUT_GOLDEN = {
         "4ad114a47fc97bfa83bcd48dfbcdf17afd3e7a4257672cc01eb0e15cb8b21431",
     "haar-verify":
         "37a92a8d80bada610a1daf059bb770ca66f1bfdce46072def66dec1f2e0ba202",
+    "noisy-cnot-select-clifford-n3":
+        "3dfc9a72c2b31b5b7d01642f6cf76ef0a2ec4ad7cf3afab34fb0711071cc7037",
+    "noisy-cnot-blind-mub-n3":
+        "1c26897174dd5a3e22f24ec93a3b974e4c9a81d80ca55227501da287085a6f1e",
+    "noisy-cnot-blind-clifford-n3":
+        "a58dc834f9e5097b262a0d15f91ccf4e3a88c73be03edc84f1e21ccd9d8894a0",
+    "noisy-cnot-local-twirl-n4":
+        "a3a59463999e86d9cdd087961539c37e9219cec84b5642e6f65eb3211581ad48",
 }
 
 
-def _write_spec(tmp: Path, n: int) -> Path:
-    path = tmp / f"spec-{n}.json"
-    path.write_text(json.dumps(SPECS[n]))
+def _write_spec(tmp: Path, key) -> Path:
+    path = tmp / f"spec-{key}.json"
+    path.write_text(json.dumps(SPECS[key]))
     return path
 
 
@@ -194,11 +227,11 @@ def run_case(case: str, tmp: Path) -> bytes:
 
 def run_cli_case(case: str, tmp: Path) -> Path:
     """Run one CLI case; returns its output directory."""
-    n, argv = CLI_CASES[case]
+    key, argv = CLI_CASES[case]
     verb, rest = argv[0], argv[1:]
     mode = [rest.pop(0)] if verb == "seqpt" else []
     out = tmp / "out"
-    spec = [] if n is None else ["--spec", str(_write_spec(tmp, n))]
+    spec = [] if key is None else ["--spec", str(_write_spec(tmp, key))]
     assert main([verb, *mode, *spec, "--out", str(out), *rest]) == 0
     return out
 
