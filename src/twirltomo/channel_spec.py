@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .channels import (ChannelModel, _operator_sum, amplitude_damping_kraus,
                        bit_flip_kraus, compose, depolarizing_kraus, embed_kraus,
                        gate_unitary, phase_flip_kraus)
 from .errors import SpecValidationError
+from .pauli import PAULI_1Q, key_labels
+from .stabilizer import Clifford, Tableaux
 
 _NOISE_BUILDERS = {
     "depolarizing": depolarizing_kraus,
@@ -42,6 +45,7 @@ _NOISE_BUILDERS = {
     "amplitude_damping": amplitude_damping_kraus,
 }
 _GATES = {"H", "S", "X", "Y", "Z", "CNOT"}
+_PAULI_NOISES = {"depolarizing", "bit_flip", "phase_flip"}
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,55 @@ def _parse_complex_matrix(rows) -> np.ndarray:
     return np.array(mat, dtype=complex)
 
 
+@dataclass(frozen=True)
+class PauliForm:
+    """A map given by its action on Paulis, E(P) = f(U P U^dag) U P U^dag:
+    the Clifford U (a one-row :class:`Tableaux`) followed by a Pauli channel
+    with the fidelity ``fidelities[l]`` on the Pauli of label l."""
+
+    clifford: Tableaux
+    fidelities: np.ndarray
+
+    @cached_property
+    def images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, e, f) over every key k = x | z << n:
+        U X^x Z^z U^dag = i^e[k] X^x' Z^z' with keys[k] = x' | z' << n, and
+        f[k] the fidelity of that image."""
+        n = self.clifford.n
+        keys, e = self.clifford.conjugate(np.arange(4 ** n, dtype=np.uint64))
+        return keys[0], e[0], self.fidelities[key_labels(n)[keys[0]]]
+
+
+def _pauli_form(doc: ChannelSpecDocument) -> PauliForm | None:
+    """The :class:`PauliForm` of a spec of named gates and depolarizing,
+    bit-flip or phase-flip noise; None for any other spec.  A noise layer
+    with fidelities f_i, followed by the gates W, acts as W N_i = N_i' W
+    with f_i'(W P W^dag) = f_i(P), so each layer moves to the end through
+    the gates after it, and the moved layers' fidelities multiply."""
+    if any("kraus" in layer or "noise" in layer and layer["noise"] not in _PAULI_NOISES
+           for layer in doc.build):
+        return None
+    n = doc.n
+    gates = [(layer["named_gate"], tuple(q - 1 for q in layer["qubits"]))
+             if "named_gate" in layer else None for layer in doc.build]
+    labels, every = key_labels(n), np.arange(4 ** n)
+    fidelities = np.ones(4 ** n)
+    for i, layer in enumerate(doc.build):
+        if "noise" in layer:
+            ops = np.array(_NOISE_BUILDERS[layer["noise"]](float(layer["strength"])))
+            # f(P) = Tr(P N(P)) / 2 of the one-qubit channel, by label digit
+            one = np.einsum("pij,kjl,plm,kim->p", PAULI_1Q, ops, PAULI_1Q, ops.conj()).real / 2
+            layer_f = np.prod([one[every >> 2 * (n - q) & 3] for q in layer["qubits"]], axis=0)
+            later = [g for g in gates[i + 1:] if g]
+            if later:
+                moved, _ = Tableaux.of([Clifford.from_circuit(later, n)]).conjugate(every)
+                fidelities[labels[moved[0]]] *= layer_f[labels]
+            else:
+                fidelities *= layer_f
+    return PauliForm(Tableaux.of([Clifford.from_circuit([g for g in gates if g], n)]),
+                     fidelities)
+
+
 def build_channel(doc: ChannelSpecDocument,
                   warnings: list[str] | None = None) -> ChannelModel:
     layers = []
@@ -173,6 +226,7 @@ def build_channel(doc: ChannelSpecDocument,
                                   "its Kraus operators or in their sum of K^dag K")
     if warnings is not None and not channel.classification.trace_preserving:
         warnings.append("composed channel is not trace preserving")
+    channel._pauli_form = _pauli_form(doc)
     return channel
 
 

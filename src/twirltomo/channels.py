@@ -316,6 +316,9 @@ class ChannelModel:
         self._pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._classification: Classification | None = None
         self._lock = threading.RLock()
+        # E(P) = f(U P U^dag) U P U^dag, set only by channel_spec.build_channel
+        # on a spec of Clifford gates and Pauli noise (its PauliForm)
+        self._pauli_form = None
 
     # -- constructors ------------------------------------------------------
 

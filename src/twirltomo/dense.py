@@ -6,14 +6,23 @@ enumeration take its steps: a row of ``layout`` draws per element, the
 elements they name, their laws (element i's is ``laws[rows[i]]``), then
 one blocked outcome draw (:func:`draw_outcomes`) or the mean of the laws,
 each shifted by an intermediary's syndrome against the elements' Z-images
-(:func:`_shift_outcomes`).  One kernel, :func:`_transition_table`, makes
-every dense law: whole tables for MUB bases and one-qubit-twirl rotation
-parts, column 0 for a Clifford element.  A Clifford law is read off the
-map's Pauli support instead where that is cheaper
-(:meth:`DenseBackend.clifford_outcome_probs`).  Blind MUB discovery alone
-keeps its own per-realization draw loop (see :mod:`twirltomo.seqpt`).
-Enumerations iterate in a fixed order, so results are reproducible bit for
-bit.
+(:func:`_shift_outcomes`).  Blind MUB discovery alone keeps its own
+per-realization draw loop (see :mod:`twirltomo.seqpt`).  Enumerations
+iterate in a fixed order, so results are reproducible bit for bit.
+
+Three law sources give the same laws, to rounding, and one rule picks
+among them per channel (:class:`DenseBackend`):
+
+- The Pauli-fidelity law (:func:`_fidelity_table`) serves a channel built
+  from a spec of Clifford gates and Pauli noise, which carries its Pauli
+  form (:class:`twirltomo.channel_spec.PauliForm`).  It makes every MUB and
+  one-qubit-twirl table of such a channel, and its Clifford laws where the
+  support law does not pay.
+- The Pauli-support law (:func:`_support_laws`) makes a Clifford element's
+  law on any map with (K + 4) |S| <= 2 D^2, K operators on |S| Pauli terms.
+- The dense kernel (:func:`_transition_table`) makes every other law: whole
+  tables for MUB bases and one-qubit-twirl rotation parts, column 0 for a
+  Clifford element.
 """
 from __future__ import annotations
 
@@ -25,16 +34,18 @@ import numpy as np
 
 from .channels import ChannelModel, pauli_coefficients
 from .errors import CapacityError, ConfigError, DimensionMismatchError
-from .pauli import PAULI_1Q, Pauli, tensor
+from .pauli import PAULI_1Q, Pauli, key_labels, tensor
 from .rng import _draw_outcome, check_int
-from .stabilizer import (_I_POWERS, Tableaux, _swap_halves, build_mub_family, clifford_bounds,
-                         grow_cliffords, outcome_shift)
+from .stabilizer import (_I_POWERS, Tableaux, build_mub_family, clifford_bounds,
+                         grow_cliffords, outcome_shift, syndromes)
 
 DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
 _TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
+_FIDELITY_BLOCK = 1 << 15  # entries per (elements, columns, D) array of a _fidelity_table pass
+_FIDELITY_ROWS = 8  # (elements, D) arrays a _fidelity_table pass holds: its least column count
 _DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
 _HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment
 
@@ -84,9 +95,11 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int,
     ``samples`` Haar unitaries, drawn ``_HAAR_CHUNK`` at a time; the caller
     compares the estimate with the closed form (``deviation_sigmas`` gives
     the distance in standard errors).
-    D < 2 or fewer than 2 samples raise before anything is drawn.
+    D < 2, a sample count that is not an integer (:func:`check_int`) or
+    fewer than 2 samples raise :class:`ConfigError` before anything is drawn.
     """
     closed_form = haar_moment_closed_form(a1, a2, b1, b2)
+    samples = check_int("samples", samples)
     if samples < 2:
         raise ConfigError(f"a Haar moment estimate needs samples >= 2, got {samples}")
     d = a1.shape[0]
@@ -210,6 +223,22 @@ _ROTS = (
 
 # _TWIRL_GATES[p, s]: the one-qubit-twirl gate S_s P_p
 _TWIRL_GATES = np.array([[r @ p for r in _ROTS] for p in PAULI_1Q])
+# the tableaux of _ROTS[s]: X-image and Z-image keys x | z << 1 and sign bits
+# (about x: X, -Y; about y: -Z, X; about z: Y, Z)
+_ROT_KEYS = np.array([[1, 3], [2, 1], [3, 2]], dtype=np.uint64)
+_ROT_SIGNS = np.array([[0, 1], [1, 0], [0, 0]])
+
+
+def _rotation_tableaux(rotations) -> Tableaux:
+    """The :class:`Tableaux` stack of the one-qubit-twirl rotation parts
+    tensor(_ROTS[s] for s in rotations[t]) of a (T, n) array, qubit 1 first."""
+    rotations = np.asarray(rotations)
+    n = rotations.shape[1]
+    place = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None]  # qubit j + 1's bit
+    keys = _ROT_KEYS[rotations]  # (T, n, 2)
+    keys = (keys & np.uint64(1)) << place | (keys >> np.uint64(1)) << (place + np.uint64(n))
+    return Tableaux(n, keys[:, :, 0], keys[:, :, 1],
+                    _ROT_SIGNS[rotations].reshape(len(rotations), 2 * n))
 
 
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -246,6 +275,77 @@ def _transition_table(channel: ChannelModel, w: np.ndarray, columns) -> np.ndarr
     return probs
 
 
+def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
+    """probs[t, c, v] as :func:`_transition_table` gives them, for a map in
+    its Pauli form E(P) = f(U P U^dag) U P U^dag
+    (:class:`twirltomo.channel_spec.PauliForm`): D fidelity lookups per
+    element, with no unitary and no dependence on the Kraus count.
+
+    Column m of element C prepares C |m><m| C^dag = (1/D) sum_z (-1)^(m.z) g_z,
+    g_z = C Z^z C^dag the signed products of its Z-images, and the map sends
+    g_z to f(U g_z U^dag) U g_z U^dag.  Read out in the basis of C, that
+    image counts only where U g_z U^dag = eps g_z' is in the group of the
+    g's: it then commutes with every Z-image, and z' is its syndrome against
+    the X-images, as C^dag g_z' C = Z^z'.  With h[z] = eps f(U g_z U^dag)
+    there (0 elsewhere), outcome v, the readout v ^ m, has
+
+        probs[m, v] = (1/D) sum_z (-1)^(m.z) h[z] (-1)^((v ^ m).z'),
+
+    clipped at 0.  A table takes the readouts v ^ m of its columns as one
+    product of sign matrices, (-1)^(m.z) h[z] times the rows (-1)^(z'.j),
+    and relabels them; a single column scatters h[z] (-1)^(m.(z ^ z')) to z'
+    and takes one product with the D x D Walsh-Hadamard signs.
+
+    The g_z and U g_z U^dag, with their phases, double over the Z-images by
+    the XZ product rule
+    (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2),
+    and the syndromes, linear in z, by XOR.  The elements run in blocks
+    whose (elements, columns, D) arrays hold about ``_FIDELITY_BLOCK``
+    entries (256 KiB of floats).
+    """
+    n, d, count = tableaux.n, 1 << tableaux.n, len(tableaux)
+    columns, mask, top = np.asarray(columns), np.uint64(d - 1), np.uint64(n)
+    u_keys, u_e, u_f = form.images
+    # the Z-images g_j and their images U g_j U^dag: keys, XZ phases, X parts
+    g_j, u_j = tableaux.z, u_keys[tableaux.z]
+    g_je = 2 * tableaux.signs[:, 1::2] + np.bitwise_count(g_j & (g_j >> top))
+    u_je = g_je + u_e[g_j]
+    # syndromes of U g_j U^dag against the Z-images (high bits), X-images (z')
+    s_j = syndromes(np.hstack((g_j, tableaux.x)), u_j, n)
+    signs = 1.0 - 2 * (np.bitwise_count(np.arange(d)[:, None] & np.arange(d)) & 1)
+    # readout j = v ^ m of column c sits at c * D + j
+    relabel = (np.arange(0, columns.size * d, d)[:, None]
+               + (np.arange(d) ^ columns[:, None])).ravel()
+    probs = np.empty((count, len(columns), d))
+    step = max(1, _FIDELITY_BLOCK // (d * max(len(columns), _FIDELITY_ROWS)))
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        g = np.zeros((len(g_j[rows]), d), dtype=np.uint64)  # keys of g_z
+        u = np.zeros(g.shape, dtype=np.uint64)  # keys of U g_z U^dag
+        g_e, u_e_z, s = (np.zeros(g.shape, dtype=np.int64) for _ in range(3))
+        for j in range(n - 1, -1, -1):  # Z-image j + 1 sets bit n - 1 - j of z
+            old, new = slice(0, 1 << (n - 1 - j)), slice(1 << (n - 1 - j), 2 << (n - 1 - j))
+            for keys, e, key, key_e in ((g, g_e, g_j, g_je), (u, u_e_z, u_j, u_je)):
+                e[:, new] = e[:, old] + key_e[rows, j, None] + 2 * np.bitwise_count(
+                    (keys[:, old] >> top) & key[rows, j, None] & mask)
+                np.bitwise_xor(keys[:, old], key[rows, j, None], out=keys[:, new])
+            np.bitwise_xor(s[:, old], s_j[rows, j, None], out=s[:, new])
+        z_to = s & (d - 1)
+        at = z_to + np.arange(0, g.size, d)[:, None]  # z' within the block, flat
+        eps = _I_POWERS[(u_e_z - g_e.ravel()[at]) % 4].real  # +-1 where it counts
+        h = np.where(s >> n == 0, eps * u_f[g], 0.0)
+        if len(columns) == 1:
+            weights = (h * signs[columns[0], np.arange(d) ^ z_to]).ravel()
+            probs[rows, 0] = np.bincount(at.ravel(), weights, h.size).reshape(-1, d) @ signs
+        else:
+            readouts = (signs[columns] * h[:, None, :]) @ signs[z_to]
+            probs[rows] = readouts.reshape(len(h), -1)[:, relabel].reshape(readouts.shape)
+    probs /= d
+    np.clip(probs, 0.0, None, out=probs)
+    probs.setflags(write=False)  # a table is cached and shared by every caller
+    return probs
+
+
 def _pauli_support(channel: ChannelModel):
     """(keys, a, b): the map's operator pairs on their Pauli support,
     A_k = sum_l a[k, l] X^x Z^z over the keys[l] = x | z << n whose
@@ -259,8 +359,7 @@ def _pauli_support(channel: ChannelModel):
     is held."""
     n, d = channel.n, channel.dim
     x, z = np.arange(d * d) % d, np.arange(d * d) // d
-    # the label of key x | z << n: base-4 digit 2 z_s + (x_s ^ z_s) on qubit n - s
-    labels = sum((2 * (z >> s & 1) | (x ^ z) >> s & 1) << 2 * s for s in range(n))
+    labels = key_labels(n)
     phases = _I_POWERS[np.bitwise_count(x & z) % 4]
     pairs = channel.operator_pairs()
     kraus = all(b_op is a_op for a_op, b_op in pairs)
@@ -282,12 +381,10 @@ def _support_laws(tableaux: Tableaux, keys: np.ndarray, a: np.ndarray,
 
     For each support key, C^dag X^x Z^z C = i^-e X^o Z^t: bit j of o (of t),
     qubit 1 on top, says whether X^x Z^z anticommutes with the Z-image (the
-    X-image) of qubit j + 1, and C X^o Z^t C^dag = i^e X^x Z^z is the
-    product of the X-images that o selects, then the Z-images that t
-    selects, by the XZ product rule
-    (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2).
-    As X^o Z^t |0..0> = |o>, the amplitude of outcome o under A_k is the sum
-    of i^-e a[k, l] over the keys with that o, and
+    X-image) of qubit j + 1 (:func:`syndromes`), and C X^o Z^t C^dag =
+    i^e X^x Z^z (:meth:`Tableaux.conjugate`).  As X^o Z^t |0..0> = |o>, the
+    amplitude of outcome o under A_k is the sum of i^-e a[k, l] over the
+    keys with that o, and
 
         probs[o] = Re sum_k amp_A_k[o] conj(amp_B_k[o]),
 
@@ -295,20 +392,10 @@ def _support_laws(tableaux: Tableaux, keys: np.ndarray, a: np.ndarray,
     one operator at a time, so the transients hold M (D + n |S|) entries.
     """
     n, m, d = tableaux.n, len(tableaux), 1 << tableaux.n
-    o_bits, t_bits = (np.bitwise_count(_swap_halves(images, n)[:, :, None] & keys) & 1
-                      for images in (tableaux.z, tableaux.x))  # (M, n, |S|)
-    e = np.zeros((m, len(keys)), dtype=np.int64)
-    acc_z = np.zeros((m, len(keys)), dtype=np.uint64)  # Z part of the product so far
-    images = [(tableaux.x[:, j], tableaux.signs[:, 2 * j], o_bits[:, j]) for j in range(n)]
-    images += [(tableaux.z[:, j], tableaux.signs[:, 2 * j + 1], t_bits[:, j]) for j in range(n)]
-    for key, sign, picked in images:
-        g_x, g_z = key & np.uint64(d - 1), key >> np.uint64(n)
-        g_e = 2 * sign + np.bitwise_count(g_x & g_z)  # Y = i X Z per qubit
-        e += picked * (g_e[:, None] + 2 * np.bitwise_count(acc_z & g_x[:, None]))
-        acc_z ^= picked * g_z[:, None]
+    o, t = syndromes(tableaux.z, keys, n), syndromes(tableaux.x, keys, n)  # (M, |S|)
+    _, e = tableaux.conjugate((o | t << n).astype(np.uint64))
     quarter, cols = -e % 4, np.arange(len(keys))
-    slots = (np.arange(0, m * d, d)[:, None]
-             + np.einsum("mjs,j->ms", o_bits, 1 << np.arange(n - 1, -1, -1))).ravel()
+    slots = (np.arange(0, m * d, d)[:, None] + o).ravel()
 
     def amplitude(coef):  # real and imaginary parts of the (M * D) amplitudes
         turned = _I_POWERS[:, None] * coef  # turned[q, l] = i^q coef[l]
@@ -335,15 +422,17 @@ def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.
 
 class DenseBackend:
     """Dense simulator handed to the protocol runners: the law source that
-    :meth:`TwirlSpec.laws` reads.  One transition table (:func:`_transition_table`)
-    per MUB basis serves every intermediary Pauli; one per rotation part of a
-    one-qubit-twirl element holds the laws of all 2^n X parts.  Each is built
-    on first use and kept.  Channels key the cache weakly (by object, not by
+    :meth:`TwirlSpec.laws` reads.  One transition table per MUB basis serves
+    every intermediary Pauli; one per rotation part of a one-qubit-twirl
+    element holds the laws of all 2^n X parts.  Each is built on first use,
+    from the channel's Pauli form (:func:`_fidelity_table`) when it has one,
+    else densely (:func:`_transition_table`), and kept.  Channels key the cache weakly (by object, not by
     id, so recycled addresses cannot collide) and capacity is capped by
     ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
     MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
     Clifford laws are computed per call, from the map's Pauli support
-    (:func:`_pauli_support`, kept per channel) where that is cheaper."""
+    (:func:`_pauli_support`, kept per channel) where that is cheaper, else
+    from its Pauli form or densely."""
 
     def __init__(self, max_n: int = DENSE_SIM_MAX_N):
         self.max_n = max_n
@@ -353,20 +442,24 @@ class DenseBackend:
         if n > self.max_n:
             raise CapacityError(f"dense backend capped at n={self.max_n}, got {n}")
 
-    def _cached_tables(self, channel: ChannelModel, family: str, keys,
+    def _cached_tables(self, channel: ChannelModel, family: str, keys, tableaux,
                        unitaries) -> np.ndarray:
         """(T, D, D) stack of the transition tables of ``family`` named by
-        ``keys``, in order.  The missing ones are built together from the
-        (T', D, D) basis stack ``unitaries(missing keys)``, in blocks of at
-        most about ``_TABLE_BLOCK`` table entries, and kept."""
+        ``keys``, in order.  The missing ones are built together, in blocks
+        of at most about ``_TABLE_BLOCK`` table entries, and kept: from their
+        :class:`Tableaux` stack ``tableaux(missing)`` in one
+        :func:`_fidelity_table` call (which blocks itself) when the channel
+        carries a Pauli form, else from the (T', D, D) basis stack
+        ``unitaries(block)`` of each block (:func:`_transition_table`)."""
         self.check_capacity(channel.n)
         cached = self._tables.setdefault(channel, {}).setdefault(family, {})
         missing = [key for key in dict.fromkeys(keys) if key not in cached]
-        step = max(1, _TABLE_BLOCK // channel.dim ** 2)
+        form, every = channel._pauli_form, np.arange(channel.dim)
+        step = max(1, len(missing) if form is not None else _TABLE_BLOCK // channel.dim ** 2)
         for lo in range(0, len(missing), step):
             block = missing[lo:lo + step]
-            cached.update(zip(block, _transition_table(channel, unitaries(block),
-                                                       np.arange(channel.dim))))
+            cached.update(zip(block, _transition_table(channel, unitaries(block), every)
+                              if form is None else _fidelity_table(form, tableaux(block), every)))
         return np.stack([cached[key] for key in keys])
 
     # -- MUB twirl ----------------------------------------------------------
@@ -375,7 +468,7 @@ class DenseBackend:
         """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
         basis j as in :meth:`mub_transition_probs`, without an intermediary."""
         family = build_mub_family(channel.n)
-        return self._cached_tables(channel, "mub", range(channel.dim + 1),
+        return self._cached_tables(channel, "mub", range(channel.dim + 1), family.__getitem__,
                                    lambda block: family[block].unitaries())
 
     def mub_transition_probs(self, channel: ChannelModel, basis: int,
@@ -411,8 +504,13 @@ class DenseBackend:
         noise on one qubit has |S| = 8 at every n), and a full-support map
         (|S| = D^2) takes the dense law.  Either runs in blocks of about
         ``_TABLE_BLOCK`` entries of its largest per-element operand: the
-        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.  An
-        intermediary Pauli permutes each law (:func:`_shift_outcomes`).
+        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.  Where
+        the support law does not pay, a channel with a Pauli form takes the
+        fidelity law (:func:`_fidelity_table`, some 30 D operations per
+        element whatever K) in place of the dense one; it does not replace
+        the support law, which was as fast or faster on the benchmark channel
+        from n = 4 up.  An intermediary Pauli permutes each law
+        (:func:`_shift_outcomes`).
         """
         self.check_capacity(channel.n)
         if tableaux.n != channel.n:
@@ -420,9 +518,11 @@ class DenseBackend:
                 f"the Clifford acts on {tableaux.n} qubits, the channel on {channel.n}")
         d = channel.dim
         cached = self._tables.setdefault(channel, {})
-        if "support" not in cached:  # None: the dense law is cheaper
+        if "support" not in cached:  # None: the support law does not pay
             cached["support"] = _pauli_support(channel)
         support = cached["support"]
+        if support is None and channel._pauli_form is not None:
+            return _fidelity_table(channel._pauli_form, tableaux, [0])[:, 0]
         step = max(1, _TABLE_BLOCK // (d * d if support is None
                                        else max(d, channel.n * len(support[0]))))
         probs = np.empty((len(tableaux), d))
@@ -442,7 +542,7 @@ class DenseBackend:
         when asked for, so at most 3^n tables cover all 12^n elements."""
         keys = list(map(tuple, np.asarray(rotations).tolist()))
         return self._cached_tables(
-            channel, "local", keys,
+            channel, "local", keys, _rotation_tableaux,
             lambda block: tensor(_TWIRL_GATES[0, np.array(block).T]))
 
     def local_outcome_probs(self, channel: ChannelModel,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -183,6 +184,17 @@ class Pauli:
 
     def __repr__(self) -> str:
         return f"Pauli({str(self)!r})"
+
+
+@lru_cache(maxsize=None)
+def key_labels(n: int) -> np.ndarray:
+    """labels[x | z << n]: the integer label of the Hermitian Pauli of
+    X^x Z^z, whose digit on qubit n - s is 2 z_s + (x_s ^ z_s) (read-only)."""
+    keys = np.arange(4 ** n)
+    x, z = keys & ((1 << n) - 1), keys >> n
+    labels = sum(((2 * (z >> s & 1)) | ((x ^ z) >> s & 1)) << 2 * s for s in range(n))
+    labels.setflags(write=False)
+    return labels
 
 
 def multiply(a: Pauli, b: Pauli) -> Pauli:

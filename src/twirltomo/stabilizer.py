@@ -216,17 +216,25 @@ def _swap_halves(key: int, n: int) -> int:
     return (key >> n) | ((key & mask) << n)
 
 
+def syndromes(images: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """(..., L) syndromes of the (..., L) n-qubit Pauli keys against the
+    (..., r) image keys (leading axes broadcast): bit r - 1 - k of entry l
+    says whether key l anticommutes with image k (so, for the n Z-images of
+    a stack, bit k belongs to qubit n - k)."""
+    flips = _swap_halves(images, n)[..., :, None] & keys[..., None, :]
+    return np.einsum("...kl,k->...l", (np.bitwise_count(flips) & 1).astype(np.int64),
+                     1 << np.arange(images.shape[-1] - 1, -1, -1))
+
+
 def outcome_shift(z_keys, p: Pauli) -> np.ndarray:
     """Syndrome of ``p`` against the (..., n) Z-image keys of a stack of
-    elements: bit k (qubit 1 on top) says whether p anticommutes with Z-image
-    k.  p between the channel and the untwirl relabels outcome v as v ^ it."""
-    n = p.n
+    elements (:func:`syndromes`).  p between the channel and the untwirl
+    relabels outcome v as v ^ it."""
     z_keys = np.asarray(z_keys, dtype=np.uint64)
-    if z_keys.shape[-1] != n:
+    if z_keys.shape[-1] != p.n:
         raise DimensionMismatchError(
-            f"the Pauli acts on {n} qubits, the Z-images on {z_keys.shape[-1]}")
-    flips = _swap_halves(z_keys, n) & np.uint64(p.key)
-    return (np.bitwise_count(flips) & 1).astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+            f"the Pauli acts on {p.n} qubits, the Z-images on {z_keys.shape[-1]}")
+    return syndromes(z_keys, np.array([p.key], dtype=np.uint64), p.n)[..., 0]
 
 
 def _key_to_pauli(key: int, n: int, phase: int = 0) -> Pauli:
@@ -298,6 +306,30 @@ class Tableaux:
         """The stack of the selected rows; an int selects a one-row stack."""
         rows = [rows] if isinstance(rows, (int, np.integer)) else rows
         return Tableaux(self.n, self.x[rows], self.z[rows], self.signs[rows])
+
+    def conjugate(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(images, e): C X^x Z^z C^dag = i^e X^x' Z^z' for every element C
+        of the stack and key x | z << n of the (M, L) array ``keys`` (or an
+        (L,) array that every element shares), images the (M, L) keys
+        x' | z' << n.  It is the product of the X-images that x selects, then
+        of the Z-images that z selects, by the XZ product rule
+        (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2),
+        with each image (-1)^s P read as i^(2s + |x & z|) X^x Z^z (Y = i X Z)."""
+        n, mask, top = self.n, np.uint64((1 << self.n) - 1), np.uint64(self.n)
+        keys = np.asarray(keys, dtype=np.uint64)
+        images = np.hstack((self.x, self.z))  # the generators, in product order
+        g_x, g_z = images & mask, images >> top
+        g_e = (2 * np.hstack((self.signs[:, 0::2], self.signs[:, 1::2])).astype(np.uint64)
+               + np.bitwise_count(g_x & g_z))  # phases mod 4, in wrapping uint64
+        bits = np.r_[n - 1:-1:-1, 2 * n - 1:n - 1:-1].astype(np.uint64)  # each one's key bit
+        product = np.zeros(np.broadcast_shapes((len(self), 1), keys.shape), dtype=np.uint64)
+        e = np.zeros(product.shape, dtype=np.uint64)
+        for k in range(2 * n):
+            picked = keys >> bits[k] & _ONE
+            flips = np.bitwise_count((product >> top) & g_x[:, k, None])
+            e += picked * (g_e[:, k, None] + 2 * flips)
+            product ^= picked * images[:, k, None]
+        return product, (e & np.uint64(3)).astype(np.int64)
 
     def unitaries(self) -> np.ndarray:
         """(M, D, D) dense unitaries of the stack, each up to a global phase.

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -124,6 +125,19 @@ def test_haar_edge_inputs_raise_before_drawing(dim, samples):
     if dim < 2:
         with pytest.raises(ConfigError):
             haar_moment_closed_form(*ops)
+
+
+@pytest.mark.parametrize("samples", [2.5, np.float64(3.0), "3", True, None])
+def test_haar_sample_count_must_be_an_integer(samples):
+    """A sample count that is not an integer raises ConfigError naming it,
+    not a TypeError from numpy, and the generator is left untouched; a
+    numpy integer is accepted."""
+    ops = [np.eye(2, dtype=complex)] * 4
+    rng = master(4)
+    with pytest.raises(ConfigError, match="samples"):
+        haar_twirl_moment(*ops, samples=samples, rng=rng)
+    assert rng.random() == master(4).random()
+    assert haar_twirl_moment(*ops, samples=np.int64(3), rng=master(4)).samples == 3
 
 
 def test_exact_chi_extraction_examples():
@@ -489,6 +503,223 @@ def test_support_laws_equal_transition_table_rows():
             assert len(nonzero) == 8 and (support is None) == (n == 2), name
 
 
+# ---------------------------------------------------------------------------
+# the Pauli-fidelity law of specs made of Clifford gates and Pauli noise
+
+
+def _random_pauli_build(n, rng, layers=6):
+    """The build list of a spec of ``layers`` random layers: H, S, X, Y, Z or
+    CNOT gates, and depolarizing, bit-flip or phase-flip noise of strength up
+    to 0.3 on a random set of qubits."""
+    build = []
+    for _ in range(layers):
+        if rng.random() < 0.6:
+            gate = str(rng.choice(["H", "S", "X", "Y", "Z"] + ["CNOT"] * 2 * (n > 1)))
+            qubits = rng.choice(n, 2 if gate == "CNOT" else 1, replace=False) + 1
+            build.append({"named_gate": gate, "qubits": qubits.tolist()})
+        else:
+            qubits = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)) + 1
+            build.append({"noise": str(rng.choice(["depolarizing", "bit_flip", "phase_flip"])),
+                          "strength": float(rng.uniform(0, 0.3)), "qubits": qubits.tolist()})
+    return build
+
+
+def _random_pauli_spec(n, rng):
+    return _spec_channel(n, _random_pauli_build(n, rng))
+
+
+def _fidelity_law_channels():
+    """Three random Pauli specs at each n = 1..4 and the benchmark channel at
+    n = 3..6, all with a Pauli form."""
+    rng = master(130)
+    return [*((f"random-{n}-{i}", _random_pauli_spec(n, rng)) for n in (1, 2, 3, 4)
+              for i in range(3)),
+            *((f"noisy-cnot-{n}", _noisy_cnot(n)) for n in (3, 4, 5, 6))]
+
+
+def _law_stacks(n, rng):
+    """(name, tableaux, unitaries, columns) of the three uses of a law: every
+    MUB basis, the one-qubit-twirl rotation parts (all up to n = 4, 40 of
+    them past it) and column 0 of 100 random Clifford elements."""
+    rotations = np.array(list(itertools.product(range(3), repeat=n)))
+    if n > 4:
+        rotations = rotations[rng.choice(len(rotations), 40, replace=False)]
+    rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 100, clifford_bounds(n), 0)
+    cliffords = grow_cliffords(n, rows)
+    every = np.arange(1 << n)
+    return [("mub", build_mub_family(n), build_mub_family(n).unitaries(), every),
+            ("local", dense._rotation_tableaux(rotations),
+             np.array([local_twirl_unitary(tuple((0, s) for s in r)) for r in rotations.tolist()]),
+             every),
+            ("clifford", cliffords, cliffords.unitaries(), [0])]
+
+
+def test_fidelity_tables_equal_transition_tables():
+    """_fidelity_table equals _transition_table on the same bases, for MUB
+    tables, one-qubit-twirl tables and Clifford column-0 laws, on random
+    Pauli specs at n = 1..4 and the benchmark channel at n = 3..6.
+
+    The bound is 4e-15, not 1e-15: the dense kernel's own rounding reaches
+    that far.  Against an exact reference (the next test) the fidelity law
+    is within 1e-15, and the dense one was measured up to 2.8e-15 off on
+    these specs."""
+    rng = master(131)
+    for name, ch in _fidelity_law_channels():
+        assert ch._pauli_form is not None, name
+        for use, tableaux, unitaries, columns in _law_stacks(ch.n, rng):
+            got = dense._fidelity_table(ch._pauli_form, tableaux, columns)
+            want = dense._transition_table(ch, unitaries, columns)
+            assert got.shape == want.shape and not got.flags.writeable, (name, use)
+            assert np.abs(got - want).max() <= 4e-15, (name, use)
+
+
+def _exact_kraus(n, build):
+    """The Kraus operators of a spec of gates and Pauli noise in long
+    double, from exact gate entries and noise strengths."""
+    paulis = PAULI_1Q.astype(np.clongdouble)
+    root = np.sqrt(np.longdouble(2))
+    gates = {"H": np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / root,
+             "S": np.diag([1, 1j]).astype(np.clongdouble), "X": paulis[1], "Y": paulis[2],
+             "Z": paulis[3]}
+
+    def on(op, q):
+        out = np.ones((1, 1), dtype=np.clongdouble)
+        for j in range(n):
+            out = np.kron(out, op if j == q else paulis[0])
+        return out
+
+    ops = [np.eye(1 << n, dtype=np.clongdouble)]
+    for layer in build:
+        qubits = [q - 1 for q in layer["qubits"]]
+        if "named_gate" in layer:
+            gate = layer["named_gate"]
+            g = (gate_unitary("CNOT", tuple(qubits), n).astype(np.clongdouble) if gate == "CNOT"
+                 else on(gates[gate], qubits[0]))
+            ops = [g @ a for a in ops]
+            continue
+        p = np.longdouble(layer["strength"])
+        kraus = {"depolarizing": [np.sqrt(1 - 3 * p / 4)] + [np.sqrt(p / 4)] * 3,
+                 "bit_flip": [np.sqrt(1 - p), np.sqrt(p), 0, 0],
+                 "phase_flip": [np.sqrt(1 - p), 0, 0, np.sqrt(p)]}[layer["noise"]]
+        for q in qubits:
+            ops = [on(c * paulis[k], q) @ a for k, c in enumerate(kraus) if c for a in ops]
+    return ops
+
+
+def test_fidelity_tables_equal_exact_tables():
+    """On random Pauli specs at n = 1..3, the fidelity law of every MUB
+    basis, every rotation part and 30 Clifford elements is within 1e-15 of
+    the table computed in long double from exact gates, noise and bases
+    (the rotation parts from _ROTS in long double)."""
+    rng = master(132)
+    rots = [np.array(r, dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
+            for r in ([[1, -1j], [-1j, 1]], [[1, -1], [1, 1]], [[1 - 1j, 0], [0, 1 + 1j]])]
+    for n in (1, 2, 3):
+        for _ in range(2):
+            build = _random_pauli_build(n, rng)
+            ch = _spec_channel(n, build)
+            kraus = _exact_kraus(n, build)
+            rotations = np.array(list(itertools.product(range(3), repeat=n)))
+            rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 30, clifford_bounds(n), 0)
+            cliffords = grow_cliffords(n, rows)
+            for tableaux, bases, columns in [
+                    (build_mub_family(n), build_mub_family(n).unitaries(), range(1 << n)),
+                    (dense._rotation_tableaux(rotations),
+                     [functools.reduce(np.kron, (rots[s] for s in r))
+                      for r in rotations.tolist()], range(1 << n)),
+                    (cliffords, cliffords.unitaries(), [0])]:
+                want = np.array([[_exact_row(kraus, w, m) for m in columns] for w in bases])
+                got = dense._fidelity_table(ch._pauli_form, tableaux, list(columns))
+                assert np.abs(got - want).max() <= 1e-15, build
+
+
+def _exact_row(kraus, w, m):
+    """Row m of the transition table of basis w, in the precision of w."""
+    v = w[:, m]
+    sigma = sum(k @ np.outer(v, v.conj()) @ k.conj().T for k in kraus)
+    readout = np.einsum("im,ij,jm->m", w.conj(), sigma, w).real
+    return readout[np.arange(len(v)) ^ m]
+
+
+def test_pauli_form_acts_on_paulis():
+    """The compiled form gives the spec's map on every Pauli P at n <= 3:
+    E(P) = f(U P U^dag) U P U^dag, with U P U^dag from the form's Clifford
+    (signs included) and f read by label."""
+    rng = master(133)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            ch = _random_pauli_spec(n, rng)
+            form = ch._pauli_form
+            keys = np.arange(4 ** n, dtype=np.uint64)
+            images, e = form.clifford.conjugate(keys)
+            for key in range(4 ** n):
+                p = _key_to_pauli(key, n)
+                image = _key_to_pauli(int(images[0, key]), n)
+                # U X^x Z^z U^dag = i^e X^x' Z^z', and P = i^|x & z| X^x Z^z
+                phase = 1j ** (e[0, key] + (p.x & p.z).bit_count() - (image.x & image.z).bit_count())
+                want = form.fidelities[image.label] * phase * image.to_matrix()
+                assert np.abs(ch.apply(p.to_matrix()) - want).max() <= 1e-12, (n, str(p))
+
+
+def test_specs_outside_the_form_keep_their_laws():
+    """Specs with an amplitude-damping or a kraus layer, and maps built any
+    other way, get no Pauli form, and their laws are bit for bit those of
+    the same Kraus operators in a plain ChannelModel."""
+    ops = embed_kraus(amplitude_damping_kraus(0.3), 1, 2)
+    kraus_layer = {"kraus": [[[[z.real, z.imag] for z in row] for row in op.tolist()]
+                             for op in ops]}
+    specs = [_spec_channel(2, [{"named_gate": "H", "qubits": [1]}, kraus_layer]),
+             *(_spec_channel(n, [{"named_gate": "CNOT", "qubits": [1, 2]},
+                                 {"noise": "depolarizing", "strength": 0.05, "qubits": [1]},
+                                 {"noise": "amplitude_damping", "strength": 0.2, "qubits": [n]}])
+               for n in (2, 3))]
+    others = [random_cp_channel(2, master(134)), cnot_channel(),
+              ChannelModel.from_chi(_noisy_cnot(2).chi), ChannelModel.from_kraus(_noisy_cnot(3).kraus)]
+    assert all(ch._pauli_form is None for ch in [*specs, *others])
+    rng = master(135)
+    for ch in specs:
+        plain, a, b = ChannelModel.from_kraus(ch.kraus), DenseBackend(), DenseBackend()
+        rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 200, clifford_bounds(ch.n), 0)
+        elements = grow_cliffords(ch.n, rows)
+        rotations = np.array(list(itertools.product(range(3), repeat=ch.n)))
+        assert np.array_equal(a.mub_tables(ch), b.mub_tables(plain))
+        assert np.array_equal(a.local_tables(ch, rotations), b.local_tables(plain, rotations))
+        assert np.array_equal(a.clifford_outcome_probs(ch, elements),
+                              b.clifford_outcome_probs(plain, elements))
+
+
+def _full_support_spec(n):
+    """H on qubit 1 and CNOT(1, 2), then 5% depolarizing noise on every
+    qubit and a 20% bit flip on qubit 1: a Pauli spec whose Pauli support is
+    too large for the support law, so its Clifford laws come from the form."""
+    gates = [{"named_gate": "H", "qubits": [1]}]
+    gates += [{"named_gate": "CNOT", "qubits": [1, 2]}] if n > 1 else []
+    return _spec_channel(n, [*gates,
+                             {"noise": "depolarizing", "strength": 0.05,
+                              "qubits": list(range(1, n + 1))},
+                             {"noise": "bit_flip", "strength": 0.2, "qubits": [1]}])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fidelity_outcome_test_fails_without_the_sign(monkeypatch, n):
+    """The Clifford case of the distribution test has power against a wrong
+    fidelity law: with the sign eps of U g_z U^dag = eps g_z' dropped (its
+    i^k read as i^(k mod 2)), the laws miss the reference and their draws
+    fail the pooled Pearson test, as with the support law's phase."""
+    channel = _full_support_spec(n)
+    twirl = TwirlSpec("clifford_full", n)
+    ints, u = draw_batch(19, 1, 3000, twirl.layout, 1)
+    elements = twirl.elements(ints)
+    keys, want = _family_reference(channel, "clifford_full", ints, elements)
+    backend = DenseBackend()
+    twirl.laws(backend, channel, elements[:1])
+    assert backend._tables[channel]["support"] is None  # the form's law, not the support law
+    monkeypatch.setattr(dense, "_I_POWERS", np.array([1, 1j, 1, 1j]))
+    laws, rows = twirl.laws(backend, channel, elements)
+    assert np.abs(laws[rows] - want).max() > 0.1
+    assert _pooled_pearson_z(keys, want, dense.draw_outcomes(laws, rows, u[:, 0])) > 5.0
+
+
 def test_sparse_clifford_runs_build_no_unitary(monkeypatch):
     """Blind and selective Clifford runs on the benchmark channel at n = 3
     and 5 read every law off the Pauli support and never build a unitary."""
@@ -507,7 +738,10 @@ def test_sparse_clifford_runs_build_no_unitary(monkeypatch):
 def test_full_rank_maps_take_the_dense_law(monkeypatch):
     """A Kraus map with K = D^2 operators has full Pauli support, and
     depolarizing noise on every qubit nearly so: both take the dense law,
-    and a sparse map the support law, each in blocks of _TABLE_BLOCK."""
+    and a sparse map the support law, each in blocks of _TABLE_BLOCK.  Built
+    from a spec, the depolarizing map carries a Pauli form, and its laws
+    come from the form in one _fidelity_table call (which blocks itself);
+    the benchmark channel keeps the support law, which is no slower there."""
     calls = []
 
     def counted(name, law, stack):  # args[stack] holds the block's elements
@@ -518,12 +752,15 @@ def test_full_rank_maps_take_the_dense_law(monkeypatch):
 
     monkeypatch.setattr(dense, "_support_laws", counted("support", dense._support_laws, 0))
     monkeypatch.setattr(dense, "_transition_table", counted("dense", dense._transition_table, 1))
+    monkeypatch.setattr(dense, "_fidelity_table", counted("form", dense._fidelity_table, 1))
     rows, _ = draw_batch(3, 1, 300, clifford_bounds(3), 0)
     tableaux = grow_cliffords(3, rows)
+    depolarizing = _spec_channel(3, [{"noise": "depolarizing", "strength": 0.05,
+                                      "qubits": [1, 2, 3]}])
     for ch, law, step in [
             (random_cp_channel(3, master(84), n_kraus=64), "dense", dense._TABLE_BLOCK // 64),
-            (_spec_channel(3, [{"noise": "depolarizing", "strength": 0.05,
-                                "qubits": [1, 2, 3]}]), "dense", dense._TABLE_BLOCK // 64),
+            (ChannelModel.from_kraus(depolarizing.kraus), "dense", dense._TABLE_BLOCK // 64),
+            (depolarizing, "form", 300),
             (_noisy_cnot(3), "support", dense._TABLE_BLOCK // 24)]:
         calls.clear()
         DenseBackend().clifford_outcome_probs(ch, tableaux)
@@ -802,11 +1039,16 @@ def _pooled_pearson_z(keys, laws, outcomes) -> float:
 
 
 # (kind, n, shots): at least about 5 draws per (law, outcome) cell on
-# average for MUB and the one-qubit twirl
+# average for MUB and the one-qubit twirl; a "spec-" kind runs on a
+# compiled spec (_full_support_spec), whose laws the Pauli form gives
 _FAMILY_RUNS = [*((kind, n, shots) for kind in ("mub", "local_clifford")
                   for n, shots in ((1, 2000), (2, 5000), (3, 20000), (4, 50000))),
                 *(("clifford_full", n, shots) for n, shots in ((1, 2000), (2, 4000),
-                                                                (3, 5000), (4, 5000)))]
+                                                                (3, 5000), (4, 5000))),
+                *((f"spec-{kind}", n, shots) for kind in ("mub", "local_clifford")
+                  for n, shots in ((1, 2000), (2, 5000), (3, 20000), (4, 50000))),
+                *(("spec-clifford_full", n, shots) for n, shots in ((1, 2000), (2, 4000),
+                                                                     (3, 5000)))]
 
 
 @pytest.mark.parametrize("kind, n, shots", _FAMILY_RUNS)
@@ -820,8 +1062,12 @@ def test_family_outcomes_follow_exact_laws(kind, n, shots):
     be drawn; and the pooled Pearson statistic of :func:`_pooled_pearson_z`,
     over groups that share one law, must lie within 5 standard deviations
     above its mean.  Clifford elements run on :func:`_peaked_sparse_map`,
-    whose laws the Pauli-support law gives from n = 2."""
-    channel = (_peaked_sparse_map(n) if kind == "clifford_full"
+    whose laws the Pauli-support law gives from n = 2; the "spec-" runs on
+    :func:`_full_support_spec`, whose laws of every family the Pauli form
+    gives (:func:`dense._fidelity_table`)."""
+    compiled, kind = kind.startswith("spec-"), kind.removeprefix("spec-")
+    channel = (_full_support_spec(n) if compiled
+               else _peaked_sparse_map(n) if kind == "clifford_full"
                else random_cp_channel(n, master(700 + n), n_kraus=2))
     twirl = TwirlSpec(kind, n)
     ints, u = draw_batch(19, 1, shots, twirl.layout, 1)
@@ -863,7 +1109,9 @@ def test_clifford_outcome_test_fails_a_broken_support_phase(monkeypatch, n, shot
     assert _pooled_pearson_z(keys, want, dense.draw_outcomes(laws, rows, u[:, 0])) > 5.0
 
 
-@pytest.mark.parametrize("kind, n, shots", [(kind, n, shots) for kind in ("mub", "clifford_full")
+@pytest.mark.parametrize("kind, n, shots", [(f"{spec}{kind}", n, shots)
+                                             for spec in ("", "spec-")
+                                             for kind in ("mub", "clifford_full")
                                              for n, shots in ((1, 2000), (2, 4000), (3, 5000))])
 def test_shifted_outcomes_follow_exact_laws(kind, n, shots):
     """With an intermediary Pauli between the channel and the untwirl, the
@@ -876,10 +1124,17 @@ def test_shifted_outcomes_follow_exact_laws(kind, n, shots):
     zero may be drawn, and the pooled Pearson statistic of
     :func:`_pooled_pearson_z` must lie within 5 standard deviations above
     its mean.  The same draws without the shift fail that test: the map is
-    70% identity, so each law peaks at the outcome the shift picks."""
+    70% identity, so each law peaks at the outcome the shift picks.  The
+    "spec-" runs take a compiled spec instead, X on qubit 1 then 10%
+    depolarizing noise on every qubit, whose laws the Pauli form gives and
+    peak at X's own shift."""
+    compiled, kind = kind.startswith("spec-"), kind.removeprefix("spec-")
     noise = random_cp_channel(n, master(720 + n), n_kraus=2).kraus
-    channel = ChannelModel.from_kraus([np.sqrt(0.7) * np.eye(1 << n),
-                                       *(np.sqrt(0.3) * k for k in noise)])
+    channel = (_spec_channel(n, [{"named_gate": "X", "qubits": [1]},
+                                 {"noise": "depolarizing", "strength": 0.1,
+                                  "qubits": list(range(1, n + 1))}]) if compiled
+               else ChannelModel.from_kraus([np.sqrt(0.7) * np.eye(1 << n),
+                                             *(np.sqrt(0.3) * k for k in noise)]))
     p = Pauli.from_string("Y" + "X" * (n - 1))  # anticommutes with Z on every qubit
     twirl = TwirlSpec(kind, n)
     ints, u = draw_batch(23, 1, shots, twirl.layout, 1)
