@@ -598,8 +598,9 @@ def _exact_kraus(n, build):
 def test_fidelity_tables_equal_exact_tables():
     """On random Pauli specs at n = 1..3, the fidelity law of every MUB
     basis, every rotation part and 30 Clifford elements is within 1e-15 of
-    the table computed in long double from exact gates, noise and bases
-    (the rotation parts from _ROTS in long double)."""
+    the table computed in long double from exact gates and noise strengths,
+    on the rotation parts in long double and on the float64 unitaries of
+    the MUB and Clifford bases."""
     rng = master(132)
     rots = [np.array(r, dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
             for r in ([[1, -1j], [-1j, 1]], [[1, -1], [1, 1]], [[1 - 1j, 0], [0, 1 + 1j]])]
