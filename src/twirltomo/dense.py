@@ -10,19 +10,10 @@ each shifted by an intermediary's syndrome against the elements' Z-images
 per-realization draw loop (see :mod:`twirltomo.seqpt`).  Enumerations
 iterate in a fixed order, so results are reproducible bit for bit.
 
-Three law sources give the same laws, to rounding, and one rule picks
-among them per channel (:class:`DenseBackend`):
-
-- The Pauli-fidelity law (:func:`_fidelity_table`) serves a channel built
-  from a spec of Clifford gates and Pauli noise, which carries its Pauli
-  form (:class:`twirltomo.channel_spec.PauliForm`).  It makes every MUB and
-  one-qubit-twirl table of such a channel, and its Clifford laws where the
-  support law does not pay.
-- The Pauli-support law (:func:`_support_laws`) makes a Clifford element's
-  law on any map with (K + 4) |S| <= 2 D^2, K operators on |S| Pauli terms.
-- The dense kernel (:func:`_transition_table`) makes every other law: whole
-  tables for MUB bases and one-qubit-twirl rotation parts, column 0 for a
-  Clifford element.
+Three law kernels, :func:`_fidelity_table`, :func:`_support_laws` and
+:func:`_transition_table`, each take a source, a :class:`Tableaux` stack and
+the columns to tabulate, and block themselves; :meth:`DenseBackend.laws`
+holds the one rule that picks among them.
 """
 from __future__ import annotations
 
@@ -32,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel, pauli_coefficients
+from .channels import ChannelModel, _check_dense_cap, pauli_coefficients
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, key_labels, tensor
 from .rng import _draw_outcome, check_int
 from .stabilizer import (_I_POWERS, Tableaux, build_mub_family, clifford_bounds,
                          grow_cliffords, outcome_shift, syndromes)
 
-DENSE_SIM_MAX_N = 6
 MUB_ENUM_MAX_N = 3
 LOCAL_ENUM_MAX_N = 4
 CLIFFORD_ENUM_MAX_N = 2
@@ -220,9 +210,6 @@ _ROTS = (
     _SQRT * np.array([[1 - 1j, 0], [0, 1 + 1j]], dtype=complex),  # about z
 )
 
-
-# _TWIRL_GATES[p, s]: the one-qubit-twirl gate S_s P_p
-_TWIRL_GATES = np.array([[r @ p for r in _ROTS] for p in PAULI_1Q])
 # the tableaux of _ROTS[s]: X-image and Z-image keys x | z << 1 and sign bits
 # (about x: X, -Y; about y: -Z, X; about z: Y, Z)
 _ROT_KEYS = np.array([[1, 3], [2, 1], [3, 2]], dtype=np.uint64)
@@ -243,34 +230,35 @@ def _rotation_tableaux(rotations) -> Tableaux:
 
 def local_twirl_unitary(digits: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Tensor product of per-qubit S*P gates; digits[j] = (pauli, rotation)."""
-    return tensor(_TWIRL_GATES[p, s] for p, s in digits)
+    return tensor(_ROTS[s] @ PAULI_1Q[p] for p, s in digits)
 
 
-def _transition_table(channel: ChannelModel, w: np.ndarray, columns) -> np.ndarray:
-    """probs[t, c, v] for every basis w[t] of the (T, D, D) stack and each
-    listed column m = columns[c] of it: prepare w[t] X^m |0..0>, apply the
-    channel, read out in the basis w[t], and undo the X^m by relabeling
-    outcome v as v ^ m, so v = 0 means the prepared state survived.  A MUB
-    or one-qubit-twirl table lists every column; a Clifford law is
-    column 0 alone.
+def _transition_table(channel: ChannelModel, tableaux: Tableaux, columns) -> np.ndarray:
+    """probs[t, c, v] for the unitary w of element t of the stack and each
+    listed column m = columns[c]: prepare w X^m |0..0>, apply the channel,
+    read out in the basis w, and undo the X^m by relabeling outcome v as
+    v ^ m, so v = 0 means the prepared state survived.
 
     With the map as pairs (A_k, B_k), the weight of outcome j given column m
     is Re sum_k a_k[j, m] conj(b_k[j, m]) with a_k = w^dag (A_k w[:, m])
-    (b_k likewise), so the listed columns cost two stacked products per
-    operator (one for a Kraus operator, where b_k = a_k) and no channel
-    application.
+    (b_k likewise): two stacked products per operator (one for a Kraus
+    operator, where b_k = a_k) and no channel application.  The unitaries
+    (:meth:`Tableaux.unitaries`) are built ``_TABLE_BLOCK`` entries at a time.
     """
-    columns = np.asarray(columns)
-    wh, w_m = np.swapaxes(w.conj(), -1, -2), w[:, :, columns]
-    in_basis = np.zeros(w_m.shape)
-    for a_op, b_op in channel.operator_pairs():
-        a = wh @ (a_op @ w_m)
-        b = a if b_op is a_op else wh @ (b_op @ w_m)
-        in_basis += (a * b.conj()).real
-    np.clip(in_basis, 0.0, None, out=in_basis)
+    columns, d = np.asarray(columns), channel.dim
     # probs[t, c, v] = in_basis[t, v ^ m, c]: the X^m undo relabels outcomes
-    slots = np.arange(len(columns))[:, None]
-    probs = in_basis[:, np.arange(channel.dim) ^ columns[:, None], slots]
+    readouts, slots = np.arange(d) ^ columns[:, None], np.arange(len(columns))[:, None]
+    probs = np.empty((len(tableaux), len(columns), d))
+    step = max(1, _TABLE_BLOCK // d ** 2)
+    for lo in range(0, len(tableaux), step):
+        w = tableaux[lo:lo + step].unitaries()
+        wh, w_m = np.swapaxes(w.conj(), -1, -2), w[:, :, columns]
+        in_basis = np.zeros(w_m.shape)
+        for a_op, b_op in channel.operator_pairs():
+            a = wh @ (a_op @ w_m)
+            b = a if b_op is a_op else wh @ (b_op @ w_m)
+            in_basis += (a * b.conj()).real
+        probs[lo:lo + step] = np.clip(in_basis, 0.0, None, out=in_basis)[:, readouts, slots]
     probs.setflags(write=False)  # a table is cached and shared by every caller
     return probs
 
@@ -297,11 +285,9 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
     and takes one product with the D x D Walsh-Hadamard signs.
 
     The g_z and U g_z U^dag, with their phases, double over the Z-images by
-    the XZ product rule
-    (i^e1 X^x1 Z^z1)(i^e2 X^x2 Z^z2) = i^(e1+e2) (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2),
-    and the syndromes, linear in z, by XOR.  The elements run in blocks
-    whose (elements, columns, D) arrays hold about ``_FIDELITY_BLOCK``
-    entries (256 KiB of floats).
+    the XZ product rule (:meth:`Tableaux.conjugate`), and the syndromes,
+    linear in z, by XOR.  The elements run in blocks whose (elements,
+    columns, D) arrays hold about ``_FIDELITY_BLOCK`` entries (256 KiB).
     """
     n, d, count = tableaux.n, 1 << tableaux.n, len(tableaux)
     columns, mask, top = np.asarray(columns), np.uint64(d - 1), np.uint64(n)
@@ -336,7 +322,7 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
         h = np.where(s >> n == 0, eps * u_f[g], 0.0)
         if len(columns) == 1:
             weights = (h * signs[columns[0], np.arange(d) ^ z_to]).ravel()
-            probs[rows, 0] = np.bincount(at.ravel(), weights, h.size).reshape(-1, d) @ signs
+            probs[rows] = np.bincount(at.ravel(), weights, h.size).reshape(-1, 1, d) @ signs
         else:
             readouts = (signs[columns] * h[:, None, :]) @ signs[z_to]
             probs[rows] = readouts.reshape(len(h), -1)[:, relabel].reshape(readouts.shape)
@@ -351,12 +337,11 @@ def _pauli_support(channel: ChannelModel):
     A_k = sum_l a[k, l] X^x Z^z over the keys[l] = x | z << n whose
     coefficient is exactly nonzero in some A_k or B_k (b is None for a
     Kraus set, where B_k = A_k); or None when the support law does not pay,
-    (K + 4) |S| > 2 D^2 for K distinct operators
-    (:meth:`DenseBackend.clifford_outcome_probs`).  The coefficient of key
-    x | z << n is i^|x & z| times that of its Hermitian Pauli
-    (:func:`pauli_coefficients`), as X^x Z^z = (-i)^|x & z| P.  A first pass
-    finds the support, stopping once it is too large, so no (K, D^2) array
-    is held."""
+    (K + 4) |S| > 2 D^2 for K distinct operators (:meth:`DenseBackend.laws`).
+    The coefficient of key x | z << n is i^|x & z| times that of its
+    Hermitian Pauli (:func:`pauli_coefficients`), as X^x Z^z = (-i)^|x & z| P.
+    A first pass finds the support, stopping once it is too large, so no
+    (K, D^2) array is held."""
     n, d = channel.n, channel.dim
     x, z = np.arange(d * d) % d, np.arange(d * d) // d
     labels = key_labels(n)
@@ -374,41 +359,49 @@ def _pauli_support(channel: ChannelModel):
     return support.astype(np.uint64), coef[:len(pairs)], None if kraus else coef[len(pairs):]
 
 
-def _support_laws(tableaux: Tableaux, keys: np.ndarray, a: np.ndarray,
-                  b: np.ndarray | None) -> np.ndarray:
-    """The laws of a :class:`Tableaux` stack from the map's Pauli support
-    (:func:`_pauli_support`), with no dense unitary.
+def _support_laws(support, tableaux: Tableaux, columns) -> np.ndarray:
+    """probs[t, c, v] as :func:`_transition_table` gives them, off the map's
+    Pauli support (keys, a, b) (:func:`_pauli_support`) with no unitary.
 
     For each support key, C^dag X^x Z^z C = i^-e X^o Z^t: bit j of o (of t),
     qubit 1 on top, says whether X^x Z^z anticommutes with the Z-image (the
     X-image) of qubit j + 1 (:func:`syndromes`), and C X^o Z^t C^dag =
-    i^e X^x Z^z (:meth:`Tableaux.conjugate`).  As X^o Z^t |0..0> = |o>, the
-    amplitude of outcome o under A_k is the sum of i^-e a[k, l] over the
-    keys with that o, and
+    i^e X^x Z^z (:meth:`Tableaux.conjugate`).  As X^o Z^t |m> =
+    (-1)^(t.m) |o ^ m>, the amplitude of readout v = o from column m under
+    A_k is the sum of i^(2 t.m - e) a[k, l] over the keys with that o, and
 
-        probs[o] = Re sum_k amp_A_k[o] conj(amp_B_k[o]),
+        probs[m, v] = Re sum_k amp_A_k[v] conj(amp_B_k[v]),
 
-    clipped at 0: K |S| scatter-adds per element for K pairs and |S| keys,
-    one operator at a time, so the transients hold M (D + n |S|) entries.
+    clipped at 0: K |S| scatter-adds per element and column for K pairs and
+    |S| keys, one operator at a time, in blocks of elements whose transients
+    (C (D + n |S|) entries each) hold about ``_TABLE_BLOCK``.
     """
-    n, m, d = tableaux.n, len(tableaux), 1 << tableaux.n
-    o, t = syndromes(tableaux.z, keys, n), syndromes(tableaux.x, keys, n)  # (M, |S|)
-    _, e = tableaux.conjugate((o | t << n).astype(np.uint64))
-    quarter, cols = -e % 4, np.arange(len(keys))
-    slots = (np.arange(0, m * d, d)[:, None] + o).ravel()
+    (keys, a, b), columns = support, np.asarray(columns)
+    n, d, count = tableaux.n, 1 << tableaux.n, len(tableaux)
+    probs, cols = np.empty((count, len(columns), d)), np.arange(len(keys))
+    step = max(1, _TABLE_BLOCK // (len(columns) * max(d, n * len(keys))))
+    for lo in range(0, count, step):
+        block = tableaux[lo:lo + step]
+        o, t = syndromes(block.z, keys, n), syndromes(block.x, keys, n)  # (M, |S|)
+        _, e = block.conjugate((o | t << n).astype(np.uint64))
+        quarter = (2 * np.bitwise_count(t[:, None] & columns[:, None]) - e[:, None]) % 4
+        size = len(block) * len(columns) * d
+        slots = (np.arange(0, size, d).reshape(len(block), -1, 1) + o[:, None]).ravel()
 
-    def amplitude(coef):  # real and imaginary parts of the (M * D) amplitudes
-        turned = _I_POWERS[:, None] * coef  # turned[q, l] = i^q coef[l]
-        return (np.bincount(slots, turned.real[quarter, cols].ravel(), m * d),
-                np.bincount(slots, turned.imag[quarter, cols].ravel(), m * d))
+        def amplitude(coef):  # real and imaginary parts of the block's amplitudes
+            turned = _I_POWERS[:, None] * coef  # turned[q, l] = i^q coef[l]
+            return (np.bincount(slots, turned.real[quarter, cols].ravel(), size),
+                    np.bincount(slots, turned.imag[quarter, cols].ravel(), size))
 
-    laws = np.zeros(m * d)
-    for k in range(len(a)):
-        a_re, a_im = amplitude(a[k])
-        b_re, b_im = (a_re, a_im) if b is None else amplitude(b[k])
-        laws += a_re * b_re
-        laws += a_im * b_im
-    return np.clip(laws, 0.0, None, out=laws).reshape(m, d)
+        laws = np.zeros(size)
+        for k in range(len(a)):
+            a_re, a_im = amplitude(a[k])
+            b_re, b_im = (a_re, a_im) if b is None else amplitude(b[k])
+            laws += a_re * b_re
+            laws += a_im * b_im
+        probs[lo:lo + step] = np.clip(laws, 0.0, None, out=laws).reshape(-1, len(columns), d)
+    probs.setflags(write=False)
+    return probs
 
 
 def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.ndarray:
@@ -422,63 +415,82 @@ def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.
 
 class DenseBackend:
     """Dense simulator handed to the protocol runners: the law source that
-    :meth:`TwirlSpec.laws` reads.  One transition table per MUB basis serves
-    every intermediary Pauli; one per rotation part of a one-qubit-twirl
-    element holds the laws of all 2^n X parts.  Each is built on first use,
-    from the channel's Pauli form (:func:`_fidelity_table`) when it has one,
-    else densely (:func:`_transition_table`), and kept.  Channels key the
-    cache weakly (by object, not by id, so recycled addresses cannot
-    collide) and capacity is capped by ``max_n``.  A table is D x D floats, so a channel holds at most (D+1) D^2
-    MUB and 3^n 4^n one-qubit-twirl floats (about 23 MiB at n = 6).
-    Clifford laws are computed per call, from the map's Pauli support
-    (:func:`_pauli_support`, kept per channel) where that is cheaper, else
-    from its Pauli form or densely."""
+    :meth:`TwirlSpec.laws` reads, all through :meth:`laws`.  A MUB table
+    serves every intermediary Pauli, and the table of a one-qubit-twirl
+    rotation part the laws of all 2^n X parts.  Each is built on first use
+    and kept, in a cache keyed weakly by channel object (not by id, which
+    can be recycled): at most (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl
+    floats per channel, about 23 MiB at n = 6.  Clifford laws are not kept."""
 
-    def __init__(self, max_n: int = DENSE_SIM_MAX_N):
-        self.max_n = max_n
+    def __init__(self):
         self._tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-    def check_capacity(self, n: int):
-        if n > self.max_n:
-            raise CapacityError(f"dense backend capped at n={self.max_n}, got {n}")
+    check_capacity = staticmethod(_check_dense_cap)  # the one cap, channels.DENSE_MAX_N
 
-    def _cached_tables(self, channel: ChannelModel, family: str, keys, tableaux,
-                       unitaries) -> np.ndarray:
-        """(T, D, D) stack of the transition tables of ``family`` named by
-        ``keys``, in order.  The missing ones are built together, in blocks
-        of at most about ``_TABLE_BLOCK`` table entries, and kept: from their
-        :class:`Tableaux` stack ``tableaux(missing)`` in one
-        :func:`_fidelity_table` call (which blocks itself) when the channel
-        carries a Pauli form, else from the (T', D, D) basis stack
-        ``unitaries(block)`` of each block (:func:`_transition_table`)."""
+    def laws(self, channel: ChannelModel, tableaux: Tableaux, columns) -> np.ndarray:
+        """probs[t, c, v] of the elements C of a :class:`Tableaux` stack:
+        prepare C X^m |0..0> for m = columns[c], apply the channel, undo C
+        and relabel outcome v as v ^ m, so v = 0 means the state survived.
+        A MUB or one-qubit-twirl table lists every column, a Clifford law
+        column 0 alone.  Three kernels give these laws, the same to rounding
+        on any map, without reading ``channel.chi``; the one rule:
+
+        1. A single column comes from the map's Pauli support
+           (:func:`_support_laws`: K |S| scatter-adds per element, no
+           unitary) where (K + 4) |S| <= 2 D^2, for K distinct operators on
+           |S| Pauli terms (:func:`_pauli_support`, found only for single
+           columns, once per channel).  Over 1000 elements at n = 5 it broke
+           even with the dense kernel near |S| = 0.55, 0.3 and 0.12 D^2 for
+           K = 1, 4 and 16 (the rule switches at 0.4, 0.25 and 0.1 D^2); on
+           the benchmark channel (|S| = 8 at every n) it was as fast as the
+           form's law or faster from n = 4 up.
+        2. Otherwise a channel with a Pauli form (a spec of Clifford gates
+           and Pauli noise, :class:`twirltomo.channel_spec.PauliForm`) takes
+           the fidelity law (:func:`_fidelity_table`: some 30 D operations
+           per element, whatever K).
+        3. Otherwise the dense kernel (:func:`_transition_table`): each
+           element's D x D unitary and 2K D^2 multiply-adds per column.
+        """
         self.check_capacity(channel.n)
+        if tableaux.n != channel.n:
+            raise DimensionMismatchError(f"stack on {tableaux.n} qubits, channel on {channel.n}")
+        if len(columns) == 1:
+            cached = self._tables.setdefault(channel, {})
+            if "support" not in cached:  # None: the support law does not pay
+                cached["support"] = _pauli_support(channel)
+            if cached["support"] is not None:
+                return _support_laws(cached["support"], tableaux, columns)
+        if channel._pauli_form is not None:
+            return _fidelity_table(channel._pauli_form, tableaux, columns)
+        return _transition_table(channel, tableaux, columns)
+
+    def _cached_tables(self, channel: ChannelModel, family: str, keys, tableaux) -> np.ndarray:
+        """(T, D, D) stack of the transition tables of ``family`` named by
+        ``keys``, in order.  The missing ones are built together from their
+        :class:`Tableaux` stack ``tableaux(missing)`` (:meth:`laws`) and kept."""
         cached = self._tables.setdefault(channel, {}).setdefault(family, {})
         missing = [key for key in dict.fromkeys(keys) if key not in cached]
-        form, every = channel._pauli_form, np.arange(channel.dim)
-        step = max(1, len(missing) if form is not None else _TABLE_BLOCK // channel.dim ** 2)
-        for lo in range(0, len(missing), step):
-            block = missing[lo:lo + step]
-            cached.update(zip(block, _transition_table(channel, unitaries(block), every)
-                              if form is None else _fidelity_table(form, tableaux(block), every)))
-        return np.stack([cached[key] for key in keys])
+        if missing:
+            cached.update(zip(missing, self.laws(channel, tableaux(missing),
+                                                 np.arange(channel.dim))))
+        return np.array([cached[key] for key in keys]).reshape(len(keys), channel.dim, channel.dim)
 
     # -- MUB twirl ----------------------------------------------------------
 
     def mub_tables(self, channel: ChannelModel) -> np.ndarray:
         """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
         basis j as in :meth:`mub_transition_probs`, without an intermediary."""
-        family = build_mub_family(channel.n)
-        return self._cached_tables(channel, "mub", range(channel.dim + 1), family.__getitem__,
-                                   lambda block: family[block].unitaries())
+        return self._cached_tables(channel, "mub", range(channel.dim + 1),
+                                   build_mub_family(channel.n).__getitem__)
 
     def mub_transition_probs(self, channel: ChannelModel, basis: int,
                              intermediary: Pauli | None = None) -> np.ndarray:
-        """probs[m, v] of MUB basis ``basis`` in 0..D: prepare basis state m
-        (via V_J X^m on |0..0>), apply the channel (and the optional extra
-        Pauli), undo the preparation, measure outcome v.  Surviving (v = 0)
-        means returning to state m.  The Pauli shifts outcomes by its
-        syndrome against the basis's Z-images (:func:`outcome_shift`)."""
-        if not 0 <= basis <= channel.dim:
+        """probs[m, v] of MUB basis ``basis``, an integer in 0..D: prepare
+        basis state m (via V_J X^m on |0..0>), apply the channel (and the
+        optional extra Pauli), undo the preparation, measure outcome v; v = 0
+        is survival.  The Pauli shifts outcomes by its syndrome against the
+        basis's Z-images (:func:`outcome_shift`)."""
+        if not 0 <= check_int("basis", basis) <= channel.dim:
             raise ValueError(f"MUB basis index must be in 0..{channel.dim}, got {basis}")
         return _shift_outcomes(self.mub_tables(channel)[basis],
                                build_mub_family(channel.n).z[[basis]], intermediary)
@@ -487,73 +499,36 @@ class DenseBackend:
 
     def clifford_outcome_probs(self, channel: ChannelModel, tableaux: Tableaux) -> np.ndarray:
         """(M, D) outcome laws of prepare |0..0>, C, channel, C^dag for the
-        M elements C of a :class:`Tableaux` stack.
-
-        Two laws give the same numbers, to rounding, for Kraus, chi-only,
-        non-CP and non-TP maps alike, and neither reads ``channel.chi``:
-        the Pauli-support law (:func:`_support_laws`, K |S| scatter-adds per
-        element for K operators on |S| Pauli terms, with no unitary), and
-        column 0 of the transition table of the element's dense unitary
-        (:func:`_transition_table`, a D x D unitary build plus 2K D^2
-        multiply-adds).  The support law runs when (K + 4) |S| <= 2 D^2,
-        K counting each distinct operator of the pairs.  That keeps it to
-        maps where it was measured faster: over 1000 elements at n = 5 it
-        broke even near |S| = 0.55, 0.3 and 0.12 D^2 for K = 1, 4 and 16,
-        where the rule switches at 0.4, 0.25 and 0.1 D^2.  A Clifford gate
-        with Pauli noise on a few qubits takes it (CNOT then depolarizing
-        noise on one qubit has |S| = 8 at every n), and a full-support map
-        (|S| = D^2) takes the dense law.  Either runs in blocks of about
-        ``_TABLE_BLOCK`` entries of its largest per-element operand: the
-        (D, D) unitary, or the D amplitudes and n |S| syndrome bits.  Where
-        the support law does not pay, a channel with a Pauli form takes the
-        fidelity law (:func:`_fidelity_table`, some 30 D operations per
-        element whatever K) in place of the dense one; it does not replace
-        the support law, which was as fast or faster on the benchmark channel
-        from n = 4 up.  An intermediary Pauli permutes each law
-        (:func:`_shift_outcomes`).
-        """
-        self.check_capacity(channel.n)
-        if tableaux.n != channel.n:
-            raise DimensionMismatchError(
-                f"the Clifford acts on {tableaux.n} qubits, the channel on {channel.n}")
-        d = channel.dim
-        cached = self._tables.setdefault(channel, {})
-        if "support" not in cached:  # None: the support law does not pay
-            cached["support"] = _pauli_support(channel)
-        support = cached["support"]
-        if support is None and channel._pauli_form is not None:
-            return _fidelity_table(channel._pauli_form, tableaux, [0])[:, 0]
-        step = max(1, _TABLE_BLOCK // (d * d if support is None
-                                       else max(d, channel.n * len(support[0]))))
-        probs = np.empty((len(tableaux), d))
-        for lo in range(0, len(tableaux), step):
-            block = tableaux[lo:lo + step]
-            probs[lo:lo + step] = (_transition_table(channel, block.unitaries(), [0])[:, 0]
-                                   if support is None else _support_laws(block, *support))
-        return probs
+        elements C of a :class:`Tableaux` stack: column 0 of :meth:`laws`,
+        whose rule picks their source.  An intermediary Pauli permutes each
+        law (:func:`_shift_outcomes`)."""
+        return self.laws(channel, tableaux, [0])[:, 0]
 
     # -- one-qubit twirl ------------------------------------------------------
 
     def local_tables(self, channel: ChannelModel, rotations) -> np.ndarray:
         """(T, D, D) transition tables of the one-qubit-twirl rotation parts
-        ``rotations`` ((T, n) rotation indices, qubit 1 first): row x of
-        table t is the law of every element with rotation part rotations[t]
-        and X part x.  Each is built from its rotation unitary, and only
-        when asked for, so at most 3^n tables cover all 12^n elements."""
-        keys = list(map(tuple, np.asarray(rotations).tolist()))
-        return self._cached_tables(
-            channel, "local", keys, _rotation_tableaux,
-            lambda block: tensor(_TWIRL_GATES[0, np.array(block).T]))
+        ``rotations`` ((T, n) rotation indices in 0..2, qubit 1 first): row
+        x of table t is the law of every element with rotation part
+        rotations[t] and X part x.  Each is built from its rotation tableaux
+        when first asked for, so at most 3^n tables cover all 12^n elements."""
+        rotations = np.asarray(rotations)
+        if not ((0 <= rotations) & (rotations <= 2)).all():
+            raise ValueError(f"rotations are in 0..2, got {rotations.min()}..{rotations.max()}")
+        return self._cached_tables(channel, "local", list(map(tuple, rotations.tolist())),
+                                   _rotation_tableaux)
 
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:
         """Outcome law of prepare |0..0>, the one-qubit-twirl element
-        ``digits`` (digits[j] = (pauli, rotation) of qubit j + 1), the
-        channel, the element undone.  The element is R P, R the rotation
+        ``digits`` (digits[j] = (pauli 0..3, rotation 0..2) of qubit j + 1),
+        the channel, the element undone.  The element is R P, R the rotation
         part, and R P|v> = R|v ^ x> up to phase, x the X part of P: the law
         is row x of the table of the basis R (:meth:`TwirlSpec.laws`)."""
-        laws, rows = TwirlSpec("local_clifford", channel.n).laws(
-            self, channel, np.array(digits).reshape(1, -1, 2))
+        digits = np.array(digits).reshape(1, -1, 2)
+        if not ((0 <= digits) & (digits < (4, 3))).all():
+            raise ValueError(f"digits are (pauli 0..3, rotation 0..2), got {digits[0].tolist()}")
+        laws, rows = TwirlSpec("local_clifford", digits.shape[1]).laws(self, channel, digits)
         return laws[rows[0]]
 
 

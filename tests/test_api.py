@@ -47,6 +47,38 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+_LAW_KERNELS = ("_transition_table", "_support_laws", "_fidelity_table")
+
+
+def _stray_kernel_reads(path: Path) -> list[str]:
+    """Reads of a law kernel in ``path``, as a name or an attribute, from
+    anywhere but ``DenseBackend.laws`` or the kernel's own body."""
+    stray = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            allowed = scope[:2] == ("DenseBackend", "laws") or scope[:1] == (name,)
+            if name in _LAW_KERNELS and not allowed:
+                stray.append(f"{path.name}:{child.lineno} {'.'.join(scope)} reads {name}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return stray
+
+
+def test_law_kernels_are_read_only_by_laws():
+    """Only ``DenseBackend.laws`` reads the three law kernels
+    (``_transition_table``, ``_support_laws``, ``_fidelity_table``), so the
+    rule that picks a law's source stays in one place; a kernel may call
+    itself."""
+    stray = [entry for path in sorted(SRC.glob("*.py")) for entry in _stray_kernel_reads(path)]
+    assert not stray, stray
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """(name, line) of each module-level def, class or assignment whose
     name starts with one underscore."""

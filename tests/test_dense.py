@@ -328,10 +328,42 @@ def test_mub_transition_probs_rejects_a_basis_outside_the_family():
     assert np.array_equal(backend.mub_transition_probs(ch, 4), backend.mub_tables(ch)[4])
 
 
+def test_law_methods_reject_bad_inputs():
+    """On an amplitude-damping spec at n = 2 the law methods raise instead of
+    returning another element's law or dying inside numpy: a rotation digit
+    outside 0..2 (a 3 would overflow into the next base-3 place) or a Pauli
+    digit outside 0..3 raises ValueError, in local_outcome_probs and
+    local_tables alike; a wrong qubit count raises DimensionMismatchError;
+    and a bool or non-integer MUB basis raises ValueError.  An empty stack
+    of rotation parts gives an empty stack of tables."""
+    ch = _spec_channel(2, [{"named_gate": "CNOT", "qubits": [1, 2]},
+                           {"noise": "amplitude_damping", "strength": 0.2, "qubits": [2]}])
+    backend = DenseBackend()
+    for digits in (((0, 3), (0, 0)), ((7, 0), (0, 0)), ((0, 0), (0, -1)), ((-1, 0), (0, 0))):
+        with pytest.raises(ValueError, match=r"\(pauli 0\.\.3, rotation 0\.\.2\), got"):
+            backend.local_outcome_probs(ch, digits)
+    for rotations in ([[0, 3]], [[-1, 0]]):
+        with pytest.raises(ValueError, match=r"rotations are in 0\.\.2, got"):
+            backend.local_tables(ch, rotations)
+    for wrong_n in (lambda: backend.local_outcome_probs(ch, ((0, 0),) * 3),
+                    lambda: backend.local_tables(ch, [[0, 0, 0]]),
+                    lambda: backend.clifford_outcome_probs(ch, build_mub_family(3))):
+        with pytest.raises(DimensionMismatchError):
+            wrong_n()
+    for basis in (True, False, np.True_, 1.0):
+        with pytest.raises(ValueError, match="basis must be an integer"):
+            backend.mub_transition_probs(ch, basis)
+    assert np.array_equal(backend.local_outcome_probs(ch, ((1, 2), (0, 0))),
+                          backend.local_tables(ch, [[2, 0]])[0, 2])
+    assert np.array_equal(backend.mub_transition_probs(ch, np.int64(1)), backend.mub_tables(ch)[1])
+    assert backend.local_tables(ch, np.empty((0, 2), dtype=int)).shape == (0, 4, 4)
+
+
 def test_backend_capacity():
-    backend = DenseBackend(max_n=2)
-    with pytest.raises(CapacityError):
-        backend.check_capacity(3)
+    """The backend's one cap is the dense cap of channels, n <= 6."""
+    DenseBackend().check_capacity(6)
+    with pytest.raises(CapacityError, match="capped at n=6, got 7"):
+        DenseBackend().check_capacity(7)
 
 
 def _dense_clifford_probs(channel, clifford, intermediary=None):
@@ -394,28 +426,43 @@ def _tableau_law_reference(channel, clifford, intermediary=None):
     return np.clip(probs, 0.0, None)
 
 
+def _law_source(channel):
+    """The kernel that DenseBackend.laws picks for a single column."""
+    if dense._pauli_support(channel) is not None:
+        return "support"
+    return "dense" if channel._pauli_form is None else "form"
+
+
 def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
     """The laws of a Tableaux stack, shifted by an intermediary or not,
     equal the chi-tableau reference within 1e-14 on the battery, a
     full-rank Kraus map (K = D^2), the non-CP transpose map, a non-Hermitian
-    chi map, non-TP maps and the benchmark channel, whichever of the
-    Pauli-support and dense laws each takes.  With the block forced to one
-    element and to all of them, each row equals the law of the one-row stack
-    of that Clifford bit for bit."""
+    chi map, non-TP maps, the benchmark channel and Pauli specs of large
+    support, which between them take each of the three law sources.  With
+    the blocks (``_TABLE_BLOCK``, and ``_FIDELITY_BLOCK`` of the form)
+    forced to one element and to all of them, the laws are bit-identical,
+    and each row equals the law of the one-row stack of that Clifford bit
+    for bit."""
     backend = DenseBackend()
     rng = master(78)
     count = 40
     full_rank = ("full-rank-3", random_cp_channel(3, master(83), n_kraus=64))
-    for name, ch in [*_table_test_channels(), full_rank, ("noisy-cnot-3", _noisy_cnot(3))]:
+    sources = set()
+    for name, ch in [*_table_test_channels(), full_rank, ("noisy-cnot-3", _noisy_cnot(3)),
+                     ("noisy-cnot-2", _noisy_cnot(2)),
+                     *((f"full-support-{n}", _full_support_spec(n)) for n in (1, 2, 3))]:
         n = ch.n
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, count, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
         p = Pauli.from_label(n, int(rng.integers(1, 4 ** n)))
+        sources.add(_law_source(ch))
         for inter in (None, p):
             want = np.array([_tableau_law_reference(ch, tableaux.clifford(i), inter)
                              for i in range(count)])
+            laws = []
             for block in (1, 1 << 30):
                 monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
+                monkeypatch.setattr(dense, "_FIDELITY_BLOCK", block)
                 got = dense._shift_outcomes(backend.clifford_outcome_probs(ch, tableaux),
                                             tableaux.z, inter)
                 assert got.shape == (count, ch.dim)
@@ -425,7 +472,10 @@ def test_stacked_clifford_laws_equal_per_element_reference(monkeypatch):
                     law = dense._shift_outcomes(backend.clifford_outcome_probs(ch, one),
                                                 one.z, inter)
                     assert np.array_equal(law[0], got[i]), (name, str(inter), block, i)
-    assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
+                laws.append(got)
+            assert np.array_equal(*laws), (name, str(inter))
+        assert backend.clifford_outcome_probs(ch, tableaux[:0]).shape == (0, ch.dim)
+    assert sources == {"support", "form", "dense"}
 
 
 def _spec_channel(n, build):
@@ -456,9 +506,9 @@ def _support_test_channels():
 
 
 def test_support_laws_equal_transition_table_rows():
-    """The Pauli-support law equals row 0 of the elements' whole transition
-    tables within 1e-15, on every map's full Pauli decomposition, whichever
-    law the backend picks for it.  The decomposition reads pauli_coefficients
+    """The Pauli-support law equals the elements' whole transition tables
+    within 1e-15, on every map's full Pauli decomposition, whichever law
+    the backend picks for it.  The decomposition reads pauli_coefficients
     by label (conftest's label_table) with the phase i^|x & z|; summed back
     over X^x Z^z, it gives each operator of the pairs to rounding.  The
     benchmark channel has 8 support terms at every n, and the backend keeps
@@ -479,15 +529,17 @@ def test_support_laws_equal_transition_table_rows():
             assert np.abs(np.tensordot(coef, xz, 1) - ops).max() <= 1e-14, name
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 60, clifford_bounds(n), 0)
         tableaux = grow_cliffords(n, rows)
-        want = dense._transition_table(ch, tableaux.unitaries(), np.arange(ch.dim))[:, 0]
-        got = dense._support_laws(tableaux, np.arange(4 ** n, dtype=np.uint64), a, b)
+        every = np.arange(ch.dim)
+        want = dense._transition_table(ch, tableaux, every)
+        got = dense._support_laws((np.arange(4 ** n, dtype=np.uint64), a, b), tableaux, every)
         assert np.abs(got - want).max() <= 1e-15, name
         nonzero = np.flatnonzero((a != 0).any(axis=0) | (b != 0).any(axis=0))
         support = dense._pauli_support(ch)
         if support is not None:
             assert np.array_equal(support[0], nonzero), name
             assert np.array_equal(support[1], a[:, nonzero]), name
-            assert np.abs(dense._support_laws(tableaux, *support) - want).max() <= 1e-15, name
+            got = dense._support_laws(support, tableaux, [0])[:, 0]
+            assert np.abs(got - want[:, 0]).max() <= 1e-15, name
         if name.startswith("noisy-cnot"):  # K = 4, |S| = 8: the support law from n = 3
             assert len(nonzero) == 8 and (support is None) == (n == 2), name
 
@@ -527,7 +579,7 @@ def _fidelity_law_channels():
 
 
 def _law_stacks(n, rng):
-    """(name, tableaux, unitaries, columns) of the three uses of a law: every
+    """(name, tableaux, columns) of the three uses of a law: every
     MUB basis, the one-qubit-twirl rotation parts (all up to n = 4, 40 of
     them past it) and column 0 of 100 random Clifford elements."""
     rotations = np.array(list(itertools.product(range(3), repeat=n)))
@@ -536,11 +588,9 @@ def _law_stacks(n, rng):
     rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 100, clifford_bounds(n), 0)
     cliffords = grow_cliffords(n, rows)
     every = np.arange(1 << n)
-    return [("mub", build_mub_family(n), build_mub_family(n).unitaries(), every),
-            ("local", dense._rotation_tableaux(rotations),
-             np.array([local_twirl_unitary(tuple((0, s) for s in r)) for r in rotations.tolist()]),
-             every),
-            ("clifford", cliffords, cliffords.unitaries(), [0])]
+    return [("mub", build_mub_family(n), every),
+            ("local", dense._rotation_tableaux(rotations), every),
+            ("clifford", cliffords, [0])]
 
 
 def test_fidelity_tables_equal_transition_tables():
@@ -555,9 +605,9 @@ def test_fidelity_tables_equal_transition_tables():
     rng = master(131)
     for name, ch in _fidelity_law_channels():
         assert ch._pauli_form is not None, name
-        for use, tableaux, unitaries, columns in _law_stacks(ch.n, rng):
+        for use, tableaux, columns in _law_stacks(ch.n, rng):
             got = dense._fidelity_table(ch._pauli_form, tableaux, columns)
-            want = dense._transition_table(ch, unitaries, columns)
+            want = dense._transition_table(ch, tableaux, columns)
             assert got.shape == want.shape and not got.flags.writeable, (name, use)
             assert np.abs(got - want).max() <= 4e-15, (name, use)
 
@@ -728,34 +778,31 @@ def test_sparse_clifford_runs_build_no_unitary(monkeypatch):
 def test_full_rank_maps_take_the_dense_law(monkeypatch):
     """A Kraus map with K = D^2 operators has full Pauli support, and
     depolarizing noise on every qubit nearly so: both take the dense law,
-    and a sparse map the support law, each in blocks of _TABLE_BLOCK.  Built
-    from a spec, the depolarizing map carries a Pauli form, and its laws
-    come from the form in one _fidelity_table call (which blocks itself);
-    the benchmark channel keeps the support law, which is no slower there."""
+    and a sparse map the support law.  Built from a spec, the depolarizing
+    map carries a Pauli form, and its laws come from the form; the benchmark
+    channel keeps the support law, which is no slower there.  Each law call
+    runs one kernel, once, on the whole stack: the kernels block themselves."""
     calls = []
 
-    def counted(name, law, stack):  # args[stack] holds the block's elements
-        def run(*args):
-            calls.append((name, len(args[stack])))
-            return law(*args)
+    def counted(name, law):
+        def run(source, tableaux, columns):
+            calls.append((name, len(tableaux), list(columns)))
+            return law(source, tableaux, columns)
         return run
 
-    monkeypatch.setattr(dense, "_support_laws", counted("support", dense._support_laws, 0))
-    monkeypatch.setattr(dense, "_transition_table", counted("dense", dense._transition_table, 1))
-    monkeypatch.setattr(dense, "_fidelity_table", counted("form", dense._fidelity_table, 1))
+    for name, kernel in (("support", "_support_laws"), ("dense", "_transition_table"),
+                         ("form", "_fidelity_table")):
+        monkeypatch.setattr(dense, kernel, counted(name, getattr(dense, kernel)))
     rows, _ = draw_batch(3, 1, 300, clifford_bounds(3), 0)
     tableaux = grow_cliffords(3, rows)
     depolarizing = _spec_channel(3, [{"noise": "depolarizing", "strength": 0.05,
                                       "qubits": [1, 2, 3]}])
-    for ch, law, step in [
-            (random_cp_channel(3, master(84), n_kraus=64), "dense", dense._TABLE_BLOCK // 64),
-            (ChannelModel.from_kraus(depolarizing.kraus), "dense", dense._TABLE_BLOCK // 64),
-            (depolarizing, "form", 300),
-            (_noisy_cnot(3), "support", dense._TABLE_BLOCK // 24)]:
+    for ch, law in [(random_cp_channel(3, master(84), n_kraus=64), "dense"),
+                    (ChannelModel.from_kraus(depolarizing.kraus), "dense"),
+                    (depolarizing, "form"), (_noisy_cnot(3), "support")]:
         calls.clear()
         DenseBackend().clifford_outcome_probs(ch, tableaux)
-        assert {name for name, _ in calls} == {law}
-        assert [size for _, size in calls] == [min(step, 300 - lo) for lo in range(0, 300, step)]
+        assert calls == [(law, 300, [0])], law
 
 
 def test_local_outcome_probs_match_per_element_reference(monkeypatch):
@@ -763,14 +810,15 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
     every element at n = 1, 2 and 300 random elements at n = 3, 4, on every
     battery channel, the chi-only non-CP transpose map and a random CP map
     at n = 4.  Each channel builds at most 3^n unitaries (the rotation
-    parts), so no element's own kron product is built."""
+    parts), so no element's own unitary is built."""
     built = []
+    unitaries = Tableaux.unitaries
 
-    def counted(digits):
-        built.append(digits)
-        return local_twirl_unitary(digits)
+    def counted(self):
+        built.append(len(self))
+        return unitaries(self)
 
-    monkeypatch.setattr(dense, "local_twirl_unitary", counted)
+    monkeypatch.setattr(Tableaux, "unitaries", counted)
     rng = master(88)
     channels = [*battery(), ("transpose", transpose_map_channel()),
                 ("random-cp-4", random_cp_channel(4, master(89)))]
@@ -788,7 +836,7 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
             got = backend.local_outcome_probs(ch, digits)
             want = dense_local_probs(ch, digits)
             assert np.abs(got - want).max() <= 1e-12, (name, digits)
-        assert len(built) <= 3 ** n, name
+        assert 0 < sum(built) <= 3 ** n, name
 
 
 def test_sampling_builds_tables_without_channel_applications(monkeypatch):
@@ -799,8 +847,8 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     sample_c1t_realization does without a shared backend.  The exact MUB
     and one-qubit-twirl enumerations and c1t_fidelity, with and without an
     intermediary, apply the channel zero times too and build D+1 and 3^n
-    tables in all.  Tables are counted by the length of each stack of bases
-    built."""
+    tables in all.  Tables are counted by the length of each stack that the
+    dense kernel is given."""
     applied, built = [], []
     apply, table = ChannelModel.apply, dense._transition_table
 
@@ -808,9 +856,9 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
         applied.append(1)
         return apply(self, rho)
 
-    def counted_table(channel, w, columns):
-        built.append(len(w))
-        return table(channel, w, columns)
+    def counted_table(channel, tableaux, columns):
+        built.append(len(tableaux))
+        return table(channel, tableaux, columns)
 
     monkeypatch.setattr(ChannelModel, "apply", counted_apply)
     monkeypatch.setattr(dense, "_transition_table", counted_table)
@@ -892,10 +940,11 @@ def test_transition_tables_match_per_column_apply():
 
 @pytest.mark.parametrize("block", [1, 1 << 30])
 def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
-    """local_tables and mub_tables build the missing tables from one stack
-    of basis unitaries; every table equals the one built alone,
-    _transition_table(channel, u[None], all columns) of its rotation unitary
-    local_twirl_unitary(...) or its basis unitary, bit for bit.  Every
+    """local_tables and mub_tables build the missing tables from one
+    Tableaux stack; every table equals the one built alone,
+    _transition_table(channel, stack, all columns) of its one-row stack
+    (_rotation_tableaux of the rotation part, or the MUB basis), bit for
+    bit.  Every
     rotation part and every MUB basis at n = 1 to 5, on the table-test maps
     (battery, transpose, non-Hermitian chi, non-TP) and random CP maps at
     n = 4 and 5, with the block forced to one table and to all tables; half
@@ -908,14 +957,13 @@ def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
     for name, ch in channels:
         rotations = np.array(list(itertools.product(range(3), repeat=ch.n)))
         every = np.arange(ch.dim)
-        want = np.array([dense._transition_table(
-            ch, local_twirl_unitary(tuple((0, s) for s in r))[None], every)[0]
-            for r in rotations.tolist()])
+        want = np.array([dense._transition_table(ch, dense._rotation_tableaux(r[None]), every)[0]
+                         for r in rotations])
         backend = DenseBackend()
         assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
         assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
         family = build_mub_family(ch.n)
-        want = np.array([dense._transition_table(ch, family[j].unitaries(), every)[0]
+        want = np.array([dense._transition_table(ch, family[j], every)[0]
                          for j in range(len(family))])
         for j in range(0, len(family), 2):
             assert np.array_equal(backend.mub_transition_probs(ch, j), want[j]), name
