@@ -4,38 +4,49 @@ Chi-matrix channel models in the Pauli basis, exact small-n simulation
 oracles, stabilizer/MUB machinery, and the sampled twirl protocols that
 estimate diagonal chi information: selective and blind full-space twirl
 estimation, and one-qubit-twirl weight/support coarse graining.
+
+``import twirltomo`` loads no submodule: each public name in ``__all__`` is
+resolved from its home module on first access (PEP 562), so a CLI verb or a
+script that uses one protocol does not pay for importing the others.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .channels import (ChannelModel, ChiMatrix, apply_chi, check_cp_bound,
-                       check_positive_bound, chi_from_kraus, classify,
-                       coarse_grain, diagonalize_chi)
-from .dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
-                    exact_chi_extraction, haar_twirl_moment)
-from .localtwirl import (HammingStatistics, LocalTwirlConfig, c1t_fidelity,
-                         r_matrix, run_local_twirl, sample_c1t_realization,
-                         solve_chi_col, solve_pw)
-from .pauli import Pauli, commutes, multiply
-from .records import ExperimentRecord
-from .seqpt import (SeqptConfig, SeqptResult, average_fidelity, compare_variants,
-                    estimate_chi_selective, frames_independent_probability,
-                    run_blind_discovery, success_probability)
-from .stabilizer import Clifford, build_mub_family, sample_clifford_uniform
+# public name -> the submodule that defines it
+_HOMES = {
+    "Pauli": "pauli", "multiply": "pauli", "commutes": "pauli",
+    "ChannelModel": "channels", "ChiMatrix": "channels", "chi_from_kraus": "channels",
+    "apply_chi": "channels", "diagonalize_chi": "channels", "classify": "channels",
+    "check_cp_bound": "channels", "check_positive_bound": "channels",
+    "coarse_grain": "channels",
+    "DenseBackend": "dense", "TwirlSpec": "dense", "haar_twirl_moment": "dense",
+    "exact_chi_extraction": "dense", "enumerate_twirl_exact": "dense",
+    "Clifford": "stabilizer", "build_mub_family": "stabilizer",
+    "sample_clifford_uniform": "stabilizer",
+    "SeqptConfig": "seqpt", "SeqptResult": "seqpt", "estimate_chi_selective": "seqpt",
+    "average_fidelity": "seqpt", "run_blind_discovery": "seqpt",
+    "success_probability": "seqpt", "frames_independent_probability": "seqpt",
+    "compare_variants": "seqpt",
+    "LocalTwirlConfig": "localtwirl", "HammingStatistics": "localtwirl",
+    "ExperimentRecord": "records",
+    "sample_c1t_realization": "localtwirl", "r_matrix": "localtwirl",
+    "solve_pw": "localtwirl", "solve_chi_col": "localtwirl",
+    "run_local_twirl": "localtwirl", "c1t_fidelity": "localtwirl",
+}
 
-__all__ = [
-    "__version__",
-    "Pauli", "multiply", "commutes",
-    "ChannelModel", "ChiMatrix", "chi_from_kraus", "apply_chi",
-    "diagonalize_chi", "classify", "check_cp_bound", "check_positive_bound",
-    "coarse_grain",
-    "DenseBackend", "TwirlSpec",
-    "haar_twirl_moment", "exact_chi_extraction", "enumerate_twirl_exact",
-    "Clifford", "build_mub_family", "sample_clifford_uniform",
-    "SeqptConfig", "SeqptResult", "estimate_chi_selective", "average_fidelity",
-    "run_blind_discovery", "success_probability", "frames_independent_probability",
-    "compare_variants",
-    "LocalTwirlConfig", "HammingStatistics", "ExperimentRecord",
-    "sample_c1t_realization", "r_matrix", "solve_pw",
-    "solve_chi_col", "run_local_twirl", "c1t_fidelity",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -32,14 +32,12 @@ from .channels import (ChannelModel, _check_dense_cap, check_cp_bound, check_pos
 # load_channel is not called here; it stays importable as
 # twirltomo.cli.load_channel, a name outside tooling already uses.
 from .channel_spec import build_channel, load_channel, parse_channel_document  # noqa: F401
-from .dense import DenseBackend, haar_twirl_moment
 from .errors import CapacityError, ConfigError, SpecValidationError
-from .localtwirl import LocalTwirlConfig, run_local_twirl
 from .pauli import Pauli
 from .rng import check_seed, master
-from .seqpt import (SeqptConfig, estimate_chi_selective,
-                    frames_independent_probability, run_blind_discovery,
-                    success_probability)
+
+# The protocol modules (dense, seqpt, localtwirl) are imported inside the
+# verbs that run them, so a verb loads only what it runs.
 
 
 def _json_text(name: str, payload: dict) -> str:
@@ -113,6 +111,8 @@ def _cmd_exact_chi(args, doc, channel, warnings):
 
 
 def _cmd_seqpt(args, doc, channel, warnings):
+    from .dense import DenseBackend
+    from .seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
     if args.mode == "select" and not args.label:
         raise ConfigError("seqpt select requires --label")
     cfg = SeqptConfig(shots=args.shots, epsilon=args.epsilon, delta=args.delta,
@@ -152,6 +152,7 @@ def _cmd_seqpt(args, doc, channel, warnings):
 
 
 def _cmd_local_twirl(args, doc, channel, warnings):
+    from .localtwirl import LocalTwirlConfig, run_local_twirl
     cfg = LocalTwirlConfig(shots=args.shots, cutoff=args.cutoff, seed=args.seed)
     est = run_local_twirl(channel, cfg)
     cg = coarse_grain(channel.chi) if _oracle_diag(channel) else None
@@ -200,6 +201,7 @@ def _cmd_bounds_check(args, doc, channel, warnings):
 
 
 def _cmd_haar_verify(args, doc, channel, warnings):
+    from .dense import haar_twirl_moment
     if args.quadruples < 1:  # haar_twirl_moment checks --dim and --shots
         raise ConfigError("haar-verify needs --quadruples >= 1")
     rng = master(args.seed)
@@ -231,6 +233,7 @@ def _cmd_haar_verify(args, doc, channel, warnings):
 
 
 def _cmd_success_prob(args, doc, channel, warnings):
+    from .seqpt import frames_independent_probability, success_probability
     if args.max_n < 1:
         raise ConfigError("success-prob needs --max-n >= 1")
     lines = [f"{'n':>3} {'mub':>10} {'clifford':>10} {'indep-frames':>13}"]

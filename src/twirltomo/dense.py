@@ -121,28 +121,28 @@ class TwirlSpec:
     element (as :func:`twirltomo.rng.draw_batch` makes them), the
     :meth:`elements` the draws name, their laws (:meth:`laws`, drawn from by
     :func:`draw_outcomes`) and their Z-image keys (:meth:`z_keys`), against
-    which an intermediary Pauli shifts a law.  ``haar_state`` has no layout.
+    which an intermediary Pauli shifts a law.
     """
 
-    kind: str  # haar_state | mub | clifford_full | local_clifford
+    kind: str  # mub | clifford_full | local_clifford
     n: int
 
     def __post_init__(self):
-        if self.kind not in ("haar_state", "mub", "clifford_full", "local_clifford"):
+        if self.kind not in ("mub", "clifford_full", "local_clifford"):
             raise ConfigError(f"unknown twirl kind {self.kind!r}")
         object.__setattr__(self, "n", check_int("n", self.n))
         if self.n < 1:
             raise ConfigError(f"a twirl acts on n >= 1 qubits, got n = {self.n}")
 
     @property
-    def layout(self) -> tuple[int, ...] | None:
+    def layout(self) -> tuple[int, ...]:
         d = 1 << self.n
         return {"mub": (d + 1, d), "local_clifford": (4, 3) * self.n,
-                "clifford_full": clifford_bounds(self.n)}.get(self.kind)
+                "clifford_full": clifford_bounds(self.n)}[self.kind]
 
     @property
-    def enumeration_size(self) -> int | None:
-        return None if self.layout is None else math.prod(self.layout)
+    def enumeration_size(self) -> int:
+        return math.prod(self.layout)
 
     def elements(self, ints: np.ndarray):
         """The elements that the (M, len(layout)) draw rows name: (basis,
@@ -166,7 +166,8 @@ class TwirlSpec:
              elements) -> tuple[np.ndarray, np.ndarray]:
         """(laws, rows): element i's law, with no intermediary, is laws[rows[i]].
 
-        MUB (basis j, state m): row j*D + m of the D+1 tables.  One-qubit
+        MUB (basis j, state m): row j*D + m of the D+1 tables; a row
+        outside ``layout`` raises ValueError.  One-qubit
         twirl: row slot*D + x of the tables of the distinct rotation parts,
         x the X part of the Pauli part (X and Y flip a qubit) and the slot
         numbering the parts in order.  Clifford: the element's own law
@@ -176,6 +177,10 @@ class TwirlSpec:
             raise DimensionMismatchError(f"twirl on {self.n} qubits, channel on {channel.n}")
         d = channel.dim
         if self.kind == "mub":
+            bad = np.flatnonzero(((elements < 0) | (elements >= self.layout)).any(axis=1))
+            if bad.size:
+                raise ValueError(f"MUB elements are (basis 0..{d}, state 0..{d - 1}) rows, "
+                                 f"got row {bad[0]}: {elements[bad[0]].tolist()}")
             return backend.mub_tables(channel).reshape(-1, d), elements @ np.array([d, 1])
         if self.kind == "clifford_full":
             return backend.clifford_outcome_probs(channel, elements), np.arange(len(elements))
@@ -570,8 +575,6 @@ def enumerate_twirl_exact(channel: ChannelModel, twirl: TwirlSpec,
     ``np.indices(twirl.layout)`` (:meth:`TwirlSpec.laws`), each shifted by
     the intermediary's syndrome against the element's Z-images.
     """
-    if twirl.layout is None:
-        raise ValueError(f"twirl kind {twirl.kind!r} is not enumerable")
     cap = {"mub": MUB_ENUM_MAX_N, "local_clifford": LOCAL_ENUM_MAX_N,
            "clifford_full": CLIFFORD_ENUM_MAX_N}[twirl.kind]
     if twirl.n > cap:

@@ -1,5 +1,12 @@
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import twirltomo
 
@@ -7,12 +14,57 @@ SRC = Path(twirltomo.__file__).resolve().parent
 
 
 def test_star_import_resolves_every_public_name():
-    """Every name in twirltomo.__all__ exists, so a star import succeeds."""
+    """Every name in twirltomo.__all__ exists, so a star import succeeds,
+    and is the object its home module defines under that name."""
     namespace = {}
     exec("from twirltomo import *", namespace)
     for name in twirltomo.__all__:
         assert hasattr(twirltomo, name), name
         assert name in namespace, name
+        if name != "__version__":
+            home = importlib.import_module(getattr(twirltomo, name).__module__)
+            assert namespace[name] is getattr(home, name), name
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The twirltomo modules that a fresh interpreter holds after ``code``."""
+    script = (code + "\nimport sys\nprint(sorted(k for k in sys.modules"
+              " if k.split('.')[0] == 'twirltomo'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    """``import twirltomo`` loads no submodule; ``dir`` still lists every
+    public name and an unknown attribute raises AttributeError."""
+    loaded = _loaded_after(
+        "import twirltomo\n"
+        "assert set(twirltomo.__all__) <= set(dir(twirltomo))\n"
+        "assert not hasattr(twirltomo, 'no_such_name')")
+    assert loaded == ["twirltomo"]
+
+
+def test_cli_import_loads_no_protocol():
+    """``import twirltomo.cli`` leaves both protocol modules to the verbs."""
+    loaded = _loaded_after("import twirltomo.cli")
+    assert "twirltomo.seqpt" not in loaded and "twirltomo.localtwirl" not in loaded
+
+
+@pytest.mark.parametrize("verb, runs, skips", [
+    (["local-twirl"], "localtwirl", "seqpt"),
+    (["seqpt", "blind"], "seqpt", "localtwirl"),
+])
+def test_cli_verb_loads_only_its_protocol(tmp_path, verb, runs, skips):
+    """A CLI run loads the protocol module of its verb and not the other."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "cnot", "n": 2,
+                                "build": [{"named_gate": "CNOT", "qubits": [1, 2]}]}))
+    argv = [*verb, "--spec", str(spec), "--out", str(tmp_path / "out"), "--shots", "50"]
+    loaded = _loaded_after(f"import twirltomo.cli\nassert twirltomo.cli.main({argv!r}) == 0")
+    assert f"twirltomo.{runs}" in loaded and f"twirltomo.{skips}" not in loaded
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -34,9 +86,9 @@ def _unused_imports(path: Path) -> list[str]:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return [f"{path.name}:{line} {name}" for name, line in imported.items()
             if name not in used]
 

@@ -262,8 +262,6 @@ def test_enumeration_caps():
         enumerate_twirl_exact(big, TwirlSpec("mub", 4))
     with pytest.raises(CapacityError):
         enumerate_twirl_exact(big, TwirlSpec("clifford_full", 4))
-    with pytest.raises(ValueError):
-        enumerate_twirl_exact(big, TwirlSpec("haar_state", 4))
 
 
 def _one_clifford(n):
@@ -298,8 +296,7 @@ def test_twirl_spec_sizes():
     sensitive) or fewer than one qubit raises ConfigError at construction."""
     assert TwirlSpec("mub", 2).enumeration_size == 20
     assert TwirlSpec("local_clifford", 2).enumeration_size == 144
-    assert TwirlSpec("haar_state", 2).enumeration_size is None
-    for kind, n in (("MUB", 2), ("clifford", 2), ("mub", 0), ("mub", -1),
+    for kind, n in (("MUB", 2), ("clifford", 2), ("haar_state", 2), ("mub", 0), ("mub", -1),
                     ("local_clifford", -1)):
         with pytest.raises(ConfigError):
             TwirlSpec(kind, n)
@@ -334,8 +331,10 @@ def test_law_methods_reject_bad_inputs():
     outside 0..2 (a 3 would overflow into the next base-3 place) or a Pauli
     digit outside 0..3 raises ValueError, in local_outcome_probs and
     local_tables alike; a wrong qubit count raises DimensionMismatchError;
-    and a bool or non-integer MUB basis raises ValueError.  An empty stack
-    of rotation parts gives an empty stack of tables."""
+    a bool or non-integer MUB basis raises ValueError, and so does a MUB
+    element row outside the layout, naming the row (a basis of -1 would
+    read basis 4's law, one of 5 would fail later in the caller's index).
+    An empty stack of rotation parts gives an empty stack of tables."""
     ch = _spec_channel(2, [{"named_gate": "CNOT", "qubits": [1, 2]},
                            {"noise": "amplitude_damping", "strength": 0.2, "qubits": [2]}])
     backend = DenseBackend()
@@ -353,6 +352,10 @@ def test_law_methods_reject_bad_inputs():
     for basis in (True, False, np.True_, 1.0):
         with pytest.raises(ValueError, match="basis must be an integer"):
             backend.mub_transition_probs(ch, basis)
+    for rows, bad in (([[0, 0], [-1, 0]], r"row 1: \[-1, 0\]"), ([[5, 0]], r"row 0: \[5, 0\]"),
+                      ([[4, 3], [0, 4]], r"row 1: \[0, 4\]"), ([[2, -1]], r"row 0: \[2, -1\]")):
+        with pytest.raises(ValueError, match=r"\(basis 0\.\.4, state 0\.\.3\) rows, got " + bad):
+            TwirlSpec("mub", 2).laws(backend, ch, np.array(rows))
     assert np.array_equal(backend.local_outcome_probs(ch, ((1, 2), (0, 0))),
                           backend.local_tables(ch, [[2, 0]])[0, 2])
     assert np.array_equal(backend.mub_transition_probs(ch, np.int64(1)), backend.mub_tables(ch)[1])
