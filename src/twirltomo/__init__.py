@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "Pauli": "pauli", "multiply": "pauli", "commutes": "pauli",
     "ChannelModel": "channels", "ChiMatrix": "channels", "chi_from_kraus": "channels",
-    "apply_chi": "channels", "diagonalize_chi": "channels", "classify": "channels",
+    "diagonalize_chi": "channels", "classify": "channels",
     "check_cp_bound": "channels", "check_positive_bound": "channels",
     "coarse_grain": "channels",
     "DenseBackend": "dense", "TwirlSpec": "dense", "haar_twirl_moment": "dense",
@@ -33,6 +33,7 @@ _HOMES = {
     "ExperimentRecord": "records",
     "sample_c1t_realization": "localtwirl", "r_matrix": "localtwirl",
     "solve_pw": "localtwirl", "solve_chi_col": "localtwirl",
+    "solve_weight_probs_exact": "localtwirl", "solve_chi_col_exact": "localtwirl",
     "run_local_twirl": "localtwirl", "c1t_fidelity": "localtwirl",
 }
 

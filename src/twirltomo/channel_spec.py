@@ -237,8 +237,3 @@ def load_channel(path, warnings: list[str] | None = None) -> ChannelModel:
         raw = json.load(fh)
     return build_channel(parse_channel_document(raw), warnings)
 
-
-def save_channel_document(doc: ChannelSpecDocument, path):
-    with open(path, "w") as fh:
-        json.dump(doc.to_json_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")

@@ -13,9 +13,6 @@ materializing all 4**n basis matrices.  Dense operations are capped at
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import threading
 from dataclasses import dataclass
 
@@ -100,30 +97,6 @@ class ChiMatrix:
             "entries": [[[v.real, v.imag] for v in row] for row in self.mat],
         }
 
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-
-    def to_csv(self) -> str:
-        """Row-major dump; each cell is the string "re,im" (quoted)."""
-        buf = io.StringIO()
-        w = csv.writer(buf, quoting=csv.QUOTE_ALL)
-        for row in self.mat:
-            w.writerow([f"{float(v.real)!r},{float(v.imag)!r}" for v in row])
-        return buf.getvalue()
-
-    def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
-    @staticmethod
-    def load_json(path) -> "ChiMatrix":
-        with open(path) as fh:
-            doc = json.load(fh)
-        mat = np.array([[complex(re, im) for re, im in row] for row in doc["entries"]])
-        return ChiMatrix(doc["n"], mat)
-
 
 def chi_from_kraus(kraus: list[np.ndarray]) -> ChiMatrix:
     """Chi matrix of rho -> sum_k A_k rho A_k^dag.
@@ -165,22 +138,6 @@ def _chi_operator_pairs(chi: ChiMatrix) -> tuple[tuple[np.ndarray, np.ndarray], 
     return tuple(pairs)
 
 
-def _apply_pairs(pairs, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for a, b in pairs:
-        out += a @ rho @ b.conj().T
-    return out
-
-
-def apply_chi(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
-    """Evaluate sum_{l,l'} chi[l,l'] P_l rho P_l' on a D x D matrix."""
-    d = chi.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(f"state must be {d}x{d}, got {rho.shape}")
-    return _apply_pairs(_chi_operator_pairs(chi), rho)
-
-
 @dataclass(frozen=True)
 class ChiEigenDecomposition:
     """chi = B^dag S B with S real diagonal, plus the operator form.
@@ -193,9 +150,6 @@ class ChiEigenDecomposition:
     eigenvalues: np.ndarray
     basis: np.ndarray
     operators: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis.conj().T @ np.diag(self.eigenvalues) @ self.basis
 
 
 def diagonalize_chi(chi: ChiMatrix, atol: float = 1e-10) -> ChiEigenDecomposition:
@@ -305,6 +259,8 @@ class ChannelModel:
         self.dim = 1 << n
         if kraus is not None:
             kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
+            if not kraus:
+                raise ValueError("need at least one Kraus operator")
             for k in kraus:
                 if k.shape != (self.dim, self.dim):
                     raise DimensionMismatchError(
@@ -324,8 +280,9 @@ class ChannelModel:
 
     @staticmethod
     def from_kraus(kraus) -> "ChannelModel":
-        d = kraus[0].shape[0]
-        return ChannelModel(d.bit_length() - 1, kraus=list(kraus))
+        kraus = list(kraus)
+        d = kraus[0].shape[0] if kraus else 1  # an empty set fails in the constructor
+        return ChannelModel(d.bit_length() - 1, kraus=kraus)
 
     @staticmethod
     def from_chi(chi: ChiMatrix) -> "ChannelModel":
@@ -362,8 +319,11 @@ class ChannelModel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"state must be {self.dim}x{self.dim}")
-        return _apply_pairs(self.operator_pairs(), rho)
+            raise DimensionMismatchError(f"state must be {self.dim}x{self.dim}, got {rho.shape}")
+        out = np.zeros_like(rho)
+        for a, b in self.operator_pairs():
+            out += a @ rho @ b.conj().T
+        return out
 
     @property
     def classification(self) -> Classification:
@@ -529,12 +489,3 @@ def _compress_kraus(ops: list[np.ndarray], n: int) -> list[np.ndarray]:
             out.append(np.sqrt(s) * op)
     return out
 
-
-def random_cp_channel(n: int, rng: np.random.Generator,
-                      n_kraus: int | None = None) -> ChannelModel:
-    """Random CP trace-preserving channel from a Haar-ish random isometry."""
-    d = 1 << n
-    k = n_kraus or int(rng.integers(1, d + 1))
-    g = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
-    q, _ = np.linalg.qr(g)
-    return ChannelModel(n, kraus=[q[i * d:(i + 1) * d, :] for i in range(k)])

@@ -331,7 +331,8 @@ def main(argv=None) -> int:
         extra = {}
         if args.verb == "exact-chi":
             extra = {"chi.json": _json_text("chi.json", channel.chi.to_json_dict()),
-                     "chi.csv": channel.chi.to_csv()}
+                     "chi.csv": _csv_text([[f"{float(v.real)!r},{float(v.imag)!r}" for v in row]
+                                           for row in channel.chi.mat])}
         out = _write_outputs(args, doc, protocol, config, results, lines, rows, extra)
         print(f"wrote results to {out}")
         return 0

@@ -166,11 +166,11 @@ class TwirlSpec:
              elements) -> tuple[np.ndarray, np.ndarray]:
         """(laws, rows): element i's law, with no intermediary, is laws[rows[i]].
 
-        MUB (basis j, state m): row j*D + m of the D+1 tables; a row
-        outside ``layout`` raises ValueError.  One-qubit
+        MUB (basis j, state m): row j*D + m of the D+1 tables.  One-qubit
         twirl: row slot*D + x of the tables of the distinct rotation parts,
         x the X part of the Pauli part (X and Y flip a qubit) and the slot
-        numbering the parts in order.  Clifford: the element's own law
+        numbering the parts in order.  A MUB row or one-qubit digits outside
+        ``layout`` raise ValueError.  Clifford: the element's own law
         (:meth:`DenseBackend.clifford_outcome_probs`).
         """
         if self.n != channel.n:
@@ -184,6 +184,12 @@ class TwirlSpec:
             return backend.mub_tables(channel).reshape(-1, d), elements @ np.array([d, 1])
         if self.kind == "clifford_full":
             return backend.clifford_outcome_probs(channel, elements), np.arange(len(elements))
+        # three reductions, not a per-row any: this check runs on every batch
+        if elements.size and (elements.min() < 0 or elements[..., 0].max() > 3
+                              or elements[..., 1].max() > 2):
+            bad = np.flatnonzero(((elements < 0) | (elements >= (4, 3))).any(axis=(1, 2)))[0]
+            raise ValueError(f"one-qubit twirl elements are (pauli 0..3, rotation 0..2), "
+                             f"got row {bad}: {elements[bad].tolist()}")
         places = np.arange(self.n - 1, -1, -1)  # qubit 1 is the top digit
         codes = elements[:, :, 1] @ 3 ** places
         seen = np.bincount(codes, minlength=3 ** self.n) > 0
@@ -531,8 +537,6 @@ class DenseBackend:
         part, and R P|v> = R|v ^ x> up to phase, x the X part of P: the law
         is row x of the table of the basis R (:meth:`TwirlSpec.laws`)."""
         digits = np.array(digits).reshape(1, -1, 2)
-        if not ((0 <= digits) & (digits < (4, 3))).all():
-            raise ValueError(f"digits are (pauli 0..3, rotation 0..2), got {digits[0].tolist()}")
         laws, rows = TwirlSpec("local_clifford", digits.shape[1]).laws(self, channel, digits)
         return laws[rows[0]]
 

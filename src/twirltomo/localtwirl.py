@@ -248,21 +248,15 @@ class SupportEstimate:
 
 
 def solve_chi_col_exact(n: int, prob_of_support, cutoff: int) -> dict[tuple[int, ...], float]:
-    """Back-substitute the support-resolved triangular system.
+    """Solve the support-resolved system on exact probabilities, with the
+    matrix :func:`solve_chi_col` solves.
 
     ``prob_of_support`` maps a support vector (= outcome bit string) to its
-    exact probability.  Proceeds strictly by descending weight.
+    exact probability.
     """
     supports = _supports_upto(n, cutoff)
-    values: dict[tuple[int, ...], float] = {}
-    for s in supports:
-        w = sum(s)
-        acc = float(prob_of_support(s))
-        for t, x in values.items():
-            if all(tb >= sb for sb, tb in zip(s, t)) and t != s:
-                acc -= 2.0 ** w / 3.0 ** sum(t) * x
-        values[s] = acc * 3.0 ** w / 2.0 ** w
-    return values
+    q = np.array([float(prob_of_support(s)) for s in supports])
+    return dict(zip(supports, np.linalg.solve(_support_matrix(supports), q).tolist()))
 
 
 def _support_matrix(supports: list[tuple[int, ...]]) -> np.ndarray:

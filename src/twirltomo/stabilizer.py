@@ -14,7 +14,6 @@ rules with the Y_c Y_t sign handled by the standard tableau update.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
 from .gf2 import _gj_insert
-from .pauli import Pauli, multiply
+from .pauli import Pauli
 
 _ONE = np.uint64(1)
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -119,21 +118,6 @@ class Clifford:
             xs = [_conj_gate(p, g) for p in xs]
             zs = [_conj_gate(p, g) for p in zs]
         return Clifford(n, tuple(xs), tuple(zs))
-
-    def conjugate(self, p: Pauli) -> Pauli:
-        """C P C^dag with exact sign, from the stored images."""
-        if p.n != self.n:
-            raise DimensionMismatchError("qubit count mismatch")
-        n = self.n
-        acc = Pauli.identity(n)
-        for j in range(n):
-            if (p.x >> (n - 1 - j)) & 1:
-                acc = multiply(acc, self.x_images[j])
-        for j in range(n):
-            if (p.z >> (n - 1 - j)) & 1:
-                acc = multiply(acc, self.z_images[j])
-        c = (p.x & p.z).bit_count()
-        return Pauli(n, acc.x, acc.z, acc.phase_pow + c + p.phase_pow)
 
     def unitary(self) -> np.ndarray:
         """Dense unitary up to a global phase, by :meth:`Tableaux.unitaries`."""
@@ -449,23 +433,3 @@ def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:
     elements, grow :func:`clifford_bounds` rows in one call instead."""
     return grow_cliffords(n, draw_clifford_row(n, rng)).clifford(0)
 
-
-def clifford_group_tableaux(n: int) -> Tableaux:
-    """The whole Clifford group mod phase as one stack: every draw row of
-    :func:`clifford_bounds` in lexicographic order, sign bits innermost.
-
-    Practical for n <= 2 (24 and 11520 elements).
-    """
-    if n > 2:
-        raise DimensionMismatchError("full Clifford enumeration capped at n = 2")
-    rows = np.array(list(itertools.product(*map(range, clifford_bounds(n)))),
-                    dtype=np.int64)
-    rows[:, 2 * n:] = rows[:, 2 * n:][:, ::-1]  # sign bit 0 varies fastest
-    return grow_cliffords(n, rows)
-
-
-def enumerate_clifford_group(n: int):
-    """The elements of :func:`clifford_group_tableaux`, in order."""
-    tableaux = clifford_group_tableaux(n)
-    for i in range(len(tableaux)):
-        yield tableaux.clifford(i)

@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 
 from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 depolarizing_kraus, gate_unitary,
-                                phase_flip_kraus, amplitude_damping_kraus,
-                                random_cp_channel)
+                                phase_flip_kraus, amplitude_damping_kraus)
 from twirltomo import gf2
 from twirltomo.dense import local_twirl_unitary
 from twirltomo.pauli import XZ_DIGIT, Pauli
+from twirltomo.errors import DimensionMismatchError
 from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli, _spread_matrices,
-                                  _swap_halves)
+                                  _swap_halves, clifford_bounds, grow_cliffords)
 
 I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -135,6 +136,30 @@ def draw_outcome_reference(cdf: np.ndarray, u: float) -> int:
         raise ValueError("outcome distribution has no positive mass")
     v = int(cdf.searchsorted(u * total, side="right"))
     return v if v < len(cdf) else int(cdf.searchsorted(total, side="left"))
+
+
+def random_cp_channel(n: int, rng: np.random.Generator,
+                      n_kraus: int | None = None) -> ChannelModel:
+    """Random CP trace-preserving channel from a Haar-ish random isometry."""
+    d = 1 << n
+    k = n_kraus or int(rng.integers(1, d + 1))
+    g = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
+    q, _ = np.linalg.qr(g)
+    return ChannelModel(n, kraus=[q[i * d:(i + 1) * d, :] for i in range(k)])
+
+
+def clifford_group_tableaux(n: int) -> Tableaux:
+    """The whole Clifford group mod phase as one stack: every draw row of
+    :func:`clifford_bounds` in lexicographic order, sign bits innermost.
+
+    Practical for n <= 2 (24 and 11520 elements).
+    """
+    if n > 2:
+        raise DimensionMismatchError("full Clifford enumeration capped at n = 2")
+    rows = np.array(list(itertools.product(*map(range, clifford_bounds(n)))),
+                    dtype=np.int64)
+    rows[:, 2 * n:] = rows[:, 2 * n:][:, ::-1]  # sign bit 0 varies fastest
+    return grow_cliffords(n, rows)
 
 
 def transpose_map_channel() -> ChannelModel:

@@ -12,10 +12,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import cnot_channel, mixed_z1_channel, battery
+from conftest import cnot_channel, mixed_z1_channel, battery, random_cp_channel
 from twirltomo.channels import (ChannelModel, chi_from_kraus, check_cp_bound,
                                 check_positive_bound, coarse_grain,
-                                diagonalize_chi, gate_unitary, random_cp_channel)
+                                diagonalize_chi, gate_unitary)
 from twirltomo.cli import main as cli_main
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              haar_twirl_moment)

@@ -145,11 +145,8 @@ def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
             if name.startswith("_") and not name.startswith("__")]
 
 
-def test_no_unread_private_definitions():
-    """Every module-level private name of the package is read somewhere in
-    it: as a name or an attribute in any module (a private helper that only
-    tests read belongs in the tests)."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def _package_reads(trees) -> set[str]:
+    """Every name the package reads, as a name or an attribute."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -157,6 +154,35 @@ def test_no_unread_private_definitions():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_unread_private_definitions():
+    """Every module-level private name of the package is read somewhere in
+    it: as a name or an attribute in any module (a private helper that only
+    tests read belongs in the tests)."""
+    trees = _package_trees()
+    read = _package_reads(trees)
     unread = [f"{name}:{line} {private}" for name, tree in trees.items()
               for private, line in _private_definitions(tree) if private not in read]
     assert not unread, unread
+
+
+def test_every_public_definition_is_reached():
+    """Every module-level public def or class of the package is read by one
+    of its modules, exported in ``twirltomo.__all__``, or wrapped by name by
+    the benchmark tracer (``LAYERS`` of ``twirlbench/tracer.py``): a public
+    name that only tests reach belongs in the tests."""
+    from test_tracer_names import _layers
+    trees = _package_trees()
+    reached = (_package_reads(trees) | set(twirltomo.__all__)
+               | {name.split(".")[0] for names in _layers().values() for name in names})
+    unreached = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_") and node.name not in reached]
+    assert not unreached, unreached

@@ -1,13 +1,17 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from conftest import battery, cnot_channel, transpose_map_channel
-from twirltomo.channels import (PSD_RTOL, TP_ATOL, ChannelModel, ChiMatrix, apply_chi,
+from conftest import battery, cnot_channel, random_cp_channel, transpose_map_channel
+from twirltomo.channels import (PSD_RTOL, TP_ATOL, ChannelModel, ChiMatrix,
                                 check_cp_bound, check_positive_bound,
                                 chi_from_kraus, classify, coarse_grain, compose,
                                 depolarizing_kraus, diagonalize_chi, embed_kraus,
                                 gate_unitary, matrix_from_pauli_coefficients,
-                                pauli_coefficients, random_cp_channel)
+                                pauli_coefficients)
+from twirltomo.cli import main
 from twirltomo.errors import DimensionMismatchError
 from twirltomo.pauli import Pauli
 
@@ -59,12 +63,12 @@ def test_chi_depolarizing():
 def test_apply_chi_examples():
     ident = chi_from_kraus([np.eye(2, dtype=complex)])
     rho = random_density(2, np.random.default_rng(1))
-    np.testing.assert_allclose(apply_chi(ident, rho), rho, atol=1e-12)
+    np.testing.assert_allclose(ChannelModel.from_chi(ident).apply(rho), rho, atol=1e-12)
     # CNOT truth table on |10> -> |11>
     chi = cnot_channel().chi
     rho10 = np.zeros((4, 4), dtype=complex)
     rho10[2, 2] = 1.0
-    out = apply_chi(chi, rho10)
+    out = ChannelModel.from_chi(chi).apply(rho10)
     want = np.zeros((4, 4))
     want[3, 3] = 1.0
     np.testing.assert_allclose(out, want, atol=1e-10)
@@ -80,10 +84,10 @@ def test_kraus_chi_round_trip_battery():
     for n in (1, 2, 3):
         for _ in range(34 if n == 1 else 33):
             ch = random_cp_channel(n, rng)
-            chi = ch.chi
+            from_chi = ChannelModel.from_chi(ch.chi)
             for _ in range(20):
                 rho = random_density(1 << n, rng)
-                np.testing.assert_allclose(apply_chi(chi, rho), ch.apply(rho),
+                np.testing.assert_allclose(from_chi.apply(rho), ch.apply(rho),
                                            atol=1e-10)
 
 
@@ -92,7 +96,8 @@ def test_diagonalize_chi():
     dec = diagonalize_chi(dep)
     np.testing.assert_allclose(dec.eigenvalues, [0.775, 0.075, 0.075, 0.075],
                                atol=1e-12)
-    np.testing.assert_allclose(dec.reconstruct(), dep.mat, atol=1e-12)
+    np.testing.assert_allclose(dec.basis.conj().T @ np.diag(dec.eigenvalues) @ dec.basis,
+                               dep.mat, atol=1e-12)
     # CNOT block is rank one (a unitary map)
     dec_c = diagonalize_chi(cnot_channel().chi)
     np.testing.assert_allclose(dec_c.eigenvalues[0], 1.0, atol=1e-12)
@@ -319,13 +324,17 @@ def test_compose_and_embed():
 
 
 def test_chi_export_round_trip(tmp_path):
+    """The chi.json and chi.csv that ``exact-chi`` writes read back to the
+    channel's chi matrix."""
     chi = cnot_channel().chi
-    chi.save_json(tmp_path / "chi.json")
-    loaded = ChiMatrix.load_json(tmp_path / "chi.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "cnot", "n": 2,
+                                "build": [{"named_gate": "CNOT", "qubits": [1, 2]}]}))
+    assert main(["exact-chi", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "chi.json").read_text())
+    loaded = ChiMatrix(doc["n"], [[complex(re, im) for re, im in row] for row in doc["entries"]])
     np.testing.assert_allclose(loaded.mat, chi.mat, atol=0)
-    chi.save_csv(tmp_path / "chi.csv")
-    import csv
-    with open(tmp_path / "chi.csv") as fh:
+    with open(tmp_path / "chi.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 16 and len(rows[0]) == 16
     re, im = rows[0][0].split(",")
@@ -336,4 +345,12 @@ def test_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         chi_from_kraus([np.eye(2), np.eye(4)])
     with pytest.raises(DimensionMismatchError):
-        apply_chi(cnot_channel().chi, np.eye(2))
+        ChannelModel.from_chi(cnot_channel().chi).apply(np.eye(2))
+
+
+def test_empty_kraus_set_rejected():
+    """A map needs at least one Kraus operator, in the constructor and in
+    from_kraus alike, as chi_from_kraus says."""
+    for build in (lambda: ChannelModel(1, kraus=[]), lambda: ChannelModel.from_kraus([])):
+        with pytest.raises(ValueError, match="need at least one Kraus operator"):
+            build()

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
-                      draw_outcome_reference, label_table, transpose_map_channel)
+                      draw_outcome_reference, label_table, random_cp_channel,
+                      transpose_map_channel)
 from twirltomo import dense, localtwirl, seqpt
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
                                 depolarizing_kraus, embed_kraus, gate_unitary,
-                                pauli_coefficients, random_cp_channel)
+                                pauli_coefficients)
 from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
@@ -329,11 +330,13 @@ def test_law_methods_reject_bad_inputs():
     """On an amplitude-damping spec at n = 2 the law methods raise instead of
     returning another element's law or dying inside numpy: a rotation digit
     outside 0..2 (a 3 would overflow into the next base-3 place) or a Pauli
-    digit outside 0..3 raises ValueError, in local_outcome_probs and
-    local_tables alike; a wrong qubit count raises DimensionMismatchError;
-    a bool or non-integer MUB basis raises ValueError, and so does a MUB
-    element row outside the layout, naming the row (a basis of -1 would
-    read basis 4's law, one of 5 would fail later in the caller's index).
+    digit outside 0..3 raises ValueError, in local_outcome_probs, local_tables
+    and the one-qubit TwirlSpec.laws alike (laws names the first bad row; a
+    Pauli digit of 7 would act as I); a wrong qubit count raises
+    DimensionMismatchError; a bool or non-integer MUB basis raises
+    ValueError, and so does a MUB element row outside the layout, naming the
+    row (a basis of -1 would read basis 4's law, one of 5 would fail later
+    in the caller's index).
     An empty stack of rotation parts gives an empty stack of tables."""
     ch = _spec_channel(2, [{"named_gate": "CNOT", "qubits": [1, 2]},
                            {"noise": "amplitude_damping", "strength": 0.2, "qubits": [2]}])
@@ -356,6 +359,12 @@ def test_law_methods_reject_bad_inputs():
                       ([[4, 3], [0, 4]], r"row 1: \[0, 4\]"), ([[2, -1]], r"row 0: \[2, -1\]")):
         with pytest.raises(ValueError, match=r"\(basis 0\.\.4, state 0\.\.3\) rows, got " + bad):
             TwirlSpec("mub", 2).laws(backend, ch, np.array(rows))
+    for rows, bad in (([[[0, 0], [0, 0]], [[0, 3], [0, 0]]], r"row 1: \[\[0, 3\], \[0, 0\]\]"),
+                      ([[[7, 0], [0, 0]]], r"row 0: \[\[7, 0\], \[0, 0\]\]"),
+                      ([[[1, 2], [3, 1]], [[0, 0], [0, -1]]], r"row 1: \[\[0, 0\], \[0, -1\]\]"),
+                      ([[[-1, 0], [0, 0]]], r"row 0: \[\[-1, 0\], \[0, 0\]\]")):
+        with pytest.raises(ValueError, match=r"\(pauli 0\.\.3, rotation 0\.\.2\), got " + bad):
+            TwirlSpec("local_clifford", 2).laws(backend, ch, np.array(rows))
     assert np.array_equal(backend.local_outcome_probs(ch, ((1, 2), (0, 0))),
                           backend.local_tables(ch, [[2, 0]])[0, 2])
     assert np.array_equal(backend.mub_transition_probs(ch, np.int64(1)), backend.mub_tables(ch)[1])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import class_of, symplectic_product, xor_combination
+from conftest import class_of, random_cp_channel, symplectic_product, xor_combination
 from twirltomo import gf2, seqpt
-from twirltomo.channels import random_cp_channel
 from twirltomo.pauli import Pauli
 from twirltomo.seqpt import SeqptConfig, _constraint_classes, run_blind_discovery
 from twirltomo.rng import draw_batch

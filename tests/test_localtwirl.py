@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import (battery, cnot_channel, dense_local_probs, mixed_z1_channel,
-                      sparse_support_channel_n3)
+                      random_cp_channel, sparse_support_channel_n3)
 from twirltomo import localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
-from twirltomo.channels import (ChannelModel, coarse_grain, depolarizing_kraus,
-                                random_cp_channel)
+from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
 from twirltomo.dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
 from twirltomo.errors import ConfigError
 from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig,

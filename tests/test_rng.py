@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import battery
+from conftest import battery, random_cp_channel
 from twirltomo import dense, rng
-from twirltomo.channels import random_cp_channel
 from twirltomo.errors import ConfigError
 from twirltomo.dense import DenseBackend, TwirlSpec
 from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,

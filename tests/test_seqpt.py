@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cnot_channel, draw_outcome_reference, mixed_z1_channel
+from conftest import (cnot_channel, draw_outcome_reference, mixed_z1_channel,
+                      random_cp_channel)
 from twirltomo.channel_spec import build_channel, parse_channel_document
-from twirltomo.channels import (ChannelModel, depolarizing_kraus, gate_unitary,
-                                random_cp_channel)
+from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
