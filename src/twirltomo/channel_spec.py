@@ -18,15 +18,18 @@ applies the named single-qubit channel independently to each listed qubit.
 Validation failures raise :class:`SpecValidationError` naming the offending
 field.  JSON ``true`` and ``false`` are not numbers here.  A composed map
 with an infinite or NaN entry in its Kraus operators, or in their sum of
-K^dag K, is refused (field ``build``).  A composition that fails the
+K^dag K, is refused (field ``build``); a spec with a Pauli form (below)
+is checked on its fidelities instead.  A composition that fails the
 trace-preservation check is reported through the ``warnings`` list rather
 than rejected (the exact chi export takes it; the sampled protocols refuse
 it).  A spec made only of named gates and depolarizing, bit-flip or
-phase-flip noise also leaves its :class:`PauliForm` on the channel it
-builds, and the dense backend reads twirl laws off it.
+phase-flip noise leaves its :class:`PauliForm` on the channel it
+builds: the dense backend reads twirl laws off it, and the channel composes
+its Kraus operators only when they are first read.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,8 +206,8 @@ def _pauli_form(doc: ChannelSpecDocument) -> PauliForm | None:
                      fidelities)
 
 
-def build_channel(doc: ChannelSpecDocument,
-                  warnings: list[str] | None = None) -> ChannelModel:
+def _composed(doc: ChannelSpecDocument) -> ChannelModel:
+    """The spec's map as one composed Kraus set (:func:`compose`)."""
     layers = []
     for layer in doc.build:
         if "named_gate" in layer:
@@ -219,16 +222,30 @@ def build_channel(doc: ChannelSpecDocument,
             layers.append(ChannelModel(doc.n,
                                        kraus=[_parse_complex_matrix(op)
                                               for op in layer["kraus"]]))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        channel = compose(layers)
-        finite = (all(np.isfinite(k).all() for k in channel.kraus)
-                  and np.isfinite(_operator_sum(channel)).all())
+    return compose(layers)
+
+
+def build_channel(doc: ChannelSpecDocument,
+                  warnings: list[str] | None = None) -> ChannelModel:
+    """The spec's map.  A spec with a Pauli form keeps it on the channel and
+    composes its Kraus set only when that is first read (the form's laws and
+    classification never read it); any other spec composes at once."""
+    form = _pauli_form(doc)
+    if form is not None:
+        frozen = copy.deepcopy(doc)  # its layers are the caller's dicts
+        channel = ChannelModel(doc.n, kraus=lambda: _composed(frozen).kraus)
+        channel._pauli_form = form
+        finite = np.isfinite(form.fidelities).all()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            channel = _composed(doc)
+            finite = (all(np.isfinite(k).all() for k in channel.kraus)
+                      and np.isfinite(_operator_sum(channel)).all())
     if not finite:
         raise SpecValidationError("build", "the composed map has a non-finite entry in "
                                   "its Kraus operators or in their sum of K^dag K")
     if warnings is not None and not channel.classification.trace_preserving:
         warnings.append("composed channel is not trace preserving")
-    channel._pauli_form = _pauli_form(doc)
     return channel
 
 

@@ -14,6 +14,7 @@ materializing all 4**n basis matrices.  Dense operations are capped at
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,28 +247,25 @@ class Classification:
 class ChannelModel:
     """A quantum map held as a Kraus set and/or a chi matrix.
 
-    Instances are immutable after construction; the derived chi matrix and
+    The Kraus set may be given as a function that makes it; it is then made
+    the first time :attr:`kraus`, :attr:`chi` or :meth:`operator_pairs` is
+    read (``channel_spec.build_channel`` does so for a spec with a Pauli
+    form, whose laws and classification never read it).  Instances are
+    immutable after construction; the Kraus set, derived chi matrix and
     classification are memoized behind a lock, so concurrent queries are
     safe.
     """
 
-    def __init__(self, n: int, kraus: list[np.ndarray] | None = None,
+    def __init__(self, n: int,
+                 kraus: list[np.ndarray] | Callable[[], list[np.ndarray]] | None = None,
                  chi: ChiMatrix | None = None):
         if kraus is None and chi is None:
             raise ValueError("need a Kraus set or a chi matrix")
         self.n = n
         self.dim = 1 << n
-        if kraus is not None:
-            kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-            if not kraus:
-                raise ValueError("need at least one Kraus operator")
-            for k in kraus:
-                if k.shape != (self.dim, self.dim):
-                    raise DimensionMismatchError(
-                        f"Kraus operator shape {k.shape} != {(self.dim, self.dim)}")
         if chi is not None and chi.n != n:
             raise DimensionMismatchError("chi qubit count mismatch")
-        self.kraus = kraus
+        self._kraus = kraus if kraus is None or callable(kraus) else self._checked(kraus)
         self._chi = chi
         self._pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._classification: Classification | None = None
@@ -275,6 +273,16 @@ class ChannelModel:
         # E(P) = f(U P U^dag) U P U^dag, set only by channel_spec.build_channel
         # on a spec of Clifford gates and Pauli noise (its PauliForm)
         self._pauli_form = None
+
+    def _checked(self, kraus: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+        kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
+        if not kraus:
+            raise ValueError("need at least one Kraus operator")
+        for k in kraus:
+            if k.shape != (self.dim, self.dim):
+                raise DimensionMismatchError(
+                    f"Kraus operator shape {k.shape} != {(self.dim, self.dim)}")
+        return kraus
 
     # -- constructors ------------------------------------------------------
 
@@ -285,10 +293,6 @@ class ChannelModel:
         return ChannelModel(d.bit_length() - 1, kraus=kraus)
 
     @staticmethod
-    def from_chi(chi: ChiMatrix) -> "ChannelModel":
-        return ChannelModel(chi.n, chi=chi)
-
-    @staticmethod
     def from_unitary(u: np.ndarray) -> "ChannelModel":
         return ChannelModel.from_kraus([u])
 
@@ -297,6 +301,13 @@ class ChannelModel:
         return ChannelModel(n, kraus=[np.eye(1 << n, dtype=complex)])
 
     # -- core --------------------------------------------------------------
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...] | None:
+        with self._lock:
+            if callable(self._kraus):
+                self._kraus = self._checked(self._kraus())
+            return self._kraus
 
     @property
     def chi(self) -> ChiMatrix:
@@ -344,22 +355,29 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
     """Classification flags of a map.
 
     Trace preservation is Tr chi = 1 and the operator condition
-    acc = sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`,
-    for every map.  A map given by Kraus operators is Hermitian-preserving
-    and CP without a check, and its Tr chi is read as Tr(acc) / D (Parseval
-    over the Pauli basis: sum_l |Tr[P_l K]|^2 = D Tr[K^dag K]), so its chi
-    matrix is never built.  For a chi-given map, complete positivity is chi
-    positive-semidefiniteness within tolerance.
+    acc = sum_k B_k^dag A_k = I over :meth:`ChannelModel.operator_pairs`.
+    A map given by Kraus operators is Hermitian-preserving and CP without a
+    check, and its Tr chi is read as Tr(acc) / D (Parseval over the Pauli
+    basis: sum_l |Tr[P_l K]|^2 = D Tr[K^dag K]), so its chi matrix is never
+    built.  A map with a Pauli form (a Clifford followed by Pauli noise,
+    :class:`twirltomo.channel_spec.PauliForm`) is flagged as a Kraus map is,
+    but trace preserving when |f(I) - 1| <= ``TP_ATOL``, as Tr E(rho) =
+    f(I) Tr rho, so its Kraus set is not read either.  For a chi-given map,
+    complete positivity is chi positive-semidefiniteness within tolerance.
     The ``positive`` flag is computed only for n <= 3 by a dense search over
     random product-state inputs plus the necessary diagonal/pair bounds; it
     is a documented heuristic (a True can in principle be a false positive,
     a False is always certified by a witness) and None means not attempted.
     """
     d = channel.dim
-    if channel.kraus is not None:
-        acc = _operator_sum(channel)
-        tp = (abs(complex(np.trace(acc)) / d - 1.0) <= TP_ATOL
-              and bool(np.allclose(acc, np.eye(d), atol=1e-8)))
+    form = channel._pauli_form
+    if form is not None or channel.kraus is not None:
+        if form is not None:
+            tp = bool(abs(form.fidelities[0] - 1.0) <= TP_ATOL)
+        else:
+            acc = _operator_sum(channel)
+            tp = (abs(complex(np.trace(acc)) / d - 1.0) <= TP_ATOL
+                  and bool(np.allclose(acc, np.eye(d), atol=1e-8)))
         return Classification(hermitian_preserving=True, trace_preserving=tp,
                               completely_positive=True,
                               positive=True if channel.n <= 3 else None)

@@ -4,9 +4,9 @@ oracles the protocols test against.
 :class:`TwirlSpec` is the one twirl family.  Every sampler and the exact
 enumeration take its steps: a row of ``layout`` draws per element, the
 elements they name, their laws (element i's is ``laws[rows[i]]``), then
-one blocked outcome draw (:func:`draw_outcomes`) or the mean of the laws,
-each shifted by an intermediary's syndrome against the elements' Z-images
-(:func:`_shift_outcomes`).  Blind MUB discovery alone keeps its own
+one outcome draw in column passes (:func:`draw_outcomes`) or the mean of
+the laws, each shifted by an intermediary's syndrome against the elements'
+Z-images (:func:`_shift_outcomes`).  Blind MUB discovery alone keeps its own
 per-realization draw loop (see :mod:`twirltomo.seqpt`).  Enumerations
 iterate in a fixed order, so results are reproducible bit for bit.
 
@@ -17,7 +17,6 @@ holds the one rule that picks among them.
 """
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 from .channels import ChannelModel, _check_dense_cap, pauli_coefficients
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, key_labels, tensor
-from .rng import _draw_outcome, check_int
+from .rng import _cdf_table, _draw_outcome, check_int
 from .stabilizer import (_I_POWERS, Tableaux, build_mub_family, clifford_bounds,
                          grow_cliffords, outcome_shift, syndromes)
 
@@ -36,7 +35,6 @@ CLIFFORD_ENUM_MAX_N = 2
 _TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
 _FIDELITY_BLOCK = 1 << 15  # entries per (elements, columns, D) array of a _fidelity_table pass
 _FIDELITY_ROWS = 8  # (elements, D) arrays a _fidelity_table pass holds: its least column count
-_DRAW_BLOCK = 1 << 16  # cdf entries gathered per outcome-draw pass (512 KiB)
 _HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment
 
 
@@ -140,10 +138,6 @@ class TwirlSpec:
         return {"mub": (d + 1, d), "local_clifford": (4, 3) * self.n,
                 "clifford_full": clifford_bounds(self.n)}[self.kind]
 
-    @property
-    def enumeration_size(self) -> int:
-        return math.prod(self.layout)
-
     def elements(self, ints: np.ndarray):
         """The elements that the (M, len(layout)) draw rows name: (basis,
         state) rows (MUB), (M, n, 2) (pauli, rotation) digits, qubit 1 first
@@ -190,27 +184,25 @@ class TwirlSpec:
             bad = np.flatnonzero(((elements < 0) | (elements >= (4, 3))).any(axis=(1, 2)))[0]
             raise ValueError(f"one-qubit twirl elements are (pauli 0..3, rotation 0..2), "
                              f"got row {bad}: {elements[bad].tolist()}")
-        places = np.arange(self.n - 1, -1, -1)  # qubit 1 is the top digit
-        codes = elements[:, :, 1] @ 3 ** places
+        # base-3 rotation codes and X parts by Horner passes, qubit 1 the top digit
+        codes, x = np.zeros((2, len(elements)), dtype=np.int64)
+        for j in range(self.n):
+            codes *= 3
+            codes += elements[:, j, 1]
+            x <<= 1
+            x |= (elements[:, j, 0] + 1) >> 1 & 1  # X and Y (1 and 2) flip the qubit
         seen = np.bincount(codes, minlength=3 ** self.n) > 0
-        rotations = np.flatnonzero(seen)[:, None] // 3 ** places % 3  # sorted, distinct
-        x = ((elements[:, :, 0] == 1) | (elements[:, :, 0] == 2)) @ (1 << places)
+        places = 3 ** np.arange(self.n - 1, -1, -1)
+        rotations = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
         rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
         return backend.local_tables(channel, rotations).reshape(-1, d), rows
 
 
 def draw_outcomes(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome of each element i of a batch: the :func:`_draw_outcome` of the
-    uniform u[i] against the law laws[rows[i]].  The laws are cumsummed once
-    and the cdf rows gathered in blocks of at most ``_DRAW_BLOCK`` entries,
-    so the gathered stack stays small."""
-    cdfs = np.cumsum(laws, axis=1)
-    outcomes = np.empty(len(rows), dtype=np.int64)
-    step = max(1, _DRAW_BLOCK // laws.shape[1])
-    for lo in range(0, len(rows), step):
-        block = slice(lo, lo + step)
-        outcomes[block] = _draw_outcome(cdfs[rows[block]], u[block])
-    return outcomes
+    uniform u[i] against the law laws[rows[i]].  The laws are cumsummed once,
+    into the column-major table it reads in column passes."""
+    return _draw_outcome(_cdf_table(laws), rows, u)
 
 
 # single-qubit symplectic rotations exp(-i pi/4 sigma_p), p = x, y, z

@@ -21,7 +21,6 @@ rather than hide.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb
 
@@ -320,9 +319,6 @@ class LocalTwirlEstimate:
         return {"n": self.n, "config": self.config.to_json_dict(),
                 "weight": self.weight.to_json_dict(),
                 "support": None if self.support is None else self.support.to_json_dict()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,

@@ -24,14 +24,14 @@ There are two ways to draw many realizations, and both give the draws of
   exact.  Every other sampler draws this way, one row of its twirl
   family's layout (:class:`twirltomo.dense.TwirlSpec`) per realization.
 
-:func:`_draw_outcome` turns a stack of uniform draws into measurement
-outcomes, one per cdf row, in :func:`twirltomo.dense.draw_outcomes` and in
-blind MUB's blocks.  It scales each draw by its law's total, so a law
-whose total is off one by round-off is sampled in proportion.  The sampled
-protocols reject a map that is not trace preserving
-(:func:`twirltomo.channels.check_trace_preserving`), whose laws do not sum
-to one.  Selective estimation tests survival as ``u < p_0`` directly,
-without this function.
+:func:`_draw_outcome` turns uniform draws into measurement outcomes, each
+against the cdf row of a table that it names, in
+:func:`twirltomo.dense.draw_outcomes` and in blind MUB's blocks.  It scales
+each draw by its law's total, so a law whose total is off one by round-off
+is sampled in proportion.  The sampled protocols reject a map that is not
+trace preserving (:func:`twirltomo.channels.check_trace_preserving`), whose
+laws do not sum to one.  Selective estimation tests survival as
+``u < p_0`` directly, without this function.
 """
 from __future__ import annotations
 
@@ -205,7 +205,8 @@ def _lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"bound {k} is outside [2, 2**32)")
     scaled = halves * np.uint64(k)
     rejected = (scaled & _MASK32) < np.uint64(((1 << 32) - k) % k)
-    return (scaled >> np.uint64(32)).astype(np.int64), rejected
+    scaled >>= _SHIFT32
+    return scaled.view(np.int64), rejected  # values below 2**32
 
 
 def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
@@ -216,21 +217,27 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
         [g.integers(0, k) for k in bounds], [g.random() for _ in range(nuniform)]
 
     draws, as an int64 array (count, len(bounds)) and a float64 array
-    (count, nuniform).
+    (count, nuniform).  The int64 array is the transpose of a C-ordered one,
+    so each bound's column is contiguous.
 
     Each bounded draw takes a 32-bit half of a raw word, low half first, and
-    each uniform a whole word after them.  A row with a rejected half is
-    redrawn from its own Generator, so every row is exact.
+    each uniform a whole word after them; the words are read one column at
+    a time.  A row with a rejected half is redrawn from its own Generator,
+    so every row is exact.
     """
     nhalf = len(bounds)
     nint_words = -(-nhalf // 2)
     words = substream_words(seed, start, count, nint_words + nuniform)
-    ints = np.empty((count, nhalf), dtype=np.int64)
+    ints = np.empty((nhalf, count), dtype=np.int64)  # handed out transposed
     rejected = np.zeros(count, dtype=bool)
-    for j, k in enumerate(bounds):
-        half = words[:, j >> 1] >> np.uint64(32 * (j & 1)) & _MASK32
-        ints[:, j], rej = _lemire(half, k)
-        rejected |= rej
+    for w in range(nint_words):
+        low = np.ascontiguousarray(words[:, w])  # one contiguous column pass
+        high = low >> _SHIFT32
+        low &= _MASK32
+        for j, half in zip(range(2 * w, nhalf), (low, high)):
+            ints[j], rej = _lemire(half, bounds[j])
+            rejected |= rej
+    ints = ints.T
     # numpy's random(): (w >> 11) * 2**-53, exact in float64
     uniforms = (words[:, nint_words:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     for row in np.flatnonzero(rejected).tolist():
@@ -240,24 +247,40 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
     return ints, uniforms
 
 
-def _draw_outcome(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome index of each row of a (count, D) stack of cumulative
-    distributions (cumsums of nonnegative probabilities) for its uniform
-    draw u[i] in [0, 1].
+def _cdf_table(laws: np.ndarray) -> np.ndarray:
+    """The (R, D) cumsums of the rows of ``laws``, stored column-major: the
+    table :func:`_draw_outcome` reads in contiguous columns."""
+    cdfs = np.empty(laws.shape[::-1])
+    np.cumsum(laws.T, axis=0, out=cdfs)
+    return cdfs.T
 
-    u[i] is scaled by the row's total cdfs[i, -1], so rows that do not sum
-    to one (maps that are not trace preserving) are sampled in proportion.
-    A scaled draw that reaches the total (u = 1, or a subnormal total that
-    rounds u * total up) is clamped to the row's last outcome with nonzero
-    probability, so the result is always in range and never an outcome of
-    probability zero.  Raises ``ValueError`` when some row has no positive
-    probability.
+
+def _draw_outcome(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index of each draw i against the cumulative distribution
+    cdfs[rows[i]] (a cumsum of nonnegative probabilities) of an (R, D)
+    table, for its uniform draw u[i] in [0, 1].
+
+    u[i] is scaled by the row's total cdfs[rows[i], -1], so rows that do not
+    sum to one (maps that are not trace preserving) are sampled in
+    proportion.  A scaled draw that reaches the total (u = 1, or a subnormal
+    total that rounds u * total up) is clamped to the row's last outcome with
+    nonzero probability, so the result is always in range and never an
+    outcome of probability zero.  Raises ``ValueError`` when a row that is
+    drawn has no positive probability.
+
+    The entries <= u[i] * total are counted one column at a time, in the
+    smallest integer type that holds D, so no (count, D) stack of cdf rows
+    is gathered; a :func:`_cdf_table` is read in contiguous columns.
     """
-    total = cdfs[:, -1:]
+    total = cdfs[rows, -1]
     if not (total > 0).all():
         raise ValueError("outcome distribution has no positive mass")
+    scaled = u * total
     # on a nondecreasing row, counting entries <= t is searchsorted(t, "right")
-    v = (cdfs <= u[:, None] * total).sum(axis=-1)
-    top = np.flatnonzero(v == cdfs.shape[-1])  # only these rows need the clamp
-    v[top] = (cdfs[top] < total[top]).sum(axis=-1)
+    v = np.zeros(len(rows), dtype=np.min_scalar_type(cdfs.shape[-1]))
+    for column in cdfs.T:
+        v += column[rows] <= scaled
+    v = v.astype(np.int64)
+    top = np.flatnonzero(v == cdfs.shape[-1])  # only these draws need the clamp
+    v[top] = (cdfs[rows[top]] < total[top, None]).sum(axis=-1)
     return v

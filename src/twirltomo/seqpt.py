@@ -20,14 +20,13 @@ row-major blocks of ``_PAIR_BLOCK`` class pairs, each solved by one
 :func:`twirltomo.gf2.solve_unique_batch` call.
 
 Blind MUB is the one sampler off the shared outcome draw: it keeps its
-per-realization ``substreams`` loop, in blocks of ``_MUB_BLOCK`` cdf entries
-drawn against the MUB laws, fetched and cumsummed once per run, and adds up
-each block's codes j*D + v.  A run has at most D(D+1) classes and memory
-that does not grow with M.
+per-realization ``substreams`` loop, in blocks of ``_MUB_BLOCK // D``
+realizations drawn against the MUB laws, fetched and cumsummed once per run,
+and adds up each block's codes j*D + v.  A run has at most D(D+1) classes
+and memory that does not grow with M.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -41,8 +40,8 @@ from .dense import DenseBackend, TwirlSpec, draw_outcomes
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
 from .records import ExperimentRecord
-from .rng import (_draw_outcome, check_int, check_real, check_seed, draw_batch, substream,
-                  substreams)
+from .rng import (_cdf_table, _draw_outcome, check_int, check_real, check_seed, draw_batch,
+                  substream, substreams)
 from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_shift
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -52,11 +51,10 @@ from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_s
 #: well under a percent).
 DEFAULT_SIGNIFICANCE_Z = 4.0
 
-#: cdf entries gathered per blind-MUB outcome-draw block (64 KiB; 1,024
-#: realizations at n = 3).  Blocks of 2^16 entries, as the one-qubit twirl
-#: uses, ran no faster and raised the mub-blind benchmark's peak RSS by
-#: 4.3% (45.98 and 46.03 MiB, against 44.70 and 44.77 MiB at 2^13 on the
-#: same seeds).
+#: cdf entries per blind-MUB outcome-draw block: it draws _MUB_BLOCK // D
+#: realizations (1,024 at n = 3).  Blocks of 2^16 entries ran no faster and
+#: raised the mub-blind benchmark's peak RSS by 4.3% (45.98 and 46.03 MiB,
+#: against 44.70 and 44.77 MiB at 2^13 on the same seeds).
 _MUB_BLOCK = 1 << 13
 
 #: class pairs solved per block of the pair analysis, which bounds its
@@ -226,23 +224,20 @@ class SeqptResult:
             "estimates": {k: v.to_json_dict() for k, v in sorted(self.estimates.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
-
 
 def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
                       backend: DenseBackend, keep_records: bool):
     """Realizations 0 .. count-1 of a blind MUB run, reduced as they stream
-    through blocks of ``_MUB_BLOCK`` cdf entries.  Realization i draws basis
-    j, state m and the outcome uniform from ``substream(seed, 1 + i)``, and
-    its outcome v from law row j*D + m (:meth:`TwirlSpec.laws`: the same
+    through blocks of ``_MUB_BLOCK // D`` realizations.  Realization i draws
+    basis j, state m and the outcome uniform from ``substream(seed, 1 + i)``,
+    and its outcome v from law row j*D + m (:meth:`TwirlSpec.laws`: the same
     rows whichever elements are drawn, so fetched and cumsummed once).
     Returns the count of each code j*D + v, the first realization with each
     code (``count`` where none has it), and the records of all realizations
     when ``keep_records`` is set."""
     d = channel.dim
     laws, _ = TwirlSpec("mub", channel.n).laws(backend, channel, np.empty((0, 2), dtype=np.int64))
-    cdfs = np.cumsum(laws, axis=1)
+    cdfs = _cdf_table(laws)
     counts = np.zeros(d * (d + 1), dtype=np.int64)
     first = np.full(d * (d + 1), count, dtype=np.int64)
     records = []
@@ -257,7 +252,7 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
             m[i] = rng.integers(0, d)
             u[i] = rng.random()
         jb, mb = j[:size], m[:size]
-        v = _draw_outcome(cdfs[jb * d + mb], u[:size])
+        v = _draw_outcome(cdfs, jb * d + mb, u[:size])
         codes = jb * d + v
         counts += np.bincount(codes, minlength=len(counts))
         np.minimum.at(first, codes, np.arange(lo, lo + size))
@@ -357,10 +352,13 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
     classes come from one batched rref; groups with the same class merge,
     and the classes keep the order of their first group."""
     rows = _constraint_classes(n, frames, outcomes)
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # equal rows sort together, and lexsort is stable, so each run of equal
+    # rows starts at its first group
+    perm = np.lexsort(rows.T)
+    ranked = rows[perm]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    first, counts = perm[starts], np.add.reduceat(sizes[perm], starts)
     order = np.argsort(first)
-    counts = np.zeros(len(first), dtype=np.int64)
-    np.add.at(counts, inverse.ravel(), sizes)
     class_rows, counts = rows[first[order]], counts[order]
     d = 1 << n
     m_total = config.shots

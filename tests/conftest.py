@@ -1,4 +1,5 @@
 import itertools
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -130,12 +131,24 @@ def draw_outcome_reference(cdf: np.ndarray, u: float) -> int:
     cumulative distribution, by searchsorted: ``u`` is scaled by the total,
     a scaled draw that reaches the total is clamped to the last outcome of
     nonzero probability, and a cdf with no positive mass raises
-    ``ValueError``.  ``rng._draw_outcome`` is checked against it row by row."""
+    ``ValueError``.  ``rng._draw_outcome(cdfs, rows, u)`` is checked against
+    it draw by draw, each draw against its own row cdfs[rows[i]]."""
     total = cdf[-1]
     if not total > 0:
         raise ValueError("outcome distribution has no positive mass")
     v = int(cdf.searchsorted(u * total, side="right"))
     return v if v < len(cdf) else int(cdf.searchsorted(total, side="left"))
+
+
+def chi_channel(chi: ChiMatrix) -> ChannelModel:
+    """The map of a chi matrix alone."""
+    return ChannelModel(chi.n, chi=chi)
+
+
+def result_json(result) -> str:
+    """The JSON text of a protocol result, as the CLI writes it to
+    ``results.json``."""
+    return json.dumps(result.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
 def random_cp_channel(n: int, rng: np.random.Generator,
@@ -164,7 +177,7 @@ def clifford_group_tableaux(n: int) -> Tableaux:
 
 def transpose_map_channel() -> ChannelModel:
     """The canonical positive-but-not-CP single-qubit map rho -> rho^T."""
-    return ChannelModel.from_chi(
+    return chi_channel(
         ChiMatrix(1, np.diag([0.5, 0.5, -0.5, 0.5]).astype(complex)))
 
 

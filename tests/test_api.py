@@ -173,16 +173,27 @@ def test_no_unread_private_definitions():
 
 
 def test_every_public_definition_is_reached():
-    """Every module-level public def or class of the package is read by one
-    of its modules, exported in ``twirltomo.__all__``, or wrapped by name by
-    the benchmark tracer (``LAYERS`` of ``twirlbench/tracer.py``): a public
-    name that only tests reach belongs in the tests."""
+    """Every module-level public def or class of the package, and every
+    public method of a public class, is read by one of its modules,
+    exported in ``twirltomo.__all__``, or wrapped by name by the benchmark
+    tracer (``LAYERS`` of ``twirlbench/tracer.py``): a public name that only
+    tests reach belongs in the tests.  Dunder methods are exempt."""
     from test_tracer_names import _layers
     trees = _package_trees()
+    traced = {name for names in _layers().values() for name in names}
     reached = (_package_reads(trees) | set(twirltomo.__all__)
-               | {name.split(".")[0] for names in _layers().values() for name in names})
-    unreached = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
-                 for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                 and not node.name.startswith("_") and node.name not in reached]
+               | {name.split(".")[0] for name in traced})
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unreached = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*defs, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in reached:
+                unreached.append(f"{name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreached += [f"{name}:{m.lineno} {node.name}.{m.name}" for m in node.body
+                              if isinstance(m, defs) and not m.name.startswith("_")
+                              and m.name not in reached
+                              and f"{node.name}.{m.name}" not in traced]
     assert not unreached, unreached

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import battery, cnot_channel, random_cp_channel, transpose_map_channel
+from conftest import (battery, chi_channel, cnot_channel, random_cp_channel,
+                      transpose_map_channel)
 from twirltomo.channels import (PSD_RTOL, TP_ATOL, ChannelModel, ChiMatrix,
                                 check_cp_bound, check_positive_bound,
                                 chi_from_kraus, classify, coarse_grain, compose,
@@ -63,12 +64,12 @@ def test_chi_depolarizing():
 def test_apply_chi_examples():
     ident = chi_from_kraus([np.eye(2, dtype=complex)])
     rho = random_density(2, np.random.default_rng(1))
-    np.testing.assert_allclose(ChannelModel.from_chi(ident).apply(rho), rho, atol=1e-12)
+    np.testing.assert_allclose(chi_channel(ident).apply(rho), rho, atol=1e-12)
     # CNOT truth table on |10> -> |11>
     chi = cnot_channel().chi
     rho10 = np.zeros((4, 4), dtype=complex)
     rho10[2, 2] = 1.0
-    out = ChannelModel.from_chi(chi).apply(rho10)
+    out = chi_channel(chi).apply(rho10)
     want = np.zeros((4, 4))
     want[3, 3] = 1.0
     np.testing.assert_allclose(out, want, atol=1e-10)
@@ -84,7 +85,7 @@ def test_kraus_chi_round_trip_battery():
     for n in (1, 2, 3):
         for _ in range(34 if n == 1 else 33):
             ch = random_cp_channel(n, rng)
-            from_chi = ChannelModel.from_chi(ch.chi)
+            from_chi = chi_channel(ch.chi)
             for _ in range(20):
                 rho = random_density(1 << n, rng)
                 np.testing.assert_allclose(from_chi.apply(rho), ch.apply(rho),
@@ -142,7 +143,7 @@ def test_classification_examples():
     assert not cls_t.completely_positive and cls_t.positive is True
     # trace sum 0.9 -> not trace preserving
     chi_bad = ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex))
-    assert not classify(ChannelModel.from_chi(chi_bad)).trace_preserving
+    assert not classify(chi_channel(chi_bad)).trace_preserving
 
 
 def _reference_flags(channel):
@@ -174,14 +175,14 @@ def test_classification_matches_diagonalize_chi_reference():
     rng = np.random.default_rng(7)
     random_maps = [(f"random-cp-{n}", random_cp_channel(n, rng)) for n in (1, 2, 3, 4)]
     channels = [*battery(), *random_maps,
-                *[(name + "-chi", ChannelModel.from_chi(ch.chi))
+                *[(name + "-chi", chi_channel(ch.chi))
                   for name, ch in random_maps if ch.n <= 3],
                 ("transpose", transpose_map_channel()),
-                ("trace-0.9", ChannelModel.from_chi(
+                ("trace-0.9", chi_channel(
                     ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex)))),
-                ("off-diagonal-z", ChannelModel.from_chi(ChiMatrix(1, off))),
+                ("off-diagonal-z", chi_channel(ChiMatrix(1, off))),
                 ("uneven-kraus", ChannelModel.from_kraus([uneven])),
-                ("uneven-chi", ChannelModel.from_chi(chi_from_kraus([uneven])))]
+                ("uneven-chi", chi_channel(chi_from_kraus([uneven])))]
     seen_tp = set()
     for name, ch in channels:
         cls = classify(ch)
@@ -241,7 +242,7 @@ def test_non_hermitian_trace_preservation_is_the_operator_condition():
     cancelling = np.zeros((4, 4), dtype=complex)
     cancelling[0, 0], cancelling[0, 1], cancelling[1, 0] = 1.0, 0.3, -0.3  # = I
     for mat, want in ((one_sided, False), (cancelling, True)):
-        ch = ChannelModel.from_chi(ChiMatrix(1, mat))
+        ch = chi_channel(ChiMatrix(1, mat))
         cls = classify(ch)
         assert not cls.hermitian_preserving and cls.trace_preserving is want
         traces = [np.trace(ch.apply(random_density(2, rng))) for _ in range(5)]
@@ -345,7 +346,7 @@ def test_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         chi_from_kraus([np.eye(2), np.eye(4)])
     with pytest.raises(DimensionMismatchError):
-        ChannelModel.from_chi(cnot_channel().chi).apply(np.eye(2))
+        chi_channel(cnot_channel().chi).apply(np.eye(2))
 
 
 def test_empty_kraus_set_rejected():

@@ -1,10 +1,11 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import (I_POWERS, battery, cnot_channel, dense_local_probs,
+from conftest import (I_POWERS, battery, chi_channel, cnot_channel, dense_local_probs,
                       draw_outcome_reference, label_table, random_cp_channel,
                       transpose_map_channel)
 from twirltomo import dense, localtwirl, seqpt
@@ -37,10 +38,11 @@ def _ket_density(amplitudes):
 def _measure(rho, n, u):
     """Computational-basis outcome bits of ``rho`` for the uniforms ``u``,
     drawn the way every sampled protocol draws: the Born probabilities are
-    cumsummed and passed to ``_draw_outcome``, one row per draw."""
+    cumsummed into a one-row table and every draw reads that row."""
     cdf = np.cumsum(np.clip(np.real(np.diag(rho)), 0.0, None))
     u = np.atleast_1d(u)
-    return [_bits(int(v), n) for v in _draw_outcome(np.tile(cdf, (len(u), 1)), u)]
+    return [_bits(int(v), n)
+            for v in _draw_outcome(cdf[None], np.zeros(len(u), dtype=np.int64), u)]
 
 
 def test_evolve_examples():
@@ -295,8 +297,8 @@ def test_intermediary_qubit_mismatch_names_both_counts(entry):
 def test_twirl_spec_sizes():
     """Sizes of the enumerable kinds; an unknown kind (names are case
     sensitive) or fewer than one qubit raises ConfigError at construction."""
-    assert TwirlSpec("mub", 2).enumeration_size == 20
-    assert TwirlSpec("local_clifford", 2).enumeration_size == 144
+    assert math.prod(TwirlSpec("mub", 2).layout) == 20
+    assert math.prod(TwirlSpec("local_clifford", 2).layout) == 144
     for kind, n in (("MUB", 2), ("clifford", 2), ("haar_state", 2), ("mub", 0), ("mub", -1),
                     ("local_clifford", -1)):
         with pytest.raises(ConfigError):
@@ -726,7 +728,7 @@ def test_specs_outside_the_form_keep_their_laws():
                                  {"noise": "amplitude_damping", "strength": 0.2, "qubits": [n]}])
                for n in (2, 3))]
     others = [random_cp_channel(2, master(134)), cnot_channel(),
-              ChannelModel.from_chi(_noisy_cnot(2).chi), ChannelModel.from_kraus(_noisy_cnot(3).kraus)]
+              chi_channel(_noisy_cnot(2).chi), ChannelModel.from_kraus(_noisy_cnot(3).kraus)]
     assert all(ch._pauli_form is None for ch in [*specs, *others])
     rng = master(135)
     for ch in specs:
@@ -917,10 +919,10 @@ def _table_test_channels():
     non_hermitian = 0.05 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
     non_hermitian[0, 0] += 0.7
     return [*battery(),
-            ("chi-only-random-cp-2", ChannelModel.from_chi(random_cp_channel(2, master(93)).chi)),
+            ("chi-only-random-cp-2", chi_channel(random_cp_channel(2, master(93)).chi)),
             ("transpose", transpose_map_channel()),
-            ("non-hermitian-chi-2", ChannelModel.from_chi(ChiMatrix(2, non_hermitian))),
-            ("non-tp-chi", ChannelModel.from_chi(
+            ("non-hermitian-chi-2", chi_channel(ChiMatrix(2, non_hermitian))),
+            ("non-tp-chi", chi_channel(
                 ChiMatrix(1, np.diag([0.8, 0.1, 0.0, 0.0]).astype(complex)))),
             ("non-tp-kraus-2", ChannelModel.from_kraus([0.9 * np.eye(4)]))]
 

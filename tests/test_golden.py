@@ -5,11 +5,11 @@ Every case runs one CLI verb at a fixed seed and compares the digest of the
 table, ``OUTPUT_GOLDEN``, pins every other file a CLI case writes
 (``report.txt``, ``report.csv``, ``chi.json``, ``chi.csv`` and
 ``manifest.json`` without its ``timestamp`` and ``spec.path``, which vary
-between runs).  The class-pair
-cap of blind discovery is not exposed on the command line, so the capped
-cases call ``run_blind_discovery`` and hash ``SeqptResult.to_json()``.  The
-record cases hash realizations drawn one at a time by
-``sample_c1t_realization`` from ``substream(seed, i)``.
+between runs).  The class-pair cap of blind discovery is not exposed on
+the command line, so the capped cases call ``run_blind_discovery`` and hash
+the JSON of its result as the CLI writes it.  The record cases hash
+realizations drawn one at a time by ``sample_c1t_realization`` from
+``substream(seed, i)``.
 
 A change that alters output on purpose regenerates both tables with
 
@@ -215,7 +215,7 @@ def run_case(case: str, tmp: Path) -> bytes:
         cfg = SeqptConfig(shots=shots, variant=variant, seed=seed, pair_class_cap=cap)
         res = run_blind_discovery(channel, cfg)
         assert not res.analyzed_exactly
-        return res.to_json().encode()
+        return json.dumps(res.to_json_dict(), sort_keys=True, allow_nan=False).encode()
     if case in RECORD_CASES:
         n, seed, count = RECORD_CASES[case]
         channel = load_channel(_write_spec(tmp, n))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (battery, cnot_channel, dense_local_probs, mixed_z1_channel,
-                      random_cp_channel, sparse_support_channel_n3)
+                      random_cp_channel, result_json, sparse_support_channel_n3)
 from twirltomo import localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
@@ -232,7 +232,7 @@ def test_choose_cutoff_rule():
 def test_deterministic_replay():
     ch = mixed_z1_channel(0.3)
     cfg = LocalTwirlConfig(shots=1500, seed=5, cutoff=2)
-    assert run_local_twirl(ch, cfg).to_json() == run_local_twirl(ch, cfg).to_json()
+    assert result_json(run_local_twirl(ch, cfg)) == result_json(run_local_twirl(ch, cfg))
 
 
 def test_fidelity_examples():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import battery, random_cp_channel
+from conftest import battery, random_cp_channel, result_json
 from twirltomo import dense, rng
 from twirltomo.errors import ConfigError
 from twirltomo.dense import DenseBackend, TwirlSpec
@@ -128,9 +128,9 @@ def test_draw_batch_matches_generator(bounds, nuniform):
 
 
 def test_draw_batch_peak_memory():
-    """The bounded draws read each 32-bit half straight from the words, with
-    no stacked copy of the halves: the peak stays near the words array
-    (1.22 MiB here) instead of 2.09 MiB."""
+    """The bounded draws read the 32-bit halves one word column at a time,
+    with no stacked copy of all halves: the peak stays near the words array
+    (1.56 MiB here) instead of 2.09 MiB."""
     draw_batch(0, 1, 100, (4, 3) * 4, 1)  # warm up
     tracemalloc.start()
     try:
@@ -139,6 +139,26 @@ def test_draw_batch_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.7 * 2 ** 20
+
+
+def test_draw_outcomes_peak_memory():
+    """10^4 draws against 1,296 x 16 laws (the one-qubit twirl's tables at
+    n = 4) read the cumsummed table a column at a time, with no gathered
+    (draws, D) stack of cdf rows: the peak stays near the table and a few
+    arrays of one entry per draw (0.33 MiB here), where gathering the rows
+    in blocks of 2^16 entries peaked at 0.89 MiB."""
+    g = np.random.default_rng(0)
+    laws = g.random((1296, 16))
+    laws /= laws.sum(axis=1, keepdims=True)
+    rows, u = g.integers(0, len(laws), 10 ** 4), g.random(10 ** 4)
+    dense.draw_outcomes(laws, rows[:10], u[:10])  # warm up
+    tracemalloc.start()
+    try:
+        dense.draw_outcomes(laws, rows, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("name, channel", battery(3) + [
@@ -157,18 +177,21 @@ def test_local_batch_realization_equals_scalar(name, channel):
         assert bits == rec.outcome
 
 
-def test_local_batch_blocks_equal_one_pass(monkeypatch):
-    """Outcomes drawn over many small blocks of the gathered cdf stack are
-    the ones a single pass draws, and realization i is still what
-    sample_c1t_realization draws from substream(seed, 1 + i)."""
+def test_local_batch_blocks_equal_one_pass():
+    """Outcomes drawn block by block, three realizations per draw_outcomes
+    call (as blind MUB draws its blocks), are the ones a single pass draws,
+    and realization i is still what sample_c1t_realization draws from
+    substream(seed, 1 + i)."""
     channel = random_cp_channel(3, np.random.default_rng(43), n_kraus=2)
     seed, count = 31, 2000
-    want_digits, want_outcomes = _sample_local_batch(channel, seed, count, DenseBackend())
-    monkeypatch.setattr(dense, "_DRAW_BLOCK", 3 * channel.dim)
     backend = DenseBackend()
     digits, outcomes = _sample_local_batch(channel, seed, count, backend)
-    assert np.array_equal(digits, want_digits)
-    assert np.array_equal(outcomes, want_outcomes)
+    twirl = TwirlSpec("local_clifford", channel.n)
+    laws, rows = twirl.laws(backend, channel, digits)
+    u = draw_batch(seed, 1, count, twirl.layout, 1)[1][:, 0]
+    blocks = [dense.draw_outcomes(laws, rows[lo:lo + 3], u[lo:lo + 3])
+              for lo in range(0, count, 3)]
+    assert np.array_equal(np.concatenate(blocks), outcomes)
     n = channel.n
     for i in range(count):
         rec = sample_c1t_realization(channel, substream(seed, 1 + i), backend)
@@ -194,9 +217,9 @@ def test_forced_redraws_leave_local_twirl_unchanged(monkeypatch, n):
     channel = random_cp_channel(n, np.random.default_rng(50 + n), n_kraus=2)
     backend = DenseBackend()
     config = LocalTwirlConfig(shots=400, seed=9)
-    want = run_local_twirl(channel, config, backend).to_json()
+    want = result_json(run_local_twirl(channel, config, backend))
     _reject_everything(monkeypatch)
-    assert run_local_twirl(channel, config, backend).to_json() == want
+    assert result_json(run_local_twirl(channel, config, backend)) == want
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -251,6 +274,6 @@ def test_numpy_integer_config_fields_run_as_python_ints():
     assert {type(seqpt.shots), type(seqpt.seed), type(seqpt.pair_class_cap)} == {int}
     assert {type(local.shots), type(local.seed), type(local.cutoff)} == {int}
     want = run_blind_discovery(channel, SeqptConfig(shots=300, seed=5, pair_class_cap=20))
-    assert run_blind_discovery(channel, seqpt).to_json() == want.to_json()
+    assert result_json(run_blind_discovery(channel, seqpt)) == result_json(want)
     want = run_local_twirl(channel, LocalTwirlConfig(shots=300, seed=5, cutoff=1))
-    assert run_local_twirl(channel, local).to_json() == want.to_json()
+    assert result_json(run_local_twirl(channel, local)) == result_json(want)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cnot_channel, draw_outcome_reference, mixed_z1_channel,
-                      random_cp_channel)
+                      random_cp_channel, result_json)
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
@@ -144,7 +144,7 @@ def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
     monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
     one_by_one = run_blind_discovery(channel, cfg, backend, keep_records=True)
     assert one_by_one.records == want
-    assert one_by_one.to_json() == res.to_json()
+    assert result_json(one_by_one) == result_json(res)
 
 
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
@@ -192,7 +192,7 @@ def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, cap, b
     cfg = SeqptConfig(shots=1300, seed=seed, pair_class_cap=cap)
     want = _blind_mub_one_by_one(channel, cfg, backend)
     res = run_blind_discovery(channel, cfg, backend, keep_records=True)
-    assert res.to_json() == want.to_json()
+    assert result_json(res) == result_json(want)
     assert res.records == want.records
     assert run_blind_discovery(channel, cfg, backend).records == []
 
@@ -264,7 +264,7 @@ def test_blocked_pair_pass_matches_per_row_reference(monkeypatch, n, variant):
         assert want.analyzed_exactly == (cap in (None, budget)), cap
         for block in (1, 7, seqpt._PAIR_BLOCK):
             got = run(cap, ("_PAIR_BLOCK", block))
-            assert got.to_json() == want.to_json(), (cap, block)
+            assert result_json(got) == result_json(want), (cap, block)
 
 
 @pytest.mark.parametrize("cap", [None, 1])
@@ -393,8 +393,8 @@ def test_blind_cnot_labels():
 
 def test_blind_deterministic_replay():
     cfg = SeqptConfig(shots=2000, seed=11)
-    a = run_blind_discovery(cnot_channel(), cfg).to_json()
-    b = run_blind_discovery(cnot_channel(), cfg).to_json()
+    a = result_json(run_blind_discovery(cnot_channel(), cfg))
+    b = result_json(run_blind_discovery(cnot_channel(), cfg))
     assert a == b
 
 
@@ -545,8 +545,8 @@ _U = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1.0]), st.floats(0.0, 1.0
 
 
 def _draw_one(probs, u) -> int:
-    """The stack form of _draw_outcome on one row and one draw."""
-    return int(_draw_outcome(np.cumsum(probs)[None], np.array([u]))[0])
+    """_draw_outcome on a one-row table and one draw."""
+    return int(_draw_outcome(np.cumsum(probs)[None], np.array([0]), np.array([u]))[0])
 
 
 def _assert_valid_draw(probs, u):
@@ -574,10 +574,10 @@ def test_draw_outcome_trailing_zeros(probs, zeros, u):
 @given(_PROBS.filter(lambda p: sum(p) > 0), st.integers(0, 4),
        st.lists(_U, min_size=1, max_size=20))
 def test_draw_outcome_array_equals_scalar(probs, zeros, us):
-    """Draws against a stack of one repeated cdf give, elementwise, the
-    reference outcome of each draw."""
+    """Draws that all read one row give, elementwise, the reference outcome
+    of each draw."""
     cdf = np.cumsum(probs + [0.0] * zeros)
-    got = _draw_outcome(np.tile(cdf, (len(us), 1)), np.array(us))
+    got = _draw_outcome(cdf[None], np.zeros(len(us), dtype=np.int64), np.array(us))
     assert got.tolist() == [draw_outcome_reference(cdf, u) for u in us]
 
 
@@ -585,17 +585,41 @@ def test_draw_outcome_array_equals_scalar(probs, zeros, us):
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(
     st.tuples(st.lists(_PROB, min_size=d, max_size=d), _U), min_size=1, max_size=6)))
 def test_draw_outcome_stack_equals_scalar(rows):
-    """A (count, D) stack of cdfs with one draw per row gives, row by row,
-    the reference outcome of that row's draw, and raises ValueError exactly
+    """An (R, D) table with one draw per row gives, row by row, the
+    reference outcome of that row's draw, and raises ValueError exactly
     when some row has no positive mass."""
     cdfs = np.cumsum([probs for probs, _ in rows], axis=1)
     us = np.array([u for _, u in rows])
+    every = np.arange(len(rows))
     if not (cdfs[:, -1] > 0).all():
         with pytest.raises(ValueError):
-            _draw_outcome(cdfs, us)
+            _draw_outcome(cdfs, every, us)
         return
-    got = _draw_outcome(cdfs, us)
+    got = _draw_outcome(cdfs, every, us)
     assert got.tolist() == [draw_outcome_reference(cdf, u) for cdf, u in zip(cdfs, us.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.lists(_PROB, min_size=d, max_size=d), min_size=1, max_size=6)).flatmap(
+        lambda table: st.tuples(st.just(table), st.lists(
+            st.tuples(st.integers(0, len(table) - 1), _U), min_size=1, max_size=12))))
+def test_draw_outcome_rows_equal_scalar(case):
+    """Draws that name their rows, some rows read by several draws and some
+    by none, give the reference outcome of each draw against its own row,
+    and raise ValueError exactly when a row that is drawn has no positive
+    mass: a row that no draw reads is never checked."""
+    table, draws = case
+    cdfs = np.cumsum(table, axis=1)
+    rows = np.array([r for r, _ in draws])
+    us = np.array([u for _, u in draws])
+    if not (cdfs[rows, -1] > 0).all():
+        with pytest.raises(ValueError):
+            _draw_outcome(cdfs, rows, us)
+        return
+    got = _draw_outcome(cdfs, rows, us)
+    assert got.tolist() == [draw_outcome_reference(cdfs[r], u)
+                            for r, u in zip(rows.tolist(), us.tolist())]
 
 
 def test_draw_outcome_edges():
@@ -609,12 +633,16 @@ def test_draw_outcome_edges():
     with pytest.raises(ValueError):
         _draw_one(np.zeros(4), 0.5)
     with pytest.raises(ValueError):
-        _draw_outcome(np.zeros((3, 4)), np.array([0.0, 0.5, 1.0]))
-    edges = np.array([0.0, 1.0 - 2.0 ** -53, 1.0])
-    assert _draw_outcome(np.tile(np.cumsum([0.25, 0.75, 0.0, 0.0]), (3, 1)),
+        _draw_outcome(np.zeros((3, 4)), np.arange(3), np.array([0.0, 0.5, 1.0]))
+    edges, three = np.array([0.0, 1.0 - 2.0 ** -53, 1.0]), np.zeros(3, dtype=np.int64)
+    assert _draw_outcome(np.cumsum([0.25, 0.75, 0.0, 0.0])[None], three,
                          edges).tolist() == [0, 1, 1]
-    assert _draw_outcome(np.tile(np.cumsum([5e-324, 0.0]), (3, 1)), edges).tolist() == [0, 0, 0]
+    assert _draw_outcome(np.cumsum([5e-324, 0.0])[None], three, edges).tolist() == [0, 0, 0]
     stack = np.cumsum([[0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [5e-324, 0, 0, 0]], axis=1)
-    assert _draw_outcome(stack, np.array([1.0, 0.0, 0.75])).tolist() == [1, 1, 0]
+    assert _draw_outcome(stack, np.arange(3), np.array([1.0, 0.0, 0.75])).tolist() == [1, 1, 0]
     with pytest.raises(ValueError):
-        _draw_outcome(np.vstack([stack, np.zeros(4)]), np.full(4, 0.5))
+        _draw_outcome(np.vstack([stack, np.zeros(4)]), np.arange(4), np.full(4, 0.5))
+    # repeated rows, and a zero-mass row that no draw reads
+    table = np.vstack([np.zeros(4), stack])
+    assert _draw_outcome(table, np.array([3, 1, 3, 2, 1]),
+                         np.array([0.5, 1.0, 1.0, 0.0, 0.2])).tolist() == [0, 1, 0, 1, 0]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_clifford_group_enumeration():
         tableaux = clifford_group_tableaux(n)
         group = [tableaux.clifford(i) for i in range(len(tableaux))]
         assert len(group) == len(set(group)) == size
-        assert size == TwirlSpec("clifford_full", n).enumeration_size
+        assert size == math.prod(TwirlSpec("clifford_full", n).layout)
         keys = [[(p.key, p.phase_pow) for p in (*c.x_images, *c.z_images)] for c in group]
         assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == digest, n
 
