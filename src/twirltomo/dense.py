@@ -287,20 +287,19 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
     and relabels them; a single column scatters h[z] (-1)^(m.(z ^ z')) to z'
     and takes one product with the D x D Walsh-Hadamard signs.
 
-    The g_z and U g_z U^dag, with their phases, double over the Z-images by
-    the XZ product rule (:meth:`Tableaux.conjugate`), and the syndromes,
-    linear in z, by XOR.  The elements run in blocks whose (elements,
-    columns, D) arrays hold about ``_FIDELITY_BLOCK`` entries (256 KiB).
+    The g_z, with their phases, double over the Z-images by the XZ product
+    rule (:meth:`Tableaux.conjugate`), and the syndromes, linear in z, by
+    XOR; U g_z U^dag and its phase are looked up in the form's table of
+    images of every key (:attr:`PauliForm.images`).  The elements run in
+    blocks whose (elements, columns, D) arrays hold about
+    ``_FIDELITY_BLOCK`` entries (256 KiB).
     """
-    n, d, count = tableaux.n, 1 << tableaux.n, len(tableaux)
-    columns, mask, top = np.asarray(columns), np.uint64(d - 1), np.uint64(n)
+    n, d, count, columns = tableaux.n, 1 << tableaux.n, len(tableaux), np.asarray(columns)
     u_keys, u_e, u_f = form.images
-    # the Z-images g_j and their images U g_j U^dag: keys and XZ phases
-    g_j, u_j = tableaux.z, u_keys[tableaux.z]
-    g_je = 2 * tableaux.signs[:, 1::2] + np.bitwise_count(g_j & (g_j >> top))
-    u_je = g_je + u_e[g_j]
-    # syndromes of U g_j U^dag against the Z-images (high bits), X-images (z')
-    s_j = syndromes(np.hstack((g_j, tableaux.x)), u_j, n)
+    # syndromes of U g_j U^dag against the Z-images g_j (high bits) and X-images (z')
+    s_j = syndromes(np.hstack((tableaux.z, tableaux.x)), u_keys[tableaux.z], n)
+    g_j = tableaux.z.astype(np.int64)  # keys of the g_j: signed ones index with no cast
+    g_je = 2 * tableaux.signs[:, 1::2] + np.bitwise_count(g_j & (g_j >> n))
     signs = 1.0 - 2 * (np.bitwise_count(np.arange(d)[:, None] & np.arange(d)) & 1)
     # readout j = v ^ m of column c sits at c * D + j
     relabel = (np.arange(0, columns.size * d, d)[:, None]
@@ -309,19 +308,17 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
     step = max(1, _FIDELITY_BLOCK // (d * max(len(columns), _FIDELITY_ROWS)))
     for lo in range(0, count, step):
         rows = slice(lo, lo + step)
-        g = np.zeros((len(g_j[rows]), d), dtype=np.uint64)  # keys of g_z
-        u = np.zeros(g.shape, dtype=np.uint64)  # keys of U g_z U^dag
-        g_e, u_e_z, s = (np.zeros(g.shape, dtype=np.int64) for _ in range(3))
+        g, g_e, s = np.zeros((3, len(g_j[rows]), d), dtype=np.int64)  # g_z: key, phase
         for j in range(n - 1, -1, -1):  # Z-image j + 1 sets bit n - 1 - j of z
             old, new = slice(0, 1 << (n - 1 - j)), slice(1 << (n - 1 - j), 2 << (n - 1 - j))
-            for keys, e, key, key_e in ((g, g_e, g_j, g_je), (u, u_e_z, u_j, u_je)):
-                e[:, new] = e[:, old] + key_e[rows, j, None] + 2 * np.bitwise_count(
-                    (keys[:, old] >> top) & key[rows, j, None] & mask)
-                np.bitwise_xor(keys[:, old], key[rows, j, None], out=keys[:, new])
+            g_e[:, new] = g_e[:, old] + g_je[rows, j, None] + 2 * np.bitwise_count(
+                (g[:, old] >> n) & g_j[rows, j, None] & (d - 1))
+            np.bitwise_xor(g[:, old], g_j[rows, j, None], out=g[:, new])
             np.bitwise_xor(s[:, old], s_j[rows, j, None], out=s[:, new])
         z_to = s & (d - 1)
         at = z_to + np.arange(0, g.size, d)[:, None]  # z' within the block, flat
-        eps = _I_POWERS[(u_e_z - g_e.ravel()[at]) % 4].real  # +-1 where it counts
+        # U g_z U^dag = i^(g_e + u_e[g]) P_(u_keys[g]); eps = +-1 where it counts
+        eps = _I_POWERS[(g_e + u_e[g] - g_e.ravel()[at]) % 4].real
         h = np.where(s >> n == 0, eps * u_f[g], 0.0)
         if len(columns) == 1:
             weights = (h * signs[columns[0], np.arange(d) ^ z_to]).ravel()

@@ -7,8 +7,8 @@ Philox4x64-10 (Salmon et al., SC'11), a counter-based generator:
 proportional to ``i``, so realization ``i`` of an experiment is
 reproducible on its own without generating the preceding ``i - 1``
 realizations.  Substreams are spaced 2**192 draws apart and can never
-overlap in practice.  Seeds name streams only in [0, 2**64):
-:func:`check_seed` is the check protocol configurations and the CLI apply.
+overlap in practice.  Seeds name streams, and indices substreams, only in
+[0, 2**64): :func:`check_seed` is the seed check of configs and the CLI.
 
 There are two ways to draw many realizations, and both give the draws of
 ``substream(seed, i)`` bit for bit:
@@ -16,13 +16,13 @@ There are two ways to draw many realizations, and both give the draws of
 * :func:`substreams` moves one bit generator from counter to counter, for
   loops over realizations (blind MUB discovery).
 * :func:`draw_batch` computes the Philox blocks of all substreams at once
-  over the counter array (:func:`substream_words`) and maps raw words to
-  ``integers(0, k)`` values with numpy's Lemire transform and to
-  ``random()`` values as ``(w >> 11) * 2**-53``.  A realization with a
-  Lemire-rejected 32-bit half (probability below k * 2**-32 for a draw in
-  [0, k)) is redrawn alone from its own Generator, so the batch stays
-  exact.  Every other sampler draws this way, one row of its twirl
-  family's layout (:class:`twirltomo.dense.TwirlSpec`) per realization.
+  over the counter array, word-major (:func:`substream_words`), and writes
+  numpy's Lemire ``integers(0, k)`` and ``random()`` = ``(w >> 11) * 2**-53``
+  in place, one output row per word or 32-bit half.  A realization with a
+  Lemire-rejected half (probability below k * 2**-32 for a draw in [0, k))
+  is redrawn alone from its own Generator, so the batch stays exact.  Every
+  other sampler draws this way, one row of its twirl family's layout
+  (:class:`twirltomo.dense.TwirlSpec`) per realization.
 
 :func:`_draw_outcome` turns uniform draws into measurement outcomes, each
 against the cdf row of a table that it names, in
@@ -82,12 +82,18 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _check_indices(start: int, count: int):
+    """Raise ValueError unless substreams start .. start + count - 1 name counters."""
+    if start < 0 or start + count > 1 << 64:
+        raise ValueError(f"substream indices {start} .. {start + count - 1} leave [0, 2**64)")
+
+
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the generator for substream ``index`` of ``seed``."""
-    if index < 0:
-        raise ValueError("substream index must be nonnegative")
-    bitgen = np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, index])
-    return np.random.Generator(bitgen)
+    _check_indices(index, 1)
+    # a uint64 array: numpy passes a list's large ints through float64
+    counter = np.array([0, 0, 0, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=counter))
 
 
 def substreams(seed: int, start: int, count: int):
@@ -99,8 +105,7 @@ def substreams(seed: int, start: int, count: int):
     emptied, so its draws equal those of ``substream(seed, i)``.  Finish
     drawing for one substream before advancing the iterator.
     """
-    if start < 0:
-        raise ValueError("substream index must be nonnegative")
+    _check_indices(start, count)
     gen = substream(seed, start)
     bitgen = gen.bit_generator
     state = bitgen.state  # a fresh bit generator's: empty buffers
@@ -141,9 +146,10 @@ def _mulhi(m: int, a: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
     hi += v
 
 
-def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarray:
+def substream_words(seed: int, start: int, count: int, nwords: int) -> list[np.ndarray]:
     """First ``nwords`` raw 64-bit outputs of substreams ``start`` ..
-    ``start + count - 1``: row k equals
+    ``start + count - 1``, word-major: a list of ``nwords`` contiguous rows,
+    in which entry k of rows 0 .. nwords - 1 is
     ``substream(seed, start + k).bit_generator.random_raw(nwords)``.
 
     Philox4x64-10 evaluated over the counter array: numpy bumps the counter
@@ -154,27 +160,29 @@ def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarra
     lo(M0 b)); round 1 multiplies the scalar k, so its lane 2 is g_b =
     hi(M0 k) ^ lo(M0 b) ^ W1; round 2 multiplies g_b.  Those products are
     taken once per block with Python ints, so the arrays make 16 of the 20
-    half-round products, in place in a few preallocated buffers.
+    half-round products, in place in a few preallocated buffers.  Word
+    4 b + j is row b of the (blocks, count) lane j the rounds leave it in.
     """
-    if start < 0:
-        raise ValueError("substream index must be nonnegative")
+    _check_indices(start, count)
     nblocks = -(-nwords // 4)
     k = seed & _MASK64
     m0b = [_PHILOX_M0 * b for b in range(1, nblocks + 1)]
     m0k = _PHILOX_M0 * k
     m1g = [_PHILOX_M1 * ((m0k >> 64) ^ (p & _MASK64) ^ _PHILOX_W1) for p in m0b]
-    c0, c1, c2, c3 = np.empty((4, count, nblocks), dtype=np.uint64)
-    hi, t, u, v = np.empty((4, count, nblocks), dtype=np.uint64)
+    # the renames below leave output lane j in lanes[j]
+    c0, c2, c1, c3 = lanes = np.empty((4, nblocks, count), dtype=np.uint64)
+    hi, t, u, v = np.empty((4, nblocks, count), dtype=np.uint64)
     m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
     # round 1 on the arrays: lanes 0 and 1 from lane 2 = hi(M0 b) ^ i
-    np.bitwise_xor(np.arange(start, start + count, dtype=np.uint64)[:, None],
-                   np.array([p >> 64 for p in m0b], dtype=np.uint64), out=c2)
+    np.bitwise_xor(np.array([p >> 64 for p in m0b], dtype=np.uint64)[:, None],
+                   np.arange(start, start + count, dtype=np.uint64), out=c2)
     _mulhi(_PHILOX_M1, c2, c0, t, u, v)
     c0 ^= np.uint64((k + _PHILOX_W0) & _MASK64)
     c2 *= m1
     # round 2: lanes 0 and 1 from the per-block M1 g_b, lanes 2 and 3 from c0
-    c2 ^= np.array([(p >> 64) ^ ((k + 2 * _PHILOX_W0) & _MASK64) for p in m1g], dtype=np.uint64)
-    c1[:] = np.array([p & _MASK64 for p in m1g], dtype=np.uint64)
+    c2 ^= np.array([(p >> 64) ^ ((k + 2 * _PHILOX_W0) & _MASK64) for p in m1g],
+                   dtype=np.uint64)[:, None]
+    c1[:] = np.array([p & _MASK64 for p in m1g], dtype=np.uint64)[:, None]
     _mulhi(_PHILOX_M0, c0, c3, t, u, v)
     c3 ^= np.uint64((m0k & _MASK64) ^ (2 * _PHILOX_W1 & _MASK64))
     c0 *= m0
@@ -191,22 +199,20 @@ def substream_words(seed: int, start: int, count: int, nwords: int) -> np.ndarra
         c1 ^= np.uint64(k0)
         c2 *= m1
         c0, c1, c2, c3 = c1, c2, c3, c0  # the buffers are renamed, not copied
-    del hi, t, u, v  # free the scratch before the output is laid out
-    blocks = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * nblocks)
-    return blocks[:, :nwords]
+    return [lanes[w % 4, w // 4] for w in range(nwords)]
 
 
-def _lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``integers(0, k)`` (2 <= k < 2**32) on 32-bit draws ``halves``:
-    the values (h * k) >> 32, and a mask of the draws Lemire's method
-    rejects, those with (h * k) mod 2**32 < (2**32 - k) mod k; numpy would
-    draw again there."""
+def _lemire(halves: np.ndarray, k: int, rejected: np.ndarray):
+    """numpy's ``integers(0, k)`` (2 <= k < 2**32) in place on the 32-bit
+    draws h in the uint64 array ``halves``: each becomes (h * k) >> 32, and
+    ``rejected`` is set where Lemire's method rejects (numpy draws again),
+    (h * k) mod 2**32 < (2**32 - k) mod k, never when k divides 2**32."""
     if not 2 <= k < 1 << 32:
         raise ValueError(f"bound {k} is outside [2, 2**32)")
-    scaled = halves * np.uint64(k)
-    rejected = (scaled & _MASK32) < np.uint64(((1 << 32) - k) % k)
-    scaled >>= _SHIFT32
-    return scaled.view(np.int64), rejected  # values below 2**32
+    halves *= np.uint64(k)
+    if (1 << 32) % k:  # the threshold, (2**32 - k) mod k = 2**32 mod k
+        rejected |= (halves & _MASK32) < np.uint64((1 << 32) % k)
+    halves >>= _SHIFT32
 
 
 def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
@@ -217,34 +223,31 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
         [g.integers(0, k) for k in bounds], [g.random() for _ in range(nuniform)]
 
     draws, as an int64 array (count, len(bounds)) and a float64 array
-    (count, nuniform).  The int64 array is the transpose of a C-ordered one,
-    so each bound's column is contiguous.
+    (count, nuniform), each the transpose of a C-ordered array.
 
     Each bounded draw takes a 32-bit half of a raw word, low half first, and
-    each uniform a whole word after them; the words are read one column at
-    a time.  A row with a rejected half is redrawn from its own Generator,
-    so every row is exact.
+    each uniform a whole word after them.  Each goes from its word's row
+    (:func:`substream_words`) straight into its own output row, where
+    :func:`_lemire` or one multiply finishes it.  A row with a rejected half
+    is redrawn from its own Generator, so every row is exact.
     """
-    nhalf = len(bounds)
-    nint_words = -(-nhalf // 2)
+    nint_words = -(-len(bounds) // 2)
     words = substream_words(seed, start, count, nint_words + nuniform)
-    ints = np.empty((nhalf, count), dtype=np.int64)  # handed out transposed
+    ints = np.empty((len(bounds), count), dtype=np.int64)
+    halves = ints.view(np.uint64)  # values below 2**32 read the same in both
     rejected = np.zeros(count, dtype=bool)
-    for w in range(nint_words):
-        low = np.ascontiguousarray(words[:, w])  # one contiguous column pass
-        high = low >> _SHIFT32
-        low &= _MASK32
-        for j, half in zip(range(2 * w, nhalf), (low, high)):
-            ints[j], rej = _lemire(half, bounds[j])
-            rejected |= rej
-    ints = ints.T
+    for j, k in enumerate(bounds):  # the low half of word j // 2, then its high half
+        op, arg = (np.right_shift, _SHIFT32) if j % 2 else (np.bitwise_and, _MASK32)
+        _lemire(op(words[j // 2], arg, out=halves[j]), k, rejected)
     # numpy's random(): (w >> 11) * 2**-53, exact in float64
-    uniforms = (words[:, nint_words:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    uniforms = np.empty((nuniform, count))
+    for j, w in enumerate(words[nint_words:]):
+        np.multiply(np.right_shift(w, np.uint64(11), out=w), 2.0 ** -53, out=uniforms[j])
     for row in np.flatnonzero(rejected).tolist():
         g = substream(seed, start + row)
-        ints[row] = [g.integers(0, k) for k in bounds]
-        uniforms[row] = [g.random() for _ in range(nuniform)]
-    return ints, uniforms
+        ints[:, row] = [g.integers(0, k) for k in bounds]
+        uniforms[:, row] = [g.random() for _ in range(nuniform)]
+    return ints.T, uniforms.T
 
 
 def _cdf_table(laws: np.ndarray) -> np.ndarray:

@@ -150,7 +150,7 @@ def test_c05a_mub_pair_success_empirical():
     reason="the tabulated closed-form product for the Clifford variant does "
            "not describe uniform Clifford sampling: simulation converges to "
            "prod_j (D^2/2^j - D)/(D^2/2^j - 2^j) (2/3, 8/15, 64/135 at "
-           "n = 1, 2, 3) instead of 1/3, 22/45, ...; see notes/decisions.md")
+           "n = 1, 2, 3) instead of 1/3, 22/45, ...; see README, 'Known discrepancies'")
 def test_c05b_clifford_pair_success_empirical():
     """Usable-pair fraction of the Clifford variant vs the tabulated closed
     form within 3 sigma binomial over 1e5 sampled pairs at n = 1, 2, 3."""

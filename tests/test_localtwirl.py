@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -271,6 +272,45 @@ def test_weight_estimates_consistent_over_seeds():
             tol = max(3 * est.weight.stderr[w], 1e-12)
             good[w] += abs(est.weight.values[w] - oracle[w]) <= tol
     assert all(g >= 99 for g in good), good
+
+
+def _binomial_upper(trials: int, p: float, tail: float) -> int:
+    """The least count c with P(X > c) <= ``tail`` for X ~ Binomial(trials, p)."""
+    pmf = [(1 - p) ** trials]
+    for c in range(trials):
+        pmf.append(pmf[-1] * (trials - c) / (c + 1) * p / (1 - p))
+    return next(c for c in range(trials + 1) if sum(pmf[c + 1:]) <= tail)
+
+
+def test_error_bars_are_calibrated():
+    """|z| of every weight and support estimate against the exact coarse
+    graining, on the benchmark channel (CNOT(1,2), then 5% depolarizing on
+    qubit 1) at n = 3, M = 2,000 over 400 fixed seeds: the count above 3 is
+    at most the 10^-6 upper tail point of Binomial(N, P(|Z| > 3)) for a
+    standard normal Z.  Estimates of one run share their counts, so the
+    pooled count spreads a little wider than a binomial one; the tail point
+    leaves room for that.  These seeds give 12 of N = 2,800 above 3 against
+    a bound of 24; bars 10% too small would give 28 (20% too small, 47).
+    At this size the lower tail point is 0, so bars that are too wide pass."""
+    doc = {"name": "noisy-cnot-n3", "n": 3, "build": [
+        {"named_gate": "CNOT", "qubits": [1, 2]},
+        {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}
+    channel = build_channel(parse_channel_document(doc))
+    cg = coarse_grain(channel.chi)
+    errors = []  # (estimate - exact, stderr)
+    for seed in range(7000, 7400):
+        est = run_local_twirl(channel, LocalTwirlConfig(shots=2000, seed=seed))
+        errors += [(v - cg.by_weight[w], s)
+                   for w, (v, s) in enumerate(zip(est.weight.values, est.weight.stderr))]
+        errors += [(v - cg.by_support[key], est.support.stderr[key])
+                   for key, v in est.support.values.items()]
+    error, stderr = np.array(errors).T
+    # supports on qubit 3, which the map leaves alone, are never seen: 0 +- 0
+    exact = stderr == 0
+    assert np.abs(error[exact]).max() <= 1e-12
+    z = error[~exact] / stderr[~exact]
+    bound = _binomial_upper(len(z), math.erfc(3 / math.sqrt(2)), 1e-6)
+    assert np.count_nonzero(np.abs(z) > 3) <= bound, (len(z), bound)
 
 
 def test_negative_estimates_retained():

@@ -74,10 +74,13 @@ def test_substream_words_match_random_raw(seed, start, nwords, count):
     """nwords 2 to 7 covers every one-qubit-twirl layout up to n = 6 (n + 1
     words), including a uniform in the second Philox block; 1, 8 and 9 cover
     a lone word, two full blocks and a word in a third block.  Counts 1 and
-    1000 run the in-place rounds on one counter and on many."""
+    1000 run the in-place rounds on one counter and on many.  The words are
+    word-major: column k is substream start + k."""
     want = [substream(seed, start + k).bit_generator.random_raw(nwords)
             for k in range(count)]
-    np.testing.assert_array_equal(substream_words(seed, start, count, nwords), want)
+    got = substream_words(seed, start, count, nwords)
+    assert len(got) == nwords and all(row.flags.c_contiguous for row in got)
+    np.testing.assert_array_equal(np.transpose(got), want)
 
 
 def _numpy_bounded(half: int, k: int) -> tuple[int, bool]:
@@ -92,6 +95,14 @@ def _numpy_bounded(half: int, k: int) -> tuple[int, bool]:
     return value, g.bit_generator.state["buffer_pos"] != 0
 
 
+def _run_lemire(halves, k):
+    """rng._lemire on a fresh array of ``halves``: (values, rejected)."""
+    values = np.array(halves, dtype=np.uint64)
+    rejected = np.zeros(len(values), dtype=bool)
+    rng._lemire(values, k, rejected)
+    return values, rejected
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 9, 17, 65, 2 ** 31 + 1, 2 ** 32 - 1])
 def test_lemire_matches_numpy_on_crafted_halves(k):
     halves = [0, 1, 2, 3, 2 ** 31, 2 ** 32 - 1]
@@ -100,7 +111,7 @@ def test_lemire_matches_numpy_on_crafted_halves(k):
         inverse = pow(k, -1, 1 << 32)
         halves += [r * inverse % (1 << 32) for r in range(min(threshold, 6) + 2)]
         halves += [(threshold - r) * inverse % (1 << 32) for r in range(3)]
-    values, rejected = rng._lemire(np.array(halves, dtype=np.uint64), k)
+    values, rejected = _run_lemire(halves, k)
     for h, v, r in zip(halves, values.tolist(), rejected.tolist()):
         want_v, want_r = _numpy_bounded(h, k)
         assert r == want_r, (h, k)
@@ -111,26 +122,62 @@ def test_lemire_matches_numpy_on_crafted_halves(k):
 @pytest.mark.parametrize("k", [3, 9])
 def test_lemire_rejects_half_zero(k):
     assert _numpy_bounded(0, k)[1]
-    assert rng._lemire(np.zeros(1, dtype=np.uint64), k)[1].all()
+    assert _run_lemire([0], k)[1].all()
 
 
 @pytest.mark.parametrize("bounds, nuniform", [
     *(((4, 3) * n, 1) for n in range(1, 7)),          # one-qubit twirl
     *(((2 ** n + 1, 2 ** n), 1) for n in range(1, 7)),  # selective MUB
-    ((5,), 2), ((), 3), ((7, 7, 7), 0)])
+    ((5,), 2), ((), 3), ((7, 7, 7), 0),
+    # bounds that divide 2**32 (no rejection test) next to ones that do not
+    ((2, 3, 4, 8), 1), ((2 ** 31, 2 ** 32 - 1, 3), 2), ((3, 2, 2 ** 32 - 1, 4, 8), 0),
+    ((2 ** 32 - 1,) * 3, 1)])
 def test_draw_batch_matches_generator(bounds, nuniform):
     count = 40
     ints, uniforms = draw_batch(11, 3, count, bounds, nuniform)
+    assert ints.shape == (count, len(bounds)) and uniforms.shape == (count, nuniform)
     for k in range(count):
         g = substream(11, 3 + k)
         assert ints[k].tolist() == [int(g.integers(0, b)) for b in bounds]
         assert uniforms[k].tolist() == [g.random() for _ in range(nuniform)]
 
 
+@pytest.mark.parametrize("index", [2 ** 63 - 1, 2 ** 63 + 1, 2 ** 63 + 12345, 2 ** 64 - 2,
+                                   2 ** 64 - 1])
+def test_substreams_past_2_63_match_draw_batch(index):
+    """The counter word holds every index up to 2**64 - 1 exactly: a
+    Generator at such an index draws the batch's row, and the words are
+    that substream's own (numpy passes a list's large ints through float64,
+    which ran index 2**64 - 1 as substream 0)."""
+    bounds = (3, 4, 2 ** 32 - 1)
+    ints, uniforms = draw_batch(5, index, 1, bounds, 2)
+    for g in (substream(5, index), next(substreams(5, index, 1))):
+        assert g.bit_generator.state["state"]["counter"][3] == index
+        assert ints[0].tolist() == [int(g.integers(0, b)) for b in bounds]
+        assert uniforms[0].tolist() == [g.random(), g.random()]
+    want = substream(5, index).bit_generator.random_raw(3)
+    np.testing.assert_array_equal(np.transpose(substream_words(5, index, 1, 3))[0], want)
+
+
+@pytest.mark.parametrize("start, count", [(2 ** 64, 1), (2 ** 64 - 1, 2), (-1, 1), (-3, 2)])
+def test_indices_outside_the_counter_raise(start, count):
+    with pytest.raises(ValueError):
+        draw_batch(5, start, count, (3,), 1)
+    with pytest.raises(ValueError):
+        substream_words(5, start, count, 1)
+    with pytest.raises(ValueError):
+        next(substreams(5, start, count))
+    if count == 1:
+        with pytest.raises(ValueError):
+            substream(5, start)
+
+
 def test_draw_batch_peak_memory():
-    """The bounded draws read the 32-bit halves one word column at a time,
-    with no stacked copy of all halves: the peak stays near the words array
-    (1.56 MiB here) instead of 2.09 MiB."""
+    """The words come word-major from the Philox lanes with no stacked copy,
+    and each 32-bit half is written straight into its output row: the peak
+    is the words array with its round scratch, then the words with the
+    output (1.37 MiB here; 1.56 MiB with a stacked row-major copy and
+    2.09 MiB with a stacked copy of all halves)."""
     draw_batch(0, 1, 100, (4, 3) * 4, 1)  # warm up
     tracemalloc.start()
     try:
@@ -203,9 +250,9 @@ def test_local_batch_blocks_equal_one_pass():
 def _reject_everything(monkeypatch):
     lemire = rng._lemire
 
-    def rejecting(halves, k):
-        values, rejected = lemire(halves, k)
-        return values, np.ones_like(rejected)
+    def rejecting(halves, k, rejected):
+        lemire(halves, k, rejected)
+        rejected[:] = True
 
     monkeypatch.setattr(rng, "_lemire", rejecting)
 
