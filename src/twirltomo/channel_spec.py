@@ -41,7 +41,7 @@ from .channels import (ChannelModel, _operator_sum, amplitude_damping_kraus,
                        gate_unitary, phase_flip_kraus)
 from .errors import SpecValidationError
 from .pauli import PAULI_1Q, key_labels
-from .stabilizer import Clifford, Tableaux
+from .stabilizer import GATES, Tableaux, gate_tableau
 
 _NOISE_BUILDERS = {
     "depolarizing": depolarizing_kraus,
@@ -49,7 +49,6 @@ _NOISE_BUILDERS = {
     "phase_flip": phase_flip_kraus,
     "amplitude_damping": amplitude_damping_kraus,
 }
-_GATES = {"H", "S", "X", "Y", "Z", "CNOT"}
 _PAULI_NOISES = {"depolarizing", "bit_flip", "phase_flip"}
 
 
@@ -90,14 +89,11 @@ def _validate_layer(layer, i: int, n: int):
     kind = kinds[0]
     if kind == "named_gate":
         gate = layer["named_gate"]
-        if gate not in _GATES:
+        if gate not in GATES:
             raise SpecValidationError(f"{path}.named_gate",
-                                      f"unknown gate {gate!r} (known: {sorted(_GATES)})")
-        qubits = layer.get("qubits")
-        want = 2 if gate == "CNOT" else 1
-        _validate_qubits(qubits, f"{path}.qubits", n, exactly=want)
-        if gate == "CNOT" and qubits[0] == qubits[1]:
-            raise SpecValidationError(f"{path}.qubits", "CNOT qubits must differ")
+                                      f"unknown gate {gate!r} (known: {sorted(GATES)})")
+        _validate_qubits(layer.get("qubits"), f"{path}.qubits", n,
+                         exactly=len(GATES[gate]) // 2)
     elif kind == "noise":
         noise = layer["noise"]
         if noise not in _NOISE_BUILDERS:
@@ -181,29 +177,30 @@ def _pauli_form(doc: ChannelSpecDocument) -> PauliForm | None:
     bit-flip or phase-flip noise; None for any other spec.  A noise layer
     with fidelities f_i, followed by the gates W, acts as W N_i = N_i' W
     with f_i'(W P W^dag) = f_i(P), so each layer moves to the end through
-    the gates after it, and the moved layers' fidelities multiply."""
+    the gates after it, and the moved layers' fidelities multiply, in build
+    order.  One walk from the last layer back builds each W, and U last."""
     if any("kraus" in layer or "noise" in layer and layer["noise"] not in _PAULI_NOISES
            for layer in doc.build):
         return None
     n = doc.n
-    gates = [(layer["named_gate"], tuple(q - 1 for q in layer["qubits"]))
-             if "named_gate" in layer else None for layer in doc.build]
     labels, every = key_labels(n), np.arange(4 ** n)
+    after = None  # the stack of the gates after the current layer, if any
+    moved = []  # per noise layer, last first: the labels of W P W^dag and f_i(P), by key P
+    for layer in reversed(doc.build):
+        if "named_gate" in layer:
+            gate = gate_tableau((layer["named_gate"], tuple(q - 1 for q in layer["qubits"])), n)
+            after = gate if after is None else gate.then(after)
+            continue
+        ops = np.array(_NOISE_BUILDERS[layer["noise"]](float(layer["strength"])))
+        # f(P) = Tr(P N(P)) / 2 of the one-qubit channel, by label digit
+        one = np.einsum("pij,kjl,plm,kim->p", PAULI_1Q, ops, PAULI_1Q, ops.conj()).real / 2
+        layer_f = np.prod([one[every >> 2 * (n - q) & 3] for q in layer["qubits"]], axis=0)
+        at = labels if after is None else labels[after.conjugate(every)[0][0]]
+        moved.append((at, layer_f[labels]))
     fidelities = np.ones(4 ** n)
-    for i, layer in enumerate(doc.build):
-        if "noise" in layer:
-            ops = np.array(_NOISE_BUILDERS[layer["noise"]](float(layer["strength"])))
-            # f(P) = Tr(P N(P)) / 2 of the one-qubit channel, by label digit
-            one = np.einsum("pij,kjl,plm,kim->p", PAULI_1Q, ops, PAULI_1Q, ops.conj()).real / 2
-            layer_f = np.prod([one[every >> 2 * (n - q) & 3] for q in layer["qubits"]], axis=0)
-            later = [g for g in gates[i + 1:] if g]
-            if later:
-                moved, _ = Tableaux.of([Clifford.from_circuit(later, n)]).conjugate(every)
-                fidelities[labels[moved[0]]] *= layer_f[labels]
-            else:
-                fidelities *= layer_f
-    return PauliForm(Tableaux.of([Clifford.from_circuit([g for g in gates if g], n)]),
-                     fidelities)
+    for at, layer_f in reversed(moved):
+        fidelities[at] *= layer_f
+    return PauliForm(Tableaux.identity(n) if after is None else after, fidelities)
 
 
 def _composed(doc: ChannelSpecDocument) -> ChannelModel:

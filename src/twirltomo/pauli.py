@@ -18,7 +18,7 @@ The phase is stored as ``phase_pow``, the exponent k in
 
 so Hermitian operators have ``phase_pow`` in {0, 2}.  All tomography logic
 in this package compares operators modulo phase; the phase is tracked so
-that group algebra (products, Clifford conjugation) stays exact.
+that products, and the signed images of a Clifford tableau, stay exact.
 """
 from __future__ import annotations
 
@@ -92,13 +92,6 @@ class Pauli:
     @staticmethod
     def identity(n: int) -> "Pauli":
         return Pauli(n, 0, 0)
-
-    @staticmethod
-    def single(n: int, qubit: int, kind: str) -> "Pauli":
-        """Pauli with ``kind`` in {X, Y, Z} on 0-based ``qubit``, I elsewhere."""
-        xb, zb = _CHAR_XZ[kind]
-        shift = n - 1 - qubit
-        return Pauli(n, xb << shift, zb << shift)
 
     @staticmethod
     def from_string(s: str) -> "Pauli":

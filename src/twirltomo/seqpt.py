@@ -68,10 +68,13 @@ class SeqptConfig:
     """Realization count and sampling-precision targets.
 
     When ``epsilon`` is given, M must satisfy M >= 1/epsilon^2 (central
-    limit); when ``delta`` is also given, M >= ln(2/delta)/(2 epsilon^2)
-    (Chernoff).  Violations raise :class:`ConfigError` at construction, as
-    do ``epsilon``, ``delta`` and ``significance_z`` values that are not
-    finite numbers (bools, strings, NaN, infinities).
+    limit); when ``delta`` is also given, M >= ln(2/delta)/(2 epsilon^2),
+    Hoeffding's bound for the survival rate to land within epsilon of its
+    mean with probability >= 1 - delta.  chi_hat = ((D+1) rate - 1)/D has
+    (D+1)/D times that error; bounding chi_hat itself takes ((D+1)/D)^2
+    times the shots (2.25x at n = 1).  Violations raise :class:`ConfigError`
+    at construction, as do ``epsilon``, ``delta`` and ``significance_z``
+    values that are not finite numbers (bools, strings, NaN, infinities).
     """
 
     shots: int

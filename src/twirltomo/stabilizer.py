@@ -7,10 +7,9 @@ reads the dense unitaries of a stack off them.  A Pauli placed between a
 channel and the untwirl of an element only relabels outcomes, by its
 syndrome against the element's Z-images (:func:`outcome_shift`).
 
-Sign conventions are pinned here once and tests assert them:
-H maps X -> Z and Z -> X with +1 (so Y -> -Y); the phase gate S maps
-X -> Y with +1 (so Y -> -X, Z -> Z); CNOT follows the usual propagation
-rules with the Y_c Y_t sign handled by the standard tableau update.
+Sign conventions are pinned once, in the one-gate table :data:`GATES` (so H
+maps Y -> -Y and S maps Y -> -X); a gate list compiles by composing its
+one-gate stacks (:meth:`Tableaux.then`), and tests check both densely.
 """
 from __future__ import annotations
 
@@ -30,49 +29,31 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 Gate = tuple[str, tuple[int, ...]]
 
 
-# ---------------------------------------------------------------------------
-# gate-level conjugation rules
+#: the elementary gates by name: the images of X_1, Z_1 (and X_2, Z_2 for a
+#: two-qubit gate) as Pauli strings over the gate's qubits, in its qubit
+#: order, "-" marking sign bit 1.  These pin the sign conventions.
+GATES = {
+    "H": ("Z", "X"), "S": ("Y", "Z"),
+    "X": ("X", "-Z"), "Y": ("-X", "-Z"), "Z": ("-X", "Z"),
+    "CNOT": ("XX", "ZI", "IX", "ZZ"),
+}
 
 
-def _conj_gate(p: Pauli, gate: Gate) -> Pauli:
-    """Image g P g^dag for a single elementary gate."""
+def gate_tableau(gate: Gate, n: int) -> Tableaux:
+    """The one-row stack of an elementary gate on distinct 0-based qubits:
+    the identity, but for the images on the gate's qubits from :data:`GATES`."""
     name, qs = gate
-    n = p.n
-    x, z, ph = p.x, p.z, p.phase_pow
-    if name == "H":
-        (q,) = qs
-        b = 1 << (n - 1 - q)
-        xb, zb = x & b, z & b
-        ph += 2 * (1 if (xb and zb) else 0)
-        x = (x & ~b) | (b if zb else 0)
-        z = (z & ~b) | (b if xb else 0)
-    elif name == "S":
-        (q,) = qs
-        b = 1 << (n - 1 - q)
-        if x & b:
-            ph += 2 * (1 if (z & b) else 0)
-            z ^= b
-    elif name == "CNOT":
-        c, t = qs
-        bc = 1 << (n - 1 - c)
-        bt = 1 << (n - 1 - t)
-        xc, zc = bool(x & bc), bool(z & bc)
-        xt, zt = bool(x & bt), bool(z & bt)
-        if xc and zt and (xt == zc):
-            ph += 2
-        if xc:
-            x ^= bt
-        if zt:
-            z ^= bc
-    elif name in ("X", "Y", "Z"):
-        (q,) = qs
-        b = 1 << (n - 1 - q)
-        flips = {"X": bool(z & b), "Z": bool(x & b),
-                 "Y": bool(x & b) != bool(z & b)}[name]
-        ph += 2 * flips
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    return Pauli(n, x, z, ph)
+    if (name not in GATES or len(qs) != len(GATES[name]) // 2 or len(set(qs)) != len(qs)
+            or not all(0 <= q < n for q in qs)):
+        raise ValueError(f"no gate {name!r} on qubits {qs} of {n}")
+    one = Tableaux.identity(n)
+    for k, image in enumerate(GATES[name]):
+        factors = dict(zip(qs, image.lstrip("-")))  # the image's factor on each gate qubit
+        j = qs[k >> 1]
+        (one.z if k & 1 else one.x)[0, j] = Pauli.from_string(
+            "".join(factors.get(q, "I") for q in range(n))).key
+        one.signs[0, 2 * j + (k & 1)] = image.startswith("-")
+    return one
 
 
 def circuit_unitary(gates: list[Gate], n: int) -> np.ndarray:
@@ -81,9 +62,6 @@ def circuit_unitary(gates: list[Gate], n: int) -> np.ndarray:
     for name, qs in gates:
         u = gate_unitary(name, qs, n) @ u
     return u
-
-
-# ---------------------------------------------------------------------------
 
 
 class Clifford:
@@ -103,21 +81,6 @@ class Clifford:
         self.n = n
         self.x_images = tuple(x_images)
         self.z_images = tuple(z_images)
-
-    @staticmethod
-    def identity(n: int) -> "Clifford":
-        return Clifford(n,
-                        tuple(Pauli.single(n, j, "X") for j in range(n)),
-                        tuple(Pauli.single(n, j, "Z") for j in range(n)))
-
-    @staticmethod
-    def from_circuit(gates: list[Gate], n: int) -> "Clifford":
-        xs = [Pauli.single(n, j, "X") for j in range(n)]
-        zs = [Pauli.single(n, j, "Z") for j in range(n)]
-        for g in gates:
-            xs = [_conj_gate(p, g) for p in xs]
-            zs = [_conj_gate(p, g) for p in zs]
-        return Clifford(n, tuple(xs), tuple(zs))
 
     def unitary(self) -> np.ndarray:
         """Dense unitary up to a global phase, by :meth:`Tableaux.unitaries`."""
@@ -272,6 +235,13 @@ class Tableaux:
     signs: np.ndarray
 
     @staticmethod
+    def identity(n: int) -> "Tableaux":
+        """The one-row stack of the identity on n qubits."""
+        qubit = _ONE << np.arange(n - 1, -1, -1, dtype=np.uint64)  # qubit j + 1's bit
+        return Tableaux(n, qubit[None], qubit[None] << np.uint64(n),
+                        np.zeros((1, 2 * n), dtype=np.int64))
+
+    @staticmethod
     def of(cliffords) -> "Tableaux":
         """The stack of the given :class:`Clifford` elements, in order."""
         cliffords = list(cliffords)
@@ -315,6 +285,17 @@ class Tableaux:
             e += picked * (g_e[:, k, None] + 2 * flips)
             product ^= picked * images[:, k, None]
         return product, (e & np.uint64(3)).astype(np.int64)
+
+    def then(self, later: "Tableaux") -> "Tableaux":
+        """The stack of each element followed by the one-row stack ``later``:
+        each image (-1)^s P, with P = i^|x & z| X^x Z^z, moves by
+        :meth:`conjugate` to i^(|x & z| + e - |x' & z'|) (-1)^s P'."""
+        keys = np.stack((self.x, self.z), axis=2).reshape(len(self), -1)  # in signs' order
+        images, e = later.conjugate(keys)
+        top = np.uint64(self.n)
+        turn = (np.bitwise_count(keys & keys >> top) + e
+                - np.bitwise_count(images & images >> top)) & 3  # 0 or 2
+        return Tableaux(self.n, images[:, 0::2], images[:, 1::2], self.signs ^ turn >> 1)
 
     def unitaries(self) -> np.ndarray:
         """(M, D, D) dense unitaries of the stack, each up to a global phase.

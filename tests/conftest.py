@@ -105,7 +105,7 @@ def mub_family_reference(n: int) -> Tableaux:
     """The MUB family built by GF(2) solves: basis 0 the identity, basis
     t + 1 the :func:`clifford_from_z_frame` of the Z frame whose generator
     j is X_j Z^(column j of the spread matrix A_t)."""
-    bases = [Clifford.identity(n)]
+    bases = [Tableaux.identity(n).clifford(0)]
     for rows in _spread_matrices(n):
         z_keys = []
         for j in range(n):

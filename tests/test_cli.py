@@ -57,6 +57,10 @@ def test_validation_field_messages():
         parse_channel_document({"name": "x", "n": 1,
                                 "build": [{"named_gate": "CNOT", "qubits": [1, 2]}]})
     assert "qubits" in str(ei.value)
+    with pytest.raises(SpecValidationError) as ei:
+        parse_channel_document({"name": "x", "n": 2,
+                                "build": [{"named_gate": "CNOT", "qubits": [1, 1]}]})
+    assert str(ei.value) == "build[0].qubits: qubit indices must be distinct"
     with pytest.raises(SpecValidationError):
         parse_channel_document({"name": "", "n": 1, "build": [{}]})
     with pytest.raises(SpecValidationError) as ei:

@@ -584,12 +584,15 @@ def _random_pauli_spec(n, rng):
 
 
 def _fidelity_law_channels():
-    """Three random Pauli specs at each n = 1..4 and the benchmark channel at
-    n = 3..6, all with a Pauli form."""
+    """Three random Pauli specs at each n = 1..4, the benchmark channel at
+    n = 3..6 and a spec with no gate, all with a Pauli form."""
     rng = master(130)
     return [*((f"random-{n}-{i}", _random_pauli_spec(n, rng)) for n in (1, 2, 3, 4)
               for i in range(3)),
-            *((f"noisy-cnot-{n}", _noisy_cnot(n)) for n in (3, 4, 5, 6))]
+            *((f"noisy-cnot-{n}", _noisy_cnot(n)) for n in (3, 4, 5, 6)),
+            ("noise-only-2", _spec_channel(2, [
+                {"noise": "bit_flip", "strength": 0.2, "qubits": [2]},
+                {"noise": "depolarizing", "strength": 0.1, "qubits": [1, 2]}]))]
 
 
 def _law_stacks(n, rng):

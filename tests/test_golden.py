@@ -55,6 +55,28 @@ SPECS = {
                                      {"noise": "depolarizing", "strength": 0.05,
                                       "qubits": [1]}]}
        for n in (3, 4)},
+    # a Pauli-form spec with every gate and four noise layers, each moved
+    # through a different set of later gates; the gates reach every sign
+    # rule (Y under H and S, X_c Z_t under CNOT, the Pauli gates' flips)
+    "signed-form-3": {"name": "signed-form-n3", "n": 3,
+                      "build": [{"named_gate": "S", "qubits": [1]},
+                                {"named_gate": "H", "qubits": [1]},
+                                {"noise": "depolarizing", "strength": 0.06, "qubits": [1]},
+                                {"named_gate": "S", "qubits": [1]},
+                                {"named_gate": "H", "qubits": [2]},
+                                {"named_gate": "S", "qubits": [2]},
+                                {"named_gate": "CNOT", "qubits": [1, 2]},
+                                {"noise": "bit_flip", "strength": 0.1, "qubits": [2, 3]},
+                                {"named_gate": "Y", "qubits": [3]},
+                                {"named_gate": "H", "qubits": [3]},
+                                {"named_gate": "CNOT", "qubits": [2, 3]},
+                                {"named_gate": "CNOT", "qubits": [3, 1]},
+                                {"noise": "phase_flip", "strength": 0.08, "qubits": [1]},
+                                {"named_gate": "X", "qubits": [2]},
+                                {"named_gate": "Z", "qubits": [1]},
+                                {"named_gate": "S", "qubits": [3]},
+                                {"noise": "depolarizing", "strength": 0.04, "qubits": [3]},
+                                {"named_gate": "H", "qubits": [2]}]},
 }
 
 # case id -> (the SPECS key of the spec or None, CLI argv after the verb's
@@ -90,6 +112,11 @@ CLI_CASES = {
                                                       "--seed", "53"]),
     "noisy-cnot-local-twirl-n4": ("noisy-cnot-4", ["local-twirl", "--shots", "3000",
                                                    "--seed", "54"]),
+    "signed-form-local-twirl-n3": ("signed-form-3", ["local-twirl", "--shots", "2000",
+                                                     "--seed", "61"]),
+    "signed-form-blind-clifford-n3": ("signed-form-3", ["seqpt", "blind", "--variant",
+                                                        "clifford", "--shots", "300",
+                                                        "--seed", "62"]),
 }
 
 # case id -> (n, variant, shots, seed, pair_class_cap)
@@ -145,6 +172,10 @@ GOLDEN = {
         "691291743aacd0c5ce5f61d03838842b31f23741f734fd8677bbc5fa4fa3a209",
     "noisy-cnot-local-twirl-n4":
         "815a9e79a578e865bb699d5685d2b9e553f2ed0aa1aa0eca34d65d601cbeb0e2",
+    "signed-form-local-twirl-n3":
+        "0f5e3eae939eb1706210a1bf55346b89a916222ca9c898dfbc87245c39a13f45",
+    "signed-form-blind-clifford-n3":
+        "a8d32e3c5d8a36ed197e3a66db95acfbd7fd72c295720b119b71400d529f1d35",
     "capped-mub-n3":
         "7aaa3ad5f533f4bed69397379529bfc2ed55db07da1d1b7359cd4fe9d5235442",
     "capped-clifford-n2":
@@ -198,6 +229,10 @@ OUTPUT_GOLDEN = {
         "a58dc834f9e5097b262a0d15f91ccf4e3a88c73be03edc84f1e21ccd9d8894a0",
     "noisy-cnot-local-twirl-n4":
         "a3a59463999e86d9cdd087961539c37e9219cec84b5642e6f65eb3211581ad48",
+    "signed-form-local-twirl-n3":
+        "a4778fac819e3ac4ad81c78392419be2738e02e36242460da5632fa745fd056c",
+    "signed-form-blind-clifford-n3":
+        "d77ce5c289fb5168d814292ddf3be195e13857a91d0bed7fcaaec3ff8d088c7e",
 }
 
 

@@ -11,34 +11,35 @@ from conftest import (class_of, clifford_group_tableaux, conjugated_xz_table, la
                       mub_family_reference, symplectic_product, xor_combination)
 from twirltomo import gf2
 from twirltomo.pauli import Pauli
-from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli,
+from twirltomo.stabilizer import (GATES, Clifford, Tableaux, _key_to_pauli,
                                   _swap_halves, build_mub_family,
                                   circuit_unitary, clifford_bounds,
-                                  draw_clifford_row, grow_cliffords,
+                                  draw_clifford_row, gate_tableau, grow_cliffords,
                                   outcome_shift, sample_clifford_uniform)
 from twirltomo.seqpt import frames_independent_probability
 from twirltomo.rng import draw_batch, master
 
 
-def _conjugate(c, p):
-    """C P C^dag with exact sign, by :meth:`Tableaux.conjugate`, the rule
-    the Pauli form and the laws run.  P = i^(k + |x & z|) X^x Z^z for its
-    phase k, and C X^x Z^z C^dag = i^e X^x' Z^z'."""
-    images, e = Tableaux.of([c]).conjugate(np.array([p.key], dtype=np.uint64))
-    image = _key_to_pauli(int(images[0, 0]), c.n)
-    return Pauli(c.n, image.x, image.z, p.phase_pow + (p.x & p.z).bit_count()
+def _conjugate(t, p):
+    """C P C^dag with exact sign for the one-row stack ``t``, by
+    :meth:`Tableaux.conjugate`, the rule the Pauli form and the laws run.
+    P = i^(k + |x & z|) X^x Z^z for its phase k, and
+    C X^x Z^z C^dag = i^e X^x' Z^z'."""
+    images, e = t.conjugate(np.array([p.key], dtype=np.uint64))
+    image = _key_to_pauli(int(images[0, 0]), t.n)
+    return Pauli(t.n, image.x, image.z, p.phase_pow + (p.x & p.z).bit_count()
                  + int(e[0, 0]) - (image.x & image.z).bit_count())
 
 
 def test_gate_conjugation_pinned_conventions():
-    h = Clifford.from_circuit([("H", (0,))], 1)
+    h = gate_tableau(("H", (0,)), 1)
     assert str(_conjugate(h, Pauli.from_string("X"))) == "Z"
     assert str(_conjugate(h, Pauli.from_string("Z"))) == "X"
     assert str(_conjugate(h, Pauli.from_string("Y"))) == "-Y"
-    s = Clifford.from_circuit([("S", (0,))], 1)
+    s = gate_tableau(("S", (0,)), 1)
     assert str(_conjugate(s, Pauli.from_string("X"))) == "Y"
     assert str(_conjugate(s, Pauli.from_string("Z"))) == "Z"
-    cn = Clifford.from_circuit([("CNOT", (0, 1))], 2)
+    cn = gate_tableau(("CNOT", (0, 1)), 2)
     assert str(_conjugate(cn, Pauli.from_string("XI"))) == "XX"
     assert str(_conjugate(cn, Pauli.from_string("IZ"))) == "ZZ"
 
@@ -48,11 +49,77 @@ def test_conjugation_matches_dense():
              ("X", (0,)), ("Y", (1,)), ("Z", (0,))]
     for g in gates:
         u = circuit_unitary([g], 2)
-        c = Clifford.from_circuit([g], 2)
+        t = gate_tableau(g, 2)
         for l in range(16):
             p = Pauli.from_label(2, l)
-            np.testing.assert_allclose(_conjugate(c, p).to_matrix(),
+            np.testing.assert_allclose(_conjugate(t, p).to_matrix(),
                                        u @ p.to_matrix() @ u.conj().T, atol=1e-12)
+
+
+def _dense_rows(u, n):
+    """(keys, sign bits) of U G U^dag for the generators G = X_1, Z_1, X_2,
+    ... of the dense unitary U, read off its Pauli coefficients, in the
+    order of :attr:`Tableaux.signs`."""
+    paulis = [Pauli.from_label(n, l) for l in range(4 ** n)]
+    mats = np.array([p.to_matrix() for p in paulis])
+    keys, signs = [], []
+    for q in range(n):
+        for g in ("X", "Z"):
+            gen = Pauli.from_string("I" * q + g + "I" * (n - 1 - q)).to_matrix()
+            coeff = np.einsum("lij,ji->l", mats, u @ gen @ u.conj().T) / (1 << n)
+            l = int(np.argmax(abs(coeff)))
+            np.testing.assert_allclose(abs(coeff[l]), 1, atol=1e-12)
+            np.testing.assert_allclose(coeff[l].imag, 0, atol=1e-12)
+            keys.append(paulis[l].key)
+            signs.append(int(coeff[l].real < 0))
+    return keys, signs
+
+
+def _composed(gates, n):
+    """The one-row stack of a gate list, first gate first."""
+    t = Tableaux.identity(n)
+    for g in gates:
+        t = t.then(gate_tableau(g, n))
+    return t
+
+
+def _stack_rows(t):
+    keys = np.stack((t.x[0], t.z[0]), axis=1).reshape(-1)
+    return keys.tolist(), t.signs[0].tolist()
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_gate_tableau_matches_dense(name):
+    """Every gate of the table, on every ordered choice of its qubits at
+    n = 1..3, has the images of the dense U G U^dag, keys and sign bits."""
+    width = len(GATES[name]) // 2
+    for n in range(width, 4):
+        for qs in itertools.permutations(range(n), width):
+            gate = (name, qs)
+            assert _stack_rows(gate_tableau(gate, n)) == _dense_rows(
+                circuit_unitary([gate], n), n), (gate, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composed_circuits_match_dense(n):
+    """Random circuits of up to 11 gates from the table, composed one gate
+    at a time by Tableaux.then, against the dense circuit unitary."""
+    rng = np.random.default_rng(70 + n)
+    names = [name for name in sorted(GATES) if len(GATES[name]) // 2 <= n]
+    for _ in range(60):
+        gates = []
+        for name in rng.choice(names, size=int(rng.integers(0, 12))):
+            qs = rng.choice(n, size=len(GATES[name]) // 2, replace=False)
+            gates.append((str(name), tuple(int(q) for q in qs)))
+        assert _stack_rows(_composed(gates, n)) == _dense_rows(
+            circuit_unitary(gates, n), n), gates
+
+
+@pytest.mark.parametrize("gate", [("T", (0,)), ("H", (0, 1)), ("CNOT", (0,)),
+                                  ("CNOT", (1, 1)), ("H", (2,)), ("X", (-1,))])
+def test_gate_tableau_refuses_bad_gates(gate):
+    with pytest.raises(ValueError):
+        gate_tableau(gate, 2)
 
 
 def _assert_unitary_conjugates(c, paulis):
@@ -60,7 +127,7 @@ def _assert_unitary_conjugates(c, paulis):
     u = c.unitary()
     np.testing.assert_allclose(u.conj().T @ u, np.eye(1 << c.n), atol=1e-10)
     for p in paulis:
-        np.testing.assert_allclose(_conjugate(c, p).to_matrix(),
+        np.testing.assert_allclose(_conjugate(Tableaux.of([c]), p).to_matrix(),
                                    u @ p.to_matrix() @ u.conj().T, atol=1e-10)
 
 
@@ -400,11 +467,11 @@ def test_frames_independent_rate_matches_exact_product():
 
 
 def test_frames_independent_examples():
-    ident = Clifford.identity(1)
-    had = Clifford.from_circuit([("H", (0,))], 1)
+    ident = Tableaux.identity(1)
+    had = gate_tableau(("H", (0,)), 1)
 
-    def independent(ca, cb):
-        return gf2.rank([p.key for p in (*ca.z_images, *cb.z_images)]) == 2 * ca.n
+    def independent(ta, tb):
+        return gf2.rank([*ta.z[0].tolist(), *tb.z[0].tolist()]) == 2 * ta.n
 
     assert independent(ident, had)
     assert not independent(ident, ident)
