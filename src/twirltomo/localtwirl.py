@@ -13,11 +13,13 @@ Outcome probabilities relate to the coefficients triangularly:
 * by Hamming weight:  Prob(h) = sum_{w >= h} (2^h / 3^w) C(w, h) p_w
 * by support:         Prob(v) = sum_{t contains v} (2^|v| / 3^|t|) chi_col[t]
 
-and both systems are solved by back substitution from the highest weight
-down, truncated at a cutoff weight.  Measured probabilities carry
-multinomial noise with standard deviation <= 1/sqrt(M); the inverse maps
-amplify it by a factor growing like (3/2)^w, which the estimates report
-rather than hide.
+and both inverses have closed forms: R^-1[h, w] = C(w, h) (3/2)^h (-1/2)^(w-h)
+and T^-1[s, t] = (3/2)^|s| (-1/2)^(|t|-|s|) for s in t, T being the Kronecker
+power of [[1, 1/3], [0, 2/3]].  Cut at a weight, the unknowns form a down-set
+of a triangular system, whose inverse is the full one restricted to them.
+Measured probabilities carry multinomial noise with standard deviation
+<= 1/sqrt(M); the inverse maps amplify it by a factor growing like (3/2)^w,
+which the estimates report rather than hide.
 """
 from __future__ import annotations
 
@@ -177,23 +179,25 @@ class WeightEstimate:
                 "residuals": self.residuals.tolist()}
 
 
+def _check_cutoff(cutoff, n: int) -> int:
+    """``cutoff`` as an int in 0..n; raise :class:`ConfigError` otherwise."""
+    cutoff = check_int("cutoff", cutoff)
+    if not 0 <= cutoff <= n:
+        raise ConfigError(f"cutoff {cutoff} lies outside 0..{n} for {n} qubits")
+    return cutoff
+
+
+def _weight_inverse(cutoff: int) -> np.ndarray:
+    """R^-1 on weights 0..cutoff, the inverse of R's block (R is triangular)."""
+    return np.array([[comb(w, h) * 1.5 ** h * (-0.5) ** (w - h) if h <= w else 0.0
+                      for w in range(cutoff + 1)] for h in range(cutoff + 1)])
+
+
 def solve_weight_probs_exact(prob_by_weight: np.ndarray, cutoff: int) -> np.ndarray:
-    """Back-substitute the truncated weight system on exact probabilities."""
-    n = len(prob_by_weight) - 1
-    if cutoff > n:
-        raise ConfigError(f"cutoff {cutoff} exceeds qubit count {n}")
-    return _back_substitute(r_matrix(n), prob_by_weight, cutoff)
-
-
-def _back_substitute(r: np.ndarray, q: np.ndarray, cutoff: int) -> np.ndarray:
-    """p_0 .. p_cutoff with (R p)_w = q_w for w <= cutoff, from the top down."""
-    p = np.zeros(cutoff + 1)
-    for w in range(cutoff, -1, -1):
-        acc = q[w]
-        for wp in range(w + 1, cutoff + 1):
-            acc -= r[w, wp] * p[wp]
-        p[w] = acc / r[w, w]
-    return p
+    """p_0 .. p_cutoff from exact outcome-weight probabilities: the truncated
+    weight system inverted by the closed form :func:`solve_pw` uses."""
+    cutoff = _check_cutoff(cutoff, len(prob_by_weight) - 1)
+    return _weight_inverse(cutoff) @ np.asarray(prob_by_weight)[: cutoff + 1]
 
 
 def solve_pw(stats: HammingStatistics, cutoff: int) -> WeightEstimate:
@@ -203,16 +207,13 @@ def solve_pw(stats: HammingStatistics, cutoff: int) -> WeightEstimate:
     through the truncated inverse; negative estimates are retained with
     their error bars (suppressing them would hide miscalibration).
     """
-    n = stats.n
-    if cutoff > n:
-        raise ConfigError(f"cutoff {cutoff} exceeds qubit count {n}")
+    cutoff = _check_cutoff(cutoff, stats.n)
     q = stats.weight_probs()
-    r = r_matrix(n)
-    values = _back_substitute(r, q, cutoff)
-    rinv = np.linalg.inv(r[: cutoff + 1, : cutoff + 1])
+    rinv = _weight_inverse(cutoff)
+    values = rinv @ q[: cutoff + 1]
     cov_q = (np.diag(q) - np.outer(q, q)) / stats.total
     cov = rinv @ cov_q[: cutoff + 1, : cutoff + 1] @ rinv.T
-    resid = q - r[:, : cutoff + 1] @ values
+    resid = q - r_matrix(stats.n)[:, : cutoff + 1] @ values
     return WeightEstimate(values=values, cov=cov,
                           stderr=np.sqrt(np.clip(np.diag(cov), 0.0, None)),
                           amplification=amplification_factors(cutoff),
@@ -222,8 +223,29 @@ def solve_pw(stats: HammingStatistics, cutoff: int) -> WeightEstimate:
 
 
 def _supports_upto(n: int, cutoff: int) -> list[tuple[int, ...]]:
-    """Descending weight, lexicographic within a weight."""
-    return sorted(enumerate_supports(n, cutoff), key=sum, reverse=True)
+    """Weight-major, lexicographic within a weight.  They are enumerated as
+    tuples, so past ``MAX_SUPPORT_CELLS`` the count raises CapacityError first."""
+    cells = sum(comb(n, m) for m in range(cutoff + 1))
+    if cells > MAX_SUPPORT_CELLS:
+        raise CapacityError(f"support system has {cells} cells (cap {MAX_SUPPORT_CELLS})")
+    return list(enumerate_supports(n, cutoff))
+
+
+def _invert_supports(supports: list[tuple[int, ...]],
+                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_t a_st q_t and sum_t a_st^2 q_t over ``supports``, all supports up
+    to a weight, for a = T^-1: the Kronecker power of [[1, -1/2], [0, 3/2]],
+    and a^2 that of [[1, 1/4], [0, 9/4]].  One pass per qubit j applies the
+    factor to each cell t holding j and to t - j, which is a cell too."""
+    index = {s: i for i, s in enumerate(supports)}
+    x, y = q.tolist(), q.tolist()
+    for j in range(len(supports[0])):
+        for t, i in index.items():
+            if t[j]:
+                k = index[t[:j] + (0,) + t[j + 1:]]
+                x[k], x[i] = x[k] - 0.5 * x[i], 1.5 * x[i]
+                y[k], y[i] = y[k] + 0.25 * y[i], 2.25 * y[i]
+    return np.array(x), np.array(y)
 
 
 @dataclass
@@ -247,51 +269,29 @@ class SupportEstimate:
 
 
 def solve_chi_col_exact(n: int, prob_of_support, cutoff: int) -> dict[tuple[int, ...], float]:
-    """Solve the support-resolved system on exact probabilities, with the
-    matrix :func:`solve_chi_col` solves.
-
-    ``prob_of_support`` maps a support vector (= outcome bit string) to its
-    exact probability.
-    """
-    supports = _supports_upto(n, cutoff)
-    q = np.array([float(prob_of_support(s)) for s in supports])
-    return dict(zip(supports, np.linalg.solve(_support_matrix(supports), q).tolist()))
-
-
-def _support_matrix(supports: list[tuple[int, ...]]) -> np.ndarray:
-    """T[i, j] = 2^|s_i| / 3^|s_j| where support s_j contains s_i, else 0:
-    the map from chi_col on ``supports`` to their outcome probabilities."""
-    s = np.array(supports, dtype=np.int8)
-    covers = s @ (1 - s).T == 0  # no qubit of s_i lies outside s_j
-    w = s.sum(axis=1)  # 2^w and 3^w convert to float exactly up to w = 33
-    return np.where(covers, (2 ** w)[:, None] / 3 ** w, 0.0)
+    """chi_col up to ``cutoff`` by the closed form :func:`solve_chi_col`
+    uses, from ``prob_of_support``, the exact probability of a support
+    vector (= outcome bit string)."""
+    supports = _supports_upto(n, _check_cutoff(cutoff, n))
+    values, _ = _invert_supports(supports, np.array([float(prob_of_support(s)) for s in supports]))
+    return dict(zip(supports, values.tolist()))
 
 
 def solve_chi_col(stats: HammingStatistics, cutoff: int) -> SupportEstimate:
-    """Estimate the support-resolved coefficients from sampled statistics."""
-    n = stats.n
-    if cutoff > n:
-        raise ConfigError(f"cutoff {cutoff} exceeds qubit count {n}")
-    m_cells = sum(comb(n, m) for m in range(cutoff + 1))
-    if m_cells > MAX_SUPPORT_CELLS:
-        raise CapacityError(
-            f"support system has {m_cells} cells (cap {MAX_SUPPORT_CELLS})")
-    supports = _supports_upto(n, cutoff)
-    t_mat = _support_matrix(supports)
+    """Estimate the support-resolved coefficients from sampled statistics,
+    in time and memory following the supports up to ``cutoff``, not 2^n.
+    x_s = sum_t a_st q_t has multinomial variance (sum_t a_st^2 q_t - x_s^2) / M."""
+    cutoff = _check_cutoff(cutoff, stats.n)
+    supports = _supports_upto(stats.n, cutoff)
     q = np.array([stats.support_prob(s) for s in supports])
-    values_vec = np.linalg.solve(t_mat, q)
-    tinv = np.linalg.inv(t_mat)
-    cov_q = (np.diag(q) - np.outer(q, q)) / stats.total
-    cov = tinv @ cov_q @ tinv.T
-    stderr_vec = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    excess = 1.0 - q.sum()
-    values = dict(zip(supports, values_vec.tolist()))
-    stderr = dict(zip(supports, stderr_vec.tolist()))
+    values_vec, squares = _invert_supports(supports, q)
+    stderr_vec = np.sqrt(np.clip((squares - values_vec ** 2) / stats.total, 0.0, None))
     # inconsistency: solved values negative far beyond their error bars
-    inconsistent = any(v < -4.0 * stderr[s] - 1e-12 for s, v in values.items())
-    return SupportEstimate(values=values, stderr=stderr,
+    inconsistent = bool((values_vec < -4.0 * stderr_vec - 1e-12).any())
+    return SupportEstimate(values=dict(zip(supports, values_vec.tolist())),
+                           stderr=dict(zip(supports, stderr_vec.tolist())),
                            amplification=amplification_factors(cutoff),
-                           cutoff=cutoff, excess_mass=float(excess),
+                           cutoff=cutoff, excess_mass=float(1.0 - q.sum()),
                            inconsistent=inconsistent)
 
 

@@ -151,13 +151,13 @@ GOLDEN = {
     "blind-clifford-n3":
         "0461ad77bef7b768c9f76b0510d59be13c73f1a37dd8faa9a95b8ca14cc06332",
     "local-twirl-n1":
-        "92aced21db0f8a7bf228305a3af234b7e5246eed62f137e81806e901e5b3a8d6",
+        "c4f9b93adaa908c0dc2771f1298b794fbba851cd274ff582d1a2045bda7a8f5c",
     "local-twirl-n2":
-        "d9255c894ad9765ab81216540cb6fa46275ce0171f758339bcce54349ee2d0d1",
+        "27749b0ba1c04cf5f146c77f183a7c97ed6528230839578198fa1fafaef389a2",
     "local-twirl-n3":
-        "7e7f5f362f38a6dca6b6c2e7902a220d06ec925ab914762213cc8a6343c9a4f4",
+        "c5f836da081dc558ca514d837b2fa28da391d628c149e5ce8fbcd1143e53ef71",
     "local-twirl-n4":
-        "d57070ddd5a613744b6786019205551492b7589c62aab5eec99562028e6f837f",
+        "4f7305110542cfd8d928893b1e21b9021e8c579c6e16a93b6f9d109c237d749f",
     "bounds-check-n2":
         "d3a3fdc6bc487102972eec03976ce2f2cf33b23edd4ae883f3b4e90ad6fc0812",
     "success-prob":
@@ -171,9 +171,9 @@ GOLDEN = {
     "noisy-cnot-blind-clifford-n3":
         "691291743aacd0c5ce5f61d03838842b31f23741f734fd8677bbc5fa4fa3a209",
     "noisy-cnot-local-twirl-n4":
-        "815a9e79a578e865bb699d5685d2b9e553f2ed0aa1aa0eca34d65d601cbeb0e2",
+        "73aac1765b8cd7526bf0978daa0c48e50b9092401138476eb7cf47486a796b9e",
     "signed-form-local-twirl-n3":
-        "0f5e3eae939eb1706210a1bf55346b89a916222ca9c898dfbc87245c39a13f45",
+        "c1c6b7dd003c8a7604b6a62ecbf31254c53e0488d3db9ae68809b4bdc2539a24",
     "signed-form-blind-clifford-n3":
         "a8d32e3c5d8a36ed197e3a66db95acfbd7fd72c295720b119b71400d529f1d35",
     "capped-mub-n3":
@@ -208,13 +208,13 @@ OUTPUT_GOLDEN = {
     "blind-clifford-n3":
         "e626861b79c33e44c35275e4ac730c1c359409d54a2e6968ac976a00cb998ffa",
     "local-twirl-n1":
-        "bd88171bf69749bc9b1f4469c83b7cc7ab89638d86a8f4d7cd15e7d8c120a141",
+        "c447d91c5c8f2417f9d1f478833a3b22b0614d5a638febf4de1c14ef76487085",
     "local-twirl-n2":
-        "90f55beaa000b34818ac575d980165a0570b74313ca985d4782e606e38fc2df5",
+        "5ba3a835857781d31960b62acfc975e756eee887cbba5198328a8f22ff8301dc",
     "local-twirl-n3":
-        "b3f806ee5a0dd1df190ef009ee67e41cebcfa6a32d16163a8f2dfe7fb3e9f03d",
+        "6d4e25359bd4b1f8af325dbcfddde411ca2f0b117a0110906ee5b201b0520252",
     "local-twirl-n4":
-        "08a82434eb61158522f62047c94fd508ec056f1867b186bb667dc24904e3621b",
+        "d2fd43c9e0778e77ea2f87268a1f81889a52bd8b2a67b7f99f1e45196ca6e93b",
     "bounds-check-n2":
         "754f13ebf47e548508831c15cc6a64175527b818eed78816c2a4110fea245763",
     "success-prob":
@@ -228,9 +228,9 @@ OUTPUT_GOLDEN = {
     "noisy-cnot-blind-clifford-n3":
         "a58dc834f9e5097b262a0d15f91ccf4e3a88c73be03edc84f1e21ccd9d8894a0",
     "noisy-cnot-local-twirl-n4":
-        "a3a59463999e86d9cdd087961539c37e9219cec84b5642e6f65eb3211581ad48",
+        "50fc461b080fc6c225abad2c8069ed13104463669ad40bba58d9745289546d74",
     "signed-form-local-twirl-n3":
-        "a4778fac819e3ac4ad81c78392419be2738e02e36242460da5632fa745fd056c",
+        "3f5d5d847d13c48c56e881cc93a37661bb4cb7ca11e940c60822ff66a5d55a1b",
     "signed-form-blind-clifford-n3":
         "d77ce5c289fb5168d814292ddf3be195e13857a91d0bed7fcaaec3ff8d088c7e",
 }

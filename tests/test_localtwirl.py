@@ -1,8 +1,10 @@
-import json
+import ast
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from twirltomo import localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
 from twirltomo.dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
-from twirltomo.errors import ConfigError
+from twirltomo.errors import CapacityError, ConfigError
 from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig,
                                   _sample_local_batch, _supports_upto,
                                   amplification_factors, c1t_fidelity,
@@ -394,9 +396,20 @@ def test_local_batch_outcomes_follow_exact_laws(n, shots):
     assert np.abs(tables - laws).max() <= 1e-12
 
 
+def _support_matrix(supports: list[tuple[int, ...]]) -> np.ndarray:
+    """T[i, j] = 2^|s_i| / 3^|s_j| where support s_j contains s_i, else 0:
+    the map from chi_col on ``supports`` to their outcome probabilities,
+    built from one array containment test.  The reference the closed-form
+    inverse is checked against."""
+    s = np.array(supports, dtype=np.int8)
+    covers = s @ (1 - s).T == 0  # no qubit of s_i lies outside s_j
+    w = s.sum(axis=1)  # 2^w and 3^w convert to float exactly up to w = 33
+    return np.where(covers, (2 ** w)[:, None] / 3 ** w, 0.0)
+
+
 def _support_matrix_by_loop(n: int, cutoff: int) -> np.ndarray:
     """The support system built cell by cell: the reference for
-    ``localtwirl._support_matrix``."""
+    ``_support_matrix``."""
     supports = _supports_upto(n, cutoff)
     index = {s: i for i, s in enumerate(supports)}
     t_mat = np.zeros((len(supports), len(supports)))
@@ -411,9 +424,46 @@ def _support_matrix_by_loop(n: int, cutoff: int) -> np.ndarray:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_support_matrix_equals_cell_by_cell_reference(n):
     for cutoff in range(n + 1):
-        got = localtwirl._support_matrix(_supports_upto(n, cutoff))
+        got = _support_matrix(_supports_upto(n, cutoff))
         want = _support_matrix_by_loop(n, cutoff)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), cutoff
+
+
+def _reference_support_solve(stats: HammingStatistics, cutoff: int):
+    """Supports, values and stderr of the truncated support system solved
+    with the dense reference matrix and its numerical inverse."""
+    supports = _supports_upto(stats.n, cutoff)
+    t_mat = _support_matrix(supports)
+    q = np.array([stats.support_prob(s) for s in supports])
+    tinv = np.linalg.inv(t_mat)
+    cov = tinv @ ((np.diag(q) - np.outer(q, q)) / stats.total) @ tinv.T
+    return supports, np.linalg.solve(t_mat, q), np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
+def _reference_weight_solve(stats: HammingStatistics, cutoff: int):
+    """Values and covariance of the truncated weight system solved with
+    ``r_matrix`` and its numerical inverse."""
+    r = r_matrix(stats.n)[: cutoff + 1, : cutoff + 1]
+    q = stats.weight_probs()
+    rinv = np.linalg.inv(r)
+    cov_q = (np.diag(q) - np.outer(q, q)) / stats.total
+    return np.linalg.solve(r, q[: cutoff + 1]), rinv @ cov_q[: cutoff + 1, : cutoff + 1] @ rinv.T
+
+
+def _assert_support_estimate_equals_reference(stats: HammingStatistics, cutoff: int):
+    est = solve_chi_col(stats, cutoff)
+    supports, values, stderr = _reference_support_solve(stats, cutoff)
+    assert list(est.values) == list(est.stderr) == supports
+    assert np.abs(np.array(list(est.values.values())) - values).max() <= 1e-15
+    assert np.abs(np.array(list(est.stderr.values())) - stderr).max() <= 1e-15
+    return est, values, stderr
+
+
+def _assert_weight_estimate_equals_reference(stats: HammingStatistics, cutoff: int):
+    est = solve_pw(stats, cutoff)
+    values, cov = _reference_weight_solve(stats, cutoff)
+    assert np.abs(est.values - values).max() <= 1e-15
+    assert np.abs(est.cov - cov).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n, cutoff, counts", [
@@ -423,14 +473,135 @@ def test_support_matrix_equals_cell_by_cell_reference(n):
     (4, 3, {(0, 0, 0, 0): 9000, (1, 0, 0, 0): 500, (1, 1, 0, 0): 300,
             (0, 1, 0, 1): 150, (1, 1, 1, 0): 49, (1, 1, 1, 1): 1}),
 ])
-def test_support_estimate_json_equals_reference(monkeypatch, n, cutoff, counts):
-    """solve_chi_col gives the same SupportEstimate JSON on the array-built
-    support system as on the cell-by-cell one."""
+def test_support_estimate_json_equals_reference(n, cutoff, counts):
+    """solve_chi_col's closed form gives the SupportEstimate JSON of the
+    reference solve: values and stderr within 1e-15, the other fields
+    equal."""
     stats = HammingStatistics(n, counts)
-    got = json.dumps(solve_chi_col(stats, cutoff).to_json_dict(), sort_keys=True)
-    monkeypatch.setattr(localtwirl, "_support_matrix",
-                        lambda supports: _support_matrix_by_loop(n, cutoff))
-    assert json.dumps(solve_chi_col(stats, cutoff).to_json_dict(), sort_keys=True) == got
+    est, values, stderr = _assert_support_estimate_equals_reference(stats, cutoff)
+    q = np.array([stats.support_prob(s) for s in _supports_upto(n, cutoff)])
+    got = est.to_json_dict()
+    assert got.pop("values").keys() == got.pop("stderr").keys()
+    assert got == {"amplification": [1.5 ** w for w in range(cutoff + 1)], "cutoff": cutoff,
+                   "excess_mass": float(1.0 - q.sum()),
+                   "inconsistent": bool((values < -4.0 * stderr - 1e-12).any())}
+
+
+def _random_statistics(n: int, seed: int, shots: int = 10 ** 4):
+    """Counts of ``shots`` outcomes from a random law over the 2^n outcomes
+    (flat Dirichlet), and the law itself."""
+    rng = np.random.default_rng(seed)
+    law = rng.dirichlet(np.ones(2 ** n))
+    rows = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    counts = rng.multinomial(shots, law)
+    return HammingStatistics(n, {tuple(r): int(c) for r, c in zip(rows.tolist(), counts)
+                                 if c}), dict(zip(map(tuple, rows.tolist()), law))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_forms_equal_the_reference_solves(n):
+    """Both closed-form inverses equal np.linalg on the reference matrices
+    within 1e-15 at every cutoff: support values and stderr, weight values
+    and covariance on sampled statistics, and both exact solvers on the
+    law the samples were drawn from."""
+    stats, law = _random_statistics(n, 1000 + n)
+    by_weight = np.bincount([sum(s) for s in law], weights=list(law.values()), minlength=n + 1)
+    for cutoff in range(n + 1):
+        _assert_support_estimate_equals_reference(stats, cutoff)
+        _assert_weight_estimate_equals_reference(stats, cutoff)
+        supports = _supports_upto(n, cutoff)
+        want = np.linalg.solve(_support_matrix(supports), [law[s] for s in supports])
+        got = solve_chi_col_exact(n, law.__getitem__, cutoff)
+        assert list(got) == supports
+        assert np.abs(np.array(list(got.values())) - want).max() <= 1e-15, cutoff
+        want = np.linalg.solve(r_matrix(n)[: cutoff + 1, : cutoff + 1], by_weight[: cutoff + 1])
+        assert np.abs(solve_weight_probs_exact(by_weight, cutoff) - want).max() <= 1e-15, cutoff
+
+
+def test_support_stderr_is_exactly_zero_where_the_variance_is():
+    """Every outcome of weight 1 has the same coefficient a_st for the
+    empty support, so its estimate has variance exactly 0: the closed form
+    gives 0.0, where the numerical inverse leaves about 2e-10."""
+    stats = HammingStatistics(3, {(0, 0, 1): 97, (1, 0, 0): 3})
+    for cutoff in (1, 2, 3):
+        assert solve_chi_col(stats, cutoff).stderr[(0, 0, 0)] == 0.0
+
+
+def _exact_support_values(stats: HammingStatistics, cutoff: int) -> dict:
+    """x_s = sum_t (3/2)^|s| (-1/2)^(|t|-|s|) q_t in rationals: t runs over
+    the observed outcomes of weight <= cutoff and s over the subsets of t."""
+    x = {}
+    for t, count in stats.outcome_counts.items():
+        ones = [j for j, b in enumerate(t) if b]
+        if len(ones) > cutoff:
+            continue
+        for k in range(len(ones) + 1):
+            for sub in itertools.combinations(ones, k):
+                s = tuple(int(j in sub) for j in range(stats.n))
+                x[s] = x.get(s, 0) + (Fraction(3, 2) ** k * Fraction(-1, 2) ** (len(ones) - k)
+                                      * Fraction(count, stats.total))
+    return x
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_estimates_at_n40_equal_the_reference_solves(cutoff):
+    """At n = 40 the support pass runs over the 41 or 821 supports up to the
+    cutoff, not 2^40 outcomes.  The stderr and the weight estimate equal the
+    reference solves within 1e-15, and the support values lie within 1e-15
+    of the exact rationals.  They are not held to the numerical solve: at
+    cutoff 2 it lies 2.4e-15 from the rationals, the closed form 5.6e-17."""
+    n = 40
+    rng = np.random.default_rng(4000 + cutoff)
+    stats = HammingStatistics.from_outcomes(n, rng.random((10 ** 4, n)) < 0.02)
+    est = solve_chi_col(stats, cutoff)
+    supports, _, stderr = _reference_support_solve(stats, cutoff)
+    assert list(est.values) == supports
+    exact = _exact_support_values(stats, cutoff)
+    assert max(abs(v - float(exact.get(s, 0))) for s, v in est.values.items()) <= 1e-15
+    assert np.abs(np.array(list(est.stderr.values())) - stderr).max() <= 1e-15
+    _assert_weight_estimate_equals_reference(stats, cutoff)
+
+
+def test_support_cap_refuses_before_enumerating(monkeypatch):
+    """n = 40 at cutoff 20 has 6.2e11 supports: solve_chi_col raises
+    CapacityError with the count before it enumerates any of them."""
+    def enumerate_supports(*args):
+        raise AssertionError("supports enumerated past the cap")
+
+    monkeypatch.setattr(localtwirl, "enumerate_supports", enumerate_supports)
+    cells = sum(comb(40, m) for m in range(21))
+    with pytest.raises(CapacityError, match=f"has {cells} cells"):
+        solve_chi_col(HammingStatistics(40, {(0,) * 40: 5}), 20)
+
+
+_SOLVERS = {
+    "solve_pw": lambda n, cutoff: solve_pw(HammingStatistics(n, {(0,) * n: 5}), cutoff),
+    "solve_chi_col": lambda n, cutoff: solve_chi_col(HammingStatistics(n, {(0,) * n: 5}),
+                                                     cutoff),
+    "solve_weight_probs_exact": lambda n, cutoff: solve_weight_probs_exact(
+        np.eye(n + 1)[0], cutoff),
+    "solve_chi_col_exact": lambda n, cutoff: solve_chi_col_exact(
+        n, lambda s: float(not any(s)), cutoff),
+}
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+@pytest.mark.parametrize("cutoff", [-1, 1.5, True, 3], ids=["-1", "1.5", "True", "n+1"])
+def test_solvers_reject_a_cutoff_outside_0_to_n(solver, cutoff):
+    """Each of the four solvers takes an integer cutoff in 0..n and raises
+    ConfigError otherwise; a numpy integer is taken."""
+    with pytest.raises(ConfigError, match="cutoff"):
+        _SOLVERS[solver](2, cutoff)
+    _SOLVERS[solver](2, np.int64(2))
+
+
+def test_localtwirl_calls_no_linalg():
+    """Both systems are inverted in closed form: the module reaches no
+    np.linalg function."""
+    tree = ast.parse(Path(localtwirl.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.dump(node)]
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
