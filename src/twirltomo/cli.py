@@ -201,9 +201,10 @@ def _cmd_bounds_check(args, doc, channel, warnings):
 
 
 def _cmd_haar_verify(args, doc, channel, warnings):
-    from .dense import haar_twirl_moment
+    from .dense import _check_haar_dim, haar_twirl_moment
     if args.quadruples < 1:  # haar_twirl_moment checks --dim and --shots
         raise ConfigError("haar-verify needs --quadruples >= 1")
+    _check_haar_dim(args.dim)  # before the operators are drawn
     rng = master(args.seed)
     results = {"dim": args.dim, "shots": args.shots, "seed": args.seed,
                "quadruples": []}

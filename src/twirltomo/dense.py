@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel, _check_dense_cap, pauli_coefficients
+from .channels import DENSE_MAX_N, ChannelModel, _check_dense_cap, pauli_coefficients
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, key_labels, tensor
 from .rng import _cdf_table, _draw_outcome, check_int
@@ -35,7 +35,9 @@ CLIFFORD_ENUM_MAX_N = 2
 _TABLE_BLOCK = 1 << 13  # table entries per transition-table pass (~128 KiB per operand)
 _FIDELITY_BLOCK = 1 << 15  # entries per (elements, columns, D) array of a _fidelity_table pass
 _FIDELITY_ROWS = 8  # (elements, D) arrays a _fidelity_table pass holds: its least column count
-_HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment
+_HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment, at most
+_HAAR_ENTRIES = _HAAR_CHUNK * 16  # matrix entries per pass: the full chunk up to D = 4
+HAAR_MAX_DIM = 1 << DENSE_MAX_N  # the largest D a Haar moment estimate accepts
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,13 @@ def haar_random_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.
     diag = np.einsum("bii->bi", r)
     q *= (diag / np.abs(diag))[:, None, :]
     return q
+
+
+def _check_haar_dim(dim: int):
+    """Refuse a Haar moment estimate past D = ``HAAR_MAX_DIM`` (64), where
+    one pass of even a few unitaries holds arrays of D^2 entries each."""
+    if dim > HAAR_MAX_DIM:
+        raise CapacityError(f"Haar moment estimates capped at D={HAAR_MAX_DIM}, got {dim}")
 
 
 def haar_moment_closed_form(a1, a2, b1, b2) -> complex:
@@ -80,21 +89,25 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int,
     """Monte Carlo estimate of the fourth-moment trace average vs closed form.
 
     The integrand Tr[A1 U^dag B1 U A2 U^dag B2 U] is averaged over
-    ``samples`` Haar unitaries, drawn ``_HAAR_CHUNK`` at a time; the caller
+    ``samples`` Haar unitaries, drawn ``min(_HAAR_CHUNK, _HAAR_ENTRIES //
+    D^2)`` at a time (20,000 up to D = 4, 78 at D = 64); the caller
     compares the estimate with the closed form (``deviation_sigmas`` gives
     the distance in standard errors).
     D < 2, a sample count that is not an integer (:func:`check_int`) or
-    fewer than 2 samples raise :class:`ConfigError` before anything is drawn.
+    fewer than 2 samples raise :class:`ConfigError`, and D > 64 raises
+    :class:`CapacityError`, before anything is drawn.
     """
+    _check_haar_dim(a1.shape[0])
     closed_form = haar_moment_closed_form(a1, a2, b1, b2)
     samples = check_int("samples", samples)
     if samples < 2:
         raise ConfigError(f"a Haar moment estimate needs samples >= 2, got {samples}")
     d = a1.shape[0]
+    chunk = min(_HAAR_CHUNK, _HAAR_ENTRIES // (d * d))
     vals = np.empty(samples, dtype=complex)
     done = 0
     while done < samples:
-        m = min(_HAAR_CHUNK, samples - done)
+        m = min(chunk, samples - done)
         u = haar_random_unitaries(d, m, rng)
         uh = u.conj().transpose(0, 2, 1)
         c1 = uh @ b1 @ u

@@ -4,8 +4,12 @@ Rows are plain Python ints; bit i is coordinate i.  These helpers back the
 stabilizer machinery (rank checks, constraint solving, canonical forms).
 They are exact and allocation-light.  The batched routines work on many
 small systems at once, on uint64 rows in numpy: :func:`rref_batch` gives
-the constraint classes of blind discovery, :func:`solve_unique_batch`
-solves its class pairs, and :func:`_gj_insert` grows uniform Cliffords.
+the constraint classes of blind discovery, :func:`solve_affine_batch`
+reads each class's solution frame (a particular key and a nullspace basis)
+off its reduced rows, :func:`solve_unique_batch` solves the n x n system
+of each class pair in that frame, and :func:`_gj_insert` grows uniform
+Cliffords.  The scalar :func:`solve_affine` is the tests' reference for
+the batched frames.
 """
 from __future__ import annotations
 
@@ -107,6 +111,28 @@ def rref_batch(rows, width: int) -> np.ndarray:
         _gj_insert(pivots, rows[:, k])
     pivots = pivots[:, ::-1]
     return pivots[pivots != 0].reshape(rows.shape)
+
+
+def solve_affine_batch(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_affine` of each of P stacked consistent systems, read
+    straight off rows that :func:`rref_batch` has fully reduced.  ``rows``
+    is a (P, r) array of r independent augmented rows per system (bit 0 the
+    rhs, bits 1..width the coefficients, width <= 63), none of them 1.
+    Returns the (P,) particular keys and the (P, width - r) nullspace keys,
+    one per free coordinate in ascending order, as solve_affine gives them."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    p, r = rows.shape
+    top = np.zeros((p, r), dtype=np.uint64)  # the coefficient coordinate of each pivot
+    for c in range(width):
+        top[(rows >> np.uint64(c + 1)) != 0] = c
+    free = np.ones((p, width), dtype=bool)
+    free[np.arange(p)[:, None], top] = False
+    cols = np.nonzero(free)[1].reshape(p, width - r).astype(np.uint64)
+    particular = np.bitwise_or.reduce((rows & _ONE) << top, axis=1)
+    basis = _ONE << cols
+    for k in range(r):  # pivot coordinate of row k = its bit at each free coordinate
+        basis |= ((rows[:, k, None] >> (cols + _ONE)) & _ONE) << top[:, k, None]
+    return particular, basis
 
 
 def solve_unique_batch(rows, width: int) -> np.ndarray:

@@ -15,8 +15,11 @@ Realizations are merged by constraint class first: one batched rref
 reduces each realization's (frame, outcome) to its class (blind Clifford
 hands in every realization, blind MUB one group per seen (basis, outcome)),
 and equal classes merge in first-seen order.  So all M(M-1)/2 pairs are
-analyzed exactly at a cost quadratic in the number of classes, in
-row-major blocks of ``_PAIR_BLOCK`` class pairs, each solved by one
+analyzed exactly at a cost quadratic in the number of classes.  Each class
+is reduced once to its solution frame, a particular key and n nullspace
+keys (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the
+n x n system of class j's rows in class i's frame, and the pairs run in
+row-major blocks of ``_PAIR_BLOCK``, each solved by one
 :func:`twirltomo.gf2.solve_unique_batch` call.
 
 Blind MUB is the one sampler off the shared outcome draw: it keeps its
@@ -58,9 +61,12 @@ DEFAULT_SIGNIFICANCE_Z = 4.0
 _MUB_BLOCK = 1 << 13
 
 #: class pairs solved per block of the pair analysis, which bounds its
-#: Python peak.  2^11 lifted the blind MUB memory test past its 0.5 MiB
-#: bound; 2^13 ran no faster.
+#: Python peak.  On the class sets of clifford-blind runs (M = 10^3) 2^11
+#: ran the pass 14% faster (29 against 33 ms at n = 3, 195 against 223 ms
+#: at n = 4) but lifted the blind Clifford memory test to 0.75 and
+#: 1.22 MiB, past its 0.65 and 1.1 MiB bounds; 2^13 ran no faster than 2^11.
 _PAIR_BLOCK = 1 << 10
+_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -281,8 +287,19 @@ def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]
     """Votes of the class pairs i < j, all or those at the sorted flat
     row-major indices ``picks``, in blocks of ``_PAIR_BLOCK``: the counts[i] *
     counts[j] realization pairs that pin down each key, keys in the order of
-    their first pair, and the cross-class realization pairs analyzed."""
+    their first pair, and the cross-class realization pairs analyzed.
+
+    Class i admits the keys p_i ^ span(N_i^0 .. N_i^(n-1)) of
+    :func:`gf2.solve_affine_batch`.  Class j's rows f_j^a, r_j^a restricted
+    to that frame read M y = r_j ^ F_j p_i with M[a, b] = <f_j^a, N_i^b>, an
+    n x n system; the pair is usable exactly when M is invertible, and then
+    votes for p_i ^ sum_b y_b N_i^b.  Each frame is kept in augmented form,
+    (p_i << 1) | 1 then N_i^b << 1, so that column c of the system is the
+    parity of class j's augmented rows against frame entry c."""
     n_classes = len(class_rows)
+    particular, basis = gf2.solve_affine_batch(class_rows, 2 * n)
+    frames = np.concatenate((((particular << _ONE) | _ONE)[:, None], basis << _ONE), axis=1)
+    bits = np.arange(n)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
     stop = n_classes * (n_classes - 1) // 2 if picks is None else len(picks)
@@ -296,13 +313,20 @@ def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]
         flat = flat if picks is None else picks[flat]
         i = np.searchsorted(starts, flat, side="right") - 1
         j = flat - starts[i] + i + 1
-        keys = gf2.solve_unique_batch(
-            np.concatenate((class_rows[i], class_rows[j]), axis=1), 2 * n)
+        frame, rows = frames[i], class_rows[j]
+        system = np.zeros(rows.shape, dtype=np.uint64)
+        for c in range(n + 1):  # one parity column at a time keeps the block small
+            parity = np.bitwise_count(rows & frame[:, c, None]) & 1
+            system |= parity.astype(np.uint64) << np.uint64(c)
+        y = gf2.solve_unique_batch(system, n)
         npairs = counts[i] * counts[j]
         analyzed_cross += int(npairs.sum())
-        usable = keys >= 0
-        np.add.at(weight, keys[usable], npairs[usable])
-        np.minimum.at(first, keys[usable], lo + np.flatnonzero(usable))
+        usable = y >= 0
+        frame = frame[usable]
+        picked = ((y[usable, None] >> bits) & 1).astype(np.uint64)
+        keys = (frame[:, 0] ^ np.bitwise_xor.reduce(frame[:, 1:] * picked, axis=1)) >> _ONE
+        np.add.at(weight, keys, npairs[usable])
+        np.minimum.at(first, keys, lo + np.flatnonzero(usable))
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
     return dict(zip(order.tolist(), weight[order].tolist())), analyzed_cross
 

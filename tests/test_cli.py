@@ -153,6 +153,19 @@ def test_cli_capacity_exit_code(tmp_path):
     assert main(["exact-chi", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_haar_verify_past_the_cap_exits_3_before_drawing(tmp_path, monkeypatch, capsys):
+    """--dim 65 is past 2^DENSE_MAX_N: exit code 3, nothing written, and no
+    operator drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("haar-verify drew past its cap")
+
+    monkeypatch.setattr(cli, "master", refuse)
+    out = tmp_path / "o"
+    assert main(["haar-verify", "--dim", "65", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [7, 40])
 @pytest.mark.parametrize("verb", [["exact-chi"], ["bounds-check"],
                                   ["seqpt", "select", "--shots", "10", "--label", "Z"],

@@ -115,6 +115,35 @@ def test_haar_moment_runs_in_chunks(monkeypatch):
                                      + np.var(np.imag(vals), ddof=1)) / 20)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim, samples, passes", [
+    (2, 40003, [20000, 20000, 3]), (4, 40003, [20000, 20000, 3]),
+    (8, 10003, [5000, 5000, 3]), (64, 160, [78, 78, 4])])
+def test_haar_passes_are_bounded_by_entries(monkeypatch, dim, samples, passes):
+    """A pass draws min(_HAAR_CHUNK, _HAAR_ENTRIES // D^2) unitaries: the
+    full 20,000 up to D = 4, then fewer, so that each pass's arrays keep
+    to 320,000 entries."""
+    drawn, draw = [], dense.haar_random_unitaries
+
+    def counted(d, count, rng):
+        drawn.append(count)
+        return draw(d, count, rng)
+
+    monkeypatch.setattr(dense, "haar_random_unitaries", counted)
+    ops = [np.eye(dim, dtype=complex)] * 4
+    assert haar_twirl_moment(*ops, samples=samples, rng=master(7)).samples == samples
+    assert drawn == passes
+
+
+def test_haar_dimension_past_the_cap_raises_before_drawing():
+    """D = 65, past 2^DENSE_MAX_N, raises CapacityError and leaves the
+    generator untouched."""
+    ops = [np.eye(65, dtype=complex)] * 4
+    rng = master(4)
+    with pytest.raises(CapacityError, match="D=64"):
+        haar_twirl_moment(*ops, samples=100, rng=rng)
+    assert rng.random() == master(4).random()
+
+
 @pytest.mark.parametrize("dim, samples", [(1, 100), (0, 100), (2, 1), (2, 0), (2, 2.5),
                                           (2, np.float64(3.0)), (2, "3"), (2, True)])
 def test_haar_edge_inputs_raise_before_drawing(dim, samples):

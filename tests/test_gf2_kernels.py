@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import class_of, random_cp_channel, symplectic_product, xor_combination
 from twirltomo import gf2, seqpt
@@ -57,6 +58,37 @@ def test_rref_batch_equals_rref():
             got = gf2.rref_batch(rows, width)
             assert got.shape == rows.shape
             assert got.tolist() == [gf2.rref(row) for row in rows.tolist()]
+
+
+def _affine_systems(width):
+    """1 to 4 systems of ``width``-bit functionals, r of them each for one
+    r in 0..width, with the solution each system's rhs is read from."""
+    word = st.integers(0, (1 << width) - 1)
+    return st.integers(0, width).flatmap(lambda r: st.lists(
+        st.tuples(st.lists(word, min_size=r, max_size=r), word), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 62).flatmap(lambda width: st.tuples(st.just(width),
+                                                            _affine_systems(width))))
+@example((62, [([1 << 61, (1 << 62) - 1, 1], (1 << 62) - 1)]))
+@example((62, [([(1 << 62) - 1], 1 << 61), ([1 << 61], 0)]))
+def test_solve_affine_batch_equals_scalar(case):
+    """The frames read off rref_batch's rows equal gf2.solve_affine's: the
+    particular key and the nullspace keys in the same free-coordinate order,
+    up to 62 coefficient bits (the top bit of a row is then bit 62)."""
+    width, systems = case
+    systems = [(fs, x) for fs, x in systems if gf2.rank(fs) == len(fs)]
+    assume(systems)
+    r = len(systems[0][0])
+    aug = [[(f << 1) | (bin(f & x).count("1") & 1) for f in fs] for fs, x in systems]
+    rows = gf2.rref_batch(np.array(aug, dtype=np.uint64).reshape(len(aug), r), width + 1)
+    particular, basis = gf2.solve_affine_batch(rows, width)
+    assert particular.dtype == basis.dtype == np.uint64
+    assert basis.shape == (len(systems), width - r)
+    for k, row in enumerate(aug):
+        want = gf2.solve_affine([v >> 1 for v in row], [v & 1 for v in row], width)
+        assert (int(particular[k]), basis[k].tolist()) == want
 
 
 def test_rank_and_span():

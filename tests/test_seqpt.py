@@ -14,12 +14,14 @@ from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
 from twirltomo import dense, gf2, seqpt
 from twirltomo.records import ExperimentRecord
-from twirltomo.rng import _draw_outcome, substream
-from twirltomo.seqpt import (SeqptConfig, _bits, _discover, average_fidelity,
+from twirltomo.rng import _draw_outcome, draw_batch, substream
+from twirltomo.seqpt import (SeqptConfig, _bits, _constraint_classes, _discover,
+                             average_fidelity,
                              compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import Tableaux, build_mub_family, sample_clifford_uniform
+from twirltomo.stabilizer import (Tableaux, build_mub_family, clifford_bounds, grow_cliffords,
+                                  sample_clifford_uniform)
 
 def test_config_sampling_bounds():
     with pytest.raises(ConfigError):
@@ -265,6 +267,75 @@ def test_blocked_pair_pass_matches_per_row_reference(monkeypatch, n, variant):
         for block in (1, 7, seqpt._PAIR_BLOCK):
             got = run(cap, ("_PAIR_BLOCK", block))
             assert result_json(got) == result_json(want), (cap, block)
+
+
+def _pair_votes_2n(n, class_rows, counts, picks):
+    """Reference for ``seqpt._pair_votes``: the pass that concatenates both
+    classes' rows and solves each class pair as one 2n x 2n system, in the
+    same blocks of ``_PAIR_BLOCK`` pairs."""
+    n_classes = len(class_rows)
+    idx = np.arange(n_classes)
+    starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
+    stop = n_classes * (n_classes - 1) // 2 if picks is None else len(picks)
+    weight = np.zeros(1 << 2 * n, dtype=np.int64)
+    first = np.full(1 << 2 * n, stop, dtype=np.int64)
+    analyzed_cross = 0
+    for lo in range(0, stop, seqpt._PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + seqpt._PAIR_BLOCK, stop))
+        flat = flat if picks is None else picks[flat]
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = flat - starts[i] + i + 1
+        keys = gf2.solve_unique_batch(
+            np.concatenate((class_rows[i], class_rows[j]), axis=1), 2 * n)
+        npairs = counts[i] * counts[j]
+        analyzed_cross += int(npairs.sum())
+        usable = keys >= 0
+        np.add.at(weight, keys[usable], npairs[usable])
+        np.minimum.at(first, keys[usable], lo + np.flatnonzero(usable))
+    order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
+    return dict(zip(order.tolist(), weight[order].tolist())), analyzed_cross
+
+
+def _blind_class_set(n, variant, rng):
+    """Distinct constraint classes, in first-seen order, of 240 groups
+    drawn as a blind run of the variant makes them (MUB bases, or uniform
+    Clifford frames of which 60 repeat), with random outcomes and counts."""
+    d = 1 << n
+    if variant == "mub":
+        frames = build_mub_family(n).z[rng.integers(0, d + 1, size=240)]
+    else:
+        rows, _ = draw_batch(int(rng.integers(1 << 20)), 1, 180, clifford_bounds(n), 0)
+        frames = grow_cliffords(n, rows).z[np.arange(240) % 180]
+    rows = _constraint_classes(n, frames, rng.integers(0, d, size=len(frames)))
+    _, first = np.unique(rows, axis=0, return_index=True)
+    class_rows = rows[np.sort(first)]
+    return class_rows, rng.integers(1, 5, size=len(class_rows))
+
+
+@pytest.mark.parametrize("block", [61, seqpt._PAIR_BLOCK])
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
+    """Solving each class pair as an n x n system in the first class's
+    solution frame gives the votes of the 2n x 2n pass: the same keys,
+    counts and first-pair order, and the same analyzed cross-class pairs,
+    over every pair, over sampled pairs, and for a single class, in blocks
+    that cut class rows."""
+    monkeypatch.setattr(seqpt, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(100 + 10 * n + (variant == "mub"))
+    class_rows, counts = _blind_class_set(n, variant, rng)
+    budget = len(class_rows) * (len(class_rows) - 1) // 2
+    picks = np.sort(rng.choice(budget, size=budget // 3, replace=False))
+    cases = [(class_rows, counts, None), (class_rows, counts, picks),
+             (class_rows, counts, picks[:1]), (class_rows[:1], counts[:1], None)]
+    results = []
+    for rows, cnt, pick in cases:
+        got = seqpt._pair_votes(n, rows, cnt, pick)
+        want = _pair_votes_2n(n, rows, cnt, pick)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
+        results.append(want)
+    assert len(results[0][0]) > 1 and results[-1] == ({}, 0)
 
 
 @pytest.mark.parametrize("cap", [None, 1])
