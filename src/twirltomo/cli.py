@@ -120,7 +120,7 @@ def _cmd_seqpt(args, doc, channel, warnings):
     backend = DenseBackend()
     oracle = _oracle_diag(channel) or {}
     if args.mode == "select":
-        label = Pauli.from_string(args.label)
+        label = Pauli.from_string(args.label).strip_phase()  # the estimate is phase-blind
         est = estimate_chi_selective(channel, label, cfg, backend)
         key = str(label)
         results = {"n": doc.n, "mode": "select", "label": key, "config": cfg.to_json_dict(),
@@ -201,10 +201,10 @@ def _cmd_bounds_check(args, doc, channel, warnings):
 
 
 def _cmd_haar_verify(args, doc, channel, warnings):
-    from .dense import _check_haar_dim, haar_twirl_moment
+    from .dense import _check_haar_caps, haar_twirl_moment
     if args.quadruples < 1:  # haar_twirl_moment checks --dim and --shots
         raise ConfigError("haar-verify needs --quadruples >= 1")
-    _check_haar_dim(args.dim)  # before the operators are drawn
+    _check_haar_caps(args.dim, args.shots)  # before the operators are drawn
     rng = master(args.seed)
     results = {"dim": args.dim, "shots": args.shots, "seed": args.seed,
                "quadruples": []}

@@ -13,11 +13,12 @@ iterate in a fixed order, so results are reproducible bit for bit.
 Three law kernels, :func:`_fidelity_table`, :func:`_support_laws` and
 :func:`_transition_table`, each take a source, a :class:`Tableaux` stack and
 the columns to tabulate, and block themselves; :meth:`DenseBackend.laws`
-holds the one rule that picks among them.
+holds the one rule that picks among them.  :meth:`TwirlSpec.laws` names
+each family's stack and columns and makes one backend call per batch, and
+the backend keeps nothing between calls.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ _FIDELITY_ROWS = 8  # (elements, D) arrays a _fidelity_table pass holds: its lea
 _HAAR_CHUNK = 20000  # Haar unitaries drawn per pass of haar_twirl_moment, at most
 _HAAR_ENTRIES = _HAAR_CHUNK * 16  # matrix entries per pass: the full chunk up to D = 4
 HAAR_MAX_DIM = 1 << DENSE_MAX_N  # the largest D a Haar moment estimate accepts
+HAAR_MAX_SAMPLES = 10 ** 7  # the most samples it accepts: 160 MB of complex values
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +56,15 @@ def haar_random_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.
     return q
 
 
-def _check_haar_dim(dim: int):
+def _check_haar_caps(dim: int, samples: int):
     """Refuse a Haar moment estimate past D = ``HAAR_MAX_DIM`` (64), where
-    one pass of even a few unitaries holds arrays of D^2 entries each."""
+    one pass of even a few unitaries holds arrays of D^2 entries each, or
+    past ``HAAR_MAX_SAMPLES`` samples, whose values it holds all at once."""
     if dim > HAAR_MAX_DIM:
         raise CapacityError(f"Haar moment estimates capped at D={HAAR_MAX_DIM}, got {dim}")
+    if samples > HAAR_MAX_SAMPLES:
+        raise CapacityError(f"Haar moment estimates capped at {HAAR_MAX_SAMPLES} samples, "
+                            f"got {samples}")
 
 
 def haar_moment_closed_form(a1, a2, b1, b2) -> complex:
@@ -94,12 +100,13 @@ def haar_twirl_moment(a1, a2, b1, b2, samples: int,
     compares the estimate with the closed form (``deviation_sigmas`` gives
     the distance in standard errors).
     D < 2, a sample count that is not an integer (:func:`check_int`) or
-    fewer than 2 samples raise :class:`ConfigError`, and D > 64 raises
-    :class:`CapacityError`, before anything is drawn.
+    fewer than 2 samples raise :class:`ConfigError`, and D > 64 or more
+    than ``HAAR_MAX_SAMPLES`` (10^7) samples raise :class:`CapacityError`,
+    before anything is drawn.
     """
-    _check_haar_dim(a1.shape[0])
-    closed_form = haar_moment_closed_form(a1, a2, b1, b2)
     samples = check_int("samples", samples)
+    _check_haar_caps(a1.shape[0], samples)
+    closed_form = haar_moment_closed_form(a1, a2, b1, b2)
     if samples < 2:
         raise ConfigError(f"a Haar moment estimate needs samples >= 2, got {samples}")
     d = a1.shape[0]
@@ -178,7 +185,10 @@ class TwirlSpec:
         x the X part of the Pauli part (X and Y flip a qubit) and the slot
         numbering the parts in order.  A MUB row or one-qubit digits outside
         ``layout`` raise ValueError.  Clifford: the element's own law
-        (:meth:`DenseBackend.clifford_outcome_probs`).
+        (:meth:`DenseBackend.clifford_outcome_probs`).  Each kind makes one
+        backend call per batch: the tables of every column of its stack (MUB
+        family, or the :func:`_rotation_tableaux` of the parts), or column 0
+        of the elements themselves.
         """
         if self.n != channel.n:
             raise DimensionMismatchError(f"twirl on {self.n} qubits, channel on {channel.n}")
@@ -188,7 +198,8 @@ class TwirlSpec:
             if bad.size:
                 raise ValueError(f"MUB elements are (basis 0..{d}, state 0..{d - 1}) rows, "
                                  f"got row {bad[0]}: {elements[bad[0]].tolist()}")
-            return backend.mub_tables(channel).reshape(-1, d), elements @ np.array([d, 1])
+            return (backend.laws(channel, build_mub_family(self.n), np.arange(d)).reshape(-1, d),
+                    elements @ np.array([d, 1]))
         if self.kind == "clifford_full":
             return backend.clifford_outcome_probs(channel, elements), np.arange(len(elements))
         # three reductions, not a per-row any: this check runs on every batch
@@ -208,7 +219,8 @@ class TwirlSpec:
         places = 3 ** np.arange(self.n - 1, -1, -1)
         rotations = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
         rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
-        return backend.local_tables(channel, rotations).reshape(-1, d), rows
+        return (backend.laws(channel, _rotation_tableaux(rotations), np.arange(d)).reshape(-1, d),
+                rows)
 
 
 def draw_outcomes(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -275,7 +287,7 @@ def _transition_table(channel: ChannelModel, tableaux: Tableaux, columns) -> np.
             b = a if b_op is a_op else wh @ (b_op @ w_m)
             in_basis += (a * b.conj()).real
         probs[lo:lo + step] = np.clip(in_basis, 0.0, None, out=in_basis)[:, readouts, slots]
-    probs.setflags(write=False)  # a table is cached and shared by every caller
+    probs.setflags(write=False)  # one law serves every element whose row names it
     return probs
 
 
@@ -341,7 +353,7 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
             probs[rows] = readouts.reshape(len(h), -1)[:, relabel].reshape(readouts.shape)
     probs /= d
     np.clip(probs, 0.0, None, out=probs)
-    probs.setflags(write=False)  # a table is cached and shared by every caller
+    probs.setflags(write=False)  # one law serves every element whose row names it
     return probs
 
 
@@ -428,15 +440,12 @@ def _shift_outcomes(laws: np.ndarray, z_keys, intermediary: Pauli | None) -> np.
 
 class DenseBackend:
     """Dense simulator handed to the protocol runners: the law source that
-    :meth:`TwirlSpec.laws` reads, all through :meth:`laws`.  A MUB table
-    serves every intermediary Pauli, and the table of a one-qubit-twirl
-    rotation part the laws of all 2^n X parts.  Each is built on first use
-    and kept, in a cache keyed weakly by channel object (not by id, which
-    can be recycled): at most (D+1) D^2 MUB and 3^n 4^n one-qubit-twirl
-    floats per channel, about 23 MiB at n = 6.  Clifford laws are not kept."""
-
-    def __init__(self):
-        self._tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+    :meth:`TwirlSpec.laws` reads, all through :meth:`laws`.  It holds no
+    state: every call builds the laws it returns, and a run makes one
+    :meth:`laws` call per batch, so nothing would be reused across calls.
+    A MUB table serves every intermediary Pauli, and the table of a
+    one-qubit-twirl rotation part the laws of all 2^n X parts: at most
+    (D+1) D^2 MUB or 3^n 4^n one-qubit-twirl floats per call."""
 
     check_capacity = staticmethod(_check_dense_cap)  # the one cap, channels.DENSE_MAX_N
 
@@ -452,10 +461,10 @@ class DenseBackend:
            (:func:`_support_laws`: K |S| scatter-adds per element, no
            unitary) where (K + 4) |S| <= 2 D^2, for K distinct operators on
            |S| Pauli terms (:func:`_pauli_support`, found only for single
-           columns, once per channel).  Over 1000 elements at n = 5 it broke
-           even with the dense kernel near |S| = 0.55, 0.3 and 0.12 D^2 for
-           K = 1, 4 and 16 (the rule switches at 0.4, 0.25 and 0.1 D^2); on
-           the benchmark channel (|S| = 8 at every n) it was as fast as the
+           columns).  Over 1000 elements at n = 5 it broke even with the
+           dense kernel near |S| = 0.55, 0.3 and 0.12 D^2 for K = 1, 4 and
+           16 (the rule switches at 0.4, 0.25 and 0.1 D^2); on the
+           benchmark channel (|S| = 8 at every n) it was as fast as the
            form's law or faster from n = 4 up.
         2. Otherwise a channel with a Pauli form (a spec of Clifford gates
            and Pauli noise, :class:`twirltomo.channel_spec.PauliForm`) takes
@@ -468,33 +477,14 @@ class DenseBackend:
         if tableaux.n != channel.n:
             raise DimensionMismatchError(f"stack on {tableaux.n} qubits, channel on {channel.n}")
         if len(columns) == 1:
-            cached = self._tables.setdefault(channel, {})
-            if "support" not in cached:  # None: the support law does not pay
-                cached["support"] = _pauli_support(channel)
-            if cached["support"] is not None:
-                return _support_laws(cached["support"], tableaux, columns)
+            support = _pauli_support(channel)  # None: the support law does not pay
+            if support is not None:
+                return _support_laws(support, tableaux, columns)
         if channel._pauli_form is not None:
             return _fidelity_table(channel._pauli_form, tableaux, columns)
         return _transition_table(channel, tableaux, columns)
 
-    def _cached_tables(self, channel: ChannelModel, family: str, keys, tableaux) -> np.ndarray:
-        """(T, D, D) stack of the transition tables of ``family`` named by
-        ``keys``, in order.  The missing ones are built together from their
-        :class:`Tableaux` stack ``tableaux(missing)`` (:meth:`laws`) and kept."""
-        cached = self._tables.setdefault(channel, {}).setdefault(family, {})
-        missing = [key for key in dict.fromkeys(keys) if key not in cached]
-        if missing:
-            cached.update(zip(missing, self.laws(channel, tableaux(missing),
-                                                 np.arange(channel.dim))))
-        return np.array([cached[key] for key in keys]).reshape(len(keys), channel.dim, channel.dim)
-
     # -- MUB twirl ----------------------------------------------------------
-
-    def mub_tables(self, channel: ChannelModel) -> np.ndarray:
-        """(D+1, D, D) transition tables of the MUB bases: probs[j, m, v] of
-        basis j as in :meth:`mub_transition_probs`, without an intermediary."""
-        return self._cached_tables(channel, "mub", range(channel.dim + 1),
-                                   build_mub_family(channel.n).__getitem__)
 
     def mub_transition_probs(self, channel: ChannelModel, basis: int,
                              intermediary: Pauli | None = None) -> np.ndarray:
@@ -502,11 +492,13 @@ class DenseBackend:
         basis state m (via V_J X^m on |0..0>), apply the channel (and the
         optional extra Pauli), undo the preparation, measure outcome v; v = 0
         is survival.  The Pauli shifts outcomes by its syndrome against the
-        basis's Z-images (:func:`outcome_shift`)."""
+        basis's Z-images (:func:`outcome_shift`).  Only this basis's table
+        is built."""
         if not 0 <= check_int("basis", basis) <= channel.dim:
             raise ValueError(f"MUB basis index must be in 0..{channel.dim}, got {basis}")
-        return _shift_outcomes(self.mub_tables(channel)[basis],
-                               build_mub_family(channel.n).z[[basis]], intermediary)
+        stack = build_mub_family(channel.n)[basis]
+        return _shift_outcomes(self.laws(channel, stack, np.arange(channel.dim))[0],
+                               stack.z, intermediary)
 
     # -- generic clifford twirl ----------------------------------------------
 
@@ -518,18 +510,6 @@ class DenseBackend:
         return self.laws(channel, tableaux, [0])[:, 0]
 
     # -- one-qubit twirl ------------------------------------------------------
-
-    def local_tables(self, channel: ChannelModel, rotations) -> np.ndarray:
-        """(T, D, D) transition tables of the one-qubit-twirl rotation parts
-        ``rotations`` ((T, n) rotation indices in 0..2, qubit 1 first): row
-        x of table t is the law of every element with rotation part
-        rotations[t] and X part x.  Each is built from its rotation tableaux
-        when first asked for, so at most 3^n tables cover all 12^n elements."""
-        rotations = np.asarray(rotations)
-        if not ((0 <= rotations) & (rotations <= 2)).all():
-            raise ValueError(f"rotations are in 0..2, got {rotations.min()}..{rotations.max()}")
-        return self._cached_tables(channel, "local", list(map(tuple, rotations.tolist())),
-                                   _rotation_tableaux)
 
     def local_outcome_probs(self, channel: ChannelModel,
                             digits: tuple[tuple[int, int], ...]) -> np.ndarray:

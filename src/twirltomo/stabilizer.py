@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
-from .gf2 import _gj_insert
+from .gf2 import _gj_insert, solve_affine_batch
 from .pauli import Pauli
 
 _ONE = np.uint64(1)
@@ -355,24 +355,6 @@ def draw_clifford_row(n: int, rng: np.random.Generator) -> list[int]:
     return coefficients + rng.integers(0, 2, size=2 * n).tolist()
 
 
-def _combination(pivots: np.ndarray, coeff: np.ndarray, nfree: int,
-                 rhs: int) -> np.ndarray:
-    """For each system, what ``gf2.solve_affine`` gives as the particular
-    solution (when ``rhs``, else 0) XORed with the nullspace basis vectors
-    that the bits of ``coeff`` pick.  Basis vector i sets the i-th free
-    coordinate in ascending order, and every pivot coordinate b - 1 whose
-    pivot row has that column's bit, so the XOR sets pivot coordinate b - 1
-    to the parity of its row over the picked columns (and the rhs bit)."""
-    free = np.nonzero(pivots[:, 1:] == 0)[1].reshape(len(pivots), nfree)
-    picked = (coeff[:, None] >> np.arange(nfree)) & 1
-    sel = np.bitwise_or.reduce(picked.astype(np.uint64) << (free + 1).astype(np.uint64),
-                               axis=1) | np.uint64(rhs)
-    parity = (np.bitwise_count(pivots[:, 1:] & sel[:, None]) & 1).astype(np.uint64)
-    width = pivots.shape[1] - 1
-    return (sel >> _ONE) | np.bitwise_or.reduce(
-        parity << np.arange(width, dtype=np.uint64), axis=1)
-
-
 def grow_cliffords(n: int, rows) -> Tableaux:
     """The Clifford elements that the (M, 4n) draw rows of
     :func:`clifford_bounds` select, all M at once.
@@ -392,16 +374,21 @@ def grow_cliffords(n: int, rows) -> Tableaux:
     m = len(rows)
     # symplectic form <a, b> = parity(swap_halves(a) & b): row a of a system
     pivots = np.zeros((m, 2 * n + 1), dtype=np.uint64)  # the pairs so far, rhs 0
+
+    def pick(coeff, r):  # the particular solution XOR the basis vectors coeff's bits pick
+        particular, basis = solve_affine_batch(pivots[pivots != 0].reshape(m, r), 2 * n)
+        picked = (coeff[:, None] >> np.arange(basis.shape[1])) & 1
+        return particular ^ np.bitwise_xor.reduce(basis * picked.astype(np.uint64), axis=1)
+
     x = np.empty((m, n), dtype=np.uint64)
     z = np.empty((m, n), dtype=np.uint64)
     for k in range(n):
-        nfree = 2 * (n - k)
-        x[:, k] = _combination(pivots, rows[:, 2 * k] + 1, nfree, 0)
+        x[:, k] = pick(rows[:, 2 * k] + 1, 2 * k)
         # <x_k, z> = 1: the other rows have rhs 0, so a pivot row's rhs bit
         # marks whether it took in the new row, and clearing the rhs bits
         # leaves the system with x_k at rhs 0
         _gj_insert(pivots, (_swap_halves(x[:, k], n) << _ONE) | _ONE)
-        z[:, k] = _combination(pivots, rows[:, 2 * k + 1], nfree - 1, 1)
+        z[:, k] = pick(rows[:, 2 * k + 1], 2 * k + 1)
         pivots &= ~_ONE
         _gj_insert(pivots, _swap_halves(z[:, k], n) << _ONE)
     return Tableaux(n, x, z, rows[:, 2 * n:])

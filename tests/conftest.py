@@ -9,11 +9,12 @@ from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 depolarizing_kraus, gate_unitary,
                                 phase_flip_kraus, amplitude_damping_kraus)
 from twirltomo import gf2
-from twirltomo.dense import local_twirl_unitary
+from twirltomo.dense import DenseBackend, _rotation_tableaux, local_twirl_unitary
 from twirltomo.pauli import XZ_DIGIT, Pauli
 from twirltomo.errors import DimensionMismatchError
 from twirltomo.stabilizer import (Clifford, Tableaux, _key_to_pauli, _spread_matrices,
-                                  _swap_halves, clifford_bounds, grow_cliffords)
+                                  _swap_halves, build_mub_family, clifford_bounds,
+                                  grow_cliffords)
 
 I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -124,6 +125,21 @@ def dense_local_probs(channel, digits):
     u = local_twirl_unitary(digits)
     sigma = channel.apply(np.outer(u[:, 0], u[:, 0].conj()))
     return np.clip(np.einsum("im,ij,jm->m", u.conj(), sigma, u).real, 0.0, None)
+
+
+def mub_tables(channel) -> np.ndarray:
+    """(D+1, D, D) transition tables of the MUB bases, probs[j, m, v] of
+    basis j with no intermediary: every column of the family's stack, as
+    TwirlSpec.laws asks the backend for them."""
+    return DenseBackend().laws(channel, build_mub_family(channel.n), np.arange(channel.dim))
+
+
+def local_tables(channel, rotations) -> np.ndarray:
+    """(T, D, D) transition tables of the one-qubit-twirl rotation parts
+    ((T, n) rotation indices in 0..2, qubit 1 first): row x of table t is
+    the law of every element with rotation part rotations[t] and X part x,
+    as TwirlSpec.laws asks the backend for them."""
+    return DenseBackend().laws(channel, _rotation_tableaux(rotations), np.arange(channel.dim))
 
 
 def draw_outcome_reference(cdf: np.ndarray, u: float) -> int:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twirltomo import channel_spec, cli
+from twirltomo import channel_spec, cli, dense
 from twirltomo.channel_spec import build_channel, load_channel, parse_channel_document
 from twirltomo.channels import gate_unitary
 from twirltomo.cli import main
@@ -24,6 +25,9 @@ CNOT_DOC = {"name": "cnot", "n": 2,
             "build": [{"named_gate": "CNOT", "qubits": [1, 2]}]}
 DEP_DOC = {"name": "dep", "n": 1,
            "build": [{"noise": "depolarizing", "strength": 0.3, "qubits": [1]}]}
+# the benchmark channel: CNOT(1,2), then 5% depolarizing noise on qubit 1
+NOISY_CNOT = [{"named_gate": "CNOT", "qubits": [1, 2]},
+              {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]
 
 
 def test_parse_and_build_named_gate(tmp_path):
@@ -154,16 +158,18 @@ def test_cli_capacity_exit_code(tmp_path):
 
 
 def test_haar_verify_past_the_cap_exits_3_before_drawing(tmp_path, monkeypatch, capsys):
-    """--dim 65 is past 2^DENSE_MAX_N: exit code 3, nothing written, and no
+    """--dim 65 is past 2^DENSE_MAX_N, and --shots past 10^7 samples, whose
+    values would be held at once: exit code 3, nothing written, and no
     operator drawn."""
     def refuse(*args, **kwargs):
         raise AssertionError("haar-verify drew past its cap")
 
     monkeypatch.setattr(cli, "master", refuse)
     out = tmp_path / "o"
-    assert main(["haar-verify", "--dim", "65", "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("capacity error: ")
-    assert not out.exists()
+    for past in (["--dim", "65"], ["--shots", "10000001"], ["--shots", str(10 ** 15)]):
+        assert main(["haar-verify", *past, "--out", str(out)]) == 3, past
+        assert capsys.readouterr().err.startswith("capacity error: "), past
+        assert not out.exists(), past
 
 
 @pytest.mark.parametrize("n", [7, 40])
@@ -206,6 +212,51 @@ def test_cli_seqpt_select_label_length(tmp_path, capsys, variant, label):
     err = capsys.readouterr().err
     assert f"acts on {len(label)} qubits, the channel on 2" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_seqpt_select_keys_a_phased_label_by_its_pauli(tmp_path):
+    """The selective estimate does not see a label's phase: --label -XZI
+    and iXZI write the results.json of --label XZI byte for byte, keyed
+    "XZI", and report.csv fills the oracle column for it."""
+    spec = write_spec(tmp_path, {"name": "noisy-cnot", "n": 3, "build": NOISY_CNOT})
+    written = {}
+    for label in ("XZI", "-XZI", "iXZI"):
+        out = tmp_path / label
+        assert main(["seqpt", "select", "--spec", str(spec), "--out", str(out),
+                     "--shots", "200", "--seed", "5", f"--label={label}"]) == 0
+        written[label] = (out / "results.json").read_bytes()
+        with open(out / "report.csv", newline="") as fh:
+            key, _, _, oracle, ok = list(csv.reader(fh))[1]
+        assert key == "XZI" and float(oracle) >= 0.0 and ok in ("True", "False"), label
+    assert json.loads(written["XZI"])["label"] == "XZI"
+    assert written["-XZI"] == written["XZI"] and written["iXZI"] == written["XZI"]
+
+
+@pytest.mark.parametrize("n, verb", [
+    (3, ["seqpt", "blind", "--variant", "mub"]),
+    (3, ["seqpt", "blind", "--variant", "clifford"]),
+    (3, ["seqpt", "select", "--variant", "mub", "--label", "ZXI"]),
+    (5, ["seqpt", "select", "--variant", "clifford", "--label", "ZXIII"]),
+    (4, ["local-twirl"])], ids=["blind-mub", "blind-clifford", "select-mub",
+                                "select-clifford-n5", "local-twirl"])
+def test_each_run_makes_one_law_call(tmp_path, monkeypatch, n, verb):
+    """Each run asks the dense backend for its laws once, on the benchmark
+    channel: the backend keeps no tables, because no later call in a run
+    could reuse them."""
+    calls = []
+    laws = dense.DenseBackend.laws
+
+    def counted(self, *args):
+        calls.append(1)
+        return laws(self, *args)
+
+    monkeypatch.setattr(dense.DenseBackend, "laws", counted)
+    spec = write_spec(tmp_path, {"name": "noisy-cnot", "n": n, "build": NOISY_CNOT})
+    for seed in ("1", "2"):
+        calls.clear()
+        assert main([*verb, "--spec", str(spec), "--out", str(tmp_path / seed),
+                     "--shots", "300", "--seed", seed]) == 0
+        assert len(calls) == 1, seed
 
 
 def test_cli_seqpt_blind_deterministic(tmp_path):

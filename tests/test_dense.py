@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (I_POWERS, battery, chi_channel, cnot_channel, dense_local_probs,
-                      draw_outcome_reference, label_table, random_cp_channel,
-                      transpose_map_channel)
+                      draw_outcome_reference, label_table, local_tables, mub_tables,
+                      random_cp_channel, transpose_map_channel)
 from twirltomo import dense, localtwirl, seqpt
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
@@ -136,11 +136,15 @@ def test_haar_passes_are_bounded_by_entries(monkeypatch, dim, samples, passes):
 
 def test_haar_dimension_past_the_cap_raises_before_drawing():
     """D = 65, past 2^DENSE_MAX_N, raises CapacityError and leaves the
-    generator untouched."""
+    generator untouched; so does a sample count past HAAR_MAX_SAMPLES,
+    whose values would be held at once."""
     ops = [np.eye(65, dtype=complex)] * 4
     rng = master(4)
     with pytest.raises(CapacityError, match="D=64"):
         haar_twirl_moment(*ops, samples=100, rng=rng)
+    for samples in (dense.HAAR_MAX_SAMPLES + 1, 10 ** 18):
+        with pytest.raises(CapacityError, match="capped at 10000000 samples"):
+            haar_twirl_moment(*[np.eye(2, dtype=complex)] * 4, samples=samples, rng=rng)
     assert rng.random() == master(4).random()
 
 
@@ -346,23 +350,24 @@ def test_twirl_spec_qubit_count_must_be_an_integer(n):
 
 
 def test_mub_transition_probs_rejects_a_basis_outside_the_family():
-    """A basis index outside 0..D raises ValueError naming the range and
-    caches nothing; D, the last basis, is table D of mub_tables."""
+    """A basis index outside 0..D raises ValueError naming the range; D,
+    the last basis, is table D of the family's tables.  The backend keeps
+    nothing between calls."""
     ch = random_cp_channel(2, master(10))
     backend = DenseBackend()
     for basis in (-1, 5, 100):
         with pytest.raises(ValueError, match=r"0\.\.4, got"):
             backend.mub_transition_probs(ch, basis)
-    assert not backend._tables
-    assert np.array_equal(backend.mub_transition_probs(ch, 4), backend.mub_tables(ch)[4])
+    assert np.array_equal(backend.mub_transition_probs(ch, 4), mub_tables(ch)[4])
+    assert vars(backend) == {}
 
 
 def test_law_methods_reject_bad_inputs():
     """On an amplitude-damping spec at n = 2 the law methods raise instead of
     returning another element's law or dying inside numpy: a rotation digit
     outside 0..2 (a 3 would overflow into the next base-3 place) or a Pauli
-    digit outside 0..3 raises ValueError, in local_outcome_probs, local_tables
-    and the one-qubit TwirlSpec.laws alike (laws names the first bad row; a
+    digit outside 0..3 raises ValueError, in local_outcome_probs and the
+    one-qubit TwirlSpec.laws alike (laws names the first bad row; a
     Pauli digit of 7 would act as I); a wrong qubit count raises
     DimensionMismatchError; a bool or non-integer MUB basis raises
     ValueError, and so does a MUB element row outside the layout, naming the
@@ -375,11 +380,8 @@ def test_law_methods_reject_bad_inputs():
     for digits in (((0, 3), (0, 0)), ((7, 0), (0, 0)), ((0, 0), (0, -1)), ((-1, 0), (0, 0))):
         with pytest.raises(ValueError, match=r"\(pauli 0\.\.3, rotation 0\.\.2\), got"):
             backend.local_outcome_probs(ch, digits)
-    for rotations in ([[0, 3]], [[-1, 0]]):
-        with pytest.raises(ValueError, match=r"rotations are in 0\.\.2, got"):
-            backend.local_tables(ch, rotations)
     for wrong_n in (lambda: backend.local_outcome_probs(ch, ((0, 0),) * 3),
-                    lambda: backend.local_tables(ch, [[0, 0, 0]]),
+                    lambda: backend.laws(ch, dense._rotation_tableaux([[0, 0, 0]]), np.arange(4)),
                     lambda: backend.clifford_outcome_probs(ch, build_mub_family(3))):
         with pytest.raises(DimensionMismatchError):
             wrong_n()
@@ -397,9 +399,9 @@ def test_law_methods_reject_bad_inputs():
         with pytest.raises(ValueError, match=r"\(pauli 0\.\.3, rotation 0\.\.2\), got " + bad):
             TwirlSpec("local_clifford", 2).laws(backend, ch, np.array(rows))
     assert np.array_equal(backend.local_outcome_probs(ch, ((1, 2), (0, 0))),
-                          backend.local_tables(ch, [[2, 0]])[0, 2])
-    assert np.array_equal(backend.mub_transition_probs(ch, np.int64(1)), backend.mub_tables(ch)[1])
-    assert backend.local_tables(ch, np.empty((0, 2), dtype=int)).shape == (0, 4, 4)
+                          local_tables(ch, [[2, 0]])[0, 2])
+    assert np.array_equal(backend.mub_transition_probs(ch, np.int64(1)), mub_tables(ch)[1])
+    assert local_tables(ch, np.empty((0, 2), dtype=int)).shape == (0, 4, 4)
 
 
 def test_backend_capacity():
@@ -764,14 +766,14 @@ def test_specs_outside_the_form_keep_their_laws():
     assert all(ch._pauli_form is None for ch in [*specs, *others])
     rng = master(135)
     for ch in specs:
-        plain, a, b = ChannelModel.from_kraus(ch.kraus), DenseBackend(), DenseBackend()
+        plain, backend = ChannelModel.from_kraus(ch.kraus), DenseBackend()
         rows, _ = draw_batch(int(rng.integers(0, 2 ** 32)), 1, 200, clifford_bounds(ch.n), 0)
         elements = grow_cliffords(ch.n, rows)
         rotations = np.array(list(itertools.product(range(3), repeat=ch.n)))
-        assert np.array_equal(a.mub_tables(ch), b.mub_tables(plain))
-        assert np.array_equal(a.local_tables(ch, rotations), b.local_tables(plain, rotations))
-        assert np.array_equal(a.clifford_outcome_probs(ch, elements),
-                              b.clifford_outcome_probs(plain, elements))
+        assert np.array_equal(mub_tables(ch), mub_tables(plain))
+        assert np.array_equal(local_tables(ch, rotations), local_tables(plain, rotations))
+        assert np.array_equal(backend.clifford_outcome_probs(ch, elements),
+                              backend.clifford_outcome_probs(plain, elements))
 
 
 def _full_support_spec(n):
@@ -786,6 +788,22 @@ def _full_support_spec(n):
                              {"noise": "bit_flip", "strength": 0.2, "qubits": [1]}])
 
 
+def _spy_kernels(monkeypatch) -> list[str]:
+    """The names of the law kernels that DenseBackend.laws runs, in order,
+    from here on."""
+    ran = []
+
+    def spied(name, kernel):
+        def run(*args):
+            ran.append(name)
+            return kernel(*args)
+        return run
+
+    for name in ("_support_laws", "_fidelity_table", "_transition_table"):
+        monkeypatch.setattr(dense, name, spied(name, getattr(dense, name)))
+    return ran
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fidelity_outcome_test_fails_without_the_sign(monkeypatch, n):
     """The Clifford case of the distribution test has power against a wrong
@@ -797,11 +815,10 @@ def test_fidelity_outcome_test_fails_without_the_sign(monkeypatch, n):
     ints, u = draw_batch(19, 1, 3000, twirl.layout, 1)
     elements = twirl.elements(ints)
     keys, want = _family_reference(channel, "clifford_full", ints, elements)
-    backend = DenseBackend()
-    twirl.laws(backend, channel, elements[:1])
-    assert backend._tables[channel]["support"] is None  # the form's law, not the support law
+    ran = _spy_kernels(monkeypatch)
     monkeypatch.setattr(dense, "_I_POWERS", np.array([1, 1j, 1, 1j]))
-    laws, rows = twirl.laws(backend, channel, elements)
+    laws, rows = twirl.laws(DenseBackend(), channel, elements)
+    assert ran == ["_fidelity_table"]  # the form's law, not the support law
     assert np.abs(laws[rows] - want).max() > 0.1
     assert _pooled_pearson_z(keys, want, dense.draw_outcomes(laws, rows, u[:, 0])) > 5.0
 
@@ -855,8 +872,8 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
     """Rows of the 3^n rotation tables equal the per-element law to 1e-12:
     every element at n = 1, 2 and 300 random elements at n = 3, 4, on every
     battery channel, the chi-only non-CP transpose map and a random CP map
-    at n = 4.  Each channel builds at most 3^n unitaries (the rotation
-    parts), so no element's own unitary is built."""
+    at n = 4.  Each call builds one unitary, its rotation part's, so no
+    element's own unitary is built."""
     built = []
     unitaries = Tableaux.unitaries
 
@@ -877,24 +894,24 @@ def test_local_outcome_probs_match_per_element_reference(monkeypatch):
             elements = [tuple((int(rng.integers(0, 4)), int(rng.integers(0, 3)))
                               for _ in range(n)) for _ in range(300)]
         backend = DenseBackend()
-        built.clear()
         for digits in elements:
+            built.clear()
             got = backend.local_outcome_probs(ch, digits)
+            assert built == [1], (name, digits)
             want = dense_local_probs(ch, digits)
             assert np.abs(got - want).max() <= 1e-12, (name, digits)
-        assert 0 < sum(built) <= 3 ** n, name
 
 
 def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     """Outcome laws are rows of whole transition tables: sampling a Kraus map
-    applies the channel zero times, builds one table per distinct rotation
-    part (one-qubit twirl) and one per basis (MUB, shared by every
-    intermediary), and a fresh backend builds one table for one law, as
-    sample_c1t_realization does without a shared backend.  The exact MUB
-    and one-qubit-twirl enumerations and c1t_fidelity, with and without an
-    intermediary, apply the channel zero times too and build D+1 and 3^n
-    tables in all.  Tables are counted by the length of each stack that the
-    dense kernel is given."""
+    applies the channel zero times, and each run builds one table per
+    distinct rotation part (one-qubit twirl) or per basis (MUB, shared by
+    every intermediary); one law takes one table, as sample_c1t_realization
+    does.  Each exact MUB and one-qubit-twirl enumeration and c1t_fidelity,
+    with and without an intermediary, apply the channel zero times too and
+    build D+1 and 3^n tables.  Tables are counted by the length of each
+    stack that the dense kernel is given, run by run: the backend keeps
+    none for the next run."""
     applied, built = [], []
     apply, table = ChannelModel.apply, dense._transition_table
 
@@ -915,23 +932,21 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     assert not applied
     built.clear()
     cfg = SeqptConfig(shots=500, seed=3)
-    estimate_chi_selective(ch, "XIZ", cfg, backend)
-    estimate_chi_selective(ch, "XIZ", cfg, backend)
-    run_blind_discovery(ch, cfg, backend)
-    assert sum(built) == ch.dim + 1 and not applied
-    built.clear()
-    DenseBackend().local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1)))
-    assert sum(built) == 1 and not applied
-    built.clear()
-    exact = DenseBackend()
     p = Pauli.from_string("XIZ")
-    for inter in (None, p):
-        enumerate_twirl_exact(ch, TwirlSpec("mub", 3), inter, exact)
-    assert sum(built) == ch.dim + 1 and not applied
-    for inter in (None, p):
-        enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 3), inter, exact)
-    localtwirl.c1t_fidelity(ch, exact)
-    assert sum(built) == ch.dim + 1 + 3 ** 3 and not applied
+    runs = [(lambda: estimate_chi_selective(ch, "XIZ", cfg, backend), ch.dim + 1),
+            (lambda: estimate_chi_selective(ch, "XIZ", cfg, backend), ch.dim + 1),
+            (lambda: run_blind_discovery(ch, cfg, backend), ch.dim + 1),
+            (lambda: backend.local_outcome_probs(ch, ((1, 2), (0, 0), (3, 1))), 1),
+            *((lambda inter=inter: enumerate_twirl_exact(ch, TwirlSpec("mub", 3), inter, backend),
+               ch.dim + 1) for inter in (None, p)),
+            *((lambda inter=inter: enumerate_twirl_exact(ch, TwirlSpec("local_clifford", 3),
+                                                         inter, backend), 3 ** 3)
+              for inter in (None, p)),
+            (lambda: localtwirl.c1t_fidelity(ch, backend), 3 ** 3)]
+    for i, (run, tables) in enumerate(runs):
+        built.clear()
+        run()
+        assert sum(built) == tables and not applied, i
 
 
 def _reference_row(channel, w, m, pm=None):
@@ -986,16 +1001,15 @@ def test_transition_tables_match_per_column_apply():
 
 @pytest.mark.parametrize("block", [1, 1 << 30])
 def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
-    """local_tables and mub_tables build the missing tables from one
-    Tableaux stack; every table equals the one built alone,
-    _transition_table(channel, stack, all columns) of its one-row stack
-    (_rotation_tableaux of the rotation part, or the MUB basis), bit for
-    bit.  Every
-    rotation part and every MUB basis at n = 1 to 5, on the table-test maps
-    (battery, transpose, non-Hermitian chi, non-TP) and random CP maps at
-    n = 4 and 5, with the block forced to one table and to all tables; half
-    the rotation tables are cached first, and the stack follows the order
-    asked for."""
+    """DenseBackend.laws builds the tables of a stack of rotation parts or
+    MUB bases at once, as TwirlSpec.laws asks for them; every table equals
+    the one built alone, _transition_table(channel, stack, all columns) of
+    its one-row stack (_rotation_tableaux of the rotation part, or the MUB
+    basis), bit for bit, and so does mub_transition_probs, which builds its
+    one basis.  Every rotation part and every MUB basis at n = 1 to 5, on
+    the table-test maps (battery, transpose, non-Hermitian chi, non-TP) and
+    random CP maps at n = 4 and 5, with the block forced to one table and
+    to all tables; the stack follows the order asked for."""
     monkeypatch.setattr(dense, "_TABLE_BLOCK", block)
     channels = [*_table_test_channels(),
                 ("random-cp-4", random_cp_channel(4, master(98))),
@@ -1006,14 +1020,14 @@ def test_stacked_local_tables_equal_per_table_builds(monkeypatch, block):
         want = np.array([dense._transition_table(ch, dense._rotation_tableaux(r[None]), every)[0]
                          for r in rotations])
         backend = DenseBackend()
-        assert np.array_equal(backend.local_tables(ch, rotations[::2]), want[::2]), name
-        assert np.array_equal(backend.local_tables(ch, rotations[::-1]), want[::-1]), name
+        assert np.array_equal(local_tables(ch, rotations[::2]), want[::2]), name
+        assert np.array_equal(local_tables(ch, rotations[::-1]), want[::-1]), name
         family = build_mub_family(ch.n)
         want = np.array([dense._transition_table(ch, family[j], every)[0]
                          for j in range(len(family))])
         for j in range(0, len(family), 2):
             assert np.array_equal(backend.mub_transition_probs(ch, j), want[j]), name
-        assert np.array_equal(backend.mub_tables(ch), want), name
+        assert np.array_equal(mub_tables(ch), want), name
 
 
 def test_kraus_apply_is_the_explicit_kraus_sum():
@@ -1184,11 +1198,13 @@ def test_clifford_outcome_test_fails_a_broken_support_phase(monkeypatch, n, shot
     ints, u = draw_batch(19, 1, shots, twirl.layout, 1)
     elements = twirl.elements(ints)
     keys, want = _family_reference(channel, "clifford_full", ints, elements)
-    backend = DenseBackend()
-    twirl.laws(backend, channel, elements[:1])  # the support is kept with its true phases
-    assert backend._tables[channel]["support"] is not None
+    support = dense._pauli_support(channel)  # found with its true phases
+    assert support is not None
+    monkeypatch.setattr(dense, "_pauli_support", lambda ch: support)
+    ran = _spy_kernels(monkeypatch)
     monkeypatch.setattr(dense, "_I_POWERS", np.array([1, 1j, 1, 1j]))
-    laws, rows = twirl.laws(backend, channel, elements)
+    laws, rows = twirl.laws(DenseBackend(), channel, elements)
+    assert ran == ["_support_laws"]
     assert np.abs(laws[rows] - want).max() > 0.1
     assert _pooled_pearson_z(keys, want, dense.draw_outcomes(laws, rows, u[:, 0])) > 5.0
 
@@ -1239,9 +1255,10 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
     """Selective and blind runs of both variants, the one-qubit-twirl run,
     its single realization, local_outcome_probs and the exact enumeration of
     all three kinds read their laws through TwirlSpec.laws, of their own
-    family: the backend's law sources are only called from inside it.  The
-    samplers that draw a batch of outcomes do it through draw_outcomes."""
-    reads, draws, depth = [], [], [0]
+    family: the backend's law source is only called from inside it, once
+    per TwirlSpec.laws call.  The samplers that draw a batch of outcomes do
+    it through draw_outcomes."""
+    reads, sourced, draws, depth = [], [], [], [0]
     laws = TwirlSpec.laws
 
     def counted_laws(self, backend, channel, elements):
@@ -1255,6 +1272,7 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
     def guarded(source):
         def read(*args, **kwargs):
             assert depth[0], f"{source.__name__} read outside TwirlSpec.laws"
+            sourced.append(1)
             return source(*args, **kwargs)
         return read
 
@@ -1263,8 +1281,7 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
         return dense.draw_outcomes(*args)
 
     monkeypatch.setattr(TwirlSpec, "laws", counted_laws)
-    for name in ("mub_tables", "local_tables", "clifford_outcome_probs"):
-        monkeypatch.setattr(DenseBackend, name, guarded(getattr(DenseBackend, name)))
+    monkeypatch.setattr(DenseBackend, "laws", guarded(DenseBackend.laws))
     monkeypatch.setattr(localtwirl, "draw_outcomes", counted_draws)
     monkeypatch.setattr(seqpt, "draw_outcomes", counted_draws)
     ch = random_cp_channel(2, master(120), n_kraus=2)
@@ -1289,7 +1306,9 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
     ]
     for name, kind, ndraws, run in runs:
         reads.clear()
+        sourced.clear()
         draws.clear()
         run()
         assert reads and set(reads) == {kind}, (name, reads)
+        assert len(sourced) == len(reads), name
         assert len(draws) == ndraws, name

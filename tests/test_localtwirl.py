@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (battery, cnot_channel, dense_local_probs, mixed_z1_channel,
-                      random_cp_channel, result_json, sparse_support_channel_n3)
+from conftest import (battery, cnot_channel, dense_local_probs, local_tables,
+                      mixed_z1_channel, random_cp_channel, result_json,
+                      sparse_support_channel_n3)
 from twirltomo import localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
@@ -361,8 +362,8 @@ def test_local_batch_outcomes_follow_exact_laws(n, shots):
     Realizations are binned by law row (rotation part, X part), both read
     off the drawn digits here (X and Y flip a qubit), and by outcome.  A
     row's exact law is the one of its element with Pauli part X^x, from the
-    element's own unitary, and the rows of ``DenseBackend.local_tables``
-    must equal it to 1e-12.  Given the row counts N_r, each row is multinomial,
+    element's own unitary, and the rows of the rotation tables that
+    ``TwirlSpec.laws`` reads must equal it to 1e-12.  Given the row counts N_r, each row is multinomial,
     so the Pearson statistic X^2 = sum (O - N_r p)^2 / (N_r p) over the
     cells with p > 0 has the exact mean sum_r (k_r - 1) and variance
     sum_r [2 (k_r - 1) + (sum_i 1/p_i - k_r^2 - 2 k_r + 2) / N_r].  The test
@@ -392,7 +393,7 @@ def test_local_batch_outcomes_follow_exact_laws(n, shots):
     mean = (k - 1).sum()
     var = (2 * (k - 1) + (inv_p - k ** 2 - 2 * k + 2) / drawn).sum()
     assert (pearson - mean) / np.sqrt(var) <= 5.0, (pearson, mean, var)
-    tables = backend.local_tables(channel, rotations).reshape(3 ** n * d, d)
+    tables = local_tables(channel, rotations).reshape(3 ** n * d, d)
     assert np.abs(tables - laws).max() <= 1e-12
 
 
