@@ -13,6 +13,7 @@ materializing all 4**n basis matrices.  Dense operations are capped at
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -89,7 +90,8 @@ class ChiMatrix:
         return bool(np.allclose(self.mat, self.mat.conj().T, atol=atol))
 
     def labels(self) -> list[str]:
-        return [str(Pauli.from_label(self.n, l)) for l in range(4 ** self.n)]
+        """The Pauli of each label l, as ``str(Pauli.from_label(n, l))``."""
+        return ["".join(p) for p in itertools.product("IXYZ", repeat=self.n)]
 
     def to_json_dict(self) -> dict:
         return {

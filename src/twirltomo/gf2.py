@@ -122,9 +122,12 @@ def solve_affine_batch(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
     one per free coordinate in ascending order, as solve_affine gives them."""
     rows = np.asarray(rows, dtype=np.uint64)
     p, r = rows.shape
-    top = np.zeros((p, r), dtype=np.uint64)  # the coefficient coordinate of each pivot
-    for c in range(width):
-        top[(rows >> np.uint64(c + 1)) != 0] = c
+    # a fully reduced row's top bit is its pivot: the pivot's coefficient
+    # coordinate is the row's bit length less 2, counted once its bits are smeared down
+    smeared = rows.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        smeared |= smeared >> np.uint64(shift)
+    top = np.bitwise_count(smeared).astype(np.uint64) - np.uint64(2)
     free = np.ones((p, width), dtype=bool)
     free[np.arange(p)[:, None], top] = False
     cols = np.nonzero(free)[1].reshape(p, width - r).astype(np.uint64)

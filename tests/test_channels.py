@@ -355,3 +355,12 @@ def test_empty_kraus_set_rejected():
     for build in (lambda: ChannelModel(1, kraus=[]), lambda: ChannelModel.from_kraus([])):
         with pytest.raises(ValueError, match="need at least one Kraus operator"):
             build()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chi_labels_name_each_label_as_its_pauli(n):
+    """``ChiMatrix.labels`` lists ``str(Pauli.from_label(n, l))`` for every
+    label l, in label order.  The chi matrix is a broadcast zero, so n = 6
+    holds no 4^6 x 4^6 array."""
+    chi = ChiMatrix(n, np.broadcast_to(np.zeros((), dtype=complex), (4 ** n, 4 ** n)))
+    assert chi.labels() == [str(Pauli.from_label(n, l)) for l in range(4 ** n)]

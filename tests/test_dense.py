@@ -8,7 +8,7 @@ import pytest
 from conftest import (I_POWERS, battery, chi_channel, cnot_channel, dense_local_probs,
                       draw_outcome_reference, label_table, local_tables, mub_tables,
                       random_cp_channel, transpose_map_channel)
-from twirltomo import dense, localtwirl, seqpt
+from twirltomo import channel_spec, dense, localtwirl, seqpt
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
                                 depolarizing_kraus, embed_kraus, gate_unitary,
@@ -841,10 +841,11 @@ def test_sparse_clifford_runs_build_no_unitary(monkeypatch):
 def test_full_rank_maps_take_the_dense_law(monkeypatch):
     """A Kraus map with K = D^2 operators has full Pauli support, and
     depolarizing noise on every qubit nearly so: both take the dense law,
-    and a sparse map the support law.  Built from a spec, the depolarizing
-    map carries a Pauli form, and its laws come from the form; the benchmark
-    channel keeps the support law, which is no slower there.  Each law call
-    runs one kernel, once, on the whole stack: the kernels block themselves."""
+    and a sparse map the support law.  Built from a spec, both the
+    depolarizing map and the benchmark channel carry a Pauli form, and
+    their laws come from the form; the benchmark channel's Kraus set, handed
+    in as a plain map, keeps the support law.  Each law call runs one
+    kernel, once, on the whole stack: the kernels block themselves."""
     calls = []
 
     def counted(name, law):
@@ -862,10 +863,40 @@ def test_full_rank_maps_take_the_dense_law(monkeypatch):
                                       "qubits": [1, 2, 3]}])
     for ch, law in [(random_cp_channel(3, master(84), n_kraus=64), "dense"),
                     (ChannelModel.from_kraus(depolarizing.kraus), "dense"),
-                    (depolarizing, "form"), (_noisy_cnot(3), "support")]:
+                    (depolarizing, "form"), (_noisy_cnot(3), "form"),
+                    (ChannelModel.from_kraus(_noisy_cnot(3).kraus), "support")]:
         calls.clear()
         DenseBackend().clifford_outcome_probs(ch, tableaux)
         assert calls == [(law, 300, [0])], law
+
+
+@pytest.mark.parametrize("n, qubits", [(3, [1]), (5, [1, 2, 3, 4, 5])])
+def test_form_specs_take_clifford_laws_without_the_kraus_set(monkeypatch, n, qubits):
+    """Selective and blind Clifford runs on a spec with a Pauli form (the
+    benchmark channel at n = 3, CNOT(1,2) then depolarizing on every qubit
+    at n = 5) take their laws from the form: they never compose the spec's
+    Kraus set nor look for its Pauli support."""
+    def refuse(name):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return run
+
+    kernels = []
+    fidelity = dense._fidelity_table
+
+    def counted(form, tableaux, columns):
+        kernels.append(len(tableaux))
+        return fidelity(form, tableaux, columns)
+
+    monkeypatch.setattr(channel_spec, "compose", refuse("compose"))
+    monkeypatch.setattr(dense, "_pauli_support", refuse("_pauli_support"))
+    monkeypatch.setattr(dense, "_fidelity_table", counted)
+    channel = _spec_channel(n, [{"named_gate": "CNOT", "qubits": [1, 2]},
+                                {"noise": "depolarizing", "strength": 0.05, "qubits": qubits}])
+    cfg = SeqptConfig(shots=200, variant="clifford", seed=5)
+    estimate_chi_selective(channel, "X" + "I" * (n - 1), cfg)
+    run_blind_discovery(channel, cfg)
+    assert kernels == [200, 200]
 
 
 def test_local_outcome_probs_match_per_element_reference(monkeypatch):

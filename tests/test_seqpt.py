@@ -338,6 +338,28 @@ def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
     assert len(results[0][0]) > 1 and results[-1] == ({}, 0)
 
 
+@pytest.mark.parametrize("block", [7, seqpt._KEY_BLOCK])
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_compatible_counts_equal_the_per_key_count(monkeypatch, n, variant, block):
+    """The blocked count of the realizations compatible with each voted key
+    equals the per-key pass that summed the counts of the classes whose
+    rows all hold, over all keys and an empty key list, in blocks that cut
+    the keys (7 entries: one key per block)."""
+    monkeypatch.setattr(seqpt, "_KEY_BLOCK", block)
+    rng = np.random.default_rng(300 + 10 * n + (variant == "mub"))
+    class_rows, counts = _blind_class_set(n, variant, rng)
+    keys = rng.permutation(1 << 2 * n)[:100].tolist()
+    functionals, rhs = class_rows >> np.uint64(1), class_rows & np.uint64(1)
+    want = []
+    for key in keys:
+        parity = np.bitwise_count(functionals & np.uint64(key)) & 1
+        want.append(int(counts[(parity == rhs).all(axis=1)].sum()))
+    assert seqpt._compatible_counts(class_rows, counts, keys) == want
+    assert seqpt._compatible_counts(class_rows, counts, []) == []
+    assert len(set(want)) > 1  # the keys do not all count alike
+
+
 @pytest.mark.parametrize("cap", [None, 1])
 def test_single_class_has_no_pairs(cap):
     """Two realizations in one group form one class and no class pair: no
@@ -369,10 +391,12 @@ def test_blind_clifford_memory_budget(n, budget_mib):
     """One blind Clifford run at M = 10^3 on CNOT(1,2) then 5% depolarizing
     on qubit 1 (the clifford-blind benchmark's channel) allocates at most
     0.65 MiB at n = 3 and 1.1 MiB at n = 5 at its peak, where the dense law
-    peaked at 0.75 and 1.09 MiB: the Pauli-support law runs in blocks of
-    ``dense._TABLE_BLOCK`` entries and the constraint classes come from
-    (groups, 2n + 1) arrays.  At n = 5 the peak is the outcome draw's
-    gathered cdf block."""
+    peaked at 0.75 and 1.09 MiB and the Pauli-support law at 0.62 and
+    0.92 MiB.  The laws come from the channel's Pauli form, in blocks of
+    about ``dense._FIDELITY_BLOCK`` entries that each find their own
+    syndromes (0.58 and 0.89 MiB; syndromes of the whole stack peaked at
+    0.65 and 1.16 MiB), and the constraint classes come from
+    (groups, 2n + 1) arrays."""
     channel = build_channel(parse_channel_document(
         {"name": "noisy-cnot", "n": n,
          "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
