@@ -86,8 +86,8 @@ class ChiMatrix:
     def diagonal(self) -> np.ndarray:
         return self.mat.diagonal()
 
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
-        return bool(np.allclose(self.mat, self.mat.conj().T, atol=atol))
+    def is_hermitian(self) -> bool:
+        return bool(np.allclose(self.mat, self.mat.conj().T, atol=1e-10))
 
     def labels(self) -> list[str]:
         """The Pauli of each label l, as ``str(Pauli.from_label(n, l))``."""
@@ -155,9 +155,9 @@ class ChiEigenDecomposition:
     operators: tuple[np.ndarray, ...]
 
 
-def diagonalize_chi(chi: ChiMatrix, atol: float = 1e-10) -> ChiEigenDecomposition:
+def diagonalize_chi(chi: ChiMatrix) -> ChiEigenDecomposition:
     """Eigendecomposition of a Hermitian chi, eigenvalues sorted descending."""
-    if not chi.is_hermitian(atol=atol):
+    if not chi.is_hermitian():
         raise ValueError("chi matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(chi.mat)
     order = np.argsort(vals)[::-1]
@@ -167,35 +167,35 @@ def diagonalize_chi(chi: ChiMatrix, atol: float = 1e-10) -> ChiEigenDecompositio
     return ChiEigenDecomposition(eigenvalues=vals, basis=vecs.conj().T, operators=ops)
 
 
-def check_cp_bound(chi: ChiMatrix, tol: float = BOUND_TOL) -> list[tuple[int, int, float, float]]:
-    """Pairs (l, l') with |chi[l,l']|^2 > chi[l,l] chi[l',l'] + tol.
+def check_cp_bound(chi: ChiMatrix) -> list[tuple[int, int, float, float]]:
+    """Pairs (l, l') with |chi[l,l']|^2 > chi[l,l] chi[l',l'] + ``BOUND_TOL``.
 
     Empty for any completely positive map; a violation certifies the map is
     not CP (a negative product of diagonals triggers it immediately).
     """
     diag = chi.diagonal().real
-    return _pair_violations(chi, np.outer(diag, diag), tol)
+    return _pair_violations(chi, np.outer(diag, diag))
 
 
-def check_positive_bound(chi: ChiMatrix, tol: float = BOUND_TOL):
+def check_positive_bound(chi: ChiMatrix):
     """Necessary conditions for positive (not necessarily CP) maps.
 
     Returns ``(pair_violations, diag_violations)`` where pairs violate
     |chi[l,l']|^2 <= chi_ll chi_l'l' + (chi_ll + chi_l'l')/D + 1/D^2 and
-    diagonal entries must lie in [-1/D, 1].
+    diagonal entries must lie in [-1/D, 1], each within ``BOUND_TOL``.
     """
     d = chi.dim
     diag = chi.diagonal().real
     rhs = np.outer(diag, diag) + np.add.outer(diag, diag) / d + 1.0 / d ** 2
     diag_violations = [(int(l), float(v)) for l, v in enumerate(diag)
-                       if v < -1.0 / d - tol or v > 1.0 + tol]
-    return _pair_violations(chi, rhs, tol), diag_violations
+                       if v < -1.0 / d - BOUND_TOL or v > 1.0 + BOUND_TOL]
+    return _pair_violations(chi, rhs), diag_violations
 
 
-def _pair_violations(chi: ChiMatrix, rhs: np.ndarray, tol: float):
-    """Pairs l < l' with |chi[l,l']|^2 > rhs[l,l'] + tol, as (l, l', lhs, rhs)."""
+def _pair_violations(chi: ChiMatrix, rhs: np.ndarray):
+    """Pairs l < l' with |chi[l,l']|^2 > rhs[l,l'] + BOUND_TOL, as (l, l', lhs, rhs)."""
     lhs = np.abs(chi.mat) ** 2
-    bad = np.argwhere(lhs > rhs + tol)
+    bad = np.argwhere(lhs > rhs + BOUND_TOL)
     return [(int(l), int(lp), float(lhs[l, lp]), float(rhs[l, lp]))
             for l, lp in bad if l < lp]
 
@@ -352,8 +352,7 @@ def _operator_sum(channel: ChannelModel) -> np.ndarray:
     return sum(b.conj().T @ a for a, b in channel.operator_pairs())
 
 
-def classify(channel: ChannelModel, n_state_samples: int = 200,
-             sample_seed: int = 12061) -> Classification:
+def classify(channel: ChannelModel) -> Classification:
     """Classification flags of a map.
 
     Trace preservation is Tr chi = 1 and the operator condition
@@ -367,9 +366,10 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
     f(I) Tr rho, so its Kraus set is not read either.  For a chi-given map,
     complete positivity is chi positive-semidefiniteness within tolerance.
     The ``positive`` flag is computed only for n <= 3 by a dense search over
-    random product-state inputs plus the necessary diagonal/pair bounds; it
-    is a documented heuristic (a True can in principle be a false positive,
-    a False is always certified by a witness) and None means not attempted.
+    200 random product-state inputs (seed 12061) plus the necessary
+    diagonal/pair bounds; it is a documented heuristic (a True can in
+    principle be a false positive, a False is always certified by a witness)
+    and None means not attempted.
     """
     d = channel.dim
     form = channel._pauli_form
@@ -400,7 +400,7 @@ def classify(channel: ChannelModel, n_state_samples: int = 200,
             if diag_bad:
                 positive = False
             else:
-                positive = _positivity_search(channel, n_state_samples, sample_seed)
+                positive = _positivity_search(channel)
     return Classification(hermitian_preserving=hermitian, trace_preserving=tp,
                           completely_positive=cp, positive=positive)
 
@@ -416,10 +416,10 @@ def check_trace_preserving(channel: ChannelModel):
                           "need a trace-preserving map, whose outcome laws sum to one")
 
 
-def _positivity_search(channel: ChannelModel, n_samples: int, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
+def _positivity_search(channel: ChannelModel) -> bool:
+    rng = np.random.default_rng(12061)
     n = channel.n
-    for _ in range(n_samples):
+    for _ in range(200):
         vs = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n))
         state = tensor((v / np.linalg.norm(v))[:, None] for v in vs)[:, 0]  # a product state
         rho = np.outer(state, state.conj())

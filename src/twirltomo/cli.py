@@ -10,8 +10,9 @@ and ``chi.csv``):
 * ``report.txt``     -- human-readable table
 * ``report.csv``     -- plot-ready rows
 
-Exit codes: 0 success, 2 validation failure, 3 capacity failure.  A run
-prints one line, ``wrote results to DIR``; nothing is written on failure.
+Exit codes: 0 success, 2 validation failure (a bad spec, option or path),
+3 capacity failure (past a dense cap, or an allocation the machine refuses).
+A run prints one line, ``wrote results to DIR``; nothing is written on failure.
 """
 from __future__ import annotations
 
@@ -340,11 +341,10 @@ def main(argv=None) -> int:
         out = _write_outputs(args, doc, protocol, config, results, lines, rows, extra)
         print(f"wrote results to {out}")
         return 0
-    except (SpecValidationError, ConfigError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (SpecValidationError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,4 @@
-"""Experiment records shared by the twirl protocols."""
+"""The record of one twirl realization drawn on its own."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One twirl realization.
+    """One one-qubit-twirl realization, as
+    :func:`twirltomo.localtwirl.sample_c1t_realization` draws it: the
+    one-at-a-time reference for the batched samplers, which keep no records.
 
-    ``kind`` is "mub", "clifford", or "local"; ``descriptor`` identifies the
-    drawn twirl element ((J, m) for a MUB state, a Clifford element, or the
-    per-qubit (pauli index, rotation index) tuple for the one-qubit twirl);
-    ``outcome`` is the measured bit string, qubit 1 first.
+    ``kind`` is "local"; ``descriptor`` is the drawn element's per-qubit
+    (pauli index, rotation index) tuple; ``outcome`` is the measured bit
+    string, qubit 1 first.
     """
 
     kind: str

@@ -7,18 +7,20 @@ the Pauli's syndrome: the survival rate s then satisfies
 chi[l,l] = ((D+1) s - 1) / D, so each coefficient is measured on its own
 with a binomial error bar.
 
-The blind protocol records which element was drawn and which bit string
-came out.  Any two realizations whose frames pin down a unique compatible
-intermediary Pauli "vote" for it; every Pauli with at least two votes is
-scored by counting the realizations whose candidate set contains it.
-Realizations are merged by constraint class first: one batched rref
-reduces each realization's (frame, outcome) to its class (blind Clifford
-hands in every realization, blind MUB one group per seen (basis, outcome)),
-and equal classes merge in first-seen order.  So all M(M-1)/2 pairs are
-analyzed exactly at a cost quadratic in the number of classes.  Each class
-is reduced once to its solution frame, a particular key and n nullspace
-keys (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the
-n x n system of class j's rows in class i's frame, and the pairs run in
+The blind protocol reads each realization's Z-frame (the Z-images of the
+drawn element) and the bit string that came out.  Any two realizations
+whose frames pin down a unique compatible intermediary Pauli "vote" for
+it; every Pauli with at least two votes is scored by counting the
+realizations whose candidate set contains it.  Realizations are merged by
+constraint class first: one batched rref reduces each realization's
+(frame, outcome) to its class (blind Clifford hands in every realization,
+blind MUB one group per seen (basis, outcome)), and equal classes merge in
+first-seen order.  So all M(M-1)/2 pairs are analyzed, every one of them,
+at a cost quadratic in the number of classes; a run keeps its class counts
+and estimates, not its realizations.  Each class is reduced once to its
+solution frame, a particular key and n nullspace keys
+(:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the n x n
+system of class j's rows in class i's frame, and the pairs run in
 row-major blocks of ``_PAIR_BLOCK``, each solved by one
 :func:`twirltomo.gf2.solve_unique_batch` call.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -42,9 +44,10 @@ from .channels import ChannelModel, check_trace_preserving
 from .dense import DenseBackend, TwirlSpec, draw_outcomes
 from .errors import ConfigError, DimensionMismatchError
 from .pauli import Pauli
-from .records import ExperimentRecord
-from .rng import (_cdf_table, _draw_outcome, check_int, check_real, check_seed, draw_batch,
-                  substream, substreams)
+# substream is not called here; it stays importable as
+# twirltomo.seqpt.substream, a name outside tooling already uses.
+from .rng import (_cdf_table, _draw_outcome, check_int, check_real, check_seed,  # noqa: F401
+                  draw_batch, substream, substreams)
 from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_shift
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -52,7 +55,7 @@ from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_s
 #: decisively above threshold (a familywise-conservative margin: with a few
 #: dozen candidate labels in play, 4 sigma keeps the false-call rate per run
 #: well under a percent).
-DEFAULT_SIGNIFICANCE_Z = 4.0
+SIGNIFICANCE_Z = 4.0
 
 #: cdf entries per blind-MUB outcome-draw block: it draws _MUB_BLOCK // D
 #: realizations (1,024 at n = 3).  Blocks of 2^16 entries ran no faster and
@@ -77,7 +80,9 @@ _ONE = np.uint64(1)
 
 @dataclass(frozen=True)
 class SeqptConfig:
-    """Realization count and sampling-precision targets.
+    """Realization count, twirl variant, seed and sampling-precision targets.
+    The borderline margin is the constant ``SIGNIFICANCE_Z``, and blind
+    discovery always analyzes every realization pair.
 
     When ``epsilon`` is given, M must satisfy M >= 1/epsilon^2 (central
     limit); when ``delta`` is also given, M >= ln(2/delta)/(2 epsilon^2),
@@ -85,8 +90,8 @@ class SeqptConfig:
     mean with probability >= 1 - delta.  chi_hat = ((D+1) rate - 1)/D has
     (D+1)/D times that error; bounding chi_hat itself takes ((D+1)/D)^2
     times the shots (2.25x at n = 1).  Violations raise :class:`ConfigError`
-    at construction, as do ``epsilon``, ``delta`` and ``significance_z``
-    values that are not finite numbers (bools, strings, NaN, infinities).
+    at construction, as do ``epsilon`` and ``delta`` values that are not
+    finite numbers (bools, strings, NaN, infinities).
     """
 
     shots: int
@@ -94,8 +99,6 @@ class SeqptConfig:
     delta: float | None = None
     variant: str = "mub"
     seed: int = 0
-    pair_class_cap: int | None = None
-    significance_z: float = DEFAULT_SIGNIFICANCE_Z
 
     def __post_init__(self):
         object.__setattr__(self, "shots", check_int("shots", self.shots))  # stored as ints
@@ -104,13 +107,6 @@ class SeqptConfig:
             raise ConfigError("shots must be positive")
         if self.variant not in ("mub", "clifford"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.pair_class_cap is not None:
-            cap = check_int("pair_class_cap", self.pair_class_cap)
-            if cap < 1:
-                raise ConfigError("pair_class_cap must be positive")
-            object.__setattr__(self, "pair_class_cap", cap)
-        if not check_real("significance_z", self.significance_z) >= 0:
-            raise ConfigError("significance_z must be a nonnegative number")
         if self.delta is not None and self.epsilon is None:
             raise ConfigError("delta requires epsilon")
         if self.epsilon is not None:
@@ -129,9 +125,7 @@ class SeqptConfig:
 
     def to_json_dict(self) -> dict:
         return {"shots": self.shots, "epsilon": self.epsilon, "delta": self.delta,
-                "variant": self.variant, "seed": self.seed,
-                "pair_class_cap": self.pair_class_cap,
-                "significance_z": self.significance_z}
+                "variant": self.variant, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -224,8 +218,6 @@ class SeqptResult:
     residual_mass: float
     usable_pair_fraction: float
     total_pairs: int
-    analyzed_exactly: bool = True
-    records: list[ExperimentRecord] = field(default_factory=list, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -235,27 +227,23 @@ class SeqptResult:
             "residual_mass": self.residual_mass,
             "usable_pair_fraction": self.usable_pair_fraction,
             "total_pairs": self.total_pairs,
-            "analyzed_exactly": self.analyzed_exactly,
             "estimates": {k: v.to_json_dict() for k, v in sorted(self.estimates.items())},
         }
 
 
-def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
-                      backend: DenseBackend, keep_records: bool):
+def _sample_mub_codes(channel: ChannelModel, seed: int, count: int, backend: DenseBackend):
     """Realizations 0 .. count-1 of a blind MUB run, reduced as they stream
     through blocks of ``_MUB_BLOCK // D`` realizations.  Realization i draws
     basis j, state m and the outcome uniform from ``substream(seed, 1 + i)``,
     and its outcome v from law row j*D + m (:meth:`TwirlSpec.laws`: the same
     rows whichever elements are drawn, so fetched and cumsummed once).
-    Returns the count of each code j*D + v, the first realization with each
-    code (``count`` where none has it), and the records of all realizations
-    when ``keep_records`` is set."""
+    Returns the count of each code j*D + v and the first realization with
+    each code (``count`` where none has it)."""
     d = channel.dim
     laws, _ = TwirlSpec("mub", channel.n).laws(backend, channel, np.empty((0, 2), dtype=np.int64))
     cdfs = _cdf_table(laws)
     counts = np.zeros(d * (d + 1), dtype=np.int64)
     first = np.full(d * (d + 1), count, dtype=np.int64)
-    records = []
     step = max(1, _MUB_BLOCK // d)
     j, m = np.empty((2, step), dtype=np.int64)
     u = np.empty(step)
@@ -271,10 +259,7 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int,
         codes = jb * d + v
         counts += np.bincount(codes, minlength=len(counts))
         np.minimum.at(first, codes, np.arange(lo, lo + size))
-        if keep_records:
-            records += [ExperimentRecord("mub", (jj, mm), _bits(vv, channel.n))
-                        for jj, mm, vv in zip(jb.tolist(), mb.tolist(), v.tolist())]
-    return counts, first, records
+    return counts, first
 
 
 def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
@@ -289,11 +274,10 @@ def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
     return gf2.rref_batch(rows, 2 * n + 1)
 
 
-def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]:
-    """Votes of the class pairs i < j, all or those at the sorted flat
-    row-major indices ``picks``, in blocks of ``_PAIR_BLOCK``: the counts[i] *
-    counts[j] realization pairs that pin down each key, keys in the order of
-    their first pair, and the cross-class realization pairs analyzed.
+def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
+    """Votes of the class pairs i < j, in row-major blocks of
+    ``_PAIR_BLOCK``: the counts[i] * counts[j] realization pairs that pin
+    down each key, keys in the order of their first pair.
 
     Class i admits the keys p_i ^ span(N_i^0 .. N_i^(n-1)) of
     :func:`gf2.solve_affine_batch`.  Class j's rows f_j^a, r_j^a restricted
@@ -308,15 +292,13 @@ def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]
     bits = np.arange(n)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
-    stop = n_classes * (n_classes - 1) // 2 if picks is None else len(picks)
+    stop = n_classes * (n_classes - 1) // 2
     # dense tallies over the 4^n keys, 4,096 entries at the dense cap n = 6;
     # blind discovery past that cap would need a sparse tally
     weight = np.zeros(1 << 2 * n, dtype=np.int64)
     first = np.full(1 << 2 * n, stop, dtype=np.int64)
-    analyzed_cross = 0
     for lo in range(0, stop, _PAIR_BLOCK):
         flat = np.arange(lo, min(lo + _PAIR_BLOCK, stop))
-        flat = flat if picks is None else picks[flat]
         i = np.searchsorted(starts, flat, side="right") - 1
         j = flat - starts[i] + i + 1
         frame, rows = frames[i], class_rows[j]
@@ -326,7 +308,6 @@ def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]
             system |= parity.astype(np.uint64) << np.uint64(c)
         y = gf2.solve_unique_batch(system, n)
         npairs = counts[i] * counts[j]
-        analyzed_cross += int(npairs.sum())
         usable = y >= 0
         frame = frame[usable]
         picked = ((y[usable, None] >> bits) & 1).astype(np.uint64)
@@ -334,18 +315,17 @@ def _pair_votes(n: int, class_rows, counts, picks) -> tuple[dict[int, int], int]
         np.add.at(weight, keys, npairs[usable])
         np.minimum.at(first, keys, lo + np.flatnonzero(usable))
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
-    return dict(zip(order.tolist(), weight[order].tolist())), analyzed_cross
+    return dict(zip(order.tolist(), weight[order].tolist()))
 
 
 def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
-                        backend: DenseBackend | None = None,
-                        keep_records: bool = False) -> SeqptResult:
+                        backend: DenseBackend | None = None) -> SeqptResult:
     """Discover the large diagonal chi coefficients without choosing labels.
 
     All M(M-1)/2 realization pairs are analyzed through their constraint
     classes (exactly; grouping is lossless).  A label enters the report when
     at least two pairs voted for it and its estimate clears the threshold
-    2/M; estimates that clear it by fewer than ``significance_z`` standard
+    2/M; estimates that clear it by fewer than ``SIGNIFICANCE_Z`` standard
     errors carry ``borderline=True`` rather than being dropped, leaving the
     inclusion decision to the caller.  Estimates are never clipped to [0,1].
     """
@@ -360,8 +340,7 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
 
     if config.variant == "mub":
         # one group per seen code j*D + v, visited in order of first realization
-        sizes, first, records = _sample_mub_codes(channel, config.seed, m_total,
-                                                  backend, keep_records)
+        sizes, first = _sample_mub_codes(channel, config.seed, m_total, backend)
         seen = np.flatnonzero(sizes)
         codes = seen[np.argsort(first[seen])]
         frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
@@ -370,14 +349,11 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
         tableaux = twirl.elements(ints)
         outcomes = draw_outcomes(*twirl.laws(backend, channel, tableaux), u[:, 0])
-        records = ([ExperimentRecord("clifford", (tableaux.clifford(i),), _bits(v, n))
-                    for i, v in enumerate(outcomes.tolist())] if keep_records else [])
         frames, sizes = tableaux.z, np.ones(m_total, dtype=np.int64)
-    return _discover(n, config, frames, outcomes, sizes, records)
+    return _discover(n, config, frames, outcomes, sizes)
 
 
-def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
-              records: list[ExperimentRecord]) -> SeqptResult:
+def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes) -> SeqptResult:
     """Pair analysis and estimates of a blind run, from groups of its
     realizations that share a (Z-frame, outcome), in first-seen order: the
     (K, n) Z-image keys, outcome and realization count of each group (blind
@@ -395,19 +371,10 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
     class_rows, counts = rows[first[order]], counts[order]
     d = 1 << n
     m_total = config.shots
-    pair_budget = len(class_rows) * (len(class_rows) - 1) // 2
-    picks = None
-    if config.pair_class_cap is not None and pair_budget > config.pair_class_cap:
-        picks = np.sort(substream(config.seed, 0).choice(
-            pair_budget, size=config.pair_class_cap, replace=False))
-    analyzed_exactly = picks is None
-
     # residual_mass sums the votes in the order of each key's first pair
-    votes, analyzed_cross = _pair_votes(n, class_rows, counts, picks)
-    usable_pairs = sum(votes.values())
+    votes = _pair_votes(n, class_rows, counts)
 
     threshold = 2.0 / m_total
-    z = config.significance_z
     voted = [key for key, pair_count in votes.items() if pair_count >= 2]
     estimates: dict[str, LabelEstimate] = {}
     for key, compatible in zip(voted, _compatible_counts(class_rows, counts, voted)):
@@ -420,23 +387,13 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes,
         label = str(_key_to_pauli(key, n))
         estimates[label] = LabelEstimate(
             chi_hat=chi_hat, stderr=stderr, compatible_count=compatible,
-            pair_count=pair_count, borderline=chi_hat < threshold + z * stderr)
+            pair_count=pair_count, borderline=chi_hat < threshold + SIGNIFICANCE_Z * stderr)
 
     total_pairs = m_total * (m_total - 1) // 2
-    # same-class pairs are never usable, so the exact fraction is over all
-    # pairs; under a class-pair cap, scale the analyzed cross-class rate by
-    # the exactly-known cross-class mass.
-    total_cross = (m_total * m_total - sum(c * c for c in counts.tolist())) // 2
-    if analyzed_exactly or analyzed_cross == 0:
-        fraction = usable_pairs / total_pairs if total_pairs else 0.0
-    else:
-        fraction = (usable_pairs / analyzed_cross) * (total_cross / total_pairs)
     return SeqptResult(
         n=n, config=config, estimates=estimates, threshold=threshold,
         residual_mass=1.0 - sum(e.chi_hat for e in estimates.values()),
-        usable_pair_fraction=fraction,
-        total_pairs=total_pairs, analyzed_exactly=analyzed_exactly,
-        records=records)
+        usable_pair_fraction=sum(votes.values()) / total_pairs, total_pairs=total_pairs)
 
 
 def _compatible_counts(class_rows, counts, keys) -> list[int]:
@@ -455,10 +412,6 @@ def _compatible_counts(class_rows, counts, keys) -> list[int]:
             ok &= (np.bitwise_count(functionals[:, a] & block) & 1) == rhs[:, a]
         compatible[lo:lo + step] = ok @ weights
     return compatible.astype(np.int64).tolist()
-
-
-def _bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +486,19 @@ class VariantComparison:
 
 
 def compare_variants(channel: ChannelModel, config: SeqptConfig,
-                     backend: DenseBackend | None = None,
-                     check_sigmas: float = 3.0) -> VariantComparison:
+                     backend: DenseBackend | None = None) -> VariantComparison:
     """Run both variants with equal shots and compare usable-pair fractions.
 
-    Asserts each empirical fraction lies within ``check_sigmas`` binomial
-    standard deviations of the rate realized by uniform sampling (D/(D+1)
-    for MUB bases, the independent-frames probability for Cliffords); the
+    Asserts each empirical fraction lies within 3 binomial standard
+    deviations of the rate realized by uniform sampling (D/(D+1) for MUB
+    bases, the independent-frames probability for Cliffords); the
     conventional closed forms are reported alongside.
     """
     backend = backend or DenseBackend()
     reports = {}
     for variant, exact in (("mub", success_probability("mub", channel.n)),
                            ("clifford", frames_independent_probability(channel.n))):
-        cfg = SeqptConfig(shots=config.shots, variant=variant, seed=config.seed,
-                          pair_class_cap=config.pair_class_cap,
-                          significance_z=config.significance_z)
+        cfg = SeqptConfig(shots=config.shots, variant=variant, seed=config.seed)
         res = run_blind_discovery(channel, cfg, backend)
         emp = res.usable_pair_fraction
         # usability of a pair has a conditional expectation independent of
@@ -556,7 +506,7 @@ def compare_variants(channel: ChannelModel, config: SeqptConfig,
         # all-pairs fraction is a degenerate U-statistic and the plain
         # binomial sigma over C(M,2) pairs is the right scale.
         sigma = math.sqrt(exact * (1.0 - exact) / res.total_pairs)
-        if abs(emp - exact) > check_sigmas * sigma:
+        if abs(emp - exact) > 3 * sigma:
             raise AssertionError(
                 f"{variant} usable-pair fraction {emp:.4f} is off the expected "
                 f"{exact:.4f} (sigma {sigma:.2e})")

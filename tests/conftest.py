@@ -8,7 +8,7 @@ import pytest
 from twirltomo.channels import (ChannelModel, ChiMatrix, bit_flip_kraus,
                                 depolarizing_kraus, gate_unitary,
                                 phase_flip_kraus, amplitude_damping_kraus)
-from twirltomo import gf2
+from twirltomo import gf2, seqpt
 from twirltomo.dense import DenseBackend, _rotation_tableaux, local_twirl_unitary
 from twirltomo.pauli import XZ_DIGIT, Pauli
 from twirltomo.errors import DimensionMismatchError
@@ -159,6 +159,24 @@ def draw_outcome_reference(cdf: np.ndarray, u: float) -> int:
 def chi_channel(chi: ChiMatrix) -> ChannelModel:
     """The map of a chi matrix alone."""
     return ChannelModel(chi.n, chi=chi)
+
+
+def outcome_bits(v: int, n: int) -> tuple[int, ...]:
+    """The bit string of outcome v, qubit 1 first."""
+    return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def spy_discover(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (frames, outcomes, sizes) that each blind run from now on hands
+    to ``seqpt._discover``, as copies, in call order."""
+    seen, discover = [], seqpt._discover
+
+    def spy(n, config, frames, outcomes, sizes):
+        seen.append((np.array(frames), np.array(outcomes), np.array(sizes)))
+        return discover(n, config, frames, outcomes, sizes)
+
+    monkeypatch.setattr(seqpt, "_discover", spy)
+    return seen
 
 
 def result_json(result) -> str:

@@ -374,6 +374,35 @@ def test_cli_missing_spec_file(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_bad_paths_exit_2(tmp_path, capsys):
+    """A --spec that names a directory, or an --out that names an existing
+    file, prints one error line and exits with code 2, writing nothing."""
+    spec = write_spec(tmp_path, CNOT_DOC)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for spec_arg, out in ((tmp_path, tmp_path / "o"), (spec, taken)):
+        assert main(["exact-chi", "--spec", str(spec_arg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists() and taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("verb", [["seqpt", "select", "--label", "ZI"],
+                                  ["seqpt", "blind", "--variant", "clifford"],
+                                  ["local-twirl"]], ids=["select", "blind-clifford", "local-twirl"])
+def test_cli_shots_past_memory_exit_3(tmp_path, capsys, verb):
+    """--shots 10^15 asks for petabytes of draws at once; the allocation is
+    refused at once, and the run prints one capacity error line and exits
+    with code 3, writing nothing."""
+    spec = write_spec(tmp_path, CNOT_DOC)
+    out = tmp_path / "o"
+    argv = [*verb, "--spec", str(spec), "--out", str(out), "--shots", str(10 ** 15)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["exact-chi"],
     ["seqpt", "select", "--shots", "50", "--label", "ZI"],

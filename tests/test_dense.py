@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (I_POWERS, battery, chi_channel, cnot_channel, dense_local_probs,
                       draw_outcome_reference, label_table, local_tables, mub_tables,
-                      random_cp_channel, transpose_map_channel)
+                      outcome_bits, random_cp_channel, transpose_map_channel)
 from twirltomo import channel_spec, dense, localtwirl, seqpt
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
@@ -20,8 +20,7 @@ from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
 from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import PAULI_1Q, Pauli
 from twirltomo.rng import _draw_outcome, draw_batch, master
-from twirltomo.seqpt import (SeqptConfig, _bits, estimate_chi_selective,
-                             run_blind_discovery)
+from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
 from twirltomo.stabilizer import (Tableaux, _key_to_pauli, build_mub_family, clifford_bounds,
                                   grow_cliffords, sample_clifford_uniform)
 
@@ -41,7 +40,7 @@ def _measure(rho, n, u):
     cumsummed into a one-row table and every draw reads that row."""
     cdf = np.cumsum(np.clip(np.real(np.diag(rho)), 0.0, None))
     u = np.atleast_1d(u)
-    return [_bits(int(v), n)
+    return [outcome_bits(int(v), n)
             for v in _draw_outcome(cdf[None], np.zeros(len(u), dtype=np.int64), u)]
 
 

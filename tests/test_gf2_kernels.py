@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import class_of, random_cp_channel, symplectic_product, xor_combination
+from conftest import (class_of, outcome_bits, random_cp_channel, spy_discover,
+                      symplectic_product, xor_combination)
 from twirltomo import gf2, seqpt
 from twirltomo.pauli import Pauli
 from twirltomo.seqpt import SeqptConfig, _constraint_classes, run_blind_discovery
@@ -142,9 +143,9 @@ def test_discover_merges_classes_in_first_seen_order(variant, monkeypatch):
     group, as a dict keyed by each group's reference class gives them."""
     seen, pair_votes = [], seqpt._pair_votes
 
-    def counted(n, class_rows, counts, picks):
+    def counted(n, class_rows, counts):
         seen.append((class_rows, counts))
-        return pair_votes(n, class_rows, counts, picks)
+        return pair_votes(n, class_rows, counts)
 
     monkeypatch.setattr(seqpt, "_pair_votes", counted)
     n = 3
@@ -158,8 +159,7 @@ def test_discover_merges_classes_in_first_seen_order(variant, monkeypatch):
         frames = grow_cliffords(n, rows).z[bases % 40]
     outcomes = rng.integers(0, d, size=len(frames))
     sizes = rng.integers(1, 5, size=len(frames))
-    seqpt._discover(n, SeqptConfig(shots=int(sizes.sum()), seed=1), frames, outcomes,
-                    sizes, [])
+    seqpt._discover(n, SeqptConfig(shots=int(sizes.sum()), seed=1), frames, outcomes, sizes)
     want: dict[tuple[int, ...], int] = {}
     for frame, v, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
         key = class_of(frame, n, v)
@@ -205,23 +205,22 @@ def test_solve_unique_batch_random_systems():
         gf2.solve_unique_batch(np.zeros((2, 3), dtype=np.uint64), 4)
 
 
-def test_membership_counts():
-    """Each reported compatible_count equals the number of recorded
-    realizations whose frame signs admit the label, counted one by one."""
+def test_membership_counts(monkeypatch):
+    """Each reported compatible_count equals the number of realizations
+    whose frame signs admit the label, counted group by group over the
+    (Z-frame, outcome, size) groups the run hands to ``_discover`` (one
+    realization per group for Clifford, one seen (basis, outcome) for MUB)."""
     channel = random_cp_channel(2, np.random.default_rng(7))
+    seen = spy_discover(monkeypatch)
     for variant in ("clifford", "mub"):
-        res = run_blind_discovery(channel, SeqptConfig(shots=300, seed=8, variant=variant),
-                                  keep_records=True)
-        fam = build_mub_family(2)
-        assert res.estimates
+        res = run_blind_discovery(channel, SeqptConfig(shots=300, seed=8, variant=variant))
+        frames, outcomes, sizes = seen.pop()
+        assert res.estimates and sizes.sum() == 300
         for label, est in res.estimates.items():
             p = Pauli.from_string(label)
             count = 0
-            for rec in res.records:
-                if variant == "clifford":
-                    gens = rec.descriptor[0].z_images
-                else:
-                    gens = [_key_to_pauli(k, 2) for k in fam.z[rec.descriptor[0]].tolist()]
-                count += all(symplectic_product(g, p) == bit
-                             for g, bit in zip(gens, rec.outcome))
+            for frame, v, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
+                gens = [_key_to_pauli(k, 2) for k in frame]
+                count += size * all(symplectic_product(g, p) == bit
+                                    for g, bit in zip(gens, outcome_bits(v, 2)))
             assert est.compatible_count == count, (variant, label)

@@ -5,11 +5,9 @@ Every case runs one CLI verb at a fixed seed and compares the digest of the
 table, ``OUTPUT_GOLDEN``, pins every other file a CLI case writes
 (``report.txt``, ``report.csv``, ``chi.json``, ``chi.csv`` and
 ``manifest.json`` without its ``timestamp`` and ``spec.path``, which vary
-between runs).  The class-pair cap of blind discovery is not exposed on
-the command line, so the capped cases call ``run_blind_discovery`` and hash
-the JSON of its result as the CLI writes it.  The record cases hash
-realizations drawn one at a time by ``sample_c1t_realization`` from
-``substream(seed, i)``.
+between runs).  The record cases, the one kind that runs no CLI verb, hash
+one-qubit-twirl realizations drawn one at a time by
+``sample_c1t_realization`` from ``substream(seed, i)``.
 
 A change that alters output on purpose regenerates both tables with
 
@@ -27,7 +25,6 @@ from twirltomo.channel_spec import load_channel
 from twirltomo.cli import main
 from twirltomo.localtwirl import sample_c1t_realization
 from twirltomo.rng import substream
-from twirltomo.seqpt import SeqptConfig, run_blind_discovery
 
 SPECS = {
     1: {"name": "golden-1", "n": 1,
@@ -119,13 +116,6 @@ CLI_CASES = {
                                                         "--seed", "62"]),
 }
 
-# case id -> (n, variant, shots, seed, pair_class_cap)
-CAP_CASES = {
-    "capped-mub-n3": (3, "mub", 2000, 41, 700),
-    "capped-clifford-n2": (2, "clifford", 300, 42, 500),
-    "capped-clifford-n3": (3, "clifford", 300, 43, 2000),
-}
-
 # case id -> (n, seed, count)
 RECORD_CASES = {
     "c1t-records-n3": (3, 35, 50),
@@ -135,21 +125,21 @@ GOLDEN = {
     "exact-chi-n2":
         "787f53f8e01f442b2df32625fe1f8f1230dbab6f305dd6c4ed3cf01aeb24bb89",
     "select-mub-n2":
-        "ba485f2eeb06039823d877ac96e2266232cc77ebbe3b02f2aa1631c5d0368838",
+        "6c9ceed0581d4a5194dc4e6e3f82ac1e2985a8d70580bfd4a19da3694d6fa4a3",
     "select-clifford-n2":
-        "97716774e557e0a94c1bb99a91d77449c210a8c8a13805e402bf2152fe0df63e",
+        "bc2fb7ca8aa06fbe4caff2cfd19a3271271b81bdaf4a6f3a0c0f332031651e99",
     "blind-mub-n1":
-        "1a9b652e789a7a0e19f3a5e58d0ade88cead2d0325bd4353d3c5f939c5c14cce",
+        "7352a27521e3357083bd77f103dba5bfac6fbc616436e4972f01f82e39b47ac6",
     "blind-mub-n2":
-        "fbf9af71bb087ca7348e03a85db33d11ff6b1cc5688178f5ea5d89da0d997eeb",
+        "e1a98bdae3f15f78d16b59addda5eeee649c9547b1b78df41fd951e4e88587e5",
     "blind-mub-n3":
-        "6391b08c3ca0a1ef4f5094c9ceec3e47b09b29922fae10adb3948deefd189115",
+        "11b59c62ad41113c95b1d6dc6f7f29c3f2c431eaffcb82df68c7361c191b7ca8",
     "blind-clifford-n1":
-        "b4e289310e755b0dbfab06cf9bd542ca5df1edb48949662b6c74fe9b7a09796c",
+        "c59161fcb9aecfd0a6861fecdb716519b37cb8f1ddaa747f8ea65005c0bc17d3",
     "blind-clifford-n2":
-        "30d5c90a4476851ee5a27406127ca1aa0afcd901bc8047ee219af71867a39463",
+        "93c6bfd042c23092b4800398f844240cacc7e86ced653ab2d4d8eaa351532d0d",
     "blind-clifford-n3":
-        "0461ad77bef7b768c9f76b0510d59be13c73f1a37dd8faa9a95b8ca14cc06332",
+        "df3a3cd1ce012b1663c1f0df1b5d26472113c1a871ed9fecb0f8ebb1f7d1d2db",
     "local-twirl-n1":
         "c4f9b93adaa908c0dc2771f1298b794fbba851cd274ff582d1a2045bda7a8f5c",
     "local-twirl-n2":
@@ -165,23 +155,17 @@ GOLDEN = {
     "haar-verify":
         "423f5eb262490eb2622b2979c577597a7c38d5978efa9145190dc9ee474b0068",
     "noisy-cnot-select-clifford-n3":
-        "f10bba64009359bbfa7202467643848e0347aa0b5bc5b61e17f9b805d70383d1",
+        "dded64afbe4a2c188a485fbda02ec45c27a0a896a5a40f469c822f0450494803",
     "noisy-cnot-blind-mub-n3":
-        "b85b0fa612fd8b81d9467967fa747fb22e626cb9ca9a19b7340417a924692550",
+        "06c001e7c8d18572fad69a9da0349f655013d11553ab7a2f3acd05ae7fea43c1",
     "noisy-cnot-blind-clifford-n3":
-        "691291743aacd0c5ce5f61d03838842b31f23741f734fd8677bbc5fa4fa3a209",
+        "42fb71cc3df4677777858bd984b932e9d0395fbfe0a380f948177377d2248a00",
     "noisy-cnot-local-twirl-n4":
         "73aac1765b8cd7526bf0978daa0c48e50b9092401138476eb7cf47486a796b9e",
     "signed-form-local-twirl-n3":
         "c1c6b7dd003c8a7604b6a62ecbf31254c53e0488d3db9ae68809b4bdc2539a24",
     "signed-form-blind-clifford-n3":
-        "a8d32e3c5d8a36ed197e3a66db95acfbd7fd72c295720b119b71400d529f1d35",
-    "capped-mub-n3":
-        "7aaa3ad5f533f4bed69397379529bfc2ed55db07da1d1b7359cd4fe9d5235442",
-    "capped-clifford-n2":
-        "ae1afba2822d080b109cc5e4e696f4b5d2d7191859ab60ff14ecc5ec7cb64f66",
-    "capped-clifford-n3":
-        "622b9c92c0a208111f2143e3f6e448fcdaf7f2cf6716b7309663614be2758e33",
+        "ed003221cd65d70b5b8ad813b036cd38e519ff2cf53291178e35b462bf8bfcc7",
     "c1t-records-n3":
         "6a8ef72a641d44c7400b3e01dd398fa367e95280d49dacdeacded1a72c2a4286",
 }
@@ -192,21 +176,21 @@ OUTPUT_GOLDEN = {
     "exact-chi-n2":
         "2de008464e8b8eac21c73ec90e0f86eb80fa740775fb49d7486fe7f3e59130b5",
     "select-mub-n2":
-        "bee0faa9ec2ca1b60c322dded7ae5eafd3c9c4ba24242e8ae965ff06a46328f2",
+        "938d27e347ab8bb432c110e57be24197d715fdbb19a43f046b80ac2fd3d680f7",
     "select-clifford-n2":
-        "db65cee734e80f21a51edcffe04058952f89d69547af400d62b976929e675e75",
+        "2cf1605527aeab28afaeebdca54d25da7d43b15b8419a7fbbb3e2953ff783cbd",
     "blind-mub-n1":
-        "73f42e662191dfe0c9231e2cf48bcf972e4ae3dd1091fa6c288c493510952e2b",
+        "fdba0c01c59c6630f19d3ada1ecd51d08d4cfebc3c9a78d5bbff4bd57227492c",
     "blind-mub-n2":
-        "97c965d191d79976824a2a06280ab06214e1308ee91aec4ae8367491360ccb48",
+        "285cff6acc8750605ae7e1e6f86162c35dd336b804c274638e318ac17e86c0c7",
     "blind-mub-n3":
-        "2d87e9b5912fa6dd7f14ad50ff26720cdf4e70bb34b47cbbc35b0c7a5edccb33",
+        "704c62facba1c3520d26c2bb492cca631c1a63ff9ac23316ab70adaf542e576b",
     "blind-clifford-n1":
-        "5cf912c41e899bc45e1ea9539f6d30d01eb24df1079b0a7f523c3d8f8b22d3ef",
+        "adf985b51bb0624b9e0d70a5ea620444d6af9f6fafb12f69fe6686e6ba1b1bcc",
     "blind-clifford-n2":
-        "ac11a606ab65ee25807b58a670910211480c0f59d70d8601188c28992b75361c",
+        "2faf214d6467feccaa6ad5ff6769516a94a5babdb85952c36b0468c154a4d6e2",
     "blind-clifford-n3":
-        "e626861b79c33e44c35275e4ac730c1c359409d54a2e6968ac976a00cb998ffa",
+        "665911b11f879356f57bdb5e01768c803a1c5b1267636c74688bf9887d79d27a",
     "local-twirl-n1":
         "c447d91c5c8f2417f9d1f478833a3b22b0614d5a638febf4de1c14ef76487085",
     "local-twirl-n2":
@@ -222,17 +206,17 @@ OUTPUT_GOLDEN = {
     "haar-verify":
         "37a92a8d80bada610a1daf059bb770ca66f1bfdce46072def66dec1f2e0ba202",
     "noisy-cnot-select-clifford-n3":
-        "3dfc9a72c2b31b5b7d01642f6cf76ef0a2ec4ad7cf3afab34fb0711071cc7037",
+        "aba0079bcfd948e3cfb8cca0e361f70121d51afa9397d2af6c87d8814dfdf0e6",
     "noisy-cnot-blind-mub-n3":
-        "1c26897174dd5a3e22f24ec93a3b974e4c9a81d80ca55227501da287085a6f1e",
+        "5cc7bfa23c3e03e713e1791a280181eca3bc91a3ebc6fa2eafa158d4a5ff2185",
     "noisy-cnot-blind-clifford-n3":
-        "a58dc834f9e5097b262a0d15f91ccf4e3a88c73be03edc84f1e21ccd9d8894a0",
+        "ae532f85a7d8eda16b685994aa0aa4bade9afb87ddd56ecc0983f44e469a2894",
     "noisy-cnot-local-twirl-n4":
         "50fc461b080fc6c225abad2c8069ed13104463669ad40bba58d9745289546d74",
     "signed-form-local-twirl-n3":
         "3f5d5d847d13c48c56e881cc93a37661bb4cb7ca11e940c60822ff66a5d55a1b",
     "signed-form-blind-clifford-n3":
-        "d77ce5c289fb5168d814292ddf3be195e13857a91d0bed7fcaaec3ff8d088c7e",
+        "ccc316d05cc346996cb116e3164fb5abf4258d3ec76383f366321dfd1b531d56",
 }
 
 
@@ -244,13 +228,6 @@ def _write_spec(tmp: Path, key) -> Path:
 
 def run_case(case: str, tmp: Path) -> bytes:
     """The bytes whose digest the table pins for one case."""
-    if case in CAP_CASES:
-        n, variant, shots, seed, cap = CAP_CASES[case]
-        channel = load_channel(_write_spec(tmp, n))
-        cfg = SeqptConfig(shots=shots, variant=variant, seed=seed, pair_class_cap=cap)
-        res = run_blind_discovery(channel, cfg)
-        assert not res.analyzed_exactly
-        return json.dumps(res.to_json_dict(), sort_keys=True, allow_nan=False).encode()
     if case in RECORD_CASES:
         n, seed, count = RECORD_CASES[case]
         channel = load_channel(_write_spec(tmp, n))
@@ -295,13 +272,13 @@ def output_digest(case: str, tmp: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("case", [*CLI_CASES, *CAP_CASES, *RECORD_CASES])
+@pytest.mark.parametrize("case", [*CLI_CASES, *RECORD_CASES])
 def test_golden_digest(case, tmp_path):
     assert digest(case, tmp_path) == GOLDEN[case]
 
 
 def test_table_covers_every_case():
-    assert set(GOLDEN) == {*CLI_CASES, *CAP_CASES, *RECORD_CASES}
+    assert set(GOLDEN) == {*CLI_CASES, *RECORD_CASES}
 
 
 @pytest.mark.parametrize("case", CLI_CASES)
@@ -320,7 +297,7 @@ if __name__ == "__main__":
 
     tables = {"GOLDEN": {}, "OUTPUT_GOLDEN": {}}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        for i, case in enumerate([*CLI_CASES, *CAP_CASES, *RECORD_CASES]):
+        for i, case in enumerate([*CLI_CASES, *RECORD_CASES]):
             case_dir = Path(tmp) / str(i)
             case_dir.mkdir()
             tables["GOLDEN"][case] = digest(case, case_dir)

@@ -301,7 +301,7 @@ def test_clifford_batch_element_equals_scalar(monkeypatch, n, seed, forced):
 @pytest.mark.parametrize("config, field, value", [
     (SeqptConfig, "seed", True), (SeqptConfig, "seed", 1.5), (SeqptConfig, "seed", "1"),
     (SeqptConfig, "shots", 2.5), (SeqptConfig, "shots", True), (SeqptConfig, "shots", None),
-    (SeqptConfig, "pair_class_cap", 2.5), (SeqptConfig, "pair_class_cap", True),
+    (SeqptConfig, "shots", np.float64(100.0)), (SeqptConfig, "seed", np.True_),
     (LocalTwirlConfig, "cutoff", True), (LocalTwirlConfig, "cutoff", 1.0),
     (LocalTwirlConfig, "seed", np.True_), (LocalTwirlConfig, "shots", np.float64(100.0))])
 def test_integer_config_fields_fail_loudly(config, field, value):
@@ -316,11 +316,11 @@ def test_numpy_integer_config_fields_run_as_python_ints():
     """numpy integers are accepted and stored as Python ints, so runs and
     their JSON equal those of the plain-int configs."""
     channel = random_cp_channel(2, np.random.default_rng(44), n_kraus=2)
-    seqpt = SeqptConfig(shots=np.int64(300), seed=np.uint64(5), pair_class_cap=np.int32(20))
+    seqpt = SeqptConfig(shots=np.int64(300), seed=np.uint64(5))
     local = LocalTwirlConfig(shots=np.int64(300), seed=np.int64(5), cutoff=np.int8(1))
-    assert {type(seqpt.shots), type(seqpt.seed), type(seqpt.pair_class_cap)} == {int}
+    assert {type(seqpt.shots), type(seqpt.seed)} == {int}
     assert {type(local.shots), type(local.seed), type(local.cutoff)} == {int}
-    want = run_blind_discovery(channel, SeqptConfig(shots=300, seed=5, pair_class_cap=20))
+    want = run_blind_discovery(channel, SeqptConfig(shots=300, seed=5))
     assert result_json(run_blind_discovery(channel, seqpt)) == result_json(want)
     want = run_local_twirl(channel, LocalTwirlConfig(shots=300, seed=5, cutoff=1))
     assert result_json(run_local_twirl(channel, local)) == result_json(want)

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cnot_channel, draw_outcome_reference, mixed_z1_channel,
-                      random_cp_channel, result_json)
+                      random_cp_channel, result_json, spy_discover)
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli
 from twirltomo import dense, gf2, seqpt
-from twirltomo.records import ExperimentRecord
 from twirltomo.rng import _draw_outcome, draw_batch, substream
-from twirltomo.seqpt import (SeqptConfig, _bits, _constraint_classes, _discover,
+from twirltomo.seqpt import (SeqptConfig, _constraint_classes, _discover,
                              average_fidelity,
                              compare_variants,
                              estimate_chi_selective, frames_independent_probability,
@@ -47,37 +46,17 @@ def test_config_rejects_seed_outside_stream_range(seed):
     assert SeqptConfig(shots=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
-@pytest.mark.parametrize("kwargs", [{"pair_class_cap": 0}, {"pair_class_cap": -1},
-                                    {"significance_z": -1.0},
-                                    {"significance_z": float("nan")}])
-def test_config_rejects_bad_cap_and_significance(kwargs):
-    """A cap of 0 would give no estimates and -1 a numpy error; a negative
-    or NaN margin would make every estimate decisive."""
-    with pytest.raises(ConfigError, match=next(iter(kwargs))):
-        SeqptConfig(shots=10, **kwargs)
-    SeqptConfig(shots=10, pair_class_cap=1, significance_z=0.0)
-
-
-_NOT_FINITE_NUMBERS = [True, False, "5", None, [0.5], float("nan"), float("inf"),
-                       float("-inf")]
+_NOT_FINITE_NUMBERS = [True, False, "5", [0.5], float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.mark.parametrize("value", _NOT_FINITE_NUMBERS)
-def test_config_rejects_significance_z_that_is_not_a_finite_number(value):
-    """A bool would go into the config's JSON as true, a string cannot be
-    compared with 0, and an infinite margin would flag every estimate."""
-    with pytest.raises(ConfigError, match="significance_z"):
-        SeqptConfig(shots=10, significance_z=value)
-
-
-@pytest.mark.parametrize("value", [v for v in _NOT_FINITE_NUMBERS if v is not None])
 def test_config_rejects_epsilon_that_is_not_a_finite_number(value):
     with pytest.raises(ConfigError, match="epsilon"):
         SeqptConfig(shots=10 ** 6, epsilon=value)
     assert SeqptConfig(shots=10 ** 6, epsilon=np.float64(0.01)).epsilon == 0.01
 
 
-@pytest.mark.parametrize("value", [v for v in _NOT_FINITE_NUMBERS if v is not None])
+@pytest.mark.parametrize("value", _NOT_FINITE_NUMBERS)
 def test_config_rejects_delta_that_is_not_a_finite_number(value):
     with pytest.raises(ConfigError, match="delta"):
         SeqptConfig(shots=10 ** 6, epsilon=0.01, delta=value)
@@ -128,24 +107,30 @@ def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_blind_clifford_records_match_per_realization_draws(monkeypatch, n):
-    """keep_records holds, for realization i, the Clifford and outcome that
-    sample_clifford_uniform and one uniform draw from substream(seed, 1 + i);
-    laws computed one element per pass give the same records and results."""
+    """Blind Clifford hands ``_discover`` one group of size 1 per
+    realization: for realization i, the Z-images of the Clifford and the
+    outcome that sample_clifford_uniform and one uniform draw from
+    substream(seed, 1 + i); laws computed one element per pass give the
+    same groups and results."""
     channel = random_cp_channel(n, np.random.default_rng(80 + n))
     backend = DenseBackend()
     cfg = SeqptConfig(shots=300, variant="clifford", seed=47)
-    want = []
+    frames, outcomes = [], []
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
         c = sample_clifford_uniform(n, g)
         law = backend.clifford_outcome_probs(channel, Tableaux.of([c]))[0]
-        v = draw_outcome_reference(np.cumsum(law), g.random())
-        want.append(ExperimentRecord("clifford", (c,), _bits(v, n)))
-    res = run_blind_discovery(channel, cfg, backend, keep_records=True)
-    assert res.records == want
+        frames.append([p.key for p in c.z_images])
+        outcomes.append(draw_outcome_reference(np.cumsum(law), g.random()))
+    seen = spy_discover(monkeypatch)
+    res = run_blind_discovery(channel, cfg, backend)
     monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
-    one_by_one = run_blind_discovery(channel, cfg, backend, keep_records=True)
-    assert one_by_one.records == want
+    one_by_one = run_blind_discovery(channel, cfg, backend)
+    assert len(seen) == 2
+    for got_frames, got_outcomes, sizes in seen:
+        assert got_frames.tolist() == frames
+        assert got_outcomes.tolist() == outcomes
+        assert sizes.tolist() == [1] * cfg.shots
     assert result_json(one_by_one) == result_json(res)
 
 
@@ -161,139 +146,125 @@ def test_sampled_runs_never_build_chi(variant):
 
 def _blind_mub_one_by_one(channel, cfg, backend):
     """Blind MUB run one realization at a time: basis j, state m and the
-    outcome uniform from substream(seed, 1 + i), the reference outcome draw
-    (conftest's draw_outcome_reference), and one group per realization."""
+    outcome uniform u from substream(seed, 1 + i), the reference outcome
+    draw v (conftest's draw_outcome_reference), and one group per
+    realization.  Returns every realization's (j, m, u, v) and the result."""
     n, d = channel.n, channel.dim
-    fam = build_mub_family(n)
-    bases, outcomes, records = [], [], []
+    draws = []
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
         j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
         cdf = np.cumsum(backend.mub_transition_probs(channel, j)[m])
-        v = draw_outcome_reference(cdf, g.random())
-        bases.append(j)
-        outcomes.append(v)
-        records.append(ExperimentRecord("mub", (j, m), _bits(v, n)))
-    return _discover(n, cfg, fam.z[bases], np.array(outcomes),
-                     np.ones(cfg.shots, dtype=np.int64), records)
+        u = g.random()
+        draws.append((j, m, u, draw_outcome_reference(cdf, u)))
+    bases, _, _, outcomes = zip(*draws)
+    return draws, _discover(n, cfg, build_mub_family(n).z[list(bases)], np.array(outcomes),
+                            np.ones(cfg.shots, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
-@pytest.mark.parametrize("cap", [None, 10])
+@pytest.mark.parametrize("pair_block", [None, 10])
 @pytest.mark.parametrize("block", [None, 40])
-def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, cap, block):
-    """Drawing blind MUB realizations in blocks, with one class per seen
-    (basis, outcome), gives the results and records of the per-realization
-    run.  1,300 shots is no multiple of the block (512 realizations at
-    n = 4, 1,024 at n = 3), and a 40-entry block spans dozens of blocks."""
-    if block is not None:
-        monkeypatch.setattr(seqpt, "_MUB_BLOCK", block)
+def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, pair_block, block):
+    """Drawing blind MUB realizations in blocks gives every realization the
+    (j, m, u, v) of the per-realization run, hands ``_discover`` one group
+    per seen code j*D + v in first-seen order with its count, and gives the
+    results of the per-realization run, also with the pair pass in blocks
+    of 10 pairs that cut class rows.  1,300 shots is no multiple of the
+    block (512 realizations at n = 4, 1,024 at n = 3), and a 40-entry block
+    spans dozens of blocks."""
     channel = random_cp_channel(n, np.random.default_rng(90 + n))
     backend = DenseBackend()
-    cfg = SeqptConfig(shots=1300, seed=seed, pair_class_cap=cap)
-    want = _blind_mub_one_by_one(channel, cfg, backend)
-    res = run_blind_discovery(channel, cfg, backend, keep_records=True)
+    cfg = SeqptConfig(shots=1300, seed=seed)
+    draws, want = _blind_mub_one_by_one(channel, cfg, backend)
+    if block is not None:
+        monkeypatch.setattr(seqpt, "_MUB_BLOCK", block)
+    if pair_block is not None:
+        monkeypatch.setattr(seqpt, "_PAIR_BLOCK", pair_block)
+    drawn, draw = [], seqpt._draw_outcome
+
+    def spy_draw(cdfs, rows, u):
+        v = draw(cdfs, rows, u)
+        drawn.extend(zip(rows.tolist(), u.tolist(), v.tolist()))
+        return v
+
+    monkeypatch.setattr(seqpt, "_draw_outcome", spy_draw)
+    seen = spy_discover(monkeypatch)
+    res = run_blind_discovery(channel, cfg, backend)
+    d = channel.dim
+    assert drawn == [(j * d + m, u, v) for j, m, u, v in draws]
+    codes: dict[int, int] = {}
+    for j, _, _, v in draws:
+        codes[j * d + v] = codes.get(j * d + v, 0) + 1
+    (frames, outcomes, sizes), = seen
+    assert frames.tolist() == build_mub_family(n).z[[c // d for c in codes]].tolist()
+    assert outcomes.tolist() == [c % d for c in codes]
+    assert sizes.tolist() == list(codes.values())
     assert result_json(res) == result_json(want)
-    assert res.records == want.records
-    assert run_blind_discovery(channel, cfg, backend).records == []
 
 
-def _class_pair_rows(n_classes: int, picks):
-    """Yield (i, partners) per class row i, partners ascending, in row-major
-    order: every pair i < j, or only the pairs whose flat row-major index is
-    in the sorted array ``picks``."""
-    if picks is None:
-        for i in range(n_classes - 1):
-            yield i, np.arange(i + 1, n_classes)
-        return
-    idx = np.arange(n_classes)
-    starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
-    row = np.searchsorted(starts, picks, side="right") - 1
-    partner = picks - starts[row] + row + 1
-    bounds = np.flatnonzero(np.diff(row)) + 1
-    for seg in np.split(np.arange(len(picks)), bounds):
-        if len(seg):
-            yield int(row[seg[0]]), partner[seg]
-
-
-def _pair_votes_by_row(n, class_rows, counts, picks):
+def _pair_votes_by_row(n, class_rows, counts):
     """Reference for ``seqpt._pair_votes``: one solve per class row against
     its partners, and the votes added up one usable pair at a time in
     row-major order."""
     votes: dict[int, int] = {}
-    analyzed_cross = 0
-    for i, partners in _class_pair_rows(len(class_rows), picks):
+    for i in range(len(class_rows) - 1):
+        partners = np.arange(i + 1, len(class_rows))
         stacked = np.concatenate(
             (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
             axis=1)
         keys = gf2.solve_unique_batch(stacked, 2 * n)
         npairs = counts[i] * counts[partners]
-        analyzed_cross += int(npairs.sum())
         usable = keys >= 0
         for key, count in zip(keys[usable].tolist(), npairs[usable].tolist()):
             votes[key] = votes.get(key, 0) + count
-    return votes, analyzed_cross
+    return votes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
 def test_blocked_pair_pass_matches_per_row_reference(monkeypatch, n, variant):
     """The blocked pair pass gives the results of the per-row reference,
-    byte for byte, exact and under a class-pair cap of 1, of half the pair
-    budget (sampled pairs that cut class rows) and of the whole budget (an
-    exact run), with blocks of 1 and 7 pairs that split rows and with the
-    default block."""
+    byte for byte, with blocks of 1 and 7 pairs that split rows and with
+    the default block."""
     channel = random_cp_channel(n, np.random.default_rng(60 + n))
     backend = DenseBackend()
-    budgets = []
+    cfg = SeqptConfig(shots=80, variant=variant, seed=7)
 
-    def reference(n, class_rows, counts, picks):
-        budgets.append(len(class_rows) * (len(class_rows) - 1) // 2)
-        return _pair_votes_by_row(n, class_rows, counts, picks)
-
-    def run(cap, patch):
-        cfg = SeqptConfig(shots=80, variant=variant, seed=7, pair_class_cap=cap)
+    def run(patch):
         with monkeypatch.context() as m:
             m.setattr(seqpt, *patch)
             return run_blind_discovery(channel, cfg, backend)
 
-    exact = run(None, ("_pair_votes", reference))
-    assert exact.estimates and exact.usable_pair_fraction > 0
-    budget = budgets[0]
-    for cap in (None, 1, budget // 2, budget):
-        want = run(cap, ("_pair_votes", reference))
-        assert want.analyzed_exactly == (cap in (None, budget)), cap
-        for block in (1, 7, seqpt._PAIR_BLOCK):
-            got = run(cap, ("_PAIR_BLOCK", block))
-            assert result_json(got) == result_json(want), (cap, block)
+    want = run(("_pair_votes", _pair_votes_by_row))
+    assert want.estimates and want.usable_pair_fraction > 0
+    for block in (1, 7, seqpt._PAIR_BLOCK):
+        assert result_json(run(("_PAIR_BLOCK", block))) == result_json(want), block
 
 
-def _pair_votes_2n(n, class_rows, counts, picks):
+def _pair_votes_2n(n, class_rows, counts):
     """Reference for ``seqpt._pair_votes``: the pass that concatenates both
     classes' rows and solves each class pair as one 2n x 2n system, in the
     same blocks of ``_PAIR_BLOCK`` pairs."""
     n_classes = len(class_rows)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
-    stop = n_classes * (n_classes - 1) // 2 if picks is None else len(picks)
+    stop = n_classes * (n_classes - 1) // 2
     weight = np.zeros(1 << 2 * n, dtype=np.int64)
     first = np.full(1 << 2 * n, stop, dtype=np.int64)
-    analyzed_cross = 0
     for lo in range(0, stop, seqpt._PAIR_BLOCK):
         flat = np.arange(lo, min(lo + seqpt._PAIR_BLOCK, stop))
-        flat = flat if picks is None else picks[flat]
         i = np.searchsorted(starts, flat, side="right") - 1
         j = flat - starts[i] + i + 1
         keys = gf2.solve_unique_batch(
             np.concatenate((class_rows[i], class_rows[j]), axis=1), 2 * n)
         npairs = counts[i] * counts[j]
-        analyzed_cross += int(npairs.sum())
         usable = keys >= 0
         np.add.at(weight, keys[usable], npairs[usable])
         np.minimum.at(first, keys[usable], lo + np.flatnonzero(usable))
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
-    return dict(zip(order.tolist(), weight[order].tolist())), analyzed_cross
+    return dict(zip(order.tolist(), weight[order].tolist()))
 
 
 def _blind_class_set(n, variant, rng):
@@ -318,24 +289,18 @@ def _blind_class_set(n, variant, rng):
 def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
     """Solving each class pair as an n x n system in the first class's
     solution frame gives the votes of the 2n x 2n pass: the same keys,
-    counts and first-pair order, and the same analyzed cross-class pairs,
-    over every pair, over sampled pairs, and for a single class, in blocks
-    that cut class rows."""
+    counts and first-pair order, over every pair, for the one pair of two
+    classes, and for a single class, in blocks that cut class rows."""
     monkeypatch.setattr(seqpt, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(100 + 10 * n + (variant == "mub"))
     class_rows, counts = _blind_class_set(n, variant, rng)
-    budget = len(class_rows) * (len(class_rows) - 1) // 2
-    picks = np.sort(rng.choice(budget, size=budget // 3, replace=False))
-    cases = [(class_rows, counts, None), (class_rows, counts, picks),
-             (class_rows, counts, picks[:1]), (class_rows[:1], counts[:1], None)]
     results = []
-    for rows, cnt, pick in cases:
-        got = seqpt._pair_votes(n, rows, cnt, pick)
-        want = _pair_votes_2n(n, rows, cnt, pick)
-        assert list(got[0].items()) == list(want[0].items())
-        assert got[1] == want[1]
+    for size in (len(class_rows), 2, 1):
+        rows, cnt = class_rows[:size], counts[:size]
+        want = _pair_votes_2n(n, rows, cnt)
+        assert list(seqpt._pair_votes(n, rows, cnt).items()) == list(want.items())
         results.append(want)
-    assert len(results[0][0]) > 1 and results[-1] == ({}, 0)
+    assert len(results[0]) > 1 and results[-1] == {}
 
 
 @pytest.mark.parametrize("block", [7, seqpt._KEY_BLOCK])
@@ -360,14 +325,13 @@ def test_compatible_counts_equal_the_per_key_count(monkeypatch, n, variant, bloc
     assert len(set(want)) > 1  # the keys do not all count alike
 
 
-@pytest.mark.parametrize("cap", [None, 1])
-def test_single_class_has_no_pairs(cap):
+def test_single_class_has_no_pairs():
     """Two realizations in one group form one class and no class pair: no
     pair is usable and nothing is estimated."""
-    res = _discover(2, SeqptConfig(shots=2, seed=0, pair_class_cap=cap),
-                    build_mub_family(2).z[[1]], np.array([3]), np.array([2]), [])
+    res = _discover(2, SeqptConfig(shots=2, seed=0),
+                    build_mub_family(2).z[[1]], np.array([3]), np.array([2]))
     assert res.usable_pair_fraction == 0.0 and res.total_pairs == 1
-    assert res.estimates == {} and res.residual_mass == 1.0 and res.analyzed_exactly
+    assert res.estimates == {} and res.residual_mass == 1.0
 
 
 def test_blind_mub_memory_does_not_grow_with_shots():
@@ -505,13 +469,6 @@ def test_blind_clifford_variant():
 def test_blind_needs_two_shots():
     with pytest.raises(ConfigError):
         run_blind_discovery(ChannelModel.identity(1), SeqptConfig(shots=1, seed=0))
-
-
-def test_blind_pair_class_cap_flagged():
-    # n=1 has at most 6 constraint classes -> 15 class pairs; cap below that
-    cfg = SeqptConfig(shots=400, seed=13, variant="clifford", pair_class_cap=5)
-    res = run_blind_discovery(ChannelModel.from_kraus(depolarizing_kraus(0.3)), cfg)
-    assert not res.analyzed_exactly
 
 
 @pytest.mark.parametrize("n", [0, 512, 1030])

@@ -1,9 +1,13 @@
 """The benchmark tracer wraps functions by name: every name in ``LAYERS`` of
 ``twirlbench/tracer.py`` must still resolve in the package, or ``--trace 1``
-fails when it calls ``getattr`` on a name that is gone."""
+fails when it calls ``getattr`` on a name that is gone.  It also rebinds the
+aliases that other modules import (``seqpt`` and ``localtwirl`` import
+``substream``, ``cli`` imports ``load_channel``), so those must stay too."""
 import importlib
 import importlib.util
 from pathlib import Path
+
+from twirltomo import channel_spec, cli, localtwirl, rng, seqpt
 
 TRACER = Path(__file__).resolve().parent.parent / "twirlbench" / "tracer.py"
 
@@ -26,3 +30,9 @@ def test_every_traced_name_resolves():
             if not callable(obj):
                 missing.append(f"{layer}.{qualname}")
     assert not missing, missing
+
+
+def test_aliases_the_tracer_rebinds_are_the_originals():
+    assert seqpt.substream is rng.substream
+    assert localtwirl.substream is rng.substream
+    assert cli.load_channel is channel_spec.load_channel
