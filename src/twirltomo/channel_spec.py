@@ -29,10 +29,9 @@ its Kraus operators only when they are first read.
 """
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,8 +39,8 @@ from .channels import (ChannelModel, _operator_sum, amplitude_damping_kraus,
                        bit_flip_kraus, compose, depolarizing_kraus, embed_kraus,
                        gate_unitary, phase_flip_kraus)
 from .errors import SpecValidationError
-from .pauli import PAULI_1Q, key_labels
-from .stabilizer import GATES, Tableaux, gate_tableau
+from .pauli import PAULI_1Q
+from .stabilizer import GATES, gate_tableau
 
 _NOISE_BUILDERS = {
     "depolarizing": depolarizing_kraus,
@@ -156,51 +155,67 @@ def _parse_complex_matrix(rows) -> np.ndarray:
 @dataclass(frozen=True)
 class PauliForm:
     """A map given by its action on Paulis, E(P) = f(U P U^dag) U P U^dag:
-    the Clifford U (a one-row :class:`Tableaux`) followed by a Pauli channel
-    with the fidelity ``fidelities[l]`` on the Pauli of label l."""
+    a Clifford U followed by a Pauli channel, held as the images of every
+    key k = x | z << n, U X^x Z^z U^dag = i^e[k] X^x' Z^z' with
+    keys[k] = x' | z' << n, and f[k] the fidelity of that image."""
 
-    clifford: Tableaux
-    fidelities: np.ndarray
+    keys: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
 
-    @cached_property
-    def images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, e, f) over every key k = x | z << n:
-        U X^x Z^z U^dag = i^e[k] X^x' Z^z' with keys[k] = x' | z' << n, and
-        f[k] the fidelity of that image."""
-        n = self.clifford.n
-        keys, e = self.clifford.conjugate(np.arange(4 ** n, dtype=np.uint64))
-        return keys[0], e[0], self.fidelities[key_labels(n)[keys[0]]]
+
+@lru_cache(maxsize=None)
+def _gate_action(name: str) -> tuple[list[int], np.ndarray]:
+    """(images, e) of a named gate on its own k qubits, for every local key
+    l = x | z << k: G X^x Z^z G^dag = i^e[l] X^x' Z^z', images[l] = x' | z' << k."""
+    k = len(GATES[name]) // 2
+    images, e = gate_tableau((name, tuple(range(k))), k).conjugate(
+        np.arange(4 ** k, dtype=np.uint64))
+    return images[0].tolist(), e[0]
 
 
 def _pauli_form(doc: ChannelSpecDocument) -> PauliForm | None:
     """The :class:`PauliForm` of a spec of named gates and depolarizing,
-    bit-flip or phase-flip noise; None for any other spec.  A noise layer
-    with fidelities f_i, followed by the gates W, acts as W N_i = N_i' W
-    with f_i'(W P W^dag) = f_i(P), so each layer moves to the end through
-    the gates after it, and the moved layers' fidelities multiply, in build
-    order.  One walk from the last layer back builds each W, and U last."""
+    bit-flip or phase-flip noise; None for any other spec.
+
+    One walk in build order keeps the images of every key under the gates
+    so far, B, with their phases and fidelities.  A gate W acts on the bits
+    of each image on its qubits alone (their factor of X^x Z^z), through its
+    table of local images (:func:`_gate_action`) spread to those bits.  A
+    noise layer multiplies the fidelity of key k by its own fidelity of B's
+    image of k, the product over its qubits of the one-qubit channel's
+    fidelity of that qubit's factor; later gates move the image and keep
+    the fidelity, so each key's fidelities multiply in build order."""
     if any("kraus" in layer or "noise" in layer and layer["noise"] not in _PAULI_NOISES
            for layer in doc.build):
         return None
     n = doc.n
-    labels, every = key_labels(n), np.arange(4 ** n)
-    after = None  # the stack of the gates after the current layer, if any
-    moved = []  # per noise layer, last first: the labels of W P W^dag and f_i(P), by key P
-    for layer in reversed(doc.build):
+    keys = np.arange(4 ** n, dtype=np.uint64)
+    e, f = np.zeros(4 ** n, dtype=np.int64), np.ones(4 ** n)
+    for layer in doc.build:
+        qubits = [q - 1 for q in layer["qubits"]]
         if "named_gate" in layer:
-            gate = gate_tableau((layer["named_gate"], tuple(q - 1 for q in layer["qubits"])), n)
-            after = gate if after is None else gate.then(after)
+            images, turn = _gate_action(layer["named_gate"])
+            k = len(qubits)
+            # bit j of a local key is the X (j < k) or Z bit of gate qubit k - 1 - j % k
+            bits = [n - 1 - q for q in reversed(qubits)] + [2 * n - 1 - q for q in reversed(qubits)]
+            spread = [sum(1 << b for j, b in enumerate(bits) if l >> j & 1)
+                      for l in range(4 ** k)]  # each local key's bits within a key
+            mask = spread[-1]  # the gate's bits: an image's bits there index the tables
+            moved, phase = np.zeros(mask + 1, dtype=np.uint64), np.zeros(mask + 1, dtype=np.int64)
+            moved[spread], phase[spread] = [spread[l] for l in images], turn
+            held = keys & mask
+            keys ^= held
+            keys |= moved[held]
+            e += phase[held]
             continue
         ops = np.array(_NOISE_BUILDERS[layer["noise"]](float(layer["strength"])))
-        # f(P) = Tr(P N(P)) / 2 of the one-qubit channel, by label digit
-        one = np.einsum("pij,kjl,plm,kim->p", PAULI_1Q, ops, PAULI_1Q, ops.conj()).real / 2
-        layer_f = np.prod([one[every >> 2 * (n - q) & 3] for q in layer["qubits"]], axis=0)
-        at = labels if after is None else labels[after.conjugate(every)[0][0]]
-        moved.append((at, layer_f[labels]))
-    fidelities = np.ones(4 ** n)
-    for at, layer_f in reversed(moved):
-        fidelities[at] *= layer_f
-    return PauliForm(Tableaux.identity(n) if after is None else after, fidelities)
+        # f(P) = Tr(P N(P)) / 2 of the one-qubit channel, by its key x | z << 1 (I, X, Z, Y)
+        one = (np.einsum("pij,kjl,plm,kim->p", PAULI_1Q, ops, PAULI_1Q, ops.conj()).real
+               / 2)[[0, 1, 3, 2]]
+        factors = [one[keys >> n - 1 - q & 1 | (keys >> 2 * n - 1 - q & 1) << 1] for q in qubits]
+        f *= factors[0] if len(factors) == 1 else np.prod(factors, axis=0)
+    return PauliForm(keys, e & 3, f)
 
 
 def _composed(doc: ChannelSpecDocument) -> ChannelModel:
@@ -229,10 +244,12 @@ def build_channel(doc: ChannelSpecDocument,
     classification never read it); any other spec composes at once."""
     form = _pauli_form(doc)
     if form is not None:
-        frozen = copy.deepcopy(doc)  # its layers are the caller's dicts
+        # the layers are the caller's dicts: copy what _composed reads of them
+        frozen = ChannelSpecDocument(doc.name, doc.n, tuple(
+            {**layer, "qubits": list(layer["qubits"])} for layer in doc.build))
         channel = ChannelModel(doc.n, kraus=lambda: _composed(frozen).kraus)
         channel._pauli_form = form
-        finite = np.isfinite(form.fidelities).all()
+        finite = np.isfinite(form.f).all()
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             channel = _composed(doc)

@@ -375,7 +375,7 @@ def classify(channel: ChannelModel) -> Classification:
     form = channel._pauli_form
     if form is not None or channel.kraus is not None:
         if form is not None:
-            tp = bool(abs(form.fidelities[0] - 1.0) <= TP_ATOL)
+            tp = bool(abs(form.f[0] - 1.0) <= TP_ATOL)  # key 0 is I, its own image
         else:
             acc = _operator_sum(channel)
             tp = (abs(complex(np.trace(acc)) / d - 1.0) <= TP_ATOL

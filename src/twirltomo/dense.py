@@ -4,7 +4,7 @@ oracles the protocols test against.
 :class:`TwirlSpec` is the one twirl family.  Every sampler and the exact
 enumeration take its steps: a row of ``layout`` draws per element, the
 elements they name, their laws (element i's is ``laws[rows[i]]``), then
-one outcome draw in column passes (:func:`draw_outcomes`) or the mean of
+one outcome draw by binary search (:func:`draw_outcomes`) or the mean of
 the laws, each shifted by an intermediary's syndrome against the elements'
 Z-images (:func:`_shift_outcomes`).  Blind MUB discovery alone keeps its own
 per-realization draw loop (see :mod:`twirltomo.seqpt`).  Enumerations
@@ -20,6 +20,7 @@ the backend keeps nothing between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,7 +162,9 @@ class TwirlSpec:
     def elements(self, ints: np.ndarray):
         """The elements that the (M, len(layout)) draw rows name: (basis,
         state) rows (MUB), (M, n, 2) (pauli, rotation) digits, qubit 1 first
-        (one-qubit twirl), or a :class:`Tableaux` stack (Clifford)."""
+        (one-qubit twirl: a view of the rows, so each digit column of the
+        transposed rows that :func:`twirltomo.rng.draw_batch` returns is a
+        contiguous row there), or a :class:`Tableaux` stack (Clifford)."""
         if self.kind == "clifford_full":
             return grow_cliffords(self.n, ints)
         return ints.reshape(len(ints), self.n, 2) if self.kind == "local_clifford" else ints
@@ -192,6 +195,7 @@ class TwirlSpec:
         """
         if self.n != channel.n:
             raise DimensionMismatchError(f"twirl on {self.n} qubits, channel on {channel.n}")
+        backend.check_capacity(channel.n)  # before any 3^n or 4^n array is made
         d = channel.dim
         if self.kind == "mub":
             bad = np.flatnonzero(((elements < 0) | (elements >= self.layout)).any(axis=1))
@@ -208,25 +212,41 @@ class TwirlSpec:
             bad = np.flatnonzero(((elements < 0) | (elements >= (4, 3))).any(axis=(1, 2)))[0]
             raise ValueError(f"one-qubit twirl elements are (pauli 0..3, rotation 0..2), "
                              f"got row {bad}: {elements[bad].tolist()}")
-        # base-3 rotation codes and X parts by Horner passes, qubit 1 the top digit
-        codes, x = np.zeros((2, len(elements)), dtype=np.int64)
-        for j in range(self.n):
+        # base-3 rotation codes and base-4 Pauli codes by Horner passes, qubit
+        # 1 the top digit, over the digit rows: on elements that view the
+        # draw_batch rows (as the samplers' do), each row is contiguous
+        paulis, rotations = elements[:, :, 0].T, elements[:, :, 1].T
+        codes, paulis_at = rotations[0].copy(), paulis[0].copy()
+        for j in range(1, self.n):
             codes *= 3
-            codes += elements[:, j, 1]
-            x <<= 1
-            x |= (elements[:, j, 0] + 1) >> 1 & 1  # X and Y (1 and 2) flip the qubit
+            codes += rotations[j]
+            paulis_at <<= 2
+            paulis_at |= paulis[j]
         seen = np.bincount(codes, minlength=3 ** self.n) > 0
+        rows = ((np.cumsum(seen) - 1) * d)[codes]  # the slot of a code counts the parts below it
+        rows += _x_parts(self.n)[paulis_at]
         places = 3 ** np.arange(self.n - 1, -1, -1)
-        rotations = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
-        rows = (np.cumsum(seen) - 1)[codes] * d + x  # the slot of a code counts the parts below it
-        return (backend.laws(channel, _rotation_tableaux(rotations), np.arange(d)).reshape(-1, d),
+        parts = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
+        return (backend.laws(channel, _rotation_tableaux(parts), np.arange(d)).reshape(-1, d),
                 rows)
+
+
+@lru_cache(maxsize=None)
+def _x_parts(n: int) -> np.ndarray:
+    """x[p], the X part of the Pauli part whose base-4 digits p lists (qubit
+    1 on top): bit n - 1 - j is set where digit j is 1 or 2 (X or Y), where
+    its two bits differ."""
+    p = np.arange(4 ** n)
+    flips = (p ^ p >> 1) >> 2 * np.arange(n - 1, -1, -1)[:, None] & 1
+    x = (flips << np.arange(n - 1, -1, -1)[:, None]).sum(axis=0)
+    x.setflags(write=False)  # cached and shared by every caller
+    return x
 
 
 def draw_outcomes(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome of each element i of a batch: the :func:`_draw_outcome` of the
     uniform u[i] against the law laws[rows[i]].  The laws are cumsummed once,
-    into the column-major table it reads in column passes."""
+    into the table it searches."""
     return _draw_outcome(_cdf_table(laws), rows, u)
 
 
@@ -308,23 +328,25 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
         probs[m, v] = (1/D) sum_z (-1)^(m.z) h[z] (-1)^((v ^ m).z'),
 
     clipped at 0.  A table takes the readouts v ^ m of its columns as one
-    product of sign matrices, (-1)^(m.z) h[z] times the rows (-1)^(z'.j),
-    and relabels them; a single column scatters h[z] (-1)^(m.(z ^ z')) to z'
-    and takes one product with the D x D Walsh-Hadamard signs.
+    product of sign matrices, the signs (-1)^(m.z) times the rows
+    (-1)^(z'.j) scaled by h[z] / D, and relabels them straight into the
+    table; a single column scatters h[z] (-1)^(m.(z ^ z')) to z' and takes
+    one product with the D x D Walsh-Hadamard signs / D.
 
     The g_z, with their phases, double over the Z-images by the XZ product
     rule (:meth:`Tableaux.conjugate`), and the syndromes, linear in z, by
-    XOR; U g_z U^dag and its phase are looked up in the form's table of
-    images of every key (:attr:`PauliForm.images`).  The elements run in
-    blocks whose (elements, columns, D) arrays hold about
+    XOR; U g_z U^dag and its phase are looked up in the form's tables of
+    the images of every key (``keys``, ``e`` and ``f``).  The elements run
+    in blocks whose (elements, columns, D) arrays hold about
     ``_FIDELITY_BLOCK`` entries (256 KiB); each block finds its own
     syndromes, and its arrays go before the next block's are made.
     """
     n, d, count, columns = tableaux.n, 1 << tableaux.n, len(tableaux), np.asarray(columns)
-    u_keys, u_e, u_f = form.images
+    u_keys, u_e, u_f = form.keys, form.e, form.f
     g_j = tableaux.z.astype(np.int64)  # keys of the g_j: signed ones index with no cast
     g_je = 2 * tableaux.signs[:, 1::2] + np.bitwise_count(g_j & (g_j >> n))
     signs = 1.0 - 2 * (np.bitwise_count(np.arange(d)[:, None] & np.arange(d)) & 1)
+    shares = signs / d  # the 1/D of every law, exact: D is a power of two
     # readout j = v ^ m of column c sits at c * D + j
     relabel = (np.arange(0, columns.size * d, d)[:, None]
                + (np.arange(d) ^ columns[:, None])).ravel()
@@ -349,14 +371,17 @@ def _fidelity_table(form, tableaux: Tableaux, columns) -> np.ndarray:
         h = np.where(s >> n == 0, eps * u_f[g], 0.0)
         if len(columns) == 1:
             weights = (h * signs[columns[0], np.arange(d) ^ z_to]).ravel()
-            probs[rows] = np.bincount(at.ravel(), weights, h.size).reshape(-1, 1, d) @ signs
-        else:
-            readouts = (signs[columns] * h[:, None, :]) @ signs[z_to]
-            probs[rows] = readouts.reshape(len(h), -1)[:, relabel].reshape(readouts.shape)
+            probs[rows] = np.bincount(at.ravel(), weights, h.size).reshape(-1, 1, d) @ shares
+        else:  # the rows (-1)^(z'.j) / D scaled by h, then the column signs, relabeled in place
+            weighted = shares[z_to]
+            weighted *= h[:, :, None]
+            readouts = signs[columns] @ weighted
+            # "clip" on indices in range: the output is not copied first
+            np.take(readouts.reshape(len(h), -1), relabel, axis=1,
+                    out=probs[rows].reshape(len(h), -1), mode="clip")
 
     for lo in range(0, count, step):
         tabulate(slice(lo, lo + step))
-    probs /= d
     np.clip(probs, 0.0, None, out=probs)
     probs.setflags(write=False)  # one law serves every element whose row names it
     return probs

@@ -85,9 +85,15 @@ class HammingStatistics:
     @staticmethod
     def _from_codes(n: int, codes: np.ndarray) -> "HammingStatistics":
         """Counts of ``codes``, n-bit strings packed into int64 with qubit 1
-        the top bit (unchecked: the callers' codes lie in [0, 2^n)).  Sorting
-        counts them, so memory follows M, not 2^n."""
-        codes, counts = np.unique(codes, return_counts=True)
+        the top bit (unchecked: the callers' codes lie in [0, 2^n)).  One
+        ``np.bincount`` counts them where 2^n <= M, and sorting elsewhere, so
+        memory follows M, not 2^n."""
+        if 1 << n <= len(codes):
+            counts = np.bincount(codes, minlength=1 << n)
+            codes = np.flatnonzero(counts)
+            counts = counts[codes]
+        else:
+            codes, counts = np.unique(codes, return_counts=True)
         rows = ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()
         return HammingStatistics(n, dict(zip(map(tuple, rows), counts.tolist())))
 
@@ -123,15 +129,16 @@ def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
     laws, rows = twirl.laws(backend or DenseBackend(), channel, digits)
     v = int(draw_outcomes(laws, rows, np.array([rng.random()]))[0])
     bits = tuple((v >> (channel.n - 1 - j)) & 1 for j in range(channel.n))
-    return ExperimentRecord("local", tuple(map(tuple, digits[0].tolist())), bits)
+    return ExperimentRecord(tuple(map(tuple, digits[0].tolist())), bits)
 
 
 def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
                         backend: DenseBackend) -> tuple[np.ndarray, np.ndarray]:
     """Realizations 0 .. count-1 of a run, drawn as arrays over the twirl
-    family: the (count, n, 2) (pauli, rotation) digits and the outcome of
-    each.  Realization i is what ``sample_c1t_realization(channel,
-    substream(seed, 1 + i), backend)`` draws."""
+    family: the (count, n, 2) (pauli, rotation) digits, a view of the draw
+    rows, and the outcome of each.  Realization i is what
+    ``sample_c1t_realization(channel, substream(seed, 1 + i), backend)``
+    draws."""
     twirl = TwirlSpec("local_clifford", channel.n)
     ints, uniforms = draw_batch(seed, 1, count, twirl.layout, 1)
     digits = twirl.elements(ints)

@@ -10,11 +10,9 @@ class ExperimentRecord:
     :func:`twirltomo.localtwirl.sample_c1t_realization` draws it: the
     one-at-a-time reference for the batched samplers, which keep no records.
 
-    ``kind`` is "local"; ``descriptor`` is the drawn element's per-qubit
-    (pauli index, rotation index) tuple; ``outcome`` is the measured bit
-    string, qubit 1 first.
+    ``descriptor`` is the drawn element's per-qubit (pauli index, rotation
+    index) tuple; ``outcome`` is the measured bit string, qubit 1 first.
     """
 
-    kind: str
     descriptor: tuple
     outcome: tuple[int, ...]

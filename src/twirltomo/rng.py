@@ -252,9 +252,13 @@ def draw_batch(seed: int, start: int, count: int, bounds: tuple[int, ...],
 
 def _cdf_table(laws: np.ndarray) -> np.ndarray:
     """The (R, D) cumsums of the rows of ``laws``, stored column-major: the
-    table :func:`_draw_outcome` reads in contiguous columns."""
-    cdfs = np.empty(laws.shape[::-1])
-    np.cumsum(laws.T, axis=0, out=cdfs)
+    table :func:`_draw_outcome` searches through its flat index.  One add
+    per column over all rows, in the order (and so with the sums) of
+    ``np.cumsum``."""
+    cdfs, columns = np.empty(laws.shape[::-1]), laws.T
+    cdfs[0] = columns[0]
+    for j in range(1, len(cdfs)):
+        np.add(cdfs[j - 1], columns[j], out=cdfs[j])
     return cdfs.T
 
 
@@ -271,19 +275,37 @@ def _draw_outcome(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarr
     outcome of probability zero.  Raises ``ValueError`` when a row that is
     drawn has no positive probability.
 
-    The entries <= u[i] * total are counted one column at a time, in the
-    smallest integer type that holds D, so no (count, D) stack of cdf rows
-    is gathered; a :func:`_cdf_table` is read in contiguous columns.
+    On a nondecreasing row the outcome, the count of entries <= u[i] * total
+    (searchsorted "right"), is found by a binary search over the first D - 1
+    entries: log2(D) passes, each one gather from the flat column-major
+    table (a :func:`_cdf_table` is one already; any other table is copied
+    into one), with no (count, D) stack of cdf rows.  A table whose width is
+    not a power of two is padded with copies of its totals, which no
+    unclamped draw reaches.
     """
-    total = cdfs[rows, -1]
+    columns = np.ascontiguousarray(np.asarray(cdfs).T)  # entry (r, j) at j * R + r
+    width, count = columns.shape
+    wide = 1 << (width - 1).bit_length()  # the power of two at or above D
+    if wide != width:
+        columns = np.concatenate((columns, np.repeat(columns[-1:], wide - width, axis=0)))
+    flat = columns.ravel()
+    at = np.asarray(rows, dtype=np.int64) + (width - 1) * count  # each row's total
+    # "clip" on indices in range: the gathered output is not buffered first
+    total = np.take(flat, at, mode="clip")
     if not (total > 0).all():
         raise ValueError("outcome distribution has no positive mass")
     scaled = u * total
-    # on a nondecreasing row, counting entries <= t is searchsorted(t, "right")
-    v = np.zeros(len(rows), dtype=np.min_scalar_type(cdfs.shape[-1]))
-    for column in cdfs.T:
-        v += column[rows] <= scaled
-    v = v.astype(np.int64)
-    top = np.flatnonzero(v == cdfs.shape[-1])  # only these draws need the clamp
-    v[top] = (cdfs[rows[top]] < total[top, None]).sum(axis=-1)
+    top = np.flatnonzero(scaled >= total)  # only these draws need the clamp
+    step = wide >> 1
+    at -= (width - max(step, 1)) * count  # row + (step - 1) R, or the row itself when D = 1
+    # from here the totals' array takes each pass's gather, then its step
+    gathered, steps = total, total.view(np.int64)
+    while step:  # at = row + (v + step - 1) R, the entry that decides step
+        less = np.take(flat, at, out=gathered, mode="clip") <= scaled
+        at += np.multiply(less, step * count, out=steps)
+        at -= (step >> 1) * count
+        step >>= 1
+    at -= rows
+    v = np.floor_divide(at, count, out=at)
+    v[top] = (columns[:, rows[top]] < columns[-1, rows[top]]).sum(axis=0)
     return v

@@ -42,7 +42,7 @@ import numpy as np
 from . import gf2
 from .channels import ChannelModel, check_trace_preserving
 from .dense import DenseBackend, TwirlSpec, draw_outcomes
-from .errors import ConfigError, DimensionMismatchError
+from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import Pauli
 # substream is not called here; it stays importable as
 # twirltomo.seqpt.substream, a name outside tooling already uses.
@@ -56,6 +56,11 @@ from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_s
 #: dozen candidate labels in play, 4 sigma keeps the false-call rate per run
 #: well under a percent).
 SIGNIFICANCE_Z = 4.0
+
+#: the most realizations a blind MUB run takes.  Its per-realization loop
+#: (about 6 us each) would run some 7 h at 2^32, while the batched samplers
+#: are refused by the allocator at once when asked for far more.
+MUB_BLIND_MAX_SHOTS = 1 << 32
 
 #: cdf entries per blind-MUB outcome-draw block: it draws _MUB_BLOCK // D
 #: realizations (1,024 at n = 3).  Blocks of 2^16 entries ran no faster and
@@ -328,9 +333,14 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     2/M; estimates that clear it by fewer than ``SIGNIFICANCE_Z`` standard
     errors carry ``borderline=True`` rather than being dropped, leaving the
     inclusion decision to the caller.  Estimates are never clipped to [0,1].
+    A blind MUB run of more than ``MUB_BLIND_MAX_SHOTS`` (2^32) realizations
+    raises :class:`CapacityError` before its laws are built.
     """
     if config.shots < 2:
         raise ConfigError("blind discovery needs at least two realizations")
+    if config.variant == "mub" and config.shots > MUB_BLIND_MAX_SHOTS:
+        raise CapacityError(f"blind MUB runs are capped at 2**32 = {MUB_BLIND_MAX_SHOTS} "
+                            f"realizations, got {config.shots}")
     backend = backend or DenseBackend()
     backend.check_capacity(channel.n)
     check_trace_preserving(channel)

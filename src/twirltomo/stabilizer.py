@@ -8,8 +8,9 @@ channel and the untwirl of an element only relabels outcomes, by its
 syndrome against the element's Z-images (:func:`outcome_shift`).
 
 Sign conventions are pinned once, in the one-gate table :data:`GATES` (so H
-maps Y -> -Y and S maps Y -> -X); a gate list compiles by composing its
-one-gate stacks (:meth:`Tableaux.then`), and tests check both densely.
+maps Y -> -Y and S maps Y -> -X); a spec's gate list compiles through the
+action of each gate on its own qubits (:func:`gate_tableau`, in
+:func:`twirltomo.channel_spec._pauli_form`), and tests check both densely.
 """
 from __future__ import annotations
 
@@ -285,17 +286,6 @@ class Tableaux:
             e += picked * (g_e[:, k, None] + 2 * flips)
             product ^= picked * images[:, k, None]
         return product, (e & np.uint64(3)).astype(np.int64)
-
-    def then(self, later: "Tableaux") -> "Tableaux":
-        """The stack of each element followed by the one-row stack ``later``:
-        each image (-1)^s P, with P = i^|x & z| X^x Z^z, moves by
-        :meth:`conjugate` to i^(|x & z| + e - |x' & z'|) (-1)^s P'."""
-        keys = np.stack((self.x, self.z), axis=2).reshape(len(self), -1)  # in signs' order
-        images, e = later.conjugate(keys)
-        top = np.uint64(self.n)
-        turn = (np.bitwise_count(keys & keys >> top) + e
-                - np.bitwise_count(images & images >> top)) & 3  # 0 or 2
-        return Tableaux(self.n, images[:, 0::2], images[:, 1::2], self.signs ^ turn >> 1)
 
     def unitaries(self) -> np.ndarray:
         """(M, D, D) dense unitaries of the stack, each up to a global phase.

@@ -389,11 +389,15 @@ def test_cli_bad_paths_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", [["seqpt", "select", "--label", "ZI"],
                                   ["seqpt", "blind", "--variant", "clifford"],
-                                  ["local-twirl"]], ids=["select", "blind-clifford", "local-twirl"])
+                                  ["local-twirl"],
+                                  ["seqpt", "blind", "--variant", "mub"]],
+                         ids=["select", "blind-clifford", "local-twirl", "blind-mub"])
 def test_cli_shots_past_memory_exit_3(tmp_path, capsys, verb):
     """--shots 10^15 asks for petabytes of draws at once; the allocation is
-    refused at once, and the run prints one capacity error line and exits
-    with code 3, writing nothing."""
+    refused at once.  Blind MUB, which draws one realization at a time, is
+    refused before its laws are built, past its cap of 2^32 realizations
+    (seqpt.MUB_BLIND_MAX_SHOTS).  Either way the run prints one capacity
+    error line and exits with code 3, writing nothing."""
     spec = write_spec(tmp_path, CNOT_DOC)
     out = tmp_path / "o"
     argv = [*verb, "--spec", str(spec), "--out", str(out), "--shots", str(10 ** 15)]

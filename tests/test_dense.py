@@ -730,21 +730,20 @@ def _exact_row(kraus, w, m):
 
 def test_pauli_form_acts_on_paulis():
     """The compiled form gives the spec's map on every Pauli P at n <= 3:
-    E(P) = f(U P U^dag) U P U^dag, with U P U^dag from the form's Clifford
-    (signs included) and f read by label."""
+    E(P) = f(U P U^dag) U P U^dag, with U P U^dag (signs included) and its
+    fidelity read off the form's tables of the images of every key."""
     rng = master(133)
     for n in (1, 2, 3):
         for _ in range(4):
             ch = _random_pauli_spec(n, rng)
             form = ch._pauli_form
-            keys = np.arange(4 ** n, dtype=np.uint64)
-            images, e = form.clifford.conjugate(keys)
+            images, e, f = form.keys, form.e, form.f
             for key in range(4 ** n):
                 p = _key_to_pauli(key, n)
-                image = _key_to_pauli(int(images[0, key]), n)
+                image = _key_to_pauli(int(images[key]), n)
                 # U X^x Z^z U^dag = i^e X^x' Z^z', and P = i^|x & z| X^x Z^z
-                phase = 1j ** (e[0, key] + (p.x & p.z).bit_count() - (image.x & image.z).bit_count())
-                want = form.fidelities[image.label] * phase * image.to_matrix()
+                phase = 1j ** (e[key] + (p.x & p.z).bit_count() - (image.x & image.z).bit_count())
+                want = f[key] * phase * image.to_matrix()
                 assert np.abs(ch.apply(p.to_matrix()) - want).max() <= 1e-12, (n, str(p))
 
 

@@ -216,7 +216,7 @@ def test_sample_realization_records():
     ch = mixed_z1_channel(0.3)
     rng = master(4)
     recs = [sample_c1t_realization(ch, rng) for _ in range(50)]
-    assert all(r.kind == "local" and len(r.descriptor) == 2 for r in recs)
+    assert all(len(r.descriptor) == 2 for r in recs)
     assert all(all(0 <= p < 4 and 0 <= s < 3 for p, s in r.descriptor) for r in recs)
     st = HammingStatistics.from_outcomes(2, [r.outcome for r in recs])
     assert st.total == 50

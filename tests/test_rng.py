@@ -8,6 +8,7 @@ import pytest
 
 from conftest import battery, random_cp_channel, result_json
 from twirltomo import dense, rng
+from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.errors import ConfigError
 from twirltomo.dense import DenseBackend, TwirlSpec
 from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
@@ -190,10 +191,11 @@ def test_draw_batch_peak_memory():
 
 def test_draw_outcomes_peak_memory():
     """10^4 draws against 1,296 x 16 laws (the one-qubit twirl's tables at
-    n = 4) read the cumsummed table a column at a time, with no gathered
-    (draws, D) stack of cdf rows: the peak stays near the table and a few
-    arrays of one entry per draw (0.33 MiB here), where gathering the rows
-    in blocks of 2^16 entries peaked at 0.89 MiB."""
+    n = 4) search the cumsummed table with one gather per pass, with no
+    gathered (draws, D) stack of cdf rows: the peak stays near the table and
+    a few arrays of one entry per draw (0.46 MiB here; 0.41 MiB for the
+    column-at-a-time count it replaced), where gathering the rows in blocks
+    of 2^16 entries peaked at 0.89 MiB."""
     g = np.random.default_rng(0)
     laws = g.random((1296, 16))
     laws /= laws.sum(axis=1, keepdims=True)
@@ -209,10 +211,17 @@ def test_draw_outcomes_peak_memory():
 
 
 @pytest.mark.parametrize("name, channel", battery(3) + [
-    ("random-cp-4", random_cp_channel(4, np.random.default_rng(41)))])
+    ("random-cp-4", random_cp_channel(4, np.random.default_rng(41))),
+    ("noisy-cnot-4", build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": 4,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]})))])
 def test_local_batch_realization_equals_scalar(name, channel):
     """Realization i of a batch, as (digits, outcome), is the one
-    sample_c1t_realization draws from substream(seed, 1 + i)."""
+    sample_c1t_realization draws from substream(seed, 1 + i).  The last
+    input is the local-twirl benchmark's spec, CNOT(1,2) then 5%
+    depolarizing on qubit 1 at n = 4, whose laws come from its Pauli form
+    (dense._fidelity_table)."""
     seed, count = 23, 300
     backend = DenseBackend()
     digits, outcomes = _sample_local_batch(channel, seed, count, backend)
