@@ -6,9 +6,10 @@ enumeration take its steps: a row of ``layout`` draws per element, the
 elements they name, their laws (element i's is ``laws[rows[i]]``), then
 one outcome draw by binary search (:func:`draw_outcomes`) or the mean of
 the laws, each shifted by an intermediary's syndrome against the elements'
-Z-images (:func:`_shift_outcomes`).  Blind MUB discovery alone keeps its own
-per-realization draw loop (see :mod:`twirltomo.seqpt`).  Enumerations
-iterate in a fixed order, so results are reproducible bit for bit.
+Z-images (:func:`_shift_outcomes`).  :meth:`TwirlSpec.sample` is the one
+sampling step, which only blind MUB discovery does not yet take (see
+:mod:`twirltomo.seqpt`).  Enumerations iterate in a fixed order, so results
+are reproducible bit for bit.
 
 Three law kernels, :func:`_fidelity_table`, :func:`_support_laws` and
 :func:`_transition_table`, each take a source, a :class:`Tableaux` stack and
@@ -24,10 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import DENSE_MAX_N, ChannelModel, _check_dense_cap, pauli_coefficients
+from .channels import (DENSE_MAX_N, ChannelModel, _check_dense_cap, check_trace_preserving,
+                       pauli_coefficients)
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import PAULI_1Q, Pauli, key_labels, tensor
-from .rng import _cdf_table, _draw_outcome, check_int
+from .rng import _cdf_table, _draw_outcome, check_int, draw_batch
 from .stabilizer import (_I_POWERS, Tableaux, build_mub_family, clifford_bounds,
                          grow_cliffords, outcome_shift, syndromes)
 
@@ -229,6 +231,18 @@ class TwirlSpec:
         parts = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
         return (backend.laws(channel, _rotation_tableaux(parts), np.arange(d)).reshape(-1, d),
                 rows)
+
+    def sample(self, backend: "DenseBackend", channel: ChannelModel, seed: int,
+               count: int) -> tuple[object, np.ndarray]:
+        """(elements, outcomes) of realizations 1 .. count: the element of
+        each ``layout`` row of :func:`twirltomo.rng.draw_batch` and its
+        outcome, drawn from its law with one uniform.  A map past the cap
+        or not trace preserving is refused before any draw."""
+        backend.check_capacity(channel.n)
+        check_trace_preserving(channel)
+        ints, u = draw_batch(seed, 1, count, self.layout, 1)
+        elements = self.elements(ints)
+        return elements, draw_outcomes(*self.laws(backend, channel, elements), u[:, 0])
 
 
 @lru_cache(maxsize=None)

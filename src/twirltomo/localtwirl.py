@@ -6,7 +6,9 @@ quarter-turn rotations exp(-i pi/4 sigma_p), twelve gates per qubit in
 total.  The twirled channel acts like a stochastic Pauli channel whose
 outcome statistics depend only on the coarse-grained diagonal chi
 coefficients, so recording the measured bit string of every realization is
-all the data the protocol needs.
+all the data the protocol needs.  A run draws them by
+:meth:`~twirltomo.dense.TwirlSpec.sample`, as selective and blind Clifford
+estimation do.
 
 Outcome probabilities relate to the coefficients triangularly:
 
@@ -28,14 +30,14 @@ from math import comb
 
 import numpy as np
 
-from .channels import ChannelModel, check_trace_preserving
+from .channels import ChannelModel
 from .dense import DenseBackend, TwirlSpec, draw_outcomes, enumerate_twirl_exact
 from .errors import CapacityError, ConfigError
 from .pauli import enumerate_supports
 from .records import ExperimentRecord
 # substream is not called here; it stays importable as
 # twirltomo.localtwirl.substream, a name outside tooling already uses.
-from .rng import check_int, check_seed, draw_batch, substream  # noqa: F401
+from .rng import check_int, check_seed, substream  # noqa: F401
 
 MAX_SUPPORT_CELLS = 4096
 
@@ -130,19 +132,6 @@ def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
     v = int(draw_outcomes(laws, rows, np.array([rng.random()]))[0])
     bits = tuple((v >> (channel.n - 1 - j)) & 1 for j in range(channel.n))
     return ExperimentRecord(tuple(map(tuple, digits[0].tolist())), bits)
-
-
-def _sample_local_batch(channel: ChannelModel, seed: int, count: int,
-                        backend: DenseBackend) -> tuple[np.ndarray, np.ndarray]:
-    """Realizations 0 .. count-1 of a run, drawn as arrays over the twirl
-    family: the (count, n, 2) (pauli, rotation) digits, a view of the draw
-    rows, and the outcome of each.  Realization i is what
-    ``sample_c1t_realization(channel, substream(seed, 1 + i), backend)``
-    draws."""
-    twirl = TwirlSpec("local_clifford", channel.n)
-    ints, uniforms = draw_batch(seed, 1, count, twirl.layout, 1)
-    digits = twirl.elements(ints)
-    return digits, draw_outcomes(*twirl.laws(backend, channel, digits), uniforms[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +319,9 @@ class LocalTwirlEstimate:
 
 def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
                     backend: DenseBackend | None = None) -> LocalTwirlEstimate:
-    backend = backend or DenseBackend()
-    backend.check_capacity(channel.n)
-    check_trace_preserving(channel)
     n = channel.n
-    _, outcomes = _sample_local_batch(channel, config.seed, config.shots, backend)
+    _, outcomes = TwirlSpec("local_clifford", n).sample(backend or DenseBackend(), channel,
+                                                        config.seed, config.shots)
     stats = HammingStatistics._from_codes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)
     weight = solve_pw(stats, cutoff)

@@ -21,8 +21,8 @@ There are two ways to draw many realizations, and both give the draws of
   in place, one output row per word or 32-bit half.  A realization with a
   Lemire-rejected half (probability below k * 2**-32 for a draw in [0, k))
   is redrawn alone from its own Generator, so the batch stays exact.  Every
-  other sampler draws this way, one row of its twirl family's layout
-  (:class:`twirltomo.dense.TwirlSpec`) per realization.
+  other sampler draws this way, one row of its twirl family's layout per
+  realization (:meth:`twirltomo.dense.TwirlSpec.sample`).
 
 :func:`_draw_outcome` turns uniform draws into measurement outcomes, each
 against the cdf row of a table that it names, in
@@ -30,8 +30,7 @@ against the cdf row of a table that it names, in
 each draw by its law's total, so a law whose total is off one by round-off
 is sampled in proportion.  The sampled protocols reject a map that is not
 trace preserving (:func:`twirltomo.channels.check_trace_preserving`), whose
-laws do not sum to one.  Selective estimation tests survival as
-``u < p_0`` directly, without this function.
+laws do not sum to one.
 """
 from __future__ import annotations
 

@@ -2,10 +2,11 @@
 
 Both protocols run M twirl realizations of one :class:`~twirltomo.dense.TwirlSpec`
 family, MUB or Clifford.  The selective estimator inserts a chosen Pauli
-between the channel and the undo step, which shifts each element's law by
-the Pauli's syndrome: the survival rate s then satisfies
-chi[l,l] = ((D+1) s - 1) / D, so each coefficient is measured on its own
-with a binomial error bar.
+between the channel and the undo step, which relabels each outcome by the
+Pauli's syndrome: a realization survives where it drew that shift, and the
+survival rate s satisfies chi[l,l] = ((D+1) s - 1) / D, so each coefficient
+is measured on its own with a binomial error bar.  It is the blind
+experiment read at one label, whose ``compatible_count`` it equals.
 
 The blind protocol reads each realization's Z-frame (the Z-images of the
 drawn element) and the bit string that came out.  Any two realizations
@@ -24,30 +25,33 @@ system of class j's rows in class i's frame, and the pairs run in
 row-major blocks of ``_PAIR_BLOCK``, each solved by one
 :func:`twirltomo.gf2.solve_unique_batch` call.
 
-Blind MUB is the one sampler off the shared outcome draw: it keeps its
-per-realization ``substreams`` loop, in blocks of ``_MUB_BLOCK // D``
-realizations drawn against the MUB laws, fetched and cumsummed once per run,
-and adds up each block's codes j*D + v.  A run has at most D(D+1) classes
-and memory that does not grow with M.
+Blind MUB is the one sampler off :meth:`~twirltomo.dense.TwirlSpec.sample`
+until it moves onto it: it keeps its per-realization ``substreams`` loop,
+in blocks of ``_MUB_BLOCK // D`` realizations drawn against the MUB laws,
+fetched and cumsummed once per run, and adds up each block's codes
+j*D + v.  A run has at most D(D+1) classes and memory that does not grow
+with M.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
 from . import gf2
 from .channels import ChannelModel, check_trace_preserving
-from .dense import DenseBackend, TwirlSpec, draw_outcomes
+from .dense import DenseBackend, TwirlSpec
 from .errors import CapacityError, ConfigError, DimensionMismatchError
 from .pauli import Pauli
 # substream is not called here; it stays importable as
 # twirltomo.seqpt.substream, a name outside tooling already uses.
 from .rng import (_cdf_table, _draw_outcome, check_int, check_real, check_seed,  # noqa: F401
-                  draw_batch, substream, substreams)
+                  substream, substreams)
 from .stabilizer import _key_to_pauli, _swap_halves, build_mub_family, outcome_shift
 
 #: realizations whose estimate clears the reporting threshold by fewer than
@@ -117,20 +121,26 @@ class SeqptConfig:
         if self.epsilon is not None:
             if not (0 < check_real("epsilon", self.epsilon) < 1):
                 raise ConfigError("epsilon must be in (0, 1)")
-            if self.shots < 1.0 / self.epsilon ** 2:
-                raise ConfigError(
-                    f"shots={self.shots} < 1/epsilon^2 = {1.0 / self.epsilon**2:.1f}")
+            # exact rationals: the float square of a tiny epsilon underflows to 0
+            square = Fraction(float(self.epsilon)) ** 2
+            if self.shots < 1 / square:
+                raise ConfigError(f"shots={self.shots} < 1/epsilon^2 = {_approx(1 / square)}")
         if self.delta is not None:
             if not (0 < check_real("delta", self.delta) < 1):
                 raise ConfigError("delta must be in (0, 1)")
-            need = math.log(2.0 / self.delta) / (2.0 * self.epsilon ** 2)
+            need = Fraction(math.log(2.0) - math.log(self.delta)) / (2 * square)
             if self.shots < need:
                 raise ConfigError(
-                    f"shots={self.shots} < ln(2/delta)/(2 epsilon^2) = {need:.1f}")
+                    f"shots={self.shots} < ln(2/delta)/(2 epsilon^2) = {_approx(need)}")
 
     def to_json_dict(self) -> dict:
         return {"shots": self.shots, "epsilon": self.epsilon, "delta": self.delta,
                 "variant": self.variant, "seed": self.seed}
+
+
+def _approx(value: Fraction) -> str:
+    """``value`` to six significant digits, also past the float range."""
+    return f"{Decimal(value.numerator) / value.denominator:.6g}"
 
 
 @dataclass(frozen=True)
@@ -141,8 +151,11 @@ class SelectiveEstimate:
     shots: int
 
 
-def _survival_stderr(rate: float, shots: int, dim: int) -> float:
-    return (dim + 1) / dim * math.sqrt(max(rate * (1.0 - rate), 0.0) / shots)
+def _chi_estimate(survived: int, shots: int, dim: int) -> tuple[float, float, float]:
+    """(survival rate, chi_hat, stderr) of ``survived`` of ``shots`` realizations."""
+    rate = survived / shots
+    return (rate, ((dim + 1) * rate - 1.0) / dim,
+            (dim + 1) / dim * math.sqrt(max(rate * (1.0 - rate), 0.0) / shots))
 
 
 def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
@@ -151,25 +164,17 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
 
     Each realization prepares a random MUB state (or a random Clifford image
     of |0..0>), applies the channel, the intermediary Pauli for ``label``,
-    undoes the preparation, and tests survival.
+    undoes the preparation, and tests survival (:meth:`TwirlSpec.sample`).
     """
-    backend = backend or DenseBackend()
-    backend.check_capacity(channel.n)
-    check_trace_preserving(channel)
-    p = _as_pauli(label, channel.n)
-    d = channel.dim
-    m_total = config.shots
     twirl = TwirlSpec("mub" if config.variant == "mub" else "clifford_full", channel.n)
-    ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
-    elements = twirl.elements(ints)
-    laws, rows = twirl.laws(backend, channel, elements)
-    # P relabels outcome v as v ^ shift, so outcome 0 survives with laws[row, shift]
-    stay = laws[rows, outcome_shift(twirl.z_keys(elements), p)]
-    rate = int((u[:, 0] < stay).sum()) / m_total
-    chi_hat = ((d + 1) * rate - 1.0) / d
-    return SelectiveEstimate(chi_hat=chi_hat,
-                             stderr=_survival_stderr(rate, m_total, d),
-                             survival_rate=rate, shots=m_total)
+    elements, outcomes = twirl.sample(backend or DenseBackend(), channel, config.seed,
+                                      config.shots)
+    # P relabels outcome v as v ^ shift, so a realization survives where it drew the shift
+    shift = outcome_shift(twirl.z_keys(elements), _as_pauli(label, channel.n))
+    rate, chi_hat, stderr = _chi_estimate(int((outcomes == shift).sum()), config.shots,
+                                          channel.dim)
+    return SelectiveEstimate(chi_hat=chi_hat, stderr=stderr, survival_rate=rate,
+                             shots=config.shots)
 
 
 def average_fidelity(channel: ChannelModel, config: SeqptConfig,
@@ -244,6 +249,8 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int, backend: Den
     rows whichever elements are drawn, so fetched and cumsummed once).
     Returns the count of each code j*D + v and the first realization with
     each code (``count`` where none has it)."""
+    backend.check_capacity(channel.n)
+    check_trace_preserving(channel)
     d = channel.dim
     laws, _ = TwirlSpec("mub", channel.n).laws(backend, channel, np.empty((0, 2), dtype=np.int64))
     cdfs = _cdf_table(laws)
@@ -342,8 +349,6 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         raise CapacityError(f"blind MUB runs are capped at 2**32 = {MUB_BLIND_MAX_SHOTS} "
                             f"realizations, got {config.shots}")
     backend = backend or DenseBackend()
-    backend.check_capacity(channel.n)
-    check_trace_preserving(channel)
     n = channel.n
     d = channel.dim
     m_total = config.shots
@@ -355,10 +360,8 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
         codes = seen[np.argsort(first[seen])]
         frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
     else:  # one group per realization; _discover merges equal classes
-        twirl = TwirlSpec("clifford_full", n)
-        ints, u = draw_batch(config.seed, 1, m_total, twirl.layout, 1)
-        tableaux = twirl.elements(ints)
-        outcomes = draw_outcomes(*twirl.laws(backend, channel, tableaux), u[:, 0])
+        tableaux, outcomes = TwirlSpec("clifford_full", n).sample(
+            backend, channel, config.seed, m_total)
         frames, sizes = tableaux.z, np.ones(m_total, dtype=np.int64)
     return _discover(n, config, frames, outcomes, sizes)
 
@@ -388,16 +391,11 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes) -> SeqptResu
     voted = [key for key, pair_count in votes.items() if pair_count >= 2]
     estimates: dict[str, LabelEstimate] = {}
     for key, compatible in zip(voted, _compatible_counts(class_rows, counts, voted)):
-        pair_count = votes[key]
-        rate = compatible / m_total
-        chi_hat = ((d + 1) * rate - 1.0) / d
-        if chi_hat < threshold:
-            continue
-        stderr = _survival_stderr(rate, m_total, d)
-        label = str(_key_to_pauli(key, n))
-        estimates[label] = LabelEstimate(
-            chi_hat=chi_hat, stderr=stderr, compatible_count=compatible,
-            pair_count=pair_count, borderline=chi_hat < threshold + SIGNIFICANCE_Z * stderr)
+        _, chi_hat, stderr = _chi_estimate(compatible, m_total, d)
+        if chi_hat >= threshold:
+            estimates[str(_key_to_pauli(key, n))] = LabelEstimate(
+                chi_hat=chi_hat, stderr=stderr, compatible_count=compatible,
+                pair_count=votes[key], borderline=chi_hat < threshold + SIGNIFICANCE_Z * stderr)
 
     total_pairs = m_total * (m_total - 1) // 2
     return SeqptResult(

@@ -277,6 +277,20 @@ def test_cli_seqpt_config_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [["--epsilon", "1e-300"], ["--epsilon", "5e-324"],
+                                   ["--epsilon", "1e-300", "--delta", "0.05"]])
+def test_cli_tiny_epsilon_rejected(tmp_path, capsys, extra):
+    """An epsilon whose float square underflows to 0 asks for more shots
+    than any run takes: exit code 2, an error naming the bound, and no
+    output directory."""
+    spec = write_spec(tmp_path, DEP_DOC)
+    out = tmp_path / "o"
+    assert main(["seqpt", "blind", "--spec", str(spec), "--out", str(out),
+                 "--shots", "100", *extra]) == 2
+    assert "1/epsilon^2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_local_twirl(tmp_path):
     spec = write_spec(tmp_path, DEP_DOC)
     out = tmp_path / "lt"

@@ -8,7 +8,7 @@ import pytest
 from conftest import (I_POWERS, battery, chi_channel, cnot_channel, dense_local_probs,
                       draw_outcome_reference, label_table, local_tables, mub_tables,
                       outcome_bits, random_cp_channel, transpose_map_channel)
-from twirltomo import channel_spec, dense, localtwirl, seqpt
+from twirltomo import channel_spec, dense, localtwirl
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import (ChannelModel, ChiMatrix, amplitude_damping_kraus,
                                 depolarizing_kraus, embed_kraus, gate_unitary,
@@ -17,7 +17,6 @@ from twirltomo.dense import (DenseBackend, TwirlSpec, enumerate_twirl_exact,
                              exact_chi_extraction, haar_moment_closed_form,
                              haar_twirl_moment, local_twirl_unitary)
 from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
-from twirltomo.localtwirl import _sample_local_batch
 from twirltomo.pauli import PAULI_1Q, Pauli
 from twirltomo.rng import _draw_outcome, draw_batch, master
 from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
@@ -72,8 +71,9 @@ def test_measure_deterministic_under_seed():
     plus = _ket_density([1, 1]) / 2
     assert _measure(plus, 1, master(7).random(50)) == _measure(plus, 1, master(7).random(50))
     ch = random_cp_channel(2, master(3))
-    a = _sample_local_batch(ch, 7, 200, DenseBackend())
-    b = _sample_local_batch(ch, 7, 200, DenseBackend())
+    twirl = TwirlSpec("local_clifford", 2)
+    a = twirl.sample(DenseBackend(), ch, 7, 200)
+    b = twirl.sample(DenseBackend(), ch, 7, 200)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -408,6 +408,33 @@ def test_backend_capacity():
     DenseBackend().check_capacity(6)
     with pytest.raises(CapacityError, match="capped at n=6, got 7"):
         DenseBackend().check_capacity(7)
+
+
+@pytest.mark.parametrize("run", [
+    lambda ch: estimate_chi_selective(ch, "I" * ch.n, SeqptConfig(shots=50, seed=1)),
+    lambda ch: estimate_chi_selective(ch, "I" * ch.n,
+                                      SeqptConfig(shots=50, variant="clifford", seed=1)),
+    lambda ch: run_blind_discovery(ch, SeqptConfig(shots=50, variant="clifford", seed=1)),
+    lambda ch: localtwirl.run_local_twirl(ch, localtwirl.LocalTwirlConfig(shots=50, seed=1)),
+], ids=["selective-mub", "selective-clifford", "blind-clifford", "local-twirl"])
+def test_refusals_come_before_any_draw(monkeypatch, run):
+    """The batched protocols refuse a map that is not trace preserving and
+    one past the dense cap (n = 7) in TwirlSpec.sample, before its one
+    draw_batch call, which a good map reaches."""
+    calls, draw = [], dense.draw_batch
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(dense, "draw_batch", counted)
+    with pytest.raises(ConfigError, match="not trace preserving"):
+        run(ChannelModel.from_kraus([np.sqrt(0.5) * np.eye(2)]))
+    with pytest.raises(CapacityError, match="capped at n=6, got 7"):
+        run(ChannelModel.identity(7))
+    assert not calls
+    run(ChannelModel.identity(1))
+    assert len(calls) == 1
 
 
 def _dense_clifford_probs(channel, clifford, intermediary=None):
@@ -956,7 +983,7 @@ def test_sampling_builds_tables_without_channel_applications(monkeypatch):
     monkeypatch.setattr(dense, "_transition_table", counted_table)
     ch = random_cp_channel(3, master(91))
     backend = DenseBackend()
-    digits, _ = _sample_local_batch(ch, 5, 2000, backend)
+    digits, _ = TwirlSpec("local_clifford", 3).sample(backend, ch, 5, 2000)
     assert sum(built) == len({tuple(r) for r in digits[:, :, 1].tolist()}) <= 27
     assert not applied
     built.clear()
@@ -1092,10 +1119,10 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
     grid = (np.arange(32) + 0.5) / 32
     ints = np.repeat(np.array(elements).reshape(len(elements), 2 * n), len(grid), axis=0)
     uniforms = np.tile(grid, len(elements))[:, None]
-    monkeypatch.setattr(localtwirl, "draw_batch", lambda *args: (ints, uniforms))
+    monkeypatch.setattr(dense, "draw_batch", lambda *args: (ints, uniforms))
     ch = random_cp_channel(n, master(97))
     backend = DenseBackend()
-    _, outcomes = _sample_local_batch(ch, 0, len(ints), backend)
+    _, outcomes = TwirlSpec("local_clifford", n).sample(backend, ch, 0, len(ints))
     want = [draw_outcome_reference(np.cumsum(backend.local_outcome_probs(ch, d)), u)
             for d in elements for u in grid]
     assert outcomes.tolist() == want
@@ -1285,10 +1312,11 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
     its single realization, local_outcome_probs and the exact enumeration of
     all three kinds read their laws through TwirlSpec.laws, of their own
     family: the backend's law source is only called from inside it, once
-    per TwirlSpec.laws call.  The samplers that draw a batch of outcomes do
-    it through draw_outcomes."""
+    per TwirlSpec.laws call.  The samplers that draw a batch of outcomes
+    (every one but blind MUB, selective estimation too) do it through one
+    draw_outcomes call."""
     reads, sourced, draws, depth = [], [], [], [0]
-    laws = TwirlSpec.laws
+    laws, draw = TwirlSpec.laws, dense.draw_outcomes
 
     def counted_laws(self, backend, channel, elements):
         reads.append(self.kind)
@@ -1307,19 +1335,19 @@ def test_every_law_is_read_through_twirl_spec_laws(monkeypatch):
 
     def counted_draws(*args):
         draws.append(1)
-        return dense.draw_outcomes(*args)
+        return draw(*args)
 
     monkeypatch.setattr(TwirlSpec, "laws", counted_laws)
     monkeypatch.setattr(DenseBackend, "laws", guarded(DenseBackend.laws))
+    monkeypatch.setattr(dense, "draw_outcomes", counted_draws)
     monkeypatch.setattr(localtwirl, "draw_outcomes", counted_draws)
-    monkeypatch.setattr(seqpt, "draw_outcomes", counted_draws)
     ch = random_cp_channel(2, master(120), n_kraus=2)
     backend = DenseBackend()
     mub, clifford = SeqptConfig(shots=60, seed=1), SeqptConfig(shots=60, variant="clifford", seed=1)
     p = Pauli.from_string("XZ")
     runs = [
-        ("selective mub", "mub", 0, lambda: estimate_chi_selective(ch, p, mub, backend)),
-        ("selective clifford", "clifford_full", 0,
+        ("selective mub", "mub", 1, lambda: estimate_chi_selective(ch, p, mub, backend)),
+        ("selective clifford", "clifford_full", 1,
          lambda: estimate_chi_selective(ch, p, clifford, backend)),
         ("blind mub", "mub", 0, lambda: run_blind_discovery(ch, mub, backend)),
         ("blind clifford", "clifford_full", 1, lambda: run_blind_discovery(ch, clifford, backend)),

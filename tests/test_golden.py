@@ -125,7 +125,7 @@ GOLDEN = {
     "exact-chi-n2":
         "787f53f8e01f442b2df32625fe1f8f1230dbab6f305dd6c4ed3cf01aeb24bb89",
     "select-mub-n2":
-        "6c9ceed0581d4a5194dc4e6e3f82ac1e2985a8d70580bfd4a19da3694d6fa4a3",
+        "f7991f48df8c243df63b2b0465c35c84e5765c1ff884c6bdfc626d2953fe146e",
     "select-clifford-n2":
         "bc2fb7ca8aa06fbe4caff2cfd19a3271271b81bdaf4a6f3a0c0f332031651e99",
     "blind-mub-n1":
@@ -155,7 +155,7 @@ GOLDEN = {
     "haar-verify":
         "423f5eb262490eb2622b2979c577597a7c38d5978efa9145190dc9ee474b0068",
     "noisy-cnot-select-clifford-n3":
-        "dded64afbe4a2c188a485fbda02ec45c27a0a896a5a40f469c822f0450494803",
+        "1accd464f203c9ebaf14f00fbb3bee5c349bcc729dfc5d3c4a7ef0ef46eedd9b",
     "noisy-cnot-blind-mub-n3":
         "06c001e7c8d18572fad69a9da0349f655013d11553ab7a2f3acd05ae7fea43c1",
     "noisy-cnot-blind-clifford-n3":
@@ -176,7 +176,7 @@ OUTPUT_GOLDEN = {
     "exact-chi-n2":
         "2de008464e8b8eac21c73ec90e0f86eb80fa740775fb49d7486fe7f3e59130b5",
     "select-mub-n2":
-        "938d27e347ab8bb432c110e57be24197d715fdbb19a43f046b80ac2fd3d680f7",
+        "79ddd2ff9236c1acab0d1bbbe622cbf9f0ffa0ec3c2e2d51404339872829ceae",
     "select-clifford-n2":
         "2cf1605527aeab28afaeebdca54d25da7d43b15b8419a7fbbb3e2953ff783cbd",
     "blind-mub-n1":
@@ -206,7 +206,7 @@ OUTPUT_GOLDEN = {
     "haar-verify":
         "37a92a8d80bada610a1daf059bb770ca66f1bfdce46072def66dec1f2e0ba202",
     "noisy-cnot-select-clifford-n3":
-        "aba0079bcfd948e3cfb8cca0e361f70121d51afa9397d2af6c87d8814dfdf0e6",
+        "ca7d40680bedf18e17254c41b2b719321a182bd98dfa76b6f591c457312c520a",
     "noisy-cnot-blind-mub-n3":
         "5cc7bfa23c3e03e713e1791a280181eca3bc91a3ebc6fa2eafa158d4a5ff2185",
     "noisy-cnot-blind-clifford-n3":

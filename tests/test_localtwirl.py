@@ -17,8 +17,7 @@ from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, coarse_grain, depolarizing_kraus
 from twirltomo.dense import DenseBackend, TwirlSpec, enumerate_twirl_exact
 from twirltomo.errors import CapacityError, ConfigError
-from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig,
-                                  _sample_local_batch, _supports_upto,
+from twirltomo.localtwirl import (HammingStatistics, LocalTwirlConfig, _supports_upto,
                                   amplification_factors, c1t_fidelity,
                                   choose_cutoff, r_matrix,
                                   run_local_twirl, sample_c1t_realization,
@@ -371,7 +370,7 @@ def test_local_batch_outcomes_follow_exact_laws(n, shots):
     when a cell of probability zero is drawn."""
     channel = random_cp_channel(n, master(700 + n), n_kraus=2)
     backend = DenseBackend()
-    digits, outcomes = _sample_local_batch(channel, 19, shots, backend)
+    digits, outcomes = TwirlSpec("local_clifford", n).sample(backend, channel, 19, shots)
     d = channel.dim
     places = np.arange(n - 1, -1, -1)
     codes = digits[:, :, 1] @ 3 ** places
@@ -612,7 +611,8 @@ def test_run_counts_equal_from_outcomes(n):
     histograms."""
     channel = random_cp_channel(n, master(720 + n), n_kraus=2)
     config = LocalTwirlConfig(shots=3000, seed=8)
-    _, outcomes = _sample_local_batch(channel, config.seed, config.shots, DenseBackend())
+    _, outcomes = TwirlSpec("local_clifford", n).sample(DenseBackend(), channel, config.seed,
+                                                        config.shots)
     want = HammingStatistics.from_outcomes(
         n, (outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     got = run_local_twirl(channel, config).statistics

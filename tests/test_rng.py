@@ -11,8 +11,7 @@ from twirltomo import dense, rng
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.errors import ConfigError
 from twirltomo.dense import DenseBackend, TwirlSpec
-from twirltomo.localtwirl import (LocalTwirlConfig, _sample_local_batch,
-                                  run_local_twirl, sample_c1t_realization)
+from twirltomo.localtwirl import LocalTwirlConfig, run_local_twirl, sample_c1t_realization
 from twirltomo.rng import draw_batch, substream, substream_words, substreams
 from twirltomo.seqpt import SeqptConfig, estimate_chi_selective, run_blind_discovery
 from twirltomo.stabilizer import sample_clifford_uniform
@@ -224,7 +223,7 @@ def test_local_batch_realization_equals_scalar(name, channel):
     (dense._fidelity_table)."""
     seed, count = 23, 300
     backend = DenseBackend()
-    digits, outcomes = _sample_local_batch(channel, seed, count, backend)
+    digits, outcomes = TwirlSpec("local_clifford", channel.n).sample(backend, channel, seed, count)
     n = channel.n
     for i in range(count):
         rec = sample_c1t_realization(channel, substream(seed, 1 + i), backend)
@@ -241,7 +240,7 @@ def test_local_batch_blocks_equal_one_pass():
     channel = random_cp_channel(3, np.random.default_rng(43), n_kraus=2)
     seed, count = 31, 2000
     backend = DenseBackend()
-    digits, outcomes = _sample_local_batch(channel, seed, count, backend)
+    digits, outcomes = TwirlSpec("local_clifford", channel.n).sample(backend, channel, seed, count)
     twirl = TwirlSpec("local_clifford", channel.n)
     laws, rows = twirl.laws(backend, channel, digits)
     u = draw_batch(seed, 1, count, twirl.layout, 1)[1][:, 0]

@@ -11,7 +11,7 @@ from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import ConfigError, DimensionMismatchError
-from twirltomo.pauli import Pauli
+from twirltomo.pauli import Pauli, commutes
 from twirltomo import dense, gf2, seqpt
 from twirltomo.rng import _draw_outcome, draw_batch, substream
 from twirltomo.seqpt import (SeqptConfig, _constraint_classes, _discover,
@@ -19,8 +19,8 @@ from twirltomo.seqpt import (SeqptConfig, _constraint_classes, _discover,
                              compare_variants,
                              estimate_chi_selective, frames_independent_probability,
                              run_blind_discovery, success_probability)
-from twirltomo.stabilizer import (Tableaux, build_mub_family, clifford_bounds, grow_cliffords,
-                                  sample_clifford_uniform)
+from twirltomo.stabilizer import (Tableaux, _key_to_pauli, build_mub_family, clifford_bounds,
+                                  grow_cliffords, sample_clifford_uniform)
 
 def test_config_sampling_bounds():
     with pytest.raises(ConfigError):
@@ -63,22 +63,34 @@ def test_config_rejects_delta_that_is_not_a_finite_number(value):
     assert SeqptConfig(shots=10 ** 6, epsilon=0.01, delta=np.float64(0.05)).delta == 0.05
 
 
+def _survives(p: Pauli, z_images, law, u) -> bool:
+    """Whether a realization with intermediary ``p`` survives: the outcome v
+    that ``u`` draws from the element's own ``law`` (conftest's
+    draw_outcome_reference) is p's syndrome against the element's Z-images,
+    bit n - 1 - k set where p anticommutes with Z-image k."""
+    n = p.n
+    shift = sum((not commutes(p, q)) << (n - 1 - k) for k, q in enumerate(z_images))
+    return draw_outcome_reference(np.cumsum(law), u) == shift
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_selective_mub_matches_per_realization_draws(n):
     """The batched MUB draws give the survival count of the per-realization
-    loop: basis j, state m, then one uniform from substream(seed, 1 + i)."""
+    loop: basis j, state m, then one uniform from substream(seed, 1 + i),
+    whose outcome is drawn and tested against the label's shift."""
     channel = random_cp_channel(n, np.random.default_rng(60 + n))  # survival varies with m
     backend = DenseBackend()
     label = "X" + "I" * (n - 1)
+    p = Pauli.from_string(label)
     cfg = SeqptConfig(shots=3000, seed=41)
     d = 1 << n
-    tables = [backend.mub_transition_probs(channel, j, Pauli.from_string(label))
-              for j in range(d + 1)]
+    tables = [backend.mub_transition_probs(channel, j) for j in range(d + 1)]
+    frames = [[_key_to_pauli(int(k), n) for k in z] for z in build_mub_family(n).z]
     survived = 0
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
         j, m = int(g.integers(0, d + 1)), int(g.integers(0, d))
-        survived += g.random() < tables[j][m, 0]
+        survived += _survives(p, frames[j], tables[j][m], g.random())
     est = estimate_chi_selective(channel, label, cfg, backend)
     assert est.survival_rate == survived / cfg.shots
 
@@ -87,8 +99,9 @@ def test_selective_mub_matches_per_realization_draws(n):
 def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
     """The batched Clifford draws give the survival count of the
     per-realization loop: one uniform Clifford, then one uniform, from
-    substream(seed, 1 + i), tested against its own law; also with the laws
-    computed one element per pass."""
+    substream(seed, 1 + i), whose outcome is drawn from the Clifford's own
+    law and tested against the label's shift; also with the laws computed
+    one element per pass."""
     channel = random_cp_channel(n, np.random.default_rng(70 + n))
     backend = DenseBackend()
     label = Pauli.from_string("Y" + "I" * (n - 1))
@@ -96,9 +109,9 @@ def test_selective_clifford_matches_per_realization_draws(monkeypatch, n):
     survived = 0
     for i in range(cfg.shots):
         g = substream(cfg.seed, 1 + i)
-        one = Tableaux.of([sample_clifford_uniform(n, g)])
-        probs = dense._shift_outcomes(backend.clifford_outcome_probs(channel, one), one.z, label)
-        survived += g.random() < probs[0, 0]
+        c = sample_clifford_uniform(n, g)
+        law = backend.clifford_outcome_probs(channel, Tableaux.of([c]))[0]
+        survived += _survives(label, c.z_images, law, g.random())
     est = estimate_chi_selective(channel, label, cfg, backend)
     assert est.survival_rate == survived / cfg.shots
     monkeypatch.setattr(dense, "_TABLE_BLOCK", 1)
@@ -389,6 +402,51 @@ def test_non_trace_preserving_map_rejected(variant, mode):
             estimate_chi_selective(leaky, "I", cfg)
         else:
             run_blind_discovery(leaky, cfg)
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 5e-324, np.float64(1e-300)])
+@pytest.mark.parametrize("delta", [None, 0.05, 5e-324])
+def test_config_rejects_epsilon_whose_square_underflows(epsilon, delta):
+    """1/epsilon^2 is past the float range where epsilon^2 underflows to 0:
+    the bound is compared exactly and refuses every shot count a run takes,
+    with ConfigError, not a ZeroDivisionError; just above the bound passes."""
+    with pytest.raises(ConfigError, match=re.escape("1/epsilon^2 = ")):
+        SeqptConfig(shots=10 ** 9, epsilon=epsilon, delta=delta)
+    assert SeqptConfig(shots=10 ** 601, epsilon=1e-300).shots == 10 ** 601
+    with pytest.raises(ConfigError, match=re.escape("ln(2/delta)/(2 epsilon^2) = ")):
+        SeqptConfig(shots=10 ** 601, epsilon=1e-300, delta=1e-300)
+
+
+def _spec_channel(n: int, noise: str):
+    """H on qubit 1, CNOT(1, 2) from n = 2, then ``noise`` of strength 0.2
+    on every qubit: a Pauli-form spec for depolarizing noise, a Kraus map
+    for amplitude damping."""
+    build = [{"named_gate": "H", "qubits": [1]}]
+    if n > 1:
+        build.append({"named_gate": "CNOT", "qubits": [1, 2]})
+    build.append({"noise": noise, "strength": 0.2, "qubits": list(range(1, n + 1))})
+    return build_channel(parse_channel_document({"name": noise, "n": n, "build": build}))
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("noise", ["depolarizing", "amplitude_damping"])
+def test_selective_is_the_blind_run_read_at_one_label(variant, n, noise):
+    """Selective estimation and blind discovery read one experiment: for
+    every label a blind run reports, the selective run of the same config
+    survives exactly compatible_count times, with the same chi_hat and
+    stderr floats."""
+    channel = _spec_channel(n, noise)
+    assert (channel._pauli_form is None) == (noise == "amplitude_damping")
+    cfg = SeqptConfig(shots=400, variant=variant, seed=5)
+    backend = DenseBackend()
+    blind = run_blind_discovery(channel, cfg, backend)
+    assert blind.estimates
+    for label, want in blind.estimates.items():
+        got = estimate_chi_selective(channel, label, cfg, backend)
+        # k / M differs for each integer k <= M, so this is a count equality
+        assert got.survival_rate == want.compatible_count / cfg.shots, label
+        assert (got.chi_hat, got.stderr) == (want.chi_hat, want.stderr), label
 
 
 def test_selective_identity():
