@@ -88,14 +88,14 @@ def _validate_layer(layer, i: int, n: int):
     kind = kinds[0]
     if kind == "named_gate":
         gate = layer["named_gate"]
-        if gate not in GATES:
+        if not isinstance(gate, str) or gate not in GATES:
             raise SpecValidationError(f"{path}.named_gate",
                                       f"unknown gate {gate!r} (known: {sorted(GATES)})")
         _validate_qubits(layer.get("qubits"), f"{path}.qubits", n,
                          exactly=len(GATES[gate]) // 2)
     elif kind == "noise":
         noise = layer["noise"]
-        if noise not in _NOISE_BUILDERS:
+        if not isinstance(noise, str) or noise not in _NOISE_BUILDERS:
             raise SpecValidationError(f"{path}.noise",
                                       f"unknown noise {noise!r} (known: {sorted(_NOISE_BUILDERS)})")
         strength = layer.get("strength")

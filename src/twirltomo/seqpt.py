@@ -23,7 +23,8 @@ solution frame, a particular key and n nullspace keys
 (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the n x n
 system of class j's rows in class i's frame, and the pairs run in
 row-major blocks of ``_PAIR_BLOCK``, each solved by one
-:func:`twirltomo.gf2.solve_unique_batch` call.
+:func:`twirltomo.gf2.solve_unique_batch` call, a swap-free elimination
+on the system-row-major transpose of the block.
 
 Blind MUB is the one sampler off :meth:`~twirltomo.dense.TwirlSpec.sample`
 until it moves onto it: it keeps its per-realization ``substreams`` loop,
@@ -73,10 +74,11 @@ MUB_BLIND_MAX_SHOTS = 1 << 32
 _MUB_BLOCK = 1 << 13
 
 #: class pairs solved per block of the pair analysis, which bounds its
-#: Python peak.  On the class sets of clifford-blind runs (M = 10^3) 2^11
-#: ran the pass 14% faster (29 against 33 ms at n = 3, 195 against 223 ms
-#: at n = 4) but lifted the blind Clifford memory test to 0.75 and
-#: 1.22 MiB, past its 0.65 and 1.1 MiB bounds; 2^13 ran no faster than 2^11.
+#: Python peak.  On the class sets of clifford-blind runs (M = 10^3), with
+#: the earlier row-swapping kernel, 2^11 ran the pass 14% faster (29 against
+#: 33 ms at n = 3, 195 against 223 ms at n = 4) but lifted the blind
+#: Clifford memory test to 0.75 and 1.22 MiB, past its 0.65 and 1.1 MiB
+#: bounds; 2^13 ran no faster than 2^11.
 _PAIR_BLOCK = 1 << 10
 
 #: (key, class) entries per block of the compatibility count of the voted
@@ -165,12 +167,18 @@ def estimate_chi_selective(channel: ChannelModel, label, config: SeqptConfig,
     Each realization prepares a random MUB state (or a random Clifford image
     of |0..0>), applies the channel, the intermediary Pauli for ``label``,
     undoes the preparation, and tests survival (:meth:`TwirlSpec.sample`).
+    A map past the cap, a map that is not trace preserving and a label that
+    is not a Pauli on the channel's qubits are refused, in that order,
+    before any draw.
     """
     twirl = TwirlSpec("mub" if config.variant == "mub" else "clifford_full", channel.n)
-    elements, outcomes = twirl.sample(backend or DenseBackend(), channel, config.seed,
-                                      config.shots)
+    backend = backend or DenseBackend()
+    backend.check_capacity(channel.n)
+    check_trace_preserving(channel)
+    pauli = _as_pauli(label, channel.n)
+    elements, outcomes = twirl.sample(backend, channel, config.seed, config.shots)
     # P relabels outcome v as v ^ shift, so a realization survives where it drew the shift
-    shift = outcome_shift(twirl.z_keys(elements), _as_pauli(label, channel.n))
+    shift = outcome_shift(twirl.z_keys(elements), pauli)
     rate, chi_hat, stderr = _chi_estimate(int((outcomes == shift).sum()), config.shots,
                                           channel.dim)
     return SelectiveEstimate(chi_hat=chi_hat, stderr=stderr, survival_rate=rate,
@@ -297,11 +305,15 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     n x n system; the pair is usable exactly when M is invertible, and then
     votes for p_i ^ sum_b y_b N_i^b.  Each frame is kept in augmented form,
     (p_i << 1) | 1 then N_i^b << 1, so that column c of the system is the
-    parity of class j's augmented rows against frame entry c."""
+    parity of class j's augmented rows against frame entry c.  A block
+    works on the transposes, one length-P array per frame entry, class row
+    and system row: it gathers its (n + 1, P) frames and (n, P) rows, builds
+    the (n, P) system in one parity pass per frame entry, hands its
+    transpose to the kernel and adds up the voted keys one nullspace key at
+    a time."""
     n_classes = len(class_rows)
     particular, basis = gf2.solve_affine_batch(class_rows, 2 * n)
     frames = np.concatenate((((particular << _ONE) | _ONE)[:, None], basis << _ONE), axis=1)
-    bits = np.arange(n)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
     stop = n_classes * (n_classes - 1) // 2
@@ -313,19 +325,21 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
         flat = np.arange(lo, min(lo + _PAIR_BLOCK, stop))
         i = np.searchsorted(starts, flat, side="right") - 1
         j = flat - starts[i] + i + 1
-        frame, rows = frames[i], class_rows[j]
+        frame, rows = frames.T[:, i], class_rows.T[:, j]
         system = np.zeros(rows.shape, dtype=np.uint64)
-        for c in range(n + 1):  # one parity column at a time keeps the block small
-            parity = np.bitwise_count(rows & frame[:, c, None]) & 1
+        for c in range(n + 1):  # one parity pass per frame entry
+            parity = np.bitwise_count(rows & frame[c]) & 1
             system |= parity.astype(np.uint64) << np.uint64(c)
-        y = gf2.solve_unique_batch(system, n)
+        y = gf2.solve_unique_batch(system.T, n)
         npairs = counts[i] * counts[j]
-        usable = y >= 0
-        frame = frame[usable]
-        picked = ((y[usable, None] >> bits) & 1).astype(np.uint64)
-        keys = (frame[:, 0] ^ np.bitwise_xor.reduce(frame[:, 1:] * picked, axis=1)) >> _ONE
+        usable = np.flatnonzero(y >= 0)
+        frame, y = frame[:, usable], y[usable].astype(np.uint64)
+        keys = frame[0]
+        for b in range(n):  # add in nullspace key b where bit b of y is set
+            keys ^= frame[b + 1] * ((y >> np.uint64(b)) & _ONE)
+        keys >>= _ONE
         np.add.at(weight, keys, npairs[usable])
-        np.minimum.at(first, keys, lo + np.flatnonzero(usable))
+        np.minimum.at(first, keys, lo + usable)
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
     return dict(zip(order.tolist(), weight[order].tolist()))
 

@@ -214,6 +214,24 @@ def test_cli_seqpt_select_label_length(tmp_path, capsys, variant, label):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_cli_seqpt_select_checks_the_label_before_drawing(tmp_path, monkeypatch, capsys,
+                                                          variant):
+    """--label XX on a 3-qubit spec exits with code 2, one error line and
+    nothing written, before any of its 300,000 realizations is drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("realizations drawn before the label was checked")
+
+    monkeypatch.setattr(dense.TwirlSpec, "sample", refuse)
+    spec = write_spec(tmp_path, {"name": "noisy-cnot", "n": 3, "build": NOISY_CNOT})
+    out = tmp_path / "o"
+    assert main(["seqpt", "select", "--spec", str(spec), "--out", str(out), "--shots",
+                 "300000", "--variant", variant, "--label", "XX"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: label XX acts on 2 qubits, the channel on 3\n", err
+    assert not out.exists()
+
+
 def test_cli_seqpt_select_keys_a_phased_label_by_its_pauli(tmp_path):
     """The selective estimate does not see a label's phase: --label -XZI
     and iXZI write the results.json of --label XZI byte for byte, keyed
@@ -503,6 +521,23 @@ def test_cli_rejects_bools_as_numbers(tmp_path, capsys, doc, field):
     assert main(["exact-chi", "--spec", str(write_spec(tmp_path, doc)),
                  "--out", str(out)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layer, field", [
+    ({"named_gate": ["CNOT"], "qubits": [1, 2]}, "build[0].named_gate"),
+    ({"noise": {"a": 1}, "strength": 0.1, "qubits": [1]}, "build[0].noise"),
+])
+def test_cli_rejects_unhashable_gate_and_noise_names(tmp_path, capsys, layer, field):
+    """A gate or noise name given as a JSON array or object is refused as
+    an unknown name (exit 2, one error line, nothing written), not looked
+    up in the name tables, where it raised TypeError."""
+    doc = {"name": "b", "n": 2, "build": [layer]}
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(write_spec(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: unknown ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -205,6 +205,51 @@ def test_solve_unique_batch_random_systems():
         gf2.solve_unique_batch(np.zeros((2, 3), dtype=np.uint64), 4)
 
 
+def _assert_solves_like_python(rows, width):
+    got = gf2.solve_unique_batch(rows, width)
+    want = [_solve_unique_python([int(v) for v in r], width) for r in np.asarray(rows)]
+    assert got.dtype == np.int64 and got.shape == (len(rows),)
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+def test_solve_unique_batch_edge_cases():
+    """The swap-free elimination against the Python-int path on an empty
+    batch, width 1, rows whose pivot only a lower row supplies, systems of
+    every rank below full, and inputs that are not C-contiguous, which it
+    leaves unchanged."""
+    rng = np.random.default_rng(6)
+    for width in (1, 3, 6):
+        assert _assert_solves_like_python(np.zeros((0, width), np.uint64), width).size == 0
+    # width 1: every augmented row, 0 = 0, 0 = 1, v = 0 and v = 1
+    assert _assert_solves_like_python(np.arange(4, dtype=np.uint64)[:, None], 1).tolist() \
+        == [-1, -1, 0, 1]
+    for width in range(2, 9):
+        # row k holds coefficient bit k: row 0 lacks the top pivot, and only
+        # the last row has it
+        anti = (np.uint64(2) << np.arange(width, dtype=np.uint64))
+        rhs = rng.integers(0, 2, size=(20, width), dtype=np.uint64)
+        assert (_assert_solves_like_python(anti | rhs, width) >= 0).all()
+        # random systems whose top coefficient bit only the last row holds
+        rows = rng.integers(0, 1 << (width + 1), size=(400, width), dtype=np.uint64)
+        moved = rows & np.uint64((1 << width) - 1)
+        moved[:, -1] |= np.uint64(1 << width)
+        assert (_assert_solves_like_python(moved, width) >= 0).any()
+        # rank deficient: a zero row, a repeated row (either rhs), and past
+        # width 2 a row the sum of two others
+        rank_low = rows[:30 if width > 2 else 20].copy()
+        rank_low[:10, 0] = rng.integers(0, 2, size=10, dtype=np.uint64)
+        rank_low[10:20, -1] = rank_low[10:20, 0] ^ rng.integers(0, 2, size=10, dtype=np.uint64)
+        rank_low[20:, -1] = rank_low[20:, 0] ^ rank_low[20:, 1]
+        assert (_assert_solves_like_python(rank_low, width) == -1).all()
+        # a transposed copy and a strided view, neither C-contiguous
+        for view in (np.ascontiguousarray(rows.T).T, rows[::3]):
+            kept = view.copy()
+            assert not view.flags.c_contiguous
+            _assert_solves_like_python(view, width)
+            np.testing.assert_array_equal(view, kept)
+
+
 def test_membership_counts(monkeypatch):
     """Each reported compatible_count equals the number of realizations
     whose frame signs admit the label, counted group by group over the

@@ -10,7 +10,7 @@ from conftest import (cnot_channel, draw_outcome_reference, mixed_z1_channel,
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
-from twirltomo.errors import ConfigError, DimensionMismatchError
+from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli, commutes
 from twirltomo import dense, gf2, seqpt
 from twirltomo.rng import _draw_outcome, draw_batch, substream
@@ -316,6 +316,29 @@ def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
     assert len(results[0]) > 1 and results[-1] == {}
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_pair_pass_on_benchmark_class_sets(monkeypatch, seed):
+    """On the class sets of blind Clifford runs shaped as the clifford-blind
+    benchmark (n = 3, M = 10^3), the pair pass gives the votes of the 2n x 2n
+    pass, key for key and in the same order, in the default blocks."""
+    seen, pair_votes = [], seqpt._pair_votes
+
+    def spy(n, class_rows, counts):
+        votes = pair_votes(n, class_rows, counts)
+        seen.append((class_rows, counts, votes))
+        return votes
+
+    monkeypatch.setattr(seqpt, "_pair_votes", spy)
+    channel = build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": 3,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=seed))
+    (class_rows, counts, votes), = seen
+    assert len(class_rows) > 300
+    assert list(votes.items()) == list(_pair_votes_2n(3, class_rows, counts).items())
+
+
 @pytest.mark.parametrize("block", [7, seqpt._KEY_BLOCK])
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -373,7 +396,8 @@ def test_blind_clifford_memory_budget(n, budget_mib):
     about ``dense._FIDELITY_BLOCK`` entries that each find their own
     syndromes (0.58 and 0.89 MiB; syndromes of the whole stack peaked at
     0.65 and 1.16 MiB), and the constraint classes come from
-    (groups, 2n + 1) arrays."""
+    (groups, 2n + 1) arrays.  The swap-free pair kernel leaves the peaks at
+    0.58 and 0.90 MiB; the pair pass alone peaks at 0.49 MiB at n = 5."""
     channel = build_channel(parse_channel_document(
         {"name": "noisy-cnot", "n": n,
          "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
@@ -644,6 +668,33 @@ def test_selective_label_length_checked(variant, label):
     for form in (label, Pauli.from_string(label)):
         with pytest.raises(DimensionMismatchError, match="qubits, the channel on 2"):
             estimate_chi_selective(cnot_channel(), form, cfg)
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_selective_label_checked_before_any_draw(monkeypatch, variant):
+    """A label that names no Pauli on the channel's qubits is refused before
+    ``TwirlSpec.sample`` draws a realization, and after the capacity and
+    trace-preservation checks: a capped backend and a leaky map still
+    report those first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("realizations drawn before the label was checked")
+
+    class Capped(DenseBackend):
+        @staticmethod
+        def check_capacity(n):
+            raise CapacityError("capped")
+
+    monkeypatch.setattr(dense.TwirlSpec, "sample", refuse)
+    cfg = SeqptConfig(shots=300000, variant=variant, seed=1)
+    leaky = ChannelModel.from_kraus([np.sqrt(0.5) * np.eye(2)])
+    with pytest.raises(DimensionMismatchError, match="acts on 3 qubits, the channel on 2"):
+        estimate_chi_selective(cnot_channel(), "XXX", cfg)
+    with pytest.raises(ConfigError, match="1.5"):
+        estimate_chi_selective(cnot_channel(), 1.5, cfg)
+    with pytest.raises(ConfigError, match="trace-preserving"):
+        estimate_chi_selective(leaky, "XX", cfg)
+    with pytest.raises(CapacityError, match="capped"):
+        estimate_chi_selective(leaky, "XX", cfg, Capped())
 
 
 # ---------------------------------------------------------------------------
