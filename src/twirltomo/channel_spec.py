@@ -16,8 +16,10 @@ Layers compose in order (first layer acts first).  Qubit indices are
 1-based in documents; complex numbers are [re, im] pairs.  A noise layer
 applies the named single-qubit channel independently to each listed qubit.
 Validation failures raise :class:`SpecValidationError` naming the offending
-field.  JSON ``true`` and ``false`` are not numbers here.  A composed map
-with an infinite or NaN entry in its Kraus operators, or in their sum of
+field; a ``kraus`` layer in a document past the dense cap raises
+:class:`~twirltomo.errors.CapacityError` before its matrices are read.
+JSON ``true`` and ``false`` are not numbers here.  A composed map with an
+infinite or NaN entry in its Kraus operators, or in their sum of
 K^dag K, is refused (field ``build``); a spec with a Pauli form (below)
 is checked on its fidelities instead.  A composition that fails the
 trace-preservation check is reported through the ``warnings`` list rather
@@ -35,9 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import (ChannelModel, _operator_sum, amplitude_damping_kraus,
-                       bit_flip_kraus, compose, depolarizing_kraus, embed_kraus,
-                       gate_unitary, phase_flip_kraus)
+from .channels import (ChannelModel, _check_dense_cap, _operator_sum,
+                       amplitude_damping_kraus, bit_flip_kraus, compose, depolarizing_kraus,
+                       embed_kraus, gate_unitary, phase_flip_kraus)
 from .errors import SpecValidationError
 from .pauli import PAULI_1Q
 from .stabilizer import GATES, gate_tableau
@@ -106,6 +108,7 @@ def _validate_layer(layer, i: int, n: int):
         ops = layer["kraus"]
         if not isinstance(ops, list) or not ops:
             raise SpecValidationError(f"{path}.kraus", "must be a nonempty list of matrices")
+        _check_dense_cap(n)  # before 1 << n, which a huge n cannot afford
         d = 1 << n
         for k, op in enumerate(ops):
             try:

@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, MemoryError) as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

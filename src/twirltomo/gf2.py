@@ -6,11 +6,11 @@ They are exact and allocation-light.  The batched routines work on many
 small systems at once, on uint64 rows in numpy: :func:`rref_batch` gives
 the constraint classes of blind discovery, :func:`solve_affine_batch`
 reads each class's solution frame (a particular key and a nullspace basis)
-off its reduced rows, :func:`solve_unique_batch` solves the n x n system
-of each class pair in that frame (Gauss-Jordan elimination with no pivot
-search and no row swap, on arrays that hold one system row for every
-system), and :func:`_gj_insert` grows uniform Cliffords.  The scalar
-:func:`solve_affine` is the tests' reference for the batched frames.
+off its reduced rows, and :func:`_gj_insert` grows uniform Cliffords.
+The scalar :func:`solve_affine` is the tests' reference for the batched
+frames.  The n x n system of each class pair in such a frame is solved
+bit-sliced, 8 pairs per byte, inside the pair pass of
+:mod:`twirltomo.seqpt`.
 """
 from __future__ import annotations
 
@@ -137,43 +137,3 @@ def solve_affine_batch(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(r):  # pivot coordinate of row k = its bit at each free coordinate
         basis |= ((rows[:, k, None] >> (cols + _ONE)) & _ONE) << top[:, k, None]
     return particular, basis
-
-
-def solve_unique_batch(rows, width: int) -> np.ndarray:
-    """Unique solution of each of P stacked square affine systems, or -1.
-
-    ``rows`` is a (P, width) array holding one system per row, in the
-    augmented form of :func:`solve_affine`: bit 0 is the rhs and bits
-    1..width are the coefficients.  Entry p of the result is the solution v
-    of system p when its rank is ``width`` (a square system of full rank is
-    always consistent), and -1 otherwise.
-
-    Gauss-Jordan elimination runs over the ``width`` columns for all P
-    systems at once, on the (width, P) transpose, so that each system row is
-    one contiguous length-P array, with no pivot search and no row swap:
-    row k, where it lacks the pivot bit of column k, XORs in the first lower
-    row that has it, and every other row then clears the column with row k.
-    A system is solved when each of its rows found a pivot.
-    """
-    rows = np.asarray(rows, dtype=np.uint64)
-    p, m = rows.shape
-    if m != width:
-        raise ValueError(f"need {width} rows per system, got {m}")
-    aug = rows.T.copy()
-    ok = np.ones(p, dtype=bool)
-    for k in range(width):
-        col = np.uint64(width - k)  # coefficient bit width-1-k, pivot of row k
-        need = ((aug[k] >> col) & _ONE) ^ _ONE
-        for r in range(k + 1, width):  # the first lower row with the bit wins
-            take = need & (aug[r] >> col)
-            aug[k] ^= take * aug[r]
-            need ^= take
-        ok &= need == 0
-        bit = aug >> col
-        bit &= _ONE
-        bit[k] = 0
-        bit *= aug[k]
-        aug ^= bit
-    weights = np.left_shift(1, np.arange(width - 1, -1, -1), dtype=np.int64)
-    key = weights @ (aug & _ONE).astype(np.int64)
-    return np.where(ok, key, -1)

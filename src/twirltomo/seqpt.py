@@ -21,10 +21,10 @@ at a cost quadratic in the number of classes; a run keeps its class counts
 and estimates, not its realizations.  Each class is reduced once to its
 solution frame, a particular key and n nullspace keys
 (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the n x n
-system of class j's rows in class i's frame, and the pairs run in
-row-major blocks of ``_PAIR_BLOCK``, each solved by one
-:func:`twirltomo.gf2.solve_unique_batch` call, a swap-free elimination
-on the system-row-major transpose of the block.
+system of class j's rows in class i's frame.  The pairs run in bands of
+whole rows of the pair triangle: float32 Gram products of 0/1 bits give
+every entry of a band's systems, packed 8 pairs per byte and solved there
+by a swap-free Gauss-Jordan elimination.
 
 Blind MUB is the one sampler off :meth:`~twirltomo.dense.TwirlSpec.sample`
 until it moves onto it: it keeps its per-realization ``substreams`` loop,
@@ -73,13 +73,14 @@ MUB_BLIND_MAX_SHOTS = 1 << 32
 #: against 44.70 and 44.77 MiB at 2^13 on the same seeds).
 _MUB_BLOCK = 1 << 13
 
-#: class pairs solved per block of the pair analysis, which bounds its
-#: Python peak.  On the class sets of clifford-blind runs (M = 10^3), with
-#: the earlier row-swapping kernel, 2^11 ran the pass 14% faster (29 against
-#: 33 ms at n = 3, 195 against 223 ms at n = 4) but lifted the blind
-#: Clifford memory test to 0.75 and 1.22 MiB, past its 0.65 and 1.1 MiB
-#: bounds; 2^13 ran no faster than 2^11.
-_PAIR_BLOCK = 1 << 10
+#: Gram entries per band of the pair analysis, rows (n + 1) x nC for a band
+#: of whole triangle rows over C classes (one row at least), which bounds
+#: its Python peak.  On the class sets of clifford-blind runs (M = 10^3) a
+#: band is 9 rows at n = 3 (416 classes), 2 at n = 4 (930) and 1 at n = 5;
+#: the pass took 7, 66 and 150 ms there, against 20, 121 and 190 ms for
+#: the swap-free kernel on blocks of 1,024 pairs, and the blind Clifford
+#: memory test peaks at 0.58 and 0.93 MiB (bounds 0.65 and 1.1 MiB).
+_PAIR_BLOCK = 3 << 14
 
 #: (key, class) entries per block of the compatibility count of the voted
 #: keys.  Over the 416 classes and 64 keys of a clifford-blind run (n = 3)
@@ -295,51 +296,90 @@ def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
 
 
 def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
-    """Votes of the class pairs i < j, in row-major blocks of
-    ``_PAIR_BLOCK``: the counts[i] * counts[j] realization pairs that pin
-    down each key, keys in the order of their first pair.
+    """Votes of the class pairs i < j, in bands of whole rows of the pair
+    triangle: the counts[i] * counts[j] realization pairs that pin down each
+    key, keys in the order of their first pair.
 
     Class i admits the keys p_i ^ span(N_i^0 .. N_i^(n-1)) of
     :func:`gf2.solve_affine_batch`.  Class j's rows f_j^a, r_j^a restricted
     to that frame read M y = r_j ^ F_j p_i with M[a, b] = <f_j^a, N_i^b>, an
     n x n system; the pair is usable exactly when M is invertible, and then
     votes for p_i ^ sum_b y_b N_i^b.  Each frame is kept in augmented form,
-    (p_i << 1) | 1 then N_i^b << 1, so that column c of the system is the
-    parity of class j's augmented rows against frame entry c.  A block
-    works on the transposes, one length-P array per frame entry, class row
-    and system row: it gathers its (n + 1, P) frames and (n, P) rows, builds
-    the (n, P) system in one parity pass per frame entry, hands its
-    transpose to the kernel and adds up the voted keys one nullspace key at
-    a time."""
+    N_i^b << 1 then (p_i << 1) | 1, so that entry (a, c) of the system is
+    the parity of class j's augmented row a against frame entry c.
+
+    A band of rows i0..i1 gets its entries against every class j from one
+    float32 product of 0/1 bits per class row a, the band's ((n + 1)
+    (i1 - i0), 2n + 1) frame bits against the (2n + 1, C) bits of row a
+    (exact, as each sum is at most 2n + 1), and packs them along j into
+    (n, n + 1, i1 - i0, C/8) bytes, 8 pairs per byte; the j <= i entries
+    are solved too and masked out.  The systems are then solved by
+    Gauss-Jordan elimination with no pivot search and no row swap: row k,
+    where it lacks the pivot bit of column k, takes in the first lower row
+    that has it, every other row clears the column, and a pair is usable
+    when every row found its pivot.  The keys are XORs of frame entries,
+    and the unusable pairs vote into a spare bin, so every array of a band
+    has the same shape in every band (arrays sized by the usable pairs grew
+    the process's RSS from job to job)."""
     n_classes = len(class_rows)
+    if n_classes < 2:
+        return {}
     particular, basis = gf2.solve_affine_batch(class_rows, 2 * n)
-    frames = np.concatenate((((particular << _ONE) | _ONE)[:, None], basis << _ONE), axis=1)
-    idx = np.arange(n_classes)
-    starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
+    rows = min(n_classes - 1, max(1, _PAIR_BLOCK // ((n + 1) * n * n_classes)))
+    padded = -(-(n_classes - 1) // rows) * rows  # whole bands over the rows i < C - 1
+    # frame entries N_i^0 .. N_i^(n-1), p_i of the rows i, and their counts;
+    # the padding rows hold no pair
+    frames = np.zeros((padded, n + 1), dtype=np.int64)
+    frames[:n_classes - 1] = np.concatenate((basis, particular[:, None]), axis=1)[:-1]
+    row_counts = np.zeros(padded, dtype=np.int64)
+    row_counts[:n_classes - 1] = counts[:-1]
+    col_bits = np.empty((n, 2 * n + 1, n_classes), dtype=np.float32)
+    for t in range(2 * n + 1):  # bit t of class row a of every class j
+        col_bits[:, t] = (class_rows.T >> np.uint64(t)) & _ONE
+    cols = np.arange(n_classes)
+    idx = np.arange(padded)
+    offset = idx * (2 * n_classes - idx - 1) // 2 - idx - 1  # flat index of pair (i, j) less j
     stop = n_classes * (n_classes - 1) // 2
-    # dense tallies over the 4^n keys, 4,096 entries at the dense cap n = 6;
-    # blind discovery past that cap would need a sparse tally
-    weight = np.zeros(1 << 2 * n, dtype=np.int64)
-    first = np.full(1 << 2 * n, stop, dtype=np.int64)
-    for lo in range(0, stop, _PAIR_BLOCK):
-        flat = np.arange(lo, min(lo + _PAIR_BLOCK, stop))
-        i = np.searchsorted(starts, flat, side="right") - 1
-        j = flat - starts[i] + i + 1
-        frame, rows = frames.T[:, i], class_rows.T[:, j]
-        system = np.zeros(rows.shape, dtype=np.uint64)
-        for c in range(n + 1):  # one parity pass per frame entry
-            parity = np.bitwise_count(rows & frame[c]) & 1
-            system |= parity.astype(np.uint64) << np.uint64(c)
-        y = gf2.solve_unique_batch(system.T, n)
-        npairs = counts[i] * counts[j]
-        usable = np.flatnonzero(y >= 0)
-        frame, y = frame[:, usable], y[usable].astype(np.uint64)
-        keys = frame[0]
-        for b in range(n):  # add in nullspace key b where bit b of y is set
-            keys ^= frame[b + 1] * ((y >> np.uint64(b)) & _ONE)
-        keys >>= _ONE
-        np.add.at(weight, keys, npairs[usable])
-        np.minimum.at(first, keys, lo + usable)
+    spare = 1 << 2 * n
+    # dense tallies over the 4^n keys and the spare bin, 4,097 entries at
+    # the dense cap n = 6; blind discovery past that cap would need a sparse tally
+    weight = np.zeros(spare + 1, dtype=np.int64)
+    first = np.full(spare + 1, stop, dtype=np.int64)
+    shifts = np.arange(2 * n)
+    row_bits = np.zeros((n + 1, rows, 2 * n + 1), dtype=np.float32)
+    row_bits[n, :, 0] = 1  # frame entry n is (p_i << 1) | 1
+    gram = np.empty(((n + 1) * rows, n_classes), dtype=np.float32)
+    bits = np.empty((n, (n + 1) * rows, n_classes), dtype=np.uint8)
+    keys = np.empty((rows, n_classes), dtype=np.int64)
+    term = np.empty_like(keys)
+    for i0 in range(0, padded, rows):
+        band = slice(i0, i0 + rows)
+        row_bits[:, :, 1:] = (frames[band].T[:, :, None] >> shifts) & 1
+        for a in range(n):  # entries (a, c) of the band's systems, [c, i, j]
+            np.matmul(row_bits.reshape(gram.shape[0], 2 * n + 1), col_bits[a], out=gram)
+            np.copyto(bits[a], gram, casting="unsafe")
+        bits &= 1
+        system = np.packbits(bits.reshape(n, n + 1, rows, n_classes), axis=-1)
+        ok = np.packbits(cols > idx[band, None], axis=-1)
+        for k in range(n):
+            pivot = system[k, k]
+            for r in range(k + 1, n):  # the first lower row with the bit wins
+                take = system[r, k] & ~pivot
+                system[k, k:] ^= take & system[r, k:]
+            ok &= pivot
+            bit = system[:, k].copy()
+            bit[k] = 0
+            system[:, k + 1:] ^= bit[:, None] & system[k, k + 1:]
+        y = np.unpackbits(system[:, n], axis=-1, count=n_classes)
+        np.multiply(y[0], frames[band, 0, None], out=keys)
+        for b in range(1, n):  # add in nullspace key b where bit b of y is set
+            keys ^= np.multiply(y[b], frames[band, b, None], out=term)
+        keys ^= frames[band, n, None]
+        np.copyto(keys, spare, where=np.unpackbits(~ok, axis=-1, count=n_classes).view(bool))
+        keys_1d = keys.ravel()  # ufunc.at is fast on 1-d indices only
+        np.add.at(weight, keys_1d, np.multiply(row_counts[band, None], counts, out=term).ravel())
+        np.minimum.at(first, keys_1d, np.add(offset[band, None], cols, out=term).ravel())
+    weight, first = weight[:spare], first[:spare]
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
     return dict(zip(order.tolist(), weight[order].tolist()))
 

@@ -262,3 +262,45 @@ def battery(max_n: int = 3) -> list[tuple[str, ChannelModel]]:
 @pytest.fixture(scope="session")
 def channel_battery():
     return battery()
+
+
+def solve_unique_batch(rows, width: int) -> np.ndarray:
+    """Unique solution of each of P stacked square affine systems, or -1:
+    the reference kernel for the blind pair pass, one system per row.
+
+    ``rows`` is a (P, width) array holding one system per row, in the
+    augmented form of :func:`twirltomo.gf2.solve_affine`: bit 0 is the rhs and bits
+    1..width are the coefficients.  Entry p of the result is the solution v
+    of system p when its rank is ``width`` (a square system of full rank is
+    always consistent), and -1 otherwise.
+
+    Gauss-Jordan elimination runs over the ``width`` columns for all P
+    systems at once, on the (width, P) transpose, so that each system row is
+    one contiguous length-P array, with no pivot search and no row swap:
+    row k, where it lacks the pivot bit of column k, XORs in the first lower
+    row that has it, and every other row then clears the column with row k.
+    A system is solved when each of its rows found a pivot.
+    """
+    one = np.uint64(1)
+    rows = np.asarray(rows, dtype=np.uint64)
+    p, m = rows.shape
+    if m != width:
+        raise ValueError(f"need {width} rows per system, got {m}")
+    aug = rows.T.copy()
+    ok = np.ones(p, dtype=bool)
+    for k in range(width):
+        col = np.uint64(width - k)  # coefficient bit width-1-k, pivot of row k
+        need = ((aug[k] >> col) & one) ^ one
+        for r in range(k + 1, width):  # the first lower row with the bit wins
+            take = need & (aug[r] >> col)
+            aug[k] ^= take * aug[r]
+            need ^= take
+        ok &= need == 0
+        bit = aug >> col
+        bit &= one
+        bit[k] = 0
+        bit *= aug[k]
+        aug ^= bit
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1), dtype=np.int64)
+    key = weights @ (aug & one).astype(np.int64)
+    return np.where(ok, key, -1)

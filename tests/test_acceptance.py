@@ -12,7 +12,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import cnot_channel, mixed_z1_channel, battery, random_cp_channel
+from conftest import (cnot_channel, mixed_z1_channel, battery, random_cp_channel,
+                      solve_unique_batch)
 from twirltomo.channels import (ChannelModel, chi_from_kraus, check_cp_bound,
                                 check_positive_bound, coarse_grain,
                                 diagonalize_chi, gate_unitary)
@@ -27,7 +28,6 @@ from twirltomo.rng import draw_batch, master
 from twirltomo.seqpt import (SeqptConfig, estimate_chi_selective,
                              run_blind_discovery, success_probability)
 from twirltomo.stabilizer import clifford_bounds, draw_clifford_row, grow_cliffords
-from twirltomo import gf2
 
 BACKEND = DenseBackend()
 CNOT_BLOCK_LABELS = [0, 12, 1, 13]  # II, ZI, IX, ZX
@@ -126,7 +126,7 @@ def _clifford_pair_fraction(n: int, pairs: int) -> float:
     frames = grow_cliffords(n, rows).z
     # a pair is usable exactly when the stacked frames pin down a unique key
     stacked = frames.reshape(pairs, 2 * n) << np.uint64(1)
-    return float((gf2.solve_unique_batch(stacked, 2 * n) >= 0).mean())
+    return float((solve_unique_batch(stacked, 2 * n) >= 0).mean())
 
 
 PAIR_SAMPLES = 100000

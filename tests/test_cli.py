@@ -541,6 +541,39 @@ def test_cli_rejects_unhashable_gate_and_noise_names(tmp_path, capsys, layer, fi
     assert not out.exists()
 
 
+#: a one-qubit Kraus map in documents of n qubits past the dense cap
+KRAUS_PAST_THE_CAP = [{"name": "f", "n": n, "build": [{"kraus": [[[[1.0, 0.0]]]]}]}
+                      for n in (10 ** 30, 2 ** 40, 10 ** 8)]
+
+
+@pytest.mark.parametrize("doc", KRAUS_PAST_THE_CAP, ids=["1e30", "2^40", "1e8"])
+def test_cli_kraus_spec_past_the_cap_exits_3(tmp_path, capsys, doc):
+    """A kraus layer in a document past the dense cap is refused at the cap
+    (exit 3, one line naming it, nothing written) before its 1 << n is made,
+    which raised OverflowError at n = 10^30, a bare MemoryError at 2^40, and
+    at 10^8 made a 12.5 MB int whose shape could not be printed (exit 2)."""
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(write_spec(tmp_path, doc)),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"capacity error: dense operations capped at n=6, got {doc['n']}\n", err
+    assert not out.exists()
+
+
+def test_cli_bare_memory_error_says_out_of_memory(tmp_path, capsys, monkeypatch):
+    """A MemoryError with no message still prints a reason, ``out of
+    memory``, in place of an empty capacity error line."""
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_channel", refuse)
+    out = tmp_path / "o"
+    assert main(["exact-chi", "--spec", str(write_spec(tmp_path, CNOT_DOC)),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "capacity error: out of memory\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cell", [
     [1e300, 0],           # finite, but K^dag K overflows to infinity
     [float("inf"), 0],    # loads from the JSON token Infinity

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (class_of, outcome_bits, random_cp_channel, spy_discover,
-                      symplectic_product, xor_combination)
+from conftest import (class_of, outcome_bits, random_cp_channel, solve_unique_batch,
+                      spy_discover, symplectic_product, xor_combination)
 from twirltomo import gf2, seqpt
 from twirltomo.pauli import Pauli
 from twirltomo.seqpt import SeqptConfig, _constraint_classes, run_blind_discovery
@@ -185,7 +185,7 @@ def test_pairs_independent_vs_python():
             partners = np.arange(i + 1, len(classes))
             stacked = np.concatenate(
                 (np.broadcast_to(rows[i], (len(partners), n)), rows[partners]), axis=1)
-            got = gf2.solve_unique_batch(stacked, 2 * n)
+            got = solve_unique_batch(stacked, 2 * n)
             want = [_solve_unique_python(classes[i] + classes[j], 2 * n) for j in partners]
             np.testing.assert_array_equal(got, want)
             seen.update(w >= 0 for w in want)
@@ -198,15 +198,15 @@ def test_solve_unique_batch_random_systems():
     for _ in range(400):
         width = int(rng.integers(1, 9))
         rows = rng.integers(0, 1 << (width + 1), size=(6, width), dtype=np.uint64)
-        got = gf2.solve_unique_batch(rows, width)
+        got = solve_unique_batch(rows, width)
         want = [_solve_unique_python([int(v) for v in r], width) for r in rows]
         np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError):
-        gf2.solve_unique_batch(np.zeros((2, 3), dtype=np.uint64), 4)
+        solve_unique_batch(np.zeros((2, 3), dtype=np.uint64), 4)
 
 
 def _assert_solves_like_python(rows, width):
-    got = gf2.solve_unique_batch(rows, width)
+    got = solve_unique_batch(rows, width)
     want = [_solve_unique_python([int(v) for v in r], width) for r in np.asarray(rows)]
     assert got.dtype == np.int64 and got.shape == (len(rows),)
     np.testing.assert_array_equal(got, want)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cnot_channel, draw_outcome_reference, mixed_z1_channel,
-                      random_cp_channel, result_json, spy_discover)
+                      random_cp_channel, result_json, solve_unique_batch, spy_discover)
 from twirltomo.channel_spec import build_channel, parse_channel_document
 from twirltomo.channels import ChannelModel, depolarizing_kraus, gate_unitary
 from twirltomo.dense import DenseBackend
 from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli, commutes
-from twirltomo import dense, gf2, seqpt
+from twirltomo import dense, seqpt
 from twirltomo.rng import _draw_outcome, draw_batch, substream
 from twirltomo.seqpt import (SeqptConfig, _constraint_classes, _discover,
                              average_fidelity,
@@ -227,7 +227,7 @@ def _pair_votes_by_row(n, class_rows, counts):
         stacked = np.concatenate(
             (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
             axis=1)
-        keys = gf2.solve_unique_batch(stacked, 2 * n)
+        keys = solve_unique_batch(stacked, 2 * n)
         npairs = counts[i] * counts[partners]
         usable = keys >= 0
         for key, count in zip(keys[usable].tolist(), npairs[usable].tolist()):
@@ -270,7 +270,7 @@ def _pair_votes_2n(n, class_rows, counts):
         flat = np.arange(lo, min(lo + seqpt._PAIR_BLOCK, stop))
         i = np.searchsorted(starts, flat, side="right") - 1
         j = flat - starts[i] + i + 1
-        keys = gf2.solve_unique_batch(
+        keys = solve_unique_batch(
             np.concatenate((class_rows[i], class_rows[j]), axis=1), 2 * n)
         npairs = counts[i] * counts[j]
         usable = keys >= 0
@@ -296,7 +296,7 @@ def _blind_class_set(n, variant, rng):
     return class_rows, rng.integers(1, 5, size=len(class_rows))
 
 
-@pytest.mark.parametrize("block", [61, seqpt._PAIR_BLOCK])
+@pytest.mark.parametrize("block", [61, 1024, seqpt._PAIR_BLOCK])
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
@@ -337,6 +337,66 @@ def test_pair_pass_on_benchmark_class_sets(monkeypatch, seed):
     (class_rows, counts, votes), = seen
     assert len(class_rows) > 300
     assert list(votes.items()) == list(_pair_votes_2n(3, class_rows, counts).items())
+
+
+def test_pair_pass_on_a_benchmark_class_set_at_n4(monkeypatch):
+    """On the class set of a blind Clifford run of the benchmark channel at
+    n = 4 (about 930 classes, bands of two triangle rows), the pair pass
+    gives the votes of the 2n x 2n pass, key for key and in order."""
+    seen = []
+
+    def spy(n, class_rows, counts):
+        seen.append((class_rows, counts))
+        return {}
+
+    monkeypatch.setattr(seqpt, "_pair_votes", spy)
+    channel = build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": 4,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=1))
+    monkeypatch.undo()
+    (class_rows, counts), = seen
+    assert len(class_rows) > 900
+    votes = seqpt._pair_votes(4, class_rows, counts)
+    assert list(votes.items()) == list(_pair_votes_2n(4, class_rows, counts).items())
+
+
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_row_bands_give_the_default_votes(monkeypatch, n, variant):
+    """Bands of one triangle row (``_PAIR_BLOCK`` = 1, below one row's Gram
+    entries) give the votes of the default bands, which hold several rows
+    (all of them at n = 1) and may leave a short last band."""
+    class_rows, counts = _blind_class_set(n, variant, np.random.default_rng(200 + n))
+    want = seqpt._pair_votes(n, class_rows, counts)
+    monkeypatch.setattr(seqpt, "_PAIR_BLOCK", 1)
+    assert list(seqpt._pair_votes(n, class_rows, counts).items()) == list(want.items())
+    assert len(want) > 1
+
+
+def test_pair_votes_are_exact_python_ints():
+    """Keys and votes are Python ints, and the votes are tallied exactly in
+    int64: with counts near 2^26 each pair weighs about 2^52, so sums past
+    2^53 would be rounded in float64.  The reference sums Python ints over
+    the per-row solves."""
+    n = 2
+    rng = np.random.default_rng(5)
+    class_rows, _ = _blind_class_set(n, "clifford", rng)
+    class_rows = class_rows[:24]
+    counts = (1 << 26) + rng.integers(0, 1 << 20, size=len(class_rows))
+    want: dict[int, int] = {}
+    for i in range(len(class_rows) - 1):
+        partners = np.arange(i + 1, len(class_rows))
+        keys = solve_unique_batch(np.concatenate(
+            (np.broadcast_to(class_rows[i], (len(partners), n)), class_rows[partners]),
+            axis=1), 2 * n)
+        for key, j in zip(keys.tolist(), partners.tolist()):
+            if key >= 0:
+                want[key] = want.get(key, 0) + int(counts[i]) * int(counts[j])
+    votes = seqpt._pair_votes(n, class_rows, counts)
+    assert votes == want and max(votes.values()) > 1 << 53
+    assert all(type(k) is int and type(v) is int for k, v in votes.items())
 
 
 @pytest.mark.parametrize("block", [7, seqpt._KEY_BLOCK])
@@ -396,8 +456,10 @@ def test_blind_clifford_memory_budget(n, budget_mib):
     about ``dense._FIDELITY_BLOCK`` entries that each find their own
     syndromes (0.58 and 0.89 MiB; syndromes of the whole stack peaked at
     0.65 and 1.16 MiB), and the constraint classes come from
-    (groups, 2n + 1) arrays.  The swap-free pair kernel leaves the peaks at
-    0.58 and 0.90 MiB; the pair pass alone peaks at 0.49 MiB at n = 5."""
+    (groups, 2n + 1) arrays.  The swap-free pair kernel left the peaks at
+    0.58 and 0.90 MiB; the Gram band pass, with one product per class row
+    into one buffer, puts them at 0.58 and 0.93 MiB (one product over all
+    class rows put n = 3 at 0.70 MiB)."""
     channel = build_channel(parse_channel_document(
         {"name": "noisy-cnot", "n": n,
          "build": [{"named_gate": "CNOT", "qubits": [1, 2]},

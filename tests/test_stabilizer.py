@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (class_of, clifford_group_tableaux, conjugated_xz_table, label_table,
-                      mub_family_reference, symplectic_product, xor_combination)
+                      mub_family_reference, solve_unique_batch, symplectic_product,
+                      xor_combination)
 from twirltomo import gf2
 from twirltomo.pauli import Pauli
 from twirltomo.stabilizer import (GATES, Clifford, Tableaux, _key_to_pauli,
@@ -404,7 +405,7 @@ def _solve_pair(frame1, v1, frame2, v2):
     n = len(frame1)
     c1 = class_of(frame1, n, v1)
     c2 = class_of(frame2, n, v2)
-    (key,) = gf2.solve_unique_batch(np.array([c1 + c2], dtype=np.uint64), 2 * n)
+    (key,) = solve_unique_batch(np.array([c1 + c2], dtype=np.uint64), 2 * n)
     return int(key)
 
 
