@@ -12,7 +12,9 @@ and ``chi.csv``):
 
 Exit codes: 0 success, 2 validation failure (a bad spec, option or path),
 3 capacity failure (past a dense cap, or an allocation the machine refuses).
-A run prints one line, ``wrote results to DIR``; nothing is written on failure.
+A run prints one line, ``wrote results to DIR``; a failed run prints one
+``error:`` or ``capacity error:`` line to stderr, an option that argparse
+rejects included, and writes nothing.
 """
 from __future__ import annotations
 
@@ -265,10 +267,17 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subparsers included, that raises its errors for
+    ``main`` to print on one line, where argparse prints its usage and exits."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves every main()
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="twirltomo",
-                                 description="twirling-based process tomography harness")
+    ap = _Parser(prog="twirltomo", description="twirling-based process tomography harness")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def common(p, spec=True, seed=True):
@@ -287,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--variant", choices=["mub", "clifford"], default="mub")
-    p.add_argument("--label", help="Pauli string for select mode, e.g. ZI")
+    p.add_argument("--label", help="Pauli string for select mode, e.g. ZI; "
+                   "give a signed label as --label=-XX")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=_cmd_seqpt)
@@ -320,8 +330,11 @@ def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help prints usage and exits 0
         return 2 if exc.code not in (0, None) else 0
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         doc = channel = None
         warnings: list[str] = []

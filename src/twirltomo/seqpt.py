@@ -22,9 +22,10 @@ and estimates, not its realizations.  Each class is reduced once to its
 solution frame, a particular key and n nullspace keys
 (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the n x n
 system of class j's rows in class i's frame.  The pairs run in bands of
-whole rows of the pair triangle: float32 Gram products of 0/1 bits give
-every entry of a band's systems, packed 8 pairs per byte and solved there
-by a swap-free Gauss-Jordan elimination.
+whole rows of the pair triangle, each against the classes past its first
+row only, and bands grow taller as that window narrows: float32 Gram
+products of 0/1 bits give every entry of a band's systems, packed 8 pairs
+per byte and solved there by a swap-free Gauss-Jordan elimination.
 
 Blind MUB is the one sampler off :meth:`~twirltomo.dense.TwirlSpec.sample`
 until it moves onto it: it keeps its per-realization ``substreams`` loop,
@@ -73,13 +74,16 @@ MUB_BLIND_MAX_SHOTS = 1 << 32
 #: against 44.70 and 44.77 MiB at 2^13 on the same seeds).
 _MUB_BLOCK = 1 << 13
 
-#: Gram entries per band of the pair analysis, rows (n + 1) x nC for a band
-#: of whole triangle rows over C classes (one row at least), which bounds
-#: its Python peak.  On the class sets of clifford-blind runs (M = 10^3) a
-#: band is 9 rows at n = 3 (416 classes), 2 at n = 4 (930) and 1 at n = 5;
-#: the pass took 7, 66 and 150 ms there, against 20, 121 and 190 ms for
-#: the swap-free kernel on blocks of 1,024 pairs, and the blind Clifford
-#: memory test peaks at 0.58 and 0.93 MiB (bounds 0.65 and 1.1 MiB).
+#: entries per band of the pair analysis, which bounds its Python peak: a
+#: band of h triangle rows against a window of w classes holds
+#: (n + 1) n h (w + 4n + 2) Gram entries and row arrays (one row of the
+#: widest window at least; see _pair_bands).  On the class sets of
+#: clifford-blind runs (M = 10^3) that is 25 bands at n = 3 (416 classes),
+#: 217 at n = 4 (930) and 441 at n = 5 (1,000), of 1 to 25 rows at n = 5,
+#: where one row of the widest window holds 30,000 entries.  The pass took
+#: 4.5-5.4, 37-40 and 76-81 ms there, against 7.1-8.8, 64-68 and 143-156 ms
+#: for bands of whole-width rows, and the blind Clifford memory test peaks
+#: at 0.58 and 0.98 MiB (bounds 0.65 and 1.1 MiB).
 _PAIR_BLOCK = 3 << 14
 
 #: (key, class) entries per block of the compatibility count of the voted
@@ -295,6 +299,25 @@ def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
     return gf2.rref_batch(rows, 2 * n + 1)
 
 
+def _pair_bands(n: int, n_classes: int) -> tuple[int, list[tuple[int, int]]]:
+    """The cap on a band's entries and the bands (i0, i1) of the pair pass:
+    rows i0..i1 - 1 of the pair triangle, solved against the window of
+    classes i0 + 1..C - 1.  A band of h rows over a window of w classes
+    holds (n + 1) n h w Gram entries and, per row, (n + 1)(2n + 1) frame
+    bits and (n + 1) 2n shifted frame entries, (n + 1) n h (w + 4n + 2) in
+    all; h is the most rows that keep h (w + 4n + 2) within the cap of
+    ``_PAIR_BLOCK`` // ((n + 1) n), so bands grow taller as the window
+    narrows.  The cap holds one row of the widest window at least."""
+    cap = max(_PAIR_BLOCK // ((n + 1) * n), n_classes + 4 * n + 1)
+    bands, i0 = [], 0
+    while i0 < n_classes - 1:
+        width = n_classes - 1 - i0
+        i1 = i0 + min(cap // (width + 4 * n + 2), width)
+        bands.append((i0, i1))
+        i0 = i1
+    return cap, bands
+
+
 def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     """Votes of the class pairs i < j, in bands of whole rows of the pair
     triangle: the counts[i] * counts[j] realization pairs that pin down each
@@ -308,37 +331,34 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     N_i^b << 1 then (p_i << 1) | 1, so that entry (a, c) of the system is
     the parity of class j's augmented row a against frame entry c.
 
-    A band of rows i0..i1 gets its entries against every class j from one
-    float32 product of 0/1 bits per class row a, the band's ((n + 1)
-    (i1 - i0), 2n + 1) frame bits against the (2n + 1, C) bits of row a
-    (exact, as each sum is at most 2n + 1), and packs them along j into
-    (n, n + 1, i1 - i0, C/8) bytes, 8 pairs per byte; the j <= i entries
-    are solved too and masked out.  The systems are then solved by
-    Gauss-Jordan elimination with no pivot search and no row swap: row k,
-    where it lacks the pivot bit of column k, takes in the first lower row
-    that has it, every other row clears the column, and a pair is usable
-    when every row found its pivot.  The keys are XORs of frame entries,
-    and the unusable pairs vote into a spare bin, so every array of a band
-    has the same shape in every band (arrays sized by the usable pairs grew
-    the process's RSS from job to job)."""
+    A band of rows i0..i1 (:func:`_pair_bands`) gets its entries against
+    the window of classes j > i0 from one float32 product of 0/1 bits per
+    class row a, the band's ((n + 1)(i1 - i0), 2n + 1) frame bits against
+    the (2n + 1, w) bits of row a over the window (exact, as each sum is at
+    most 2n + 1), and packs them along j into (n, n + 1, i1 - i0, w/8)
+    bytes, 8 pairs per byte; the few j <= i entries of the window are
+    solved too and masked out.  The systems are then solved by Gauss-Jordan
+    elimination with no pivot search and no row swap: row k, where it lacks
+    the pivot bit of column k, takes in the first lower row that has it,
+    every other row clears the column, and a pair is usable when every row
+    found its pivot.  The keys are XORs of frame entries, and the unusable
+    pairs vote into a spare bin.  The Gram, bit, key and term arrays are
+    allocated once, sized by the cap, and every band works on views of
+    them (arrays sized by the usable pairs grew the process's RSS from job
+    to job)."""
     n_classes = len(class_rows)
     if n_classes < 2:
         return {}
     particular, basis = gf2.solve_affine_batch(class_rows, 2 * n)
-    rows = min(n_classes - 1, max(1, _PAIR_BLOCK // ((n + 1) * n * n_classes)))
-    padded = -(-(n_classes - 1) // rows) * rows  # whole bands over the rows i < C - 1
-    # frame entries N_i^0 .. N_i^(n-1), p_i of the rows i, and their counts;
-    # the padding rows hold no pair
-    frames = np.zeros((padded, n + 1), dtype=np.int64)
-    frames[:n_classes - 1] = np.concatenate((basis, particular[:, None]), axis=1)[:-1]
-    row_counts = np.zeros(padded, dtype=np.int64)
-    row_counts[:n_classes - 1] = counts[:-1]
+    # frame entries N_i^0 .. N_i^(n-1), p_i of every class, and the counts,
+    # whose products are tallied in int64
+    frames = np.concatenate((basis, particular[:, None]), axis=1).astype(np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     col_bits = np.empty((n, 2 * n + 1, n_classes), dtype=np.float32)
     for t in range(2 * n + 1):  # bit t of class row a of every class j
         col_bits[:, t] = (class_rows.T >> np.uint64(t)) & _ONE
     cols = np.arange(n_classes)
-    idx = np.arange(padded)
-    offset = idx * (2 * n_classes - idx - 1) // 2 - idx - 1  # flat index of pair (i, j) less j
+    offset = cols * (2 * n_classes - cols - 1) // 2 - cols - 1  # flat index of pair (i, j) less j
     stop = n_classes * (n_classes - 1) // 2
     spare = 1 << 2 * n
     # dense tallies over the 4^n keys and the spare bin, 4,097 entries at
@@ -346,21 +366,30 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     weight = np.zeros(spare + 1, dtype=np.int64)
     first = np.full(spare + 1, stop, dtype=np.int64)
     shifts = np.arange(2 * n)
-    row_bits = np.zeros((n + 1, rows, 2 * n + 1), dtype=np.float32)
-    row_bits[n, :, 0] = 1  # frame entry n is (p_i << 1) | 1
-    gram = np.empty(((n + 1) * rows, n_classes), dtype=np.float32)
-    bits = np.empty((n, (n + 1) * rows, n_classes), dtype=np.uint8)
-    keys = np.empty((rows, n_classes), dtype=np.int64)
-    term = np.empty_like(keys)
-    for i0 in range(0, padded, rows):
-        band = slice(i0, i0 + rows)
+    cap, bands = _pair_bands(n, n_classes)
+    gram_buf = np.empty((n + 1) * cap, dtype=np.float32)
+    bits_buf = np.empty(n * (n + 1) * cap, dtype=np.uint8)
+    keys_buf = np.empty(cap, dtype=np.int64)
+    term_buf = np.empty_like(keys_buf)
+    for i0, i1 in bands:
+        rows, width = i1 - i0, n_classes - 1 - i0
+        band, window = slice(i0, i1), slice(i0 + 1, None)
+        size = rows * width
+        gram = gram_buf[:(n + 1) * size].reshape((n + 1) * rows, width)
+        bits = bits_buf[:n * (n + 1) * size].reshape(n, (n + 1) * rows, width)
+        keys = keys_buf[:size].reshape(rows, width)
+        term = term_buf[:size].reshape(rows, width)
+        row_bits = np.zeros((n + 1, rows, 2 * n + 1), dtype=np.float32)
+        row_bits[n, :, 0] = 1  # frame entry n is (p_i << 1) | 1
         row_bits[:, :, 1:] = (frames[band].T[:, :, None] >> shifts) & 1
         for a in range(n):  # entries (a, c) of the band's systems, [c, i, j]
-            np.matmul(row_bits.reshape(gram.shape[0], 2 * n + 1), col_bits[a], out=gram)
+            np.matmul(row_bits.reshape(gram.shape[0], 2 * n + 1), col_bits[a][:, window],
+                      out=gram)
             np.copyto(bits[a], gram, casting="unsafe")
         bits &= 1
-        system = np.packbits(bits.reshape(n, n + 1, rows, n_classes), axis=-1)
-        ok = np.packbits(cols > idx[band, None], axis=-1)
+        system = np.packbits(bits.reshape(n, n + 1, rows, width), axis=-1)
+        # band row r pairs with window column r on: j = i0 + 1 + column > i0 + r
+        ok = np.packbits(cols[:width] >= cols[:rows, None], axis=-1)
         for k in range(n):
             pivot = system[k, k]
             for r in range(k + 1, n):  # the first lower row with the bit wins
@@ -370,15 +399,16 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
             bit = system[:, k].copy()
             bit[k] = 0
             system[:, k + 1:] ^= bit[:, None] & system[k, k + 1:]
-        y = np.unpackbits(system[:, n], axis=-1, count=n_classes)
+        y = np.unpackbits(system[:, n], axis=-1, count=width)
         np.multiply(y[0], frames[band, 0, None], out=keys)
         for b in range(1, n):  # add in nullspace key b where bit b of y is set
             keys ^= np.multiply(y[b], frames[band, b, None], out=term)
         keys ^= frames[band, n, None]
-        np.copyto(keys, spare, where=np.unpackbits(~ok, axis=-1, count=n_classes).view(bool))
+        np.copyto(keys, spare, where=np.unpackbits(~ok, axis=-1, count=width).view(bool))
         keys_1d = keys.ravel()  # ufunc.at is fast on 1-d indices only
-        np.add.at(weight, keys_1d, np.multiply(row_counts[band, None], counts, out=term).ravel())
-        np.minimum.at(first, keys_1d, np.add(offset[band, None], cols, out=term).ravel())
+        np.add.at(weight, keys_1d,
+                  np.multiply(counts[band, None], counts[window], out=term).ravel())
+        np.minimum.at(first, keys_1d, np.add(offset[band, None], cols[window], out=term).ravel())
     weight, first = weight[:spare], first[:spare]
     order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
     return dict(zip(order.tolist(), weight[order].tolist()))

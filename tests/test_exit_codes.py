@@ -12,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twirltomo.cli import main
@@ -116,3 +117,27 @@ def test_cli_exit_code_contract(doc, argv, seed):
             "error: " if code == 2 else "capacity error: "), lines
         assert stdout.getvalue() == ""
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("argv, with_spec", [
+    (["seqpt", "blind", "--shots", "abc"], True),
+    (["seqpt", "blind", "--shots", "40", "--variant", "foo"], True),
+    (["frobnicate"], True),
+    (["seqpt", "blind", "--shots", "40"], False),
+    (["seqpt", "select", "--shots", "40", "--label", "-XXX"], True),
+], ids=["shots-abc", "variant-foo", "unknown-verb", "missing-spec", "signed-label"])
+def test_rejected_option_prints_one_error_line(tmp_path, capsys, argv, with_spec):
+    """An option list argparse rejects (a bad value, an unknown verb, a
+    missing --spec, or a signed label given as --label -XXX, which reads as
+    an option) exits 2 with one ``error:`` line and no usage lines, and
+    writes nothing."""
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(VALID_DOCS[0]))
+    if with_spec:
+        argv = [*argv, "--spec", str(spec)]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

@@ -375,6 +375,94 @@ def test_one_row_bands_give_the_default_votes(monkeypatch, n, variant):
     assert len(want) > 1
 
 
+def _benchmark_class_set(n, seed):
+    """The class rows and counts that a blind Clifford run of the
+    clifford-blind benchmark's channel (CNOT(1,2), then 5% depolarizing on
+    qubit 1) at M = 10^3 hands the pair pass."""
+    seen = []
+
+    def spy(n, class_rows, counts):
+        seen.append((class_rows, counts))
+        return {}
+
+    channel = build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": n,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(seqpt, "_pair_votes", spy)
+        run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=seed))
+    (class_rows, counts), = seen
+    return class_rows, counts
+
+
+@pytest.mark.parametrize("block", [1, 7, 61, seqpt._PAIR_BLOCK])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_bands_tile_the_triangle_within_the_cap(monkeypatch, n, block):
+    """The bands the pair pass runs tile the triangle rows 0..C-2 once, in
+    order, each against the window of classes i0 + 1..C - 1; a band of h
+    rows over a window of w classes keeps its Gram entries and row arrays,
+    (n + 1) n h (w + 4n + 2), within the cap of max(``_PAIR_BLOCK``, one
+    row of the widest window), and the votes are those of the 2n x 2n pass."""
+    class_rows, counts = _blind_class_set(n, "clifford", np.random.default_rng(400 + n))
+    want = list(_pair_votes_2n(n, class_rows, counts).items())
+    monkeypatch.setattr(seqpt, "_PAIR_BLOCK", block)
+    seen, pair_bands = [], seqpt._pair_bands
+
+    def spy(n, n_classes):
+        cap, bands = pair_bands(n, n_classes)
+        seen.append(bands)
+        return cap, bands
+
+    monkeypatch.setattr(seqpt, "_pair_bands", spy)
+    assert list(seqpt._pair_votes(n, class_rows, counts).items()) == want
+    (bands,), n_classes = seen, len(class_rows)
+    assert [i0 for i0, _ in bands] == [0] + [i1 for _, i1 in bands[:-1]]
+    assert bands[-1][1] == n_classes - 1
+    per_row = (n + 1) * n
+    cap = max(block, per_row * (n_classes + 4 * n + 1))
+    for i0, i1 in bands:
+        width = n_classes - 1 - i0
+        assert 1 <= i1 - i0 <= width
+        assert per_row * (i1 - i0) * (width + 4 * n + 2) <= cap, (i0, i1)
+    if block == seqpt._PAIR_BLOCK and n >= 3:  # bands grow taller as the window narrows
+        assert bands[-1][1] - bands[-1][0] > bands[0][1] - bands[0][0]
+
+
+def test_pair_pass_on_a_benchmark_class_set_at_n5():
+    """On the class set of a blind Clifford run of the benchmark channel at
+    n = 5 (about 1,000 classes, where band heights vary most: one row at the
+    widest window, 25 further on), the pair pass gives the votes
+    of the 2n x 2n pass, key for key and in order."""
+    class_rows, counts = _benchmark_class_set(5, 1)
+    assert len(class_rows) > 990
+    heights = {i1 - i0 for i0, i1 in seqpt._pair_bands(5, len(class_rows))[1]}
+    assert min(heights) == 1 and max(heights) > 20
+    votes = seqpt._pair_votes(5, class_rows, counts)
+    assert list(votes.items()) == list(_pair_votes_2n(5, class_rows, counts).items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_pass_on_small_random_class_sets(monkeypatch, n):
+    """On random class sets of 2..40 classes (rows drawn with repeats from
+    random frames and outcomes, so some pairs are of equal classes), bands
+    of ``_PAIR_BLOCK`` = 1, 7 and 61 give the votes of the 2n x 2n pass,
+    key for key and in order; their last bands are narrower than one
+    packed byte."""
+    rng = np.random.default_rng(500 + n)
+    for n_classes in range(2, 41):
+        rows, _ = draw_batch(int(rng.integers(1 << 20)), 1, n_classes, clifford_bounds(n), 0)
+        class_rows = _constraint_classes(n, grow_cliffords(n, rows).z,
+                                         rng.integers(0, 1 << n, size=n_classes))
+        counts = rng.integers(1, 5, size=n_classes)
+        want = list(_pair_votes_2n(n, class_rows, counts).items())
+        for block in (1, 7, 61):
+            monkeypatch.setattr(seqpt, "_PAIR_BLOCK", block)
+            assert list(seqpt._pair_votes(n, class_rows, counts).items()) == want, \
+                (n_classes, block)
+        monkeypatch.undo()
+
+
 def test_pair_votes_are_exact_python_ints():
     """Keys and votes are Python ints, and the votes are tallied exactly in
     int64: with counts near 2^26 each pair weighs about 2^52, so sums past
@@ -458,8 +546,9 @@ def test_blind_clifford_memory_budget(n, budget_mib):
     0.65 and 1.16 MiB), and the constraint classes come from
     (groups, 2n + 1) arrays.  The swap-free pair kernel left the peaks at
     0.58 and 0.90 MiB; the Gram band pass, with one product per class row
-    into one buffer, puts them at 0.58 and 0.93 MiB (one product over all
-    class rows put n = 3 at 0.70 MiB)."""
+    into one buffer, put them at 0.58 and 0.93 MiB (one product over all
+    class rows put n = 3 at 0.70 MiB).  Bands against the window past their
+    first row, sized with their row arrays, put them at 0.58 and 0.98 MiB."""
     channel = build_channel(parse_channel_document(
         {"name": "noisy-cnot", "n": n,
          "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
