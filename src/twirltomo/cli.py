@@ -138,7 +138,7 @@ def _cmd_seqpt(args, doc, channel, warnings):
         rows = [_CHECK_HEADER, _check_row(key, est.chi_hat, est.stderr, oracle.get(key), 0.0)]
         return "seqpt_selective", cfg.to_json_dict(), results, lines, rows
     res = run_blind_discovery(channel, cfg, backend)
-    ordered = sorted(res.estimates.items(), key=lambda kv: -kv[1].chi_hat)
+    ordered = sorted(res.estimates.items(), key=lambda kv: (-kv[1].chi_hat, kv[0]))
     lines = [f"blind discovery for {doc.name} ({cfg.variant}, M={cfg.shots})",
              f"  usable pair fraction {res.usable_pair_fraction:.4f}; "
              f"residual mass {res.residual_mass:.4f}",

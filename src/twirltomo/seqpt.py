@@ -15,11 +15,12 @@ it; every Pauli with at least two votes is scored by counting the
 realizations whose candidate set contains it.  Realizations are merged by
 constraint class first: one batched rref reduces each realization's
 (frame, outcome) to its class (blind Clifford hands in every realization,
-blind MUB one group per seen (basis, outcome)), and equal classes merge in
-first-seen order.  So all M(M-1)/2 pairs are analyzed, every one of them,
-at a cost quadratic in the number of classes; a run keeps its class counts
-and estimates, not its realizations.  Each class is reduced once to its
-solution frame, a particular key and n nullspace keys
+blind MUB one group per seen (basis, outcome)), and equal classes merge.
+Classes, votes and estimates are keyed by value, so a run's results do not
+depend on the order its groups arrive in.  All M(M-1)/2 pairs are analyzed,
+every one of them, at a cost quadratic in the number of classes; a run
+keeps its class counts and estimates, not its realizations.  Each class is
+reduced once to its solution frame, a particular key and n nullspace keys
 (:func:`twirltomo.gf2.solve_affine_batch`); a pair i < j is then the n x n
 system of class j's rows in class i's frame.  The pairs run in bands of
 whole rows of the pair triangle, each against the classes past its first
@@ -260,15 +261,13 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int, backend: Den
     basis j, state m and the outcome uniform from ``substream(seed, 1 + i)``,
     and its outcome v from law row j*D + m (:meth:`TwirlSpec.laws`: the same
     rows whichever elements are drawn, so fetched and cumsummed once).
-    Returns the count of each code j*D + v and the first realization with
-    each code (``count`` where none has it)."""
+    Returns the count of each code j*D + v."""
     backend.check_capacity(channel.n)
     check_trace_preserving(channel)
     d = channel.dim
     laws, _ = TwirlSpec("mub", channel.n).laws(backend, channel, np.empty((0, 2), dtype=np.int64))
     cdfs = _cdf_table(laws)
     counts = np.zeros(d * (d + 1), dtype=np.int64)
-    first = np.full(d * (d + 1), count, dtype=np.int64)
     step = max(1, _MUB_BLOCK // d)
     j, m = np.empty((2, step), dtype=np.int64)
     u = np.empty(step)
@@ -281,10 +280,8 @@ def _sample_mub_codes(channel: ChannelModel, seed: int, count: int, backend: Den
             u[i] = rng.random()
         jb, mb = j[:size], m[:size]
         v = _draw_outcome(cdfs, jb * d + mb, u[:size])
-        codes = jb * d + v
-        counts += np.bincount(codes, minlength=len(counts))
-        np.minimum.at(first, codes, np.arange(lo, lo + size))
-    return counts, first
+        counts += np.bincount(jb * d + v, minlength=len(counts))
+    return counts
 
 
 def _constraint_classes(n: int, frames, outcomes) -> np.ndarray:
@@ -321,7 +318,7 @@ def _pair_bands(n: int, n_classes: int) -> tuple[int, list[tuple[int, int]]]:
 def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     """Votes of the class pairs i < j, in bands of whole rows of the pair
     triangle: the counts[i] * counts[j] realization pairs that pin down each
-    key, keys in the order of their first pair.
+    key, keys in ascending order.
 
     Class i admits the keys p_i ^ span(N_i^0 .. N_i^(n-1)) of
     :func:`gf2.solve_affine_batch`.  Class j's rows f_j^a, r_j^a restricted
@@ -358,13 +355,10 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
     for t in range(2 * n + 1):  # bit t of class row a of every class j
         col_bits[:, t] = (class_rows.T >> np.uint64(t)) & _ONE
     cols = np.arange(n_classes)
-    offset = cols * (2 * n_classes - cols - 1) // 2 - cols - 1  # flat index of pair (i, j) less j
-    stop = n_classes * (n_classes - 1) // 2
     spare = 1 << 2 * n
-    # dense tallies over the 4^n keys and the spare bin, 4,097 entries at
+    # a dense tally over the 4^n keys and the spare bin, 4,097 entries at
     # the dense cap n = 6; blind discovery past that cap would need a sparse tally
     weight = np.zeros(spare + 1, dtype=np.int64)
-    first = np.full(spare + 1, stop, dtype=np.int64)
     shifts = np.arange(2 * n)
     cap, bands = _pair_bands(n, n_classes)
     gram_buf = np.empty((n + 1) * cap, dtype=np.float32)
@@ -405,13 +399,11 @@ def _pair_votes(n: int, class_rows, counts) -> dict[int, int]:
             keys ^= np.multiply(y[b], frames[band, b, None], out=term)
         keys ^= frames[band, n, None]
         np.copyto(keys, spare, where=np.unpackbits(~ok, axis=-1, count=width).view(bool))
-        keys_1d = keys.ravel()  # ufunc.at is fast on 1-d indices only
-        np.add.at(weight, keys_1d,
+        # ufunc.at is fast on 1-d indices only
+        np.add.at(weight, keys.ravel(),
                   np.multiply(counts[band, None], counts[window], out=term).ravel())
-        np.minimum.at(first, keys_1d, np.add(offset[band, None], cols[window], out=term).ravel())
-    weight, first = weight[:spare], first[:spare]
-    order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
-    return dict(zip(order.tolist(), weight[order].tolist()))
+    voted = np.flatnonzero(weight[:spare])
+    return dict(zip(voted.tolist(), weight[voted].tolist()))
 
 
 def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
@@ -438,10 +430,9 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
     m_total = config.shots
 
     if config.variant == "mub":
-        # one group per seen code j*D + v, visited in order of first realization
-        sizes, first = _sample_mub_codes(channel, config.seed, m_total, backend)
-        seen = np.flatnonzero(sizes)
-        codes = seen[np.argsort(first[seen])]
+        # one group per seen code j*D + v
+        sizes = _sample_mub_codes(channel, config.seed, m_total, backend)
+        codes = np.flatnonzero(sizes)
         frames, outcomes, sizes = build_mub_family(n).z[codes // d], codes % d, sizes[codes]
     else:  # one group per realization; _discover merges equal classes
         tableaux, outcomes = TwirlSpec("clifford_full", n).sample(
@@ -452,23 +443,19 @@ def run_blind_discovery(channel: ChannelModel, config: SeqptConfig,
 
 def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes) -> SeqptResult:
     """Pair analysis and estimates of a blind run, from groups of its
-    realizations that share a (Z-frame, outcome), in first-seen order: the
-    (K, n) Z-image keys, outcome and realization count of each group (blind
+    realizations that share a (Z-frame, outcome), in any order: the (K, n)
+    Z-image keys, outcome and realization count of each group (blind
     Clifford hands in one group per realization).  The groups' constraint
-    classes come from one batched rref; groups with the same class merge,
-    and the classes keep the order of their first group."""
+    classes come from one batched rref; groups with the same class merge
+    into one run of the sorted rows, and the classes are those runs in
+    sorted order, so the result does not depend on the groups' order."""
     rows = _constraint_classes(n, frames, outcomes)
-    # equal rows sort together, and lexsort is stable, so each run of equal
-    # rows starts at its first group
     perm = np.lexsort(rows.T)
     ranked = rows[perm]
     starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
-    first, counts = perm[starts], np.add.reduceat(sizes[perm], starts)
-    order = np.argsort(first)
-    class_rows, counts = rows[first[order]], counts[order]
+    class_rows, counts = ranked[starts], np.add.reduceat(sizes[perm], starts)
     d = 1 << n
     m_total = config.shots
-    # residual_mass sums the votes in the order of each key's first pair
     votes = _pair_votes(n, class_rows, counts)
 
     threshold = 2.0 / m_total
@@ -484,7 +471,7 @@ def _discover(n: int, config: SeqptConfig, frames, outcomes, sizes) -> SeqptResu
     total_pairs = m_total * (m_total - 1) // 2
     return SeqptResult(
         n=n, config=config, estimates=estimates, threshold=threshold,
-        residual_mass=1.0 - sum(e.chi_hat for e in estimates.values()),
+        residual_mass=math.fsum([1.0, *(-e.chi_hat for e in estimates.values())]),
         usable_pair_fraction=sum(votes.values()) / total_pairs, total_pairs=total_pairs)
 
 

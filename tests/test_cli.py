@@ -288,6 +288,22 @@ def test_cli_seqpt_blind_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("variant", ["mub", "clifford"])
+def test_cli_blind_report_orders_tied_estimates_by_label(tmp_path, variant):
+    """A blind report.csv lists its estimates by decreasing estimate, and
+    equal estimates by label, so that no file reads dict order: a run of
+    20 realizations on CNOT has several tied estimates."""
+    spec = write_spec(tmp_path, CNOT_DOC)
+    out = tmp_path / "out"
+    assert main(["seqpt", "blind", "--variant", variant, "--spec", str(spec),
+                 "--out", str(out), "--shots", "20", "--seed", "1"]) == 0
+    with open(out / "report.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[:2] == ["label", "estimate"]
+    ranked = [(-float(estimate), label) for label, estimate, *_ in rows]
+    assert len({estimate for estimate, _ in ranked}) < len(ranked)
+    assert ranked == sorted(ranked)
+
 def test_cli_seqpt_config_rejected(tmp_path):
     spec = write_spec(tmp_path, DEP_DOC)
     code = main(["seqpt", "blind", "--spec", str(spec), "--out", str(tmp_path / "o"),

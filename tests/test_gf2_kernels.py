@@ -137,10 +137,11 @@ def test_constraint_classes_equal_per_group_rref(n):
 
 
 @pytest.mark.parametrize("variant", ["mub", "clifford"])
-def test_discover_merges_classes_in_first_seen_order(variant, monkeypatch):
+def test_discover_merges_classes_in_sorted_order(variant, monkeypatch):
     """Groups with equal classes merge into one class whose count sums
-    theirs, and the classes reach the pair pass in the order of their first
-    group, as a dict keyed by each group's reference class gives them."""
+    theirs, and the classes reach the pair pass in the merge's sorted order
+    (``np.lexsort`` of the rows, last entry first), as a dict keyed by each
+    group's reference class gives them once sorted that way."""
     seen, pair_votes = [], seqpt._pair_votes
 
     def counted(n, class_rows, counts):
@@ -164,6 +165,7 @@ def test_discover_merges_classes_in_first_seen_order(variant, monkeypatch):
     for frame, v, size in zip(frames.tolist(), outcomes.tolist(), sizes.tolist()):
         key = class_of(frame, n, v)
         want[key] = want.get(key, 0) + size
+    want = dict(sorted(want.items(), key=lambda kv: kv[0][::-1]))
     (class_rows, counts), = seen
     assert len(want) < len(frames)
     assert [tuple(row) for row in class_rows.tolist()] == list(want)

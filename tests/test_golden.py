@@ -131,15 +131,15 @@ GOLDEN = {
     "blind-mub-n1":
         "7352a27521e3357083bd77f103dba5bfac6fbc616436e4972f01f82e39b47ac6",
     "blind-mub-n2":
-        "e1a98bdae3f15f78d16b59addda5eeee649c9547b1b78df41fd951e4e88587e5",
+        "cbd9d1e939cdef0e3b7271b3eb3a7074e2d4c7d9b17eb0d2bef2b1e06e433ff7",
     "blind-mub-n3":
         "11b59c62ad41113c95b1d6dc6f7f29c3f2c431eaffcb82df68c7361c191b7ca8",
     "blind-clifford-n1":
         "c59161fcb9aecfd0a6861fecdb716519b37cb8f1ddaa747f8ea65005c0bc17d3",
     "blind-clifford-n2":
-        "93c6bfd042c23092b4800398f844240cacc7e86ced653ab2d4d8eaa351532d0d",
+        "8d3b6b3688fab28de618911794248beb6877cc5f476f28369bb0d925c800100e",
     "blind-clifford-n3":
-        "df3a3cd1ce012b1663c1f0df1b5d26472113c1a871ed9fecb0f8ebb1f7d1d2db",
+        "5ed5c68299294bb7b61a978e4066459604193f604e2bde7bab04b12ee4b082ef",
     "local-twirl-n1":
         "c4f9b93adaa908c0dc2771f1298b794fbba851cd274ff582d1a2045bda7a8f5c",
     "local-twirl-n2":
@@ -157,7 +157,7 @@ GOLDEN = {
     "noisy-cnot-select-clifford-n3":
         "1accd464f203c9ebaf14f00fbb3bee5c349bcc729dfc5d3c4a7ef0ef46eedd9b",
     "noisy-cnot-blind-mub-n3":
-        "06c001e7c8d18572fad69a9da0349f655013d11553ab7a2f3acd05ae7fea43c1",
+        "753eec93c371c8f6ddfe280cc98e295a1c1c036b1fdf41de0fb69d458d512317",
     "noisy-cnot-blind-clifford-n3":
         "42fb71cc3df4677777858bd984b932e9d0395fbfe0a380f948177377d2248a00",
     "noisy-cnot-local-twirl-n4":
@@ -165,7 +165,7 @@ GOLDEN = {
     "signed-form-local-twirl-n3":
         "c1c6b7dd003c8a7604b6a62ecbf31254c53e0488d3db9ae68809b4bdc2539a24",
     "signed-form-blind-clifford-n3":
-        "ed003221cd65d70b5b8ad813b036cd38e519ff2cf53291178e35b462bf8bfcc7",
+        "0e8f2197f7a47f6250fad9f87e0a27a498aa2f24fbdbf967c55c9bb1a5ea4577",
     "c1t-records-n3":
         "6a8ef72a641d44c7400b3e01dd398fa367e95280d49dacdeacded1a72c2a4286",
 }
@@ -184,13 +184,13 @@ OUTPUT_GOLDEN = {
     "blind-mub-n2":
         "285cff6acc8750605ae7e1e6f86162c35dd336b804c274638e318ac17e86c0c7",
     "blind-mub-n3":
-        "704c62facba1c3520d26c2bb492cca631c1a63ff9ac23316ab70adaf542e576b",
+        "86e4cbe03791d335e2abc3191915e16d0d7cc7c6fa0e7b24f844a99413599867",
     "blind-clifford-n1":
-        "adf985b51bb0624b9e0d70a5ea620444d6af9f6fafb12f69fe6686e6ba1b1bcc",
+        "a17180223a1eb33a42c6e93b842c9a67b1618c9c22581e38b2910887b393c6c9",
     "blind-clifford-n2":
         "2faf214d6467feccaa6ad5ff6769516a94a5babdb85952c36b0468c154a4d6e2",
     "blind-clifford-n3":
-        "665911b11f879356f57bdb5e01768c803a1c5b1267636c74688bf9887d79d27a",
+        "db326551f4327127df91e5f37f20a3e17d188e7a11e6fa46d2a34755031a6ef1",
     "local-twirl-n1":
         "c447d91c5c8f2417f9d1f478833a3b22b0614d5a638febf4de1c14ef76487085",
     "local-twirl-n2":
@@ -208,15 +208,15 @@ OUTPUT_GOLDEN = {
     "noisy-cnot-select-clifford-n3":
         "ca7d40680bedf18e17254c41b2b719321a182bd98dfa76b6f591c457312c520a",
     "noisy-cnot-blind-mub-n3":
-        "5cc7bfa23c3e03e713e1791a280181eca3bc91a3ebc6fa2eafa158d4a5ff2185",
+        "70d12b85e400038d045531e41f4098506732054ab34b3150023ec9decd028a46",
     "noisy-cnot-blind-clifford-n3":
-        "ae532f85a7d8eda16b685994aa0aa4bade9afb87ddd56ecc0983f44e469a2894",
+        "c515b2ebaeebb426ae803e1bf895501c73c770826d8a9296f49d114c5150e6f3",
     "noisy-cnot-local-twirl-n4":
         "50fc461b080fc6c225abad2c8069ed13104463669ad40bba58d9745289546d74",
     "signed-form-local-twirl-n3":
         "3f5d5d847d13c48c56e881cc93a37661bb4cb7ca11e940c60822ff66a5d55a1b",
     "signed-form-blind-clifford-n3":
-        "ccc316d05cc346996cb116e3164fb5abf4258d3ec76383f366321dfd1b531d56",
+        "c86f60cb3fb31d0db465cfde26d65ba206e23739ba5271bc0430a380d02d2389",
 }
 
 

@@ -13,7 +13,7 @@ from twirltomo.dense import DenseBackend
 from twirltomo.errors import CapacityError, ConfigError, DimensionMismatchError
 from twirltomo.pauli import Pauli, commutes
 from twirltomo import dense, seqpt
-from twirltomo.rng import _draw_outcome, draw_batch, substream
+from twirltomo.rng import _cdf_table, _draw_outcome, draw_batch, substream
 from twirltomo.seqpt import (SeqptConfig, _constraint_classes, _discover,
                              average_fidelity,
                              compare_variants,
@@ -182,7 +182,7 @@ def _blind_mub_one_by_one(channel, cfg, backend):
 def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, pair_block, block):
     """Drawing blind MUB realizations in blocks gives every realization the
     (j, m, u, v) of the per-realization run, hands ``_discover`` one group
-    per seen code j*D + v in first-seen order with its count, and gives the
+    per seen code j*D + v in ascending code order with its count, and gives the
     results of the per-realization run, also with the pair pass in blocks
     of 10 pairs that cut class rows.  1,300 shots is no multiple of the
     block (512 realizations at n = 4, 1,024 at n = 3), and a 40-entry block
@@ -210,11 +210,38 @@ def test_blind_mub_blocks_match_per_realization_run(monkeypatch, n, seed, pair_b
     codes: dict[int, int] = {}
     for j, _, _, v in draws:
         codes[j * d + v] = codes.get(j * d + v, 0) + 1
+    codes = dict(sorted(codes.items()))
     (frames, outcomes, sizes), = seen
     assert frames.tolist() == build_mub_family(n).z[[c // d for c in codes]].tolist()
     assert outcomes.tolist() == [c % d for c in codes]
     assert sizes.tolist() == list(codes.values())
     assert result_json(res) == result_json(want)
+
+
+def _benchmark_channel(n):
+    """The benchmark channel: CNOT(1,2), then 5% depolarizing on qubit 1."""
+    return build_channel(parse_channel_document(
+        {"name": "noisy-cnot", "n": n,
+         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
+                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+
+
+@pytest.mark.parametrize("variant, shots", [("mub", 2000), ("clifford", 300)])
+def test_discover_does_not_depend_on_group_order(monkeypatch, variant, shots):
+    """``_discover`` gives the groups of a blind run of the benchmark channel
+    (n = 3) the byte-identical result in the order the run hands them in and
+    in permuted orders: classes, votes and estimates are keyed by value, and
+    ``residual_mass`` is an exactly rounded sum."""
+    channel = _benchmark_channel(3)
+    seen = spy_discover(monkeypatch)
+    for seed in range(1, 5):
+        cfg = SeqptConfig(shots=shots, variant=variant, seed=seed)
+        want = result_json(run_blind_discovery(channel, cfg))
+        frames, outcomes, sizes = seen.pop()
+        for perm in (np.arange(len(sizes)), np.random.default_rng(seed).permutation(len(sizes)),
+                     np.arange(len(sizes))[::-1]):
+            assert result_json(_discover(3, cfg, frames[perm], outcomes[perm],
+                                         sizes[perm])) == want, seed
 
 
 def _pair_votes_by_row(n, class_rows, counts):
@@ -259,13 +286,12 @@ def test_blocked_pair_pass_matches_per_row_reference(monkeypatch, n, variant):
 def _pair_votes_2n(n, class_rows, counts):
     """Reference for ``seqpt._pair_votes``: the pass that concatenates both
     classes' rows and solves each class pair as one 2n x 2n system, in the
-    same blocks of ``_PAIR_BLOCK`` pairs."""
+    same blocks of ``_PAIR_BLOCK`` pairs; keys in ascending order."""
     n_classes = len(class_rows)
     idx = np.arange(n_classes)
     starts = idx * (2 * n_classes - idx - 1) // 2  # flat index of pair (i, i+1)
     stop = n_classes * (n_classes - 1) // 2
     weight = np.zeros(1 << 2 * n, dtype=np.int64)
-    first = np.full(1 << 2 * n, stop, dtype=np.int64)
     for lo in range(0, stop, seqpt._PAIR_BLOCK):
         flat = np.arange(lo, min(lo + seqpt._PAIR_BLOCK, stop))
         i = np.searchsorted(starts, flat, side="right") - 1
@@ -275,9 +301,8 @@ def _pair_votes_2n(n, class_rows, counts):
         npairs = counts[i] * counts[j]
         usable = keys >= 0
         np.add.at(weight, keys[usable], npairs[usable])
-        np.minimum.at(first, keys[usable], lo + np.flatnonzero(usable))
-    order = np.argsort(first)[:np.count_nonzero(weight)]  # unseen keys sort last
-    return dict(zip(order.tolist(), weight[order].tolist()))
+    voted = np.flatnonzero(weight)
+    return dict(zip(voted.tolist(), weight[voted].tolist()))
 
 
 def _blind_class_set(n, variant, rng):
@@ -302,18 +327,21 @@ def _blind_class_set(n, variant, rng):
 def test_frame_pair_pass_equals_the_2n_pass(monkeypatch, n, variant, block):
     """Solving each class pair as an n x n system in the first class's
     solution frame gives the votes of the 2n x 2n pass: the same keys,
-    counts and first-pair order, over every pair, for the one pair of two
-    classes, and for a single class, in blocks that cut class rows."""
+    counts and ascending key order, over every pair, for the one pair of
+    two classes, and for a single class, in blocks that cut class rows;
+    the classes in a permuted order give the same votes."""
     monkeypatch.setattr(seqpt, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(100 + 10 * n + (variant == "mub"))
     class_rows, counts = _blind_class_set(n, variant, rng)
+    perm = rng.permutation(len(class_rows))
     results = []
-    for size in (len(class_rows), 2, 1):
-        rows, cnt = class_rows[:size], counts[:size]
+    for rows, cnt in ((class_rows, counts), (class_rows[perm], counts[perm]),
+                      (class_rows[:2], counts[:2]), (class_rows[:1], counts[:1])):
         want = _pair_votes_2n(n, rows, cnt)
         assert list(seqpt._pair_votes(n, rows, cnt).items()) == list(want.items())
         results.append(want)
     assert len(results[0]) > 1 and results[-1] == {}
+    assert list(results[1]) == sorted(results[1]) and results[1] == results[0]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -329,10 +357,7 @@ def test_pair_pass_on_benchmark_class_sets(monkeypatch, seed):
         return votes
 
     monkeypatch.setattr(seqpt, "_pair_votes", spy)
-    channel = build_channel(parse_channel_document(
-        {"name": "noisy-cnot", "n": 3,
-         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
-                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    channel = _benchmark_channel(3)
     run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=seed))
     (class_rows, counts, votes), = seen
     assert len(class_rows) > 300
@@ -350,10 +375,7 @@ def test_pair_pass_on_a_benchmark_class_set_at_n4(monkeypatch):
         return {}
 
     monkeypatch.setattr(seqpt, "_pair_votes", spy)
-    channel = build_channel(parse_channel_document(
-        {"name": "noisy-cnot", "n": 4,
-         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
-                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    channel = _benchmark_channel(4)
     run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=1))
     monkeypatch.undo()
     (class_rows, counts), = seen
@@ -385,10 +407,7 @@ def _benchmark_class_set(n, seed):
         seen.append((class_rows, counts))
         return {}
 
-    channel = build_channel(parse_channel_document(
-        {"name": "noisy-cnot", "n": n,
-         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
-                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    channel = _benchmark_channel(n)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(seqpt, "_pair_votes", spy)
         run_blind_discovery(channel, SeqptConfig(shots=1000, variant="clifford", seed=seed))
@@ -549,10 +568,7 @@ def test_blind_clifford_memory_budget(n, budget_mib):
     into one buffer, put them at 0.58 and 0.93 MiB (one product over all
     class rows put n = 3 at 0.70 MiB).  Bands against the window past their
     first row, sized with their row arrays, put them at 0.58 and 0.98 MiB."""
-    channel = build_channel(parse_channel_document(
-        {"name": "noisy-cnot", "n": n,
-         "build": [{"named_gate": "CNOT", "qubits": [1, 2]},
-                   {"noise": "depolarizing", "strength": 0.05, "qubits": [1]}]}))
+    channel = _benchmark_channel(n)
     backend = DenseBackend()
     run_blind_discovery(channel, SeqptConfig(shots=2, variant="clifford", seed=1), backend)
     tracemalloc.start()
@@ -958,3 +974,33 @@ def test_draw_outcome_edges():
     table = np.vstack([np.zeros(4), stack])
     assert _draw_outcome(table, np.array([3, 1, 3, 2, 1]),
                          np.array([0.5, 1.0, 1.0, 0.0, 0.2])).tolist() == [0, 1, 0, 1, 0]
+
+
+def test_cdf_table_and_draw_outcomes_on_laws_off_one_by_ulps():
+    """On 2,000 tables of 1..6 laws of 1..8 outcomes, each law's largest
+    entry nudged by 1-4 ulps either way with ``np.nextafter`` (so its sum is
+    1 +- a few ulps) and 0..3 trailing zero entries appended:
+    ``rng._cdf_table`` is ``np.cumsum`` bit for bit, and
+    ``dense.draw_outcomes`` gives each draw the reference outcome of its
+    own law's cumsum, at u = 0, 1 - 2^-53 and 1 and at random u."""
+    rng = np.random.default_rng(24)
+    edges = np.array([0.0, 1.0 - 2.0 ** -53, 1.0])
+    totals = []
+    for _ in range(2000):
+        count, width = rng.integers(1, 7), rng.integers(1, 9)
+        laws = rng.random((count, width))
+        laws /= laws.sum(axis=1, keepdims=True)
+        for law in laws:
+            top, toward = law.argmax(), rng.choice([0.0, 2.0])
+            for _ in range(rng.integers(1, 5)):
+                law[top] = np.nextafter(law[top], toward)
+        laws = np.concatenate((laws, np.zeros((count, rng.integers(0, 4)))), axis=1)
+        cdfs = np.cumsum(laws, axis=1)
+        assert np.ascontiguousarray(_cdf_table(laws)).tobytes() == cdfs.tobytes()
+        u = np.concatenate((edges, rng.random(3)))
+        rows = rng.integers(0, count, size=len(u))
+        assert dense.draw_outcomes(laws, rows, u).tolist() == [
+            draw_outcome_reference(cdfs[r], x) for r, x in zip(rows.tolist(), u.tolist())]
+        totals.extend(cdfs[:, -1].tolist())
+    off = (np.array(totals) - 1.0) / 2.0 ** -52
+    assert (off < 0).any() and (off > 0).any() and np.abs(off).max() <= 8
