@@ -30,7 +30,7 @@ _HOMES = {
     "success_probability": "seqpt", "frames_independent_probability": "seqpt",
     "compare_variants": "seqpt",
     "LocalTwirlConfig": "localtwirl", "HammingStatistics": "localtwirl",
-    "ExperimentRecord": "records",
+    "ExperimentRecord": "localtwirl",
     "sample_c1t_realization": "localtwirl", "r_matrix": "localtwirl",
     "solve_pw": "localtwirl", "solve_chi_col": "localtwirl",
     "solve_weight_probs_exact": "localtwirl", "solve_chi_col_exact": "localtwirl",

@@ -169,14 +169,13 @@ def _cmd_local_twirl(args, doc, channel, warnings):
                                       est.weight.amplification)):
         lines.append(f"{w:>3} {v:>10.5f} {s:>9.5f} {a:>14.3f}")
         rows.append(_check_row(f"w={w}", v, s, cg and float(cg.by_weight[w]), 1e-9))
-    if est.support is not None:
-        lines.append(f"{'support':>8} {'chi_col':>10} {'stderr':>9}")
-        for s_vec, v in sorted(est.support.values.items()):
-            key = "".join(map(str, s_vec))
-            sd = est.support.stderr[s_vec]
-            lines.append(f"{key:>8} {v:>10.5f} {sd:>9.5f}")
-            rows.append(_check_row(key, v, sd, cg and float(cg.by_support[s_vec]), 1e-9))
-        lines.append(f"excess outcome mass beyond cutoff: {est.support.excess_mass:.2e}")
+    lines.append(f"{'support':>8} {'chi_col':>10} {'stderr':>9}")
+    for s_vec, v in sorted(est.support.values.items()):
+        key = "".join(map(str, s_vec))
+        sd = est.support.stderr[s_vec]
+        lines.append(f"{key:>8} {v:>10.5f} {sd:>9.5f}")
+        rows.append(_check_row(key, v, sd, cg and float(cg.by_support[s_vec]), 1e-9))
+    lines.append(f"excess outcome mass beyond cutoff: {est.support.excess_mass:.2e}")
     return "local_twirl", cfg.to_json_dict(), est.to_json_dict(), lines, rows
 
 

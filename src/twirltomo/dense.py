@@ -21,7 +21,6 @@ the backend keeps nothing between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -173,13 +172,12 @@ class TwirlSpec:
 
     def z_keys(self, elements) -> np.ndarray:
         """(M, n) Z-image keys x | z << n of the elements: a MUB basis's, or
-        Y, X, Z on a qubit rotated about x, y, z (the Pauli part flips signs)."""
-        n = self.n
+        their rotation part's (the Pauli part flips signs alone)."""
         if self.kind == "mub":
-            return build_mub_family(n).z[elements[:, 0]]
+            return build_mub_family(self.n).z[elements[:, 0]]
         if self.kind == "clifford_full":
             return elements.z
-        return np.array([1 + (1 << n), 1, 1 << n])[elements[:, :, 1]] << np.arange(n - 1, -1, -1)
+        return _rotation_tableaux(elements[:, :, 1]).z
 
     def laws(self, backend: "DenseBackend", channel: ChannelModel,
              elements) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +195,7 @@ class TwirlSpec:
         """
         if self.n != channel.n:
             raise DimensionMismatchError(f"twirl on {self.n} qubits, channel on {channel.n}")
-        backend.check_capacity(channel.n)  # before any 3^n or 4^n array is made
+        backend.check_capacity(channel.n)  # before any 3^n array is made
         d = channel.dim
         if self.kind == "mub":
             bad = np.flatnonzero(((elements < 0) | (elements >= self.layout)).any(axis=1))
@@ -214,19 +212,24 @@ class TwirlSpec:
             bad = np.flatnonzero(((elements < 0) | (elements >= (4, 3))).any(axis=(1, 2)))[0]
             raise ValueError(f"one-qubit twirl elements are (pauli 0..3, rotation 0..2), "
                              f"got row {bad}: {elements[bad].tolist()}")
-        # base-3 rotation codes and base-4 Pauli codes by Horner passes, qubit
-        # 1 the top digit, over the digit rows: on elements that view the
-        # draw_batch rows (as the samplers' do), each row is contiguous
+        # base-3 rotation codes and X parts by in-place Horner passes over the
+        # digit rows, qubit 1 on top (each row contiguous where the elements
+        # view the draw_batch rows); X and Y, the digits whose two bits
+        # differ, flip a qubit
         paulis, rotations = elements[:, :, 0].T, elements[:, :, 1].T
-        codes, paulis_at = rotations[0].copy(), paulis[0].copy()
+        codes, xs = rotations[0].copy(), (paulis[0] ^ paulis[0] >> 1) & 1
+        flips = np.empty_like(xs)
         for j in range(1, self.n):
             codes *= 3
             codes += rotations[j]
-            paulis_at <<= 2
-            paulis_at |= paulis[j]
+            np.right_shift(paulis[j], 1, out=flips)
+            flips ^= paulis[j]
+            flips &= 1
+            xs <<= 1
+            xs |= flips
         seen = np.bincount(codes, minlength=3 ** self.n) > 0
         rows = ((np.cumsum(seen) - 1) * d)[codes]  # the slot of a code counts the parts below it
-        rows += _x_parts(self.n)[paulis_at]
+        rows += xs
         places = 3 ** np.arange(self.n - 1, -1, -1)
         parts = np.flatnonzero(seen)[:, None] // places % 3  # sorted, distinct
         return (backend.laws(channel, _rotation_tableaux(parts), np.arange(d)).reshape(-1, d),
@@ -243,18 +246,6 @@ class TwirlSpec:
         ints, u = draw_batch(seed, 1, count, self.layout, 1)
         elements = self.elements(ints)
         return elements, draw_outcomes(*self.laws(backend, channel, elements), u[:, 0])
-
-
-@lru_cache(maxsize=None)
-def _x_parts(n: int) -> np.ndarray:
-    """x[p], the X part of the Pauli part whose base-4 digits p lists (qubit
-    1 on top): bit n - 1 - j is set where digit j is 1 or 2 (X or Y), where
-    its two bits differ."""
-    p = np.arange(4 ** n)
-    flips = (p ^ p >> 1) >> 2 * np.arange(n - 1, -1, -1)[:, None] & 1
-    x = (flips << np.arange(n - 1, -1, -1)[:, None]).sum(axis=0)
-    x.setflags(write=False)  # cached and shared by every caller
-    return x
 
 
 def draw_outcomes(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

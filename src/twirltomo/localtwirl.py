@@ -34,7 +34,6 @@ from .channels import ChannelModel
 from .dense import DenseBackend, TwirlSpec, draw_outcomes, enumerate_twirl_exact
 from .errors import CapacityError, ConfigError
 from .pauli import enumerate_supports
-from .records import ExperimentRecord
 # substream is not called here; it stays importable as
 # twirltomo.localtwirl.substream, a name outside tooling already uses.
 from .rng import check_int, check_seed, substream  # noqa: F401
@@ -47,7 +46,6 @@ class LocalTwirlConfig:
     shots: int
     cutoff: int | None = None      # max Pauli weight solved for; None = auto
     seed: int = 0
-    keep_which_qubit: bool = True  # False: only weight statistics are solved
 
     def __post_init__(self):
         object.__setattr__(self, "shots", check_int("shots", self.shots))  # stored as ints
@@ -60,8 +58,7 @@ class LocalTwirlConfig:
                 raise ConfigError("cutoff must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {"shots": self.shots, "cutoff": self.cutoff, "seed": self.seed,
-                "keep_which_qubit": self.keep_which_qubit}
+        return {"shots": self.shots, "cutoff": self.cutoff, "seed": self.seed}
 
 
 class HammingStatistics:
@@ -120,6 +117,17 @@ class HammingStatistics:
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One one-qubit-twirl realization, as :func:`sample_c1t_realization`
+    draws it, the one-at-a-time reference for the batched samplers:
+    ``descriptor`` is the drawn element's per-qubit (pauli index, rotation
+    index) tuple; ``outcome`` is the measured bit string, qubit 1 first."""
+
+    descriptor: tuple
+    outcome: tuple[int, ...]
 
 
 def sample_c1t_realization(channel: ChannelModel, rng: np.random.Generator,
@@ -308,13 +316,13 @@ class LocalTwirlEstimate:
     n: int
     config: LocalTwirlConfig
     weight: WeightEstimate
-    support: SupportEstimate | None
-    statistics: HammingStatistics = field(repr=False, default=None)
+    support: SupportEstimate
+    statistics: HammingStatistics = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "config": self.config.to_json_dict(),
                 "weight": self.weight.to_json_dict(),
-                "support": None if self.support is None else self.support.to_json_dict()}
+                "support": self.support.to_json_dict()}
 
 
 def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
@@ -324,10 +332,8 @@ def run_local_twirl(channel: ChannelModel, config: LocalTwirlConfig,
                                                         config.seed, config.shots)
     stats = HammingStatistics._from_codes(n, outcomes)
     cutoff = config.cutoff if config.cutoff is not None else choose_cutoff(stats)
-    weight = solve_pw(stats, cutoff)
-    support = solve_chi_col(stats, cutoff) if config.keep_which_qubit else None
-    return LocalTwirlEstimate(n=n, config=config, weight=weight,
-                              support=support, statistics=stats)
+    return LocalTwirlEstimate(n=n, config=config, weight=solve_pw(stats, cutoff),
+                              support=solve_chi_col(stats, cutoff), statistics=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -566,31 +566,18 @@ class VariantComparison:
 
 def compare_variants(channel: ChannelModel, config: SeqptConfig,
                      backend: DenseBackend | None = None) -> VariantComparison:
-    """Run both variants with equal shots and compare usable-pair fractions.
-
-    Asserts each empirical fraction lies within 3 binomial standard
-    deviations of the rate realized by uniform sampling (D/(D+1) for MUB
-    bases, the independent-frames probability for Cliffords); the
-    conventional closed forms are reported alongside.
-    """
+    """Run both variants with equal shots and report each usable-pair
+    fraction beside the rate realized by uniform sampling (D/(D+1) for MUB
+    bases, the independent-frames probability for Cliffords) and the
+    conventional closed form."""
     backend = backend or DenseBackend()
     reports = {}
     for variant, exact in (("mub", success_probability("mub", channel.n)),
                            ("clifford", frames_independent_probability(channel.n))):
         cfg = SeqptConfig(shots=config.shots, variant=variant, seed=config.seed)
         res = run_blind_discovery(channel, cfg, backend)
-        emp = res.usable_pair_fraction
-        # usability of a pair has a conditional expectation independent of
-        # either endpoint (bases and frames are drawn uniformly), so the
-        # all-pairs fraction is a degenerate U-statistic and the plain
-        # binomial sigma over C(M,2) pairs is the right scale.
-        sigma = math.sqrt(exact * (1.0 - exact) / res.total_pairs)
-        if abs(emp - exact) > 3 * sigma:
-            raise AssertionError(
-                f"{variant} usable-pair fraction {emp:.4f} is off the expected "
-                f"{exact:.4f} (sigma {sigma:.2e})")
         reports[variant] = VariantReport(
-            usable_pair_fraction=emp,
+            usable_pair_fraction=res.usable_pair_fraction,
             closed_form=success_probability(variant, channel.n),
             exact_rate=exact, estimates=res.estimates)
     return VariantComparison(n=channel.n, shots=config.shots,

@@ -1134,8 +1134,8 @@ def test_local_batch_rows_agree_with_split_local_digits(monkeypatch, n):
 
 def _family_reference(channel, kind, ints, elements, pm=None):
     """(keys, laws): each element's exact law, by a channel application
-    outside the table cache (then the intermediary matrix pm, for MUB and
-    Clifford elements), and a group key such that each group shares one law.
+    outside the law kernels (then the intermediary matrix pm, if given), and
+    a group key such that each group shares one law.
     MUB elements group by (basis, state) and one-qubit-twirl elements by
     (rotation part, X part), keys read off their draws alone; Clifford
     elements group by their reference law itself (rounded to 1e-9).
@@ -1154,7 +1154,8 @@ def _family_reference(channel, kind, ints, elements, pm=None):
         keys = (elements[:, :, 1] @ 3 ** places) * d + x
         rotations = np.arange(3 ** n)[:, None] // 3 ** places % 3
         # the element of each key with Pauli part X^x
-        table = np.array([dense_local_probs(channel, tuple(zip((xx >> places) & 1, r)))
+        table = np.array([_reference_row(channel, local_twirl_unitary(
+                              tuple(zip((xx >> places) & 1, r))), 0, pm)
                           for r in rotations.tolist() for xx in range(d)])
         return keys, table[keys]
     laws = np.array([_reference_row(channel, w, 0, pm) for w in elements.unitaries()])
@@ -1267,7 +1268,8 @@ def test_clifford_outcome_test_fails_a_broken_support_phase(monkeypatch, n, shot
 
 @pytest.mark.parametrize("kind, n, shots", [(f"{spec}{kind}", n, shots)
                                              for spec in ("", "spec-")
-                                             for kind in ("mub", "clifford_full")
+                                             for kind in ("mub", "clifford_full",
+                                                          "local_clifford")
                                              for n, shots in ((1, 2000), (2, 4000), (3, 5000))])
 def test_shifted_outcomes_follow_exact_laws(kind, n, shots):
     """With an intermediary Pauli between the channel and the untwirl, the

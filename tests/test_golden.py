@@ -141,13 +141,13 @@ GOLDEN = {
     "blind-clifford-n3":
         "5ed5c68299294bb7b61a978e4066459604193f604e2bde7bab04b12ee4b082ef",
     "local-twirl-n1":
-        "c4f9b93adaa908c0dc2771f1298b794fbba851cd274ff582d1a2045bda7a8f5c",
+        "cbd37eb6e180a463783df130d3adcd589aeaef003bcde5626fdbb6c7c5853e02",
     "local-twirl-n2":
-        "27749b0ba1c04cf5f146c77f183a7c97ed6528230839578198fa1fafaef389a2",
+        "cbf50ebc9c9360255b86ff3a6fc31030f7a13eaf04b0c488deed3e749747c241",
     "local-twirl-n3":
-        "c5f836da081dc558ca514d837b2fa28da391d628c149e5ce8fbcd1143e53ef71",
+        "995df68395c2630849a86941e4e2fce69773cc103fdd0ad20df9e21d89d06434",
     "local-twirl-n4":
-        "4f7305110542cfd8d928893b1e21b9021e8c579c6e16a93b6f9d109c237d749f",
+        "f8ce19afefe1ddac101bac0789827d5da9cca1f06d1af373e1cdddae6fbc8e58",
     "bounds-check-n2":
         "d3a3fdc6bc487102972eec03976ce2f2cf33b23edd4ae883f3b4e90ad6fc0812",
     "success-prob":
@@ -161,9 +161,9 @@ GOLDEN = {
     "noisy-cnot-blind-clifford-n3":
         "42fb71cc3df4677777858bd984b932e9d0395fbfe0a380f948177377d2248a00",
     "noisy-cnot-local-twirl-n4":
-        "73aac1765b8cd7526bf0978daa0c48e50b9092401138476eb7cf47486a796b9e",
+        "fa72bc28c46446178e4f4435c53adb20aeb28ce928bc6a8972bad9497d472d42",
     "signed-form-local-twirl-n3":
-        "c1c6b7dd003c8a7604b6a62ecbf31254c53e0488d3db9ae68809b4bdc2539a24",
+        "8101ee2ace2efdd7e5aa2900a43c152841a95bc47a3a493ba31fc707ecd71dcb",
     "signed-form-blind-clifford-n3":
         "0e8f2197f7a47f6250fad9f87e0a27a498aa2f24fbdbf967c55c9bb1a5ea4577",
     "c1t-records-n3":
@@ -192,13 +192,13 @@ OUTPUT_GOLDEN = {
     "blind-clifford-n3":
         "db326551f4327127df91e5f37f20a3e17d188e7a11e6fa46d2a34755031a6ef1",
     "local-twirl-n1":
-        "c447d91c5c8f2417f9d1f478833a3b22b0614d5a638febf4de1c14ef76487085",
+        "4f26e30a0d68c0c3fe6a1a62c75f3cb635c7ffc843f83032a7711cee403b298f",
     "local-twirl-n2":
-        "5ba3a835857781d31960b62acfc975e756eee887cbba5198328a8f22ff8301dc",
+        "efeb12532e4b6a47240dd73286470b488e82ea0e9ac6382aeb872e4a7499e911",
     "local-twirl-n3":
-        "6d4e25359bd4b1f8af325dbcfddde411ca2f0b117a0110906ee5b201b0520252",
+        "74e0f7ffcf534384c43393c70c1f78b23b332ffa8d88000caf649873e1ea82d9",
     "local-twirl-n4":
-        "d2fd43c9e0778e77ea2f87268a1f81889a52bd8b2a67b7f99f1e45196ca6e93b",
+        "74359d857f2c0eedcb12b55043269c5f88fc446d9bd419955ec6cf4ab34fbcff",
     "bounds-check-n2":
         "754f13ebf47e548508831c15cc6a64175527b818eed78816c2a4110fea245763",
     "success-prob":
@@ -212,9 +212,9 @@ OUTPUT_GOLDEN = {
     "noisy-cnot-blind-clifford-n3":
         "c515b2ebaeebb426ae803e1bf895501c73c770826d8a9296f49d114c5150e6f3",
     "noisy-cnot-local-twirl-n4":
-        "50fc461b080fc6c225abad2c8069ed13104463669ad40bba58d9745289546d74",
+        "07a1ed4107878691713ae6b1fb17ae9812e8cd3b8aa1ff7d164462f0b59d955d",
     "signed-form-local-twirl-n3":
-        "3f5d5d847d13c48c56e881cc93a37661bb4cb7ca11e940c60822ff66a5d55a1b",
+        "0d7787d61a12322b344a8c35d86d0ee9a476bb92ba7c838444fcac02483cbd73",
     "signed-form-blind-clifford-n3":
         "c86f60cb3fb31d0db465cfde26d65ba206e23739ba5271bc0430a380d02d2389",
 }

@@ -204,13 +204,6 @@ def test_solve_chi_col_sampled_depolarizing():
     assert abs(est.support.values[(1,)] - 0.225) <= 3 * est.support.stderr[(1,)]
 
 
-def test_keep_which_qubit_off():
-    est = run_local_twirl(ChannelModel.identity(2),
-                          LocalTwirlConfig(shots=500, seed=3, keep_which_qubit=False))
-    assert est.support is None
-    assert est.weight.values[0] == 1.0
-
-
 def test_sample_realization_records():
     ch = mixed_z1_channel(0.3)
     rng = master(4)
@@ -222,6 +215,7 @@ def test_sample_realization_records():
     ident = ChannelModel.identity(2)
     recs_i = [sample_c1t_realization(ident, rng) for _ in range(20)]
     assert all(r.outcome == (0, 0) for r in recs_i)
+    assert run_local_twirl(ident, LocalTwirlConfig(shots=500, seed=3)).weight.values[0] == 1.0
 
 
 def test_choose_cutoff_rule():

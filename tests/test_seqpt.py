@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -805,6 +806,43 @@ def test_compare_variants_n2():
     assert abs(cmp.clifford.usable_pair_fraction - 8 / 15) < 0.05
     d = cmp.to_json_dict()
     assert set(d) == {"n", "shots", "mub", "clifford"}
+
+
+def _pair_z(report, shots):
+    """(usable-pair fraction - exact rate) in binomial sigmas over C(M, 2) pairs."""
+    rate, pairs = report.exact_rate, shots * (shots - 1) // 2
+    return (report.usable_pair_fraction - rate) / math.sqrt(rate * (1 - rate) / pairs)
+
+
+@pytest.mark.parametrize("seed", [27, 40])
+def test_compare_variants_reports_chance_deviations(seed):
+    """A usable-pair fraction more than 3 binomial sigma below its exact rate
+    is a chance deviation, not a fault: at these seeds (n = 1, 10%
+    depolarizing, M = 100) the Clifford and the MUB fraction lie that far
+    out, and compare_variants still returns its report."""
+    dep = ChannelModel.from_kraus(depolarizing_kraus(0.1))
+    cmp = compare_variants(dep, SeqptConfig(shots=100, seed=seed))
+    z = [_pair_z(cmp.mub, 100), _pair_z(cmp.clifford, 100)]
+    assert min(z) < -3, z
+
+
+def test_compare_variants_fractions_are_calibrated():
+    """The binomial sigma over the C(M, 2) pairs has the scale of the
+    usable-pair fraction's spread: over seeds 0-399 at n = 1, 10%
+    depolarizing, M = 100, each variant's z = (fraction - exact rate) / sigma
+    has mean within +-0.25 and sample sd within [0.8, 1.2] (these seeds give
+    0.00 and 0.97 for MUB, -0.05 and 1.10 for Clifford).  The fraction is a
+    degenerate U-statistic, whose limit law is a weighted chi-square, so its
+    tails are heavier than a normal law's: |z| > 3 on 5 and 11 of the 400."""
+    dep = ChannelModel.from_kraus(depolarizing_kraus(0.1))
+    z = {"mub": [], "clifford": []}
+    for seed in range(400):
+        cmp = compare_variants(dep, SeqptConfig(shots=100, seed=seed))
+        for variant, scores in z.items():
+            scores.append(_pair_z(getattr(cmp, variant), 100))
+    for variant, scores in z.items():
+        assert abs(np.mean(scores)) <= 0.25, (variant, np.mean(scores))
+        assert 0.8 <= np.std(scores, ddof=1) <= 1.2, (variant, np.std(scores, ddof=1))
 
 
 def test_selective_label_forms():
