@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
-from .gf2 import _gj_insert, solve_affine_batch
+from .gf2 import from_bit_planes, to_bit_planes
 from .pauli import Pauli
 
 _ONE = np.uint64(1)
@@ -352,42 +352,63 @@ def grow_cliffords(n: int, rows) -> Tableaux:
     A symplectic basis is grown pair by pair: x_k is a nonzero combination
     of the complement basis of the pairs chosen so far, and z_k a solution
     of <x_k, z> = 1 within that complement, the particular solution plus a
-    combination of the nullspace basis.  Each system is kept in fully
-    reduced row echelon form on uint64 rows, so the complement basis and the
-    solutions come out as :func:`gf2.solve_affine` gives them.  Every
-    ordered symplectic basis arises from exactly one row, so uniform draws
-    give an exactly uniform symplectic action; 2n sign bits complete it.
+    combination of the nullspace basis.  Both come out as
+    :func:`gf2.solve_affine` gives them: each element carries the canonical
+    nullspace keys of its system, one per free coordinate in ascending order
+    (bit c of a coefficient picks the key of the c-th free coordinate), and
+    a new constraint <a, z> = 0 updates them in place of a fresh solve.
+    With s_c = <a, b_c> for each key b_c, the new pivot p is the highest
+    free coordinate with s_p = 1; every other key becomes b_c ^ s_c b_p and
+    b_p drops out.  A reduced row echelon form is unique, so these are the
+    keys of the reduced system, and the dropped b_p of x_k's constraint is
+    the particular solution of <x_k, z> = 1.
+
+    The keys, coefficients and images are bit-sliced across the elements
+    (:func:`gf2.to_bit_planes`, 64 elements per uint64 word), so each step
+    is a few bitwise passes over (keys, key bits, words) planes, whatever
+    each element's pivot.  Every ordered symplectic basis arises from exactly
+    one row, so uniform draws give an exactly uniform symplectic action; 2n
+    sign bits complete it.  The draw bounds fit int64 up to n = 31.
     """
-    if 2 * n + 1 > 64:
-        raise DimensionMismatchError("uint64 Clifford growth needs n <= 31")
+    if not 1 <= n <= 31:
+        raise DimensionMismatchError(f"Clifford growth needs 1 <= n <= 31, got n = {n}")
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4 * n)
-    m = len(rows)
-    # symplectic form <a, b> = parity(swap_halves(a) & b): row a of a system
-    pivots = np.zeros((m, 2 * n + 1), dtype=np.uint64)  # the pairs so far, rhs 0
+    coeffs = np.ascontiguousarray(rows[:, :2 * n].T, dtype=np.uint64)  # x_1 less one, z_1, ...
+    coeffs[0::2] += _ONE
+    picks = to_bit_planes(coeffs, 2 * n)  # (step, coefficient bit, word)
+    shape = (2 * n, 2 * n, picks.shape[2])
+    keys = np.zeros(shape, dtype=np.uint64)  # (free coordinate, key bit, word): no constraint yet
+    keys[np.arange(2 * n), np.arange(2 * n)] = ~np.uint64(0)
+    images = np.empty(shape, dtype=np.uint64)  # x_1, z_1, x_2, ...: (image, key bit, word)
 
-    def pick(coeff, r):  # the particular solution XOR the basis vectors coeff's bits pick
-        particular, basis = solve_affine_batch(pivots[pivots != 0].reshape(m, r), 2 * n)
-        picked = (coeff[:, None] >> np.arange(basis.shape[1])) & 1
-        return particular ^ np.bitwise_xor.reduce(basis * picked.astype(np.uint64), axis=1)
+    def pick(step):  # the XOR of the keys that the step's coefficient bits select
+        return np.bitwise_xor.reduce(picks[step, :len(keys), None] & keys, axis=0)
 
-    x = np.empty((m, n), dtype=np.uint64)
-    z = np.empty((m, n), dtype=np.uint64)
+    def constrain(image):  # add <image, z> = 0 and return the dropped key b_p
+        nonlocal keys
+        # <a, b> = parity(swap_halves(a) & b): swapping halves permutes the planes
+        s = np.bitwise_xor.reduce(np.concatenate((image[n:], image[:n])) & keys, axis=1)
+        below = np.bitwise_or.accumulate(s[:0:-1], axis=0)[::-1]  # c < p, for c < f - 1
+        top = s.copy()
+        top[:-1] &= ~below  # c = p
+        dropped = np.bitwise_xor.reduce(top[:, None] & keys, axis=0)
+        keys = keys ^ (s[:, None] & dropped)
+        keys = keys[1:] ^ (below[:, None] & (keys[:-1] ^ keys[1:]))  # drop key p
+        return dropped
+
     for k in range(n):
-        x[:, k] = pick(rows[:, 2 * k] + 1, 2 * k)
-        # <x_k, z> = 1: the other rows have rhs 0, so a pivot row's rhs bit
-        # marks whether it took in the new row, and clearing the rhs bits
-        # leaves the system with x_k at rhs 0
-        _gj_insert(pivots, (_swap_halves(x[:, k], n) << _ONE) | _ONE)
-        z[:, k] = pick(rows[:, 2 * k + 1], 2 * k + 1)
-        pivots &= ~_ONE
-        _gj_insert(pivots, _swap_halves(z[:, k], n) << _ONE)
-    return Tableaux(n, x, z, rows[:, 2 * n:])
+        images[2 * k] = pick(2 * k)
+        particular = constrain(images[2 * k])
+        images[2 * k + 1] = particular ^ pick(2 * k + 1)
+        constrain(images[2 * k + 1])
+    images = from_bit_planes(images, len(rows))
+    return Tableaux(n, images[0::2].T.copy(), images[1::2].T.copy(), rows[:, 2 * n:])
 
 
 def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:
     """Uniformly random Clifford element modulo global phase: one row of
     draws from ``rng`` grown by :func:`grow_cliffords`.  A call costs about
-    0.1-0.4 ms at n = 1 to 3, mostly numpy's per-call overhead: to draw many
+    0.1-0.2 ms at n = 1 to 3, mostly numpy's per-call overhead: to draw many
     elements, grow :func:`clifford_bounds` rows in one call instead."""
     return grow_cliffords(n, draw_clifford_row(n, rng)).clifford(0)
 

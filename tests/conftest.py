@@ -195,9 +195,9 @@ def random_cp_channel(n: int, rng: np.random.Generator,
     return ChannelModel(n, kraus=[q[i * d:(i + 1) * d, :] for i in range(k)])
 
 
-def clifford_group_tableaux(n: int) -> Tableaux:
-    """The whole Clifford group mod phase as one stack: every draw row of
-    :func:`clifford_bounds` in lexicographic order, sign bits innermost.
+def clifford_group_rows(n: int) -> np.ndarray:
+    """Every draw row of :func:`clifford_bounds` in lexicographic order, sign
+    bits innermost: the whole Clifford group mod phase.
 
     Practical for n <= 2 (24 and 11520 elements).
     """
@@ -206,7 +206,13 @@ def clifford_group_tableaux(n: int) -> Tableaux:
     rows = np.array(list(itertools.product(*map(range, clifford_bounds(n)))),
                     dtype=np.int64)
     rows[:, 2 * n:] = rows[:, 2 * n:][:, ::-1]  # sign bit 0 varies fastest
-    return grow_cliffords(n, rows)
+    return rows
+
+
+def clifford_group_tableaux(n: int) -> Tableaux:
+    """The whole Clifford group mod phase as one stack, in the order of
+    :func:`clifford_group_rows`."""
+    return grow_cliffords(n, clifford_group_rows(n))
 
 
 def transpose_map_channel() -> ChannelModel:
@@ -304,3 +310,38 @@ def solve_unique_batch(rows, width: int) -> np.ndarray:
     weights = np.left_shift(1, np.arange(width - 1, -1, -1), dtype=np.int64)
     key = weights @ (aug & one).astype(np.int64)
     return np.where(ok, key, -1)
+
+
+def grow_cliffords_reference(n: int, rows) -> Tableaux:
+    """:func:`twirltomo.stabilizer.grow_cliffords` by fresh solves: the
+    reference kernel for the carried nullspace keys.
+
+    Each of the 2n steps keeps the system's pivot rows in fully reduced row
+    echelon form, one (M, 2n + 1) uint64 table of augmented rows (bit 0 the
+    rhs), grows it with :func:`twirltomo.gf2._gj_insert`, and reads the
+    particular key and the nullspace keys off it with
+    :func:`twirltomo.gf2.solve_affine_batch`.
+    """
+    one = np.uint64(1)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4 * n)
+    m = len(rows)
+    # symplectic form <a, b> = parity(swap_halves(a) & b): row a of a system
+    pivots = np.zeros((m, 2 * n + 1), dtype=np.uint64)  # the pairs so far, rhs 0
+
+    def pick(coeff, r):  # the particular solution XOR the basis vectors coeff's bits pick
+        particular, basis = gf2.solve_affine_batch(pivots[pivots != 0].reshape(m, r), 2 * n)
+        picked = (coeff[:, None] >> np.arange(basis.shape[1])) & 1
+        return particular ^ np.bitwise_xor.reduce(basis * picked.astype(np.uint64), axis=1)
+
+    x = np.empty((m, n), dtype=np.uint64)
+    z = np.empty((m, n), dtype=np.uint64)
+    for k in range(n):
+        x[:, k] = pick(rows[:, 2 * k] + 1, 2 * k)
+        # <x_k, z> = 1: the other rows have rhs 0, so a pivot row's rhs bit
+        # marks whether it took in the new row, and clearing the rhs bits
+        # leaves the system with x_k at rhs 0
+        gf2._gj_insert(pivots, (_swap_halves(x[:, k], n) << one) | one)
+        z[:, k] = pick(rows[:, 2 * k + 1], 2 * k + 1)
+        pivots &= ~one
+        gf2._gj_insert(pivots, _swap_halves(z[:, k], n) << one)
+    return Tableaux(n, x, z, rows[:, 2 * n:])

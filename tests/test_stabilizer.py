@@ -7,10 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (class_of, clifford_group_tableaux, conjugated_xz_table, label_table,
+from conftest import (class_of, clifford_group_rows, clifford_group_tableaux,
+                      conjugated_xz_table, grow_cliffords_reference, label_table,
                       mub_family_reference, solve_unique_batch, symplectic_product,
                       xor_combination)
 from twirltomo import gf2
+from twirltomo.errors import DimensionMismatchError
 from twirltomo.pauli import Pauli
 from twirltomo.stabilizer import (GATES, Clifford, Tableaux, _key_to_pauli,
                                   _swap_halves, build_mub_family,
@@ -267,13 +269,65 @@ def _reference_sample(n, rng):
                           for j, (_, z) in enumerate(pairs)))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", (*range(1, 6), 8))
 def test_sampler_matches_python_int_reference(n):
     """sample_clifford_uniform grows the element the Python-int loop grows
     from the same draws, 300 times in a row from one generator."""
     rng_a, rng_b = master(700 + n), master(700 + n)
     for _ in range(300):
         assert sample_clifford_uniform(n, rng_a) == _reference_sample(n, rng_b)
+
+
+def _assert_same_tableaux(got, want):
+    assert got.n == want.n
+    for name in ("x", "z", "signs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_growth_equals_fresh_solves_on_the_whole_group(n):
+    """The carried nullspace keys give the elements of the reference kernel,
+    which solves each step afresh, on every draw row of the n <= 2 groups."""
+    rows = clifford_group_rows(n)
+    _assert_same_tableaux(grow_cliffords(n, rows), grow_cliffords_reference(n, rows))
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_growth_equals_fresh_solves_on_draw_batch_rows(n):
+    """Bit for bit on 10^5 rows of the protocols' batched draws."""
+    rows, _ = draw_batch(900 + n, 1, 10 ** 5, clifford_bounds(n), 0)
+    _assert_same_tableaux(grow_cliffords(n, rows), grow_cliffords_reference(n, rows))
+
+
+def test_growth_at_the_uint64_limit():
+    """At n = 31, 2n = 62 key bits and the largest bound 4^31 - 1: 50 rows
+    of draw_clifford_row grow as the reference grows them, each into a
+    symplectic basis, <x_j, z_k> = delta_jk and <x_j, x_k> = <z_j, z_k> = 0."""
+    n, rng = 31, master(31)
+    rows = [draw_clifford_row(n, rng) for _ in range(50)]
+    got = grow_cliffords(n, rows)
+    _assert_same_tableaux(got, grow_cliffords_reference(n, rows))
+
+    def form(a, b):  # (M, n, n) symplectic products <a_j, b_k>
+        return np.bitwise_count(_swap_halves(a, n)[:, :, None] & b[:, None, :]) & 1
+
+    assert np.array_equal(form(got.x, got.z), np.broadcast_to(np.eye(n, dtype=np.uint8),
+                                                              (50, n, n)))
+    assert not form(got.x, got.x).any() and not form(got.z, got.z).any()
+    assert np.array_equal(got.signs, np.array(rows)[:, 2 * n:])
+
+
+def test_growth_refuses_n_past_the_uint64_limit():
+    """n = 32, whose first draw bound 4^32 - 1 is past int64, is refused
+    before the rows are read, let alone an array made."""
+
+    class Unread:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("rows read")
+
+    with pytest.raises(DimensionMismatchError):
+        grow_cliffords(32, Unread())
 
 
 def test_sampler_uniform_n1():
