@@ -7,12 +7,10 @@ small systems at once, on uint64 rows in numpy: :func:`rref_batch` gives
 the constraint classes of blind discovery (through the pivot tables of
 :func:`_gj_insert`), and :func:`solve_affine_batch` reads each class's
 solution frame (a particular key and a nullspace basis) off its reduced
-rows.  :func:`to_bit_planes` and :func:`from_bit_planes` bit-slice
-integers across systems, 64 per word, for the uniform Clifford growth of
-:mod:`twirltomo.stabilizer`.  The scalar :func:`solve_affine` is the
-tests' reference for the batched frames.  The n x n system of each class
-pair in such a frame is solved bit-sliced, 8 pairs per byte, inside the
-pair pass of :mod:`twirltomo.seqpt`.
+rows.  The scalar :func:`solve_affine` is the tests' reference for the
+batched frames.  The n x n system of each class pair in such a frame is
+solved bit-sliced, 8 pairs per byte, inside the pair pass of
+:mod:`twirltomo.seqpt`.
 """
 from __future__ import annotations
 
@@ -139,44 +137,3 @@ def solve_affine_batch(rows, width: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(r):  # pivot coordinate of row k = its bit at each free coordinate
         basis |= ((rows[:, k, None] >> (cols + _ONE)) & _ONE) << top[:, k, None]
     return particular, basis
-
-
-def _transpose8(words: np.ndarray) -> np.ndarray:
-    """Transpose, in place, the 8 x 8 bit matrix in each uint64 word, byte r
-    being row r and its bit c column c: three delta swaps."""
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        shift, mask = np.uint64(shift), np.uint64(mask)
-        t = ((words >> shift) ^ words) & mask
-        words ^= t ^ (t << shift)
-    return words
-
-
-def to_bit_planes(ints, width: int) -> np.ndarray:
-    """The (S, width, W) bit planes of the (S, M) integers below 2^width,
-    W = ceil(M / 64): bit i % 64 of word i // 64 of plane j is bit j of
-    integer i, and the bits past M are 0.  An 8 x 8 bit transpose per word
-    (:func:`_transpose8`) moves the bits between the two layouts."""
-    ints = np.ascontiguousarray(ints, dtype="<u8")
-    s, m = ints.shape
-    nb, w = (width + 7) // 8, -(-m // 64)
-    byte = np.zeros((s, nb, 64 * w), dtype=np.uint8)  # byte b of integer i at [b, i]
-    byte[:, :, :m] = ints.view(np.uint8).reshape(s, m, 8)[:, :, :nb].transpose(0, 2, 1)
-    # word g of a byte row holds integers 8g..8g+7; transposed, its byte c is bit c of each
-    planes = (_transpose8(byte.view("<u8")).view(np.uint8).reshape(s, nb, 8 * w, 8)
-              .transpose(0, 1, 3, 2).copy())
-    return planes.view("<u8").reshape(s, 8 * nb, w)[:, :width]
-
-
-def from_bit_planes(planes: np.ndarray, count: int) -> np.ndarray:
-    """The (S, count) uint64 integers of (S, width, W) bit planes, the
-    inverse of :func:`to_bit_planes`."""
-    s, width, w = planes.shape
-    nb = (width + 7) // 8
-    padded = np.zeros((s, 8 * nb, w), dtype="<u8")
-    padded[:, :width] = planes
-    words = padded.view(np.uint8).reshape(s, nb, 8, 8 * w).transpose(0, 1, 3, 2).copy()
-    byte = _transpose8(words.view("<u8")).view(np.uint8).reshape(s, nb, 64 * w)
-    ints = np.zeros((s, count, 8), dtype=np.uint8)
-    ints[:, :, :nb] = byte[:, :, :count].transpose(0, 2, 1)
-    return ints.view("<u8")[..., 0].astype(np.uint64, copy=False)

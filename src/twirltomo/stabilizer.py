@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .channels import gate_unitary
-from .gf2 import from_bit_planes, to_bit_planes
 from .pauli import Pauli
 
 _ONE = np.uint64(1)
@@ -363,46 +362,43 @@ def grow_cliffords(n: int, rows) -> Tableaux:
     keys of the reduced system, and the dropped b_p of x_k's constraint is
     the particular solution of <x_k, z> = 1.
 
-    The keys, coefficients and images are bit-sliced across the elements
-    (:func:`gf2.to_bit_planes`, 64 elements per uint64 word), so each step
-    is a few bitwise passes over (keys, key bits, words) planes, whatever
-    each element's pivot.  Every ordered symplectic basis arises from exactly
-    one row, so uniform draws give an exactly uniform symplectic action; 2n
-    sign bits complete it.  The draw bounds fit int64 up to n = 31.
+    The keys are kept as an (f, M) uint64 array, f the free coordinates
+    left, which loses one row per constraint.  Every ordered symplectic
+    basis arises from exactly one row, so uniform draws give an exactly
+    uniform symplectic action; 2n sign bits complete it.  The draw bounds
+    fit int64 up to n = 31.
     """
     if not 1 <= n <= 31:
         raise DimensionMismatchError(f"Clifford growth needs 1 <= n <= 31, got n = {n}")
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4 * n)
-    coeffs = np.ascontiguousarray(rows[:, :2 * n].T, dtype=np.uint64)  # x_1 less one, z_1, ...
-    coeffs[0::2] += _ONE
-    picks = to_bit_planes(coeffs, 2 * n)  # (step, coefficient bit, word)
-    shape = (2 * n, 2 * n, picks.shape[2])
-    keys = np.zeros(shape, dtype=np.uint64)  # (free coordinate, key bit, word): no constraint yet
-    keys[np.arange(2 * n), np.arange(2 * n)] = ~np.uint64(0)
-    images = np.empty(shape, dtype=np.uint64)  # x_1, z_1, x_2, ...: (image, key bit, word)
+    m = len(rows)
+    coords = np.arange(2 * n, dtype=np.uint64)
+    keys = np.broadcast_to((_ONE << coords)[:, None], (2 * n, m))  # no constraint yet
+    elements = np.arange(m)
 
-    def pick(step):  # the XOR of the keys that the step's coefficient bits select
-        return np.bitwise_xor.reduce(picks[step, :len(keys), None] & keys, axis=0)
+    def pick(coeff):  # the XOR of the keys that coeff's bits select
+        bits = (coeff.astype(np.uint64) >> coords[:len(keys), None]) & _ONE
+        return np.bitwise_xor.reduce(keys * bits, axis=0)
 
     def constrain(image):  # add <image, z> = 0 and return the dropped key b_p
         nonlocal keys
-        # <a, b> = parity(swap_halves(a) & b): swapping halves permutes the planes
-        s = np.bitwise_xor.reduce(np.concatenate((image[n:], image[:n])) & keys, axis=1)
-        below = np.bitwise_or.accumulate(s[:0:-1], axis=0)[::-1]  # c < p, for c < f - 1
-        top = s.copy()
-        top[:-1] &= ~below  # c = p
-        dropped = np.bitwise_xor.reduce(top[:, None] & keys, axis=0)
-        keys = keys ^ (s[:, None] & dropped)
-        keys = keys[1:] ^ (below[:, None] & (keys[:-1] ^ keys[1:]))  # drop key p
+        f = len(keys)
+        # <a, b> = parity(swap_halves(a) & b)
+        s = np.bitwise_count(_swap_halves(image, n) & keys) & np.uint8(1)
+        p = np.max(s * np.arange(1, f + 1, dtype=np.uint8)[:, None], axis=0)  # pivot + 1
+        dropped = keys[p - 1, elements]
+        keys = keys ^ (s * dropped)
+        keys = np.where(np.arange(1, f, dtype=np.uint8)[:, None] < p, keys[:-1], keys[1:])
         return dropped
 
+    x = np.empty((m, n), dtype=np.uint64)
+    z = np.empty((m, n), dtype=np.uint64)
     for k in range(n):
-        images[2 * k] = pick(2 * k)
-        particular = constrain(images[2 * k])
-        images[2 * k + 1] = particular ^ pick(2 * k + 1)
-        constrain(images[2 * k + 1])
-    images = from_bit_planes(images, len(rows))
-    return Tableaux(n, images[0::2].T.copy(), images[1::2].T.copy(), rows[:, 2 * n:])
+        x[:, k] = pick(rows[:, 2 * k] + 1)
+        particular = constrain(x[:, k])
+        z[:, k] = particular ^ pick(rows[:, 2 * k + 1])
+        constrain(z[:, k])
+    return Tableaux(n, x, z, rows[:, 2 * n:])
 
 
 def sample_clifford_uniform(n: int, rng: np.random.Generator) -> Clifford:

@@ -92,26 +92,6 @@ def test_solve_affine_batch_equals_scalar(case):
         assert (int(particular[k]), basis[k].tolist()) == want
 
 
-@pytest.mark.parametrize("width", (1, 7, 8, 9, 62, 64))
-def test_bit_planes_round_trip(width):
-    """to_bit_planes puts bit j of integer i at bit i % 64 of word i // 64 of
-    plane j, with zeros past the last integer, and from_bit_planes inverts it."""
-    rng = np.random.default_rng(width)
-    for count in (0, 1, 8, 63, 64, 65, 1000):
-        ints = rng.integers(0, 1 << 63, size=(3, count), dtype=np.uint64) * np.uint64(2)
-        ints ^= rng.integers(0, 2, size=(3, count), dtype=np.uint64)
-        ints &= np.uint64((1 << width) - 1)
-        planes = gf2.to_bit_planes(ints, width)
-        words = -(-count // 64)
-        assert planes.shape == (3, width, words) and planes.dtype == np.uint64
-        bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")
-        want = np.zeros((3, width, 64 * words), dtype=np.uint8)
-        want[:, :, :count] = (ints[:, None, :] >> np.arange(width, dtype=np.uint64)[:, None]) & 1
-        assert np.array_equal(bits, want), count
-        back = gf2.from_bit_planes(planes, count)
-        assert back.dtype == np.uint64 and np.array_equal(back, ints), count
-
-
 def test_rank_and_span():
     assert gf2.rank([0b01, 0b10, 0b11]) == 2
     assert gf2.rank([]) == 0
